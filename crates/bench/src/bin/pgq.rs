@@ -67,8 +67,6 @@ struct Args {
     timeout: Option<f64>,
     memory_limit: Option<u64>,
     max_concurrent: usize,
-    no_vectorize: bool,
-    no_cbo: bool,
     explain_logical: bool,
     sys: Option<String>,
     trace_out: Option<String>,
@@ -81,21 +79,22 @@ fn usage() -> ! {
          \x20          [--model ng|sp|rf] [--partitioned] [--json] [--explain]\n\
          \x20          [--explain-logical] [--profile] [--metrics] [--sys SPARQL]\n\
          \x20          [--trace-out FILE] [--timeout SECS] [--memory-limit BYTES[k|m|g]]\n\
-         \x20          [--max-concurrent N] [--no-vectorize] [--no-cbo] [--workers N]\n\
+         \x20          [--max-concurrent N] [--workers N]\n\
          \x20          [--replay FILE.rq] [--repeat N] [QUERY|-]\n\
          \n\
          system graphs (--sys, or any query naming them; PREFIX sys: <pgrdf:sys#>):\n\
          \x20 <pgrdf:sys/queries>  flight recorder — per query: sys:queryId sys:family\n\
          \x20                      sys:textHash sys:admissionWaitNanos sys:cacheHit\n\
          \x20                      sys:compileNanos sys:execNanos sys:rowsOut\n\
-         \x20                      sys:peakMemBytes sys:threads sys:vectorized\n\
+         \x20                      sys:peakMemBytes sys:threads sys:vectorized (a\n\
+         \x20                      vectorized pipeline ran — the plan's shape decides)\n\
          \x20                      sys:outcome (ok|cancelled|deadline|memory_exhausted|shed)\n\
          \x20                      sys:spanCount\n\
          \x20 <pgrdf:sys/metrics>  registry — sys:name sys:label sys:help sys:kind, plus\n\
          \x20                      sys:value (counter/gauge) or sys:count sys:sum\n\
          \x20                      sys:p50 sys:p95 sys:p99 (histogram)\n\
          \x20 <pgrdf:sys/plans>    plan cache — per entry: sys:dataset sys:text\n\
-         \x20                      sys:vectorized sys:epoch sys:statsVersion sys:hits\n\
+         \x20                      sys:epoch sys:statsVersion sys:hits\n\
          \x20                      sys:ageTicks sys:estimatedRows sys:actualRows;\n\
          \x20                      cache-wide counters under <pgrdf:sys/plancache>\n\
          \x20 <pgrdf:sys/store>    storage — per object: sys:object sys:entries\n\
@@ -157,9 +156,7 @@ fn exec_options(args: &Args) -> sparql::ExecOptions {
         limits.deadline = Some(Instant::now() + Duration::from_secs_f64(secs));
     }
     limits.max_memory = args.memory_limit;
-    let options = sparql::ExecOptions { limits, ..Default::default() }
-        .with_vectorize(!args.no_vectorize)
-        .with_use_cbo(!args.no_cbo);
+    let options = sparql::ExecOptions { limits, ..Default::default() };
     match CANCEL.get() {
         Some(token) => options.with_cancel(token.clone()),
         None => options,
@@ -185,8 +182,6 @@ fn parse_args() -> Args {
         timeout: None,
         memory_limit: None,
         max_concurrent: 0,
-        no_vectorize: false,
-        no_cbo: false,
         explain_logical: false,
         sys: None,
         trace_out: None,
@@ -234,12 +229,6 @@ fn parse_args() -> Args {
                 args.max_concurrent =
                     argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
-            // Force the row-at-a-time reference pipeline (the vectorized
-            // columnar pipeline is the default).
-            "--no-vectorize" => args.no_vectorize = true,
-            // Fall back to the heuristic greedy join planner (the
-            // statistics-driven cost-based optimizer is the default).
-            "--no-cbo" => args.no_cbo = true,
             "--explain-logical" => args.explain_logical = true,
             "--sys" => args.sys = Some(argv.next().unwrap_or_else(|| usage())),
             "--trace-out" => {

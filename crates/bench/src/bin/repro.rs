@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! repro [--scale 0.02] [--seed 7739251] [table2|table5|table6|table7|table8|table9|
-//!        fig4|fig5|fig6|fig7|fig8|fig9|rf|mono|pr2|pr3|pr4|pr8|pr9|pr10|durability|
-//!        overhead|governor|vecguard|flightguard|planguard|all]
+//!        fig4|fig5|fig6|fig7|fig8|fig9|rf|mono|pr2|pr3|pr4|pr9|durability|
+//!        overhead|governor|flightguard|all]
 //! ```
 //!
 //! Absolute numbers differ from the paper (different hardware, synthetic
@@ -44,7 +44,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: repro [--scale F] [--seed N] [table2|table5|table6|table7|table8|table9|fig4|fig5|fig6|fig7|fig8|fig9|rf|mono|pr2|pr3|pr4|pr8|pr9|pr10|durability|overhead|governor|vecguard|flightguard|planguard|all]"
+                    "usage: repro [--scale F] [--seed N] [table2|table5|table6|table7|table8|table9|fig4|fig5|fig6|fig7|fig8|fig9|rf|mono|pr2|pr3|pr4|pr9|durability|overhead|governor|flightguard|all]"
                 );
                 std::process::exit(0);
             }
@@ -76,8 +76,8 @@ fn main() {
     // Everything below needs the generated dataset.
     let needs_fixture = [
         "table5", "table6", "table7", "table8", "table9", "fig4", "fig5", "fig6", "fig7",
-        "fig8", "fig9", "rf", "mono", "pr2", "pr3", "pr4", "pr8", "pr9", "pr10",
-        "durability", "overhead", "governor", "vecguard", "flightguard", "planguard",
+        "fig8", "fig9", "rf", "mono", "pr2", "pr3", "pr4", "pr9", "durability", "overhead",
+        "governor", "flightguard",
     ]
     .iter()
     .any(|s| want(s));
@@ -171,14 +171,8 @@ fn main() {
     if want("pr4") {
         bench_pr4(&fixture, &args);
     }
-    if want("pr8") {
-        bench_pr8(&fixture, &args);
-    }
     if want("pr9") {
         bench_pr9(&fixture, &args);
-    }
-    if want("pr10") {
-        bench_pr10(&fixture, &args);
     }
     // Opt-in (not part of `all`): fsync-heavy, so only on explicit ask.
     if args.sections.iter().any(|s| s == "durability") {
@@ -196,23 +190,11 @@ fn main() {
     if args.sections.iter().any(|s| s == "governor") {
         governor_guard(&fixture);
     }
-    // Opt-in (not part of `all`): exits non-zero when the vectorized
-    // pipeline regresses past the row pipeline on any EQ1–EQ5 query (CI
-    // calls `repro vecguard` as the vectorized-performance guard).
-    if args.sections.iter().any(|s| s == "vecguard") {
-        vecguard(&fixture);
-    }
     // Opt-in (not part of `all`): toggles the global flight recorder and
     // exits non-zero on a regression (CI calls `repro flightguard` as
     // the flight-recorder overhead guard).
     if args.sections.iter().any(|s| s == "flightguard") {
         flightguard(&fixture);
-    }
-    // Opt-in (not part of `all`): exits non-zero when the cost-based
-    // optimizer's plans regress past the greedy heuristic's on any
-    // EQ1–EQ5 query (CI calls `repro planguard` as the optimizer guard).
-    if args.sections.iter().any(|s| s == "planguard") {
-        planguard(&fixture);
     }
 }
 
@@ -906,117 +888,6 @@ fn bench_pr4(fixture: &Fixture, args: &Args) {
     println!("wrote BENCH_PR4.json");
 }
 
-/// PR8 artifact: vectorized columnar execution vs the row-at-a-time
-/// reference pipeline, written to `BENCH_PR8.json`. Both modes run the
-/// identical compiled plans single-threaded (each flavour has its own
-/// plan-cache entry, warmed before timing), so the measured gap is purely
-/// the execution model: late-materialized ID columns + selection vectors
-/// against per-row `Vec<Option<u64>>` streaming.
-///
-/// Families follow the paper's experiment grouping; the aggregate
-/// (EQ9/EQ10) and triangle (EQ12) families are the headline — columnar
-/// COUNT accumulation and the memoized probe loop benefit most from
-/// batching, and the issue's acceptance bar is a >=1.5x median win there.
-fn bench_pr8(fixture: &Fixture, args: &Args) {
-    use sparql::ExecOptions;
-
-    const ITERS: usize = 9;
-    let families: &[(&str, &[Eq])] = &[
-        ("node", &[Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4]),
-        ("edge", &[Eq::Eq5]),
-        ("aggregate", &[Eq::Eq9, Eq::Eq10]),
-        ("triangle", &[Eq::Eq12]),
-    ];
-
-    println!("\n--- PR8: vectorized vs row pipeline (BENCH_PR8.json) ---");
-    println!(
-        "{:<10} {:<6} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "family", "model", "row med", "row p95", "vec med", "vec p95", "speedup"
-    );
-
-    let mut model_blocks = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let mut family_blocks = Vec::new();
-        for (family, queries) in families {
-            let mut row_ms = Vec::new();
-            let mut vec_ms = Vec::new();
-            for &eq in *queries {
-                let to_ms =
-                    |v: Vec<std::time::Duration>| v.into_iter().map(|d| d.as_secs_f64() * 1e3);
-                row_ms.extend(to_ms(fixture.time_with_options(
-                    eq,
-                    model,
-                    ExecOptions::threads(1).with_vectorize(false),
-                    ITERS,
-                )));
-                vec_ms.extend(to_ms(fixture.time_with_options(
-                    eq,
-                    model,
-                    ExecOptions::threads(1),
-                    ITERS,
-                )));
-            }
-            let (row_med, row_p95) = (percentile(&row_ms, 50.0), percentile(&row_ms, 95.0));
-            let (vec_med, vec_p95) = (percentile(&vec_ms, 50.0), percentile(&vec_ms, 95.0));
-            let speedup = row_med / vec_med;
-            println!(
-                "{:<10} {:<6} {:>10} {:>10} {:>10} {:>10} {:>7.2}x",
-                family,
-                model.to_string(),
-                format!("{row_med:.3}ms"),
-                format!("{row_p95:.3}ms"),
-                format!("{vec_med:.3}ms"),
-                format!("{vec_p95:.3}ms"),
-                speedup
-            );
-            family_blocks.push(format!(
-                concat!(
-                    "      \"{}\": {{\n",
-                    "        \"queries\": [{}],\n",
-                    "        \"row\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}},\n",
-                    "        \"vectorized\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}},\n",
-                    "        \"speedup_median\": {:.3}\n",
-                    "      }}"
-                ),
-                family,
-                queries
-                    .iter()
-                    .map(|eq| format!("\"{}\"", eq.label(model)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                row_med,
-                row_p95,
-                vec_med,
-                vec_p95,
-                speedup
-            ));
-        }
-        model_blocks.push(format!(
-            "    \"{}\": {{\n      \"families\": {{\n{}\n      }}\n    }}",
-            model,
-            family_blocks.join(",\n")
-        ));
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"iterations_per_query\": {},\n",
-            "  \"threads\": 1,\n",
-            "  \"models\": {{\n{}\n  }}\n",
-            "}}\n"
-        ),
-        args.scale,
-        args.seed,
-        ITERS,
-        model_blocks.join(",\n")
-    );
-    std::fs::write("BENCH_PR8.json", &json).expect("write BENCH_PR8.json");
-    println!("wrote BENCH_PR8.json");
-}
-
 /// Times the warmed EQ1–EQ5 batch (NG and SP) with the flight recorder
 /// disabled and enabled back-to-back in each round and returns the
 /// cleanest round's `(ratio, disabled_ms, enabled_ms)`. Telemetry is
@@ -1177,337 +1048,6 @@ fn bench_pr9(fixture: &Fixture, args: &Args) {
     println!("wrote BENCH_PR9.json");
 }
 
-/// Builds the skewed micro-fixture the greedy heuristic misplans: one
-/// tagged hub `x0` with a 20k-member fan-out, of which exactly one
-/// member carries a `flag` quad. Greedy's connectivity rank forces
-/// `member` right after `tag` (it shares `?x`; `flag` does not), so it
-/// materializes all 20k rows and probes `flag` 20k times for one
-/// survivor. The DP enumerator, free to start anywhere connected,
-/// chains from the 1-row `flag` scan backwards through `member`'s
-/// object-bound access path and touches three rows total.
-fn skewed_store() -> quadstore::Store {
-    use rdf_model::{Quad, Term};
-
-    const MEMBERS: usize = 20_000;
-    let store = quadstore::Store::new();
-    store.create_model("skew").expect("model");
-    let hub = Term::iri("http://x/hub0");
-    let member = Term::iri("http://x/member");
-    let mut quads = vec![
-        Quad::triple(hub.clone(), Term::iri("http://x/tag"), Term::string("T"))
-            .expect("quad"),
-        Quad::triple(
-            Term::iri("http://x/m0"),
-            Term::iri("http://x/flag"),
-            Term::iri("http://x/z0"),
-        )
-        .expect("quad"),
-    ];
-    for m in 0..MEMBERS {
-        quads.push(
-            Quad::triple(hub.clone(), member.clone(), Term::iri(format!("http://x/m{m}")))
-                .expect("quad"),
-        );
-    }
-    store.bulk_load("skew", &quads).expect("bulk load");
-    store
-}
-
-const SKEWED_QUERY: &str = "SELECT ?z WHERE { \
-     ?x <http://x/tag> \"T\" . \
-     ?x <http://x/member> ?y . \
-     ?y <http://x/flag> ?z }";
-
-/// PR10 artifact: cost-based vs greedy join planning, written to
-/// `BENCH_PR10.json`. Two measurements: (1) per EQ family (NG and SP),
-/// warmed single-threaded medians with the CBO on and off — every pair of
-/// runs is also checked for bit-identical solutions, so the artifact
-/// doubles as an equivalence sweep; (2) the skewed-join micro-fixture
-/// where per-predicate statistics provably beat the uniform greedy
-/// fanout estimate, reported as wall time and intermediate-row work.
-fn bench_pr10(fixture: &Fixture, args: &Args) {
-    use sparql::ExecOptions;
-
-    const ITERS: usize = 9;
-    let families: &[(&str, &[Eq])] = &[
-        ("node", &[Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4]),
-        ("edge", &[Eq::Eq5, Eq::Eq6, Eq::Eq7, Eq::Eq8]),
-        ("aggregate", &[Eq::Eq9, Eq::Eq10]),
-        ("traversal", &[Eq::Eq11(3)]),
-        ("triangle", &[Eq::Eq12]),
-    ];
-
-    println!("\n--- PR10: cost-based vs greedy join planning (BENCH_PR10.json) ---");
-    println!(
-        "{:<10} {:<6} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "family", "model", "greedy md", "greedy p95", "cbo md", "cbo p95", "speedup"
-    );
-
-    let cbo_opts = ExecOptions::threads(1);
-    let greedy_opts = ExecOptions::threads(1).with_use_cbo(false);
-    let mut model_blocks = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        let mut family_blocks = Vec::new();
-        for (family, queries) in families {
-            let mut cbo_ms = Vec::new();
-            let mut greedy_ms = Vec::new();
-            for &eq in *queries {
-                // Equivalence sweep rides along: the optimizer may only
-                // change how fast the answers arrive. Reordered joins may
-                // emit the same rows in a different order, so compare as
-                // multisets.
-                let text = fixture.query_text(eq, model);
-                let dataset = fixture.dataset_for(eq, model);
-                let canonical = |sols: sparql::Solutions| {
-                    let mut rows: Vec<String> =
-                        sols.rows.iter().map(|r| format!("{r:?}")).collect();
-                    rows.sort();
-                    (sols.vars, rows)
-                };
-                let with_cbo = canonical(
-                    store
-                        .select_in_with(&dataset, &text, cbo_opts.clone())
-                        .expect("pr10 cbo run"),
-                );
-                let without = canonical(
-                    store
-                        .select_in_with(&dataset, &text, greedy_opts.clone())
-                        .expect("pr10 greedy run"),
-                );
-                assert_eq!(
-                    with_cbo,
-                    without,
-                    "{}: CBO changed the answers",
-                    eq.label(model)
-                );
-                let to_ms =
-                    |v: Vec<std::time::Duration>| v.into_iter().map(|d| d.as_secs_f64() * 1e3);
-                greedy_ms.extend(to_ms(fixture.time_with_options(
-                    eq,
-                    model,
-                    greedy_opts.clone(),
-                    ITERS,
-                )));
-                cbo_ms.extend(to_ms(fixture.time_with_options(
-                    eq,
-                    model,
-                    cbo_opts.clone(),
-                    ITERS,
-                )));
-            }
-            let (greedy_med, greedy_p95) =
-                (percentile(&greedy_ms, 50.0), percentile(&greedy_ms, 95.0));
-            let (cbo_med, cbo_p95) = (percentile(&cbo_ms, 50.0), percentile(&cbo_ms, 95.0));
-            let speedup = greedy_med / cbo_med;
-            println!(
-                "{:<10} {:<6} {:>10} {:>10} {:>10} {:>10} {:>7.2}x",
-                family,
-                model.to_string(),
-                format!("{greedy_med:.3}ms"),
-                format!("{greedy_p95:.3}ms"),
-                format!("{cbo_med:.3}ms"),
-                format!("{cbo_p95:.3}ms"),
-                speedup
-            );
-            family_blocks.push(format!(
-                concat!(
-                    "      \"{}\": {{\n",
-                    "        \"queries\": [{}],\n",
-                    "        \"greedy\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}},\n",
-                    "        \"cbo\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}},\n",
-                    "        \"speedup_median\": {:.3}\n",
-                    "      }}"
-                ),
-                family,
-                queries
-                    .iter()
-                    .map(|eq| format!("\"{}\"", eq.label(model)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                greedy_med,
-                greedy_p95,
-                cbo_med,
-                cbo_p95,
-                speedup
-            ));
-        }
-        model_blocks.push(format!(
-            "    \"{}\": {{\n      \"families\": {{\n{}\n      }}\n    }}",
-            model,
-            family_blocks.join(",\n")
-        ));
-    }
-
-    // The skewed-join headline: per-predicate statistics reorder the
-    // join so the 1-row probe runs before the 100-row fan-out.
-    let skew = skewed_store();
-    let view = skew.dataset("skew").expect("skew view");
-    let parsed = sparql::parse_query(SKEWED_QUERY).expect("skew parse");
-    let compile = |use_cbo: bool| {
-        sparql::compile_with(
-            &view,
-            &parsed,
-            sparql::CompileOptions { use_cbo, ..Default::default() },
-        )
-        .expect("skew compile")
-    };
-    let cbo_plan = compile(true);
-    let greedy_plan = compile(false);
-    let measure = |plan: &sparql::CompiledQuery| {
-        let (results, prof) =
-            sparql::execute_profiled(&view, plan, ExecOptions::threads(1)).expect("skew run");
-        let work: u64 = sparql::explain::step_profiles(plan, &prof)
-            .iter()
-            .map(|s| s.actual_rows + s.loops)
-            .sum();
-        let mut ms = Vec::new();
-        for _ in 0..ITERS {
-            let t0 = Instant::now();
-            sparql::execute_compiled_with_options(&view, plan, ExecOptions::threads(1))
-                .expect("skew timed run");
-            ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        (results, work, percentile(&ms, 50.0))
-    };
-    let (cbo_rows, cbo_work, cbo_med) = measure(&cbo_plan);
-    let (greedy_rows, greedy_work, greedy_med) = measure(&greedy_plan);
-    assert_eq!(cbo_rows, greedy_rows, "skewed fixture: CBO changed the answers");
-    assert!(
-        cbo_work < greedy_work,
-        "skewed fixture: cost-based order must move fewer intermediate rows \
-         (cbo {cbo_work} vs greedy {greedy_work})"
-    );
-    println!(
-        "skewed join: greedy={greedy_med:.3}ms ({greedy_work} rows+loops) \
-         cbo={cbo_med:.3}ms ({cbo_work} rows+loops) speedup={:.2}x",
-        greedy_med / cbo_med
-    );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"iterations_per_query\": {},\n",
-            "  \"threads\": 1,\n",
-            "  \"models\": {{\n{}\n  }},\n",
-            "  \"skewed_join\": {{\n",
-            "    \"query\": \"tag(1 row) x member(20k fan-out) x flag(1 row, 1 surviving member)\",\n",
-            "    \"greedy\": {{\"median_ms\": {:.3}, \"rows_plus_loops\": {}}},\n",
-            "    \"cbo\": {{\"median_ms\": {:.3}, \"rows_plus_loops\": {}}},\n",
-            "    \"speedup_median\": {:.3},\n",
-            "    \"results_identical\": true\n",
-            "  }}\n",
-            "}}\n"
-        ),
-        args.scale,
-        args.seed,
-        ITERS,
-        model_blocks.join(",\n"),
-        greedy_med,
-        greedy_work,
-        cbo_med,
-        cbo_work,
-        greedy_med / cbo_med
-    );
-    std::fs::write("BENCH_PR10.json", &json).expect("write BENCH_PR10.json");
-    println!("wrote BENCH_PR10.json");
-}
-
-/// CI guard for the cost-based optimizer: on every one of EQ1–EQ5 (NG
-/// and SP), the cost-based plan must finish within 5% of the greedy
-/// heuristic's — per query, not pooled, so one misplanned query cannot
-/// hide behind a family average. Same paired-round, cleanest-ratio noise
-/// model and per-query pass calibration as the vectorized guard.
-fn planguard(fixture: &Fixture) {
-    use sparql::ExecOptions;
-
-    const ROUNDS: usize = 9;
-    const MIN_ROUND_MS: f64 = 20.0;
-    const MIN_PASSES: usize = 5;
-    const MAX_PASSES: usize = 5000;
-    const BUDGET: f64 = 1.05;
-    const QUERIES: [Eq; 5] = [Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4, Eq::Eq5];
-
-    println!("\n--- Cost-based-plan guard (budget: cbo <= 1.05x greedy, per query) ---");
-    println!(
-        "{:<8} {:<6} {:>7} {:>12} {:>12} {:>8}",
-        "query", "model", "passes", "greedy best", "cbo best", "ratio"
-    );
-
-    let greedy_opts = ExecOptions::threads(1).with_use_cbo(false);
-    let cbo_opts = ExecOptions::threads(1);
-    let mut failures = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        for eq in QUERIES {
-            let text = fixture.query_text(eq, model);
-            let dataset = fixture.dataset_for(eq, model);
-            // Warm both plan-cache entries (use_cbo is part of the key)
-            // and calibrate the round length off the slower flavour.
-            let mut single_ms = f64::MAX;
-            for opts in [&greedy_opts, &cbo_opts] {
-                store
-                    .select_in_with(&dataset, &text, opts.clone())
-                    .expect("planguard warm-up");
-                let t0 = Instant::now();
-                store
-                    .select_in_with(&dataset, &text, opts.clone())
-                    .expect("planguard calibration");
-                single_ms = single_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            let passes = ((MIN_ROUND_MS / single_ms.max(1e-6)).ceil() as usize)
-                .clamp(MIN_PASSES, MAX_PASSES);
-            let time = |opts: &ExecOptions| {
-                let t0 = Instant::now();
-                for _ in 0..passes {
-                    store
-                        .select_in_with(&dataset, &text, opts.clone())
-                        .expect("planguard batch");
-                }
-                t0.elapsed().as_secs_f64() * 1e3 / passes as f64
-            };
-            let mut ratio = f64::INFINITY;
-            let (mut greedy, mut cbo) = (f64::NAN, f64::NAN);
-            for round in 0..ROUNDS {
-                let (g, c) = if round % 2 == 0 {
-                    let g = time(&greedy_opts);
-                    (g, time(&cbo_opts))
-                } else {
-                    let c = time(&cbo_opts);
-                    (time(&greedy_opts), c)
-                };
-                if c / g < ratio {
-                    (ratio, greedy, cbo) = (c / g, g, c);
-                }
-            }
-            let label = eq.label(model);
-            println!(
-                "{:<8} {:<6} {:>7} {:>12} {:>12} {:>7.3}{}",
-                label,
-                model.to_string(),
-                passes,
-                format!("{greedy:.3}ms"),
-                format!("{cbo:.3}ms"),
-                ratio,
-                if ratio > BUDGET { "  REGRESSED" } else { "" }
-            );
-            if ratio > BUDGET {
-                failures.push(format!("{label}/{model} ratio {ratio:.3}"));
-            }
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!(
-            "repro: cost-based plans exceed the {BUDGET:.2}x budget on: {}",
-            failures.join(", ")
-        );
-        std::process::exit(1);
-    }
-    println!("cost-based plans within budget on every query");
-}
-
 /// CI guard for the flight-recorder budget: the recorder is on by
 /// default, so its tracked path is the price every query pays — the
 /// EQ1–EQ5 batch with the recorder on must cost at most 5% more wall
@@ -1536,107 +1076,6 @@ fn flightguard(fixture: &Fixture) {
         "flight-recorder overhead within budget ({:+.1}%)",
         (ratio - 1.0) * 100.0
     );
-}
-
-/// CI guard for the vectorized pipeline: on every one of EQ1–EQ5 (NG and
-/// SP), the default vectorized executor must finish within 5% of the row
-/// pipeline — per query, not pooled, so a single regressed plan shape
-/// cannot hide behind the family average. Each round times both
-/// pipelines back-to-back (order alternating) so the pair shares one
-/// machine-load window, and the guard takes the *cleanest* paired ratio
-/// across rounds: a genuine regression inflates every round's ratio,
-/// while a load spike inflates only the rounds it lands in. The pass
-/// count per round is calibrated per query so every round runs for
-/// several milliseconds — on the microsecond-class queries a fixed pass
-/// count would measure scheduler jitter, not the pipeline.
-fn vecguard(fixture: &Fixture) {
-    use sparql::ExecOptions;
-
-    const ROUNDS: usize = 9;
-    const MIN_ROUND_MS: f64 = 20.0;
-    const MIN_PASSES: usize = 5;
-    const MAX_PASSES: usize = 5000;
-    const BUDGET: f64 = 1.05;
-    const QUERIES: [Eq; 5] = [Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4, Eq::Eq5];
-
-    println!("\n--- Vectorized-pipeline guard (budget: vec <= 1.05x row, per query) ---");
-    println!(
-        "{:<8} {:<6} {:>7} {:>12} {:>12} {:>8}",
-        "query", "model", "passes", "row best", "vec best", "ratio"
-    );
-
-    let row_opts = ExecOptions::threads(1).with_vectorize(false);
-    let vec_opts = ExecOptions::threads(1);
-    let mut failures = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        for eq in QUERIES {
-            let text = fixture.query_text(eq, model);
-            let dataset = fixture.dataset_for(eq, model);
-            // Warm both plan-cache entries (vectorize is part of the key)
-            // so the rounds measure execution, not compilation, and
-            // calibrate the round length off the slower flavour's
-            // single-run time.
-            let mut single_ms = f64::MAX;
-            for opts in [&row_opts, &vec_opts] {
-                store
-                    .select_in_with(&dataset, &text, opts.clone())
-                    .expect("vecguard warm-up");
-                let t0 = Instant::now();
-                store
-                    .select_in_with(&dataset, &text, opts.clone())
-                    .expect("vecguard calibration");
-                single_ms = single_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            let passes = ((MIN_ROUND_MS / single_ms.max(1e-6)).ceil() as usize)
-                .clamp(MIN_PASSES, MAX_PASSES);
-            let time = |opts: &ExecOptions| {
-                let t0 = Instant::now();
-                for _ in 0..passes {
-                    store
-                        .select_in_with(&dataset, &text, opts.clone())
-                        .expect("vecguard batch");
-                }
-                t0.elapsed().as_secs_f64() * 1e3 / passes as f64
-            };
-            let mut ratio = f64::INFINITY;
-            let (mut row, mut vec) = (f64::NAN, f64::NAN);
-            for round in 0..ROUNDS {
-                let (r, v) = if round % 2 == 0 {
-                    let r = time(&row_opts);
-                    (r, time(&vec_opts))
-                } else {
-                    let v = time(&vec_opts);
-                    (time(&row_opts), v)
-                };
-                if v / r < ratio {
-                    (ratio, row, vec) = (v / r, r, v);
-                }
-            }
-            let label = eq.label(model);
-            println!(
-                "{:<8} {:<6} {:>7} {:>12} {:>12} {:>7.3}{}",
-                label,
-                model.to_string(),
-                passes,
-                format!("{row:.3}ms"),
-                format!("{vec:.3}ms"),
-                ratio,
-                if ratio > BUDGET { "  REGRESSED" } else { "" }
-            );
-            if ratio > BUDGET {
-                failures.push(format!("{label}/{model} ratio {ratio:.3}"));
-            }
-        }
-    }
-    if !failures.is_empty() {
-        eprintln!(
-            "repro: vectorized pipeline exceeds the {BUDGET:.2}x budget on: {}",
-            failures.join(", ")
-        );
-        std::process::exit(1);
-    }
-    println!("vectorized pipeline within budget on every query");
 }
 
 /// CI guard for the telemetry overhead budget: times the EQ1–EQ5 batch

@@ -320,12 +320,7 @@ impl PgRdfStore {
         // The key folds in the dataset name *and* the physical index
         // signature: plans bake index choices into their access paths.
         let key = format!("{dataset}={}", view.index_signature());
-        let copts =
-            sparql::CompileOptions {
-                vectorize: options.vectorize,
-                use_cbo: options.use_cbo,
-                ..Default::default()
-            };
+        let copts = sparql::CompileOptions::default();
         let plan = self
             .plan_cache
             .get_or_compile(&key, text, copts, snapshot.epoch(), || view.stats_version(), || {
@@ -353,7 +348,6 @@ impl PgRdfStore {
     ) -> Result<QueryResults, CoreError> {
         let query_id = telemetry::next_query_id();
         let text_hash = telemetry::fnv1a64(text.as_bytes());
-        let vectorized = options.vectorize;
         let sink = (threshold > 0).then(|| Arc::new(TraceSink::new()));
         let admit_t0 = sink.as_ref().map(|s| s.now_nanos());
         let admit_start = Instant::now();
@@ -379,7 +373,7 @@ impl PgRdfStore {
                         rows_out: 0,
                         peak_mem_bytes: 0,
                         threads: 0,
-                        vectorized,
+                        vectorized: false,
                         outcome: QueryOutcome::Shed,
                         spans: Vec::new(),
                     };
@@ -393,12 +387,7 @@ impl PgRdfStore {
         };
         let view = snapshot.dataset(dataset)?;
         let key = format!("{dataset}={}", view.index_signature());
-        let copts =
-            sparql::CompileOptions {
-                vectorize: options.vectorize,
-                use_cbo: options.use_cbo,
-                ..Default::default()
-            };
+        let copts = sparql::CompileOptions::default();
         let compiled_fresh = std::cell::Cell::new(false);
         let compile_t0 = sink.as_ref().map(|s| s.now_nanos());
         let compile_start = Instant::now();
@@ -453,7 +442,7 @@ impl PgRdfStore {
             rows_out,
             peak_mem_bytes: observer.peak_mem_bytes(),
             threads: observer.threads(),
-            vectorized,
+            vectorized: observer.vectorized(),
             outcome,
             spans: Vec::new(),
         };
@@ -536,7 +525,6 @@ impl PgRdfStore {
         // part of the deliverable (`trace_json`), not an opt-in.
         let query_id = telemetry::next_query_id();
         let text_hash = telemetry::fnv1a64(text.as_bytes());
-        let vectorized = options.vectorize;
         let threshold = self.slow_threshold_nanos.load(Ordering::Relaxed);
         let sink = Arc::new(TraceSink::new());
         let admit_t0 = sink.now_nanos();
@@ -559,7 +547,7 @@ impl PgRdfStore {
                         rows_out: 0,
                         peak_mem_bytes: 0,
                         threads: 0,
-                        vectorized,
+                        vectorized: false,
                         outcome: QueryOutcome::Shed,
                         spans: sink.take(),
                     };
@@ -571,12 +559,7 @@ impl PgRdfStore {
         let snapshot = self.store.snapshot();
         let view = snapshot.dataset(dataset)?;
         let key = format!("{dataset}={}", view.index_signature());
-        let copts =
-            sparql::CompileOptions {
-                vectorize: options.vectorize,
-                use_cbo: options.use_cbo,
-                ..Default::default()
-            };
+        let copts = sparql::CompileOptions::default();
         let compiled_fresh = std::cell::Cell::new(false);
         let compile_t0 = sink.now_nanos();
         let compile_start = Instant::now();
@@ -613,7 +596,7 @@ impl PgRdfStore {
             rows_out: 0,
             peak_mem_bytes: observer.peak_mem_bytes(),
             threads: observer.threads().max(1),
-            vectorized,
+            vectorized: observer.vectorized(),
             outcome: QueryOutcome::Ok,
             spans: Vec::new(),
         };

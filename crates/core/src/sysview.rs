@@ -139,7 +139,6 @@ fn plan_quads(quads: &mut Vec<Quad>, store: &PgRdfStore) {
         let s = Term::iri(format!("pgrdf:sys/plan/{i}"));
         push(quads, g, &s, "dataset", Term::string(&entry.dataset));
         push(quads, g, &s, "text", Term::string(&entry.text));
-        push(quads, g, &s, "vectorized", bool_t(entry.vectorize));
         push(quads, g, &s, "epoch", int_t(entry.epoch));
         push(quads, g, &s, "statsVersion", int_t(entry.stats));
         push(quads, g, &s, "hits", int_t(entry.hits));
@@ -232,9 +231,7 @@ impl PgRdfStore {
     ) -> Result<QueryResults, CoreError> {
         let view = self.sys_view()?;
         let parsed = sparql::parse_query(text)?;
-        let copts =
-            sparql::CompileOptions { vectorize: options.vectorize, ..Default::default() };
-        let compiled = sparql::compile_with(&view, &parsed, copts)?;
+        let compiled = sparql::compile(&view, &parsed)?;
         Ok(sparql::execute_compiled_with_options(&view, &compiled, options)?)
     }
 

@@ -60,8 +60,6 @@ pub struct PlanCacheEntryInfo {
     pub dataset: String,
     /// Query text part of the key.
     pub text: String,
-    /// Whether the plan was compiled for the vectorized pipeline.
-    pub vectorize: bool,
     /// Store mutation epoch the plan was compiled under.
     pub epoch: u64,
     /// Optimizer statistics version the plan was costed under.
@@ -244,7 +242,6 @@ impl PlanCache {
                     PlanCacheEntryInfo {
                         dataset: k.dataset.clone(),
                         text: k.text.clone(),
-                        vectorize: k.options.vectorize,
                         epoch: e.epoch,
                         stats: e.stats,
                         hits: e.hits,

@@ -1,18 +1,17 @@
 //! Cost-based physical planning of basic graph patterns.
 //!
-//! Two planners share one cost model and one emission path:
+//! Two join-order searches share one cost model, one set of statistics
+//! and one emission path, chosen by BGP size alone:
 //!
-//! * **Dynamic programming** (the default, up to [`DP_MAX_PATTERNS`]
-//!   triples): subset-indexed enumeration of left-deep join orders, each
-//!   step costed as the cheaper of an index nested-loop probe and a
-//!   hash join over a full scan. The search prefers connected extensions
-//!   (a triple sharing a variable with the planned prefix) whenever one
-//!   exists, so cartesian products are only considered when unavoidable —
-//!   the classic DPsize pruning.
-//! * **Greedy** (fallback above the DP size cap, and the whole planner
-//!   when cost-based optimization is disabled): the pre-CBO heuristic —
-//!   joined-first, smallest per-probe fanout next — kept bit-identical so
-//!   `--no-cbo` reproduces the old plans exactly.
+//! * **Dynamic programming** (2 to [`DP_MAX_PATTERNS`] triples):
+//!   subset-indexed enumeration of left-deep join orders, each step
+//!   costed as the cheaper of an index nested-loop probe and a hash join
+//!   over a full scan. The search prefers connected extensions (a triple
+//!   sharing a variable with the planned prefix) whenever one exists, so
+//!   cartesian products are only considered when unavoidable — the
+//!   classic DPsize pruning.
+//! * **Greedy** (above the DP size cap, where the 2^n subset table stops
+//!   paying for itself): joined-first, smallest per-probe fanout next.
 //!
 //! Cardinalities come from [`Estimator`]: index range estimates for
 //! scans, and per-predicate distinct counts plus equi-depth object
@@ -63,23 +62,17 @@ pub(crate) fn join_positions(triple: &CTriple, bound: &HashSet<usize>) -> Vec<us
     positions
 }
 
-/// Cardinality estimator over a dataset view. With CBO enabled it holds
-/// each member model's statistics snapshot ([`CboStats`], computed lazily
-/// and pinned until DML drifts past the refresh threshold); without, the
-/// statistics list is empty and every estimate degrades to the coarse
-/// index-range numbers the greedy planner always used.
+/// Cardinality estimator over a dataset view: holds each member model's
+/// statistics snapshot ([`CboStats`], computed lazily and pinned until
+/// DML drifts past the refresh threshold).
 pub(crate) struct Estimator<'a> {
     view: &'a DatasetView,
     stats: Vec<Arc<CboStats>>,
 }
 
 impl<'a> Estimator<'a> {
-    pub(crate) fn new(view: &'a DatasetView, use_cbo: bool) -> Estimator<'a> {
-        let stats = if use_cbo {
-            view.members().iter().map(|m| m.cbo_stats()).collect()
-        } else {
-            Vec::new()
-        };
+    pub(crate) fn new(view: &'a DatasetView) -> Estimator<'a> {
+        let stats = view.members().iter().map(|m| m.cbo_stats()).collect();
         Estimator { view, stats }
     }
 
@@ -109,7 +102,7 @@ impl<'a> Estimator<'a> {
         let Some(pid) = pid else {
             return self.view.stat_fanout(&pattern, positions);
         };
-        if self.stats.is_empty() || positions.is_empty() || !pure_so {
+        if positions.is_empty() || !pure_so {
             return self.view.stat_fanout(&pattern, positions);
         }
         let mut total = 0.0f64;
@@ -156,7 +149,6 @@ pub(crate) struct BgpPlanner<'a> {
     pub(crate) view: &'a DatasetView,
     pub(crate) est: &'a Estimator<'a>,
     pub(crate) force_join: Option<ForcedJoin>,
-    pub(crate) use_cbo: bool,
 }
 
 #[derive(Clone, Copy)]
@@ -172,7 +164,7 @@ impl BgpPlanner<'_> {
         if triples.is_empty() {
             return None;
         }
-        let order = if self.use_cbo && triples.len() >= 2 && triples.len() <= DP_MAX_PATTERNS {
+        let order = if (2..=DP_MAX_PATTERNS).contains(&triples.len()) {
             self.dp_order(&triples, bound)
         } else {
             self.greedy_order(&triples, bound)
@@ -261,10 +253,8 @@ impl BgpPlanner<'_> {
         }
     }
 
-    /// The pre-CBO greedy ordering: joined-to-bound-set first, smallest
-    /// per-probe fanout (or total estimate when unjoined) next. Replicates
-    /// the historical selection loop — including its swap-remove
-    /// tie-breaking — so plans without CBO are unchanged.
+    /// The greedy ordering: joined-to-bound-set first, smallest per-probe
+    /// fanout (or total estimate when unjoined) next.
     fn greedy_order(&self, triples: &[CTriple], outer: &HashSet<usize>) -> Vec<usize> {
         let mut remaining: Vec<(usize, &CTriple)> = triples.iter().enumerate().collect();
         let mut bound = outer.clone();

@@ -124,7 +124,8 @@ impl CancelToken {
 
 /// A per-query observation channel the flight recorder reads after
 /// execution: peak memory charged, the resolved worker-thread count,
-/// and (optionally) a span sink collecting the query's timeline.
+/// whether a vectorized pipeline ran, and (optionally) a span sink
+/// collecting the query's timeline.
 /// Attach one via [`ExecOptions::with_observer`]; all fields are
 /// written with relaxed atomics so observing a parallel execution
 /// costs nothing measurable.
@@ -132,6 +133,7 @@ impl CancelToken {
 pub struct ExecObserver {
     peak_mem_bytes: AtomicU64,
     threads: AtomicU64,
+    vectorized: AtomicBool,
     /// Span sink for the query's trace timeline (`None` = spans are
     /// not collected; memory/thread observation still happens).
     pub trace: Option<Arc<telemetry::TraceSink>>,
@@ -160,6 +162,13 @@ impl ExecObserver {
         self.threads.load(Ordering::Relaxed) as u32
     }
 
+    /// Whether any part of the query ran on the vectorized columnar
+    /// pipeline (`false` until one does: plans it cannot express run on
+    /// the row evaluator).
+    pub fn vectorized(&self) -> bool {
+        self.vectorized.load(Ordering::Relaxed)
+    }
+
     #[inline]
     fn note_mem(&self, total: u64) {
         self.peak_mem_bytes.fetch_max(total, Ordering::Relaxed);
@@ -177,9 +186,8 @@ pub(crate) mod batch;
 /// Execution tuning knobs: resource limits, worker threads, morsel size.
 ///
 /// `threads == 0` means "use [`std::thread::available_parallelism`]";
-/// `threads == 1` disables the morsel-parallel executor entirely and runs
-/// the legacy streaming pipeline, which is the reference for the
-/// bit-identical-results guarantee.
+/// `threads == 1` runs every morsel on the calling thread. None of these
+/// selects an engine: that follows from the plan's shape alone.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
     /// Resource limits (row budget, memory budget, deadline).
@@ -190,17 +198,9 @@ pub struct ExecOptions {
     pub morsel_size: usize,
     /// Cooperative cancellation token (`None` = not cancellable).
     pub cancel: Option<CancelToken>,
-    /// Use the vectorized columnar pipeline where the plan supports it
-    /// (default). `false` forces the row-at-a-time pipeline everywhere —
-    /// the reference oracle for the bit-identical-results guarantee.
-    pub vectorize: bool,
     /// Rows per column batch in the vectorized pipeline (clamped to at
     /// least 1).
     pub batch_size: usize,
-    /// Use the statistics-driven cost-based optimizer when compiling
-    /// (default). `false` falls back to the heuristic greedy planner —
-    /// `pgq --no-cbo` and the optimizer-equivalence tests use this.
-    pub use_cbo: bool,
     /// Optional per-query observer (peak memory, resolved threads,
     /// span timeline) read by the flight recorder after execution.
     pub observer: Option<Arc<ExecObserver>>,
@@ -213,9 +213,7 @@ impl Default for ExecOptions {
             threads: 0,
             morsel_size: DEFAULT_MORSEL_SIZE,
             cancel: None,
-            vectorize: true,
             batch_size: DEFAULT_BATCH_SIZE,
-            use_cbo: true,
             observer: None,
         }
     }
@@ -225,11 +223,6 @@ impl ExecOptions {
     /// Options with an explicit worker thread count.
     pub fn threads(n: usize) -> ExecOptions {
         ExecOptions { threads: n, ..ExecOptions::default() }
-    }
-
-    /// Options with the vectorized pipeline switched on or off.
-    pub fn vectorize(on: bool) -> ExecOptions {
-        ExecOptions { vectorize: on, ..ExecOptions::default() }
     }
 
     /// Sets the worker thread count (0 = auto).
@@ -256,21 +249,9 @@ impl ExecOptions {
         self
     }
 
-    /// Switches the vectorized pipeline on or off.
-    pub fn with_vectorize(mut self, on: bool) -> Self {
-        self.vectorize = on;
-        self
-    }
-
     /// Sets the column batch size (clamped to at least 1).
     pub fn with_batch_size(mut self, size: usize) -> Self {
         self.batch_size = size.max(1);
-        self
-    }
-
-    /// Switches the cost-based optimizer on or off.
-    pub fn with_use_cbo(mut self, on: bool) -> Self {
-        self.use_cbo = on;
         self
     }
 
@@ -374,9 +355,9 @@ pub struct EvalCtx {
     cancel: Option<CancelToken>,
     threads: usize,
     morsel_size: usize,
-    /// Whether the vectorized columnar pipeline may be used where the
-    /// plan supports it.
-    vectorize: bool,
+    /// Set only by [`execute_reference`]: every pattern streams through
+    /// [`eval_node`] on the calling thread.
+    reference: bool,
     /// Rows per column batch in the vectorized pipeline.
     batch_size: usize,
     charged: AtomicU64,
@@ -412,7 +393,7 @@ const PATH_NODE_BYTES: u64 = 48;
 /// Estimated retained bytes per materialised output row slot.
 const SLOT_BYTES: u64 = 9;
 /// How many uncharged units a local accumulator may hold before it must
-/// charge the shared context (mirrors `WALK_CHARGE_CHUNK`).
+/// charge the shared context.
 const MEM_CHARGE_CHUNK: u64 = 1024;
 
 #[derive(Default)]
@@ -425,6 +406,11 @@ impl EvalCtx {
     /// Creates a context for one query execution.
     pub fn new(view: DatasetView, vars: VarTable) -> Self {
         Self::with_exists(view, vars, Vec::new())
+    }
+
+    /// A context for one execution of `compiled` against `view`.
+    fn for_query(view: &DatasetView, compiled: &CompiledQuery) -> Self {
+        Self::with_exists(view.clone(), compiled.vars.clone(), compiled.exists.clone())
     }
 
     /// A context carrying compiled EXISTS patterns. Defaults to sequential
@@ -441,7 +427,7 @@ impl EvalCtx {
             cancel: None,
             threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
-            vectorize: true,
+            reference: false,
             batch_size: DEFAULT_BATCH_SIZE,
             charged: AtomicU64::new(0),
             next_deadline_check: AtomicU64::new(DEADLINE_STRIDE),
@@ -458,8 +444,8 @@ impl EvalCtx {
 
     /// Attaches a profile collector: every BGP/path step records its
     /// input rows, output rows, and inclusive time. Use with
-    /// `threads == 1`; per-step attribution is only exact on the
-    /// sequential pipeline ([`execute_profiled`] enforces this).
+    /// `threads == 1`; per-step time attribution is only exact on one
+    /// thread ([`execute_profiled`] enforces this).
     pub fn with_profile(mut self, profile: Arc<ProfileState>) -> Self {
         self.profile = Some(profile);
         self
@@ -490,7 +476,6 @@ impl EvalCtx {
             options.threads
         };
         self.morsel_size = options.morsel_size.max(1);
-        self.vectorize = options.vectorize;
         self.batch_size = options.batch_size.max(1);
         self.observer = options.observer;
         if let Some(obs) = &self.observer {
@@ -827,36 +812,50 @@ pub fn execute_compiled_with_options(
     compiled: &CompiledQuery,
     options: ExecOptions,
 ) -> Result<QueryResults, SparqlError> {
-    let ctx = EvalCtx::with_exists(
-        view.clone(),
-        compiled.vars.clone(),
-        compiled.exists.clone(),
-    )
-    .with_options(options);
+    let ctx = EvalCtx::for_query(view, compiled).with_options(options);
     execute_with_ctx(&ctx, compiled)
 }
 
 /// Executes a compiled query with per-step profiling: returns the
 /// results plus an [`ExecProfile`] holding each BGP/path step's actual
-/// rows, loops, and inclusive time. Profiling forces `threads == 1`
-/// (the sequential reference pipeline) so that per-step attribution is
-/// exact; results are identical to any thread count by the executor's
-/// equivalence guarantee.
+/// rows, loops, and inclusive time. Profiling forces `threads == 1` so
+/// that per-step time attribution is exact; the engines are the ones
+/// that serve unprofiled queries, and results are identical to any
+/// thread count by the executor's equivalence guarantee.
 pub fn execute_profiled(
     view: &DatasetView,
     compiled: &CompiledQuery,
     options: ExecOptions,
 ) -> Result<(QueryResults, ExecProfile), SparqlError> {
+    let options = ExecOptions { threads: 1, ..options };
+    let ctx = EvalCtx::for_query(view, compiled).with_options(options);
+    run_profiled(ctx, compiled)
+}
+
+/// The reference evaluator differential tests compare against: every
+/// pattern streams through [`eval_node`] on the calling thread — no
+/// morsels, no vectorized pipeline, no fused aggregation. Returns the
+/// per-step tallies too, so tally parity has a reference as well. A
+/// separate entry point rather than an option: nothing caches or keys on
+/// it.
+#[doc(hidden)]
+pub fn execute_reference(
+    view: &DatasetView,
+    compiled: &CompiledQuery,
+    limits: ExecLimits,
+) -> Result<(QueryResults, ExecProfile), SparqlError> {
+    let mut ctx = EvalCtx::for_query(view, compiled).with_limits(limits);
+    ctx.reference = true;
+    run_profiled(ctx, compiled)
+}
+
+fn run_profiled(
+    ctx: EvalCtx,
+    compiled: &CompiledQuery,
+) -> Result<(QueryResults, ExecProfile), SparqlError> {
     let start = Instant::now();
     let profile = Arc::new(ProfileState::default());
-    let options = ExecOptions { threads: 1, ..options };
-    let ctx = EvalCtx::with_exists(
-        view.clone(),
-        compiled.vars.clone(),
-        compiled.exists.clone(),
-    )
-    .with_options(options)
-    .with_profile(Arc::clone(&profile));
+    let ctx = ctx.with_profile(Arc::clone(&profile));
     let results = execute_with_ctx(&ctx, compiled)?;
     drop(ctx); // flush any iterator tallies still alive in the context
     let tallies = profile.tallies.lock().expect("profile state poisoned").clone();
@@ -867,25 +866,7 @@ fn execute_with_ctx(ctx: &EvalCtx, compiled: &CompiledQuery) -> Result<QueryResu
     match &compiled.form {
         CForm::Select(sel) => {
             let rows = exec_select(ctx, sel)?;
-            let emit_started = ctx.trace().map(|t| t.now_nanos());
-            let slots = sel.projected_slots();
-            let vars: Vec<String> = slots
-                .iter()
-                .map(|&s| ctx.vars.name(s).to_string())
-                .collect();
-            let decoded: Vec<Vec<Option<Term>>> = rows
-                .into_iter()
-                .map(|row| {
-                    slots
-                        .iter()
-                        .map(|&s| row[s].and_then(|id| ctx.resolve(id)))
-                        .collect()
-                })
-                .collect();
-            if let (Some(t), Some(started)) = (ctx.trace(), emit_started) {
-                t.record("emit", format!("{} rows", decoded.len()), 0, started);
-            }
-            Ok(QueryResults::Solutions(crate::results::Solutions { vars, rows: decoded }))
+            Ok(QueryResults::Solutions(decode_solutions(ctx, sel, rows)))
         }
         CForm::Ask(node) => {
             let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
@@ -898,21 +879,7 @@ fn execute_with_ctx(ctx: &EvalCtx, compiled: &CompiledQuery) -> Result<QueryResu
         }
         CForm::Construct(templates, sel) => {
             let rows = exec_select(ctx, sel)?;
-            let slots = sel.projected_slots();
-            let vars: Vec<String> = slots
-                .iter()
-                .map(|&s| ctx.vars.name(s).to_string())
-                .collect();
-            let decoded: Vec<Vec<Option<Term>>> = rows
-                .into_iter()
-                .map(|row| {
-                    slots
-                        .iter()
-                        .map(|&s| row[s].and_then(|id| ctx.resolve(id)))
-                        .collect()
-                })
-                .collect();
-            let solutions = crate::results::Solutions { vars, rows: decoded };
+            let solutions = decode_solutions(ctx, sel, rows);
             let mut quads = crate::update::instantiate(templates, &solutions);
             quads.sort();
             quads.dedup();
@@ -921,38 +888,28 @@ fn execute_with_ctx(ctx: &EvalCtx, compiled: &CompiledQuery) -> Result<QueryResu
     }
 }
 
+/// Narrows result rows to the projected slots and decodes their IDs to
+/// terms (the "emit" span of a traced query).
+fn decode_solutions(ctx: &EvalCtx, sel: &CSelect, rows: Vec<Row>) -> crate::results::Solutions {
+    let emit_started = ctx.trace().map(|t| t.now_nanos());
+    let slots = sel.projected_slots();
+    let vars: Vec<String> = slots.iter().map(|&s| ctx.vars.name(s).to_string()).collect();
+    let rows: Vec<Vec<Option<Term>>> = rows
+        .into_iter()
+        .map(|row| slots.iter().map(|&s| row[s].and_then(|id| ctx.resolve(id))).collect())
+        .collect();
+    if let (Some(t), Some(started)) = (ctx.trace(), emit_started) {
+        t.record("emit", format!("{} rows", rows.len()), 0, started);
+    }
+    crate::results::Solutions { vars, rows }
+}
+
 /// Evaluates a SELECT pipeline, returning full-width rows (all slots).
 pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
     let mut rows: Vec<Row> = if sel.is_grouped() {
         grouped_rows(ctx, sel)?
     } else {
-        let mut rows: Vec<Row> = if ctx.threads > 1 {
-            par_produce(ctx, sel)
-        } else if let Some(rows) = batch::vec_produce(ctx, sel) {
-            rows
-        } else {
-            // Streaming reference path. The result buffer is retained
-            // state like any other: charge it in chunks so a wide scan
-            // cannot silently exceed the memory budget between operators.
-            let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
-            let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
-            let mut rows: Vec<Row> = Vec::new();
-            let mut pending: u64 = 0;
-            for row in eval_node(ctx, &sel.root, input) {
-                rows.push(row);
-                pending += 1;
-                if pending >= MEM_CHARGE_CHUNK {
-                    if !ctx.charge_mem(pending * row_bytes) {
-                        break;
-                    }
-                    pending = 0;
-                }
-            }
-            if pending > 0 {
-                let _ = ctx.charge_mem(pending * row_bytes);
-            }
-            rows
-        };
+        let mut rows = produce(ctx, sel);
         // Compute expression projections per row.
         for proj in &sel.projection {
             if let Some(expr) = &proj.expr {
@@ -1170,34 +1127,19 @@ impl Acc {
     }
 }
 
-/// Produces the grouped rows of a grouped SELECT, choosing between the
-/// parallel fused-aggregation path, ordered parallel production feeding
-/// the sequential aggregation loop, and the legacy streaming path.
+/// Produces the grouped rows of a grouped SELECT: fused aggregation
+/// inside the morsel loop when the aggregates and the plan allow it, else
+/// ordered row production streaming into the sequential aggregation loop.
 fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
-    // The fused path also serves sequential vectorized execution: at
-    // `threads == 1` the morsel loop runs on the calling thread and the
-    // vectorized pipeline accumulates groups straight from column
-    // batches. Profiled runs stay on the streaming path, whose per-step
-    // attribution is the reference.
-    if ctx.threads > 1 || (ctx.vectorize && ctx.profile.is_none()) {
-        // Fused path: aggregate inside the morsel workers and merge
-        // partial groups. Only when every aggregate merges losslessly.
+    if !ctx.reference {
         if let Some(partial) = par_grouped(ctx, sel) {
             // One pass per final group to rehash into the std map the
             // finaliser takes — negligible next to the per-row work.
             let groups = partial.groups.into_iter().collect();
             return finalize_groups(ctx, sel, groups, partial.saw_rows);
         }
-        // Ordered path: produce rows in exact sequential order (parallel
-        // where the plan allows), then run the unchanged aggregation loop.
-        if ctx.threads > 1 || ctx.vectorize {
-            let rows = par_produce(ctx, sel);
-            return group_and_aggregate(ctx, sel, Box::new(rows.into_iter()));
-        }
     }
-    let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
-    let solutions = eval_node(ctx, &sel.root, input);
-    group_and_aggregate(ctx, sel, solutions)
+    group_and_aggregate(ctx, sel, produce_stream(ctx, sel))
 }
 
 /// Estimated retained bytes for one group-by partial: the key vector plus
@@ -1339,12 +1281,7 @@ pub fn eval_node<'it>(ctx: &'it EvalCtx, node: &'it Node, input: BoxIter<'it>) -
         }
         Node::Filter(filters, inner) => {
             let stream = eval_node(ctx, inner, input);
-            Box::new(stream.filter(move |row| {
-                filters.iter().all(|f| {
-                    let env = RowEnv { ctx, row, aggs: None };
-                    f.eval_filter(&env)
-                })
-            }))
+            Box::new(stream.filter(move |row| passes(ctx, filters, row)))
         }
         Node::Union(a, b) => {
             let rows: Vec<Row> = input.collect();
@@ -1465,6 +1402,11 @@ pub fn eval_node<'it>(ctx: &'it EvalCtx, node: &'it Node, input: BoxIter<'it>) -
             }))
         }
     }
+}
+
+/// Whether a row satisfies every conjunct of a FILTER.
+fn passes(ctx: &EvalCtx, filters: &[CExpr], row: &Row) -> bool {
+    filters.iter().all(|f| f.eval_filter(&RowEnv { ctx, row, aggs: None }))
 }
 
 /// Counts rows flowing *into* a profiled step (its loop count) and
@@ -1818,118 +1760,27 @@ fn extend_pos(row: &mut Row, pos: &CPos, value: u64) -> bool {
     }
 }
 
-/// [`extend_row`] without the clone: binds the quad's values into `row`
-/// directly and returns a bitmask (S=1, P=2, O=4, G=8) of the positions
-/// whose slot was newly bound, for [`undo_extend`]. On a consistency
-/// mismatch the row is restored and `None` returned.
-fn extend_in_place(row: &mut Row, triple: &CTriple, quad: &quadstore::EncodedQuad) -> Option<u8> {
-    let mut mask = 0u8;
-    let positions: [(&CPos, u64, u8); 3] = [
-        (&triple.s, quad[quadstore::ids::S], 1),
-        (&triple.p, quad[quadstore::ids::P], 2),
-        (&triple.o, quad[quadstore::ids::O], 4),
-    ];
-    for (pos, value, bit) in positions {
-        match pos {
-            CPos::Var(slot) => match row[*slot] {
-                Some(existing) => {
-                    if existing != value {
-                        undo_extend(row, triple, mask);
-                        return None;
-                    }
-                }
-                None => {
-                    row[*slot] = Some(value);
-                    mask |= bit;
-                }
-            },
-            CPos::Const(_, Some(id)) => {
-                if id.0 != value {
-                    undo_extend(row, triple, mask);
-                    return None;
-                }
-            }
-            CPos::Const(_, None) => {}
-        }
-    }
-    if let CGraph::Var(slot) = &triple.g {
-        let value = quad[quadstore::ids::G];
-        match row[*slot] {
-            Some(existing) => {
-                if existing != value {
-                    undo_extend(row, triple, mask);
-                    return None;
-                }
-            }
-            None => {
-                row[*slot] = Some(value);
-                mask |= 8;
-            }
-        }
-    }
-    Some(mask)
-}
-
-/// Clears the slots that [`extend_in_place`] newly bound.
-fn undo_extend(row: &mut Row, triple: &CTriple, mask: u8) {
-    if mask & 1 != 0 {
-        if let CPos::Var(s) = &triple.s {
-            row[*s] = None;
-        }
-    }
-    if mask & 2 != 0 {
-        if let CPos::Var(s) = &triple.p {
-            row[*s] = None;
-        }
-    }
-    if mask & 4 != 0 {
-        if let CPos::Var(s) = &triple.o {
-            row[*s] = None;
-        }
-    }
-    if mask & 8 != 0 {
-        if let CGraph::Var(s) = &triple.g {
-            row[*s] = None;
-        }
-    }
-}
-
-/// True when probing this triple with this row cannot bind any new slot —
-/// every position is a constant or an already-bound variable. Such a step
-/// is a pure existence/multiplicity check: each matching quad passes the
-/// input row through unchanged, so no extension or clone is needed.
-fn binds_nothing(row: &Row, triple: &CTriple) -> bool {
-    let bound = |pos: &CPos| match pos {
-        CPos::Var(slot) => row[*slot].is_some(),
-        CPos::Const(..) => true,
-    };
-    bound(&triple.s)
-        && bound(&triple.p)
-        && bound(&triple.o)
-        && match &triple.g {
-            CGraph::Var(slot) => row[*slot].is_some(),
-            _ => true,
-        }
-}
-
 // ---------------------------------------------------------------------------
 // Morsel-driven parallel execution.
 //
 // The driving index scan of an eligible plan is split into fixed-size
 // morsels (contiguous chunks of the chosen sorted index, plus per-member
-// DML-delta morsels). Workers claim morsels from a shared counter, run the
-// downstream pipeline batch-at-a-time on each morsel, and the outputs are
-// concatenated in morsel order — which reproduces the sequential row order
-// exactly, because every operator admitted by `parallel_safe` is
-// "order-local": its output order depends only on its input order.
+// DML-delta morsels). Workers claim morsels from a shared counter and run
+// the downstream stages on each morsel — as column batches when
+// `VecPipeline` can express every stage, else by streaming the morsel's
+// rows through `eval_node` — and the outputs are concatenated in morsel
+// order, which reproduces the sequential row order exactly, because every
+// operator admitted by `parallel_safe` is "order-local": its output order
+// depends only on its input order.
 // ---------------------------------------------------------------------------
 
 /// One pipeline stage applied to each morsel's rows after the driving scan.
 #[derive(Clone, Copy)]
 enum Stage<'p> {
-    /// Remaining steps of the driving Steps node.
+    /// Remaining steps of the driving Steps node, or a sibling Steps
+    /// node of the same Join.
     Steps(&'p [Step]),
-    /// A sibling node of the driving node inside a Join.
+    /// Any other sibling node of the driving node inside a Join.
     Node(&'p Node),
     /// A FILTER wrapper unwrapped from around the root.
     Filters(&'p [CExpr]),
@@ -1980,11 +1831,36 @@ fn root_union(node: &Node) -> bool {
     }
 }
 
-/// Tries to rewrite a root node into a morsel-drivable plan. The root must
-/// be (under optional FILTER wrappers) a non-empty Steps node, or a Join
-/// of an optional leading one-row VALUES pin, a non-empty Steps node, and
-/// `parallel_safe` siblings. The driving step must be an index scan.
-fn drive_plan<'p>(ctx: &EvalCtx, node: &'p Node) -> Option<DrivePlan<'p>> {
+/// Splits a root into its UNION branches in sequential order, each with
+/// the FILTERs unwrapped from above it as trailing stages. Every input
+/// row flows through every branch exactly once, so the branches' outputs
+/// concatenated are the root's rows, in its order.
+fn union_branches<'p>(node: &'p Node, suffix: &[Stage<'p>]) -> Vec<(&'p Node, Vec<Stage<'p>>)> {
+    match node {
+        Node::Union(a, b) => {
+            let mut out = union_branches(a, suffix);
+            out.extend(union_branches(b, suffix));
+            out
+        }
+        Node::Filter(filters, inner) if root_union(inner) => {
+            let mut with_filter: Vec<Stage<'p>> = vec![Stage::Filters(filters)];
+            with_filter.extend_from_slice(suffix);
+            union_branches(inner, &with_filter)
+        }
+        _ => vec![(node, suffix.to_vec())],
+    }
+}
+
+/// Tries to rewrite a UNION branch into a morsel-drivable plan. The node
+/// must be (under optional FILTER wrappers) a non-empty Steps node, or a
+/// Join of an optional leading one-row VALUES pin, a non-empty Steps node,
+/// and `parallel_safe` siblings. The driving step must be an index scan.
+/// `suffix` (the branch's trailing stages) runs last.
+fn drive_plan<'p>(
+    ctx: &EvalCtx,
+    node: &'p Node,
+    suffix: &[Stage<'p>],
+) -> Option<DrivePlan<'p>> {
     let mut filters: Vec<&'p [CExpr]> = Vec::new();
     let mut cur = node;
     while let Node::Filter(f, inner) = cur {
@@ -2028,7 +1904,10 @@ fn drive_plan<'p>(ctx: &EvalCtx, node: &'p Node) -> Option<DrivePlan<'p>> {
                 if !parallel_safe(child) {
                     return None;
                 }
-                stages.push(Stage::Node(child));
+                stages.push(match child {
+                    Node::Steps(steps) => Stage::Steps(steps),
+                    _ => Stage::Node(child),
+                });
             }
         }
         _ => return None,
@@ -2040,735 +1919,226 @@ fn drive_plan<'p>(ctx: &EvalCtx, node: &'p Node) -> Option<DrivePlan<'p>> {
     for f in filters.into_iter().rev() {
         stages.push(Stage::Filters(f));
     }
+    stages.extend_from_slice(suffix);
     Some(DrivePlan { base, drive, stages, prefer: None })
 }
 
-/// Produces the root's solution rows in exact sequential order, running
-/// eligible (sub-)plans on the morsel-parallel executor. Root UNIONs are
-/// split: each branch is produced fully (parallel where possible) and the
-/// outputs concatenated, which is precisely the sequential order.
-fn par_produce(ctx: &EvalCtx, sel: &CSelect) -> Vec<Row> {
-    let needed = batch::needed_slots(ctx, sel);
-    par_produce_stages(ctx, &sel.root, &[], &needed)
-}
-
-fn par_produce_stages<'p>(
-    ctx: &EvalCtx,
-    node: &'p Node,
-    suffix: &[Stage<'p>],
-    needed: &[bool],
-) -> Vec<Row> {
-    match node {
-        Node::Union(a, b) => {
-            let mut out = par_produce_stages(ctx, a, suffix, needed);
-            out.extend(par_produce_stages(ctx, b, suffix, needed));
-            out
-        }
-        Node::Filter(filters, inner) if root_union(inner) => {
-            let mut with_filter: Vec<Stage<'p>> = vec![Stage::Filters(filters)];
-            with_filter.extend_from_slice(suffix);
-            par_produce_stages(ctx, inner, &with_filter, needed)
-        }
-        _ => match drive_plan(ctx, node) {
-            Some(mut plan) => {
-                plan.stages.extend_from_slice(suffix);
-                run_morsels(ctx, &plan, needed)
-            }
-            None => {
-                // Not drivable: evaluate this branch sequentially (the
-                // suffix can only hold filters unwrapped from above).
-                let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
-                let mut rows: Vec<Row> = eval_node(ctx, node, input).collect();
-                for stage in suffix {
-                    rows = apply_stage(ctx, stage, rows);
-                }
-                rows
-            }
-        },
+/// Produces the root's solution rows in exact sequential order, branch
+/// by UNION branch, running drivable branches morsel by morsel.
+fn produce(ctx: &EvalCtx, sel: &CSelect) -> Vec<Row> {
+    if ctx.reference {
+        return stream_rows(ctx, &sel.root, &[]);
     }
+    let needed = batch::needed_slots(ctx, sel);
+    let branches = union_branches(&sel.root, &[]);
+    concat(branches.iter().map(|(node, suffix)| {
+        morsel_rows(ctx, node, suffix, &needed).unwrap_or_else(|| stream_rows(ctx, node, suffix))
+    }))
 }
 
-/// Runs one drive plan across all its morsels, merging worker outputs in
-/// morsel order.
-fn run_morsels(ctx: &EvalCtx, plan: &DrivePlan<'_>, needed: &[bool]) -> Vec<Row> {
-    let pattern = match probe_pattern(&plan.base, &plan.drive.triple) {
-        Some(p) => p,
-        None => return Vec::new(),
-    };
-    let pipeline = if ctx.vectorize {
-        batch::VecPipeline::compile(ctx, plan, needed)
-    } else {
-        None
-    };
-    let ops = if pipeline.is_some() { None } else { build_walk_ops(ctx, plan) };
-    let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
-    let run_one = |morsel: &Morsel| -> Vec<Row> {
-        let out = match (&pipeline, &ops) {
-            (Some(pipe), _) => {
-                let mut out = Vec::new();
-                let mut st = batch::VecState::new(pipe);
-                pipe.run_morsel(ctx, &pattern, morsel, &mut st, &mut out);
-                out
-            }
-            (None, Some(ops)) => {
-                let mut out = Vec::new();
-                let mut st = WalkState::default();
-                let mut sink = |row: &Row| out.push(row.clone());
-                walk_morsel(ctx, plan, ops, pattern, morsel, &mut st, &mut sink);
-                out
-            }
-            (None, None) => run_one_morsel(ctx, plan, pattern, morsel),
-        };
-        // The merged result set retains every morsel's output until the
-        // final concatenation: one bulk memory charge per morsel.
-        if !out.is_empty() {
-            let _ = ctx.charge_mem(out.len() as u64 * row_bytes);
+/// [`produce`]'s rows as a stream, for the sequential aggregation loop: it
+/// pulls one row at a time, so a branch that does not run on morsels is
+/// never materialised.
+fn produce_stream<'it>(ctx: &'it EvalCtx, sel: &'it CSelect) -> BoxIter<'it> {
+    if ctx.reference {
+        return stream(ctx, &sel.root, &[]);
+    }
+    let needed = batch::needed_slots(ctx, sel);
+    let branches = union_branches(&sel.root, &[]);
+    Box::new(branches.into_iter().flat_map(move |(node, suffix)| {
+        match morsel_rows(ctx, node, &suffix, &needed) {
+            Some(rows) => Box::new(rows.into_iter()),
+            None => stream(ctx, node, &suffix),
         }
-        out
-    };
-    let morsels = ctx.view.plan_morsels(&pattern, ctx.morsel_size);
+    }))
+}
+
+/// Concatenates row buffers in order, reusing the first one's allocation
+/// (the only one, for a plan without UNIONs).
+fn concat(mut parts: impl Iterator<Item = Vec<Row>>) -> Vec<Row> {
+    let mut out = parts.next().unwrap_or_default();
+    for rows in parts {
+        out.extend(rows);
+    }
+    out
+}
+
+/// Runs one UNION branch on morsels when that gains something: the branch
+/// is drivable and either compiles to a pipeline or has workers to spread
+/// its morsels over. `None` leaves it to the streaming row evaluator.
+fn morsel_rows(
+    ctx: &EvalCtx,
+    node: &Node,
+    suffix: &[Stage<'_>],
+    needed: &[bool],
+) -> Option<Vec<Row>> {
+    let plan = drive_plan(ctx, node, suffix)?;
+    let pipeline = batch::VecPipeline::compile(ctx, &plan, needed);
+    (pipeline.is_some() || ctx.threads > 1).then(|| run_morsels(ctx, &plan, pipeline.as_ref()))
+}
+
+/// Streams one seed row through `node` and `stages` on the calling
+/// thread.
+fn stream<'it>(ctx: &'it EvalCtx, node: &'it Node, stages: &[Stage<'it>]) -> BoxIter<'it> {
+    let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
+    stages
+        .iter()
+        .fold(eval_node(ctx, node, input), |stream, stage| apply_stage(ctx, stage, stream))
+}
+
+/// Collects [`stream`]'s rows. The result buffer is retained state like
+/// any other: it is charged in chunks so a wide scan cannot silently
+/// exceed the memory budget between operators.
+fn stream_rows(ctx: &EvalCtx, node: &Node, stages: &[Stage<'_>]) -> Vec<Row> {
+    let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
+    let mut rows: Vec<Row> = Vec::new();
+    let mut pending: u64 = 0;
+    for row in stream(ctx, node, stages) {
+        rows.push(row);
+        pending += 1;
+        if pending >= MEM_CHARGE_CHUNK {
+            if !ctx.charge_mem(pending * row_bytes) {
+                break;
+            }
+            pending = 0;
+        }
+    }
+    if pending > 0 {
+        let _ = ctx.charge_mem(pending * row_bytes);
+    }
+    rows
+}
+
+/// Runs `tasks` morsel tasks across the context's workers — the one place
+/// the morsel-claim policy lives. Each worker builds its own state with
+/// `init`, claims task indexes from a shared counter until they run out
+/// or a limit fires, and hands the state back; a single worker runs on
+/// the calling thread.
+fn claim_tasks<S: Send>(
+    ctx: &EvalCtx,
+    tasks: usize,
+    label: &str,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize) + Sync,
+) -> Vec<S> {
     let track = telemetry::enabled();
     let trace = ctx.trace();
-    let workers = ctx.threads.min(morsels.len()).max(1);
-    if workers <= 1 {
-        let mut out = Vec::new();
+    let next = AtomicUsize::new(0);
+    let worker = |tid: u32| -> S {
+        let mut state = init();
         let mut claimed = 0u64;
-        for (i, morsel) in morsels.iter().enumerate() {
-            if ctx.is_exhausted() {
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks || ctx.is_exhausted() {
                 break;
             }
             claimed += 1;
             let started = trace.map(|t| t.now_nanos());
-            out.extend(run_one(morsel));
+            run(&mut state, i);
             if let (Some(t), Some(started)) = (trace, started) {
-                t.record("drive", format!("morsel {i}"), 1, started);
+                t.record("drive", format!("{label} {i}"), tid, started);
             }
         }
         if track {
             crate::metrics::morsels_claimed().add(claimed);
         }
-        return out;
+        state
+    };
+    let workers = ctx.threads.min(tasks).max(1);
+    if workers == 1 {
+        return vec![worker(1)];
     }
-    let next = AtomicUsize::new(0);
-    let mut buckets: Vec<Vec<(usize, Vec<Row>)>> = Vec::new();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let next = &next;
-                let morsels = &morsels;
-                let run_one = &run_one;
+                let worker = &worker;
                 scope.spawn(move || {
-                    let tid = w as u32 + 1;
-                    let busy = track.then(|| crate::metrics::worker_busy_nanos().span());
-                    let mut local: Vec<(usize, Vec<Row>)> = Vec::new();
-                    let mut claimed = 0u64;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= morsels.len() || ctx.is_exhausted() {
-                            break;
-                        }
-                        claimed += 1;
-                        let started = trace.map(|t| t.now_nanos());
-                        local.push((i, run_one(&morsels[i])));
-                        if let (Some(t), Some(started)) = (trace, started) {
-                            t.record("drive", format!("morsel {i}"), tid, started);
-                        }
-                    }
-                    if track {
-                        crate::metrics::morsels_claimed().add(claimed);
-                    }
-                    drop(busy);
-                    local
+                    let _busy = track.then(|| crate::metrics::worker_busy_nanos().span());
+                    worker(w as u32 + 1)
                 })
             })
             .collect();
-        for handle in handles {
-            buckets.push(handle.join().expect("morsel worker panicked"));
-        }
-    });
-    let settle_started = trace.map(|t| t.now_nanos());
-    let mut indexed: Vec<(usize, Vec<Row>)> = buckets.into_iter().flatten().collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("morsel worker panicked"))
+            .collect()
+    })
+}
+
+/// Runs one drive plan across all its morsels — through `pipeline` when
+/// the plan compiled to one, else by streaming each morsel's rows through
+/// [`eval_node`] — merging worker outputs in morsel order.
+fn run_morsels(
+    ctx: &EvalCtx,
+    plan: &DrivePlan<'_>,
+    pipeline: Option<&batch::VecPipeline<'_>>,
+) -> Vec<Row> {
+    let Some(pattern) = probe_pattern(&plan.base, &plan.drive.triple) else {
+        return Vec::new();
+    };
+    if let Some(pipe) = pipeline {
+        pipe.begin(ctx);
+    }
+    let morsels = ctx.view.plan_morsels(&pattern, ctx.morsel_size);
+    let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
+    // Each worker keeps its probe memo across the morsels it claims and
+    // returns their outputs tagged with the morsel index.
+    type Claimed = (batch::VecState, Vec<(usize, Vec<Row>)>);
+    let claimed = claim_tasks(
+        ctx,
+        morsels.len(),
+        "morsel",
+        || -> Claimed { (pipeline.map(batch::VecState::new).unwrap_or_default(), Vec::new()) },
+        |(memo, outputs), i| {
+            let mut out = Vec::new();
+            match pipeline {
+                Some(pipe) => pipe.run_morsel(ctx, &pattern, &morsels[i], memo, &mut out),
+                None => out.extend(run_one_morsel(ctx, plan, pattern, &morsels[i])),
+            }
+            // The merged result set retains every morsel's output until
+            // the final concatenation: one bulk memory charge per morsel.
+            if !out.is_empty() {
+                let _ = ctx.charge_mem(out.len() as u64 * row_bytes);
+            }
+            outputs.push((i, out));
+        },
+    );
+    let settle_started = ctx.trace().map(|t| t.now_nanos());
+    let mut indexed: Vec<(usize, Vec<Row>)> =
+        claimed.into_iter().flat_map(|(_, outputs)| outputs).collect();
     indexed.sort_unstable_by_key(|(i, _)| *i);
-    let merged: Vec<Row> = indexed.into_iter().flat_map(|(_, rows)| rows).collect();
-    if let (Some(t), Some(started)) = (trace, settle_started) {
+    let merged = concat(indexed.into_iter().map(|(_, rows)| rows));
+    if let (Some(t), Some(started)) = (ctx.trace(), settle_started) {
         t.record("settle", format!("{} morsels", morsels.len()), 0, started);
     }
     merged
 }
 
-/// Drives one morsel's scan and pushes its rows through the plan stages.
-fn run_one_morsel(
-    ctx: &EvalCtx,
-    plan: &DrivePlan<'_>,
+/// Drives one morsel's scan and streams its rows through the plan stages
+/// on the row evaluator.
+fn run_one_morsel<'it>(
+    ctx: &'it EvalCtx,
+    plan: &'it DrivePlan<'it>,
     pattern: QuadPattern,
     morsel: &Morsel,
-) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for quad in ctx.view.scan_morsel_ordered(pattern, morsel, plan.prefer) {
-        if let Some(new_row) = extend_row(&plan.base, &plan.drive.triple, &quad) {
-            rows.push(new_row);
-        }
-    }
-    if !rows.is_empty() && !ctx.charge(rows.len() as u64) {
-        return rows;
-    }
-    for stage in &plan.stages {
-        if rows.is_empty() || ctx.is_exhausted() {
-            break;
-        }
-        rows = apply_stage(ctx, stage, rows);
-    }
-    rows
+) -> BoxIter<'it> {
+    let drive: BoxIter = Box::new(
+        ctx.view
+            .scan_morsel_ordered(pattern, morsel, plan.prefer)
+            .filter_map(|quad| extend_row(&plan.base, &plan.drive.triple, &quad))
+            .take_while(|_| ctx.charge(1)),
+    );
+    plan.stages.iter().fold(drive, |stream, stage| apply_stage(ctx, stage, stream))
 }
 
-fn apply_stage(ctx: &EvalCtx, stage: &Stage<'_>, rows: Vec<Row>) -> Vec<Row> {
-    match stage {
+fn apply_stage<'it>(ctx: &'it EvalCtx, stage: &Stage<'it>, input: BoxIter<'it>) -> BoxIter<'it> {
+    match *stage {
         Stage::Steps(steps) => {
-            let mut rows = rows;
-            for step in *steps {
-                if rows.is_empty() {
-                    break;
-                }
-                rows = eval_step_batch(ctx, step, rows);
-            }
-            rows
+            steps.iter().fold(input, |stream, step| eval_step(ctx, step, stream))
         }
-        Stage::Node(node) => eval_node_batch(ctx, node, rows),
-        Stage::Filters(filters) => rows
-            .into_iter()
-            .filter(|row| {
-                filters.iter().all(|f| {
-                    let env = RowEnv { ctx, row, aggs: None };
-                    f.eval_filter(&env)
-                })
-            })
-            .collect(),
+        Stage::Node(node) => eval_node(ctx, node, input),
+        Stage::Filters(filters) => Box::new(input.filter(move |row| passes(ctx, filters, row))),
     }
-}
-
-/// Batch mirror of [`eval_node`]: given the same input rows it produces
-/// the same output rows in the same order, without per-row boxed-iterator
-/// dispatch. Used by the morsel pipeline.
-fn eval_node_batch(ctx: &EvalCtx, node: &Node, rows: Vec<Row>) -> Vec<Row> {
-    match node {
-        Node::Steps(steps) => {
-            let mut rows = rows;
-            for step in steps {
-                if rows.is_empty() {
-                    break;
-                }
-                rows = eval_step_batch(ctx, step, rows);
-            }
-            rows
-        }
-        Node::Path(pstep) => {
-            let mut out = Vec::new();
-            'rows: for row in rows {
-                let s_val = pos_value(&row, &pstep.s);
-                let o_val = pos_value(&row, &pstep.o);
-                let bad = |v: &Option<Option<u64>>| matches!(v, Some(None));
-                if bad(&s_val) || bad(&o_val) {
-                    continue;
-                }
-                let pairs = path::eval_path_pairs_with(
-                    &ctx.view,
-                    &pstep.path,
-                    pstep.graph,
-                    s_val.flatten(),
-                    o_val.flatten(),
-                    ctx,
-                );
-                for (s, o) in pairs {
-                    let mut new_row = row.clone();
-                    if extend_pos(&mut new_row, &pstep.s, s)
-                        && extend_pos(&mut new_row, &pstep.o, o)
-                    {
-                        if !ctx.charge(1) {
-                            break 'rows;
-                        }
-                        out.push(new_row);
-                    }
-                }
-            }
-            out
-        }
-        Node::Join(children) => {
-            let mut rows = rows;
-            for child in children {
-                if rows.is_empty() {
-                    break;
-                }
-                rows = eval_node_batch(ctx, child, rows);
-            }
-            rows
-        }
-        Node::Filter(filters, inner) => {
-            let rows = eval_node_batch(ctx, inner, rows);
-            rows.into_iter()
-                .filter(|row| {
-                    filters.iter().all(|f| {
-                        let env = RowEnv { ctx, row, aggs: None };
-                        f.eval_filter(&env)
-                    })
-                })
-                .collect()
-        }
-        Node::Union(a, b) => {
-            let right_input = rows.clone();
-            let mut out = eval_node_batch(ctx, a, rows);
-            out.extend(eval_node_batch(ctx, b, right_input));
-            out
-        }
-        Node::Optional(a, b) => {
-            let left = eval_node_batch(ctx, a, rows);
-            let mut out = Vec::new();
-            for row in left {
-                let matches = eval_node_batch(ctx, b, vec![row.clone()]);
-                if matches.is_empty() {
-                    out.push(row);
-                } else {
-                    out.extend(matches);
-                }
-            }
-            out
-        }
-        Node::SubSelect(sel) => {
-            let inner = ctx.shared_select_rows(sel);
-            let input_rows = rows;
-            let slots = sel.projected_slots();
-            let join_slots: Vec<usize> = slots
-                .iter()
-                .copied()
-                .filter(|&s| {
-                    !input_rows.is_empty() && input_rows.iter().all(|r| r[s].is_some())
-                })
-                .collect();
-            let mut table: HashMap<Vec<u64>, Vec<Row>> = HashMap::new();
-            for irow in inner {
-                let key: Option<Vec<u64>> = join_slots.iter().map(|&s| irow[s]).collect();
-                if let Some(key) = key {
-                    table.entry(key).or_default().push(irow);
-                }
-            }
-            let mut out = Vec::new();
-            for row in input_rows {
-                let key: Vec<u64> = join_slots
-                    .iter()
-                    .map(|&s| row[s].expect("join slot bound in all input rows"))
-                    .collect();
-                if let Some(matches) = table.get(&key) {
-                    'matches: for m in matches {
-                        let mut merged = row.clone();
-                        for &s in &slots {
-                            match (merged[s], m[s]) {
-                                (Some(a), Some(b)) if a != b => continue 'matches,
-                                (None, b) => merged[s] = b,
-                                _ => {}
-                            }
-                        }
-                        out.push(merged);
-                    }
-                }
-            }
-            out
-        }
-        Node::Values { slots, rows: vrows } => {
-            let resolved: Vec<Vec<Option<u64>>> = vrows
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|t| t.as_ref().map(|t| ctx.intern_term(t)))
-                        .collect()
-                })
-                .collect();
-            let mut out = Vec::new();
-            for row in rows {
-                'vrows: for vrow in &resolved {
-                    let mut merged = row.clone();
-                    for (&slot, value) in slots.iter().zip(vrow) {
-                        if let Some(v) = value {
-                            match merged[slot] {
-                                Some(existing) if existing != *v => continue 'vrows,
-                                _ => merged[slot] = Some(*v),
-                            }
-                        }
-                    }
-                    out.push(merged);
-                }
-            }
-            out
-        }
-        Node::Extend(slot, expr) => {
-            let mut rows = rows;
-            for row in &mut rows {
-                let value = {
-                    let env = RowEnv { ctx, row, aggs: None };
-                    expr.eval(&env)
-                };
-                row[*slot] = value.map(|v| ctx.intern_value(v));
-            }
-            rows
-        }
-        Node::Minus(inner) => {
-            let right: Vec<Row> = ctx.shared_minus_rows(inner);
-            rows.into_iter()
-                .filter(|row| {
-                    !right.iter().any(|r| {
-                        let mut shared = false;
-                        for (a, b) in row.iter().zip(r.iter()) {
-                            if let (Some(x), Some(y)) = (a, b) {
-                                if x != y {
-                                    return false;
-                                }
-                                shared = true;
-                            }
-                        }
-                        shared
-                    })
-                })
-                .collect()
-        }
-    }
-}
-
-/// Batch mirror of [`eval_step`].
-fn eval_step_batch(ctx: &EvalCtx, step: &Step, rows: Vec<Row>) -> Vec<Row> {
-    match &step.strategy {
-        Strategy::IndexNlj => {
-            let mut out = Vec::new();
-            'rows: for row in rows {
-                if let Some(pattern) = probe_pattern(&row, &step.triple) {
-                    if binds_nothing(&row, &step.triple) {
-                        // Existence/multiplicity check: every match passes
-                        // the row through unchanged (a member-duplicated
-                        // quad matches more than once, like in the
-                        // streaming path), so the row is moved, not cloned.
-                        let n = ctx.view.count_matches(&pattern);
-                        if n > 0 {
-                            for _ in 1..n {
-                                out.push(row.clone());
-                            }
-                            out.push(row);
-                            if !ctx.charge(n as u64) {
-                                break 'rows;
-                            }
-                        }
-                        continue;
-                    }
-                    let before = out.len();
-                    for quad in ctx.view.probe(pattern) {
-                        if let Some(new_row) = extend_row(&row, &step.triple, &quad) {
-                            out.push(new_row);
-                        }
-                    }
-                    let produced = (out.len() - before) as u64;
-                    if produced > 0 && !ctx.charge(produced) {
-                        break 'rows;
-                    }
-                }
-            }
-            out
-        }
-        Strategy::HashJoin { join_slots } => {
-            let cell = ctx.build_cell(step);
-            let mut out = Vec::new();
-            'rows: for row in rows {
-                // Mirror the streaming hash join: computed IDs in a join
-                // slot can never match stored quads; an unbound join slot
-                // falls back to a per-row index scan.
-                if join_slots
-                    .iter()
-                    .any(|&s| matches!(row[s], Some(id) if id & COMPUTED_BIT != 0))
-                {
-                    continue;
-                }
-                if join_slots.iter().any(|&s| row[s].is_none()) {
-                    if let Some(pattern) = probe_pattern(&row, &step.triple) {
-                        let before = out.len();
-                        for quad in ctx.view.probe(pattern) {
-                            if let Some(new_row) = extend_row(&row, &step.triple, &quad) {
-                                out.push(new_row);
-                            }
-                        }
-                        let produced = (out.len() - before) as u64;
-                        if produced > 0 && !ctx.charge(produced) {
-                            break 'rows;
-                        }
-                    }
-                    continue;
-                }
-                let table = cell.get_or_init(|| build_table(ctx, step, join_slots));
-                let key: Vec<u64> = join_slots
-                    .iter()
-                    .map(|&s| row[s].expect("checked above"))
-                    .collect();
-                if let Some(quads) = table.get(&key) {
-                    let before = out.len();
-                    for quad in quads {
-                        if let Some(new_row) = extend_row(&row, &step.triple, quad) {
-                            out.push(new_row);
-                        }
-                    }
-                    let produced = (out.len() - before) as u64;
-                    if produced > 0 && !ctx.charge(produced) {
-                        break 'rows;
-                    }
-                }
-            }
-            out
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The zero-allocation pipeline walk.
-//
-// When every stage after the driving scan is element-wise (steps and
-// filters — no Node stages), the whole pipeline runs depth-first over ONE
-// scratch row per worker: each join step binds its quad's values into the
-// row in place, recurses, and undoes its bindings. No intermediate row is
-// ever cloned; only the sink at the bottom sees (and may copy) finished
-// rows. Depth-first enumeration visits final rows in exactly the
-// sequential streaming order, so morsel-order merging still reproduces it.
-// ---------------------------------------------------------------------------
-
-/// One element-wise pipeline operation, pre-resolved for the walk.
-enum WalkOp<'p> {
-    /// An index nested-loop join step.
-    Nlj(&'p Step),
-    /// A hash join step with its shared build-side cell.
-    Hash { step: &'p Step, join_slots: &'p [usize], cell: Arc<OnceLock<BuildTable>> },
-    /// A FILTER conjunction.
-    Filter(&'p [CExpr]),
-}
-
-/// Flattens a drive plan's stages into walk operations, or `None` when a
-/// stage is not element-wise (a sibling Node — those need batch inputs).
-fn build_walk_ops<'p>(ctx: &EvalCtx, plan: &DrivePlan<'p>) -> Option<Vec<WalkOp<'p>>> {
-    let mut ops = Vec::new();
-    for stage in &plan.stages {
-        match stage {
-            Stage::Steps(steps) => {
-                for step in *steps {
-                    match &step.strategy {
-                        Strategy::IndexNlj => ops.push(WalkOp::Nlj(step)),
-                        Strategy::HashJoin { join_slots } => ops.push(WalkOp::Hash {
-                            step,
-                            join_slots,
-                            cell: ctx.build_cell(step),
-                        }),
-                    }
-                }
-            }
-            Stage::Filters(filters) => ops.push(WalkOp::Filter(filters)),
-            Stage::Node(_) => return None,
-        }
-    }
-    Some(ops)
-}
-
-/// How many produced rows a walk accumulates before charging the context
-/// (one atomic op per chunk instead of per row; totals are unchanged).
-const WALK_CHARGE_CHUNK: u64 = 1024;
-
-/// Per-worker walk accounting: rows produced since the last charge, and a
-/// sticky stop flag raised when a resource limit fires.
-#[derive(Default)]
-struct WalkState {
-    pending: u64,
-    stop: bool,
-    /// Per-op-depth memo of the last probe: the driving scan is
-    /// index-sorted, so consecutive rows very often resolve a downstream
-    /// step to the *same* probe pattern (e.g. the triangle query's middle
-    /// edge repeats once per in-group neighbour). A hit replays the
-    /// materialised matches and skips the index binary searches entirely.
-    /// Keyed by pattern value only — the store is immutable during a
-    /// query, so equal patterns always yield equal match lists.
-    memo: Vec<ProbeMemo>,
-}
-
-#[derive(Default)]
-struct ProbeMemo {
-    pattern: Option<QuadPattern>,
-    quads: Vec<quadstore::EncodedQuad>,
-}
-
-impl WalkState {
-    fn produce(&mut self, ctx: &EvalCtx, n: u64) -> bool {
-        if self.stop {
-            return false;
-        }
-        self.pending += n;
-        if self.pending >= WALK_CHARGE_CHUNK {
-            let n = std::mem::take(&mut self.pending);
-            if !ctx.charge(n) {
-                self.stop = true;
-                return false;
-            }
-        }
-        true
-    }
-
-    fn flush(&mut self, ctx: &EvalCtx) {
-        let n = std::mem::take(&mut self.pending);
-        if n > 0 && !ctx.charge(n) {
-            self.stop = true;
-        }
-    }
-}
-
-/// Runs the remaining operations depth-first over the scratch row,
-/// invoking `sink` once per finished pipeline row.
-fn walk(
-    ctx: &EvalCtx,
-    ops: &[WalkOp<'_>],
-    depth: usize,
-    row: &mut Row,
-    st: &mut WalkState,
-    sink: &mut dyn FnMut(&Row),
-) {
-    let Some(op) = ops.get(depth) else {
-        sink(row);
-        return;
-    };
-    match op {
-        WalkOp::Filter(filters) => {
-            let pass = filters.iter().all(|f| {
-                let env = RowEnv { ctx, row: &*row, aggs: None };
-                f.eval_filter(&env)
-            });
-            if pass {
-                walk(ctx, ops, depth + 1, row, st, sink);
-            }
-        }
-        WalkOp::Nlj(step) => walk_probe(ctx, ops, depth, step, row, st, sink),
-        WalkOp::Hash { step, join_slots, cell } => {
-            // Mirrors the batch hash join: computed IDs never match stored
-            // quads; an unbound join slot falls back to an index probe.
-            if join_slots
-                .iter()
-                .any(|&s| matches!(row[s], Some(id) if id & COMPUTED_BIT != 0))
-            {
-                return;
-            }
-            if join_slots.iter().any(|&s| row[s].is_none()) {
-                walk_probe(ctx, ops, depth, step, row, st, sink);
-                return;
-            }
-            let table = cell.get_or_init(|| build_table(ctx, step, join_slots));
-            // Key on the stack: a triple has at most four variable
-            // positions, and `Vec<u64>: Borrow<[u64]>` lets the map be
-            // probed with a slice — no allocation per input row.
-            let mut key = [0u64; 4];
-            for (dst, &s) in key.iter_mut().zip(join_slots.iter()) {
-                *dst = row[s].expect("checked above");
-            }
-            let Some(quads) = table.get(&key[..join_slots.len()]) else { return };
-            for quad in quads {
-                if st.stop {
-                    return;
-                }
-                if let Some(mask) = extend_in_place(row, &step.triple, quad) {
-                    let ok = st.produce(ctx, 1);
-                    if ok {
-                        walk(ctx, ops, depth + 1, row, st, sink);
-                    }
-                    undo_extend(row, &step.triple, mask);
-                    if !ok {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One index probe of the walk: extend in place per matching quad, or —
-/// when the row already binds every position — pass the row through once
-/// per match without touching it.
-fn walk_probe(
-    ctx: &EvalCtx,
-    ops: &[WalkOp<'_>],
-    depth: usize,
-    step: &Step,
-    row: &mut Row,
-    st: &mut WalkState,
-    sink: &mut dyn FnMut(&Row),
-) {
-    let Some(pattern) = probe_pattern(row, &step.triple) else { return };
-    if binds_nothing(row, &step.triple) {
-        let n = ctx.view.count_matches(&pattern);
-        if n == 0 {
-            return;
-        }
-        if !st.produce(ctx, n as u64) {
-            return;
-        }
-        for _ in 0..n {
-            if st.stop {
-                return;
-            }
-            walk(ctx, ops, depth + 1, row, st, sink);
-        }
-        return;
-    }
-    if st.memo.len() <= depth {
-        st.memo.resize_with(depth + 1, ProbeMemo::default);
-    }
-    if st.memo[depth].pattern != Some(pattern) {
-        let mut quads = std::mem::take(&mut st.memo[depth].quads);
-        quads.clear();
-        quads.extend(ctx.view.probe(pattern));
-        st.memo[depth] = ProbeMemo { pattern: Some(pattern), quads };
-    }
-    // Take the match list out of the memo while recursing (deeper levels
-    // borrow `st` for their own memo slots), and put it back after.
-    let quads = std::mem::take(&mut st.memo[depth].quads);
-    for quad in &quads {
-        if st.stop {
-            break;
-        }
-        if let Some(mask) = extend_in_place(row, &step.triple, quad) {
-            let ok = st.produce(ctx, 1);
-            if ok {
-                walk(ctx, ops, depth + 1, row, st, sink);
-            }
-            undo_extend(row, &step.triple, mask);
-            if !ok {
-                break;
-            }
-        }
-    }
-    st.memo[depth].quads = quads;
-}
-
-/// Walks one morsel of a drive plan, feeding finished rows to `sink`.
-fn walk_morsel(
-    ctx: &EvalCtx,
-    plan: &DrivePlan<'_>,
-    ops: &[WalkOp<'_>],
-    pattern: QuadPattern,
-    morsel: &Morsel,
-    st: &mut WalkState,
-    sink: &mut dyn FnMut(&Row),
-) {
-    let mut row = plan.base.clone();
-    for quad in ctx.view.scan_morsel_ordered(pattern, morsel, plan.prefer) {
-        if st.stop {
-            break;
-        }
-        if let Some(mask) = extend_in_place(&mut row, &plan.drive.triple, &quad) {
-            let ok = st.produce(ctx, 1);
-            if ok {
-                walk(ctx, ops, 0, &mut row, st, sink);
-            }
-            undo_extend(&mut row, &plan.drive.triple, mask);
-            if !ok {
-                break;
-            }
-        }
-    }
-    st.flush(ctx);
 }
 
 // ---------------------------------------------------------------------------
@@ -2847,36 +2217,6 @@ struct GroupedPartial {
     saw_rows: bool,
 }
 
-/// Splits a root into drive plans, one per UNION branch (duplicates and
-/// multiplicities are preserved — each input row flows through every
-/// branch exactly once, so the aggregated multiset is unchanged). Returns
-/// `false` if any branch is not drivable.
-fn collect_plans<'p>(
-    ctx: &EvalCtx,
-    node: &'p Node,
-    suffix: &[Stage<'p>],
-    out: &mut Vec<DrivePlan<'p>>,
-) -> bool {
-    match node {
-        Node::Union(a, b) => {
-            collect_plans(ctx, a, suffix, out) && collect_plans(ctx, b, suffix, out)
-        }
-        Node::Filter(filters, inner) if root_union(inner) => {
-            let mut with_filter: Vec<Stage<'p>> = vec![Stage::Filters(filters)];
-            with_filter.extend_from_slice(suffix);
-            collect_plans(ctx, inner, &with_filter, out)
-        }
-        _ => match drive_plan(ctx, node) {
-            Some(mut plan) => {
-                plan.stages.extend_from_slice(suffix);
-                out.push(plan);
-                true
-            }
-            None => false,
-        },
-    }
-}
-
 /// The quad position (0=S, 1=P, 2=O, 3=G) at which the driving triple
 /// binds `slot`, when it does and the slot is still free in the base row —
 /// i.e. the position whose index sort order would emit rows grouped by
@@ -2900,14 +2240,16 @@ fn drive_sort_preference(plan: &DrivePlan<'_>, slot: usize) -> Option<usize> {
     }
 }
 
-/// Runs the fused parallel aggregation, or `None` when the aggregates or
-/// the plan shape rule it out.
+/// Runs the fused aggregation — grouping inside the morsel loop, one
+/// partial per worker — or `None` when an aggregate does not merge
+/// losslessly or a UNION branch is not drivable.
 fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
     let fast: Vec<FastAgg> = sel.aggregates.iter().map(fast_agg).collect::<Option<_>>()?;
-    let mut plans: Vec<DrivePlan<'_>> = Vec::new();
-    if !collect_plans(ctx, &sel.root, &[], &mut plans) {
-        return None;
-    }
+    let branches = union_branches(&sel.root, &[]);
+    let mut plans: Vec<DrivePlan<'_>> = branches
+        .iter()
+        .map(|(node, suffix)| drive_plan(ctx, node, suffix))
+        .collect::<Option<_>>()?;
     // Group output is a set of (key, accumulator) pairs — insensitive to
     // input row order — so the driving scan is free to pick, among tying
     // indexes, one sorted by the group key. That turns the accumulator's
@@ -2919,138 +2261,69 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
             plan.prefer = drive_sort_preference(plan, slot);
         }
     }
-    // Flatten every plan's morsels into one shared task list.
-    let mut patterns: Vec<Option<QuadPattern>> = Vec::with_capacity(plans.len());
-    let mut tasks: Vec<(usize, Morsel)> = Vec::new();
-    for (i, plan) in plans.iter().enumerate() {
-        let pattern = probe_pattern(&plan.base, &plan.drive.triple);
-        if let Some(p) = pattern {
-            for morsel in ctx.view.plan_morsels_ordered(&p, ctx.morsel_size, plan.prefer) {
-                tasks.push((i, morsel));
-            }
-        }
-        patterns.push(pattern);
-    }
-    // Per-plan vectorized pipelines (compiled after the sort preference is
-    // fixed — the pipeline captures `prefer` for its driving scan). Plans
-    // the columnar compiler rejects fall back to the zero-alloc walk.
-    let needed = if ctx.vectorize { batch::needed_slots(ctx, sel) } else { Vec::new() };
+    // Compiled after the sort preference is fixed: the pipeline captures
+    // `prefer` for its driving scan.
+    let needed = batch::needed_slots(ctx, sel);
+    // A plan the columnar compiler rejects feeds the sink row by row.
     let pipelines: Vec<Option<batch::VecPipeline<'_>>> = plans
         .iter()
-        .map(|p| {
-            if ctx.vectorize {
-                batch::VecPipeline::compile(ctx, p, &needed)
-            } else {
-                None
-            }
-        })
+        .map(|p| batch::VecPipeline::compile(ctx, p, &needed))
         .collect();
-    // Per-plan walk programs: element-wise pipelines aggregate straight
-    // out of the depth-first walk with zero row materialisation.
-    let walk_ops: Vec<Option<Vec<WalkOp<'_>>>> = plans
-        .iter()
-        .enumerate()
-        .map(|(i, p)| if pipelines[i].is_some() { None } else { build_walk_ops(ctx, p) })
-        .collect();
-    let run_task =
-        |t: usize, sink: &mut RunSink, st: &mut WalkState, vst: &mut [batch::VecState]| {
-            let (i, morsel) = &tasks[t];
-            let plan = &plans[*i];
-            let pattern = patterns[*i].expect("task implies pattern");
-            if let Some(pipe) = &pipelines[*i] {
-                pipe.run_morsel_grouped(ctx, sel, &fast, &pattern, morsel, &mut vst[*i], sink);
-                return;
+    // The row arm does not tally the driving step: a profiled run whose
+    // plan needs it streams through `eval_node` instead.
+    if ctx.profile.is_some() && pipelines.iter().any(Option::is_none) {
+        return None;
+    }
+    // Flatten every plan's morsels into one shared task list.
+    let mut tasks: Vec<(usize, QuadPattern, Morsel)> = Vec::new();
+    for (i, (plan, pipe)) in plans.iter().zip(&pipelines).enumerate() {
+        if let Some(pipe) = pipe {
+            pipe.begin(ctx);
+        }
+        if let Some(p) = probe_pattern(&plan.base, &plan.drive.triple) {
+            for morsel in ctx.view.plan_morsels_ordered(&p, ctx.morsel_size, plan.prefer) {
+                tasks.push((i, p, morsel));
             }
-            match &walk_ops[*i] {
-                Some(ops) => {
-                    let mut feed = |row: &Row| sink.push(ctx, sel, &fast, row);
-                    walk_morsel(ctx, plan, ops, pattern, morsel, st, &mut feed);
+        }
+    }
+    let partials: Vec<GroupedPartial> = claim_tasks(
+        ctx,
+        tasks.len(),
+        "agg morsel",
+        || {
+            let memos: Vec<batch::VecState> = pipelines
+                .iter()
+                .map(|p| p.as_ref().map(batch::VecState::new).unwrap_or_default())
+                .collect();
+            (RunSink::default(), memos)
+        },
+        |(sink, memos), t| {
+            let (i, pattern, morsel) = &tasks[t];
+            match &pipelines[*i] {
+                Some(pipe) => {
+                    let memo = &mut memos[*i];
+                    pipe.run_morsel_grouped(ctx, sel, &fast, pattern, morsel, memo, sink);
                 }
                 None => {
-                    for row in run_one_morsel(ctx, plan, pattern, morsel) {
+                    for row in run_one_morsel(ctx, &plans[*i], *pattern, morsel) {
                         sink.push(ctx, sel, &fast, &row);
                     }
                 }
             }
-        };
-    let new_states = || -> Vec<batch::VecState> {
-        pipelines
-            .iter()
-            .map(|p| p.as_ref().map(batch::VecState::new).unwrap_or_default())
-            .collect()
-    };
-    let track = telemetry::enabled();
-    let trace = ctx.trace();
-    let workers = ctx.threads.min(tasks.len()).max(1);
-    let mut partials: Vec<GroupedPartial> = Vec::new();
-    if workers <= 1 {
-        let mut sink = RunSink::default();
-        let mut st = WalkState::default();
-        let mut vst = new_states();
-        let mut claimed = 0u64;
-        for t in 0..tasks.len() {
-            if ctx.is_exhausted() {
-                break;
-            }
-            claimed += 1;
-            let started = trace.map(|tr| tr.now_nanos());
-            run_task(t, &mut sink, &mut st, &mut vst);
-            if let (Some(tr), Some(started)) = (trace, started) {
-                tr.record("drive", format!("agg morsel {t}"), 1, started);
-            }
-        }
-        if track {
-            crate::metrics::morsels_claimed().add(claimed);
-        }
-        partials.push(sink.finish(ctx, sel));
-    } else {
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let next = &next;
-                    let tasks = &tasks;
-                    let run_task = &run_task;
-                    let new_states = &new_states;
-                    scope.spawn(move || {
-                        let tid = w as u32 + 1;
-                        let busy = track.then(|| crate::metrics::worker_busy_nanos().span());
-                        let mut sink = RunSink::default();
-                        let mut st = WalkState::default();
-                        let mut vst = new_states();
-                        let mut claimed = 0u64;
-                        loop {
-                            let t = next.fetch_add(1, Ordering::Relaxed);
-                            if t >= tasks.len() || ctx.is_exhausted() {
-                                break;
-                            }
-                            claimed += 1;
-                            let started = trace.map(|tr| tr.now_nanos());
-                            run_task(t, &mut sink, &mut st, &mut vst);
-                            if let (Some(tr), Some(started)) = (trace, started) {
-                                tr.record("drive", format!("agg morsel {t}"), tid, started);
-                            }
-                        }
-                        if track {
-                            crate::metrics::morsels_claimed().add(claimed);
-                        }
-                        drop(busy);
-                        sink.finish(ctx, sel)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                partials.push(handle.join().expect("aggregation worker panicked"));
-            }
-        });
-    }
-    let settle_started = trace.map(|t| t.now_nanos());
-    let mut merged = partials.pop().unwrap_or_default();
+        },
+    )
+    .into_iter()
+    .map(|(sink, _)| sink.finish(ctx, sel))
+    .collect();
+    let settle_started = ctx.trace().map(|t| t.now_nanos());
+    let workers = partials.len();
+    let mut partials = partials.into_iter();
+    let mut merged = partials.next().unwrap_or_default();
     for part in partials {
         merge_partial(&mut merged, part);
     }
-    if let (Some(t), Some(started)) = (trace, settle_started) {
-        t.record("settle", format!("{} partials", workers), 0, started);
+    if let (Some(t), Some(started)) = (ctx.trace(), settle_started) {
+        t.record("settle", format!("{workers} partials"), 0, started);
     }
     Some(merged)
 }

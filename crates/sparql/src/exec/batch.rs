@@ -19,13 +19,14 @@
 //! projected slots anyway, so results are bit-identical to the row
 //! pipeline's.
 //!
-//! Everything here mirrors the row pipeline's semantics *exactly*: the
+//! Everything here mirrors the row evaluator's semantics *exactly*: the
 //! same probe patterns, the same charge totals against [`ExecLimits`],
 //! and the same per-step profile tallies (loops, rows) for EXPLAIN
-//! ANALYZE. Plans the compiler here cannot express (sibling nodes,
-//! repeated unbound variables inside one triple, computed IDs in the base
-//! row, statically unbound hash-join keys) fall back to the row pipeline
-//! by returning `None` from [`VecPipeline::compile`].
+//! ANALYZE. Plans the compiler here cannot express (sibling nodes other
+//! than step chains, computed IDs in the base row, statically unbound
+//! hash-join keys, constants absent from the dictionary) run on
+//! [`eval_node`](super::eval_node) instead: [`VecPipeline::compile`]
+//! returns `None` for them.
 
 use super::*;
 
@@ -97,7 +98,13 @@ enum VecOp<'p> {
     /// Index nested-loop probe: per input row, probe the per-row pattern
     /// and emit one output row per match (memoized on the pattern, which
     /// repeats in long runs because the drive column is index-sorted).
-    Probe { step: &'p Step, spec: ProbeSpec, binds: Vec<(usize, usize)>, keep: Vec<usize> },
+    Probe {
+        step: &'p Step,
+        spec: ProbeSpec,
+        same: Vec<(usize, usize)>,
+        binds: Vec<(usize, usize)>,
+        keep: Vec<usize>,
+    },
     /// Pure existence/multiplicity check: every position statically
     /// bound, so each input row is replicated `count_matches` times.
     Count { step: &'p Step, spec: ProbeSpec, keep: Vec<usize> },
@@ -109,6 +116,7 @@ enum VecOp<'p> {
         /// Residual equality checks for positions the key does not cover
         /// (mirrors `extend_row`'s consistency checks).
         checks: Vec<(usize, ValSrc)>,
+        same: Vec<(usize, usize)>,
         binds: Vec<(usize, usize)>,
         keep: Vec<usize>,
     },
@@ -178,10 +186,13 @@ pub(super) struct VecPipeline<'p> {
     drive: &'p Step,
     prefer: Option<usize>,
     base: Row,
-    /// Quad positions the driving scan extracts (parallel to
-    /// `drive_slots`), pruned to live slots.
+    /// Quad positions the driving scan extracts: one per live slot
+    /// (parallel to `drive_slots`), then any position only `same` reads.
     positions: Vec<usize>,
     drive_slots: Vec<usize>,
+    /// Pairs of scanned columns (indexes into `positions`) that must hold
+    /// equal IDs: the driving triple repeats a variable it binds.
+    same: Vec<(usize, usize)>,
     ops: Vec<VecOp<'p>>,
     /// Column slots present after the last operator.
     final_cols: Vec<usize>,
@@ -262,7 +273,7 @@ impl<'p> VecPipeline<'p> {
             .collect();
 
         // The driving scan binds its triple's free variable positions.
-        let drive_binds_all = triple_binds(&plan.drive.triple, &mut bind)?;
+        let (drive_binds_all, drive_same) = triple_binds(&plan.drive.triple, &mut bind)?;
 
         // Pass 1: draft every operator, tracking reads and binds.
         struct Draft<'p> {
@@ -280,7 +291,7 @@ impl<'p> VecPipeline<'p> {
                         let draft = match &step.strategy {
                             Strategy::IndexNlj => {
                                 let (spec, reads) = probe_spec(&step.triple, &bind)?;
-                                let binds_all = triple_binds(&step.triple, &mut bind)?;
+                                let (binds_all, same) = triple_binds(&step.triple, &mut bind)?;
                                 if binds_all.is_empty() {
                                     Draft {
                                         op: VecOp::Count { step, spec, keep: Vec::new() },
@@ -292,6 +303,7 @@ impl<'p> VecPipeline<'p> {
                                         op: VecOp::Probe {
                                             step,
                                             spec,
+                                            same,
                                             binds: Vec::new(),
                                             keep: Vec::new(),
                                         },
@@ -301,8 +313,8 @@ impl<'p> VecPipeline<'p> {
                                 }
                             }
                             Strategy::HashJoin { join_slots } => {
-                                // A statically unbound or repeated key slot
-                                // takes the streaming per-row fallback.
+                                // A statically unbound key slot takes the
+                                // row evaluator's per-row fallback.
                                 if join_slots.iter().any(|&s| bind[s] == BindState::Unbound) {
                                     return None;
                                 }
@@ -319,13 +331,14 @@ impl<'p> VecPipeline<'p> {
                                     &bind,
                                     &mut reads,
                                 );
-                                let binds_all = triple_binds(&step.triple, &mut bind)?;
+                                let (binds_all, same) = triple_binds(&step.triple, &mut bind)?;
                                 Draft {
                                     op: VecOp::Hash {
                                         step,
                                         cell: ctx.build_cell(step),
                                         key_srcs,
                                         checks,
+                                        same,
                                         binds: Vec::new(),
                                         keep: Vec::new(),
                                     },
@@ -401,6 +414,13 @@ impl<'p> VecPipeline<'p> {
                 drive_slots.push(slot);
             }
         }
+        let mut col_of = |pos: usize| {
+            positions.iter().position(|&p| p == pos).unwrap_or_else(|| {
+                positions.push(pos);
+                positions.len() - 1
+            })
+        };
+        let same = drive_same.iter().map(|&(a, b)| (col_of(a), col_of(b))).collect();
         let mut live: Vec<bool> = (0..nvars).map(|s| present[s] && need_from[0][s]).collect();
         let mut ops: Vec<VecOp<'p>> = Vec::with_capacity(nops);
         for (k, draft) in drafts.into_iter().enumerate() {
@@ -463,49 +483,26 @@ impl<'p> VecPipeline<'p> {
             base: plan.base.clone(),
             positions,
             drive_slots,
+            same,
             ops,
             final_cols,
             template,
         })
     }
 
-    /// Runs the whole pipeline sequentially (the `threads == 1` entry
-    /// point): every morsel in order, rows appended to `out`. Profile
-    /// tallies mirror the streaming pipeline's exactly.
-    pub(super) fn run_sequential(&self, ctx: &EvalCtx, out: &mut Vec<Row>) {
-        let drive_key = self.drive as *const Step as usize;
+    /// Marks the pipeline as about to run: flags the observer, and under
+    /// profiling creates the tallies the row evaluator creates eagerly —
+    /// a (possibly zero) tally even for steps never reached, and the one
+    /// seed row its driving step consumes.
+    pub(super) fn begin(&self, ctx: &EvalCtx) {
+        if let Some(obs) = &ctx.observer {
+            obs.vectorized.store(true, Ordering::Relaxed);
+        }
         if let Some(p) = &ctx.profile {
-            // The streaming pipeline wraps every step eagerly, creating a
-            // (possibly zero) tally even for steps never reached; its
-            // driving step consumes exactly one seed row.
-            p.add(drive_key, 0, 1, 0);
-            for op in &self.ops {
-                if let Some(key) = op.step_key() {
-                    p.add(key, 0, 0, 0);
-                }
+            p.add(self.drive as *const Step as usize, 0, 1, 0);
+            for key in self.ops.iter().filter_map(VecOp::step_key) {
+                p.add(key, 0, 0, 0);
             }
-        }
-        let Some(pattern) = probe_pattern(&self.base, &self.drive.triple) else {
-            return;
-        };
-        let morsels = ctx.view.plan_morsels(&pattern, ctx.morsel_size);
-        let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
-        let mut st = VecState::new(self);
-        let mut claimed = 0u64;
-        for morsel in &morsels {
-            if ctx.is_exhausted() {
-                break;
-            }
-            claimed += 1;
-            let before = out.len();
-            self.run_morsel(ctx, &pattern, morsel, &mut st, out);
-            let produced = (out.len() - before) as u64;
-            if produced > 0 {
-                let _ = ctx.charge_mem(produced * row_bytes);
-            }
-        }
-        if telemetry::enabled() {
-            crate::metrics::morsels_claimed().add(claimed);
         }
     }
 
@@ -552,7 +549,11 @@ impl<'p> VecPipeline<'p> {
         // 1. Drive scan → columns.
         let t0 = profile.as_ref().map(|_| Instant::now());
         let mut dcols: Vec<Vec<u64>> = vec![Vec::new(); self.positions.len()];
-        let n = ctx.view.scan_morsel_columns(pattern, morsel, self.prefer, &self.positions, &mut dcols);
+        let mut n =
+            ctx.view.scan_morsel_columns(pattern, morsel, self.prefer, &self.positions, &mut dcols);
+        if !self.same.is_empty() {
+            n = retain_same(&mut dcols, &self.same, n);
+        }
         if let (Some(p), Some(t0)) = (&profile, t0) {
             p.add(
                 self.drive as *const Step as usize,
@@ -651,7 +652,7 @@ impl<'p> VecPipeline<'p> {
                 }
                 Some(gather_batch(&batch, &src, keep, &[], Vec::new(), nvars))
             }
-            VecOp::Probe { spec, binds, keep, .. } => {
+            VecOp::Probe { spec, same, binds, keep, .. } => {
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
                 let mut src: Vec<u32> = Vec::new();
@@ -664,6 +665,9 @@ impl<'p> VecPipeline<'p> {
                         }
                         memo.count = 0;
                         for quad in ctx.view.probe(pat) {
+                            if same.iter().any(|&(a, b)| quad[a] != quad[b]) {
+                                continue;
+                            }
                             for (bi, &(pos, _)) in binds.iter().enumerate() {
                                 memo.vals[bi].push(quad[pos]);
                             }
@@ -686,7 +690,7 @@ impl<'p> VecPipeline<'p> {
                 }
                 Some(gather_batch(&batch, &src, keep, binds, fresh, nvars))
             }
-            VecOp::Hash { cell, key_srcs, checks, binds, keep, step } => {
+            VecOp::Hash { cell, key_srcs, checks, same, binds, keep, step } => {
                 let table =
                     cell.get_or_init(|| build_table(ctx, step, hash_join_slots(step)));
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
@@ -700,7 +704,9 @@ impl<'p> VecPipeline<'p> {
                     }
                     let Some(quads) = table.get(key.as_slice()) else { continue };
                     for quad in quads {
-                        if checks.iter().any(|(pos, vs)| quad[*pos] != vs.value(&batch, i)) {
+                        if checks.iter().any(|(pos, vs)| quad[*pos] != vs.value(&batch, i))
+                            || same.iter().any(|&(a, b)| quad[a] != quad[b])
+                        {
                             continue;
                         }
                         src.push(i as u32);
@@ -842,6 +848,25 @@ impl<'p> VecPipeline<'p> {
     }
 }
 
+/// Compacts freshly scanned columns to the rows whose `same` column pairs
+/// agree — `extend_row`'s consistency check for a variable the driving
+/// triple repeats (`GRAPH ?g { ?g ?k ?v }`, `?x ?p ?x`).
+fn retain_same(cols: &mut [Vec<u64>], same: &[(usize, usize)], n: usize) -> usize {
+    let mut kept = 0;
+    for i in 0..n {
+        if same.iter().all(|&(a, b)| cols[a][i] == cols[b][i]) {
+            for col in cols.iter_mut() {
+                col[kept] = col[i];
+            }
+            kept += 1;
+        }
+    }
+    for col in cols.iter_mut() {
+        col.truncate(kept);
+    }
+    kept
+}
+
 /// Charges newly produced operator output — rows against the row budget
 /// (which also polls the deadline and the cancel token every
 /// [`DEADLINE_STRIDE`] rows) and output-column bytes against the memory
@@ -931,48 +956,48 @@ impl ValSrc {
     }
 }
 
-/// The free variable positions a triple binds, updating the bind states.
-/// `None` when the triple repeats an unbound variable (the row pipeline's
-/// per-quad consistency checks have no columnar equivalent here) or pins
-/// a constant absent from the store (per-row probes would all be empty;
-/// rare enough to leave to the row pipeline).
-fn triple_binds(triple: &CTriple, bind: &mut [BindState]) -> Option<Vec<(usize, usize)>> {
+/// The free variable positions a triple binds — `(position, slot)`, at the
+/// variable's first position — updating the bind states, plus `(first,
+/// later)` position pairs for a variable the triple repeats while still
+/// unbound: it binds at the first and every matched quad must carry the
+/// same ID at the later one (exactly `extend_row`'s consistency check).
+/// `None` when the triple pins a constant absent from the store (per-row
+/// probes would all be empty; rare enough to leave to the row evaluator).
+#[allow(clippy::type_complexity)]
+fn triple_binds(
+    triple: &CTriple,
+    bind: &mut [BindState],
+) -> Option<(Vec<(usize, usize)>, Vec<(usize, usize)>)> {
     let mut out: Vec<(usize, usize)> = Vec::new();
-    let mut visit = |pos: usize, cpos: &CPos| -> Option<()> {
-        match cpos {
-            CPos::Var(slot) => {
-                if bind[*slot] == BindState::Unbound {
-                    if out.iter().any(|&(_, s)| s == *slot) {
-                        return None;
-                    }
-                    out.push((pos, *slot));
-                }
-                Some(())
+    let mut same: Vec<(usize, usize)> = Vec::new();
+    let mut visit = |pos: usize, slot: usize| {
+        if bind[slot] == BindState::Unbound {
+            match out.iter().find(|&&(_, s)| s == slot) {
+                Some(&(first, _)) => same.push((first, pos)),
+                None => out.push((pos, slot)),
             }
-            CPos::Const(_, Some(_)) => Some(()),
-            CPos::Const(_, None) => None,
         }
     };
-    visit(quadstore::ids::S, &triple.s)?;
-    visit(quadstore::ids::P, &triple.p)?;
-    visit(quadstore::ids::O, &triple.o)?;
-    match &triple.g {
-        CGraph::Any | CGraph::Default => {}
-        CGraph::Const(_, Some(_)) => {}
-        CGraph::Const(_, None) => return None,
-        CGraph::Var(slot) => {
-            if bind[*slot] == BindState::Unbound {
-                if out.iter().any(|&(_, s)| s == *slot) {
-                    return None;
-                }
-                out.push((quadstore::ids::G, *slot));
-            }
+    for (pos, cpos) in [
+        (quadstore::ids::S, &triple.s),
+        (quadstore::ids::P, &triple.p),
+        (quadstore::ids::O, &triple.o),
+    ] {
+        match cpos {
+            CPos::Var(slot) => visit(pos, *slot),
+            CPos::Const(_, Some(_)) => {}
+            CPos::Const(_, None) => return None,
         }
+    }
+    match &triple.g {
+        CGraph::Any | CGraph::Default | CGraph::Const(_, Some(_)) => {}
+        CGraph::Const(_, None) => return None,
+        CGraph::Var(slot) => visit(quadstore::ids::G, *slot),
     }
     for &(_, slot) in &out {
         bind[slot] = BindState::Col;
     }
-    Some(out)
+    Some((out, same))
 }
 
 /// Builds a probe spec from a triple and the current bind states,
@@ -1112,29 +1137,4 @@ fn hash_join_slots(step: &Step) -> &[usize] {
         Strategy::HashJoin { join_slots } => join_slots,
         Strategy::IndexNlj => unreachable!("hash op on NLJ step"),
     }
-}
-
-/// The sequential vectorized producer for a non-grouped SELECT: splits
-/// root UNIONs like the parallel executor, compiles every branch (all or
-/// nothing, so no charges land before the decision to use the vectorized
-/// path), and runs the branches in sequential order. `None` falls back to
-/// the streaming row pipeline.
-pub(super) fn vec_produce(ctx: &EvalCtx, sel: &CSelect) -> Option<Vec<Row>> {
-    if !ctx.vectorize {
-        return None;
-    }
-    let mut plans: Vec<DrivePlan<'_>> = Vec::new();
-    if !collect_plans(ctx, &sel.root, &[], &mut plans) {
-        return None;
-    }
-    let needed = needed_slots(ctx, sel);
-    let pipes: Vec<VecPipeline<'_>> = plans
-        .iter()
-        .map(|p| VecPipeline::compile(ctx, p, &needed))
-        .collect::<Option<_>>()?;
-    let mut out = Vec::new();
-    for pipe in &pipes {
-        pipe.run_sequential(ctx, &mut out);
-    }
-    Some(out)
 }

@@ -51,7 +51,8 @@ pub use cache::{PlanCache, PlanCacheEntryInfo, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use error::SparqlError;
 pub use exec::{
     default_max_memory, execute_compiled, execute_compiled_with_limits,
-    execute_compiled_with_options, execute_profiled, set_default_max_memory, CancelToken,
+    execute_compiled_with_options, execute_profiled, execute_reference, set_default_max_memory,
+    CancelToken,
     ExecLimits, ExecObserver, ExecOptions, ExecProfile, QueryResults, StepTally,
     DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE,
 };
@@ -94,8 +95,8 @@ pub fn query_with_limits(
 }
 
 /// [`query`] with explicit execution options (worker threads, morsel
-/// size, resource limits). `ExecOptions::threads(1)` reproduces the
-/// sequential streaming path bit-for-bit.
+/// size, resource limits). Every setting returns the same rows in the
+/// same order.
 pub fn query_with_options(
     store: &Store,
     dataset: &str,

@@ -404,16 +404,6 @@ pub struct CompileOptions {
     pub union_default_graph: bool,
     /// Optional join-strategy override (ablations only).
     pub force_join: Option<ForcedJoin>,
-    /// Whether executions of this plan may use the vectorized columnar
-    /// pipeline. Part of the plan-cache key: a plan prepared for
-    /// vectorized execution must never be served to a `vectorize(false)`
-    /// request (the reference row pipeline is the correctness oracle and
-    /// must not silently inherit vectorized state, and vice versa).
-    pub vectorize: bool,
-    /// Whether the cost-based optimizer plans join orders (statistics +
-    /// dynamic programming). Off = the greedy heuristic planner, exactly
-    /// as before CBO existed (`pgq --no-cbo`). Part of the plan-cache key.
-    pub use_cbo: bool,
 }
 
 impl Default for CompileOptions {
@@ -421,8 +411,6 @@ impl Default for CompileOptions {
         CompileOptions {
             union_default_graph: true,
             force_join: None,
-            vectorize: true,
-            use_cbo: true,
         }
     }
 }
@@ -460,7 +448,7 @@ pub fn compile_with(
     let physical = Physical {
         view,
         options,
-        est: Estimator::new(view, options.use_cbo),
+        est: Estimator::new(view),
     };
     let form = match &lquery.form {
         LForm::Select(ls) => CForm::Select(physical.emit_select(ls, &mut HashSet::new())),
@@ -1018,7 +1006,6 @@ impl Physical<'_> {
             view: self.view,
             est: &self.est,
             force_join: self.options.force_join,
-            use_cbo: self.options.use_cbo,
         }
     }
 

@@ -6,7 +6,10 @@
 //!    resolved dictionary ID into every scan position of its subtree
 //!    (subject/object always, predicate and graph for IRIs — this is the
 //!    GRAPH-scope narrowing rule when the pinned variable is a graph
-//!    variable) and prepends a one-row VALUES so `?v` stays bound. The
+//!    variable) and prepends a one-row VALUES so `?v` stays bound — but
+//!    only when every solution of the subtree binds `?v`: where a UNION
+//!    branch or an OPTIONAL may leave it unbound, the filter must reject
+//!    that solution and the VALUES row would bind it instead. The
 //!    original filter is kept as a safety net.
 //! 2. **fold-constants** — boolean algebra over constant subexpressions;
 //!    filters reduced to `true` are dropped.
@@ -103,6 +106,9 @@ fn push_pins(node: &mut LNode, trace: &mut RewriteTrace) {
     match node {
         LNode::Filter { pins, inner, .. } => {
             push_pins(inner, trace);
+            // An unpushed pin stays an ordinary equality in `exprs`.
+            let bound = certainly_bound(inner);
+            pins.retain(|pin| bound.contains(&pin.slot));
             if pins.is_empty() {
                 return;
             }
@@ -134,6 +140,35 @@ fn push_pins(node: &mut LNode, trace: &mut RewriteTrace) {
         LNode::Minus(inner) | LNode::Unsatisfiable(inner) => push_pins(inner, trace),
         LNode::SubSelect(sel) => push_pins(&mut sel.root, trace),
         LNode::Bgp(_) | LNode::Path(_) | LNode::Values { .. } | LNode::Extend(..) => {}
+    }
+}
+
+/// The slots every solution of `node` binds.
+fn certainly_bound(node: &LNode) -> HashSet<usize> {
+    match node {
+        LNode::Bgp(tps) => tps.iter().flat_map(|t| t.var_slots()).collect(),
+        LNode::Path(p) => [&p.s, &p.o].into_iter().filter_map(CPos::slot).collect(),
+        LNode::Join(children) => children.iter().flat_map(certainly_bound).collect(),
+        LNode::Filter { inner, .. } | LNode::Unsatisfiable(inner) => certainly_bound(inner),
+        LNode::Union(a, b) => &certainly_bound(a) & &certainly_bound(b),
+        LNode::Optional(a, _) => certainly_bound(a),
+        LNode::Values { slots, rows } => slots
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| rows.iter().all(|row| row[*i].is_some()))
+            .map(|(_, slot)| *slot)
+            .collect(),
+        LNode::SubSelect(sel) => {
+            let inner = certainly_bound(&sel.root);
+            sel.projection
+                .iter()
+                .filter(|p| p.expr.is_none() && inner.contains(&p.slot))
+                .map(|p| p.slot)
+                .collect()
+        }
+        // BIND leaves its target unbound on an expression error; MINUS
+        // binds nothing.
+        LNode::Extend(..) | LNode::Minus(_) => HashSet::new(),
     }
 }
 

@@ -240,3 +240,69 @@ fn zero_or_one_path() {
     // a itself (zero) + b (one).
     assert_eq!(sols.len(), 2);
 }
+
+/// Row count of `q` over `{ s1 <a> X . s2 <b> Y }` on the reference
+/// evaluator, which must agree with one and four workers; also asserts
+/// the `pin-pushdown` rewrite left the query alone.
+fn unpinned_rows(q: &str) -> usize {
+    let store = Store::new();
+    store.create_model("m").unwrap();
+    let t = |s: &str, p: &str, o: &str| {
+        Quad::triple(Term::iri(s), Term::iri(p), Term::iri(o)).unwrap()
+    };
+    store
+        .bulk_load(
+            "m",
+            &[
+                t("http://x/s1", "http://x/a", "http://x/X"),
+                t("http://x/s2", "http://x/b", "http://x/Y"),
+            ],
+        )
+        .unwrap();
+    let view = store.dataset("m").unwrap();
+    let compiled = sparql::compile(&view, &sparql::parse_query(q).unwrap()).unwrap();
+    assert!(
+        !compiled.logical.contains("pin-pushdown"),
+        "?v is not bound by every solution, so its pin must stay a filter:\n{}",
+        compiled.logical
+    );
+    let (reference, _) =
+        sparql::execute_reference(&view, &compiled, sparql::ExecLimits::default()).unwrap();
+    for threads in [1, 4] {
+        let got = sparql::execute_compiled_with_options(
+            &view,
+            &compiled,
+            sparql::ExecOptions::threads(threads),
+        )
+        .unwrap();
+        assert_eq!(reference, got, "threads={threads} diverged from the reference");
+    }
+    match reference {
+        QueryResults::Solutions(s) => s.len(),
+        other => panic!("expected solutions, got {other:?}"),
+    }
+}
+
+#[test]
+fn pin_on_a_variable_one_union_branch_leaves_unbound() {
+    // The <b> branch does not bind ?v: FILTER(?v = <X>) must drop its row
+    // (unbound -> error -> false), not bind ?v for it.
+    let rows = unpinned_rows(
+        "SELECT ?s ?v WHERE { \
+           { ?s <http://x/a> ?v } UNION { ?s <http://x/b> ?o } \
+           FILTER(?v = <http://x/X>) }",
+    );
+    assert_eq!(rows, 1, "only s1 survives");
+}
+
+#[test]
+fn pin_on_a_variable_an_optional_leaves_unbound() {
+    // s1 has no <b> edge: ?v stays unbound and the filter drops the row.
+    let rows = unpinned_rows(
+        "SELECT ?s ?v WHERE { \
+           ?s <http://x/a> ?o \
+           OPTIONAL { ?s <http://x/b> ?v } \
+           FILTER(?v = <http://x/Y>) }",
+    );
+    assert_eq!(rows, 0, "no row survives");
+}

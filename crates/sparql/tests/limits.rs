@@ -29,6 +29,13 @@ fn dense_store(n: u32) -> Store {
 
 const CROSS: &str = "SELECT ?a ?b WHERE { ?a <http://p> ?x . ?b <http://p> ?y }";
 
+/// The row evaluator on its own (`execute_reference`), under `limits`.
+fn reference(store: &Store, q: &str, limits: ExecLimits) -> Result<QueryResults, SparqlError> {
+    let view = store.dataset("m").expect("dataset");
+    let compiled = sparql::compile(&view, &sparql::parse_query(q)?)?;
+    sparql::execute_reference(&view, &compiled, limits).map(|(results, _)| results)
+}
+
 #[test]
 fn row_budget_aborts_cross_products() {
     let store = dense_store(100);
@@ -81,8 +88,8 @@ fn budget_inside_subselect_still_surfaces() {
 /// The memory budget must account for the executor's own row/column
 /// buffers, not just retained state like hash tables: a wide cross
 /// product whose intermediate buffers dwarf the budget has to abort
-/// *between* operators under every pipeline — vectorized at any batch
-/// size, the row pipeline, and the parallel executor. (Regression: the
+/// *between* operators under every engine — vectorized at any batch
+/// size, the row evaluator, and the parallel executor. (Regression: the
 /// collected row vectors and column batches were once uncharged, so a
 /// wide scan could balloon far past `max_memory` before any retained
 /// state tripped the limit.)
@@ -95,7 +102,6 @@ fn memory_budget_charges_interoperator_buffers() {
     for (label, options) in [
         ("vectorized", ExecOptions::default().with_limits(limits)),
         ("vectorized batch=1", ExecOptions::default().with_limits(limits).with_batch_size(1)),
-        ("row", ExecOptions::default().with_limits(limits).with_vectorize(false)),
         ("parallel", ExecOptions::threads(4).with_limits(limits)),
     ] {
         let result = query_with_options(&store, "m", CROSS, options);
@@ -104,25 +110,50 @@ fn memory_budget_charges_interoperator_buffers() {
             "{label}: expected ResourceExhausted, got {result:?}"
         );
     }
+    let result = reference(&store, CROSS, limits);
+    assert!(
+        matches!(result, Err(SparqlError::ResourceExhausted(_))),
+        "row: expected ResourceExhausted, got {result:?}"
+    );
 }
 
 /// A budget big enough for the buffers must leave results bit-identical
-/// across the vectorized and row pipelines.
+/// on the vectorized pipeline and the row evaluator.
 #[test]
 fn memory_budget_generous_changes_nothing() {
     let store = dense_store(12);
     let unlimited = query(&store, "m", CROSS).expect("unlimited");
-    for (label, options) in [
-        ("vectorized", ExecOptions::default().with_limits(ExecLimits::memory(64 * 1024 * 1024))),
-        (
-            "row",
-            ExecOptions::default().with_limits(ExecLimits::memory(64 * 1024 * 1024))
-                .with_vectorize(false),
-        ),
+    let limits = ExecLimits::memory(64 * 1024 * 1024);
+    let options = ExecOptions::default().with_limits(limits);
+    let vectorized = query_with_options(&store, "m", CROSS, options).expect("vectorized");
+    assert_eq!(unlimited, vectorized, "vectorized diverged under a generous budget");
+    let row = reference(&store, CROSS, limits).expect("row");
+    assert_eq!(unlimited, row, "row diverged under a generous budget");
+}
+
+/// Aggregates over plans the columnar compiler rejects never hold the
+/// 160,000 solution rows, so a budget far below the rows' footprint holds
+/// at every thread count: a COUNT folds each morsel's rows inside the
+/// morsel loop (MINUS sibling) and any aggregate over a root the morsel
+/// loop cannot drive (root OPTIONAL) pulls rows one at a time.
+#[test]
+fn aggregates_over_row_engine_plans_stay_within_memory_budget() {
+    let store = dense_store(400);
+    for q in [
+        "SELECT (COUNT(*) AS ?n) WHERE { ?a <http://p> ?x . ?b <http://p> ?y \
+         MINUS { ?a <http://p> <http://o3> } }",
+        "SELECT (COUNT(*) AS ?n) WHERE { ?a <http://p> ?x OPTIONAL { ?b <http://p> ?y } }",
+        "SELECT (SUM(1) AS ?n) WHERE { ?a <http://p> ?x OPTIONAL { ?b <http://p> ?y } }",
     ] {
-        let limited = query_with_options(&store, "m", CROSS, options)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        assert_eq!(unlimited, limited, "{label} diverged under a generous budget");
+        let expected = reference(&store, q, ExecLimits::default()).expect("reference");
+        for threads in [1, 4] {
+            let options = ExecOptions::threads(threads).with_limits(ExecLimits::memory(256 * 1024));
+            let result = query_with_options(&store, "m", q, options);
+            assert_eq!(result.as_ref().ok(), Some(&expected), "threads={threads} {q}: {result:?}");
+        }
+        // The reference evaluator streams into the aggregation loop too.
+        let limited = reference(&store, q, ExecLimits::memory(256 * 1024));
+        assert_eq!(limited.as_ref().ok(), Some(&expected), "reference {q}: {limited:?}");
     }
 }
 

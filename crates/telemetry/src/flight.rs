@@ -158,7 +158,8 @@ pub struct QueryEvent {
     pub peak_mem_bytes: u64,
     /// Worker threads the executor resolved to.
     pub threads: u32,
-    /// Whether the vectorized columnar pipeline was requested.
+    /// Whether any part of the query ran on the vectorized columnar
+    /// pipeline (reported by the executor; `false` for a shed query).
     pub vectorized: bool,
     /// Terminal state.
     pub outcome: QueryOutcome,

@@ -1,12 +1,9 @@
-//! Cost-based-optimizer equivalence and quality suite.
-//!
-//! The CBO may only change *how fast* answers arrive, never the answers:
-//! every EQ family must return bit-identical solutions with the optimizer
-//! on and off, across thread counts and both execution pipelines. On top
-//! of that, a skewed fixture checks the optimizer actually earns its keep
-//! — per-predicate statistics let the DP enumerator find a join order the
-//! uniform greedy heuristic provably misses — and a Q-error sanity bound
-//! keeps the cardinality estimates honest.
+//! Cost-based-optimizer quality suite: a skewed fixture checks that
+//! per-predicate statistics put the joins in the order that moves the
+//! fewest rows, a Q-error bound keeps the cardinality estimates honest,
+//! and `EXPLAIN ANALYZE` surfaces both. (That plans never change answers
+//! is `parallel_equivalence.rs`'s job: every configuration against the
+//! reference evaluator.)
 
 use pgrdf::PgRdfModel;
 use pgrdf_bench::{Eq, Fixture};
@@ -18,48 +15,12 @@ fn fixture() -> Fixture {
     Fixture::with_seed(0.002, 7)
 }
 
-const FAMILIES: [Eq; 5] = [Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4, Eq::Eq5];
-
-/// EQ1–EQ5 × {NG, SP, RF} × threads {1, 8} × {vectorized, row}: the
-/// cost-based plans must return exactly the rows (and row order) of the
-/// greedy plans.
-#[test]
-fn eq_families_bit_identical_with_and_without_cbo() {
-    let f = fixture();
-    for eq in FAMILIES {
-        for model in PgRdfModel::ALL {
-            let store = f.store(model);
-            let text = f.query_text(eq, model);
-            let dataset = f.dataset_for(eq, model);
-            for threads in [1usize, 8] {
-                for vectorize in [true, false] {
-                    let opts = ExecOptions::threads(threads).with_vectorize(vectorize);
-                    let with_cbo = store
-                        .select_in_with(&dataset, &text, opts.clone())
-                        .unwrap_or_else(|e| panic!("{} {model} cbo: {e}", eq.label(model)));
-                    let without = store
-                        .select_in_with(&dataset, &text, opts.with_use_cbo(false))
-                        .unwrap_or_else(|e| panic!("{} {model} greedy: {e}", eq.label(model)));
-                    assert_eq!(
-                        with_cbo,
-                        without,
-                        "{} on {model} (threads={threads} vectorize={vectorize}): \
-                         CBO changed the answers",
-                        eq.label(model)
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A fixture the greedy heuristic provably misplans. One hub carries a
+/// A fixture where model-wide statistics mislead. One hub carries a
 /// selective tag, a 1-row-per-hub `rel` edge, and a 100-rows-per-hub
 /// `member` fan-out; 10k single-quad `attr` subjects dilute the
-/// *model-wide* distinct-subject count the greedy fanout estimate divides
-/// by, so both joins look identical to it (fanout 1) and tie-breaking
-/// drives the 100-way fan-out first. Per-predicate statistics see the
-/// true fanouts (100 vs 1) and the DP enumerator probes `rel` first.
+/// *model-wide* distinct-subject count, so a fanout estimate dividing by
+/// it sees both joins as identical (fanout 1). Per-predicate statistics
+/// see the true fanouts (100 vs 1) and probe `rel` first.
 fn skewed_store() -> Store {
     let store = Store::new();
     store.create_model("m").unwrap();
@@ -108,57 +69,32 @@ const SKEWED_QUERY: &str = "SELECT ?a ?c WHERE { \
      ?h <http://x/member> ?a }";
 
 #[test]
-fn skewed_join_dp_beats_greedy() {
+fn skewed_join_order_follows_per_predicate_statistics() {
     let store = skewed_store();
     let view = store.dataset("m").unwrap();
     let parsed = sparql::parse_query(SKEWED_QUERY).unwrap();
+    let compiled = sparql::compile_with(&view, &parsed, CompileOptions::default()).unwrap();
 
-    let compile = |use_cbo: bool| {
-        sparql::compile_with(
-            &view,
-            &parsed,
-            CompileOptions { use_cbo, ..CompileOptions::default() },
-        )
-        .unwrap()
-    };
-    let cbo = compile(true);
-    let greedy = compile(false);
-
-    // The plans must actually differ: the CBO probes the 1-row `rel`
-    // before the 100-row `member` fan-out; greedy ties and does the
-    // opposite.
-    let plan_cbo = sparql::explain::render(&cbo);
-    let plan_greedy = sparql::explain::render(&greedy);
-    let pos = |plan: &str, what: &str| {
-        plan.find(what).unwrap_or_else(|| panic!("no {what} step in:\n{plan}"))
-    };
+    // The 1-row `rel` probe must come before the 100-row `member` fan-out.
+    let plan = sparql::explain::render(&compiled);
+    let pos = |what: &str| plan.find(what).unwrap_or_else(|| panic!("no {what} step in:\n{plan}"));
     assert!(
-        pos(&plan_cbo, "/rel>") < pos(&plan_cbo, "/member>"),
-        "CBO must probe rel before the member fan-out:\n{plan_cbo}"
-    );
-    assert!(
-        pos(&plan_greedy, "/member>") < pos(&plan_greedy, "/rel>"),
-        "greedy (tie on uniform fanout) drives member first:\n{plan_greedy}"
+        pos("/tag>") < pos("/rel>") && pos("/rel>") < pos("/member>"),
+        "expected tag, then rel, then the member fan-out:\n{plan}"
     );
 
-    // Same answers, measurably less work: the greedy order probes `rel`
-    // once per member row (100 loops); the cost-based order probes it
-    // once.
-    let run = |compiled: &sparql::CompiledQuery| {
-        let (results, prof) =
-            sparql::execute_profiled(&view, compiled, ExecOptions::threads(1)).unwrap();
-        let steps = sparql::explain::step_profiles(compiled, &prof);
-        let work: u64 = steps.iter().map(|s| s.actual_rows + s.loops).sum();
-        (results, work)
-    };
-    let (rows_cbo, work_cbo) = run(&cbo);
-    let (rows_greedy, work_greedy) = run(&greedy);
-    assert_eq!(rows_cbo, rows_greedy, "reordering must not change results");
-    assert!(
-        work_cbo < work_greedy,
-        "cost-based order must move fewer intermediate rows \
-         (cbo {work_cbo} vs greedy {work_greedy})"
-    );
+    // In that order every step is probed once: tag emits the hub, rel
+    // its one row, member its hundred. (Probing member first would run
+    // rel a hundred times: 1+1 + 100+1 + 100+100 = 303.)
+    let (results, prof) =
+        sparql::execute_profiled(&view, &compiled, ExecOptions::threads(1)).unwrap();
+    let steps = sparql::explain::step_profiles(&compiled, &prof);
+    let tallies: Vec<(u64, u64)> = steps.iter().map(|s| (s.actual_rows, s.loops)).collect();
+    assert_eq!(tallies, [(1, 1), (1, 1), (100, 1)], "rows and loops per step:\n{plan}");
+    match results {
+        sparql::QueryResults::Solutions(s) => assert_eq!(s.len(), 100),
+        other => panic!("expected solutions, got {other:?}"),
+    }
 }
 
 /// Cardinality-estimate sanity: on the skewed fixture the per-predicate

@@ -1,59 +1,154 @@
-//! Morsel-driven parallel execution must be indistinguishable from the
-//! sequential streaming path: for every paper query family, every thread
-//! count, and every morsel size, the result rows must be *identical* —
-//! same multiset, same order (the executor merges morsel outputs back
-//! into sequential scan order, so even queries without ORDER BY must
-//! match row-for-row, and ORDER BY queries must tie-break identically).
+//! Every way of running a query must be indistinguishable from the
+//! reference evaluator (`sparql::execute_reference`: one thread, rows
+//! streamed through `eval_node`, nothing else): for every paper query
+//! family, storage encoding, thread count, morsel size and batch size
+//! the result rows must be *identical* — same multiset, same order (the
+//! executor merges morsel outputs back into sequential scan order, so
+//! even queries without ORDER BY must match row-for-row, and ORDER BY
+//! queries must tie-break identically) — and `EXPLAIN ANALYZE` must
+//! attribute the same per-step row counts.
+
+use std::sync::Arc;
+use std::time::Instant;
 
 use pgrdf::PgRdfModel;
 use pgrdf_bench::{Eq, Fixture};
-use sparql::{ExecOptions, QueryResults, Solutions};
-use std::time::Instant;
+use quadstore::{DatasetView, Store};
+use rdf_model::{GraphName, Quad, Term};
+use sparql::{
+    CompileOptions, CompiledQuery, ExecLimits, ExecObserver, ExecOptions, ForcedJoin,
+    QueryResults,
+};
 
-fn run_with(fixture: &Fixture, eq: Eq, model: PgRdfModel, options: ExecOptions) -> Solutions {
-    let store = fixture.store(model);
-    let dataset = fixture.dataset_for(eq, model);
-    let text = fixture.query_text(eq, model);
-    match sparql::query_with_options(store.store(), &dataset, &text, options)
-        .unwrap_or_else(|e| panic!("{} {model}: {e}", eq.label(model)))
-    {
-        QueryResults::Solutions(s) => s,
+const MODELS: [PgRdfModel; 3] = [PgRdfModel::NG, PgRdfModel::SP, PgRdfModel::RF];
+const QUERIES: [Eq; 12] = [
+    Eq::Eq1,
+    Eq::Eq2,
+    Eq::Eq3,
+    Eq::Eq4,
+    Eq::Eq5,
+    Eq::Eq6,
+    Eq::Eq7,
+    Eq::Eq8,
+    Eq::Eq9,
+    Eq::Eq10,
+    Eq::Eq11(2),
+    Eq::Eq12,
+];
+
+fn compiled(fixture: &Fixture, eq: Eq, model: PgRdfModel) -> (DatasetView, CompiledQuery) {
+    let view = fixture
+        .store(model)
+        .store()
+        .dataset(&fixture.dataset_for(eq, model))
+        .expect("dataset");
+    let parsed = sparql::parse_query(&fixture.query_text(eq, model)).expect("parse");
+    let plan = sparql::compile(&view, &parsed).expect("compile");
+    (view, plan)
+}
+
+fn reference(view: &DatasetView, plan: &CompiledQuery) -> QueryResults {
+    sparql::execute_reference(view, plan, ExecLimits::default()).expect("reference").0
+}
+
+fn run(view: &DatasetView, plan: &CompiledQuery, options: ExecOptions) -> QueryResults {
+    sparql::execute_compiled_with_options(view, plan, options).expect("execute")
+}
+
+fn row_count(results: &QueryResults) -> usize {
+    match results {
+        QueryResults::Solutions(s) => s.len(),
         other => panic!("expected solutions, got {other:?}"),
     }
 }
 
-/// The deterministic sweep from the issue: threads {1,2,4,8} x morsel
-/// sizes over the five query families (node, edge, aggregate, traversal,
-/// triangle), both NG and SP. threads=1 is the legacy streaming path and
-/// serves as the baseline.
+/// Runs with an observer attached; returns whether a vectorized pipeline
+/// ran along with the results.
+fn run_observed(
+    view: &DatasetView,
+    plan: &CompiledQuery,
+    options: ExecOptions,
+) -> (QueryResults, bool) {
+    let observer = Arc::new(ExecObserver::new());
+    let results = run(view, plan, options.with_observer(Arc::clone(&observer)));
+    (results, observer.vectorized())
+}
+
+/// The one sweep: EQ1–EQ12 x {NG, SP, RF} x threads {1, 2, 8} x morsel
+/// {7, 1024} x batch {1, 64, 1024}. Ordered comparison: `QueryResults`
+/// equality covers variable names, row order, and every binding.
 #[test]
-fn parallel_results_match_sequential_exactly() {
+fn every_configuration_matches_the_reference_exactly() {
     let fixture = Fixture::at_scale(0.005);
-    let queries = [
-        Eq::Eq1,
-        Eq::Eq2,
-        Eq::Eq3,
-        Eq::Eq4,
-        Eq::Eq5,
-        Eq::Eq6,
-        Eq::Eq7,
-        Eq::Eq8,
-        Eq::Eq9,
-        Eq::Eq10,
-        Eq::Eq11(2),
-        Eq::Eq12,
-    ];
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        for eq in queries {
-            let baseline = run_with(&fixture, eq, model, ExecOptions::threads(1));
-            for threads in [2usize, 4, 8] {
+    for model in MODELS {
+        for eq in QUERIES {
+            let (view, plan) = compiled(&fixture, eq, model);
+            let expected = reference(&view, &plan);
+            for threads in [1usize, 2, 8] {
                 for morsel_size in [7usize, 1024] {
-                    let options = ExecOptions::threads(threads).with_morsel_size(morsel_size);
-                    let got = run_with(&fixture, eq, model, options);
+                    for batch_size in [1usize, 64, 1024] {
+                        let options = ExecOptions::threads(threads)
+                            .with_morsel_size(morsel_size)
+                            .with_batch_size(batch_size);
+                        assert_eq!(
+                            expected,
+                            run(&view, &plan, options),
+                            "{} {model}: threads={threads} morsel={morsel_size} \
+                             batch={batch_size} diverged from the reference",
+                            eq.label(model)
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// ORDER BY ties (EQ9/EQ10 sort on a count many groups share) keep the
+/// reference's order when four workers merge 64-quad morsels.
+#[test]
+fn order_by_ties_keep_sequential_order() {
+    let fixture = Fixture::at_scale(0.005);
+    for model in [PgRdfModel::NG, PgRdfModel::SP] {
+        for eq in [Eq::Eq9, Eq::Eq10] {
+            let (view, plan) = compiled(&fixture, eq, model);
+            let par = run(&view, &plan, ExecOptions::threads(4).with_morsel_size(64));
+            assert_eq!(reference(&view, &plan), par, "{} {model}", eq.label(model));
+        }
+    }
+}
+
+/// `EXPLAIN ANALYZE` must report the reference's per-step actual row
+/// counts and probe loops whatever engine ran the step and however its
+/// input was cut into morsels and batches: batching changes *when* work
+/// happens, never *how much*.
+#[test]
+fn explain_analyze_tallies_match_the_reference() {
+    let fixture = Fixture::at_scale(0.005);
+    for model in MODELS {
+        for eq in QUERIES {
+            let (view, plan) = compiled(&fixture, eq, model);
+            let (expected, prof_r) =
+                sparql::execute_reference(&view, &plan, ExecLimits::default()).expect("reference");
+            let steps_r = sparql::explain::step_profiles(&plan, &prof_r);
+            for (morsel_size, batch_size) in [(1024usize, 1024usize), (7, 1), (7, 64)] {
+                let options = ExecOptions::default()
+                    .with_morsel_size(morsel_size)
+                    .with_batch_size(batch_size);
+                let (got, prof) =
+                    sparql::execute_profiled(&view, &plan, options).expect("profiled");
+                assert_eq!(expected, got, "{} {model}: profiled results diverged", eq.label(model));
+                let steps = sparql::explain::step_profiles(&plan, &prof);
+                assert_eq!(steps.len(), steps_r.len());
+                for (s, r) in steps.iter().zip(&steps_r) {
                     assert_eq!(
-                        baseline, got,
-                        "{} {model}: threads={threads} morsel={morsel_size} diverged",
-                        eq.label(model)
+                        (s.ordinal, s.actual_rows, s.loops, s.executed),
+                        (r.ordinal, r.actual_rows, r.loops, r.executed),
+                        "{} {model} morsel={morsel_size} batch={batch_size}: step {} ({}) \
+                         tallies diverged from the reference",
+                        eq.label(model),
+                        s.ordinal,
+                        s.pattern
                     );
                 }
             }
@@ -61,43 +156,160 @@ fn parallel_results_match_sequential_exactly() {
     }
 }
 
-/// ORDER BY output must keep the *exact* sequential ordering, including
-/// ties (EQ9/EQ10 order by degree, which has massive tie groups — a merge
-/// that reorders within ties would still pass a sorted-set comparison, so
-/// assert the raw row vectors).
+/// The NG edge family drives on the edge-KV quad `GRAPH ?g { ?g k:hasTag
+/// "t" }` — one unbound variable in both S and G — and EQ6a/EQ7a join
+/// sibling step chains. All four must run on the vectorized pipeline at
+/// every thread count: the observer says a pipeline ran, and the
+/// `vec_rows` counter says rows flowed through it (other tests of this
+/// binary may add to the global counter, never subtract).
 #[test]
-fn order_by_ties_keep_sequential_order() {
+fn ng_edge_family_runs_columnar() {
     let fixture = Fixture::at_scale(0.005);
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        for eq in [Eq::Eq9, Eq::Eq10] {
-            let seq = run_with(&fixture, eq, model, ExecOptions::threads(1));
-            let par = run_with(
-                &fixture,
-                eq,
-                model,
-                ExecOptions::threads(4).with_morsel_size(64),
-            );
-            assert_eq!(seq.vars, par.vars);
-            assert_eq!(seq.rows, par.rows, "{} {model}", eq.label(model));
+    let vec_rows = || {
+        telemetry::global()
+            .samples()
+            .into_iter()
+            .find(|s| s.name == "pgrdf_vec_rows_emitted_total")
+            .map_or(0, |s| match s.value {
+                telemetry::MetricValue::Counter(v) => v,
+                other => panic!("expected a counter, got {other:?}"),
+            })
+    };
+    telemetry::set_enabled(true);
+    for eq in [Eq::Eq5, Eq::Eq6, Eq::Eq7, Eq::Eq8] {
+        let (view, plan) = compiled(&fixture, eq, PgRdfModel::NG);
+        let expected = reference(&view, &plan);
+        let label = eq.label(PgRdfModel::NG);
+        for threads in [1usize, 4] {
+            let before = vec_rows();
+            let (got, vectorized) = run_observed(&view, &plan, ExecOptions::threads(threads));
+            assert_eq!(expected, got, "{label} threads={threads}");
+            assert!(vectorized, "{label} threads={threads} missed VecPipeline");
+            assert!(vec_rows() > before, "{label} threads={threads}: vec_rows did not move");
+        }
+    }
+    telemetry::set_enabled(false);
+}
+
+/// A store of the shapes this engine split is about: self-loops, edge-KV
+/// quads whose subject is their graph (and one whose is not), and a
+/// twelve-node chain.
+fn shapes_store() -> Store {
+    let iri = |s: &str| Term::iri(format!("http://x/{s}"));
+    let t = |s: &str, p: &str, o: Term| Quad::triple(iri(s), iri(p), o).expect("quad");
+    let q = |s: &str, p: &str, o: Term, g: &str| {
+        Quad::new(iri(s), iri(p), o, GraphName::iri(format!("http://x/{g}"))).expect("quad")
+    };
+    let mut quads = vec![
+        t("a", "follows", iri("a")),
+        t("a", "follows", iri("b")),
+        t("b", "follows", iri("b")),
+        t("c", "follows", iri("a")),
+        t("a", "name", Term::string("ann")),
+        q("a", "follows", iri("b"), "e1"),
+        q("e1", "tag", Term::string("t"), "e1"),
+        q("e1", "since", Term::int(2014), "e1"),
+        q("e1", "about", iri("b"), "e1"),
+        q("c", "follows", iri("a"), "e2"),
+        q("e2", "tag", Term::string("t"), "e2"),
+        q("e2", "about", iri("a"), "e2"),
+        // Subject and graph differ: must never match `GRAPH ?g { ?g .. }`.
+        q("e2", "tag", Term::string("t"), "e1"),
+        q("e9", "about", iri("b"), "e2"),
+    ];
+    for i in 0..11 {
+        quads.push(t(&format!("n{i}"), "next", iri(&format!("n{}", i + 1))));
+    }
+    let store = Store::new();
+    store.create_model("m").expect("model");
+    store.bulk_load("m", &quads).expect("load");
+    store
+}
+
+/// A variable repeated in still-unbound positions of one triple — as the
+/// driving scan, as a later probe, and as a hash-join step — must bind
+/// once and be checked per quad, on the vectorized pipeline, with the
+/// reference's rows.
+#[test]
+fn repeated_variables_in_one_triple() {
+    let store = shapes_store();
+    let view = store.dataset("m").expect("dataset");
+    let cases: [(&str, Option<ForcedJoin>, usize); 5] = [
+        // Driving self-loop (S = O).
+        ("SELECT ?x WHERE { ?x <http://x/follows> ?x }", None, 2),
+        // Driving edge-KV shape (S = G), every key.
+        ("SELECT ?g ?k ?v WHERE { GRAPH ?g { ?g ?k ?v } }", None, 5),
+        // The same shape as a non-driving probe behind a one-row scan.
+        (
+            "SELECT ?n ?g ?k ?v WHERE { ?n <http://x/name> \"ann\" . GRAPH ?g { ?g ?k ?v } }",
+            None,
+            5,
+        ),
+        // A self-loop probe behind a one-row scan.
+        ("SELECT ?n ?z WHERE { ?n <http://x/name> \"ann\" . ?z <http://x/follows> ?z }", None, 2),
+        // Hash join on ?m with ?g repeated on the build side: a follows a
+        // once and b twice (default graph and e1); e9's quad is not its own
+        // graph's.
+        (
+            "SELECT ?a ?m ?g WHERE { ?a <http://x/name> \"ann\" . ?a <http://x/follows> ?m . \
+             GRAPH ?g { ?g <http://x/about> ?m } }",
+            Some(ForcedJoin::Hash),
+            3,
+        ),
+    ];
+    for (text, force_join, rows) in cases {
+        let parsed = sparql::parse_query(text).expect("parse");
+        let options = CompileOptions { force_join, ..CompileOptions::default() };
+        let plan = sparql::compile_with(&view, &parsed, options).expect("compile");
+        let expected = reference(&view, &plan);
+        assert_eq!(row_count(&expected), rows, "{text}");
+        for threads in [1usize, 4] {
+            for (morsel_size, batch_size) in [(1usize, 1usize), (1024, 1024)] {
+                let options = ExecOptions::threads(threads)
+                    .with_morsel_size(morsel_size)
+                    .with_batch_size(batch_size);
+                let (got, vectorized) = run_observed(&view, &plan, options);
+                assert_eq!(expected, got, "{text}: threads={threads} morsel={morsel_size}");
+                assert!(vectorized, "{text}: threads={threads} missed VecPipeline");
+            }
         }
     }
 }
 
-/// Smoke-level timing probe (printed with --nocapture): sequential vs
-/// 4-thread batch execution on the aggregate and triangle families.
+/// Eleven patterns is one past `DP_MAX_PATTERNS`: the greedy search
+/// orders the chain, with the same statistics, and finds its one path.
+#[test]
+fn eleven_pattern_bgp_plans_greedily() {
+    let store = shapes_store();
+    let view = store.dataset("m").expect("dataset");
+    let chain: Vec<String> =
+        (0..11).map(|i| format!("?v{i} <http://x/next> ?v{}", i + 1)).collect();
+    let text = format!("SELECT ?v0 ?v11 WHERE {{ {} }}", chain.join(" . "));
+    let parsed = sparql::parse_query(&text).expect("parse");
+    let plan = sparql::compile(&view, &parsed).expect("compile");
+    let expected = reference(&view, &plan);
+    assert_eq!(row_count(&expected), 1);
+    for threads in [1usize, 4] {
+        assert_eq!(expected, run(&view, &plan, ExecOptions::threads(threads).with_morsel_size(3)));
+    }
+}
+
+/// Smoke-level timing probe (printed with --nocapture): one worker vs
+/// four on the aggregate and triangle families.
 #[test]
 fn timing_probe_aggregate_and_triangle() {
     let fixture = Fixture::at_scale(0.01);
     for model in [PgRdfModel::NG, PgRdfModel::SP] {
         for eq in [Eq::Eq9, Eq::Eq10, Eq::Eq11(3), Eq::Eq12] {
-            // Warm both paths once, then time.
-            let _ = run_with(&fixture, eq, model, ExecOptions::threads(1));
-            let _ = run_with(&fixture, eq, model, ExecOptions::threads(4));
+            let (view, plan) = compiled(&fixture, eq, model);
+            // Warm both once, then time.
+            let _ = run(&view, &plan, ExecOptions::threads(1));
+            let _ = run(&view, &plan, ExecOptions::threads(4));
             let t0 = Instant::now();
-            let seq = run_with(&fixture, eq, model, ExecOptions::threads(1));
+            let seq = run(&view, &plan, ExecOptions::threads(1));
             let t_seq = t0.elapsed();
             let t1 = Instant::now();
-            let par = run_with(&fixture, eq, model, ExecOptions::threads(4));
+            let par = run(&view, &plan, ExecOptions::threads(4));
             let t_par = t1.elapsed();
             assert_eq!(seq, par);
             println!(

@@ -176,46 +176,30 @@ fn cached_plans_validate_against_the_snapshot_epoch() {
     }
 }
 
-/// The execution pipeline flag is part of the cache key: a plan prepared
-/// for vectorized execution must never be served to a `vectorize(false)`
-/// request (the row pipeline is the correctness oracle — it must not
-/// silently share cached state with the pipeline it is checking), and
-/// vice versa. Each flavour gets its own entry and its own hits.
+/// Execution options select no plan: whatever the thread count, morsel
+/// size or batch size, and profiled or not, one text against one dataset
+/// is one cache entry.
 #[test]
-fn vectorize_flag_is_part_of_the_cache_key() {
+fn execution_options_are_not_part_of_the_cache_key() {
     use sparql::ExecOptions;
     let s = store(PgRdfModel::NG);
     let dataset = s.dataset_name();
     let q = "PREFIX key: <http://pg/k/> SELECT ?n WHERE { ?v key:name ?n }";
 
-    let vec_first = s.select_in_with(&dataset, q, ExecOptions::default()).unwrap();
+    let first = s.select_in_with(&dataset, q, ExecOptions::default()).unwrap();
+    for options in [
+        ExecOptions::threads(1),
+        ExecOptions::threads(4).with_morsel_size(1),
+        ExecOptions::default().with_batch_size(1),
+    ] {
+        assert_eq!(first, s.select_in_with(&dataset, q, options).unwrap());
+    }
+    let (profiled, prof) = s.select_profiled_in(&dataset, q, ExecOptions::default()).unwrap();
+    assert_eq!(first, profiled);
+    assert!(prof.cache_hit, "the profiled run must reuse the entry");
     assert_eq!(s.plan_cache().compiles(), 1);
-
-    // The row-pipeline request must miss and compile its own entry.
-    let row_first =
-        s.select_in_with(&dataset, q, ExecOptions::default().with_vectorize(false)).unwrap();
-    assert_eq!(vec_first, row_first);
-    assert_eq!(
-        s.plan_cache().compiles(),
-        2,
-        "a vectorize(false) request must not be served the vectorized plan"
-    );
-    assert_eq!(s.plan_cache().hits(), 0);
-    assert_eq!(s.plan_cache().misses(), 2);
-
-    // Replays of each flavour hit their own entries without compiling.
-    s.select_in_with(&dataset, q, ExecOptions::default()).unwrap();
-    s.select_in_with(&dataset, q, ExecOptions::default().with_vectorize(false)).unwrap();
-    assert_eq!(s.plan_cache().compiles(), 2);
-    assert_eq!(s.plan_cache().hits(), 2);
-
-    // The profiled executor keys the same way.
-    let (_, prof_vec) = s.select_profiled_in(&dataset, q, ExecOptions::default()).unwrap();
-    assert!(prof_vec.cache_hit, "profiled vectorized run must reuse the vectorized entry");
-    let (_, prof_row) = s
-        .select_profiled_in(&dataset, q, ExecOptions::default().with_vectorize(false))
-        .unwrap();
-    assert!(prof_row.cache_hit, "profiled row run must reuse the row entry");
+    assert_eq!(s.plan_cache().len(), 1);
+    assert_eq!(s.plan_cache().hits(), 4);
 }
 
 /// `ANALYZE` without DML: an explicit statistics refresh moves the stats

@@ -119,6 +119,56 @@ fn sys_plans_graph_lists_cached_entries() {
     assert!(hits >= 1, "expected at least one recorded hit, got {hits}");
 }
 
+/// `sys:vectorized` is what the executor did, not what was asked for:
+/// the NG edge family runs on the vectorized pipeline at any thread
+/// count, an OPTIONAL at the root runs on the row evaluator, and plans
+/// (one per text) no longer carry the flag.
+#[test]
+fn sys_queries_report_whether_a_vectorized_pipeline_ran() {
+    use pgrdf_bench::{Eq, Fixture};
+    use sparql::ExecOptions;
+
+    let fixture = Fixture::at_scale(0.002);
+    let store = fixture.store(PgRdfModel::NG);
+    let recorded = |text: &str, threads: usize| -> Vec<String> {
+        store
+            .select(&format!(
+                "SELECT ?v WHERE {{ GRAPH <pgrdf:sys/queries> {{ \
+                   ?q <pgrdf:sys#textHash> \"{:016x}\" . ?q <pgrdf:sys#threads> {threads} . \
+                   ?q <pgrdf:sys#vectorized> ?v }} }}",
+                telemetry::fnv1a64(text.as_bytes())
+            ))
+            .expect("sys query")
+            .rows
+            .iter()
+            .map(|row| row[0].as_ref().expect("bound flag").str_value().to_string())
+            .collect()
+    };
+    for eq in [Eq::Eq5, Eq::Eq6, Eq::Eq7, Eq::Eq8] {
+        let text = fixture.query_text(eq, PgRdfModel::NG);
+        let dataset = fixture.dataset_for(eq, PgRdfModel::NG);
+        for threads in [1usize, 4] {
+            store.select_in_with(&dataset, &text, ExecOptions::threads(threads)).expect("select");
+            let flags = recorded(&text, threads);
+            assert!(
+                !flags.is_empty() && flags.iter().all(|v| v == "true"),
+                "{} threads={threads}: sys:vectorized = {flags:?}",
+                eq.label(PgRdfModel::NG)
+            );
+        }
+    }
+    let optional = "SELECT ?s ?x WHERE { ?s ?p ?o OPTIONAL { ?o ?p ?x } }";
+    store
+        .select_in_with(&store.dataset_name(), optional, ExecOptions::threads(1))
+        .expect("select");
+    assert_eq!(recorded(optional, 1), ["false"]);
+
+    let plan_flags = store
+        .select("SELECT ?v WHERE { GRAPH <pgrdf:sys/plans> { ?p <pgrdf:sys#vectorized> ?v } }")
+        .expect("plans query");
+    assert!(plan_flags.is_empty(), "pgrdf:sys/plans must not describe an execution");
+}
+
 /// The storage graph totals agree with the store's own report.
 #[test]
 fn sys_store_graph_matches_storage_report() {
