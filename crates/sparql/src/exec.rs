@@ -36,6 +36,17 @@ type BoxIter<'it> = Box<dyn Iterator<Item = Row> + 'it>;
 /// cross product, a runaway property path) aborts with
 /// [`SparqlError::ResourceExhausted`] instead of consuming unbounded
 /// memory or wall-clock time.
+///
+/// Both budgets follow the work actually done, not the size of the
+/// relations a query names. Rows are produced on demand, so a result tail
+/// that stops pulling (`LIMIT k` without ORDER BY, DISTINCT or grouping;
+/// `DISTINCT ... LIMIT k` at its k-th fresh key; `ASK` at its first
+/// solution) ends the scans beneath it: the row budget is charged for the
+/// rows scanned up to that point — whole morsels of the driving scan, so
+/// up to `morsel_size` rows past the last one used at `threads == 1` and
+/// one round of morsels past it above — and the memory budget for the
+/// state retained at any one time (the collected result, the DISTINCT
+/// set, the sort buffer, hash builds, one round of morsel output).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecLimits {
     /// Abort after producing this many intermediate rows across all
@@ -697,6 +708,11 @@ impl EvalCtx {
         vec![None; self.vars.len()]
     }
 
+    /// Estimated retained bytes of one buffered full-width row.
+    fn row_bytes(&self) -> u64 {
+        self.vars.len() as u64 * SLOT_BYTES + 32
+    }
+
     /// The shared hash-join build cell for a step (keyed by address).
     fn build_cell(&self, step: &Step) -> Arc<OnceLock<BuildTable>> {
         let key = step as *const Step as usize;
@@ -904,41 +920,45 @@ fn decode_solutions(ctx: &EvalCtx, sel: &CSelect, rows: Vec<Row>) -> crate::resu
     crate::results::Solutions { vars, rows }
 }
 
-/// Evaluates a SELECT pipeline, returning full-width rows (all slots).
+/// Rows the result tail can use before it stops pulling: `offset + limit`
+/// when nothing between the producer and the slice reorders, drops or
+/// folds rows; `None` when every row is needed.
+pub(crate) fn appetite(sel: &CSelect) -> Option<usize> {
+    let plain = sel.order_by.is_empty() && !sel.distinct && !sel.is_grouped();
+    sel.limit.filter(|_| plain).map(|limit| limit.saturating_add(sel.offset.unwrap_or(0)))
+}
+
+/// Evaluates a SELECT pipeline, returning full-width rows (only the
+/// projected slots set). One pull chain serves top-level SELECT,
+/// CONSTRUCT, sub-SELECT and grouped output: expression projection →
+/// order stage → narrow → DISTINCT → OFFSET → LIMIT → collect. Only the
+/// order stage blocks; without ORDER BY the slice ends the scan.
 pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
-    let mut rows: Vec<Row> = if sel.is_grouped() {
-        grouped_rows(ctx, sel)?
+    let mut rows: BoxIter = if sel.is_grouped() {
+        Box::new(grouped_rows(ctx, sel)?.into_iter())
     } else {
-        let mut rows = produce(ctx, sel);
-        // Compute expression projections per row.
-        for proj in &sel.projection {
-            if let Some(expr) = &proj.expr {
-                for row in &mut rows {
-                    let env = RowEnv { ctx, row, aggs: None };
-                    let value = expr.eval(&env);
+        Box::new(produce(ctx, sel, appetite(sel)).map(|mut row| {
+            for proj in &sel.projection {
+                if let Some(expr) = &proj.expr {
+                    let value = expr.eval(&RowEnv { ctx, row: &row, aggs: None });
                     row[proj.slot] = value.map(|v| ctx.intern_value(v));
                 }
             }
-        }
-        rows
+            row
+        }))
     };
 
-    // A limit hit anywhere below — including inside a sub-select whose
-    // error was discarded — surfaces here rather than as silently
-    // truncated results.
-    if let Some(err) = ctx.abort_error() {
-        return Err(err);
-    }
-
     if !sel.order_by.is_empty() {
+        let rows_in = collect_rows(ctx, rows)?;
         // The sort buffer holds every row plus its evaluated keys; charge
-        // it up front so a pathological ORDER BY aborts before the
+        // the keys up front so a pathological ORDER BY aborts before the
         // materialisation, not after.
         let key_bytes = (sel.order_by.len() as u64).max(1) * 32;
-        if !ctx.charge_mem(rows.len() as u64 * key_bytes) {
+        if !ctx.charge_mem(rows_in.len() as u64 * key_bytes) {
             return Err(ctx.abort_error().expect("charge_mem failure records a reason"));
         }
-        let mut keyed: Vec<(Vec<Option<Value>>, Row)> = rows
+        let sort_bytes = rows_in.len() as u64 * ctx.row_bytes();
+        let mut keyed: Vec<(Vec<Option<Value>>, Row)> = rows_in
             .into_iter()
             .map(|row| {
                 let keys = sel
@@ -954,11 +974,10 @@ pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError
             .collect();
         keyed.sort_by(|(ka, _), (kb, _)| {
             for (i, (_, desc)) in sel.order_by.iter().enumerate() {
+                // A total order (unbound first), or `sort_by` may panic.
                 let ord = match (&ka[i], &kb[i]) {
-                    (Some(a), Some(b)) => a.sparql_cmp(b),
-                    (None, Some(_)) => std::cmp::Ordering::Less,
-                    (Some(_), None) => std::cmp::Ordering::Greater,
-                    (None, None) => std::cmp::Ordering::Equal,
+                    (Some(a), Some(b)) => a.order_cmp(b),
+                    (a, b) => a.is_some().cmp(&b.is_some()),
                 };
                 let ord = if *desc { ord.reverse() } else { ord };
                 if ord != std::cmp::Ordering::Equal {
@@ -967,47 +986,63 @@ pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError
             }
             std::cmp::Ordering::Equal
         });
-        rows = keyed.into_iter().map(|(_, row)| row).collect();
+        // The rows move on to the final collection, which charges the
+        // ones it keeps anew.
+        ctx.release_mem(sort_bytes);
+        rows = Box::new(keyed.into_iter().map(|(_, row)| row));
     }
 
-    // Narrow rows to projected slots (for DISTINCT and sub-select reuse).
+    // Narrow rows to the projected slots in place (DISTINCT keys and
+    // sub-select joins read nothing else), then dedup and slice as rows
+    // are pulled: DISTINCT stops at the fresh key that fills the LIMIT.
     let slots = sel.projected_slots();
-    let mut projected: Vec<Row> = rows
-        .into_iter()
-        .map(|row| {
-            let mut out = ctx.empty_row();
-            for &s in &slots {
-                out[s] = row[s];
+    let mut keep = vec![false; ctx.vars.len()];
+    for &s in &slots {
+        keep[s] = true;
+    }
+    let narrowed = rows.map(|mut row| {
+        for (value, keep) in row.iter_mut().zip(&keep) {
+            if !keep {
+                *value = None;
             }
-            out
-        })
-        .collect();
+        }
+        row
+    });
+    // Keys are term IDs, as in the group maps; a duplicate allocates nothing.
+    let mut seen: HashSet<Vec<Option<u64>>, IdHashState> = HashSet::default();
+    let mut key = Vec::with_capacity(slots.len());
+    let key_bytes = slots.len() as u64 * SLOT_BYTES + 48;
+    let fresh = narrowed.filter(|row| {
+        if !sel.distinct {
+            return true;
+        }
+        key.clear();
+        key.extend(slots.iter().map(|&s| row[s]));
+        !seen.contains(&key) && seen.insert(key.clone()) && ctx.charge_mem(key_bytes)
+    });
+    let sliced = fresh.skip(sel.offset.unwrap_or(0)).take(sel.limit.unwrap_or(usize::MAX));
+    collect_rows(ctx, sliced)
+}
 
-    if sel.distinct {
-        let mut seen = HashSet::new();
-        let key_bytes = slots.len() as u64 * SLOT_BYTES + 48;
-        let mut over_budget = false;
-        projected.retain(|row| {
-            let key: Vec<Option<u64>> = slots.iter().map(|&s| row[s]).collect();
-            let fresh = seen.insert(key);
-            if fresh && !ctx.charge_mem(key_bytes) {
-                over_budget = true;
-            }
-            fresh
-        });
-        if over_budget {
-            return Err(ctx.abort_error().expect("charge_mem failure records a reason"));
+/// Collects the rows a blocking stage keeps. The buffer is retained state
+/// like any other: it is charged in chunks as it grows, so a wide result
+/// stops being pulled once it exceeds the memory budget. A limit hit
+/// anywhere below — including inside a sub-select whose error was
+/// discarded — surfaces here rather than as silently truncated results.
+fn collect_rows(ctx: &EvalCtx, rows: impl Iterator<Item = Row>) -> Result<Vec<Row>, SparqlError> {
+    let chunk = MEM_CHARGE_CHUNK as usize;
+    let mut out: Vec<Row> = Vec::new();
+    for row in rows {
+        out.push(row);
+        if out.len() % chunk == 0 && !ctx.charge_mem(MEM_CHARGE_CHUNK * ctx.row_bytes()) {
+            break;
         }
     }
-
-    let offset = sel.offset.unwrap_or(0);
-    if offset > 0 {
-        projected = projected.into_iter().skip(offset).collect();
+    let _ = ctx.charge_mem((out.len() % chunk) as u64 * ctx.row_bytes());
+    match ctx.abort_error() {
+        Some(err) => Err(err),
+        None => Ok(out),
     }
-    if let Some(limit) = sel.limit {
-        projected.truncate(limit);
-    }
-    Ok(projected)
 }
 
 enum Acc {
@@ -1139,7 +1174,7 @@ fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
             return finalize_groups(ctx, sel, groups, partial.saw_rows);
         }
     }
-    group_and_aggregate(ctx, sel, produce_stream(ctx, sel))
+    group_and_aggregate(ctx, sel, produce(ctx, sel, None))
 }
 
 /// Estimated retained bytes for one group-by partial: the key vector plus
@@ -1500,19 +1535,15 @@ fn eval_step<'it>(ctx: &'it EvalCtx, step: &'it Step, input: BoxIter<'it>) -> Bo
 
 fn eval_step_inner<'it>(ctx: &'it EvalCtx, step: &'it Step, input: BoxIter<'it>) -> BoxIter<'it> {
     match &step.strategy {
+        // Yields as it scans: a consumer that stops pulling ends the scan.
         Strategy::IndexNlj => Box::new(input.flat_map(move |row| {
-            let mut out = Vec::new();
-            if let Some(pattern) = probe_pattern(&row, &step.triple) {
-                for quad in ctx.view.scan(pattern) {
-                    if let Some(new_row) = extend_row(&row, &step.triple, &quad) {
-                        if !ctx.charge(1) {
-                            break;
-                        }
-                        out.push(new_row);
-                    }
-                }
-            }
-            out.into_iter()
+            let scan = probe_pattern(&row, &step.triple).map(move |pattern| {
+                ctx.view
+                    .scan(pattern)
+                    .filter_map(move |quad| extend_row(&row, &step.triple, &quad))
+                    .take_while(move |_| ctx.charge(1))
+            });
+            scan.into_iter().flatten()
         })),
         Strategy::HashJoin { join_slots } => {
             Box::new(HashJoinIter::new(ctx, step, join_slots, input))
@@ -1768,8 +1799,8 @@ fn extend_pos(row: &mut Row, pos: &CPos, value: u64) -> bool {
 // DML-delta morsels). Workers claim morsels from a shared counter and run
 // the downstream stages on each morsel — as column batches when
 // `VecPipeline` can express every stage, else by streaming the morsel's
-// rows through `eval_node` — and the outputs are concatenated in morsel
-// order, which reproduces the sequential row order exactly, because every
+// rows through `eval_node` — and the outputs are pulled in morsel order,
+// which reproduces the sequential row order exactly, because every
 // operator admitted by `parallel_safe` is "order-local": its output order
 // depends only on its input order.
 // ---------------------------------------------------------------------------
@@ -1923,58 +1954,20 @@ fn drive_plan<'p>(
     Some(DrivePlan { base, drive, stages, prefer: None })
 }
 
-/// Produces the root's solution rows in exact sequential order, branch
-/// by UNION branch, running drivable branches morsel by morsel.
-fn produce(ctx: &EvalCtx, sel: &CSelect) -> Vec<Row> {
-    if ctx.reference {
-        return stream_rows(ctx, &sel.root, &[]);
-    }
-    let needed = batch::needed_slots(ctx, sel);
-    let branches = union_branches(&sel.root, &[]);
-    concat(branches.iter().map(|(node, suffix)| {
-        morsel_rows(ctx, node, suffix, &needed).unwrap_or_else(|| stream_rows(ctx, node, suffix))
-    }))
-}
-
-/// [`produce`]'s rows as a stream, for the sequential aggregation loop: it
-/// pulls one row at a time, so a branch that does not run on morsels is
-/// never materialised.
-fn produce_stream<'it>(ctx: &'it EvalCtx, sel: &'it CSelect) -> BoxIter<'it> {
+/// The root's solution rows in exact sequential order, branch by UNION
+/// branch, produced as they are pulled: drivable branches a round of
+/// morsels at a time ([`MorselRows`]), the others through [`stream`].
+/// `want` is the tail's [`appetite`].
+fn produce<'it>(ctx: &'it EvalCtx, sel: &'it CSelect, want: Option<usize>) -> BoxIter<'it> {
     if ctx.reference {
         return stream(ctx, &sel.root, &[]);
     }
     let needed = batch::needed_slots(ctx, sel);
     let branches = union_branches(&sel.root, &[]);
     Box::new(branches.into_iter().flat_map(move |(node, suffix)| {
-        match morsel_rows(ctx, node, &suffix, &needed) {
-            Some(rows) => Box::new(rows.into_iter()),
-            None => stream(ctx, node, &suffix),
-        }
+        MorselRows::start(ctx, node, &suffix, &needed, want)
+            .unwrap_or_else(|| stream(ctx, node, &suffix))
     }))
-}
-
-/// Concatenates row buffers in order, reusing the first one's allocation
-/// (the only one, for a plan without UNIONs).
-fn concat(mut parts: impl Iterator<Item = Vec<Row>>) -> Vec<Row> {
-    let mut out = parts.next().unwrap_or_default();
-    for rows in parts {
-        out.extend(rows);
-    }
-    out
-}
-
-/// Runs one UNION branch on morsels when that gains something: the branch
-/// is drivable and either compiles to a pipeline or has workers to spread
-/// its morsels over. `None` leaves it to the streaming row evaluator.
-fn morsel_rows(
-    ctx: &EvalCtx,
-    node: &Node,
-    suffix: &[Stage<'_>],
-    needed: &[bool],
-) -> Option<Vec<Row>> {
-    let plan = drive_plan(ctx, node, suffix)?;
-    let pipeline = batch::VecPipeline::compile(ctx, &plan, needed);
-    (pipeline.is_some() || ctx.threads > 1).then(|| run_morsels(ctx, &plan, pipeline.as_ref()))
 }
 
 /// Streams one seed row through `node` and `stages` on the calling
@@ -1986,50 +1979,27 @@ fn stream<'it>(ctx: &'it EvalCtx, node: &'it Node, stages: &[Stage<'it>]) -> Box
         .fold(eval_node(ctx, node, input), |stream, stage| apply_stage(ctx, stage, stream))
 }
 
-/// Collects [`stream`]'s rows. The result buffer is retained state like
-/// any other: it is charged in chunks so a wide scan cannot silently
-/// exceed the memory budget between operators.
-fn stream_rows(ctx: &EvalCtx, node: &Node, stages: &[Stage<'_>]) -> Vec<Row> {
-    let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
-    let mut rows: Vec<Row> = Vec::new();
-    let mut pending: u64 = 0;
-    for row in stream(ctx, node, stages) {
-        rows.push(row);
-        pending += 1;
-        if pending >= MEM_CHARGE_CHUNK {
-            if !ctx.charge_mem(pending * row_bytes) {
-                break;
-            }
-            pending = 0;
-        }
-    }
-    if pending > 0 {
-        let _ = ctx.charge_mem(pending * row_bytes);
-    }
-    rows
-}
-
-/// Runs `tasks` morsel tasks across the context's workers — the one place
-/// the morsel-claim policy lives. Each worker builds its own state with
-/// `init`, claims task indexes from a shared counter until they run out
-/// or a limit fires, and hands the state back; a single worker runs on
-/// the calling thread.
+/// Runs the morsel tasks `tasks` across the context's workers — the one
+/// place the morsel-claim policy lives. Each worker builds its own state
+/// with `init`, claims task indexes from a shared counter until they run
+/// out or a limit fires, and hands the state back; a single worker runs
+/// on the calling thread.
 fn claim_tasks<S: Send>(
     ctx: &EvalCtx,
-    tasks: usize,
+    tasks: std::ops::Range<usize>,
     label: &str,
     init: impl Fn() -> S + Sync,
     run: impl Fn(&mut S, usize) + Sync,
 ) -> Vec<S> {
     let track = telemetry::enabled();
     let trace = ctx.trace();
-    let next = AtomicUsize::new(0);
+    let next = AtomicUsize::new(tasks.start);
     let worker = |tid: u32| -> S {
         let mut state = init();
         let mut claimed = 0u64;
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= tasks || ctx.is_exhausted() {
+            if i >= tasks.end || ctx.is_exhausted() {
                 break;
             }
             claimed += 1;
@@ -2044,7 +2014,7 @@ fn claim_tasks<S: Send>(
         }
         state
     };
-    let workers = ctx.threads.min(tasks).max(1);
+    let workers = ctx.threads.min(tasks.len()).max(1);
     if workers == 1 {
         return vec![worker(1)];
     }
@@ -2065,53 +2035,150 @@ fn claim_tasks<S: Send>(
     })
 }
 
-/// Runs one drive plan across all its morsels — through `pipeline` when
-/// the plan compiled to one, else by streaming each morsel's rows through
-/// [`eval_node`] — merging worker outputs in morsel order.
-fn run_morsels(
-    ctx: &EvalCtx,
-    plan: &DrivePlan<'_>,
-    pipeline: Option<&batch::VecPipeline<'_>>,
-) -> Vec<Row> {
-    let Some(pattern) = probe_pattern(&plan.base, &plan.drive.triple) else {
-        return Vec::new();
-    };
-    if let Some(pipe) = pipeline {
-        pipe.begin(ctx);
+/// One drivable UNION branch's rows in morsel order — which is the
+/// sequential row order, see above — produced a *round* of morsels per
+/// refill: through the pipeline when the plan compiled to one, else by
+/// streaming each morsel's rows through [`eval_node`]. At `threads == 1`
+/// a round is one morsel, so a consumer that stops pulling ends the scan
+/// at the next morsel boundary. Above, a round is every morsel when the
+/// consumer needs every row, else enough morsels to cover its appetite
+/// if each scanned row came out, doubling while it keeps pulling: the
+/// rows scanned and charged depend on the thread count, never on thread
+/// timing.
+struct MorselRows<'it> {
+    ctx: &'it EvalCtx,
+    plan: DrivePlan<'it>,
+    pipeline: Option<batch::VecPipeline<'it>>,
+    pattern: QuadPattern,
+    morsels: Vec<Morsel>,
+    /// The first morsel no round has run yet.
+    next: usize,
+    /// Morsels in the next round at `threads > 1`.
+    round: usize,
+    /// Rows the consumer can still use (`usize::MAX`: all of them).
+    want: usize,
+    /// The round's outputs by morsel; each worker fills the ones it
+    /// claims. Drained buffers are kept for the next round.
+    bufs: Vec<Mutex<Vec<Row>>>,
+    /// The buffer being drained, and the next row in it.
+    at: (usize, usize),
+    /// A worker's probe memo, kept from round to round.
+    memo: Option<batch::VecState>,
+}
+
+impl<'it> MorselRows<'it> {
+    /// The branch's rows when running it on morsels gains something: it
+    /// is drivable and either compiles to a pipeline or has workers to
+    /// spread its morsels over. `None` leaves it to [`stream`].
+    fn start(
+        ctx: &'it EvalCtx,
+        node: &'it Node,
+        suffix: &[Stage<'it>],
+        needed: &[bool],
+        want: Option<usize>,
+    ) -> Option<BoxIter<'it>> {
+        let plan = drive_plan(ctx, node, suffix)?;
+        let pipeline = batch::VecPipeline::compile(ctx, &plan, needed);
+        if pipeline.is_none() && ctx.threads == 1 {
+            return None;
+        }
+        let Some(pattern) = probe_pattern(&plan.base, &plan.drive.triple) else {
+            return Some(Box::new(std::iter::empty()));
+        };
+        if let Some(pipe) = &pipeline {
+            pipe.begin(ctx);
+        }
+        Some(Box::new(MorselRows {
+            ctx,
+            morsels: ctx.view.plan_morsels(&pattern, ctx.morsel_size),
+            plan,
+            pipeline,
+            pattern,
+            next: 0,
+            round: want.map_or(usize::MAX, |w| w.div_ceil(ctx.morsel_size).max(1)),
+            want: want.unwrap_or(usize::MAX),
+            bufs: Vec::new(),
+            at: (0, 0),
+            memo: None,
+        }))
     }
-    let morsels = ctx.view.plan_morsels(&pattern, ctx.morsel_size);
-    let row_bytes = ctx.vars.len() as u64 * SLOT_BYTES + 32;
-    // Each worker keeps its probe memo across the morsels it claims and
-    // returns their outputs tagged with the morsel index.
-    type Claimed = (batch::VecState, Vec<(usize, Vec<Row>)>);
-    let claimed = claim_tasks(
-        ctx,
-        morsels.len(),
-        "morsel",
-        || -> Claimed { (pipeline.map(batch::VecState::new).unwrap_or_default(), Vec::new()) },
-        |(memo, outputs), i| {
-            let mut out = Vec::new();
+
+    /// Runs the next round of morsels into `bufs`; `false` when none is
+    /// left or a limit fired.
+    fn refill(&mut self) -> bool {
+        let ctx = self.ctx;
+        let len = if ctx.threads == 1 { 1 } else { self.round };
+        let tasks = self.next..self.next.saturating_add(len).min(self.morsels.len());
+        if tasks.is_empty() || ctx.is_exhausted() {
+            return false;
+        }
+        if self.bufs.len() < tasks.len() {
+            self.bufs.resize_with(tasks.len(), Default::default);
+        }
+        let kept = Mutex::new(self.memo.take());
+        let (this, pipeline, want) = (&*self, self.pipeline.as_ref(), self.want);
+        let memo = || {
+            let kept = kept.lock().expect("memo lock poisoned").take();
+            kept.unwrap_or_else(|| pipeline.map(batch::VecState::new).unwrap_or_default())
+        };
+        let mut memos = claim_tasks(ctx, tasks.clone(), "morsel", memo, |memo, i| {
+            let morsel = &this.morsels[i];
+            let mut out = this.bufs[i - tasks.start].lock().expect("morsel buffer lock poisoned");
             match pipeline {
-                Some(pipe) => pipe.run_morsel(ctx, &pattern, &morsels[i], memo, &mut out),
-                None => out.extend(run_one_morsel(ctx, plan, pattern, &morsels[i])),
+                Some(pipe) => pipe.run_morsel(ctx, &this.pattern, morsel, memo, &mut out, want),
+                None => {
+                    out.extend(run_one_morsel(ctx, &this.plan, this.pattern, morsel).take(want))
+                }
             }
-            // The merged result set retains every morsel's output until
-            // the final concatenation: one bulk memory charge per morsel.
-            if !out.is_empty() {
-                let _ = ctx.charge_mem(out.len() as u64 * row_bytes);
-            }
-            outputs.push((i, out));
-        },
-    );
-    let settle_started = ctx.trace().map(|t| t.now_nanos());
-    let mut indexed: Vec<(usize, Vec<Row>)> =
-        claimed.into_iter().flat_map(|(_, outputs)| outputs).collect();
-    indexed.sort_unstable_by_key(|(i, _)| *i);
-    let merged = concat(indexed.into_iter().map(|(_, rows)| rows));
-    if let (Some(t), Some(started)) = (ctx.trace(), settle_started) {
-        t.record("settle", format!("{} morsels", morsels.len()), 0, started);
+            // The round's output waits in memory until it is pulled: one
+            // bulk memory charge per morsel, released as it drains.
+            let _ = ctx.charge_mem(out.len() as u64 * ctx.row_bytes());
+        });
+        self.memo = memos.pop();
+        self.next = tasks.end;
+        self.round = self.round.saturating_mul(2);
+        self.at = (0, 0);
+        true
     }
-    merged
+}
+
+fn buf_of(buf: &mut Mutex<Vec<Row>>) -> &mut Vec<Row> {
+    buf.get_mut().expect("morsel buffer lock poisoned")
+}
+
+impl Iterator for MorselRows<'_> {
+    type Item = Row;
+
+    fn next(&mut self) -> Option<Row> {
+        loop {
+            let (b, i) = self.at;
+            if b == self.bufs.len() {
+                if !self.refill() {
+                    return None;
+                }
+                continue;
+            }
+            let buf = buf_of(&mut self.bufs[b]);
+            if i < buf.len() {
+                self.at.1 += 1;
+                self.want = self.want.saturating_sub(1);
+                return Some(std::mem::take(&mut buf[i]));
+            }
+            // Drained: keep the allocation, return the charge.
+            self.ctx.release_mem(buf.len() as u64 * self.ctx.row_bytes());
+            buf.clear();
+            self.at = (b + 1, 0);
+        }
+    }
+}
+
+impl Drop for MorselRows<'_> {
+    /// Returns the charge of the buffers not drained (drained ones are
+    /// empty).
+    fn drop(&mut self) {
+        let waiting: usize = self.bufs.iter_mut().map(|buf| buf_of(buf).len()).sum();
+        self.ctx.release_mem(waiting as u64 * self.ctx.row_bytes());
+    }
 }
 
 /// Drives one morsel's scan and streams its rows through the plan stages
@@ -2288,7 +2355,7 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
     }
     let partials: Vec<GroupedPartial> = claim_tasks(
         ctx,
-        tasks.len(),
+        0..tasks.len(),
         "agg morsel",
         || {
             let memos: Vec<batch::VecState> = pipelines

@@ -507,7 +507,8 @@ impl<'p> VecPipeline<'p> {
     }
 
     /// Runs one morsel through the pipeline, materialising finished rows
-    /// into `out` (template + live columns only).
+    /// into `out` (template + live columns only) until the morsel ends or
+    /// `out` holds the `want` rows its consumer can use.
     pub(super) fn run_morsel(
         &self,
         ctx: &EvalCtx,
@@ -515,20 +516,24 @@ impl<'p> VecPipeline<'p> {
         morsel: &Morsel,
         st: &mut VecState,
         out: &mut Vec<Row>,
+        want: usize,
     ) {
         self.for_each_batch(ctx, pattern, morsel, st, &mut |batch: &Batch| {
-            out.reserve(batch.len);
-            for i in 0..batch.len {
+            let len = batch.len.min(want.saturating_sub(out.len()));
+            out.reserve(len);
+            for i in 0..len {
                 let mut row = self.template.clone();
                 for &s in &self.final_cols {
                     row[s] = Some(batch.col(s)[i]);
                 }
                 out.push(row);
             }
+            out.len() < want
         });
     }
 
-    /// Runs one morsel and feeds finished batches to `sink`. Handles the
+    /// Runs one morsel and feeds finished batches to `sink` until it
+    /// returns `false` (its appetite is filled). Handles the
     /// drive scan, chunking into `ctx.batch_size` batches, charging (row
     /// totals identical to the row pipeline; column buffers charged
     /// against the memory budget and released at morsel end), profiling
@@ -539,7 +544,7 @@ impl<'p> VecPipeline<'p> {
         pattern: &QuadPattern,
         morsel: &Morsel,
         st: &mut VecState,
-        sink: &mut dyn FnMut(&Batch),
+        sink: &mut dyn FnMut(&Batch) -> bool,
     ) {
         let track = telemetry::enabled();
         let profile = ctx.profile.clone();
@@ -608,10 +613,8 @@ impl<'p> VecPipeline<'p> {
                 }
                 cur = Some(next);
             }
-            if let Some(b) = cur {
-                if b.len > 0 {
-                    sink(&b);
-                }
+            if cur.is_some_and(|b| b.len > 0 && !sink(&b)) {
+                break;
             }
             start = end;
         }
@@ -831,6 +834,7 @@ impl<'p> VecPipeline<'p> {
                     }
                     sink.push_counts(ctx, sel, &key, &incs);
                 }
+                true
             });
             return;
         }
@@ -844,6 +848,7 @@ impl<'p> VecPipeline<'p> {
                 }
                 sink.push(ctx, sel, fast, &row);
             }
+            true
         });
     }
 }

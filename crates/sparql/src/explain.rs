@@ -19,6 +19,12 @@
 //!
 //! `Q=` is the step's Q-error — `max(est, actual) / min(est, actual)` of
 //! the optimizer's output-row estimate, 1.0 being a perfect estimate.
+//!
+//! Rows are produced as the result tail pulls them, so under a tail that
+//! ends early — `LIMIT 10 (ends scan)`, or `DISTINCT (streaming)` filling
+//! its LIMIT — a step's `actual` rows are the rows it actually produced
+//! before the pulling stopped: for the driving step, the morsels scanned
+//! (whole ones), not the size of the relation.
 
 use std::fmt::Write as _;
 
@@ -176,10 +182,18 @@ fn render_select(
     }
     let mut counter = 1usize;
     render_node(out, vars, &sel.root, depth + 1, &mut counter, profile);
+    // The result tail, in pipeline order. Only ORDER BY blocks: without
+    // it DISTINCT dedups rows as they are pulled, and a plain LIMIT is
+    // the executor's appetite — it ends the scans beneath it.
     if !sel.order_by.is_empty() {
         let _ = writeln!(out, "{pad}ORDER BY ({} keys)", sel.order_by.len());
+    } else if sel.distinct {
+        let _ = writeln!(out, "{pad}DISTINCT (streaming)");
     }
-    if sel.limit.is_some() || sel.offset.is_some() {
+    if let Some(limit) = sel.limit.filter(|_| crate::exec::appetite(sel).is_some()) {
+        let offset = sel.offset.map(|o| format!(" OFFSET {o}")).unwrap_or_default();
+        let _ = writeln!(out, "{pad}LIMIT {limit}{offset} (ends scan)");
+    } else if sel.limit.is_some() || sel.offset.is_some() {
         let _ = writeln!(out, "{pad}SLICE limit={:?} offset={:?}", sel.limit, sel.offset);
     }
 }

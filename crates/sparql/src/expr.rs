@@ -104,13 +104,27 @@ impl Value {
         }
     }
 
-    /// Ordering used by comparisons and ORDER BY: numeric if both numeric,
-    /// else lexicographic on string form.
+    /// Ordering used by comparisons and MIN/MAX: numeric if both numeric,
+    /// else lexicographic on string form. Not a total order over mixed
+    /// columns (`9 < 10`, `10 < "5"`, `"5" < 9`): sorting takes
+    /// [`Self::order_cmp`].
     pub fn sparql_cmp(&self, other: &Value) -> std::cmp::Ordering {
         if let (Some(a), Some(b)) = (self.as_number(), other.as_number()) {
             return a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
         }
         self.str_value().cmp(&other.str_value())
+    }
+
+    /// ORDER BY's total order: numeric values first, by
+    /// [`f64::total_cmp`] (so NaN has a place), then everything else by
+    /// string form. Agrees with [`Self::sparql_cmp`] on a column whose
+    /// values are all numeric or all not.
+    pub fn order_cmp(&self, other: &Value) -> std::cmp::Ordering {
+        match (self.as_number(), other.as_number()) {
+            (Some(a), Some(b)) => a.total_cmp(&b),
+            (None, None) => self.str_value().cmp(&other.str_value()),
+            (a, b) => b.is_some().cmp(&a.is_some()),
+        }
     }
 }
 

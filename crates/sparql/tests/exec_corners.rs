@@ -306,3 +306,62 @@ fn pin_on_a_variable_an_optional_leaves_unbound() {
     );
     assert_eq!(rows, 0, "no row survives");
 }
+
+/// ORDER BY needs a total order or `sort_by` may panic: `sparql_cmp`
+/// compares numeric pairs numerically and every other pair by string
+/// form, so `9 < 10`, `10 < "5"`, `"5" < 9`. The sort key order is
+/// unbound < numeric (by `f64::total_cmp`, so NaN has a place) <
+/// everything else by string form — over a column that alternates
+/// integers and their string forms, asc and DESC, with and without LIMIT,
+/// sequential and parallel.
+#[test]
+fn order_by_is_total_over_mixed_numeric_and_string_keys() {
+    use sparql::{query_with_options, ExecOptions};
+    use std::cmp::Ordering;
+
+    let store = Store::new();
+    store.create_model("m").expect("model");
+    let row = |i: u32, v: Term| {
+        Quad::triple(Term::iri(format!("http://s{i}")), Term::iri("http://p"), v).expect("valid")
+    };
+    let mut quads: Vec<Quad> = (0..2_000u32)
+        .map(|i| {
+            let n = (i / 2) as i32;
+            row(i, if i % 2 == 0 { Term::int(n) } else { Term::string(n.to_string()) })
+        })
+        .collect();
+    quads.push(row(2_000, Term::Literal(Literal::double(f64::NAN))));
+    store.bulk_load("m", &quads).expect("load");
+
+    let rank = |a: &Option<Term>, b: &Option<Term>| -> Ordering {
+        let num = |t: &Option<Term>| t.as_ref()?.as_literal()?.as_f64();
+        match (num(a), num(b)) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => {
+                let s = |t: &Option<Term>| t.as_ref().map(|t| t.str_value().to_string());
+                s(a).cmp(&s(b))
+            }
+        }
+    };
+    for threads in [1usize, 4] {
+        for (key, desc) in [("?v", false), ("DESC(?v)", true)] {
+            let run = |tail: &str| {
+                let q = format!("SELECT ?s ?v WHERE {{ ?s <http://p> ?v }} ORDER BY {key}{tail}");
+                match query_with_options(&store, "m", &q, ExecOptions::threads(threads)) {
+                    Ok(QueryResults::Solutions(sols)) => sols.rows,
+                    other => panic!("{q} threads={threads}: {other:?}"),
+                }
+            };
+            let all = run("");
+            assert_eq!(all.len(), 2_001, "{key} threads={threads}");
+            for pair in all.windows(2) {
+                let ord = rank(&pair[0][1], &pair[1][1]);
+                let ord = if desc { ord.reverse() } else { ord };
+                assert_ne!(ord, Ordering::Greater, "{key} threads={threads}: {pair:?}");
+            }
+            assert_eq!(run(" LIMIT 25"), all[..25], "{key} threads={threads}");
+        }
+    }
+}

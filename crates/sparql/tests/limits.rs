@@ -174,3 +174,28 @@ fn ask_respects_limits() {
         other => panic!("unexpected: {other:?}"),
     }
 }
+
+/// The row budget follows the work done, not the size of the relation: a
+/// tail that stops pulling ends the scan, so ten rows of 50,000 fit a
+/// 5,000-row budget on every engine, and an ASK stops at its first
+/// solution. Without the LIMIT the same scan still aborts.
+#[test]
+fn row_budget_follows_the_rows_actually_scanned() {
+    let store = dense_store(50_000);
+    let limited = "SELECT ?s ?o WHERE { ?s <http://p> ?o } LIMIT 10";
+    let rows = |result: Result<QueryResults, SparqlError>, label: &str| match result {
+        Ok(QueryResults::Solutions(sols)) => sols.len(),
+        other => panic!("{label}: {other:?}"),
+    };
+    for threads in [1, 4] {
+        let options = ExecOptions::threads(threads).with_limits(ExecLimits::rows(5_000));
+        let label = format!("threads={threads}");
+        assert_eq!(rows(query_with_options(&store, "m", limited, options.clone()), &label), 10);
+        let unlimited = query_with_options(&store, "m", "SELECT ?s ?o WHERE { ?s <http://p> ?o }", options);
+        assert!(matches!(unlimited, Err(SparqlError::ResourceExhausted(_))), "{label}: {unlimited:?}");
+    }
+    assert_eq!(rows(reference(&store, limited, ExecLimits::rows(5_000)), "reference"), 10);
+
+    let ask = query_with_limits(&store, "m", "ASK { ?s <http://p> ?o }", ExecLimits::rows(100));
+    assert_eq!(ask.ok(), Some(QueryResults::Boolean(true)));
+}

@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# The benchmark package is a workspace of its own (BENCHMARK.json runs it
+# with --manifest-path), so the two commands above never compile it: an
+# engine API change could break the benchmark without failing this gate.
+# Builds it and runs its unit tests, which replay every workload against
+# the PropertyGraph oracle.
+cargo test --offline -q --manifest-path pgbench/Cargo.toml
+
 # Every executor configuration (threads x morsel size x batch size) must
 # stay bit-identical to the reference evaluator, with EXPLAIN ANALYZE
 # tally parity, under optimized codegen, where data races and

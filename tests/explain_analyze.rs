@@ -7,6 +7,12 @@
 //! Also checks chain consistency (step k is probed exactly once per row
 //! step k-1 emitted) and spot-checks that the Prometheus exposition the
 //! engine renders after real work is well-formed.
+//!
+//! Under a result tail that ends early (a plain LIMIT, a streaming
+//! DISTINCT filling its LIMIT) a step's `actual_rows` is what it produced
+//! before the pulling stopped — for the driving step, the whole morsels
+//! scanned — not the join cardinality; the oracle skips sliced queries
+//! and `early_ending_tails_report_the_rows_actually_scanned` covers them.
 
 use std::collections::HashMap;
 
@@ -175,6 +181,48 @@ fn analyze_actual_rows_match_naive_join_oracle() {
         verified >= 8,
         "oracle verified only {verified} of 10 EQ suite plans — coverage regressed"
     );
+}
+
+/// pgbench's T1 and T3 shapes: the drive step scans one morsel for ten
+/// rows, and fewer rows than the relation holds for its first fresh keys.
+#[test]
+fn early_ending_tails_report_the_rows_actually_scanned() {
+    // Big enough for `follows` to span several default-size morsels.
+    let f = Fixture::with_seed(0.01, 7);
+    let prefixes = pgrdf::PgVocab::twitter().prefixes();
+    for model in [PgRdfModel::NG, PgRdfModel::SP] {
+        let store = f.store(model);
+        let dataset = store.partition_names().expect("partitioned").topology;
+        let profiled = |tail: &str| {
+            let text = format!("{prefixes}SELECT {tail}");
+            store
+                .select_profiled_in(&dataset, &text, sparql::ExecOptions::default())
+                .unwrap_or_else(|e| panic!("{model} {text}: {e}"))
+        };
+        let (all, _) = profiled("?s ?o WHERE { ?s r:follows ?o }");
+        let relation = all.len() as u64;
+        assert!(relation > sparql::DEFAULT_MORSEL_SIZE as u64, "{model}: {relation} rows");
+
+        let (sols, t1) = profiled("?s ?o WHERE { ?s r:follows ?o } LIMIT 10");
+        assert_eq!((sols.len(), t1.result_rows), (10, 10), "{model}\n{}", t1.analyze);
+        assert_eq!(sols.rows[..], all.rows[..10], "{model}: LIMIT is a prefix");
+        let drive = t1.steps[0].actual_rows;
+        assert!(
+            (10..=sparql::DEFAULT_MORSEL_SIZE as u64).contains(&drive),
+            "{model}: drive step scanned {drive} of {relation}\n{}",
+            t1.analyze
+        );
+        assert!(t1.analyze.contains("LIMIT 10 (ends scan)"), "{model}\n{}", t1.analyze);
+
+        let (sols, t3) = profiled("DISTINCT ?o WHERE { ?s r:follows ?o } LIMIT 5");
+        assert_eq!(sols.len(), 5, "{model}\n{}", t3.analyze);
+        assert!(t3.steps[0].actual_rows < relation, "{model}\n{}", t3.analyze);
+        assert!(t3.analyze.contains("DISTINCT (streaming)"), "{model}\n{}", t3.analyze);
+
+        let (_, blocked) = profiled("?s ?o WHERE { ?s r:follows ?o } ORDER BY ?o ?s LIMIT 10");
+        assert_eq!(blocked.steps[0].actual_rows, relation, "{model}\n{}", blocked.analyze);
+        assert!(blocked.analyze.contains("SLICE limit=Some(10)"), "{model}\n{}", blocked.analyze);
+    }
 }
 
 #[test]

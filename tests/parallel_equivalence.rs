@@ -6,7 +6,9 @@
 //! executor merges morsel outputs back into sequential scan order, so
 //! even queries without ORDER BY must match row-for-row, and ORDER BY
 //! queries must tie-break identically) — and `EXPLAIN ANALYZE` must
-//! attribute the same per-step row counts.
+//! attribute the same per-step row counts. The result tail (ORDER BY,
+//! DISTINCT, OFFSET, LIMIT), which the reference shares, is checked
+//! against an oracle computed in the test.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -271,6 +273,189 @@ fn repeated_variables_in_one_triple() {
                 let (got, vectorized) = run_observed(&view, &plan, options);
                 assert_eq!(expected, got, "{text}: threads={threads} morsel={morsel_size}");
                 assert!(vectorized, "{text}: threads={threads} missed VecPipeline");
+            }
+        }
+    }
+}
+
+/// Forty subjects with duplicate and tying keys: two `p` values each
+/// (small integers, shared by many subjects), one or two `q` values for
+/// three subjects in four, and an `r` value for every third.
+fn tail_store() -> Store {
+    let iri = |s: String| Term::iri(format!("http://x/{s}"));
+    let mut quads = Vec::new();
+    for i in 0..40i32 {
+        let mut add = |p: &str, n: i32| {
+            quads.push(Quad::triple(iri(format!("s{i:02}")), iri(p.into()), Term::int(n)).expect("quad"));
+        };
+        add("p", i % 7);
+        add("p", i % 3 + 7);
+        if i % 4 != 0 {
+            add("q", i % 5);
+        }
+        if i % 6 == 1 {
+            add("q", 9);
+        }
+        if i % 3 == 0 {
+            add("r", i % 2);
+        }
+    }
+    let store = Store::new();
+    store.create_model("m").expect("model");
+    store.bulk_load("m", &quads).expect("load");
+    store
+}
+
+type TermRow = Vec<Option<Term>>;
+
+/// ORDER BY's documented key order over decoded terms: unbound < numeric
+/// (`f64::total_cmp`) < everything else by string form.
+fn key_order(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
+    let num = |t: &Option<Term>| t.as_ref()?.as_literal()?.as_f64();
+    let text = |t: &Option<Term>| t.as_ref().map(|t| t.str_value().to_string());
+    a.is_some().cmp(&b.is_some()).then_with(|| match (num(a), num(b)) {
+        (Some(x), Some(y)) => x.total_cmp(&y),
+        (None, None) => text(a).cmp(&text(b)),
+        (x, y) => y.is_some().cmp(&x.is_some()),
+    })
+}
+
+/// The result tail against an oracle that is not the tail
+/// (`execute_reference` shares `exec_select`, so it cannot check it): for
+/// every tail over five root shapes, each configuration's rows must equal
+/// what the test computes from the *untailed* query's decoded rows at
+/// that configuration — stable sort, project, dedup keeping first, slice.
+/// An unordered LIMIT is therefore the prefix of the unlimited rows.
+/// Grouped output has no sequential order to keep (hash-map iteration),
+/// so its ORDER BYs are total and its unordered tails are checked as
+/// sub-multisets of the right size.
+#[test]
+fn result_tails_match_an_oracle_over_the_untailed_rows() {
+    let store = tail_store();
+    let view = store.dataset("m").expect("dataset");
+    let (p, q, r) = ("<http://x/p>", "<http://x/q>", "<http://x/r>");
+    // (name, untailed head, tailed head, WHERE + GROUP BY, sequential order?)
+    let shapes: [(&str, &str, &str, String, bool); 5] = [
+        ("flat BGP", "?a ?b ?c", "?a ?b", format!("{{ ?a {p} ?b . ?a {q} ?c }}"), true),
+        (
+            "GROUP BY + COUNT",
+            "?a (COUNT(*) AS ?b) ?c",
+            "?a (COUNT(*) AS ?b)",
+            format!("{{ ?a {p} ?x . ?a {q} ?c }} GROUP BY ?a ?c"),
+            false,
+        ),
+        (
+            "sub-SELECT",
+            "?a ?b ?c",
+            "?a ?b",
+            format!(
+                "{{ ?a {p} ?b . {{ SELECT DISTINCT ?a ?c WHERE {{ ?a {q} ?c }} \
+                 ORDER BY ?c ?a LIMIT 30 OFFSET 2 }} }}"
+            ),
+            true,
+        ),
+        (
+            "UNION root",
+            "?a ?b ?c",
+            "?a ?b",
+            format!("{{ {{ ?a {p} ?b . ?a {q} ?c }} UNION {{ ?a {r} ?b . ?a {q} ?c }} }}"),
+            true,
+        ),
+        ("OPTIONAL root", "?a ?b ?c", "?a ?b", format!("{{ ?a {p} ?b OPTIONAL {{ ?a {q} ?c }} }}"), true),
+    ];
+    // Sort keys as (column of the untailed row, descending); the last one
+    // leads with the non-projected ?c. The grouped shape extends each to
+    // a total order over its (?a, ?c) groups.
+    let orders: [&[(usize, bool)]; 4] = [&[], &[(0, false)], &[(0, true), (1, false)], &[(2, false)]];
+    let mut configs: Vec<Option<ExecOptions>> = vec![None];
+    for threads in [1usize, 2, 8] {
+        for morsel_size in [7usize, 1024] {
+            for batch_size in [1usize, 64, 1024] {
+                let options = ExecOptions::threads(threads);
+                configs.push(Some(options.with_morsel_size(morsel_size).with_batch_size(batch_size)));
+            }
+        }
+    }
+    let compile = |text: &str| {
+        let parsed = sparql::parse_query(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        sparql::compile(&view, &parsed).unwrap_or_else(|e| panic!("{text}: {e}"))
+    };
+    let rows = |plan: &CompiledQuery, config: &Option<ExecOptions>| -> Vec<TermRow> {
+        let results = match config {
+            None => reference(&view, plan),
+            Some(options) => run(&view, plan, options.clone()),
+        };
+        match results {
+            QueryResults::Solutions(sols) => sols.rows,
+            other => panic!("expected solutions, got {other:?}"),
+        }
+    };
+    for (name, untailed_head, head, body, sequential) in &shapes {
+        let untailed_plan = compile(&format!("SELECT {untailed_head} WHERE {body}"));
+        let untailed: Vec<Vec<TermRow>> = configs.iter().map(|c| rows(&untailed_plan, c)).collect();
+        assert!(untailed[0].len() > 20, "{name}: {} rows", untailed[0].len());
+        for order in orders {
+            let mut order = order.to_vec();
+            if !sequential && !order.is_empty() {
+                order.extend([(0, false), (2, false)]);
+            }
+            let order_text = match order.is_empty() {
+                true => String::new(),
+                false => order.iter().fold(" ORDER BY".to_string(), |text, &(col, desc)| {
+                    let var = ["?a", "?b", "?c"][col];
+                    text + &if desc { format!(" DESC({var})") } else { format!(" {var}") }
+                }),
+            };
+            for distinct in [false, true] {
+                for offset in [0usize, 3] {
+                    for limit in [None, Some(0usize), Some(1), Some(10), Some(1000)] {
+                        let mut text = format!(
+                            "SELECT {}{head} WHERE {body}{order_text}",
+                            if distinct { "DISTINCT " } else { "" }
+                        );
+                        if let Some(limit) = limit {
+                            text += &format!(" LIMIT {limit}");
+                        }
+                        if offset > 0 {
+                            text += &format!(" OFFSET {offset}");
+                        }
+                        let plan = compile(&text);
+                        for (config, untailed) in configs.iter().zip(&untailed) {
+                            let mut sorted = untailed.clone();
+                            sorted.sort_by(|x, y| {
+                                order.iter().fold(std::cmp::Ordering::Equal, |ord, &(col, desc)| {
+                                    let next = key_order(&x[col], &y[col]);
+                                    ord.then(if desc { next.reverse() } else { next })
+                                })
+                            });
+                            let mut projected: Vec<TermRow> =
+                                sorted.into_iter().map(|row| row[..2].to_vec()).collect();
+                            if distinct {
+                                let mut seen = std::collections::HashSet::new();
+                                projected.retain(|row| seen.insert(row.clone()));
+                            }
+                            let expected: Vec<TermRow> = projected
+                                .iter()
+                                .skip(offset)
+                                .take(limit.unwrap_or(usize::MAX))
+                                .cloned()
+                                .collect();
+                            let got = rows(&plan, config);
+                            if *sequential || !order.is_empty() {
+                                assert!(got == expected, "{name}: {text} under {config:?}");
+                                continue;
+                            }
+                            assert_eq!(got.len(), expected.len(), "{name}: {text} under {config:?}");
+                            for row in got {
+                                let at = projected.iter().position(|r| *r == row);
+                                let at = at.unwrap_or_else(|| {
+                                    panic!("{name}: {text} under {config:?}: stray row {row:?}")
+                                });
+                                projected.swap_remove(at);
+                            }
+                        }
+                    }
+                }
             }
         }
     }
