@@ -1,21 +1,27 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--scale 0.02] [--seed 7739251] [table2|table5|table6|table7|table8|table9|
-//!        fig4|fig5|fig6|fig7|fig8|fig9|rf|mono|pr2|pr3|pr4|pr9|durability|
-//!        overhead|governor|flightguard|all]
+//! repro [--scale 0.02] [--seed 7804787] [table2|table5|table6|table7|table8|table9|
+//!        fig4|fig5|fig6|fig7|fig8|fig9|rf|mono|ablations|durability|all]
 //! ```
 //!
 //! Absolute numbers differ from the paper (different hardware, synthetic
 //! dataset, scaled size); the harness prints paper reference values next
-//! to measurements so the *shape* comparison is direct.
+//! to measurements so the *shape* comparison is direct. Performance is
+//! measured by `pgbench/` (BENCHMARK.json), not here.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use pgrdf::cardinality::{self, PgCardinalities};
-use pgrdf::{PgRdfModel, PgVocab, QuerySet};
-use pgrdf_bench::{fmt_ms, paper, Eq, Fixture};
+use pgrdf::{LoadOptions, PgRdfModel, PgRdfStore, PgVocab, QuerySet};
+use pgrdf_bench::{fmt_ms, paper, timed, Eq, Fixture};
 use propertygraph::PropertyGraph;
+
+/// Every section name; `durability` is opt-in (not part of `all`).
+const SECTIONS: [&str; 17] = [
+    "table2", "table5", "table6", "table7", "table8", "table9", "fig4", "fig5", "fig6", "fig7",
+    "fig8", "fig9", "rf", "mono", "ablations", "durability", "all",
+];
 
 struct Args {
     scale: f64,
@@ -43,12 +49,14 @@ fn parse_args() -> Args {
                     .unwrap_or_else(|| die("--seed needs an integer"));
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [--scale F] [--seed N] [table2|table5|table6|table7|table8|table9|fig4|fig5|fig6|fig7|fig8|fig9|rf|mono|pr2|pr3|pr4|pr9|durability|overhead|governor|flightguard|all]"
-                );
+                println!("usage: repro [--scale F] [--seed N] [{}]", SECTIONS.join("|"));
                 std::process::exit(0);
             }
-            section => sections.push(section.to_string()),
+            section if SECTIONS.contains(&section) => sections.push(section.to_string()),
+            other => die(&format!(
+                "unknown section {other:?} (valid: {})",
+                SECTIONS.join(" ")
+            )),
         }
     }
     if sections.is_empty() {
@@ -74,14 +82,7 @@ fn main() {
     }
 
     // Everything below needs the generated dataset.
-    let needs_fixture = [
-        "table5", "table6", "table7", "table8", "table9", "fig4", "fig5", "fig6", "fig7",
-        "fig8", "fig9", "rf", "mono", "pr2", "pr3", "pr4", "pr9", "durability", "overhead",
-        "governor", "flightguard",
-    ]
-    .iter()
-    .any(|s| want(s));
-    if !needs_fixture {
+    if args.sections.iter().all(|s| s == "table2") {
         return;
     }
 
@@ -162,39 +163,12 @@ fn main() {
     if want("mono") {
         monolithic_scan_ablation(&fixture);
     }
-    if want("pr2") {
-        bench_pr2(&fixture, &args);
-    }
-    if want("pr3") {
-        bench_pr3(&fixture, &args);
-    }
-    if want("pr4") {
-        bench_pr4(&fixture, &args);
-    }
-    if want("pr9") {
-        bench_pr9(&fixture, &args);
+    if want("ablations") {
+        ablations(&fixture);
     }
     // Opt-in (not part of `all`): fsync-heavy, so only on explicit ask.
     if args.sections.iter().any(|s| s == "durability") {
         durability(&fixture);
-    }
-    // Opt-in (not part of `all`): toggles the global telemetry flag and
-    // exits non-zero on a regression, so only on explicit ask (CI calls
-    // `repro overhead` as the telemetry-overhead guard).
-    if args.sections.iter().any(|s| s == "overhead") {
-        overhead_guard(&fixture);
-    }
-    // Opt-in (not part of `all`): installs and removes a process governor
-    // and exits non-zero on a regression (CI calls `repro governor` as
-    // the resource-governor overhead guard).
-    if args.sections.iter().any(|s| s == "governor") {
-        governor_guard(&fixture);
-    }
-    // Opt-in (not part of `all`): toggles the global flight recorder and
-    // exits non-zero on a regression (CI calls `repro flightguard` as
-    // the flight-recorder overhead guard).
-    if args.sections.iter().any(|s| s == "flightguard") {
-        flightguard(&fixture);
     }
 }
 
@@ -260,7 +234,6 @@ fn durability(fixture: &Fixture) {
 /// identical), so this section reruns EQ11c and EQ12 against monolithic
 /// stores to reproduce the paper's size effect.
 fn monolithic_scan_ablation(fixture: &Fixture) {
-    use pgrdf::{LoadOptions, PgRdfStore, PgVocab};
     println!("\n--- Ablation - monolithic full-scan gap (Figures 8/9) ---");
     println!(
         "{:<8} {:<6} {:>12} {:>12} {:>12}",
@@ -275,12 +248,7 @@ fn monolithic_scan_ablation(fixture: &Fixture) {
         .expect("monolithic load");
         for eq in [Eq::Eq11(3), Eq::Eq12] {
             let text = fixture.query_text(eq, model);
-            let warmup = store.select(&text).expect("query");
-            let _ = warmup;
-            let t0 = Instant::now();
-            let sols = store.select(&text).expect("query");
-            let elapsed = t0.elapsed();
-            let rows = sols.scalar_i64().map(|n| n as usize).unwrap_or(sols.len());
+            let (elapsed, rows) = timed(|| store.select(&text).expect("query"));
             println!(
                 "{:<8} {:<6} {:>12} {:>12} {:>12}",
                 eq.label(model),
@@ -291,6 +259,79 @@ fn monolithic_scan_ablation(fixture: &Fixture) {
             );
         }
     }
+}
+
+/// Three design-choice ablations (DESIGN.md §5), each variant one warm-up
+/// then one timed run: the join strategy on EQ12, the partitioned vs
+/// monolithic layout on EQ8 (NG), and the index set on EQ2 (NG, one
+/// monolithic model). Every variant of an ablation must count the same.
+fn ablations(fixture: &Fixture) {
+    use quadstore::{IndexKind, Store};
+    use sparql::{compile_with, execute_compiled, CompileOptions, ForcedJoin, QueryResults};
+
+    println!("\n--- Ablations - join strategy, layout, index set ---");
+    println!("{:<8} {:<14} {:>12} {:>12}", "query", "variant", "time", "results");
+    let ng = PgRdfModel::NG;
+    let report = |query: &str, runs: &[(&str, (Duration, usize))]| {
+        for (variant, (elapsed, rows)) in runs {
+            println!("{query:<8} {variant:<14} {:>12} {rows:>12}", fmt_ms(*elapsed));
+        }
+        let counts: Vec<usize> = runs.iter().map(|(_, (_, rows))| *rows).collect();
+        assert!(counts.windows(2).all(|w| w[0] == w[1]), "{query}: counts differ {counts:?}");
+    };
+
+    let view = fixture.ng.store().dataset(&fixture.dataset_for(Eq::Eq12, ng)).expect("dataset");
+    let parsed = sparql::parse_query(&fixture.query_text(Eq::Eq12, ng)).expect("parse EQ12");
+    let joins = [
+        ("optimizer", None),
+        ("forced NLJ", Some(ForcedJoin::Nlj)),
+        ("forced hash", Some(ForcedJoin::Hash)),
+    ];
+    report(
+        "EQ12",
+        &joins.map(|(variant, force_join)| {
+            let options = CompileOptions { force_join, ..Default::default() };
+            let compiled = compile_with(&view, &parsed, options).expect("compile EQ12");
+            let run = timed(|| match execute_compiled(&view, &compiled).expect("EQ12") {
+                QueryResults::Solutions(sols) => sols,
+                _ => unreachable!("EQ12 is a SELECT"),
+            });
+            (variant, run)
+        }),
+    );
+
+    let text = fixture.query_text(Eq::Eq8, ng);
+    let dataset = fixture.dataset_for(Eq::Eq8, ng);
+    let mono = PgRdfStore::load_with(
+        &fixture.graph,
+        ng,
+        LoadOptions { vocab: PgVocab::twitter(), ..Default::default() },
+    )
+    .expect("monolithic load");
+    report(
+        &Eq::Eq8.label(ng),
+        &[
+            ("partitioned", timed(|| fixture.ng.select_in(&dataset, &text).expect("EQ8a"))),
+            ("monolithic", timed(|| mono.select(&text).expect("EQ8a"))),
+        ],
+    );
+
+    let quads = fixture.ng.quads();
+    let text = fixture.query_text(Eq::Eq2, ng);
+    let index_sets: [(&str, &[IndexKind]); 3] = [
+        ("PAPER_FOUR", &IndexKind::PAPER_FOUR),
+        ("[PCSGM]", &[IndexKind::PCSGM]),
+        ("STANDARD_SIX", &IndexKind::STANDARD_SIX),
+    ];
+    report(
+        "EQ2",
+        &index_sets.map(|(variant, kinds)| {
+            let store = Store::with_default_indexes(kinds);
+            store.create_model("pg").expect("model");
+            store.bulk_load("pg", &quads).expect("load");
+            (variant, timed(|| sparql::select(&store, "pg", &text).expect("EQ2")))
+        }),
+    );
 }
 
 /// Path counts explode exponentially with the hop count and the graph's
@@ -513,781 +554,4 @@ fn print_scaled_rows(rows: &[(&str, usize, usize)], scale: f64) {
             name, paper_value, scaled, measured
         );
     }
-}
-
-/// PR2 artifact: per-family latency distributions for the morsel-parallel
-/// executor (sequential `threads(1)` vs parallel `threads(4)`) and
-/// plan-cache cold/hit timings, written to `BENCH_PR2.json`.
-///
-/// Families follow the paper's experiment grouping: node-centric
-/// (EQ1–EQ4), edge-centric (EQ5–EQ8), aggregates (EQ9/EQ10), traversal
-/// (EQ11c), triangle counting (EQ12). Medians/p95s pool every timed
-/// iteration of the family's queries; the warm-up run populates the plan
-/// cache, so both modes replay the same compiled plan.
-fn bench_pr2(fixture: &Fixture, args: &Args) {
-    use sparql::ExecOptions;
-
-    const PAR_THREADS: usize = 4;
-    const ITERS: usize = 9;
-    let families: &[(&str, &[Eq])] = &[
-        ("node", &[Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4]),
-        ("edge", &[Eq::Eq5, Eq::Eq6, Eq::Eq7, Eq::Eq8]),
-        ("aggregate", &[Eq::Eq9, Eq::Eq10]),
-        ("traversal", &[Eq::Eq11(3)]),
-        ("triangle", &[Eq::Eq12]),
-    ];
-
-    println!("\n--- PR2: parallel execution + plan cache (BENCH_PR2.json) ---");
-    println!(
-        "{:<10} {:<6} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "family", "model", "seq med", "seq p95", "par med", "par p95", "speedup"
-    );
-
-    let mut model_blocks = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let mut family_blocks = Vec::new();
-        for (family, queries) in families {
-            let mut seq_ms = Vec::new();
-            let mut par_ms = Vec::new();
-            for &eq in *queries {
-                let to_ms =
-                    |v: Vec<std::time::Duration>| v.into_iter().map(|d| d.as_secs_f64() * 1e3);
-                seq_ms.extend(to_ms(fixture.time_with_options(
-                    eq,
-                    model,
-                    ExecOptions::threads(1),
-                    ITERS,
-                )));
-                par_ms.extend(to_ms(fixture.time_with_options(
-                    eq,
-                    model,
-                    ExecOptions::threads(PAR_THREADS),
-                    ITERS,
-                )));
-            }
-            let (seq_med, seq_p95) = (percentile(&seq_ms, 50.0), percentile(&seq_ms, 95.0));
-            let (par_med, par_p95) = (percentile(&par_ms, 50.0), percentile(&par_ms, 95.0));
-            let speedup = seq_med / par_med;
-            println!(
-                "{:<10} {:<6} {:>10} {:>10} {:>10} {:>10} {:>7.2}x",
-                family,
-                model.to_string(),
-                format!("{seq_med:.3}ms"),
-                format!("{seq_p95:.3}ms"),
-                format!("{par_med:.3}ms"),
-                format!("{par_p95:.3}ms"),
-                speedup
-            );
-            family_blocks.push(format!(
-                concat!(
-                    "      \"{}\": {{\n",
-                    "        \"queries\": [{}],\n",
-                    "        \"sequential\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}},\n",
-                    "        \"parallel\": {{\"median_ms\": {:.3}, \"p95_ms\": {:.3}}},\n",
-                    "        \"speedup_median\": {:.3}\n",
-                    "      }}"
-                ),
-                family,
-                queries
-                    .iter()
-                    .map(|eq| format!("\"{}\"", eq.label(model)))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-                seq_med,
-                seq_p95,
-                par_med,
-                par_p95,
-                speedup
-            ));
-        }
-
-        // Plan-cache cold-vs-hit timing on a representative aggregate
-        // query: clearing the cache forces one parse+compile (cold); the
-        // replays execute the cached plan only.
-        let store = fixture.store(model);
-        let text = fixture.query_text(Eq::Eq9, model);
-        let dataset = fixture.dataset_for(Eq::Eq9, model);
-        store.plan_cache().clear();
-        let compiles_before = store.plan_cache().compiles();
-        let t0 = Instant::now();
-        store.select_in(&dataset, &text).expect("EQ9 cold run");
-        let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let hit_ms: Vec<f64> = (0..ITERS)
-            .map(|_| {
-                let t0 = Instant::now();
-                store.select_in(&dataset, &text).expect("EQ9 hit run");
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .collect();
-        let compiled = store.plan_cache().compiles() - compiles_before;
-        assert_eq!(compiled, 1, "cache hits must not recompile");
-        let hit_med = percentile(&hit_ms, 50.0);
-        println!(
-            "plan cache {:<6} cold={:.3}ms hit(med)={:.3}ms compiles={} (hits recompile nothing)",
-            model.to_string(),
-            cold_ms,
-            hit_med,
-            compiled
-        );
-
-        model_blocks.push(format!(
-            concat!(
-                "    \"{}\": {{\n",
-                "      \"families\": {{\n{}\n      }},\n",
-                "      \"plan_cache\": {{\"query\": \"EQ9\", \"cold_ms\": {:.3}, ",
-                "\"hit_median_ms\": {:.3}, \"compiles_during_hits\": {}}}\n",
-                "    }}"
-            ),
-            model,
-            family_blocks.join(",\n"),
-            cold_ms,
-            hit_med,
-            compiled - 1
-        ));
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"iterations_per_query\": {},\n",
-            "  \"parallel_threads\": {},\n",
-            "  \"models\": {{\n{}\n  }}\n",
-            "}}\n"
-        ),
-        args.scale,
-        args.seed,
-        ITERS,
-        PAR_THREADS,
-        model_blocks.join(",\n")
-    );
-    std::fs::write("BENCH_PR2.json", &json).expect("write BENCH_PR2.json");
-    println!("wrote BENCH_PR2.json");
-}
-
-/// PR3 artifact: snapshot-isolated read scaling, written to
-/// `BENCH_PR3.json`. For NG and SP, N reader threads (1/2/4/8) replay
-/// node-centric queries against the node-KV partition for a fixed window,
-/// first with no concurrent DML and then with a background writer thread
-/// continuously committing and retracting a multi-quad sentinel through
-/// the MVCC writer path. Readers pin a fresh snapshot per query and never
-/// block on the writer, so reads/s should scale with the reader count in
-/// both modes.
-fn bench_pr3(fixture: &Fixture, args: &Args) {
-    use propertygraph::PropValue;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::time::Duration;
-
-    const READER_COUNTS: [usize; 4] = [1, 2, 4, 8];
-    const WINDOW: Duration = Duration::from_millis(250);
-
-    println!("\n--- PR3: snapshot-isolated read scaling (BENCH_PR3.json) ---");
-    println!(
-        "{:<6} {:<10} {:>8} {:>12} {:>18}",
-        "model", "writer", "readers", "reads/s", "writer commits/s"
-    );
-
-    let mut model_blocks = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        let names = store.partition_names().expect("fixture stores are partitioned");
-        let dataset = names.node_kv.clone();
-        let queries =
-            [fixture.query_text(Eq::Eq1, model), fixture.query_text(Eq::Eq4, model)];
-        // A sentinel vertex's node-KV quads in this model's shape — what
-        // the background writer toggles atomically.
-        let mut g = PropertyGraph::new();
-        g.add_vertex_with_props(99_999_001, [("name", PropValue::from("pr3-sentinel"))]);
-        let sentinel = pgrdf::convert(&g, model, &PgVocab::twitter());
-
-        let mut mode_blocks = Vec::new();
-        for with_writer in [false, true] {
-            let mut cells = Vec::new();
-            for &readers in &READER_COUNTS {
-                let stop = AtomicBool::new(false);
-                let reads = AtomicU64::new(0);
-                let writes = AtomicU64::new(0);
-                let counters_before = counter_totals();
-                std::thread::scope(|scope| {
-                    for _ in 0..readers {
-                        scope.spawn(|| {
-                            // threads(1): each query executes sequentially,
-                            // so measured scaling comes from reader
-                            // concurrency, not the morsel-parallel executor
-                            // saturating the cores on its own.
-                            let opts = sparql::ExecOptions::threads(1);
-                            while !stop.load(Ordering::Relaxed) {
-                                for q in &queries {
-                                    store
-                                        .select_in_with(&dataset, q, opts.clone())
-                                        .expect("pr3 read");
-                                    reads.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        });
-                    }
-                    if with_writer {
-                        scope.spawn(|| {
-                            let raw = store.store();
-                            while !stop.load(Ordering::Relaxed) {
-                                let mut b = raw.begin();
-                                for q in &sentinel {
-                                    b.insert(&dataset, q).expect("pr3 insert");
-                                }
-                                b.commit();
-                                let mut b = raw.begin();
-                                for q in &sentinel {
-                                    b.remove(&dataset, q).expect("pr3 remove");
-                                }
-                                b.commit();
-                                writes.fetch_add(2, Ordering::Relaxed);
-                            }
-                        });
-                    }
-                    std::thread::sleep(WINDOW);
-                    stop.store(true, Ordering::Relaxed);
-                });
-                let secs = WINDOW.as_secs_f64();
-                let rps = reads.load(Ordering::Relaxed) as f64 / secs;
-                let wps = writes.load(Ordering::Relaxed) as f64 / secs;
-                println!(
-                    "{:<6} {:<10} {:>8} {:>12} {:>18}",
-                    model.to_string(),
-                    if with_writer { "yes" } else { "no" },
-                    readers,
-                    format!("{rps:.0}"),
-                    if with_writer { format!("{wps:.0}") } else { "-".to_string() }
-                );
-                // With PGRDF_TELEMETRY=1 (or --metrics anywhere in the
-                // process) the engine counters expose *why* a cell is
-                // slow: per-read deltas separate real scan work from
-                // coordination overhead — if rows-scanned/read is flat
-                // while reads/s drops, the regression is contention, not
-                // index work.
-                if telemetry::enabled() {
-                    let after = counter_totals();
-                    let n = reads.load(Ordering::Relaxed).max(1) as f64;
-                    println!(
-                        "       per read: index_scans={:.2} rows_scanned={:.2} \
-                         rows_matched={:.2} snapshot_pins={:.2} cache_hits={:.2}",
-                        (after.index_scans - counters_before.index_scans) / n,
-                        (after.rows_scanned - counters_before.rows_scanned) / n,
-                        (after.rows_matched - counters_before.rows_matched) / n,
-                        (after.snapshot_pins - counters_before.snapshot_pins) / n,
-                        (after.cache_hits - counters_before.cache_hits) / n,
-                    );
-                }
-                cells.push(format!(
-                    "\"{readers}\": {{\"reads_per_s\": {rps:.1}, \"writer_commits_per_s\": {wps:.1}}}"
-                ));
-            }
-            mode_blocks.push(format!(
-                "      \"{}\": {{{}}}",
-                if with_writer { "with_writer" } else { "no_writer" },
-                cells.join(", ")
-            ));
-        }
-        model_blocks.push(format!(
-            "    \"{}\": {{\n{}\n    }}",
-            model,
-            mode_blocks.join(",\n")
-        ));
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"window_ms\": {},\n",
-            "  \"cores\": {},\n",
-            "  \"queries\": [\"EQ1\", \"EQ4\"],\n",
-            "  \"reader_counts\": [1, 2, 4, 8],\n",
-            "  \"models\": {{\n{}\n  }}\n",
-            "}}\n"
-        ),
-        args.scale,
-        args.seed,
-        WINDOW.as_millis(),
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        model_blocks.join(",\n")
-    );
-    std::fs::write("BENCH_PR3.json", &json).expect("write BENCH_PR3.json");
-    println!("wrote BENCH_PR3.json");
-}
-
-/// PR4 artifact: operator-level execution profiles for EQ1–EQ5 under NG
-/// and SP, written to `BENCH_PR4.json`. Each query runs once to warm the
-/// plan cache, then once through the profiled sequential executor; the
-/// artifact embeds the full `QueryProfile` (per-step estimated vs actual
-/// rows, loops, inclusive time, chosen index, strategy) per query.
-fn bench_pr4(fixture: &Fixture, args: &Args) {
-    use sparql::ExecOptions;
-
-    const QUERIES: [Eq; 5] = [Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4, Eq::Eq5];
-
-    println!("\n--- PR4: operator-level query profiles (BENCH_PR4.json) ---");
-    println!(
-        "{:<8} {:<6} {:>10} {:>10} {:>8} {:>24}",
-        "query", "model", "wall", "results", "steps", "hottest step"
-    );
-
-    let mut model_blocks = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        let mut query_blocks = Vec::new();
-        for eq in QUERIES {
-            let label = eq.label(model);
-            let text = fixture.query_text(eq, model);
-            let dataset = fixture.dataset_for(eq, model);
-            // Warm-up populates the plan cache so the profiled run
-            // reports `cache_hit: true` and zero compile time.
-            store.select_in(&dataset, &text).expect("pr4 warm-up");
-            let (sols, profile) = store
-                .select_profiled_in(&dataset, &text, ExecOptions::default())
-                .expect("pr4 profiled run");
-            let hottest = profile
-                .steps
-                .iter()
-                .max_by_key(|s| s.nanos)
-                .map(|s| format!("#{} {} ({})", s.ordinal, s.strategy, s.index))
-                .unwrap_or_else(|| "-".to_string());
-            println!(
-                "{:<8} {:<6} {:>10} {:>10} {:>8} {:>24}",
-                label,
-                model.to_string(),
-                format!("{:.3}ms", profile.wall_nanos as f64 / 1e6),
-                sols.len(),
-                profile.steps.len(),
-                hottest
-            );
-            query_blocks.push(format!("      \"{}\": {}", label, profile.to_json()));
-        }
-        model_blocks.push(format!(
-            "    \"{}\": {{\n{}\n    }}",
-            model,
-            query_blocks.join(",\n")
-        ));
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"queries\": [\"EQ1\", \"EQ2\", \"EQ3\", \"EQ4\", \"EQ5\"],\n",
-            "  \"models\": {{\n{}\n  }}\n",
-            "}}\n"
-        ),
-        args.scale,
-        args.seed,
-        model_blocks.join(",\n")
-    );
-    std::fs::write("BENCH_PR4.json", &json).expect("write BENCH_PR4.json");
-    println!("wrote BENCH_PR4.json");
-}
-
-/// Times the warmed EQ1–EQ5 batch (NG and SP) with the flight recorder
-/// disabled and enabled back-to-back in each round and returns the
-/// cleanest round's `(ratio, disabled_ms, enabled_ms)`. Telemetry is
-/// forced off for the measurement so the disabled side takes the
-/// untracked fast path and the delta is purely the recorder's tracked
-/// path; paired rounds + minimum ratio cancel machine-load drift the
-/// same way the telemetry and governor guards do.
-fn recorder_overhead(fixture: &Fixture, rounds: usize, passes: usize) -> (f64, f64, f64) {
-    const QUERIES: [Eq; 5] = [Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4, Eq::Eq5];
-
-    let mut work = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        for eq in QUERIES {
-            let text = fixture.query_text(eq, model);
-            let dataset = fixture.dataset_for(eq, model);
-            store.select_in(&dataset, &text).expect("recorder warm-up");
-            work.push((store, dataset, text));
-        }
-    }
-    let batch = || {
-        let t0 = Instant::now();
-        for _ in 0..passes {
-            for (store, dataset, text) in &work {
-                store.select_in(dataset, text).expect("recorder batch");
-            }
-        }
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-
-    let recorder = telemetry::flight_recorder();
-    let was_recording = recorder.enabled();
-    let was_telemetry = telemetry::enabled();
-    telemetry::set_enabled(false);
-    let mut ratio = f64::INFINITY;
-    let (mut off, mut on) = (f64::NAN, f64::NAN);
-    for round in 0..rounds {
-        let timed = |rec: bool| {
-            recorder.set_enabled(rec);
-            batch()
-        };
-        let (o, e) = if round % 2 == 0 {
-            let o = timed(false);
-            (o, timed(true))
-        } else {
-            let e = timed(true);
-            (timed(false), e)
-        };
-        if e / o < ratio {
-            (ratio, off, on) = (e / o, o, e);
-        }
-    }
-    recorder.set_enabled(was_recording);
-    telemetry::set_enabled(was_telemetry);
-    (ratio, off, on)
-}
-
-/// PR9: the cost of self-observation, written to `BENCH_PR9.json`. Two
-/// measurements: (1) the flight recorder's paired on/off overhead on the
-/// EQ1–EQ5 batch (NG and SP) — the recorder is on by default, so this is
-/// the price every query pays; (2) the latency of querying each system
-/// graph with SPARQL, which bounds how expensive `pgrdf:sys/*`
-/// dashboards are (every run re-materializes the overlay from live
-/// engine state).
-fn bench_pr9(fixture: &Fixture, args: &Args) {
-    const ROUNDS: usize = 5;
-    const PASSES: usize = 5;
-    const SYS_ITERS: usize = 9;
-
-    println!("\n--- PR9: flight recorder + system views (BENCH_PR9.json) ---");
-    let (ratio, off, on) = recorder_overhead(fixture, ROUNDS, PASSES);
-    println!(
-        "recorder overhead: EQ1-EQ5 x NG,SP x {PASSES} passes, cleanest of {ROUNDS} paired \
-         rounds: off={off:.3}ms on={on:.3}ms ratio={ratio:.3}"
-    );
-
-    // Sys-view latency on the NG store, which by now holds flight
-    // entries and warmed plan-cache entries from the overhead rounds.
-    // One instrumented query first so the metrics graph has samples.
-    let store = fixture.store(PgRdfModel::NG);
-    let was_telemetry = telemetry::enabled();
-    telemetry::set_enabled(true);
-    store
-        .select_in(
-            &fixture.dataset_for(Eq::Eq1, PgRdfModel::NG),
-            &fixture.query_text(Eq::Eq1, PgRdfModel::NG),
-        )
-        .expect("metrics seed query");
-    telemetry::set_enabled(was_telemetry);
-    let sys_queries: [(&str, &str); 4] = [
-        (
-            "queries_top10",
-            "SELECT ?q ?ns WHERE { GRAPH <pgrdf:sys/queries> { \
-               ?q <pgrdf:sys#execNanos> ?ns } } ORDER BY DESC(?ns) LIMIT 10",
-        ),
-        (
-            "metrics_all",
-            "SELECT ?m ?v WHERE { GRAPH <pgrdf:sys/metrics> { ?m <pgrdf:sys#value> ?v } }",
-        ),
-        (
-            "plans_hot",
-            "SELECT ?p ?h WHERE { GRAPH <pgrdf:sys/plans> { ?p <pgrdf:sys#hits> ?h } } \
-             ORDER BY DESC(?h) LIMIT 10",
-        ),
-        (
-            "store_bytes",
-            "SELECT ?b WHERE { GRAPH <pgrdf:sys/store> { \
-               <pgrdf:sys/store> <pgrdf:sys#totalBytes> ?b } }",
-        ),
-    ];
-    println!("{:<14} {:>10} {:>10} {:>6}", "sys view", "median", "p95", "rows");
-    let mut sys_blocks = Vec::new();
-    for (label, text) in sys_queries {
-        let mut ms = Vec::new();
-        let mut rows = 0usize;
-        for _ in 0..SYS_ITERS {
-            let t0 = Instant::now();
-            let sols = store.select_sys(text).expect("sys query");
-            ms.push(t0.elapsed().as_secs_f64() * 1e3);
-            rows = sols.len();
-        }
-        let (med, p95) = (percentile(&ms, 50.0), percentile(&ms, 95.0));
-        println!(
-            "{label:<14} {:>10} {:>10} {rows:>6}",
-            format!("{med:.3}ms"),
-            format!("{p95:.3}ms")
-        );
-        sys_blocks.push(format!(
-            "    \"{label}\": {{\"median_ms\": {med:.3}, \"p95_ms\": {p95:.3}, \"rows\": {rows}}}"
-        ));
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"scale\": {},\n",
-            "  \"seed\": {},\n",
-            "  \"recorder_overhead\": {{\n",
-            "    \"batch\": \"EQ1-EQ5 x NG,SP x {} passes\",\n",
-            "    \"rounds\": {},\n",
-            "    \"disabled_ms\": {:.3},\n",
-            "    \"enabled_ms\": {:.3},\n",
-            "    \"ratio\": {:.4}\n",
-            "  }},\n",
-            "  \"sys_view_latency_ms\": {{\n{}\n  }}\n",
-            "}}\n"
-        ),
-        args.scale,
-        args.seed,
-        PASSES,
-        ROUNDS,
-        off,
-        on,
-        ratio,
-        sys_blocks.join(",\n")
-    );
-    std::fs::write("BENCH_PR9.json", &json).expect("write BENCH_PR9.json");
-    println!("wrote BENCH_PR9.json");
-}
-
-/// CI guard for the flight-recorder budget: the recorder is on by
-/// default, so its tracked path is the price every query pays — the
-/// EQ1–EQ5 batch with the recorder on must cost at most 5% more wall
-/// time than with it off (cleanest of 5 paired rounds, same noise model
-/// as the telemetry guard). Exits non-zero past the budget.
-fn flightguard(fixture: &Fixture) {
-    const ROUNDS: usize = 5;
-    const PASSES: usize = 5;
-    const BUDGET: f64 = 1.05;
-
-    println!("\n--- Flight-recorder overhead guard (budget: +5% wall time) ---");
-    let (ratio, off, on) = recorder_overhead(fixture, ROUNDS, PASSES);
-    println!(
-        "batch = EQ1-EQ5 x NG,SP x {PASSES} passes, cleanest of {ROUNDS} paired rounds: \
-         recorder-off={off:.3}ms recorder-on={on:.3}ms ratio={ratio:.3}"
-    );
-    if ratio > BUDGET {
-        eprintln!(
-            "repro: flight-recorder overhead {:.1}% exceeds the {:.0}% budget",
-            (ratio - 1.0) * 100.0,
-            (BUDGET - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "flight-recorder overhead within budget ({:+.1}%)",
-        (ratio - 1.0) * 100.0
-    );
-}
-
-/// CI guard for the telemetry overhead budget: times the EQ1–EQ5 batch
-/// (NG and SP) with telemetry disabled and enabled back-to-back in each
-/// round and fails the process when the cleanest round still shows the
-/// enabled engine costing more than 5% wall time. Pairing both modes
-/// inside one round and taking the minimum ratio across rounds cancels
-/// machine-load drift, which on CI boxes dwarfs the effect being
-/// measured: a genuine regression inflates every round's ratio, while a
-/// load spike inflates only the rounds it lands in.
-fn overhead_guard(fixture: &Fixture) {
-    const ROUNDS: usize = 5;
-    const PASSES_PER_BATCH: usize = 5;
-    const BUDGET: f64 = 1.05;
-    const QUERIES: [Eq; 5] = [Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4, Eq::Eq5];
-
-    println!("\n--- Telemetry overhead guard (budget: +5% wall time) ---");
-
-    // Pre-resolve texts/datasets and warm the plan caches so the batch
-    // measures execution, not compilation.
-    let mut work = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        for eq in QUERIES {
-            let text = fixture.query_text(eq, model);
-            let dataset = fixture.dataset_for(eq, model);
-            store.select_in(&dataset, &text).expect("overhead warm-up");
-            work.push((store, dataset, text));
-        }
-    }
-    let batch = || {
-        let t0 = Instant::now();
-        for _ in 0..PASSES_PER_BATCH {
-            for (store, dataset, text) in &work {
-                store.select_in(dataset, text).expect("overhead batch");
-            }
-        }
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-
-    let was_enabled = telemetry::enabled();
-    let mut ratio = f64::INFINITY;
-    let (mut off, mut on) = (f64::NAN, f64::NAN);
-    for round in 0..ROUNDS {
-        let timed = |enabled: bool| {
-            telemetry::set_enabled(enabled);
-            batch()
-        };
-        let (o, e) = if round % 2 == 0 {
-            let o = timed(false);
-            (o, timed(true))
-        } else {
-            let e = timed(true);
-            (timed(false), e)
-        };
-        if e / o < ratio {
-            (ratio, off, on) = (e / o, o, e);
-        }
-    }
-    telemetry::set_enabled(was_enabled);
-
-    println!(
-        "batch = EQ1-EQ5 x NG,SP x {PASSES_PER_BATCH} passes, cleanest of {ROUNDS} paired rounds: \
-         disabled={off:.3}ms enabled={on:.3}ms ratio={ratio:.3}"
-    );
-    if ratio > BUDGET {
-        eprintln!(
-            "repro: telemetry overhead {:.1}% exceeds the {:.0}% budget",
-            (ratio - 1.0) * 100.0,
-            (BUDGET - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!("telemetry overhead within budget ({:+.1}%)", (ratio - 1.0) * 100.0);
-}
-
-/// CI guard for the resource-governor cost: the EQ1–EQ5 batch under full
-/// governance — an admission permit per query, a live cancellation token,
-/// a (generous) memory budget, and a deadline — must finish within 5% of
-/// the same batch ungoverned. Guards the per-row charge and the strided
-/// deadline/cancel checks against accidental hot-path regressions.
-/// Paired rounds + cleanest ratio, same noise model as the telemetry
-/// guard.
-fn governor_guard(fixture: &Fixture) {
-    use pgrdf::GovernorConfig;
-    use sparql::{CancelToken, ExecLimits, ExecOptions};
-    use std::time::Duration;
-
-    const ROUNDS: usize = 5;
-    const PASSES_PER_BATCH: usize = 5;
-    const BUDGET: f64 = 1.05;
-    const QUERIES: [Eq; 5] = [Eq::Eq1, Eq::Eq2, Eq::Eq3, Eq::Eq4, Eq::Eq5];
-
-    println!("\n--- Resource-governor overhead guard (budget: +5% wall time) ---");
-
-    let mut work = Vec::new();
-    for model in [PgRdfModel::NG, PgRdfModel::SP] {
-        let store = fixture.store(model);
-        for eq in QUERIES {
-            let text = fixture.query_text(eq, model);
-            let dataset = fixture.dataset_for(eq, model);
-            store.select_in(&dataset, &text).expect("governor warm-up");
-            work.push((store, dataset, text));
-        }
-    }
-
-    // Full governance: every charge path is live, no limit ever binds.
-    let token = CancelToken::new();
-    let governed_options = ExecOptions::default()
-        .with_limits(
-            ExecLimits::timeout(Duration::from_secs(3600)).with_max_memory(4 << 30),
-        )
-        .with_cancel(token.clone());
-    let batch = |options: Option<&ExecOptions>| {
-        let t0 = Instant::now();
-        for _ in 0..PASSES_PER_BATCH {
-            for (store, dataset, text) in &work {
-                match options {
-                    Some(o) => store
-                        .select_in_with(dataset, text, o.clone())
-                        .expect("governed batch"),
-                    None => store.select_in(dataset, text).expect("bare batch"),
-                };
-            }
-        }
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-
-    let mut ratio = f64::INFINITY;
-    let (mut bare, mut governed) = (f64::NAN, f64::NAN);
-    for round in 0..ROUNDS {
-        let timed_bare = || {
-            for (store, _, _) in &work {
-                store.clear_governor();
-            }
-            batch(None)
-        };
-        let timed_governed = || {
-            for (store, _, _) in &work {
-                store.set_governor(GovernorConfig::concurrency(64));
-            }
-            batch(Some(&governed_options))
-        };
-        let (b, g) = if round % 2 == 0 {
-            let b = timed_bare();
-            (b, timed_governed())
-        } else {
-            let g = timed_governed();
-            (timed_bare(), g)
-        };
-        if g / b < ratio {
-            (ratio, bare, governed) = (g / b, b, g);
-        }
-    }
-    for (store, _, _) in &work {
-        store.clear_governor();
-    }
-
-    println!(
-        "batch = EQ1-EQ5 x NG,SP x {PASSES_PER_BATCH} passes, cleanest of {ROUNDS} paired rounds: \
-         bare={bare:.3}ms governed={governed:.3}ms ratio={ratio:.3}"
-    );
-    if ratio > BUDGET {
-        eprintln!(
-            "repro: governor overhead {:.1}% exceeds the {:.0}% budget",
-            (ratio - 1.0) * 100.0,
-            (BUDGET - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-    println!("governor overhead within budget ({:+.1}%)", (ratio - 1.0) * 100.0);
-}
-
-/// Engine-counter snapshot used by the PR3 per-read diagnostics.
-#[derive(Debug, Default)]
-struct CounterTotals {
-    index_scans: f64,
-    rows_scanned: f64,
-    rows_matched: f64,
-    snapshot_pins: f64,
-    cache_hits: f64,
-}
-
-/// Sums each counter family across its label series by parsing the
-/// registry's own Prometheus rendering — the same path an external
-/// scraper would use, so the diagnostics exercise the exposition too.
-fn counter_totals() -> CounterTotals {
-    let mut totals = CounterTotals::default();
-    for line in telemetry::global().render_prometheus().lines() {
-        if line.starts_with('#') {
-            continue;
-        }
-        let Some((series, value)) = line.rsplit_once(' ') else { continue };
-        let Ok(value) = value.parse::<f64>() else { continue };
-        let family = series.split('{').next().unwrap_or(series);
-        match family {
-            "pgrdf_index_range_scans_total" => totals.index_scans += value,
-            "pgrdf_index_rows_scanned_total" => totals.rows_scanned += value,
-            "pgrdf_index_rows_matched_total" => totals.rows_matched += value,
-            "pgrdf_snapshot_pins_total" => totals.snapshot_pins += value,
-            "pgrdf_plan_cache_hits_total" => totals.cache_hits += value,
-            _ => {}
-        }
-    }
-    totals
-}
-
-/// Nearest-rank percentile (q in 0..=100) over unsorted samples.
-fn percentile(samples: &[f64], q: f64) -> f64 {
-    assert!(!samples.is_empty());
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN timings"));
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize;
-    sorted[rank - 1]
 }

@@ -1,9 +1,8 @@
 //! # pgrdf-bench
 //!
 //! Shared fixtures, query routing, and paper reference values for the
-//! benchmark harness. The `repro` binary regenerates every table and
-//! figure of the paper's evaluation; the Criterion benches measure the
-//! same queries under `cargo bench`.
+//! `repro` binary, which regenerates every table and figure of the
+//! paper's evaluation. Performance is measured by `pgbench/`, not here.
 
 #![warn(missing_docs)]
 
@@ -13,6 +12,7 @@ use std::time::{Duration, Instant};
 
 use pgrdf::{LoadOptions, PartitionLayout, PgRdfModel, PgRdfStore, PgVocab, QuerySet};
 use propertygraph::PropertyGraph;
+use sparql::Solutions;
 use twittergen::TwitterGenConfig;
 
 /// The experiment queries of Table 10.
@@ -158,62 +158,36 @@ impl Fixture {
         }
     }
 
-    /// Times one experiment query under explicit execution options:
-    /// one warm-up run, then `iters` timed runs (wall clock each).
-    /// The warm-up also populates the store's plan cache, so the timed
-    /// runs measure execution only — the same plan is replayed for both
-    /// sequential and parallel options.
-    pub fn time_with_options(
-        &self,
-        eq: Eq,
-        model: PgRdfModel,
-        options: sparql::ExecOptions,
-        iters: usize,
-    ) -> Vec<Duration> {
-        let store = self.store(model);
-        let text = self.query_text(eq, model);
-        let dataset = self.dataset_for(eq, model);
-        let exec = || {
-            store
-                .select_in_with(&dataset, &text, options.clone())
-                .unwrap_or_else(|e| panic!("{} on {model} failed: {e}", eq.label(model)))
-        };
-        let _warmup = exec();
-        (0..iters)
-            .map(|_| {
-                let t0 = Instant::now();
-                let _sols = exec();
-                t0.elapsed()
-            })
-            .collect()
-    }
-
-    /// Runs one experiment query, returning `(elapsed, result_rows)`.
-    /// Follows the paper's methodology: one warm-up run, then the timed
-    /// run.
+    /// Runs one experiment query the [`timed`] way, returning
+    /// `(elapsed, result_rows)`.
     pub fn run(&self, eq: Eq, model: PgRdfModel) -> (Duration, usize) {
         let store = self.store(model);
         let text = self.query_text(eq, model);
         let dataset = self.dataset_for(eq, model);
-        let exec = || {
+        timed(|| {
             store
                 .select_in(&dataset, &text)
                 .unwrap_or_else(|e| panic!("{} on {model} failed: {e}", eq.label(model)))
-        };
-        let _warmup = exec();
-        let t0 = Instant::now();
-        let sols = exec();
-        let elapsed = t0.elapsed();
-        // COUNT queries report the count, not the row count.
-        let rows = sols.scalar_i64().map(|n| n as usize).unwrap_or(sols.len());
-        (elapsed, rows)
+        })
     }
+}
+
+/// The paper's methodology: one warm-up run, then the timed run. Returns
+/// the timed run's wall time and result count (a COUNT query's count,
+/// else the number of rows).
+pub fn timed(run: impl Fn() -> Solutions) -> (Duration, usize) {
+    run();
+    let t0 = Instant::now();
+    let sols = run();
+    let elapsed = t0.elapsed();
+    (elapsed, sols.scalar_i64().map(|n| n as usize).unwrap_or(sols.len()))
 }
 
 /// Picks the `#webseries` analogue: among tags that occur on at least one
 /// *edge* (so the edge-centric queries EQ5–EQ8 have matches, like the
 /// paper's 206 edges), the tag whose node count is closest to 0.33% of
-/// the node count (the paper's 251 / 76,245).
+/// the node count (the paper's 251 / 76,245). Ties go to the smaller tag
+/// name (pgbench's `params.rs` rule), so every process picks the same tag.
 pub fn pick_benchmark_tag(graph: &PropertyGraph) -> String {
     let mut node_counts: std::collections::HashMap<&str, usize> =
         std::collections::HashMap::new();
@@ -251,7 +225,7 @@ pub fn pick_benchmark_tag(graph: &PropertyGraph) -> String {
         candidates
     };
     pool.into_iter()
-        .min_by_key(|(_, c)| c.abs_diff(target))
+        .min_by_key(|&(t, c)| (c.abs_diff(target), t))
         .map(|(t, _)| t.to_string())
         .unwrap_or_else(|| "#tag0".to_string())
 }
@@ -271,6 +245,25 @@ mod tests {
         assert_eq!(Eq::Eq5.label(PgRdfModel::SP), "EQ5b");
         assert_eq!(Eq::Eq11(1).label(PgRdfModel::NG), "EQ11a");
         assert_eq!(Eq::Eq11(5).label(PgRdfModel::NG), "EQ11e");
+    }
+
+    #[test]
+    fn tag_ties_break_by_name() {
+        // Target is the 15-node floor. "#a" (14 nodes) and "#b" (16) tie
+        // at distance 1; "#0" sits at distance 0 but tags no edge.
+        let mut g = PropertyGraph::new();
+        for (tag, nodes) in [("#b", 0..16), ("#a", 16..30), ("#0", 30..45)] {
+            for id in nodes {
+                g.add_vertex_with_props(id, [("hasTag", tag)]);
+            }
+        }
+        for (tag, src) in [("#b", 0), ("#a", 16)] {
+            let e = g.add_edge(src, "follows", src + 1);
+            g.add_edge_prop(e, "hasTag", tag).expect("edge exists");
+        }
+        for _ in 0..32 {
+            assert_eq!(pick_benchmark_tag(&g), "#a");
+        }
     }
 
     #[test]

@@ -234,26 +234,26 @@ impl SortedIndex {
         hi - lo
     }
 
-    /// Exact number of keys under `pattern`'s bound prefix, with the
-    /// prefix built on the stack — no allocation. This is the per-probe
-    /// hot path for fully-bound existence checks (e.g. the closing edge
-    /// of a triangle count runs once per candidate wedge).
+    /// Exact number of keys under `pattern`'s bound prefix. This is the
+    /// per-probe hot path for fully-bound existence checks (e.g. the
+    /// closing edge of a triangle count runs once per candidate wedge).
     pub fn pattern_count(&self, pattern: &QuadPattern) -> usize {
-        let n = self.kind.bound_prefix_len(pattern);
-        let mut prefix = [0u64; 4];
-        for (i, slot) in prefix.iter_mut().enumerate().take(n) {
-            *slot = pattern.bound(self.kind.position_at(i)).expect("prefix position bound");
-        }
-        let (lo, hi) = self.prefix_range(&prefix[..n]);
+        let (lo, hi) = self.pattern_span(pattern);
         hi - lo
     }
 
     /// The absolute key span `[lo, hi)` that a scan of `pattern` would
     /// walk under this index's order — the unit that morsel-driven
-    /// execution chunks into fixed-size work items.
+    /// execution chunks into fixed-size work items. The prefix is built
+    /// on the stack: telemetry's rows-scanned tally runs this once per
+    /// index probe, so an allocation here would be one per probed row.
     pub fn pattern_span(&self, pattern: &QuadPattern) -> (usize, usize) {
-        let prefix = self.prefix_for(pattern);
-        self.prefix_range(&prefix)
+        let n = self.kind.bound_prefix_len(pattern);
+        let mut prefix = [0u64; 4];
+        for (i, slot) in prefix.iter_mut().enumerate().take(n) {
+            *slot = pattern.bound(self.kind.position_at(i)).expect("prefix position bound");
+        }
+        self.prefix_range(&prefix[..n])
     }
 
     /// Scans an absolute key sub-span (clamped to the index length),

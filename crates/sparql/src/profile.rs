@@ -6,8 +6,7 @@
 //! [`StepProfile`] per numbered plan step (estimate vs. actual rows,
 //! loops, inclusive time, chosen access path), compile/cache facts, and
 //! total wall time. `PgRdfStore::select_profiled` returns one per query;
-//! `pgq --profile` prints it; the repro harness embeds it in
-//! `BENCH_PR4.json`.
+//! `pgq --profile` prints it.
 
 use crate::json::escape;
 

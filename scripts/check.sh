@@ -26,30 +26,13 @@ cargo test --release -q --test parallel_equivalence
 # torn reads and publish races need optimized codegen to surface.
 cargo test --release -q --test concurrent_snapshots
 
-# Bench harness smoke run: every section (including the PR2
-# parallel/plan-cache artifact, the PR3 snapshot-isolated read scaling
-# artifact, the PR4 operator-profile artifact, and the PR9
-# flight-recorder/system-view artifact) must complete on a small fixture.
+# Paper harness smoke run: every table and figure section plus the
+# ablations must complete on a small fixture (prints only, writes no
+# files). Performance is measured by pgbench (BENCHMARK.json), not here.
 cargo run --release -q --bin repro -- --scale 0.01
-
-# Telemetry overhead guard: the EQ1-EQ5 batch with engine counters
-# enabled must cost at most 5% more wall time than with them disabled
-# (best-of-5 alternating rounds; exits non-zero past the budget).
-cargo run --release -q --bin repro -- --scale 0.01 overhead
 
 # Resource-governor stress: bounded-time cancellation across thread
 # counts, memory-budget aborts, 16-client admission shedding, and the
 # fsync-storm read-only degradation + recovery path. Release mode so the
 # 50ms cancellation-latency bound holds on slow machines.
 cargo test --release -q --test resource_governor
-
-# Resource-governor overhead guard: the EQ1-EQ5 batch under full
-# governance (admission permit, cancel token, memory budget, deadline)
-# must cost at most 5% more wall time than ungoverned execution.
-cargo run --release -q --bin repro -- --scale 0.01 governor
-
-# Flight-recorder overhead guard: the recorder is on by default, so the
-# EQ1-EQ5 batch with it recording must cost at most 5% more wall time
-# than with it off (best-of-5 paired rounds; exits non-zero past the
-# budget).
-cargo run --release -q --bin repro -- --scale 0.01 flightguard

@@ -1,0 +1,122 @@
+//! Governance, the flight recorder and telemetry cost a query a fixed
+//! number of allocations, however many rows it returns.
+//!
+//! Each feature's overhead is counted as allocations on the calling
+//! thread (every query runs at `threads(1)`), feature on minus feature
+//! off, for a one-tag query (EQ1) and for an OPTIONAL two-hop join of at
+//! least 10,000 rows that probes an index once per row. Equal deltas mean
+//! the cost is per query, not per row: an exact invariant in place of
+//! wall-clock ratio guards that spread 4-14 % run to run. Its own binary
+//! with a single test, because it flips the process-wide telemetry and
+//! recorder flags.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::time::Duration;
+
+use pgrdf::{GovernorConfig, PgRdfModel, PgRdfStore, PgVocab};
+use pgrdf_bench::{Eq, Fixture};
+use sparql::{CancelToken, ExecLimits, ExecOptions};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System` with a per-thread count of allocations. Growing a buffer
+/// counts too: the trait's default `realloc` allocates anew and copies.
+struct Counting;
+
+// SAFETY: `alloc`, `alloc_zeroed` and `dealloc` forward their arguments
+// unchanged to `System`, which upholds the `GlobalAlloc` contract, and
+// the default `realloc` is built on them. The counter is a `const`
+// thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs the query once to warm up, then returns the second run's
+/// allocation count and row count.
+fn counted(store: &PgRdfStore, dataset: &str, text: &str, options: &ExecOptions) -> (u64, usize) {
+    let run = || {
+        store
+            .select_in_with(dataset, text, options.clone())
+            .expect("query")
+            .len()
+    };
+    run();
+    let before = ALLOCS.with(Cell::get);
+    let rows = run();
+    (ALLOCS.with(Cell::get) - before, rows)
+}
+
+#[test]
+fn per_query_overheads_do_not_grow_with_rows() {
+    let fixture = Fixture::at_scale(0.002);
+    let (store, ng) = (&fixture.ng, PgRdfModel::NG);
+    let two_hop = format!(
+        "{}SELECT ?x ?y ?z WHERE {{ ?x r:follows ?y OPTIONAL {{ ?y r:follows ?z }} }}",
+        PgVocab::twitter().prefixes()
+    );
+    let queries = [
+        (
+            fixture.dataset_for(Eq::Eq1, ng),
+            fixture.query_text(Eq::Eq1, ng),
+        ),
+        (fixture.dataset_for(Eq::Eq12, ng), two_hop),
+    ];
+    let bare = ExecOptions::threads(1);
+    let governed = ExecOptions::threads(1)
+        .with_limits(ExecLimits::timeout(Duration::from_secs(3600)).with_max_memory(4 << 30))
+        .with_cancel(CancelToken::new());
+    let recorder = telemetry::flight_recorder();
+    telemetry::set_enabled(false);
+    recorder.set_enabled(false);
+
+    let mut deltas = Vec::new();
+    for (dataset, text) in &queries {
+        let (base, rows) = counted(store, dataset, text, &bare);
+        store.set_governor(GovernorConfig::concurrency(64));
+        let (governor, _) = counted(store, dataset, text, &governed);
+        store.clear_governor();
+        recorder.set_enabled(true);
+        let (flight, _) = counted(store, dataset, text, &bare);
+        recorder.set_enabled(false);
+        telemetry::set_enabled(true);
+        let (metrics, _) = counted(store, dataset, text, &bare);
+        telemetry::set_enabled(false);
+        println!(
+            "{rows} rows: {base} allocations bare, {governor} governed, \
+             {flight} recorder on, {metrics} telemetry on"
+        );
+        deltas.push((
+            rows,
+            [governor, flight, metrics].map(|n| n as i64 - base as i64),
+        ));
+    }
+    let [(small, small_deltas), (large, large_deltas)] = deltas[..] else {
+        unreachable!()
+    };
+    assert!(
+        small < 100 && large >= 10_000,
+        "row counts {small} and {large}"
+    );
+    assert_eq!(
+        small_deltas, large_deltas,
+        "allocations added by [governor, recorder, telemetry] must not grow with rows"
+    );
+}
