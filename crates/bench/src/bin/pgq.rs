@@ -20,8 +20,9 @@
 //! them — and the aggregate throughput plus per-query p50/p95/p99
 //! latency is reported on stderr.
 //!
-//! `--profile` runs the query through the profiled sequential executor
-//! and prints its `EXPLAIN ANALYZE` text followed by the structured
+//! `--profile` runs the query on the executor and thread count that serve
+//! it unprofiled, with per-step tallies on (per-step time is summed over
+//! workers), and prints its `EXPLAIN ANALYZE` text followed by the structured
 //! `QueryProfile` as JSON. `--metrics` enables the telemetry layer for
 //! the whole run and dumps the global registry in Prometheus text
 //! exposition format after the work completes; both flags compose with

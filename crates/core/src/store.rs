@@ -273,202 +273,146 @@ impl PgRdfStore {
         }
     }
 
-    /// Parses and compiles through the plan cache, then executes. A cache
-    /// hit replays the compiled plan with zero parse/compile work; the
-    /// entry's epoch stamp guarantees any store mutation since compile
-    /// time forces a recompile.
-    fn query_cached(
-        &self,
-        dataset: &str,
-        text: &str,
-        options: ExecOptions,
-    ) -> Result<QueryResults, CoreError> {
-        // Pin one MVCC snapshot for the whole query so the epoch the plan
-        // is validated against, the dictionary its constant IDs resolve
-        // in, and the data it scans are all the same generation — even
-        // with DML racing on other threads.
-        let snapshot = self.store.snapshot();
-        self.query_cached_at(&snapshot, dataset, text, options)
-    }
-
-    fn query_cached_at(
+    /// The one query path behind every entry point: admission, the plan
+    /// cache, execution, then [`Self::observe_end`]. `snapshot` pins the
+    /// MVCC generation the plan is validated against, its constant IDs
+    /// resolve in and its scans read, even with DML racing on other
+    /// threads. With `profile` the executor also tallies every plan step
+    /// and the span timeline is kept; the engine, thread count and morsels
+    /// are the ones the same options get unprofiled.
+    fn run(
         &self,
         snapshot: &Snapshot,
         dataset: &str,
         text: &str,
         options: ExecOptions,
-    ) -> Result<QueryResults, CoreError> {
+        profile: bool,
+    ) -> Result<(QueryResults, Option<QueryProfile>), CoreError> {
         // Queries naming a system graph run against the introspection
-        // overlay instead of the real dataset (see `crate::sysview`).
+        // overlay (see `crate::sysview`), which is never cached, governed,
+        // recorded or profiled.
         if crate::sysview::is_sys_query(text) {
-            return self.query_sys_with(text, options);
+            if profile {
+                let msg = "system-graph queries cannot be profiled";
+                return Err(SparqlError::Unsupported(msg.into()).into());
+            }
+            return Ok((self.query_sys_with(text, options)?, None));
         }
-        // Three relaxed loads decide whether this query is tracked at
-        // all — the observability-off cost of the facade.
         let threshold = self.slow_threshold_nanos.load(Ordering::Relaxed);
-        let track = threshold > 0
-            || telemetry::enabled()
-            || telemetry::flight_recorder().enabled();
-        if track {
-            return self.query_tracked_at(snapshot, dataset, text, options, threshold);
-        }
-        // Untracked fast path. Admission happens before any per-query
-        // work and the permit is held for the query's whole lifetime
-        // (RAII: released on every exit path, including errors below).
-        let _permit = self.admit(&options)?;
-        let view = snapshot.dataset(dataset)?;
-        // The key folds in the dataset name *and* the physical index
-        // signature: plans bake index choices into their access paths.
-        let key = format!("{dataset}={}", view.index_signature());
-        let copts = sparql::CompileOptions::default();
-        let plan = self
-            .plan_cache
-            .get_or_compile(&key, text, copts, snapshot.epoch(), || view.stats_version(), || {
-                let parsed = sparql::parse_query(text)?;
-                sparql::compile_with(&view, &parsed, copts)
-            })?;
-        let results = sparql::execute_compiled_with_options(&view, &plan, options)?;
-        self.plan_cache.note_result(&key, text, copts, result_rows(&results));
-        Ok(results)
-    }
-
-    /// The instrumented twin of the fast path: same admission, plan
-    /// cache, and execution, plus a [`QueryEvent`] fed to the flight
-    /// recorder, the family-latency histogram, and the slow-query log.
-    /// Span timelines are captured only when the slow-query log is armed
-    /// (`threshold > 0`) and kept only for queries that were slow or
-    /// aborted, so steady-state tracking stays cheap.
-    fn query_tracked_at(
-        &self,
-        snapshot: &Snapshot,
-        dataset: &str,
-        text: &str,
-        options: ExecOptions,
-        threshold: u64,
-    ) -> Result<QueryResults, CoreError> {
-        let query_id = telemetry::next_query_id();
-        let text_hash = telemetry::fnv1a64(text.as_bytes());
-        let sink = (threshold > 0).then(|| Arc::new(TraceSink::new()));
-        let admit_t0 = sink.as_ref().map(|s| s.now_nanos());
-        let admit_start = Instant::now();
-        let permit = self.admit(&options);
-        let admission_wait_nanos = admit_start.elapsed().as_nanos() as u64;
-        if let (Some(s), Some(t0)) = (&sink, admit_t0) {
-            s.record("admit", String::new(), 0, t0);
-        }
-        let _permit = match permit {
-            Ok(permit) => permit,
-            Err(err) => {
-                // A shed query never executed, but it is still a terminal
-                // outcome the operator will ask about — record it.
-                if matches!(err, CoreError::Overloaded(_)) {
-                    let mut event = QueryEvent {
-                        query_id,
-                        family: "unknown",
-                        text_hash,
-                        admission_wait_nanos,
-                        cache_hit: false,
-                        compile_nanos: 0,
-                        exec_nanos: 0,
-                        rows_out: 0,
-                        peak_mem_bytes: 0,
-                        threads: 0,
-                        vectorized: false,
-                        outcome: QueryOutcome::Shed,
-                        spans: Vec::new(),
-                    };
-                    if let Some(s) = &sink {
-                        event.spans = s.take();
-                    }
-                    self.observe_end(text, dataset, event, threshold);
-                }
-                return Err(err);
+        // Spans are collected only when someone will read them: the
+        // profile's caller, or the slow-query log.
+        let sink = (profile || threshold > 0).then(|| Arc::new(TraceSink::new()));
+        let now = || sink.as_ref().map(|s| s.now_nanos());
+        let span = |scope, started: Option<u64>| {
+            if let (Some(s), Some(started)) = (&sink, started) {
+                s.record(scope, String::new(), 0, started);
             }
-        };
-        let view = snapshot.dataset(dataset)?;
-        let key = format!("{dataset}={}", view.index_signature());
-        let copts = sparql::CompileOptions::default();
-        let compiled_fresh = std::cell::Cell::new(false);
-        let compile_t0 = sink.as_ref().map(|s| s.now_nanos());
-        let compile_start = Instant::now();
-        let plan = self
-            .plan_cache
-            .get_or_compile(&key, text, copts, snapshot.epoch(), || view.stats_version(), || {
-                compiled_fresh.set(true);
-                let parsed = sparql::parse_query(text)?;
-                sparql::compile_with(&view, &parsed, copts)
-            })?;
-        let compile_nanos = if compiled_fresh.get() {
-            compile_start.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        if compiled_fresh.get() {
-            if let (Some(s), Some(t0)) = (&sink, compile_t0) {
-                s.record("compile", String::new(), 0, t0);
-            }
-        }
-        let observer = Arc::new(match &sink {
-            Some(s) => ExecObserver::with_trace(Arc::clone(s)),
-            None => ExecObserver::new(),
-        });
-        let exec_start = Instant::now();
-        let result = sparql::execute_compiled_with_options(
-            &view,
-            &plan,
-            options.with_observer(Arc::clone(&observer)),
-        );
-        let exec_nanos = exec_start.elapsed().as_nanos() as u64;
-        let (outcome, rows_out) = match &result {
-            Ok(results) => {
-                self.plan_cache.note_result(&key, text, copts, result_rows(results));
-                (QueryOutcome::Ok, result_rows(results))
-            }
-            Err(err) => match abort_outcome(err) {
-                Some(outcome) => (outcome, 0),
-                // Not an execution outcome (unsupported feature, store
-                // error): nothing happened worth recording.
-                None => return result.map_err(CoreError::from),
-            },
         };
         let mut event = QueryEvent {
-            query_id,
-            family: crate::metrics::family(&plan),
-            text_hash,
-            admission_wait_nanos,
-            cache_hit: !compiled_fresh.get(),
-            compile_nanos,
-            exec_nanos,
-            rows_out,
-            peak_mem_bytes: observer.peak_mem_bytes(),
-            threads: observer.threads(),
-            vectorized: observer.vectorized(),
-            outcome,
-            spans: Vec::new(),
+            query_id: telemetry::next_query_id(),
+            family: "unknown",
+            text_hash: telemetry::fnv1a64(text.as_bytes()),
+            ..QueryEvent::default()
         };
-        if let Some(s) = &sink {
-            // Keep the timeline only when someone will look at it: the
-            // query was slow, or it aborted.
-            if exec_nanos >= threshold || outcome != QueryOutcome::Ok {
-                event.spans = s.take();
+        // Every step that can fail runs in this closure, so a failure's
+        // outcome is classified once, below, wherever it happened.
+        let result = (|| -> Result<(QueryResults, Option<QueryProfile>), CoreError> {
+            // The permit is held until the query ends (RAII: released on
+            // every exit path).
+            let (admit_t0, admit_start) = (now(), Instant::now());
+            let permit = self.admit(&options);
+            event.admission_wait_nanos = admit_start.elapsed().as_nanos() as u64;
+            span("admit", admit_t0);
+            let _permit = permit?;
+            let view = snapshot.dataset(dataset)?;
+            // The key folds in the dataset name *and* the physical index
+            // signature: plans bake index choices into their access paths.
+            let key = format!("{dataset}={}", view.index_signature());
+            let copts = sparql::CompileOptions::default();
+            let compiled_fresh = std::cell::Cell::new(false);
+            let (compile_t0, compile_start) = (now(), Instant::now());
+            let plan = self
+                .plan_cache
+                .get_or_compile(&key, text, copts, snapshot.epoch(), || view.stats_version(), || {
+                    compiled_fresh.set(true);
+                    sparql::compile_with(&view, &sparql::parse_query(text)?, copts)
+                })?;
+            event.cache_hit = !compiled_fresh.get();
+            if compiled_fresh.get() {
+                event.compile_nanos = compile_start.elapsed().as_nanos() as u64;
+                span("compile", compile_t0);
             }
-        }
-        self.observe_end(text, dataset, event, threshold);
-        result.map_err(CoreError::from)
+            event.family = crate::metrics::family(&plan);
+            let observer = Arc::new(ExecObserver::with_trace(sink.clone()));
+            let options = options.with_observer(Arc::clone(&observer));
+            let exec_start = Instant::now();
+            let result = if profile {
+                sparql::execute_profiled(&view, &plan, options).map(|(r, p)| (r, Some(p)))
+            } else {
+                sparql::execute_compiled_with_options(&view, &plan, options).map(|r| (r, None))
+            };
+            event.exec_nanos = exec_start.elapsed().as_nanos() as u64;
+            event.peak_mem_bytes = observer.peak_mem_bytes();
+            event.threads = observer.threads();
+            event.vectorized = observer.vectorized();
+            let (results, exec_profile) = result?;
+            event.rows_out = result_rows(&results);
+            self.plan_cache.note_result(&key, text, copts, event.rows_out);
+            let query_profile = exec_profile.map(|prof| {
+                // One clock for EXPLAIN ANALYZE, the profile and the recorder.
+                event.exec_nanos = prof.wall_nanos;
+                QueryProfile {
+                    query_id: event.query_id,
+                    query: text.to_string(),
+                    dataset: dataset.to_string(),
+                    plan: sparql::explain::render(&plan),
+                    analyze: sparql::explain::render_analyze(&plan, &prof),
+                    steps: sparql::explain::step_profiles(&plan, &prof),
+                    result_rows: event.rows_out,
+                    wall_nanos: prof.wall_nanos,
+                    compile_nanos: event.compile_nanos,
+                    cache_hit: event.cache_hit,
+                }
+            });
+            Ok((results, query_profile))
+        })();
+        // A shed or aborted query is still a terminal outcome the operator
+        // will ask about; a parse, compile or store error is not.
+        event.outcome = match &result {
+            Ok(_) => QueryOutcome::Ok,
+            Err(err) => match outcome_of(err) {
+                Some(outcome) => outcome,
+                None => return result,
+            },
+        };
+        self.observe_end(text, dataset, event, sink.as_deref(), profile, threshold);
+        result
     }
 
-    /// Terminal bookkeeping for one tracked query: the family-latency
-    /// histogram (telemetry on), the flight recorder (recorder on), and
-    /// the slow-query log when armed. Aborted queries land in the log
+    /// Terminal bookkeeping for one query: the family-latency histogram
+    /// (telemetry on), the flight recorder (recorder on), and the
+    /// slow-query log when armed. Aborted queries land in the log
     /// regardless of wall time, so a cancelled or shed query is never
-    /// silently absent from the store's own post-mortem surfaces.
-    fn observe_end(&self, text: &str, dataset: &str, event: QueryEvent, threshold: u64) {
+    /// silently absent from the store's own post-mortem surfaces. The
+    /// span timeline is kept for a profiled, slow or aborted query.
+    fn observe_end(
+        &self,
+        text: &str,
+        dataset: &str,
+        mut event: QueryEvent,
+        sink: Option<&TraceSink>,
+        profiled: bool,
+        threshold: u64,
+    ) {
+        let slow = threshold > 0
+            && (event.exec_nanos >= threshold || event.outcome != QueryOutcome::Ok);
+        if let Some(s) = sink.filter(|_| profiled || slow) {
+            event.spans = s.take();
+        }
         if telemetry::enabled() && event.outcome != QueryOutcome::Shed {
             crate::metrics::family_latency(event.family).record(event.exec_nanos);
         }
-        if threshold > 0
-            && (event.exec_nanos >= threshold || event.outcome != QueryOutcome::Ok)
-        {
+        if slow {
             let mut log = self.slow_log.lock().expect("slow log poisoned");
             if log.len() >= SLOW_LOG_CAP {
                 log.pop_front();
@@ -507,138 +451,24 @@ impl PgRdfStore {
     /// Runs a SELECT with per-step profiling and returns its solutions
     /// together with the full [`QueryProfile`] (plan text,
     /// `EXPLAIN ANALYZE` text, per-step actuals, compile/cache facts).
-    /// Profiled execution pins one worker thread so actual row counts
-    /// attribute exactly to plan steps.
     pub fn select_profiled(&self, text: &str) -> Result<(Solutions, QueryProfile), CoreError> {
         self.select_profiled_in(&self.dataset_name(), text, ExecOptions::default())
     }
 
     /// [`Self::select_profiled`] against an explicit dataset with explicit
-    /// execution options (threads are forced to 1 during profiling).
+    /// execution options. The query runs exactly as [`Self::select_in_with`]
+    /// would run it — same engine, same thread count — so the profile
+    /// describes the execution that served it. Per-step time is summed
+    /// over workers. A system-graph query is refused with
+    /// [`SparqlError::Unsupported`].
     pub fn select_profiled_in(
         &self,
         dataset: &str,
         text: &str,
         options: ExecOptions,
     ) -> Result<(Solutions, QueryProfile), CoreError> {
-        // Profiled runs always carry a trace sink: the span timeline is
-        // part of the deliverable (`trace_json`), not an opt-in.
-        let query_id = telemetry::next_query_id();
-        let text_hash = telemetry::fnv1a64(text.as_bytes());
-        let threshold = self.slow_threshold_nanos.load(Ordering::Relaxed);
-        let sink = Arc::new(TraceSink::new());
-        let admit_t0 = sink.now_nanos();
-        let admit_start = Instant::now();
-        let permit = self.admit(&options);
-        let admission_wait_nanos = admit_start.elapsed().as_nanos() as u64;
-        sink.record("admit", String::new(), 0, admit_t0);
-        let _permit = match permit {
-            Ok(permit) => permit,
-            Err(err) => {
-                if matches!(err, CoreError::Overloaded(_)) {
-                    let event = QueryEvent {
-                        query_id,
-                        family: "unknown",
-                        text_hash,
-                        admission_wait_nanos,
-                        cache_hit: false,
-                        compile_nanos: 0,
-                        exec_nanos: 0,
-                        rows_out: 0,
-                        peak_mem_bytes: 0,
-                        threads: 0,
-                        vectorized: false,
-                        outcome: QueryOutcome::Shed,
-                        spans: sink.take(),
-                    };
-                    self.observe_end(text, dataset, event, threshold);
-                }
-                return Err(err);
-            }
-        };
-        let snapshot = self.store.snapshot();
-        let view = snapshot.dataset(dataset)?;
-        let key = format!("{dataset}={}", view.index_signature());
-        let copts = sparql::CompileOptions::default();
-        let compiled_fresh = std::cell::Cell::new(false);
-        let compile_t0 = sink.now_nanos();
-        let compile_start = Instant::now();
-        let plan = self
-            .plan_cache
-            .get_or_compile(&key, text, copts, snapshot.epoch(), || view.stats_version(), || {
-                compiled_fresh.set(true);
-                let parsed = sparql::parse_query(text)?;
-                sparql::compile_with(&view, &parsed, copts)
-            })?;
-        let compile_nanos = if compiled_fresh.get() {
-            compile_start.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        if compiled_fresh.get() {
-            sink.record("compile", String::new(), 0, compile_t0);
-        }
-        let observer = Arc::new(ExecObserver::with_trace(Arc::clone(&sink)));
-        let exec_result = sparql::execute_profiled(
-            &view,
-            &plan,
-            options.with_observer(Arc::clone(&observer)),
-        );
-        let family = crate::metrics::family(&plan);
-        let mut event = QueryEvent {
-            query_id,
-            family,
-            text_hash,
-            admission_wait_nanos,
-            cache_hit: !compiled_fresh.get(),
-            compile_nanos,
-            exec_nanos: 0,
-            rows_out: 0,
-            peak_mem_bytes: observer.peak_mem_bytes(),
-            threads: observer.threads().max(1),
-            vectorized: observer.vectorized(),
-            outcome: QueryOutcome::Ok,
-            spans: Vec::new(),
-        };
-        let (results, prof) = match exec_result {
-            Ok(pair) => pair,
-            Err(err) => {
-                if let Some(outcome) = abort_outcome(&err) {
-                    event.outcome = outcome;
-                    event.peak_mem_bytes = observer.peak_mem_bytes();
-                    event.spans = sink.take();
-                    self.observe_end(text, dataset, event, threshold);
-                }
-                return Err(err.into());
-            }
-        };
-        let sols = match results {
-            QueryResults::Solutions(s) => s,
-            QueryResults::Boolean(_) | QueryResults::Graph(_) => {
-                return Err(CoreError::Sparql(sparql::SparqlError::Unsupported(
-                    "expected a SELECT query".into(),
-                )))
-            }
-        };
-        self.plan_cache.note_result(&key, text, copts, sols.len() as u64);
-        event.exec_nanos = prof.wall_nanos;
-        event.rows_out = sols.len() as u64;
-        event.peak_mem_bytes = observer.peak_mem_bytes();
-        event.spans = sink.take();
-        self.observe_end(text, dataset, event, threshold);
-        let profile = QueryProfile {
-            query_id,
-            query: text.to_string(),
-            dataset: dataset.to_string(),
-            plan: sparql::explain::render(&plan),
-            analyze: sparql::explain::render_analyze(&plan, &prof),
-            steps: sparql::explain::step_profiles(&plan, &prof),
-            result_rows: sols.len() as u64,
-            wall_nanos: prof.wall_nanos,
-            compile_nanos,
-            cache_hit: !compiled_fresh.get(),
-        };
-        Ok((sols, profile))
+        let (results, profile) = self.run(&self.store.snapshot(), dataset, text, options, true)?;
+        Ok((results.into_solutions()?, profile.expect("a profiled run returns its profile")))
     }
 
     /// Pins the store's current MVCC generation. Queries run via
@@ -652,23 +482,21 @@ impl PgRdfStore {
     /// [`Self::snapshot`]). Plan-cache entries are validated against the
     /// *snapshot's* epoch, never the live store's.
     pub fn select_at(&self, snapshot: &Snapshot, text: &str) -> Result<Solutions, CoreError> {
-        match self.query_cached_at(snapshot, &self.dataset_name(), text, ExecOptions::default())? {
-            QueryResults::Solutions(s) => Ok(s),
-            QueryResults::Boolean(_) | QueryResults::Graph(_) => Err(CoreError::Sparql(
-                sparql::SparqlError::Unsupported("expected a SELECT query".into()),
-            )),
-        }
+        let dataset = self.dataset_name();
+        let (results, _) = self.run(snapshot, &dataset, text, ExecOptions::default(), false)?;
+        Ok(results.into_solutions()?)
     }
 
     /// Runs a SPARQL query against the full dataset.
     pub fn query(&self, text: &str) -> Result<QueryResults, CoreError> {
-        self.query_cached(&self.dataset_name(), text, ExecOptions::default())
+        self.query_with(text, ExecOptions::default())
     }
 
     /// [`Self::query`] with explicit execution options (limits, threads,
     /// cancellation token).
     pub fn query_with(&self, text: &str, options: ExecOptions) -> Result<QueryResults, CoreError> {
-        self.query_cached(&self.dataset_name(), text, options)
+        let dataset = self.dataset_name();
+        Ok(self.run(&self.store.snapshot(), &dataset, text, options, false)?.0)
     }
 
     /// Runs a SELECT and returns solutions.
@@ -682,34 +510,18 @@ impl PgRdfStore {
         self.select_in_with(dataset, text, ExecOptions::default())
     }
 
-    /// [`Self::select_in`] with explicit execution options — the bench
-    /// harness uses this to pin sequential vs parallel execution.
+    /// [`Self::select_in`] with explicit execution options (limits,
+    /// threads, a [`sparql::CancelToken`] via
+    /// [`ExecOptions::with_cancel`]) — the bench harness uses this to pin
+    /// sequential vs parallel execution.
     pub fn select_in_with(
         &self,
         dataset: &str,
         text: &str,
         options: ExecOptions,
     ) -> Result<Solutions, CoreError> {
-        match self.query_cached(dataset, text, options)? {
-            QueryResults::Solutions(s) => Ok(s),
-            QueryResults::Boolean(_) | QueryResults::Graph(_) => Err(CoreError::Sparql(
-                sparql::SparqlError::Unsupported("expected a SELECT query".into()),
-            )),
-        }
-    }
-
-    /// [`Self::select_in_with`] wired to a caller-held
-    /// [`sparql::CancelToken`]: cancel the token from any thread and the
-    /// running query aborts with [`sparql::SparqlError::Cancelled`] in
-    /// bounded time — mid-morsel, mid-hash-build, or mid-path-expansion.
-    pub fn select_cancellable(
-        &self,
-        dataset: &str,
-        text: &str,
-        options: ExecOptions,
-        cancel: &sparql::CancelToken,
-    ) -> Result<Solutions, CoreError> {
-        self.select_in_with(dataset, text, options.with_cancel(cancel.clone()))
+        let (results, _) = self.run(&self.store.snapshot(), dataset, text, options, false)?;
+        Ok(results.into_solutions()?)
     }
 
     /// The compiled-plan cache (hit/miss/invalidation counters for tests
@@ -912,19 +724,20 @@ fn result_rows(results: &QueryResults) -> u64 {
     }
 }
 
-/// Maps an execution abort to its recorded terminal outcome. `None`
-/// means the error is not an execution outcome (parse, compile, or
-/// store failure) and the query is not recorded.
-fn abort_outcome(err: &SparqlError) -> Option<QueryOutcome> {
+/// The recorded terminal outcome of a failed query: shed at admission,
+/// or aborted in execution. `None` means the error is not an outcome
+/// (parse, compile, or store failure) and the query is not recorded.
+fn outcome_of(err: &CoreError) -> Option<QueryOutcome> {
     match err {
-        SparqlError::Cancelled => Some(QueryOutcome::Cancelled),
+        CoreError::Overloaded(_) => Some(QueryOutcome::Shed),
+        CoreError::Sparql(SparqlError::Cancelled) => Some(QueryOutcome::Cancelled),
         // The row budget and the memory budget both read as
         // `memory_exhausted` — the same kind of budget trip; only the
         // deadline gets its own state.
-        SparqlError::ResourceExhausted(reason) if reason.contains("deadline") => {
+        CoreError::Sparql(SparqlError::ResourceExhausted(why)) if why.contains("deadline") => {
             Some(QueryOutcome::Deadline)
         }
-        SparqlError::ResourceExhausted(_) => Some(QueryOutcome::MemoryExhausted),
+        CoreError::Sparql(SparqlError::ResourceExhausted(_)) => Some(QueryOutcome::MemoryExhausted),
         _ => None,
     }
 }

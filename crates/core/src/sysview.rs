@@ -25,7 +25,8 @@
 //! ?g` wildcard over the real dataset never sees them — they exist only
 //! when explicitly named. Sys queries bypass the plan cache, the
 //! admission governor, and the flight recorder itself, so querying the
-//! engine's state does not perturb it.
+//! engine's state does not perturb it; for the same reason they cannot
+//! be profiled (`select_profiled` refuses them with `Unsupported`).
 
 use quadstore::{DatasetView, StorageReport, Store};
 use rdf_model::{GraphName, Literal, Quad, Term};
@@ -237,12 +238,7 @@ impl PgRdfStore {
 
     /// Runs a SELECT against the system graphs and returns solutions.
     pub fn select_sys(&self, text: &str) -> Result<Solutions, CoreError> {
-        match self.query_sys(text)? {
-            QueryResults::Solutions(s) => Ok(s),
-            QueryResults::Boolean(_) | QueryResults::Graph(_) => Err(CoreError::Sparql(
-                sparql::SparqlError::Unsupported("expected a SELECT query".into()),
-            )),
-        }
+        Ok(self.query_sys(text)?.into_solutions()?)
     }
 
     /// Renders the recorded span timeline of `query_id` as Chrome

@@ -156,9 +156,9 @@ impl ExecObserver {
         ExecObserver::default()
     }
 
-    /// An observer that also collects span records into `trace`.
-    pub fn with_trace(trace: Arc<telemetry::TraceSink>) -> ExecObserver {
-        ExecObserver { trace: Some(trace), ..ExecObserver::default() }
+    /// An observer that also collects span records into `trace`, if any.
+    pub fn with_trace(trace: Option<Arc<telemetry::TraceSink>>) -> ExecObserver {
+        ExecObserver { trace, ..ExecObserver::default() }
     }
 
     /// Peak estimated bytes of retained intermediate state seen by
@@ -451,15 +451,6 @@ impl EvalCtx {
             profile: None,
             observer: None,
         }
-    }
-
-    /// Attaches a profile collector: every BGP/path step records its
-    /// input rows, output rows, and inclusive time. Use with
-    /// `threads == 1`; per-step time attribution is only exact on one
-    /// thread ([`execute_profiled`] enforces this).
-    pub fn with_profile(mut self, profile: Arc<ProfileState>) -> Self {
-        self.profile = Some(profile);
-        self
     }
 
     /// Applies resource limits to this execution.
@@ -800,6 +791,19 @@ pub enum QueryResults {
     Graph(Vec<rdf_model::Quad>),
 }
 
+impl QueryResults {
+    /// The solutions of a SELECT; any other form is
+    /// [`SparqlError::Unsupported`].
+    pub fn into_solutions(self) -> Result<crate::results::Solutions, SparqlError> {
+        match self {
+            QueryResults::Solutions(s) => Ok(s),
+            QueryResults::Boolean(_) | QueryResults::Graph(_) => {
+                Err(SparqlError::Unsupported("expected a SELECT query".into()))
+            }
+        }
+    }
+}
+
 /// Executes a compiled query against a dataset view with default options
 /// (auto-detected parallelism, no resource limits).
 pub fn execute_compiled(
@@ -807,16 +811,6 @@ pub fn execute_compiled(
     compiled: &CompiledQuery,
 ) -> Result<QueryResults, SparqlError> {
     execute_compiled_with_options(view, compiled, ExecOptions::default())
-}
-
-/// Executes a compiled query under resource limits: exceeding the row
-/// budget or the deadline aborts with [`SparqlError::ResourceExhausted`].
-pub fn execute_compiled_with_limits(
-    view: &DatasetView,
-    compiled: &CompiledQuery,
-    limits: ExecLimits,
-) -> Result<QueryResults, SparqlError> {
-    execute_compiled_with_options(view, compiled, ExecOptions::default().with_limits(limits))
 }
 
 /// Executes a compiled query with explicit execution options. With
@@ -834,16 +828,15 @@ pub fn execute_compiled_with_options(
 
 /// Executes a compiled query with per-step profiling: returns the
 /// results plus an [`ExecProfile`] holding each BGP/path step's actual
-/// rows, loops, and inclusive time. Profiling forces `threads == 1` so
-/// that per-step time attribution is exact; the engines are the ones
-/// that serve unprofiled queries, and results are identical to any
-/// thread count by the executor's equivalence guarantee.
+/// rows, loops, and inclusive time. It runs the engines, thread count
+/// and morsels that serve the same options unprofiled; rows and loops
+/// equal [`execute_reference`]'s at any thread count, and time is summed
+/// over workers.
 pub fn execute_profiled(
     view: &DatasetView,
     compiled: &CompiledQuery,
     options: ExecOptions,
 ) -> Result<(QueryResults, ExecProfile), SparqlError> {
-    let options = ExecOptions { threads: 1, ..options };
     let ctx = EvalCtx::for_query(view, compiled).with_options(options);
     run_profiled(ctx, compiled)
 }
@@ -865,13 +858,15 @@ pub fn execute_reference(
     run_profiled(ctx, compiled)
 }
 
+/// Runs with a profile collector attached: every BGP/path step records
+/// its input rows, output rows, and inclusive time (summed over workers).
 fn run_profiled(
-    ctx: EvalCtx,
+    mut ctx: EvalCtx,
     compiled: &CompiledQuery,
 ) -> Result<(QueryResults, ExecProfile), SparqlError> {
     let start = Instant::now();
     let profile = Arc::new(ProfileState::default());
-    let ctx = ctx.with_profile(Arc::clone(&profile));
+    ctx.profile = Some(Arc::clone(&profile));
     let results = execute_with_ctx(&ctx, compiled)?;
     drop(ctx); // flush any iterator tallies still alive in the context
     let tallies = profile.tallies.lock().expect("profile state poisoned").clone();
@@ -2082,12 +2077,10 @@ impl<'it> MorselRows<'it> {
         if pipeline.is_none() && ctx.threads == 1 {
             return None;
         }
+        begin(ctx, &plan, pipeline.as_ref());
         let Some(pattern) = probe_pattern(&plan.base, &plan.drive.triple) else {
             return Some(Box::new(std::iter::empty()));
         };
-        if let Some(pipe) = &pipeline {
-            pipe.begin(ctx);
-        }
         Some(Box::new(MorselRows {
             ctx,
             morsels: ctx.view.plan_morsels(&pattern, ctx.morsel_size),
@@ -2181,6 +2174,22 @@ impl Drop for MorselRows<'_> {
     }
 }
 
+/// Marks a drivable branch as about to run on morsels. Under profiling
+/// either arm creates the tallies the reference creates eagerly — one
+/// seed row into the driving step, a (possibly zero) tally for every
+/// downstream step — so a branch can be split into morsels at any thread
+/// count: the row arm builds its stages over no rows, and each morsel
+/// then adds its drive rows ([`run_one_morsel`]).
+fn begin(ctx: &EvalCtx, plan: &DrivePlan<'_>, pipeline: Option<&batch::VecPipeline<'_>>) {
+    if let Some(pipe) = pipeline {
+        pipe.begin(ctx);
+    } else if let Some(p) = &ctx.profile {
+        p.add(plan.drive as *const Step as usize, 0, 1, 0);
+        let none: BoxIter = Box::new(std::iter::empty());
+        drop(plan.stages.iter().fold(none, |rows, stage| apply_stage(ctx, stage, rows)));
+    }
+}
+
 /// Drives one morsel's scan and streams its rows through the plan stages
 /// on the row evaluator.
 fn run_one_morsel<'it>(
@@ -2195,6 +2204,7 @@ fn run_one_morsel<'it>(
             .filter_map(|quad| extend_row(&plan.base, &plan.drive.triple, &quad))
             .take_while(|_| ctx.charge(1)),
     );
+    let drive = profile_output(ctx, plan.drive as *const Step as usize, drive);
     plan.stages.iter().fold(drive, |stream, stage| apply_stage(ctx, stage, stream))
 }
 
@@ -2336,17 +2346,10 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
         .iter()
         .map(|p| batch::VecPipeline::compile(ctx, p, &needed))
         .collect();
-    // The row arm does not tally the driving step: a profiled run whose
-    // plan needs it streams through `eval_node` instead.
-    if ctx.profile.is_some() && pipelines.iter().any(Option::is_none) {
-        return None;
-    }
     // Flatten every plan's morsels into one shared task list.
     let mut tasks: Vec<(usize, QuadPattern, Morsel)> = Vec::new();
     for (i, (plan, pipe)) in plans.iter().zip(&pipelines).enumerate() {
-        if let Some(pipe) = pipe {
-            pipe.begin(ctx);
-        }
+        begin(ctx, plan, pipe.as_ref());
         if let Some(p) = probe_pattern(&plan.base, &plan.drive.triple) {
             for morsel in ctx.view.plan_morsels_ordered(&p, ctx.morsel_size, plan.prefer) {
                 tasks.push((i, p, morsel));

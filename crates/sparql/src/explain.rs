@@ -20,6 +20,10 @@
 //! `Q=` is the step's Q-error — `max(est, actual) / min(est, actual)` of
 //! the optimizer's output-row estimate, 1.0 being a perfect estimate.
 //!
+//! The profiled run uses the thread count the query asked for. Rows and
+//! loops do not depend on it; at `threads > 1` a step's `time=` is the
+//! sum over the workers that ran it, so it can exceed the wall time.
+//!
 //! Rows are produced as the result tail pulls them, so under a tail that
 //! ends early — `LIMIT 10 (ends scan)`, or `DISTINCT (streaming)` filling
 //! its LIMIT — a step's `actual` rows are the rows it actually produced
@@ -40,7 +44,7 @@ pub fn render(compiled: &CompiledQuery) -> String {
 /// Renders a compiled query plan annotated with the actuals from a
 /// profiled execution — the `EXPLAIN ANALYZE` output. Steps the executor
 /// never reached (e.g. behind an empty input) are marked
-/// `never executed`.
+/// `never executed`; per-step `time=` is summed over workers.
 pub fn render_analyze(compiled: &CompiledQuery, profile: &ExecProfile) -> String {
     render_with(compiled, Some(profile))
 }

@@ -50,11 +50,9 @@ pub use ast::{Query, Update};
 pub use cache::{PlanCache, PlanCacheEntryInfo, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use error::SparqlError;
 pub use exec::{
-    default_max_memory, execute_compiled, execute_compiled_with_limits,
-    execute_compiled_with_options, execute_profiled, execute_reference, set_default_max_memory,
-    CancelToken,
-    ExecLimits, ExecObserver, ExecOptions, ExecProfile, QueryResults, StepTally,
-    DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE,
+    default_max_memory, execute_compiled, execute_compiled_with_options, execute_profiled,
+    execute_reference, set_default_max_memory, CancelToken, ExecLimits, ExecObserver, ExecOptions,
+    ExecProfile, QueryResults, StepTally, DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE,
 };
 pub use parser::{parse_query, parse_update};
 pub use plan::{compile, compile_with, CompileOptions, CompiledQuery, ForcedJoin};
@@ -62,36 +60,12 @@ pub use profile::{QueryProfile, StepProfile};
 pub use results::Solutions;
 pub use update::{execute_update, UpdateStats};
 
-use quadstore::{DatasetView, Store};
+use quadstore::Store;
 
 /// Parses, compiles, and executes a query against a named model or
-/// virtual model.
+/// virtual model (e.g. a union of models, §3.2).
 pub fn query(store: &Store, dataset: &str, text: &str) -> Result<QueryResults, SparqlError> {
-    let view = store.dataset(dataset)?;
-    query_view(&view, text)
-}
-
-/// Parses, compiles, and executes a query against a dataset view (e.g. a
-/// union of models, §3.2).
-pub fn query_view(view: &DatasetView, text: &str) -> Result<QueryResults, SparqlError> {
-    let parsed = parse_query(text)?;
-    let compiled = compile(view, &parsed)?;
-    execute_compiled(view, &compiled)
-}
-
-/// [`query`] under resource limits: execution aborts with
-/// [`SparqlError::ResourceExhausted`] when the row budget or deadline of
-/// `limits` is exceeded.
-pub fn query_with_limits(
-    store: &Store,
-    dataset: &str,
-    text: &str,
-    limits: ExecLimits,
-) -> Result<QueryResults, SparqlError> {
-    let view = store.dataset(dataset)?;
-    let parsed = parse_query(text)?;
-    let compiled = compile(&view, &parsed)?;
-    execute_compiled_with_limits(&view, &compiled, limits)
+    query_with_options(store, dataset, text, ExecOptions::default())
 }
 
 /// [`query`] with explicit execution options (worker threads, morsel
@@ -111,12 +85,7 @@ pub fn query_with_options(
 
 /// Convenience: run a SELECT and return its solutions (errors on ASK).
 pub fn select(store: &Store, dataset: &str, text: &str) -> Result<Solutions, SparqlError> {
-    match query(store, dataset, text)? {
-        QueryResults::Solutions(s) => Ok(s),
-        QueryResults::Boolean(_) | QueryResults::Graph(_) => Err(SparqlError::Unsupported(
-            "expected a SELECT query".into(),
-        )),
-    }
+    query(store, dataset, text)?.into_solutions()
 }
 
 /// Convenience: run a CONSTRUCT and return its quads (errors otherwise).

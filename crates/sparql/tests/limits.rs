@@ -4,10 +4,7 @@
 
 use quadstore::Store;
 use rdf_model::{Quad, Term};
-use sparql::{
-    query, query_with_limits, query_with_options, ExecLimits, ExecOptions, QueryResults,
-    SparqlError,
-};
+use sparql::{query, query_with_options, ExecLimits, ExecOptions, QueryResults, SparqlError};
 
 /// A store where `?a ?p ?x . ?b ?p ?y` explodes quadratically.
 fn dense_store(n: u32) -> Store {
@@ -29,6 +26,11 @@ fn dense_store(n: u32) -> Store {
 
 const CROSS: &str = "SELECT ?a ?b WHERE { ?a <http://p> ?x . ?b <http://p> ?y }";
 
+/// `q` on model `m` under `limits`, every other option at its default.
+fn under_limits(store: &Store, q: &str, limits: ExecLimits) -> Result<QueryResults, SparqlError> {
+    query_with_options(store, "m", q, ExecOptions::default().with_limits(limits))
+}
+
 /// The row evaluator on its own (`execute_reference`), under `limits`.
 fn reference(store: &Store, q: &str, limits: ExecLimits) -> Result<QueryResults, SparqlError> {
     let view = store.dataset("m").expect("dataset");
@@ -40,7 +42,7 @@ fn reference(store: &Store, q: &str, limits: ExecLimits) -> Result<QueryResults,
 fn row_budget_aborts_cross_products() {
     let store = dense_store(100);
     // 100 × 100 intermediate rows, budget of 500.
-    let result = query_with_limits(&store, "m", CROSS, ExecLimits::rows(500));
+    let result = under_limits(&store, CROSS, ExecLimits::rows(500));
     assert!(
         matches!(result, Err(SparqlError::ResourceExhausted(_))),
         "expected ResourceExhausted, got {result:?}"
@@ -51,8 +53,7 @@ fn row_budget_aborts_cross_products() {
 fn generous_budget_changes_nothing() {
     let store = dense_store(12);
     let unlimited = query(&store, "m", CROSS).expect("unlimited");
-    let limited =
-        query_with_limits(&store, "m", CROSS, ExecLimits::rows(1_000_000)).expect("limited");
+    let limited = under_limits(&store, CROSS, ExecLimits::rows(1_000_000)).expect("limited");
     assert_eq!(unlimited, limited);
 }
 
@@ -64,7 +65,7 @@ fn expired_deadline_aborts() {
         deadline: Some(std::time::Instant::now() - std::time::Duration::from_millis(1)),
         ..ExecLimits::default()
     };
-    let result = query_with_limits(&store, "m", CROSS, limits);
+    let result = under_limits(&store, CROSS, limits);
     assert!(
         matches!(result, Err(SparqlError::ResourceExhausted(_))),
         "expected ResourceExhausted, got {result:?}"
@@ -78,7 +79,7 @@ fn budget_inside_subselect_still_surfaces() {
     // the sticky exhaustion flag must surface from the outer query.
     let q = "SELECT ?a WHERE { ?a <http://p> ?x . \
              { SELECT ?b WHERE { ?b <http://p> ?u . ?c <http://p> ?v } } }";
-    let result = query_with_limits(&store, "m", q, ExecLimits::rows(300));
+    let result = under_limits(&store, q, ExecLimits::rows(300));
     assert!(
         matches!(result, Err(SparqlError::ResourceExhausted(_))),
         "expected ResourceExhausted, got {result:?}"
@@ -160,9 +161,8 @@ fn aggregates_over_row_engine_plans_stay_within_memory_budget() {
 #[test]
 fn ask_respects_limits() {
     let store = dense_store(100);
-    let result = query_with_limits(
+    let result = under_limits(
         &store,
-        "m",
         "ASK { ?a <http://p> ?x . ?b <http://p> ?y . FILTER (?a = ?b && ?x != ?y) }",
         ExecLimits::rows(50),
     );
@@ -196,6 +196,6 @@ fn row_budget_follows_the_rows_actually_scanned() {
     }
     assert_eq!(rows(reference(&store, limited, ExecLimits::rows(5_000)), "reference"), 10);
 
-    let ask = query_with_limits(&store, "m", "ASK { ?s <http://p> ?o }", ExecLimits::rows(100));
+    let ask = under_limits(&store, "ASK { ?s <http://p> ?o }", ExecLimits::rows(100));
     assert_eq!(ask.ok(), Some(QueryResults::Boolean(true)));
 }

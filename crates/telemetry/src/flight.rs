@@ -107,9 +107,10 @@ impl TraceSink {
 // --- query events ------------------------------------------------------
 
 /// Terminal state of a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryOutcome {
     /// Completed normally.
+    #[default]
     Ok,
     /// Stopped by an explicit cancel-token request.
     Cancelled,
@@ -136,7 +137,7 @@ impl QueryOutcome {
 
 /// One flight-recorder entry: everything the engine knew about a query
 /// at the moment it finished.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryEvent {
     /// Process-unique id from [`next_query_id`].
     pub query_id: u64,
@@ -338,16 +339,11 @@ mod tests {
             query_id: id,
             family: "select",
             text_hash: fnv1a64(b"SELECT"),
-            admission_wait_nanos: 0,
-            cache_hit: false,
             compile_nanos: 10,
             exec_nanos: 100,
             rows_out: 1,
-            peak_mem_bytes: 0,
             threads: 1,
-            vectorized: false,
-            outcome: QueryOutcome::Ok,
-            spans: Vec::new(),
+            ..QueryEvent::default()
         }
     }
 

@@ -6,15 +6,18 @@
 //! off, for a one-tag query (EQ1) and for an OPTIONAL two-hop join of at
 //! least 10,000 rows that probes an index once per row. Equal deltas mean
 //! the cost is per query, not per row: an exact invariant in place of
-//! wall-clock ratio guards that spread 4-14 % run to run. Its own binary
-//! with a single test, because it flips the process-wide telemetry and
-//! recorder flags.
+//! wall-clock ratio guards that spread 4-14 % run to run. The facade's
+//! own cost is counted the same way, in pgbench's configuration (recorder
+//! on, telemetry off, no slow-query log): a query through
+//! `PgRdfStore::select_in_with` minus the executor alone on the same plan.
+//! Its own binary with a single test, because it flips the process-wide
+//! telemetry and recorder flags.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
 
-use pgrdf::{GovernorConfig, PgRdfModel, PgRdfStore, PgVocab};
+use pgrdf::{GovernorConfig, PgRdfModel, PgVocab};
 use pgrdf_bench::{Eq, Fixture};
 use sparql::{CancelToken, ExecLimits, ExecOptions};
 
@@ -49,15 +52,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Runs the query once to warm up, then returns the second run's
-/// allocation count and row count.
-fn counted(store: &PgRdfStore, dataset: &str, text: &str, options: &ExecOptions) -> (u64, usize) {
-    let run = || {
-        store
-            .select_in_with(dataset, text, options.clone())
-            .expect("query")
-            .len()
-    };
+/// Runs `run` once to warm up, then returns the second run's allocation
+/// count and row count.
+fn counted(run: impl Fn() -> usize) -> (u64, usize) {
     run();
     let before = ALLOCS.with(Cell::get);
     let rows = run();
@@ -87,26 +84,39 @@ fn per_query_overheads_do_not_grow_with_rows() {
     telemetry::set_enabled(false);
     recorder.set_enabled(false);
 
+    // The fourth delta is the facade's own cost in pgbench's
+    // configuration: recorder on, telemetry off, no slow-query log.
     let mut deltas = Vec::new();
     for (dataset, text) in &queries {
-        let (base, rows) = counted(store, dataset, text, &bare);
+        let facade = |options: &ExecOptions| {
+            counted(|| store.select_in_with(dataset, text, options.clone()).expect("query").len())
+        };
+        let (base, rows) = facade(&bare);
         store.set_governor(GovernorConfig::concurrency(64));
-        let (governor, _) = counted(store, dataset, text, &governed);
+        let (governor, _) = facade(&governed);
         store.clear_governor();
         recorder.set_enabled(true);
-        let (flight, _) = counted(store, dataset, text, &bare);
+        let (flight, _) = facade(&bare);
         recorder.set_enabled(false);
         telemetry::set_enabled(true);
-        let (metrics, _) = counted(store, dataset, text, &bare);
+        let (metrics, _) = facade(&bare);
         telemetry::set_enabled(false);
+        let view = store.store().dataset(dataset).expect("dataset");
+        let plan = sparql::compile(&view, &sparql::parse_query(text).expect("parse"))
+            .expect("compile");
+        let (executor, _) = counted(|| {
+            let results = sparql::execute_compiled_with_options(&view, &plan, bare.clone());
+            results.expect("execute").into_solutions().expect("solutions").len()
+        });
+        let delta = |on: u64, off: u64| on as i64 - off as i64;
+        let own = delta(flight, executor);
         println!(
             "{rows} rows: {base} allocations bare, {governor} governed, \
-             {flight} recorder on, {metrics} telemetry on"
+             {flight} recorder on, {metrics} telemetry on, {executor} executor alone \
+             (facade: {own} per query)"
         );
-        deltas.push((
-            rows,
-            [governor, flight, metrics].map(|n| n as i64 - base as i64),
-        ));
+        let added = [delta(governor, base), delta(flight, base), delta(metrics, base), own];
+        deltas.push((rows, added));
     }
     let [(small, small_deltas), (large, large_deltas)] = deltas[..] else {
         unreachable!()
@@ -117,6 +127,6 @@ fn per_query_overheads_do_not_grow_with_rows() {
     );
     assert_eq!(
         small_deltas, large_deltas,
-        "allocations added by [governor, recorder, telemetry] must not grow with rows"
+        "allocations added by [governor, recorder, telemetry, facade] must not grow with rows"
     );
 }

@@ -120,42 +120,80 @@ fn order_by_ties_keep_sequential_order() {
     }
 }
 
-/// `EXPLAIN ANALYZE` must report the reference's per-step actual row
-/// counts and probe loops whatever engine ran the step and however its
-/// input was cut into morsels and batches: batching changes *when* work
-/// happens, never *how much*.
-#[test]
-fn explain_analyze_tallies_match_the_reference() {
-    let fixture = Fixture::at_scale(0.005);
-    for model in MODELS {
-        for eq in QUERIES {
-            let (view, plan) = compiled(&fixture, eq, model);
-            let (expected, prof_r) =
-                sparql::execute_reference(&view, &plan, ExecLimits::default()).expect("reference");
-            let steps_r = sparql::explain::step_profiles(&plan, &prof_r);
-            for (morsel_size, batch_size) in [(1024usize, 1024usize), (7, 1), (7, 64)] {
-                let options = ExecOptions::default()
-                    .with_morsel_size(morsel_size)
-                    .with_batch_size(batch_size);
-                let (got, prof) =
-                    sparql::execute_profiled(&view, &plan, options).expect("profiled");
-                assert_eq!(expected, got, "{} {model}: profiled results diverged", eq.label(model));
-                let steps = sparql::explain::step_profiles(&plan, &prof);
-                assert_eq!(steps.len(), steps_r.len());
-                for (s, r) in steps.iter().zip(&steps_r) {
-                    assert_eq!(
-                        (s.ordinal, s.actual_rows, s.loops, s.executed),
-                        (r.ordinal, r.actual_rows, r.loops, r.executed),
-                        "{} {model} morsel={morsel_size} batch={batch_size}: step {} ({}) \
-                         tallies diverged from the reference",
-                        eq.label(model),
-                        s.ordinal,
-                        s.pattern
-                    );
-                }
+/// Asserts that profiling `plan` under every (threads, morsel, batch)
+/// configuration returns the reference's rows and per-step
+/// `(ordinal, actual_rows, loops, executed)`.
+fn assert_reference_tallies(view: &DatasetView, plan: &CompiledQuery, label: &str) {
+    let (expected, prof_r) =
+        sparql::execute_reference(view, plan, ExecLimits::default()).expect("reference");
+    let steps_r = sparql::explain::step_profiles(plan, &prof_r);
+    for threads in [1usize, 2, 8] {
+        for (morsel_size, batch_size) in [(1024usize, 1024usize), (7, 1), (7, 64)] {
+            let config = format!("threads={threads} morsel={morsel_size} batch={batch_size}");
+            let options = ExecOptions::threads(threads)
+                .with_morsel_size(morsel_size)
+                .with_batch_size(batch_size);
+            let (got, prof) = sparql::execute_profiled(view, plan, options).expect("profiled");
+            assert_eq!(expected, got, "{label} {config}: profiled results diverged");
+            let steps = sparql::explain::step_profiles(plan, &prof);
+            assert_eq!(steps.len(), steps_r.len());
+            for (s, r) in steps.iter().zip(&steps_r) {
+                assert_eq!(
+                    (s.ordinal, s.actual_rows, s.loops, s.executed),
+                    (r.ordinal, r.actual_rows, r.loops, r.executed),
+                    "{label} {config}: step {} ({}) tallies diverged from the reference",
+                    s.ordinal,
+                    s.pattern
+                );
             }
         }
     }
+}
+
+/// `EXPLAIN ANALYZE` must report the reference's per-step actual row
+/// counts and probe loops whatever engine ran the step, on however many
+/// threads, and however its input was cut into morsels and batches:
+/// batching and parallelism change *when* work happens, never *how
+/// much*. Besides EQ1–EQ12, a BGP with a MINUS or an OPTIONAL sibling —
+/// plain and under COUNT — runs the row arm of a drivable branch, whose
+/// driving step is tallied per morsel. And the recorder reports the
+/// thread count the profiled query actually ran on.
+#[test]
+fn explain_analyze_tallies_match_the_reference() {
+    let (fixture, ng) = (Fixture::at_scale(0.005), PgRdfModel::NG);
+    for model in MODELS {
+        for eq in QUERIES {
+            let (view, plan) = compiled(&fixture, eq, model);
+            assert_reference_tallies(&view, &plan, &format!("{} {model}", eq.label(model)));
+        }
+    }
+
+    let store = tail_store();
+    let view = store.dataset("m").expect("dataset");
+    let (p, q, r) = ("<http://x/p>", "<http://x/q>", "<http://x/r>");
+    let minus = format!("MINUS {{ ?a {r} ?x }}");
+    let optional = format!("{{ ?a {q} ?d OPTIONAL {{ ?a {r} ?x }} }}");
+    for sibling in [minus, optional] {
+        for head in ["?a ?b ?c", "(COUNT(*) AS ?n)"] {
+            let text = format!("SELECT {head} WHERE {{ ?a {p} ?b . ?a {q} ?c {sibling} }}");
+            let parsed = sparql::parse_query(&text).expect("parse");
+            let plan = sparql::compile(&view, &parsed).expect("compile");
+            let (_, vectorized) = run_observed(&view, &plan, ExecOptions::threads(2));
+            assert!(!vectorized, "{text}: expected the row arm, a pipeline ran");
+            assert_reference_tallies(&view, &plan, &text);
+        }
+    }
+
+    let (text, dataset) = (fixture.query_text(Eq::Eq9, ng), fixture.dataset_for(Eq::Eq9, ng));
+    let options = ExecOptions::threads(2);
+    let (_, profile) = fixture.ng.select_profiled_in(&dataset, &text, options).expect("profiled");
+    let sys = format!(
+        "SELECT ?t WHERE {{ GRAPH <pgrdf:sys/queries> {{ \
+           ?q <pgrdf:sys#queryId> {} . ?q <pgrdf:sys#threads> ?t }} }}",
+        profile.query_id
+    );
+    let threads = fixture.ng.select(&sys).expect("sys query").scalar_i64();
+    assert_eq!(threads, Some(2), "sys:threads must be the profiled run's thread count");
 }
 
 /// The NG edge family drives on the edge-KV quad `GRAPH ?g { ?g k:hasTag

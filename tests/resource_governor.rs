@@ -82,21 +82,20 @@ fn cancellation_returns_in_bounded_time_across_thread_counts() {
     }
 }
 
-/// The facade's `select_cancellable` surfaces the same abort as a typed
-/// `CoreError`, and a token cancelled before submission aborts at the
-/// first periodic check without doing real work.
+/// A cancel token passed through the facade's options surfaces the same
+/// abort as a typed `CoreError`, and a token cancelled before submission
+/// aborts at the first periodic check without doing real work.
 #[test]
-fn facade_select_cancellable_aborts_with_typed_error() {
+fn facade_cancel_token_aborts_with_typed_error() {
     let store =
         PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load");
     let dataset = store.dataset_name();
     let token = CancelToken::new();
     token.cancel();
-    let result = store.select_cancellable(
+    let result = store.select_in_with(
         &dataset,
         "SELECT ?a ?b ?c WHERE { ?a ?p ?x . ?b ?q ?y . ?c ?r ?z }",
-        ExecOptions::default(),
-        &token,
+        ExecOptions::default().with_cancel(token),
     );
     assert!(
         matches!(result, Err(CoreError::Sparql(SparqlError::Cancelled))),
@@ -108,6 +107,12 @@ fn facade_select_cancellable_aborts_with_typed_error() {
 // Memory budgets
 // ---------------------------------------------------------------------
 
+/// `q` on model `m` under a memory budget of `bytes`.
+fn budgeted(store: &Store, q: &str, bytes: u64) -> Result<sparql::QueryResults, SparqlError> {
+    let options = ExecOptions::default().with_limits(ExecLimits::memory(bytes));
+    sparql::query_with_options(store, "m", q, options)
+}
+
 /// A skewed hash join (every row shares one of 7 join keys, so build
 /// buckets are deep and the probe side fans out) must abort with
 /// `ResourceExhausted` under a small memory budget.
@@ -116,14 +121,13 @@ fn memory_budget_aborts_a_skewed_hash_join() {
     let store = dense_store(4_000);
     // Join on the skewed object: ~4000²/7 result rows.
     let q = "SELECT ?a ?b WHERE { ?a <http://p> ?x . ?b <http://p> ?x }";
-    let result = sparql::query_with_limits(&store, "m", q, ExecLimits::memory(64 << 10));
+    let result = budgeted(&store, q, 64 << 10);
     assert!(
         matches!(result, Err(SparqlError::ResourceExhausted(_))),
         "expected ResourceExhausted, got {result:?}"
     );
     // The same query completes under a generous budget.
-    sparql::query_with_limits(&store, "m", q, ExecLimits::memory(1 << 30))
-        .expect("generous budget must not abort");
+    budgeted(&store, q, 1 << 30).expect("generous budget must not abort");
 }
 
 /// A high-cardinality GROUP BY (every subject its own group) must abort
@@ -133,7 +137,7 @@ fn memory_budget_aborts_a_skewed_hash_join() {
 fn memory_budget_aborts_a_large_group_by() {
     let store = dense_store(20_000);
     let q = "SELECT ?a (COUNT(?x) AS ?n) WHERE { ?a <http://p> ?x } GROUP BY ?a";
-    let result = sparql::query_with_limits(&store, "m", q, ExecLimits::memory(32 << 10));
+    let result = budgeted(&store, q, 32 << 10);
     assert!(
         matches!(result, Err(SparqlError::ResourceExhausted(_))),
         "expected ResourceExhausted, got {result:?}"
@@ -380,7 +384,8 @@ fn aborted_queries_are_recorded_with_their_outcome() {
     // Cancelled before submission: aborts at the first periodic check.
     let token = CancelToken::new();
     token.cancel();
-    let cancelled = store.select_cancellable(&dataset, cross, ExecOptions::default(), &token);
+    let options = ExecOptions::default().with_cancel(token);
+    let cancelled = store.select_in_with(&dataset, cross, options);
     assert!(matches!(cancelled, Err(CoreError::Sparql(SparqlError::Cancelled))));
 
     // Budget trip (row budget reads as `memory_exhausted`).

@@ -6,9 +6,10 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use pgrdf::{PgRdfModel, PgRdfStore};
+use pgrdf::{CoreError, PgRdfModel, PgRdfStore};
 use propertygraph::PropertyGraph;
-use telemetry::{FlightRecorder, QueryEvent, QueryOutcome};
+use sparql::SparqlError;
+use telemetry::{FlightRecorder, QueryEvent};
 
 fn sample_store() -> PgRdfStore {
     PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load")
@@ -169,6 +170,21 @@ fn sys_queries_report_whether_a_vectorized_pipeline_ran() {
     assert!(plan_flags.is_empty(), "pgrdf:sys/plans must not describe an execution");
 }
 
+/// Sys queries are never cached, governed, recorded or profiled: a
+/// profiled one is refused with a typed error, not run against the user
+/// data — where no sys quad exists, so it would count 0.
+#[test]
+fn profiled_sys_query_is_refused_not_answered_from_user_data() {
+    let store = sample_store();
+    let q = "SELECT (COUNT(*) AS ?n) WHERE { GRAPH <pgrdf:sys/store> { ?s ?p ?o } }";
+    assert!(scalar(&store, q) > 0, "the overlay answers the unprofiled query");
+    let profiled = store.select_profiled(q);
+    assert!(
+        matches!(profiled, Err(CoreError::Sparql(SparqlError::Unsupported(_)))),
+        "expected Unsupported, got {profiled:?}"
+    );
+}
+
 /// The storage graph totals agree with the store's own report.
 #[test]
 fn sys_store_graph_matches_storage_report() {
@@ -203,17 +219,11 @@ fn recorder_wraps_at_capacity_under_concurrent_writers() {
                     recorder.record(QueryEvent {
                         query_id: w * PER_WRITER + i + 1,
                         family: "select",
-                        text_hash: 0,
-                        admission_wait_nanos: 0,
-                        cache_hit: false,
-                        compile_nanos: 0,
                         exec_nanos: w,
                         rows_out: i,
-                        peak_mem_bytes: 0,
                         threads: 1,
                         vectorized: true,
-                        outcome: QueryOutcome::Ok,
-                        spans: Vec::new(),
+                        ..QueryEvent::default()
                     });
                 }
             });
