@@ -5,42 +5,25 @@
 
 use quadstore::{GraphConstraint, IndexKind, QuadPattern, SortedIndex, Store};
 use rdf_model::{GraphName, Quad, Term, TermId};
+use twittergen::rng::Rng;
 
-/// SplitMix64 case generator.
-struct Rnd(u64);
-
-impl Rnd {
-    fn new(seed: u64) -> Rnd {
-        Rnd(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-}
-
-fn rand_quads(r: &mut Rnd) -> Vec<[u64; 4]> {
-    let n = r.range(0, 60) as usize;
+fn rand_quads(r: &mut Rng) -> Vec<[u64; 4]> {
+    let n = r.gen_range(0..60);
     (0..n)
-        .map(|_| [r.range(1, 8), r.range(1, 5), r.range(1, 10), r.range(0, 4)])
+        .map(|_| [r.gen_range(1..8), r.gen_range(1..5), r.gen_range(1..10), r.gen_range(0..4)])
+        .map(|q| q.map(|n| n as u64))
         .collect()
 }
 
-fn rand_pattern(r: &mut Rnd) -> QuadPattern {
-    let opt = |r: &mut Rnd, lo: u64, hi: u64| {
-        if r.next() & 1 == 0 { None } else { Some(TermId(r.range(lo, hi))) }
+fn rand_pattern(r: &mut Rng) -> QuadPattern {
+    let opt = |r: &mut Rng, lo: usize, hi: usize| {
+        if r.next_u64() & 1 == 0 { None } else { Some(TermId(r.gen_range(lo..hi) as u64)) }
     };
     QuadPattern {
         s: opt(r, 1, 8),
         p: opt(r, 1, 5),
         o: opt(r, 1, 10),
-        g: match r.range(0, 4) {
+        g: match r.gen_range(0..4) {
             0 => GraphConstraint::DefaultOnly,
             1 => GraphConstraint::Named(TermId(1)),
             2 => GraphConstraint::AnyNamed,
@@ -66,7 +49,7 @@ fn decode(q: &[u64; 4]) -> Quad {
 #[test]
 fn every_index_answers_like_a_naive_filter() {
     for case in 0..128u64 {
-        let mut r = Rnd::new(case);
+        let mut r = Rng::seed_from_u64(case);
         let quads = rand_quads(&mut r);
         let pattern = rand_pattern(&mut r);
         let mut dedup = quads.clone();
@@ -88,7 +71,7 @@ fn every_index_answers_like_a_naive_filter() {
 #[test]
 fn prefix_count_matches_scan_len() {
     for case in 0..128u64 {
-        let mut r = Rnd::new(case);
+        let mut r = Rng::seed_from_u64(case);
         let quads = rand_quads(&mut r);
         let index = SortedIndex::build(IndexKind::PCSGM, &quads);
         for p in 1u64..5 {
@@ -107,11 +90,14 @@ fn prefix_count_matches_scan_len() {
 #[test]
 fn delta_overlay_behaves_like_a_set() {
     for case in 0..128u64 {
-        let mut r = Rnd::new(case);
+        let mut r = Rng::seed_from_u64(case);
         let base = rand_quads(&mut r);
-        let n_ops = r.range(0, 30) as usize;
+        let n_ops = r.gen_range(0..30);
         let ops: Vec<(bool, u64, u64, u64)> = (0..n_ops)
-            .map(|_| (r.next() & 1 == 0, r.range(1, 8), r.range(1, 5), r.range(1, 10)))
+            .map(|_| {
+                let [s, p, o] = [r.gen_range(1..8), r.gen_range(1..5), r.gen_range(1..10)];
+                (r.next_u64() & 1 == 0, s as u64, p as u64, o as u64)
+            })
             .collect();
 
         let store = Store::new();
@@ -148,7 +134,7 @@ fn delta_overlay_behaves_like_a_set() {
 #[test]
 fn estimate_is_an_upper_bound_on_matches() {
     for case in 0..128u64 {
-        let mut r = Rnd::new(case);
+        let mut r = Rng::seed_from_u64(case);
         let quads = rand_quads(&mut r);
         let pattern = rand_pattern(&mut r);
         let store = Store::new();

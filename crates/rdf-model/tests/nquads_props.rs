@@ -4,25 +4,7 @@
 //! pseudo-random streams (std-only; the build has no crates.io access).
 
 use rdf_model::{nquads, GraphName, Iri, Literal, Quad, Term};
-
-/// SplitMix64 case generator.
-struct Rnd(u64);
-
-impl Rnd {
-    fn new(seed: u64) -> Rnd {
-        Rnd(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
+use twittergen::rng::Rng;
 
 /// Characters the writer supports: everything except lone control chars
 /// (we do escape \n, \r, \t). Includes quotes, backslash, and unicode.
@@ -31,52 +13,52 @@ const CHARS: &[char] = &[
     '^', '`', 'é', 'ß', '中', '文', '🦀', '∀', '‖', '\u{200b}',
 ];
 
-fn rand_string(r: &mut Rnd) -> String {
-    let len = r.below(12) as usize;
-    (0..len).map(|_| CHARS[r.below(CHARS.len() as u64) as usize]).collect()
+fn rand_string(r: &mut Rng) -> String {
+    let len = r.gen_range(0..12);
+    (0..len).map(|_| CHARS[r.gen_range(0..CHARS.len())]).collect()
 }
 
-fn rand_ascii(r: &mut Rnd, alphabet: &str, max_len: u64) -> String {
+fn rand_ascii(r: &mut Rng, alphabet: &str, max_len: usize) -> String {
     let bytes = alphabet.as_bytes();
-    let len = r.below(max_len) as usize;
-    (0..len).map(|_| bytes[r.below(bytes.len() as u64) as usize] as char).collect()
+    let len = r.gen_range(0..max_len);
+    (0..len).map(|_| bytes[r.gen_range(0..bytes.len())] as char).collect()
 }
 
-fn rand_iri(r: &mut Rnd) -> Iri {
+fn rand_iri(r: &mut Rng) -> Iri {
     let tail = rand_ascii(r, "abcdefghij0123456789/._-", 20);
     Iri::new(format!("http://x/a{tail}"))
 }
 
-fn rand_literal(r: &mut Rnd) -> Literal {
-    match r.below(6) {
+fn rand_literal(r: &mut Rng) -> Literal {
+    match r.gen_range(0..6) {
         0 => Literal::string(rand_string(r)),
-        1 => Literal::int(r.next() as i32),
-        2 => Literal::integer(r.next() as i64),
-        3 => Literal::boolean(r.next() & 1 == 0),
+        1 => Literal::int(r.next_u64() as i32),
+        2 => Literal::integer(r.next_u64() as i64),
+        3 => Literal::boolean(r.next_u64() & 1 == 0),
         4 => {
             let value = format!("w{}", rand_ascii(r, "abcdefgh", 7));
-            let tag = if r.next() & 1 == 0 { "en" } else { "de-at" };
+            let tag = if r.next_u64() & 1 == 0 { "en" } else { "de-at" };
             Literal::lang_string(value, tag)
         }
         _ => Literal::typed(rand_string(r), rand_iri(r)),
     }
 }
 
-fn rand_term(r: &mut Rnd) -> Term {
-    match r.below(3) {
+fn rand_term(r: &mut Rng) -> Term {
+    match r.gen_range(0..3) {
         0 => Term::Iri(rand_iri(r)),
         1 => Term::blank(format!("b{}", rand_ascii(r, "ABCxyz_019", 8))),
         _ => Term::Literal(rand_literal(r)),
     }
 }
 
-fn rand_quad(r: &mut Rnd) -> Quad {
-    let subject = if r.next() & 1 == 0 {
+fn rand_quad(r: &mut Rng) -> Quad {
+    let subject = if r.next_u64() & 1 == 0 {
         Term::Iri(rand_iri(r))
     } else {
         Term::blank(format!("s{}", rand_ascii(r, "ABCxyz019", 8)))
     };
-    let graph = if r.next() & 1 == 0 {
+    let graph = if r.next_u64() & 1 == 0 {
         GraphName::from(rand_iri(r))
     } else {
         GraphName::Default
@@ -88,8 +70,8 @@ fn rand_quad(r: &mut Rnd) -> Quad {
 #[test]
 fn serialize_parse_roundtrip() {
     for case in 0..256u64 {
-        let mut r = Rnd::new(case);
-        let n = r.below(20) as usize;
+        let mut r = Rng::seed_from_u64(case);
+        let n = r.gen_range(0..20);
         let quads: Vec<Quad> = (0..n).map(|_| rand_quad(&mut r)).collect();
         let text = nquads::serialize(&quads);
         let parsed = nquads::parse(&text).expect("own output parses");
@@ -100,7 +82,7 @@ fn serialize_parse_roundtrip() {
 #[test]
 fn escape_unescape_roundtrip() {
     for case in 0..256u64 {
-        let mut r = Rnd::new(case);
+        let mut r = Rng::seed_from_u64(case);
         let s = rand_string(&mut r);
         assert_eq!(nquads::unescape(&nquads::escape(&s)).expect("unescape"), s, "case {case}");
     }
@@ -109,7 +91,7 @@ fn escape_unescape_roundtrip() {
 #[test]
 fn canonicalisation_is_idempotent() {
     for case in 0..256u64 {
-        let mut r = Rnd::new(case);
+        let mut r = Rng::seed_from_u64(case);
         let lit = rand_literal(&mut r);
         let once = lit.canonical().into_owned();
         let twice = once.canonical().into_owned();
@@ -120,8 +102,8 @@ fn canonicalisation_is_idempotent() {
 #[test]
 fn dictionary_roundtrips_terms() {
     for case in 0..256u64 {
-        let mut r = Rnd::new(case);
-        let n = r.below(30) as usize;
+        let mut r = Rng::seed_from_u64(case);
+        let n = r.gen_range(0..30);
         let terms: Vec<Term> = (0..n).map(|_| rand_term(&mut r)).collect();
         let mut dict = rdf_model::Dictionary::new();
         for term in &terms {

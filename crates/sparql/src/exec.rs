@@ -1163,10 +1163,7 @@ impl Acc {
 fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
     if !ctx.reference {
         if let Some(partial) = par_grouped(ctx, sel) {
-            // One pass per final group to rehash into the std map the
-            // finaliser takes — negligible next to the per-row work.
-            let groups = partial.groups.into_iter().collect();
-            return finalize_groups(ctx, sel, groups, partial.saw_rows);
+            return finalize_groups(ctx, sel, partial.groups, partial.saw_rows);
         }
     }
     group_and_aggregate(ctx, sel, produce(ctx, sel, None))
@@ -1184,7 +1181,9 @@ fn group_and_aggregate(
     sel: &CSelect,
     solutions: BoxIter<'_>,
 ) -> Result<Vec<Row>, SparqlError> {
-    let mut groups: HashMap<Vec<Option<u64>>, Vec<Acc>> = HashMap::new();
+    // A fixed hasher: the same input gives the same group order on every
+    // run, like the fused path.
+    let mut groups = GroupMap::default();
     let make_accs = || sel.aggregates.iter().map(Acc::new).collect::<Vec<_>>();
     let group_bytes = group_mem_bytes(sel);
     let mut saw_rows = false;
@@ -1210,7 +1209,7 @@ fn group_and_aggregate(
 fn finalize_groups(
     ctx: &EvalCtx,
     sel: &CSelect,
-    mut groups: HashMap<Vec<Option<u64>>, Vec<Acc>>,
+    mut groups: GroupMap,
     saw_rows: bool,
 ) -> Result<Vec<Row>, SparqlError> {
     let make_accs = || sel.aggregates.iter().map(Acc::new).collect::<Vec<_>>();
@@ -1789,15 +1788,14 @@ fn extend_pos(row: &mut Row, pos: &CPos, value: u64) -> bool {
 // ---------------------------------------------------------------------------
 // Morsel-driven parallel execution.
 //
-// The driving index scan of an eligible plan is split into fixed-size
-// morsels (contiguous chunks of the chosen sorted index, plus per-member
-// DML-delta morsels). Workers claim morsels from a shared counter and run
-// the downstream stages on each morsel — as column batches when
-// `VecPipeline` can express every stage, else by streaming the morsel's
-// rows through `eval_node` — and the outputs are pulled in morsel order,
-// which reproduces the sequential row order exactly, because every
-// operator admitted by `parallel_safe` is "order-local": its output order
-// depends only on its input order.
+// The driving index scan of a plan `VecPipeline` can lower is split into
+// fixed-size morsels (contiguous chunks of the chosen sorted index, plus
+// per-member DML-delta morsels). Workers claim morsels from a shared
+// counter and run the pipeline's column batches over each morsel, and the
+// outputs are pulled in morsel order, which reproduces the sequential row
+// order exactly, because step chains and FILTERs are "order-local": their
+// output order depends only on their input order. Every other plan
+// streams through `eval_node` on the calling thread.
 // ---------------------------------------------------------------------------
 
 /// One pipeline stage applied to each morsel's rows after the driving scan.
@@ -1806,8 +1804,6 @@ enum Stage<'p> {
     /// Remaining steps of the driving Steps node, or a sibling Steps
     /// node of the same Join.
     Steps(&'p [Step]),
-    /// Any other sibling node of the driving node inside a Join.
-    Node(&'p Node),
     /// A FILTER wrapper unwrapped from around the root.
     Filters(&'p [CExpr]),
 }
@@ -1826,26 +1822,6 @@ struct DrivePlan<'p> {
     /// row-producing path) keeps the sequential index choice — mandatory
     /// there, since row order must match the streaming executor exactly.
     prefer: Option<usize>,
-}
-
-/// Whether a node downstream of the driving scan preserves morsel
-/// equivalence: evaluating it per-morsel and concatenating must equal
-/// evaluating it over the whole input.
-///
-/// UNION fails (it re-orders: all-of-a then all-of-b over the *whole*
-/// input). A sub-select fails because its join-key selection inspects the
-/// whole input batch. OPTIONAL only needs a safe left side — its right
-/// side is probed one row at a time in both paths.
-fn parallel_safe(node: &Node) -> bool {
-    match node {
-        Node::Steps(_) | Node::Path(_) | Node::Values { .. } | Node::Extend(..) => true,
-        Node::Minus(_) => true,
-        Node::SubSelect(_) => false,
-        Node::Join(children) => children.iter().all(parallel_safe),
-        Node::Filter(_, inner) => parallel_safe(inner),
-        Node::Optional(a, _) => parallel_safe(a),
-        Node::Union(..) => false,
-    }
 }
 
 /// True when the node is a UNION, possibly under FILTER wrappers.
@@ -1880,7 +1856,8 @@ fn union_branches<'p>(node: &'p Node, suffix: &[Stage<'p>]) -> Vec<(&'p Node, Ve
 /// Tries to rewrite a UNION branch into a morsel-drivable plan. The node
 /// must be (under optional FILTER wrappers) a non-empty Steps node, or a
 /// Join of an optional leading one-row VALUES pin, a non-empty Steps node,
-/// and `parallel_safe` siblings. The driving step must be an index scan.
+/// and sibling Steps nodes — the shapes [`batch::VecPipeline`] lowers.
+/// The driving step must be an index scan.
 /// `suffix` (the branch's trailing stages) runs last.
 fn drive_plan<'p>(
     ctx: &EvalCtx,
@@ -1927,13 +1904,8 @@ fn drive_plan<'p>(
                 stages.push(Stage::Steps(&steps[1..]));
             }
             for child in &children[idx + 1..] {
-                if !parallel_safe(child) {
-                    return None;
-                }
-                stages.push(match child {
-                    Node::Steps(steps) => Stage::Steps(steps),
-                    _ => Stage::Node(child),
-                });
+                let Node::Steps(steps) = child else { return None };
+                stages.push(Stage::Steps(steps));
             }
         }
         _ => return None,
@@ -2031,19 +2003,17 @@ fn claim_tasks<S: Send>(
 }
 
 /// One drivable UNION branch's rows in morsel order — which is the
-/// sequential row order, see above — produced a *round* of morsels per
-/// refill: through the pipeline when the plan compiled to one, else by
-/// streaming each morsel's rows through [`eval_node`]. At `threads == 1`
-/// a round is one morsel, so a consumer that stops pulling ends the scan
-/// at the next morsel boundary. Above, a round is every morsel when the
+/// sequential row order, see above — produced through its pipeline a
+/// *round* of morsels per refill. At `threads == 1` a round is one
+/// morsel, so a consumer that stops pulling ends the scan at the next
+/// morsel boundary. Above, a round is every morsel when the
 /// consumer needs every row, else enough morsels to cover its appetite
 /// if each scanned row came out, doubling while it keeps pulling: the
 /// rows scanned and charged depend on the thread count, never on thread
 /// timing.
 struct MorselRows<'it> {
     ctx: &'it EvalCtx,
-    plan: DrivePlan<'it>,
-    pipeline: Option<batch::VecPipeline<'it>>,
+    pipeline: batch::VecPipeline<'it>,
     pattern: QuadPattern,
     morsels: Vec<Morsel>,
     /// The first morsel no round has run yet.
@@ -2062,9 +2032,8 @@ struct MorselRows<'it> {
 }
 
 impl<'it> MorselRows<'it> {
-    /// The branch's rows when running it on morsels gains something: it
-    /// is drivable and either compiles to a pipeline or has workers to
-    /// spread its morsels over. `None` leaves it to [`stream`].
+    /// The branch's rows when it is drivable and compiles to a pipeline;
+    /// `None` leaves it to [`stream`].
     fn start(
         ctx: &'it EvalCtx,
         node: &'it Node,
@@ -2073,18 +2042,14 @@ impl<'it> MorselRows<'it> {
         want: Option<usize>,
     ) -> Option<BoxIter<'it>> {
         let plan = drive_plan(ctx, node, suffix)?;
-        let pipeline = batch::VecPipeline::compile(ctx, &plan, needed);
-        if pipeline.is_none() && ctx.threads == 1 {
-            return None;
-        }
-        begin(ctx, &plan, pipeline.as_ref());
+        let pipeline = batch::VecPipeline::compile(ctx, &plan, needed)?;
+        pipeline.begin(ctx);
         let Some(pattern) = probe_pattern(&plan.base, &plan.drive.triple) else {
             return Some(Box::new(std::iter::empty()));
         };
         Some(Box::new(MorselRows {
             ctx,
             morsels: ctx.view.plan_morsels(&pattern, ctx.morsel_size),
-            plan,
             pipeline,
             pattern,
             next: 0,
@@ -2109,20 +2074,15 @@ impl<'it> MorselRows<'it> {
             self.bufs.resize_with(tasks.len(), Default::default);
         }
         let kept = Mutex::new(self.memo.take());
-        let (this, pipeline, want) = (&*self, self.pipeline.as_ref(), self.want);
+        let (this, want) = (&*self, self.want);
         let memo = || {
             let kept = kept.lock().expect("memo lock poisoned").take();
-            kept.unwrap_or_else(|| pipeline.map(batch::VecState::new).unwrap_or_default())
+            kept.unwrap_or_else(|| batch::VecState::new(&this.pipeline))
         };
         let mut memos = claim_tasks(ctx, tasks.clone(), "morsel", memo, |memo, i| {
             let morsel = &this.morsels[i];
             let mut out = this.bufs[i - tasks.start].lock().expect("morsel buffer lock poisoned");
-            match pipeline {
-                Some(pipe) => pipe.run_morsel(ctx, &this.pattern, morsel, memo, &mut out, want),
-                None => {
-                    out.extend(run_one_morsel(ctx, &this.plan, this.pattern, morsel).take(want))
-                }
-            }
+            this.pipeline.run_morsel(ctx, &this.pattern, morsel, memo, &mut out, want);
             // The round's output waits in memory until it is pulled: one
             // bulk memory charge per morsel, released as it drains.
             let _ = ctx.charge_mem(out.len() as u64 * ctx.row_bytes());
@@ -2174,46 +2134,11 @@ impl Drop for MorselRows<'_> {
     }
 }
 
-/// Marks a drivable branch as about to run on morsels. Under profiling
-/// either arm creates the tallies the reference creates eagerly — one
-/// seed row into the driving step, a (possibly zero) tally for every
-/// downstream step — so a branch can be split into morsels at any thread
-/// count: the row arm builds its stages over no rows, and each morsel
-/// then adds its drive rows ([`run_one_morsel`]).
-fn begin(ctx: &EvalCtx, plan: &DrivePlan<'_>, pipeline: Option<&batch::VecPipeline<'_>>) {
-    if let Some(pipe) = pipeline {
-        pipe.begin(ctx);
-    } else if let Some(p) = &ctx.profile {
-        p.add(plan.drive as *const Step as usize, 0, 1, 0);
-        let none: BoxIter = Box::new(std::iter::empty());
-        drop(plan.stages.iter().fold(none, |rows, stage| apply_stage(ctx, stage, rows)));
-    }
-}
-
-/// Drives one morsel's scan and streams its rows through the plan stages
-/// on the row evaluator.
-fn run_one_morsel<'it>(
-    ctx: &'it EvalCtx,
-    plan: &'it DrivePlan<'it>,
-    pattern: QuadPattern,
-    morsel: &Morsel,
-) -> BoxIter<'it> {
-    let drive: BoxIter = Box::new(
-        ctx.view
-            .scan_morsel_ordered(pattern, morsel, plan.prefer)
-            .filter_map(|quad| extend_row(&plan.base, &plan.drive.triple, &quad))
-            .take_while(|_| ctx.charge(1)),
-    );
-    let drive = profile_output(ctx, plan.drive as *const Step as usize, drive);
-    plan.stages.iter().fold(drive, |stream, stage| apply_stage(ctx, stage, stream))
-}
-
 fn apply_stage<'it>(ctx: &'it EvalCtx, stage: &Stage<'it>, input: BoxIter<'it>) -> BoxIter<'it> {
     match *stage {
         Stage::Steps(steps) => {
             steps.iter().fold(input, |stream, step| eval_step(ctx, step, stream))
         }
-        Stage::Node(node) => eval_node(ctx, node, input),
         Stage::Filters(filters) => Box::new(input.filter(move |row| passes(ctx, filters, row))),
     }
 }
@@ -2221,12 +2146,13 @@ fn apply_stage<'it>(ctx: &'it EvalCtx, stage: &Stage<'it>, input: BoxIter<'it>) 
 // ---------------------------------------------------------------------------
 // Fused parallel aggregation.
 //
-// When every aggregate merges losslessly across workers (the COUNT
-// family: partial counts sum, partial distinct-sets union), grouping runs
-// inside the morsel workers and only per-group partial states are merged —
-// no global row materialisation. Order-sensitive aggregates (MIN/MAX tie
-// on first-encountered among SPARQL-equal values; SUM/AVG float addition
-// is not associative) take the ordered path instead.
+// When every aggregate is a plain count (COUNT(*) or COUNT(?v): partial
+// counts sum) and every UNION branch compiles to a `VecPipeline`, grouping
+// runs inside the morsel workers over column batches and only per-group
+// partial counts are merged — no row is materialised. Everything else
+// (COUNT(DISTINCT), MIN/MAX, whose ties keep the first-encountered value,
+// and SUM/AVG, whose float addition is not associative) takes the ordered
+// sequential path instead.
 // ---------------------------------------------------------------------------
 
 /// Per-aggregate fast path used inside morsel workers.
@@ -2235,19 +2161,16 @@ enum FastAgg {
     CountAll,
     /// COUNT(?v): count rows where the slot is bound.
     CountSlot(usize),
-    /// Any other COUNT: evaluate the expression like the sequential loop.
-    Generic,
 }
 
-/// The fused-path accumulator for one aggregate, or `None` when the
-/// aggregate cannot be merged across workers.
+/// The fused-path accumulator for one aggregate, or `None` when it is not
+/// a plain count.
 fn fast_agg(agg: &CAggregate) -> Option<FastAgg> {
     match agg {
         CAggregate::CountAll => Some(FastAgg::CountAll),
         CAggregate::Count { distinct: false, expr: CExpr::Var(slot) } => {
             Some(FastAgg::CountSlot(*slot))
         }
-        CAggregate::Count { .. } => Some(FastAgg::Generic),
         _ => None,
     }
 }
@@ -2287,10 +2210,13 @@ impl std::hash::Hasher for IdHasher {
 
 type IdHashState = std::hash::BuildHasherDefault<IdHasher>;
 
+/// Group key -> one accumulator per aggregate.
+type GroupMap = HashMap<Vec<Option<u64>>, Vec<Acc>, IdHashState>;
+
 /// One worker's partial aggregation state.
 #[derive(Default)]
 struct GroupedPartial {
-    groups: HashMap<Vec<Option<u64>>, Vec<Acc>, IdHashState>,
+    groups: GroupMap,
     saw_rows: bool,
 }
 
@@ -2318,8 +2244,8 @@ fn drive_sort_preference(plan: &DrivePlan<'_>, slot: usize) -> Option<usize> {
 }
 
 /// Runs the fused aggregation — grouping inside the morsel loop, one
-/// partial per worker — or `None` when an aggregate does not merge
-/// losslessly or a UNION branch is not drivable.
+/// partial per worker — or `None` when an aggregate is not a plain count
+/// or a UNION branch does not compile to a pipeline.
 fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
     let fast: Vec<FastAgg> = sel.aggregates.iter().map(fast_agg).collect::<Option<_>>()?;
     let branches = union_branches(&sel.root, &[]);
@@ -2341,15 +2267,14 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
     // Compiled after the sort preference is fixed: the pipeline captures
     // `prefer` for its driving scan.
     let needed = batch::needed_slots(ctx, sel);
-    // A plan the columnar compiler rejects feeds the sink row by row.
-    let pipelines: Vec<Option<batch::VecPipeline<'_>>> = plans
+    let pipelines: Vec<batch::VecPipeline<'_>> = plans
         .iter()
         .map(|p| batch::VecPipeline::compile(ctx, p, &needed))
-        .collect();
+        .collect::<Option<_>>()?;
     // Flatten every plan's morsels into one shared task list.
     let mut tasks: Vec<(usize, QuadPattern, Morsel)> = Vec::new();
     for (i, (plan, pipe)) in plans.iter().zip(&pipelines).enumerate() {
-        begin(ctx, plan, pipe.as_ref());
+        pipe.begin(ctx);
         if let Some(p) = probe_pattern(&plan.base, &plan.drive.triple) {
             for morsel in ctx.view.plan_morsels_ordered(&p, ctx.morsel_size, plan.prefer) {
                 tasks.push((i, p, morsel));
@@ -2361,25 +2286,13 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
         0..tasks.len(),
         "agg morsel",
         || {
-            let memos: Vec<batch::VecState> = pipelines
-                .iter()
-                .map(|p| p.as_ref().map(batch::VecState::new).unwrap_or_default())
-                .collect();
+            let memos: Vec<batch::VecState> = pipelines.iter().map(batch::VecState::new).collect();
             (RunSink::default(), memos)
         },
         |(sink, memos), t| {
             let (i, pattern, morsel) = &tasks[t];
-            match &pipelines[*i] {
-                Some(pipe) => {
-                    let memo = &mut memos[*i];
-                    pipe.run_morsel_grouped(ctx, sel, &fast, pattern, morsel, memo, sink);
-                }
-                None => {
-                    for row in run_one_morsel(ctx, &plans[*i], *pattern, morsel) {
-                        sink.push(ctx, sel, &fast, &row);
-                    }
-                }
-            }
+            let memo = &mut memos[*i];
+            pipelines[*i].run_morsel_grouped(ctx, sel, &fast, pattern, morsel, memo, sink);
         },
     )
     .into_iter()
@@ -2410,38 +2323,11 @@ struct RunSink {
     key: Vec<Option<u64>>,
     accs: Vec<Acc>,
     active: bool,
-    scratch: Vec<Option<u64>>,
 }
 
 impl RunSink {
-    fn push(&mut self, ctx: &EvalCtx, sel: &CSelect, fast: &[FastAgg], row: &Row) {
-        self.part.saw_rows = true;
-        self.scratch.clear();
-        self.scratch.extend(sel.group_slots.iter().map(|&s| row[s]));
-        if !self.active || self.scratch != self.key {
-            self.flush(ctx, sel);
-            self.key.clone_from(&self.scratch);
-            self.accs.clear();
-            self.accs.extend(sel.aggregates.iter().map(Acc::new));
-            self.active = true;
-        }
-        for ((acc, agg), f) in self.accs.iter_mut().zip(&sel.aggregates).zip(fast) {
-            match (f, &mut *acc) {
-                (FastAgg::CountAll, Acc::CountAll(n)) => *n += 1,
-                (FastAgg::CountSlot(s), Acc::Count(n)) => {
-                    if row[*s].is_some() {
-                        *n += 1;
-                    }
-                }
-                (FastAgg::Generic, acc) => acc.update(ctx, agg, row),
-                _ => unreachable!("fast-agg/accumulator mismatch"),
-            }
-        }
-    }
-
-    /// The columnar fast path: consumes a pre-built group key and static
-    /// per-row increments (COUNT-family aggregates only — enforced by the
-    /// caller) without materialising a row.
+    /// Consumes a pre-built group key and static per-row increments (plain
+    /// counts only — enforced by [`fast_agg`]) without materialising a row.
     fn push_counts(&mut self, ctx: &EvalCtx, sel: &CSelect, key: &[Option<u64>], incs: &[u64]) {
         self.part.saw_rows = true;
         if !self.active || key != self.key.as_slice() {
@@ -2502,12 +2388,11 @@ fn merge_partial(into: &mut GroupedPartial, from: GroupedPartial) {
     }
 }
 
-/// Merges two partial accumulators for the same group. Only the COUNT
-/// family reaches here (enforced by [`fast_agg`]).
+/// Merges two partial accumulators for the same group. Only plain counts
+/// reach here (enforced by [`fast_agg`]).
 fn merge_acc(a: &mut Acc, b: Acc) {
     match (a, b) {
         (Acc::CountAll(x), Acc::CountAll(y)) | (Acc::Count(x), Acc::Count(y)) => *x += y,
-        (Acc::CountDistinct(x), Acc::CountDistinct(y)) => x.extend(y),
         _ => unreachable!("merging non-mergeable accumulators"),
     }
 }

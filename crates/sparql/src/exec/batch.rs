@@ -1,7 +1,6 @@
 //! The vectorized columnar pipeline.
 //!
-//! A drive plan whose stages are all element-wise (steps and filters — no
-//! sibling Node stages) can run batch-at-a-time over *columns* of
+//! A drive plan (steps and filters after an index scan) can run batch-at-a-time over *columns* of
 //! dictionary IDs instead of materialised `Row`s: the driving index scan
 //! fills one `Vec<u64>` per bound variable straight from the sorted key
 //! runs, each join step turns a batch into the next batch via a
@@ -22,11 +21,11 @@
 //! Everything here mirrors the row evaluator's semantics *exactly*: the
 //! same probe patterns, the same charge totals against [`ExecLimits`],
 //! and the same per-step profile tallies (loops, rows) for EXPLAIN
-//! ANALYZE. Plans the compiler here cannot express (sibling nodes other
-//! than step chains, computed IDs in the base row, statically unbound
-//! hash-join keys, constants absent from the dictionary) run on
-//! [`eval_node`](super::eval_node) instead: [`VecPipeline::compile`]
-//! returns `None` for them.
+//! ANALYZE. Plans the compiler here cannot express (computed IDs in the
+//! base row, statically unbound hash-join keys, constants absent from the
+//! dictionary) stream through [`eval_node`](super::eval_node) on the
+//! calling thread instead: [`VecPipeline::compile`] returns `None` for
+//! them.
 
 use super::*;
 
@@ -162,7 +161,6 @@ struct OpMemo {
 
 /// Per-worker mutable pipeline state (memoization only; everything else
 /// lives on the stack of `run_morsel`).
-#[derive(Default)]
 pub(super) struct VecState {
     memos: Vec<OpMemo>,
 }
@@ -285,7 +283,6 @@ impl<'p> VecPipeline<'p> {
         let mut any_exists = false;
         for stage in &plan.stages {
             match stage {
-                Stage::Node(_) => return None,
                 Stage::Steps(steps) => {
                     for step in *steps {
                         let draft = match &step.strategy {
@@ -787,7 +784,7 @@ impl<'p> VecPipeline<'p> {
 
     /// Runs one morsel in grouped mode: surviving batches feed the
     /// run-length group accumulator directly, without materialising rows
-    /// when every aggregate is a plain count.
+    /// (every aggregate is a plain count — enforced by [`fast_agg`]).
     pub(super) fn run_morsel_grouped(
         &self,
         ctx: &EvalCtx,
@@ -802,51 +799,32 @@ impl<'p> VecPipeline<'p> {
         // is always bound; one bound from the base row always counts; an
         // unbound one never does.
         let col_is_live = |s: usize| self.final_cols.contains(&s);
-        let columnar = fast.iter().all(|f| !matches!(f, FastAgg::Generic));
-        if columnar {
-            let incs: Vec<u64> = fast
-                .iter()
-                .map(|f| match f {
-                    FastAgg::CountAll => 1,
-                    FastAgg::CountSlot(s) => {
-                        u64::from(col_is_live(*s) || self.base[*s].is_some())
-                    }
-                    FastAgg::Generic => unreachable!("checked above"),
-                })
-                .collect();
-            enum KeySrc {
-                Col(usize),
-                Fixed(Option<u64>),
-            }
-            let key_srcs: Vec<KeySrc> = sel
-                .group_slots
-                .iter()
-                .map(|&s| if col_is_live(s) { KeySrc::Col(s) } else { KeySrc::Fixed(self.base[s]) })
-                .collect();
-            let mut key: Vec<Option<u64>> = vec![None; key_srcs.len()];
-            self.for_each_batch(ctx, pattern, morsel, st, &mut |batch: &Batch| {
-                for i in 0..batch.len {
-                    for (dst, ks) in key.iter_mut().zip(&key_srcs) {
-                        *dst = match ks {
-                            KeySrc::Col(s) => Some(batch.col(*s)[i]),
-                            KeySrc::Fixed(v) => *v,
-                        };
-                    }
-                    sink.push_counts(ctx, sel, &key, &incs);
-                }
-                true
-            });
-            return;
+        let incs: Vec<u64> = fast
+            .iter()
+            .map(|f| match f {
+                FastAgg::CountAll => 1,
+                FastAgg::CountSlot(s) => u64::from(col_is_live(*s) || self.base[*s].is_some()),
+            })
+            .collect();
+        enum KeySrc {
+            Col(usize),
+            Fixed(Option<u64>),
         }
-        // Generic aggregates evaluate expressions per row: materialise
-        // (live slots only — aggregate inputs are in the needed set).
+        let key_srcs: Vec<KeySrc> = sel
+            .group_slots
+            .iter()
+            .map(|&s| if col_is_live(s) { KeySrc::Col(s) } else { KeySrc::Fixed(self.base[s]) })
+            .collect();
+        let mut key: Vec<Option<u64>> = vec![None; key_srcs.len()];
         self.for_each_batch(ctx, pattern, morsel, st, &mut |batch: &Batch| {
-            let mut row = self.template.clone();
             for i in 0..batch.len {
-                for &s in &self.final_cols {
-                    row[s] = Some(batch.col(s)[i]);
+                for (dst, ks) in key.iter_mut().zip(&key_srcs) {
+                    *dst = match ks {
+                        KeySrc::Col(s) => Some(batch.col(*s)[i]),
+                        KeySrc::Fixed(v) => *v,
+                    };
                 }
-                sink.push(ctx, sel, fast, &row);
+                sink.push_counts(ctx, sel, &key, &incs);
             }
             true
         });

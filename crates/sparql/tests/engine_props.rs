@@ -5,32 +5,15 @@
 use quadstore::Store;
 use rdf_model::{GraphName, Quad, Term};
 use sparql::{compile_with, execute_compiled, parse_query, CompileOptions, ForcedJoin, QueryResults};
-
-/// SplitMix64 case generator (std-only; no crates.io access).
-struct Rnd(u64);
-
-impl Rnd {
-    fn new(seed: u64) -> Rnd {
-        Rnd(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u8 {
-        (self.next() % n) as u8
-    }
-}
+use twittergen::rng::Rng;
 
 /// A small random dataset: quads over bounded vocabularies so joins and
 /// graph matches actually happen.
 fn rand_store(seed: u64) -> Store {
-    let mut r = Rnd::new(seed);
-    let rows: Vec<(u8, u8, u8, u8)> = (0..1 + r.next() % 39)
-        .map(|_| (r.below(6), r.below(4), r.below(8), r.below(4)))
+    let mut r = Rng::seed_from_u64(seed);
+    let rows: Vec<(u8, u8, u8, u8)> = (0..1 + r.next_u64() % 39)
+        .map(|_| [r.gen_range(0..6), r.gen_range(0..4), r.gen_range(0..8), r.gen_range(0..4)])
+        .map(|[s, p, o, g]| (s as u8, p as u8, o as u8, g as u8))
         .collect();
     {
         let store = Store::new();

@@ -134,9 +134,9 @@ fn memory_budget_generous_changes_nothing() {
 
 /// Aggregates over plans the columnar compiler rejects never hold the
 /// 160,000 solution rows, so a budget far below the rows' footprint holds
-/// at every thread count: a COUNT folds each morsel's rows inside the
-/// morsel loop (MINUS sibling) and any aggregate over a root the morsel
-/// loop cannot drive (root OPTIONAL) pulls rows one at a time.
+/// at every thread count: such a plan (MINUS sibling, root OPTIONAL)
+/// streams through the row evaluator on the calling thread, and the
+/// aggregation loop pulls its rows one at a time.
 #[test]
 fn aggregates_over_row_engine_plans_stay_within_memory_budget() {
     let store = dense_store(400);

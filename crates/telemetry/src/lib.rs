@@ -252,7 +252,11 @@ impl Histogram {
                 let within = rank - cum; // 1 ..= in_bucket
                 let (lo, hi) = bucket_bounds(b);
                 let hi = hi.min(lo.saturating_mul(2)); // keep +Inf bucket finite
-                return lo + ((hi - lo) / in_bucket).saturating_mul(within).min(hi - lo);
+                // Multiply before dividing (in u128, so it cannot overflow):
+                // dividing first floors to `lo` whenever a bucket holds
+                // more observations than it is wide.
+                let step = u128::from(hi - lo) * u128::from(within) / u128::from(in_bucket);
+                return lo + (step as u64).min(hi - lo);
             }
             cum += in_bucket;
         }
@@ -637,20 +641,22 @@ mod tests {
             assert!((lo..=hi).contains(&p), "p{q} = {p} outside bucket");
         }
         // Exact interpolation arithmetic: k observations in [lo, hi],
-        // rank r estimates lo + (hi - lo) / k * r.
+        // rank r estimates lo + (hi - lo) * r / k.
         let h = Histogram::new();
         h.record(64); // one observation in [64, 127]
         assert_eq!(h.percentile(1.0), 64 + (127 - 64)); // r = k = 1 → hi
         assert_eq!(h.p50(), 127); // single obs: every rank maps to hi
         // Two buckets: 1 in [0,0], 99 in [64,127] → p50 lands in the
-        // second bucket at rank 49 of 99.
+        // second bucket at rank 49 of 99: 64 + 63 * 49 / 99 = 95, not
+        // the bucket floor.
         let h = Histogram::new();
         h.record(0);
         for _ in 0..99 {
             h.record(100);
         }
         let rank_in_bucket = 50 - 1; // rank 50 overall, 1 consumed by bucket 0
-        assert_eq!(h.p50(), 64 + (127 - 64) / 99 * rank_in_bucket);
+        assert_eq!(h.p50(), 64 + (127 - 64) * rank_in_bucket / 99);
+        assert_eq!(h.p50(), 95);
         assert_eq!(h.percentile(0.0), 0); // rank clamps to 1 → bucket 0
     }
 

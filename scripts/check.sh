@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
+# Deny-level lints (clippy's correctness group) fail the gate; the rest stay advisory.
+cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy::correctness
+
 # The benchmark package is a workspace of its own (BENCHMARK.json runs it
 # with --manifest-path), so the two commands above never compile it: an
 # engine API change could break the benchmark without failing this gate.

@@ -6,25 +6,7 @@
 use pgrdf::cardinality::{measure, predict, predict_subjects, resource_counts, PgCardinalities};
 use pgrdf::{convert, PgRdfModel, PgVocab};
 use propertygraph::PropertyGraph;
-
-/// SplitMix64 case generator (std-only; no crates.io access).
-struct Rnd(u64);
-
-impl Rnd {
-    fn new(seed: u64) -> Rnd {
-        Rnd(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use twittergen::rng::Rng;
 
 fn assert_table2(graph: &PropertyGraph) {
     let vocab = PgVocab::default();
@@ -77,12 +59,12 @@ fn graph_with_only_isolated_vertices() {
 /// paper's Table 2 assumes no parallel same-label edges (their `-s-p-o`
 /// triples would deduplicate).
 fn rand_graph(seed: u64) -> PropertyGraph {
-    let mut r = Rnd::new(seed);
+    let mut r = Rng::seed_from_u64(seed);
     let labels = ["follows", "knows", "likes"];
     let keys = ["age", "since", "name"];
     let mut edges = std::collections::BTreeSet::new();
-    for _ in 0..r.below(25) {
-        edges.insert((r.below(12), r.below(3) as usize, r.below(12)));
+    for _ in 0..r.gen_range(0..25) {
+        edges.insert((r.gen_range(0..12) as u64, r.gen_range(0..3), r.gen_range(0..12) as u64));
     }
     let mut g = PropertyGraph::new();
     let mut edge_ids = Vec::new();
@@ -90,12 +72,13 @@ fn rand_graph(seed: u64) -> PropertyGraph {
         edge_ids.push(g.add_edge(src, labels[label], dst));
     }
     for &eid in &edge_ids {
-        if r.next() & 1 == 0 {
+        if r.next_u64() & 1 == 0 {
             g.add_edge_prop(eid, "since", 2007).expect("edge exists");
         }
     }
-    for _ in 0..r.below(20) {
-        let (v, key, val) = (r.below(12), r.below(3) as usize, r.below(5) as i64);
+    for _ in 0..r.gen_range(0..20) {
+        let (v, key, val) =
+            (r.gen_range(0..12) as u64, r.gen_range(0..3), r.gen_range(0..5) as i64);
         g.add_vertex(v);
         g.add_vertex_prop(v, keys[key], val).expect("vertex exists");
     }

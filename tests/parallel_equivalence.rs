@@ -155,9 +155,9 @@ fn assert_reference_tallies(view: &DatasetView, plan: &CompiledQuery, label: &st
 /// threads, and however its input was cut into morsels and batches:
 /// batching and parallelism change *when* work happens, never *how
 /// much*. Besides EQ1–EQ12, a BGP with a MINUS or an OPTIONAL sibling —
-/// plain and under COUNT — runs the row arm of a drivable branch, whose
-/// driving step is tallied per morsel. And the recorder reports the
-/// thread count the profiled query actually ran on.
+/// plain and under COUNT — compiles to no pipeline, so it streams through
+/// the row evaluator on the calling thread at every thread count. And the
+/// recorder reports the thread count the profiled query actually ran on.
 #[test]
 fn explain_analyze_tallies_match_the_reference() {
     let (fixture, ng) = (Fixture::at_scale(0.005), PgRdfModel::NG);
@@ -179,7 +179,7 @@ fn explain_analyze_tallies_match_the_reference() {
             let parsed = sparql::parse_query(&text).expect("parse");
             let plan = sparql::compile(&view, &parsed).expect("compile");
             let (_, vectorized) = run_observed(&view, &plan, ExecOptions::threads(2));
-            assert!(!vectorized, "{text}: expected the row arm, a pipeline ran");
+            assert!(!vectorized, "{text}: expected the row evaluator, a pipeline ran");
             assert_reference_tallies(&view, &plan, &text);
         }
     }
@@ -194,6 +194,75 @@ fn explain_analyze_tallies_match_the_reference() {
     );
     let threads = fixture.ng.select(&sys).expect("sys query").scalar_i64();
     assert_eq!(threads, Some(2), "sys:threads must be the profiled run's thread count");
+}
+
+/// A morsel is always run by a pipeline: a plan the columnar compiler
+/// rejects (a MINUS or an OPTIONAL sibling after the driving BGP, plain
+/// or under COUNT(DISTINCT)) streams on the calling thread — no `drive`
+/// span, no pipeline — even at eight threads and tiny morsels, while a
+/// plain BGP is cut into morsels and run columnar.
+#[test]
+fn morsels_imply_pipelines() {
+    let store = tail_store();
+    let view = store.dataset("m").expect("dataset");
+    let (p, q, r) = ("<http://x/p>", "<http://x/q>", "<http://x/r>");
+    let bgp = format!("?a {p} ?b . ?a {q} ?c");
+    let traced = |text: &str| {
+        let parsed = sparql::parse_query(text).expect("parse");
+        let plan = sparql::compile(&view, &parsed).expect("compile");
+        let sink = Arc::new(telemetry::TraceSink::new());
+        let observer = Arc::new(ExecObserver::with_trace(Some(Arc::clone(&sink))));
+        let options = ExecOptions::threads(8).with_morsel_size(7);
+        let got = run(&view, &plan, options.with_observer(Arc::clone(&observer)));
+        assert_eq!(got, reference(&view, &plan), "{text}");
+        let drives = sink.take().iter().filter(|s| s.scope == "drive").count();
+        (drives, observer.vectorized())
+    };
+    for text in [
+        format!("SELECT ?a ?b ?c WHERE {{ {bgp} MINUS {{ ?a {r} ?x }} }}"),
+        format!("SELECT ?a ?b ?c WHERE {{ {bgp} {{ ?a {q} ?d OPTIONAL {{ ?a {r} ?x }} }} }}"),
+        format!("SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE {{ {bgp} MINUS {{ ?a {r} ?x }} }}"),
+    ] {
+        assert_eq!(traced(&text), (0, false), "{text}: a morsel ran without a pipeline");
+    }
+    for text in [
+        format!("SELECT ?a ?b ?c WHERE {{ {bgp} }}"),
+        format!("SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE {{ {bgp} }}"),
+    ] {
+        let (drives, vectorized) = traced(&text);
+        assert!(drives >= 1 && vectorized, "{text}: {drives} drive spans, vectorized={vectorized}");
+    }
+}
+
+/// Grouped aggregates the fused path does not take (COUNT(DISTINCT),
+/// SUM, MIN) equal the reference row for row at every thread count and
+/// morsel size; so does a grouped query over a root OPTIONAL, and the
+/// reference itself gives the same group order on every run.
+#[test]
+fn unfused_grouped_aggregates_match_the_reference() {
+    let store = tail_store();
+    let view = store.dataset("m").expect("dataset");
+    let (p, r) = ("<http://x/p>", "<http://x/r>");
+    for head in ["COUNT(DISTINCT ?o)", "SUM(?o)", "MIN(?o)", "COUNT(?x)"] {
+        let body = if head == "COUNT(?x)" {
+            format!("?s {p} ?o OPTIONAL {{ ?s {r} ?x }}")
+        } else {
+            format!("?s {p} ?o")
+        };
+        let text = format!("SELECT ?s ({head} AS ?n) WHERE {{ {body} }} GROUP BY ?s");
+        let parsed = sparql::parse_query(&text).expect("parse");
+        let plan = sparql::compile(&view, &parsed).expect("compile");
+        let expected = reference(&view, &plan);
+        assert_eq!(row_count(&expected), 40, "{text}");
+        assert_eq!(expected, reference(&view, &plan), "{text}: group order changed between runs");
+        for threads in [1usize, 2, 8] {
+            for morsel in [7usize, 1024] {
+                let options = ExecOptions::threads(threads).with_morsel_size(morsel);
+                let got = run(&view, &plan, options);
+                assert_eq!(got, expected, "{text} threads={threads} morsel={morsel}");
+            }
+        }
+    }
 }
 
 /// The NG edge family drives on the edge-KV quad `GRAPH ?g { ?g k:hasTag

@@ -4,25 +4,7 @@
 
 use pgrdf::{convert, roundtrip, PgRdfModel, PgVocab};
 use propertygraph::{PropertyGraph, RelationalGraph};
-
-/// SplitMix64 case generator (std-only; no crates.io access).
-struct Rnd(u64);
-
-impl Rnd {
-    fn new(seed: u64) -> Rnd {
-        Rnd(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use twittergen::rng::Rng;
 
 /// KV collections are conceptually sets; normalise the per-key value
 /// vectors to sorted lexical forms so storage order differences (e.g.
@@ -112,20 +94,21 @@ fn relational_and_tsv_roundtrip() {
 }
 
 fn rand_graph(seed: u64) -> PropertyGraph {
-    let mut r = Rnd::new(seed);
+    let mut r = Rng::seed_from_u64(seed);
     let labels = ["follows", "knows"];
     let keys = ["age", "name", "score"];
     let mut edges = std::collections::BTreeSet::new();
-    for _ in 0..r.below(15) {
-        edges.insert((r.below(10), r.below(2) as usize, r.below(10)));
+    for _ in 0..r.gen_range(0..15) {
+        edges.insert((r.gen_range(0..10) as u64, r.gen_range(0..2), r.gen_range(0..10) as u64));
     }
     let mut g = PropertyGraph::new();
     let mut ids = Vec::new();
     for &(src, label, dst) in &edges {
         ids.push(g.add_edge(src, labels[label], dst));
     }
-    for _ in 0..r.below(15) {
-        let (v, key, val) = (r.below(10), r.below(3) as usize, r.below(55) as i64 - 5);
+    for _ in 0..r.gen_range(0..15) {
+        let (v, key, val) =
+            (r.gen_range(0..10) as u64, r.gen_range(0..3), r.gen_range(0..55) as i64 - 5);
         g.add_vertex(v);
         if key == 1 {
             g.add_vertex_prop(v, keys[key], format!("s{val}")).expect("exists");
@@ -133,8 +116,8 @@ fn rand_graph(seed: u64) -> PropertyGraph {
             g.add_vertex_prop(v, keys[key], val).expect("exists");
         }
     }
-    for _ in 0..r.below(10) {
-        let (slot, key, as_bool) = (r.below(15) as usize, r.below(3) as usize, r.next() & 1 == 0);
+    for _ in 0..r.gen_range(0..10) {
+        let (slot, key, as_bool) = (r.gen_range(0..15), r.gen_range(0..3), r.next_u64() & 1 == 0);
         if let Some(&eid) = ids.get(slot) {
             if as_bool {
                 g.add_edge_prop(eid, keys[key], true).expect("exists");
@@ -143,8 +126,8 @@ fn rand_graph(seed: u64) -> PropertyGraph {
             }
         }
     }
-    for _ in 0..r.below(3) {
-        g.add_vertex(50 + r.below(10));
+    for _ in 0..r.gen_range(0..3) {
+        g.add_vertex(50 + r.gen_range(0..10) as u64);
     }
     g
 }
