@@ -6,8 +6,12 @@
 //! computed term that also exists in the store dictionary is given its
 //! store ID instead, so joins and grouping treat value-equal terms as
 //! equal regardless of where they came from.
+//!
+//! One result tail serves every form ([`exec_select`]). Its only blocking
+//! stage, ORDER BY, keeps the best `offset + limit` rows in bounded heaps.
 
-use std::collections::{HashMap, HashSet};
+use std::cmp;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
@@ -16,7 +20,7 @@ use quadstore::{DatasetView, GraphConstraint, Morsel, QuadPattern};
 use rdf_model::{Term, TermId};
 
 use crate::error::SparqlError;
-use crate::expr::{CExpr, ExprEnv, TermKind, Value};
+use crate::expr::{CExpr, ExprEnv, SortKey, TermKind, Value};
 use crate::path;
 use crate::plan::{
     CAggregate, CForm, CGraph, CPos, CSelect, CTriple, CompiledQuery, Node, Step, Strategy,
@@ -46,7 +50,7 @@ type BoxIter<'it> = Box<dyn Iterator<Item = Row> + 'it>;
 /// up to `morsel_size` rows past the last one used at `threads == 1` and
 /// one round of morsels past it above — and the memory budget for the
 /// state retained at any one time (the collected result, the DISTINCT
-/// set, the sort buffer, hash builds, one round of morsel output).
+/// set, an ORDER BY's kept rows, hash builds, one round of morsel output).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecLimits {
     /// Abort after producing this many intermediate rows across all
@@ -403,6 +407,8 @@ const BUILD_ROW_BYTES: u64 = 56;
 const PATH_NODE_BYTES: u64 = 48;
 /// Estimated retained bytes per materialised output row slot.
 const SLOT_BYTES: u64 = 9;
+/// Estimated retained bytes per evaluated ORDER BY key.
+const KEY_BYTES: u64 = 32;
 /// How many uncharged units a local accumulator may hold before it must
 /// charge the shared context.
 const MEM_CHARGE_CHUNK: u64 = 1024;
@@ -923,6 +929,12 @@ pub(crate) fn appetite(sel: &CSelect) -> Option<usize> {
     sel.limit.filter(|_| plain).map(|limit| limit.saturating_add(sel.offset.unwrap_or(0)))
 }
 
+/// The rows an ORDER BY keeps: `offset + limit` under a LIMIT without
+/// DISTINCT (duplicates would take heap places); `None` keeps them all.
+pub(crate) fn top_k(sel: &CSelect) -> Option<usize> {
+    sel.limit.filter(|_| !sel.distinct).map(|limit| limit.saturating_add(sel.offset.unwrap_or(0)))
+}
+
 /// Evaluates a SELECT pipeline, returning full-width rows (only the
 /// projected slots set). One pull chain serves top-level SELECT,
 /// CONSTRUCT, sub-SELECT and grouped output: expression projection →
@@ -930,61 +942,15 @@ pub(crate) fn appetite(sel: &CSelect) -> Option<usize> {
 /// order stage blocks; without ORDER BY the slice ends the scan.
 pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
     let mut rows: BoxIter = if sel.is_grouped() {
-        Box::new(grouped_rows(ctx, sel)?.into_iter())
+        Box::new(grouped_rows(ctx, sel).into_iter())
     } else {
         Box::new(produce(ctx, sel, appetite(sel)).map(|mut row| {
-            for proj in &sel.projection {
-                if let Some(expr) = &proj.expr {
-                    let value = expr.eval(&RowEnv { ctx, row: &row, aggs: None });
-                    row[proj.slot] = value.map(|v| ctx.intern_value(v));
-                }
-            }
+            project(ctx, sel, &mut row);
             row
         }))
     };
-
     if !sel.order_by.is_empty() {
-        let rows_in = collect_rows(ctx, rows)?;
-        // The sort buffer holds every row plus its evaluated keys; charge
-        // the keys up front so a pathological ORDER BY aborts before the
-        // materialisation, not after.
-        let key_bytes = (sel.order_by.len() as u64).max(1) * 32;
-        if !ctx.charge_mem(rows_in.len() as u64 * key_bytes) {
-            return Err(ctx.abort_error().expect("charge_mem failure records a reason"));
-        }
-        let sort_bytes = rows_in.len() as u64 * ctx.row_bytes();
-        let mut keyed: Vec<(Vec<Option<Value>>, Row)> = rows_in
-            .into_iter()
-            .map(|row| {
-                let keys = sel
-                    .order_by
-                    .iter()
-                    .map(|(expr, _)| {
-                        let env = RowEnv { ctx, row: &row, aggs: None };
-                        expr.eval(&env)
-                    })
-                    .collect();
-                (keys, row)
-            })
-            .collect();
-        keyed.sort_by(|(ka, _), (kb, _)| {
-            for (i, (_, desc)) in sel.order_by.iter().enumerate() {
-                // A total order (unbound first), or `sort_by` may panic.
-                let ord = match (&ka[i], &kb[i]) {
-                    (Some(a), Some(b)) => a.order_cmp(b),
-                    (a, b) => a.is_some().cmp(&b.is_some()),
-                };
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        // The rows move on to the final collection, which charges the
-        // ones it keeps anew.
-        ctx.release_mem(sort_bytes);
-        rows = Box::new(keyed.into_iter().map(|(_, row)| row));
+        rows = Box::new(order_rows(ctx, sel, rows)?.into_iter());
     }
 
     // Narrow rows to the projected slots in place (DISTINCT keys and
@@ -1017,6 +983,124 @@ pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError
     });
     let sliced = fresh.skip(sel.offset.unwrap_or(0)).take(sel.limit.unwrap_or(usize::MAX));
     collect_rows(ctx, sliced)
+}
+
+/// Evaluates a flat SELECT's projection expressions into their slots.
+fn project(ctx: &EvalCtx, sel: &CSelect, row: &mut Row) {
+    for proj in &sel.projection {
+        if let Some(expr) = &proj.expr {
+            row[proj.slot] = expr.eval(&RowEnv { ctx, row, aggs: None }).map(|v| ctx.intern_value(v));
+        }
+    }
+}
+
+/// The order stage: each row's keys are computed once and the best
+/// [`top_k`] rows (all without one) kept in bounded heaps — per morsel
+/// worker ([`par_top_k`]) or over `rows` — then sorted; ties keep arrival
+/// order, so the result is a stable sort's prefix.
+fn order_rows<'it>(
+    ctx: &'it EvalCtx,
+    sel: &'it CSelect,
+    rows: BoxIter<'it>,
+) -> Result<Vec<Row>, SparqlError> {
+    let k = top_k(sel).unwrap_or(usize::MAX);
+    let fused = if sel.is_grouped() || ctx.reference { None } else { par_top_k(ctx, sel, k) };
+    let heaps = fused.unwrap_or_else(|| {
+        let mut heap = TopK::new(ctx, sel, k);
+        let _ = rows.enumerate().all(|(n, row)| heap.offer(&row, (0, n)));
+        vec![heap]
+    });
+    // `offer` charged whole chunks of entries; charge each last one, then
+    // release them all: the final collection charges the rows it keeps.
+    let mut bytes = 0;
+    for h in &heaps {
+        let _ = ctx.charge_mem(h.heap.len() as u64 % MEM_CHARGE_CHUNK * h.entry_bytes);
+        bytes += h.heap.len() as u64 * h.entry_bytes;
+    }
+    let mut ranked: Vec<Ranked> = heaps.into_iter().flat_map(|h| h.heap.into_vec()).collect();
+    ranked.sort_unstable();
+    ranked.truncate(k);
+    ctx.release_mem(bytes);
+    match ctx.abort_error() {
+        Some(err) => Err(err),
+        None => Ok(ranked.into_iter().map(|r| r.row).collect()),
+    }
+}
+
+/// An ORDER BY key in its direction: a row's keys compare in order.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Directed<'a> {
+    Asc(SortKey<'a>),
+    Desc(cmp::Reverse<SortKey<'a>>),
+}
+
+/// A row ordered by its keys, then by arrival: sorting is stable.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct Ranked<'a> {
+    keys: Vec<Directed<'a>>,
+    seq: (usize, usize),
+    row: Row,
+}
+
+/// Evaluates a row's ORDER BY keys into `keys`. A variable bound to a
+/// store term borrows its key from the pinned dictionary; computed terms
+/// and expression keys own theirs.
+fn sort_keys<'a>(ctx: &'a EvalCtx, sel: &CSelect, row: &Row, keys: &mut Vec<Directed<'a>>) {
+    keys.clear();
+    keys.extend(sel.order_by.iter().map(|(expr, desc)| {
+        let key = match *expr {
+            CExpr::Var(s) if row[s].is_some_and(|id| id & COMPUTED_BIT == 0) => {
+                let term = row[s].and_then(|id| ctx.view.term(TermId(id)));
+                term.map_or(SortKey::Unbound, SortKey::of_term)
+            }
+            _ => expr
+                .eval(&RowEnv { ctx, row, aggs: None })
+                .map_or(SortKey::Unbound, |v| SortKey::of(&v).into_owned()),
+        };
+        if *desc { Directed::Desc(cmp::Reverse(key)) } else { Directed::Asc(key) }
+    }));
+}
+
+/// The `k` best rows offered so far, worst on top: a row that does not
+/// beat it is dropped after one key comparison, one that does takes its
+/// place and buffers. Entries are charged to the memory budget in chunks
+/// as they are added, like [`collect_rows`]' buffer.
+struct TopK<'a> {
+    ctx: &'a EvalCtx,
+    sel: &'a CSelect,
+    k: usize,
+    heap: BinaryHeap<Ranked<'a>>,
+    /// The offered row's keys.
+    keys: Vec<Directed<'a>>,
+    /// Estimated retained bytes of one entry.
+    entry_bytes: u64,
+}
+
+impl<'a> TopK<'a> {
+    /// A heap of `k` rows, at least one (`LIMIT 0` truncates it away).
+    fn new(ctx: &'a EvalCtx, sel: &'a CSelect, k: usize) -> Self {
+        let entry_bytes = ctx.row_bytes() + sel.order_by.len() as u64 * KEY_BYTES;
+        TopK { ctx, sel, k: k.max(1), heap: BinaryHeap::new(), keys: Vec::new(), entry_bytes }
+    }
+
+    /// Offers the `seq`-th row to arrive (arrivals only grow, so a tie
+    /// loses to the row kept); `false` once a memory charge fails.
+    fn offer(&mut self, row: &Row, seq: (usize, usize)) -> bool {
+        sort_keys(self.ctx, self.sel, row, &mut self.keys);
+        if self.heap.len() < self.k {
+            let keys = std::mem::take(&mut self.keys);
+            self.heap.push(Ranked { keys, seq, row: row.clone() });
+            let whole = self.heap.len() as u64 % MEM_CHARGE_CHUNK == 0;
+            return !whole || self.ctx.charge_mem(MEM_CHARGE_CHUNK * self.entry_bytes);
+        }
+        let mut worst = self.heap.peek_mut().expect("a full heap of k >= 1 rows");
+        if self.keys < worst.keys {
+            std::mem::swap(&mut worst.keys, &mut self.keys);
+            worst.row.clone_from(row);
+            worst.seq = seq;
+        }
+        true
+    }
 }
 
 /// Collects the rows a blocking stage keeps. The buffer is retained state
@@ -1160,7 +1244,7 @@ impl Acc {
 /// Produces the grouped rows of a grouped SELECT: fused aggregation
 /// inside the morsel loop when the aggregates and the plan allow it, else
 /// ordered row production streaming into the sequential aggregation loop.
-fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
+fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Vec<Row> {
     if !ctx.reference {
         if let Some(partial) = par_grouped(ctx, sel) {
             return finalize_groups(ctx, sel, partial.groups, partial.saw_rows);
@@ -1176,11 +1260,7 @@ fn group_mem_bytes(sel: &CSelect) -> u64 {
     48 + sel.group_slots.len() as u64 * SLOT_BYTES + sel.aggregates.len() as u64 * 48
 }
 
-fn group_and_aggregate(
-    ctx: &EvalCtx,
-    sel: &CSelect,
-    solutions: BoxIter<'_>,
-) -> Result<Vec<Row>, SparqlError> {
+fn group_and_aggregate(ctx: &EvalCtx, sel: &CSelect, solutions: BoxIter<'_>) -> Vec<Row> {
     // A fixed hasher: the same input gives the same group order on every
     // run, like the fused path.
     let mut groups = GroupMap::default();
@@ -1205,13 +1285,14 @@ fn group_and_aggregate(
 }
 
 /// Turns accumulated groups into output rows: default group for zero-row
-/// ungrouped aggregation, projection expressions, and HAVING.
+/// ungrouped aggregation, projection expressions and hidden ORDER BY
+/// columns, and HAVING.
 fn finalize_groups(
     ctx: &EvalCtx,
     sel: &CSelect,
     mut groups: GroupMap,
     saw_rows: bool,
-) -> Result<Vec<Row>, SparqlError> {
+) -> Vec<Row> {
     let make_accs = || sel.aggregates.iter().map(Acc::new).collect::<Vec<_>>();
     // SPARQL: aggregation without GROUP BY over zero rows yields one group.
     if !saw_rows && sel.group_slots.is_empty() {
@@ -1233,15 +1314,10 @@ fn finalize_groups(
         for (slot, v) in sel.group_slots.iter().zip(&key) {
             row[*slot] = *v;
         }
-        for proj in &sel.projection {
+        for proj in sel.projection.iter().chain(&sel.hidden) {
             if let Some(expr) = &proj.expr {
                 let env = RowEnv { ctx, row: &row, aggs: Some(&agg_values) };
                 row[proj.slot] = expr.eval(&env).map(|v| ctx.intern_value(v));
-            } else if !sel.group_slots.contains(&proj.slot) {
-                return Err(SparqlError::Unsupported(format!(
-                    "variable ?{} projected out of a grouped query but not in GROUP BY",
-                    ctx.vars.name(proj.slot)
-                )));
             }
         }
         // HAVING: post-aggregation filter (projection aliases like the
@@ -1255,7 +1331,7 @@ fn finalize_groups(
         }
         out.push(row);
     }
-    Ok(out)
+    out
 }
 
 /// Evaluates one compiled node, streaming input rows through it.
@@ -2082,7 +2158,12 @@ impl<'it> MorselRows<'it> {
         let mut memos = claim_tasks(ctx, tasks.clone(), "morsel", memo, |memo, i| {
             let morsel = &this.morsels[i];
             let mut out = this.bufs[i - tasks.start].lock().expect("morsel buffer lock poisoned");
-            this.pipeline.run_morsel(ctx, &this.pattern, morsel, memo, &mut out, want);
+            this.pipeline.run_morsel(ctx, &this.pattern, morsel, memo, None, &mut |row| {
+                if out.len() < want {
+                    out.push(row.clone());
+                }
+                out.len() < want
+            });
             // The round's output waits in memory until it is pulled: one
             // bulk memory charge per morsel, released as it drains.
             let _ = ctx.charge_mem(out.len() as u64 * ctx.row_bytes());
@@ -2144,33 +2225,23 @@ fn apply_stage<'it>(ctx: &'it EvalCtx, stage: &Stage<'it>, input: BoxIter<'it>) 
 }
 
 // ---------------------------------------------------------------------------
-// Fused parallel aggregation.
+// Fused consumers: top-k and parallel aggregation.
 //
-// When every aggregate is a plain count (COUNT(*) or COUNT(?v): partial
-// counts sum) and every UNION branch compiles to a `VecPipeline`, grouping
-// runs inside the morsel workers over column batches and only per-group
-// partial counts are merged — no row is materialised. Everything else
-// (COUNT(DISTINCT), MIN/MAX, whose ties keep the first-encountered value,
-// and SUM/AVG, whose float addition is not associative) takes the ordered
+// When every UNION branch compiles to a `VecPipeline`, ORDER BY
+// (`par_top_k`) and plain-count grouping (`par_grouped`: COUNT(*) and
+// COUNT(?v), whose partial counts sum) run inside the morsel workers on
+// the pipeline's reused row buffer, one heap or partial per worker. Other
+// aggregates (COUNT(DISTINCT), MIN/MAX, whose ties keep the first value,
+// and SUM/AVG, whose float addition is not associative) take the ordered
 // sequential path instead.
 // ---------------------------------------------------------------------------
 
-/// Per-aggregate fast path used inside morsel workers.
-enum FastAgg {
-    /// COUNT(*): count rows.
-    CountAll,
-    /// COUNT(?v): count rows where the slot is bound.
-    CountSlot(usize),
-}
-
-/// The fused-path accumulator for one aggregate, or `None` when it is not
-/// a plain count.
-fn fast_agg(agg: &CAggregate) -> Option<FastAgg> {
+/// What a plain count counts — `Some(None)` every row (COUNT(*)),
+/// `Some(Some(v))` rows binding `?v` — or `None` for any other aggregate.
+fn counted_slot(agg: &CAggregate) -> Option<Option<usize>> {
     match agg {
-        CAggregate::CountAll => Some(FastAgg::CountAll),
-        CAggregate::Count { distinct: false, expr: CExpr::Var(slot) } => {
-            Some(FastAgg::CountSlot(*slot))
-        }
+        CAggregate::CountAll => Some(None),
+        CAggregate::Count { distinct: false, expr: CExpr::Var(slot) } => Some(Some(*slot)),
         _ => None,
     }
 }
@@ -2243,23 +2314,25 @@ fn drive_sort_preference(plan: &DrivePlan<'_>, slot: usize) -> Option<usize> {
     }
 }
 
-/// Runs the fused aggregation — grouping inside the morsel loop, one
-/// partial per worker — or `None` when an aggregate is not a plain count
-/// or a UNION branch does not compile to a pipeline.
-fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
-    let fast: Vec<FastAgg> = sel.aggregates.iter().map(fast_agg).collect::<Option<_>>()?;
+/// A fused path's unit of work: (pipeline, drive pattern, morsel).
+type MorselTask = (usize, QuadPattern, Morsel);
+
+/// Every UNION branch's pipeline and their morsel tasks in sequential
+/// order, or `None` when a branch does not compile to a pipeline. With a
+/// `group_slot`, each drive scan picks among tying indexes one sorted by
+/// it: grouped output ignores row order, and key runs turn per-row group
+/// lookups into one per run (out-degree: PSCGM over PCSGM).
+fn morsel_tasks<'p>(
+    ctx: &EvalCtx,
+    sel: &'p CSelect,
+    group_slot: Option<usize>,
+) -> Option<(Vec<batch::VecPipeline<'p>>, Vec<MorselTask>)> {
     let branches = union_branches(&sel.root, &[]);
-    let mut plans: Vec<DrivePlan<'_>> = branches
+    let mut plans: Vec<DrivePlan<'p>> = branches
         .iter()
         .map(|(node, suffix)| drive_plan(ctx, node, suffix))
         .collect::<Option<_>>()?;
-    // Group output is a set of (key, accumulator) pairs — insensitive to
-    // input row order — so the driving scan is free to pick, among tying
-    // indexes, one sorted by the group key. That turns the accumulator's
-    // per-row hash lookups into one lookup per key run (e.g. the
-    // out-degree query groups by subject: PSCGM feeds subject-sorted rows
-    // where the default PCSGM choice would feed object-sorted ones).
-    if let [slot] = sel.group_slots[..] {
+    if let Some(slot) = group_slot {
         for plan in &mut plans {
             plan.prefer = drive_sort_preference(plan, slot);
         }
@@ -2267,12 +2340,11 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
     // Compiled after the sort preference is fixed: the pipeline captures
     // `prefer` for its driving scan.
     let needed = batch::needed_slots(ctx, sel);
-    let pipelines: Vec<batch::VecPipeline<'_>> = plans
+    let pipelines: Vec<batch::VecPipeline<'p>> = plans
         .iter()
         .map(|p| batch::VecPipeline::compile(ctx, p, &needed))
         .collect::<Option<_>>()?;
-    // Flatten every plan's morsels into one shared task list.
-    let mut tasks: Vec<(usize, QuadPattern, Morsel)> = Vec::new();
+    let mut tasks = Vec::new();
     for (i, (plan, pipe)) in plans.iter().zip(&pipelines).enumerate() {
         pipe.begin(ctx);
         if let Some(p) = probe_pattern(&plan.base, &plan.drive.triple) {
@@ -2281,6 +2353,45 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
             }
         }
     }
+    Some((pipelines, tasks))
+}
+
+/// ORDER BY … LIMIT inside the morsel loop: each worker offers its
+/// morsels' rows to its own [`TopK`] straight from the pipeline, so only
+/// survivors are materialised and no morsel's rows wait in memory. A row
+/// arrives as (task, row in morsel), its sequential position. `None` when
+/// a UNION branch does not compile to a pipeline.
+fn par_top_k<'a>(ctx: &'a EvalCtx, sel: &'a CSelect, k: usize) -> Option<Vec<TopK<'a>>> {
+    let (pipelines, tasks) = morsel_tasks(ctx, sel, None)?;
+    let init = || {
+        let memos: Vec<batch::VecState> = pipelines.iter().map(batch::VecState::new).collect();
+        (TopK::new(ctx, sel, k), memos)
+    };
+    let heaps = claim_tasks(ctx, 0..tasks.len(), "top-k morsel", init, |(heap, memos), t| {
+        let (i, pattern, morsel) = &tasks[t];
+        let mut n = 0;
+        pipelines[*i].run_morsel(ctx, pattern, morsel, &mut memos[*i], None, &mut |row| {
+            project(ctx, sel, row);
+            n += 1;
+            heap.offer(row, (t, n))
+        });
+    });
+    Some(heaps.into_iter().map(|(heap, _)| heap).collect())
+}
+
+/// Runs the fused aggregation — grouping inside the morsel loop, one
+/// partial per worker — or `None` when an aggregate is not a plain count
+/// or a UNION branch does not compile to a pipeline.
+fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
+    let counted: Vec<Option<usize>> = sel.aggregates.iter().map(counted_slot).collect::<Option<_>>()?;
+    let group_slot = if let [slot] = sel.group_slots[..] { Some(slot) } else { None };
+    let (pipelines, tasks) = morsel_tasks(ctx, sel, group_slot)?;
+    // Each pipeline's per-row increments are static: every row binds a
+    // counted slot (and counts) or none does. Rows carry only the keys.
+    let incs: Vec<Vec<u64>> = pipelines
+        .iter()
+        .map(|p| counted.iter().map(|s| u64::from(s.is_none_or(|s| p.binds(s)))).collect())
+        .collect();
     let partials: Vec<GroupedPartial> = claim_tasks(
         ctx,
         0..tasks.len(),
@@ -2291,8 +2402,11 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
         },
         |(sink, memos), t| {
             let (i, pattern, morsel) = &tasks[t];
-            let memo = &mut memos[*i];
-            pipelines[*i].run_morsel_grouped(ctx, sel, &fast, pattern, morsel, memo, sink);
+            let keys = Some(&sel.group_slots[..]);
+            pipelines[*i].run_morsel(ctx, pattern, morsel, &mut memos[*i], keys, &mut |row| {
+                sink.push_counts(ctx, sel, row, &incs[*i]);
+                true
+            });
         },
     )
     .into_iter()
@@ -2326,14 +2440,16 @@ struct RunSink {
 }
 
 impl RunSink {
-    /// Consumes a pre-built group key and static per-row increments (plain
-    /// counts only — enforced by [`fast_agg`]) without materialising a row.
-    fn push_counts(&mut self, ctx: &EvalCtx, sel: &CSelect, key: &[Option<u64>], incs: &[u64]) {
+    /// Counts one row of the pipeline's reused row buffer, its group keys
+    /// filled in, by static per-row increments (plain counts only —
+    /// enforced by [`counted_slot`]).
+    fn push_counts(&mut self, ctx: &EvalCtx, sel: &CSelect, row: &Row, incs: &[u64]) {
         self.part.saw_rows = true;
-        if !self.active || key != self.key.as_slice() {
+        let key = sel.group_slots.iter().map(|&s| row[s]);
+        if !self.active || !key.clone().eq(self.key.iter().copied()) {
             self.flush(ctx, sel);
             self.key.clear();
-            self.key.extend_from_slice(key);
+            self.key.extend(key);
             self.accs.clear();
             self.accs.extend(sel.aggregates.iter().map(Acc::new));
             self.active = true;
@@ -2389,7 +2505,7 @@ fn merge_partial(into: &mut GroupedPartial, from: GroupedPartial) {
 }
 
 /// Merges two partial accumulators for the same group. Only plain counts
-/// reach here (enforced by [`fast_agg`]).
+/// reach here (enforced by [`counted_slot`]).
 fn merge_acc(a: &mut Acc, b: Acc) {
     match (a, b) {
         (Acc::CountAll(x), Acc::CountAll(y)) | (Acc::Count(x), Acc::Count(y)) => *x += y,

@@ -503,30 +503,37 @@ impl<'p> VecPipeline<'p> {
         }
     }
 
-    /// Runs one morsel through the pipeline, materialising finished rows
-    /// into `out` (template + live columns only) until the morsel ends or
-    /// `out` holds the `want` rows its consumer can use.
+    /// Runs one morsel through the pipeline, handing each finished row to
+    /// `emit` until the morsel ends or `emit` returns `false`. One row
+    /// buffer serves every call — the template with the live columns among
+    /// `only` (all of them for `None`) filled in — so `emit` copies what it
+    /// keeps.
     pub(super) fn run_morsel(
         &self,
         ctx: &EvalCtx,
         pattern: &QuadPattern,
         morsel: &Morsel,
         st: &mut VecState,
-        out: &mut Vec<Row>,
-        want: usize,
+        only: Option<&[usize]>,
+        emit: &mut impl FnMut(&mut Row) -> bool,
     ) {
+        let cols: Vec<usize> =
+            self.final_cols.iter().copied().filter(|s| only.is_none_or(|o| o.contains(s))).collect();
+        let mut row = self.template.clone();
         self.for_each_batch(ctx, pattern, morsel, st, &mut |batch: &Batch| {
-            let len = batch.len.min(want.saturating_sub(out.len()));
-            out.reserve(len);
-            for i in 0..len {
-                let mut row = self.template.clone();
-                for &s in &self.final_cols {
+            (0..batch.len).all(|i| {
+                for &s in &cols {
                     row[s] = Some(batch.col(s)[i]);
                 }
-                out.push(row);
-            }
-            out.len() < want
+                emit(&mut row)
+            })
         });
+    }
+
+    /// Whether every finished row binds `slot`, as a live column or a base
+    /// constant; a slot it does not bind is unbound in every row.
+    pub(super) fn binds(&self, slot: usize) -> bool {
+        self.final_cols.contains(&slot) || self.base[slot].is_some()
     }
 
     /// Runs one morsel and feeds finished batches to `sink` until it
@@ -780,54 +787,6 @@ impl<'p> VecPipeline<'p> {
                 Some(gather_batch(&batch, &sel, keep, &[], Vec::new(), nvars))
             }
         }
-    }
-
-    /// Runs one morsel in grouped mode: surviving batches feed the
-    /// run-length group accumulator directly, without materialising rows
-    /// (every aggregate is a plain count — enforced by [`fast_agg`]).
-    pub(super) fn run_morsel_grouped(
-        &self,
-        ctx: &EvalCtx,
-        sel: &CSelect,
-        fast: &[FastAgg],
-        pattern: &QuadPattern,
-        morsel: &Morsel,
-        st: &mut VecState,
-        sink: &mut RunSink,
-    ) {
-        // Static per-row increments: a counted slot that is a live column
-        // is always bound; one bound from the base row always counts; an
-        // unbound one never does.
-        let col_is_live = |s: usize| self.final_cols.contains(&s);
-        let incs: Vec<u64> = fast
-            .iter()
-            .map(|f| match f {
-                FastAgg::CountAll => 1,
-                FastAgg::CountSlot(s) => u64::from(col_is_live(*s) || self.base[*s].is_some()),
-            })
-            .collect();
-        enum KeySrc {
-            Col(usize),
-            Fixed(Option<u64>),
-        }
-        let key_srcs: Vec<KeySrc> = sel
-            .group_slots
-            .iter()
-            .map(|&s| if col_is_live(s) { KeySrc::Col(s) } else { KeySrc::Fixed(self.base[s]) })
-            .collect();
-        let mut key: Vec<Option<u64>> = vec![None; key_srcs.len()];
-        self.for_each_batch(ctx, pattern, morsel, st, &mut |batch: &Batch| {
-            for i in 0..batch.len {
-                for (dst, ks) in key.iter_mut().zip(&key_srcs) {
-                    *dst = match ks {
-                        KeySrc::Col(s) => Some(batch.col(*s)[i]),
-                        KeySrc::Fixed(v) => *v,
-                    };
-                }
-                sink.push_counts(ctx, sel, &key, &incs);
-            }
-            true
-        });
     }
 }
 

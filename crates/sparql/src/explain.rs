@@ -28,7 +28,9 @@
 //! ends early — `LIMIT 10 (ends scan)`, or `DISTINCT (streaming)` filling
 //! its LIMIT — a step's `actual` rows are the rows it actually produced
 //! before the pulling stopped: for the driving step, the morsels scanned
-//! (whole ones), not the size of the relation.
+//! (whole ones), not the size of the relation. An ORDER BY reads every
+//! row either way: `ORDER BY (2 keys, top 10)` keeps ten of them in a
+//! bounded heap, `ORDER BY (2 keys)` sorts them all.
 
 use std::fmt::Write as _;
 
@@ -186,11 +188,14 @@ fn render_select(
     }
     let mut counter = 1usize;
     render_node(out, vars, &sel.root, depth + 1, &mut counter, profile);
-    // The result tail, in pipeline order. Only ORDER BY blocks: without
-    // it DISTINCT dedups rows as they are pulled, and a plain LIMIT is
-    // the executor's appetite — it ends the scans beneath it.
+    // The result tail, in pipeline order. Only ORDER BY blocks — under a
+    // LIMIT without DISTINCT it keeps the top `offset + limit` rows in a
+    // bounded heap, else it sorts them all: without it DISTINCT dedups
+    // rows as they are pulled, and a plain LIMIT is the executor's
+    // appetite — it ends the scans beneath it.
     if !sel.order_by.is_empty() {
-        let _ = writeln!(out, "{pad}ORDER BY ({} keys)", sel.order_by.len());
+        let top = crate::exec::top_k(sel).map(|k| format!(", top {k}")).unwrap_or_default();
+        let _ = writeln!(out, "{pad}ORDER BY ({} keys{top})", sel.order_by.len());
     } else if sel.distinct {
         let _ = writeln!(out, "{pad}DISTINCT (streaming)");
     }

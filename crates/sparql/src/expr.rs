@@ -5,6 +5,9 @@
 //! pre-resolved to IDs so the common filters (`?t = "#webseries"`,
 //! `isLiteral(?v)`, `isIRI(?y)`) evaluate without materialising terms.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use rdf_model::vocab::xsd;
 use rdf_model::{Literal, Term};
 
@@ -81,12 +84,18 @@ impl Value {
 
     /// The `STR()` string form.
     pub fn str_value(&self) -> String {
+        self.str_form().into_owned()
+    }
+
+    /// The string form, borrowed where the value holds one: comparisons
+    /// read it without allocating.
+    fn str_form(&self) -> Cow<'_, str> {
         match self {
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Float(f) => f.to_string(),
-            Value::Str(s) => s.clone(),
-            Value::Term(t) => t.str_value().to_string(),
+            Value::Bool(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Float(f) => Cow::Owned(f.to_string()),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Term(t) => Cow::Borrowed(t.str_value()),
         }
     }
 
@@ -100,33 +109,99 @@ impl Value {
         match (self, other) {
             (Value::Term(a), Value::Term(b)) => a == b,
             (Value::Bool(a), Value::Bool(b)) => a == b,
-            _ => self.str_value() == other.str_value(),
+            _ => self.str_form() == other.str_form(),
         }
     }
 
     /// Ordering used by comparisons and MIN/MAX: numeric if both numeric,
     /// else lexicographic on string form. Not a total order over mixed
     /// columns (`9 < 10`, `10 < "5"`, `"5" < 9`): sorting takes
-    /// [`Self::order_cmp`].
-    pub fn sparql_cmp(&self, other: &Value) -> std::cmp::Ordering {
+    /// [`SortKey`].
+    pub fn sparql_cmp(&self, other: &Value) -> Ordering {
         if let (Some(a), Some(b)) = (self.as_number(), other.as_number()) {
-            return a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
+            return a.partial_cmp(&b).unwrap_or(Ordering::Equal);
         }
-        self.str_value().cmp(&other.str_value())
+        self.str_form().cmp(&other.str_form())
     }
 
-    /// ORDER BY's total order: numeric values first, by
-    /// [`f64::total_cmp`] (so NaN has a place), then everything else by
-    /// string form. Agrees with [`Self::sparql_cmp`] on a column whose
-    /// values are all numeric or all not.
-    pub fn order_cmp(&self, other: &Value) -> std::cmp::Ordering {
-        match (self.as_number(), other.as_number()) {
-            (Some(a), Some(b)) => a.total_cmp(&b),
-            (None, None) => self.str_value().cmp(&other.str_value()),
-            (a, b) => b.is_some().cmp(&a.is_some()),
+    /// ORDER BY's total order over two values (see [`SortKey`]).
+    pub fn order_cmp(&self, other: &Value) -> Ordering {
+        SortKey::of(self).cmp(&SortKey::of(other))
+    }
+}
+
+/// An ORDER BY key. Its `Ord` is ORDER BY's total order: unbound, then
+/// numbers by [`f64::total_cmp`] (NaN included), then the rest by string
+/// form — [`Value::sparql_cmp`]'s order on a column all numeric or all
+/// not. A key borrows its string form, so comparing keys never allocates.
+#[derive(Debug, Clone)]
+pub enum SortKey<'a> {
+    /// No value (an unbound variable or an expression error).
+    Unbound,
+    /// A numeric value.
+    Num(f64),
+    /// Any other value, by string form.
+    Text(Cow<'a, str>),
+}
+
+impl<'a> SortKey<'a> {
+    /// The key of a value.
+    pub fn of(value: &'a Value) -> SortKey<'a> {
+        match value.as_number() {
+            Some(n) => SortKey::Num(n),
+            None => SortKey::Text(value.str_form()),
+        }
+    }
+
+    /// The key of [`Value::from_term`], borrowed from the term.
+    pub fn of_term(term: &'a Term) -> SortKey<'a> {
+        let Term::Literal(lit) = term else {
+            return SortKey::Text(Cow::Borrowed(term.str_value()));
+        };
+        if let Some(b) = lit.as_bool() {
+            return SortKey::Text(Cow::Borrowed(if b { "true" } else { "false" }));
+        }
+        match lit.as_i64().map(|i| i as f64).or_else(|| lit.as_f64()) {
+            Some(n) => SortKey::Num(n),
+            None => SortKey::Text(Cow::Borrowed(lit.lexical())),
+        }
+    }
+
+    /// The same key, owning its string form.
+    pub fn into_owned(self) -> SortKey<'static> {
+        match self {
+            SortKey::Unbound => SortKey::Unbound,
+            SortKey::Num(n) => SortKey::Num(n),
+            SortKey::Text(s) => SortKey::Text(Cow::Owned(s.into_owned())),
         }
     }
 }
+
+impl Ord for SortKey<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (self, other) {
+            (SortKey::Num(a), SortKey::Num(b)) => a.total_cmp(b),
+            (SortKey::Text(a), SortKey::Text(b)) => a.cmp(b),
+            (SortKey::Unbound, SortKey::Unbound) => Ordering::Equal,
+            (SortKey::Unbound, _) | (SortKey::Num(_), SortKey::Text(_)) => Ordering::Less,
+            _ => Ordering::Greater,
+        }
+    }
+}
+
+impl PartialOrd for SortKey<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for SortKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for SortKey<'_> {}
 
 /// A compiled expression; `Var` holds a binding slot.
 #[derive(Debug, Clone, PartialEq)]

@@ -98,6 +98,8 @@ pub struct LSelect {
     pub root: LNode,
     /// ORDER BY keys (expr, descending).
     pub order_by: Vec<(CExpr, bool)>,
+    /// Hidden per-group columns of aggregate-bearing ORDER BY keys.
+    pub hidden: Vec<CProj>,
     /// LIMIT.
     pub limit: Option<usize>,
     /// OFFSET.

@@ -312,6 +312,10 @@ pub struct CSelect {
     pub root: Node,
     /// ORDER BY keys (expr, descending).
     pub order_by: Vec<(CExpr, bool)>,
+    /// Hidden columns: ORDER BY keys that hold an aggregate, computed per
+    /// group like projection expressions into `' '`-named slots the keys
+    /// read. Never projected.
+    pub hidden: Vec<CProj>,
     /// LIMIT.
     pub limit: Option<usize>,
     /// OFFSET.
@@ -524,22 +528,39 @@ impl Compiler<'_> {
             }
         }
 
-        let order_by = sel
-            .order_by
-            .iter()
-            .map(|k| {
-                // ORDER BY may reference aggregate outputs by variable name;
-                // those are projection slots, so plain compilation works.
-                self.compile_expr(&k.expr, &mut aggregates)
-                    .map(|e| (e, k.descending))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        // ORDER BY may reference aggregate outputs by variable name; those
+        // are projection slots, so plain compilation works. A key holding
+        // an aggregate itself is computed per group into a hidden column.
+        let mut hidden = Vec::new();
+        let mut order_by = Vec::new();
+        for key in &sel.order_by {
+            let aggs_before = aggregates.len();
+            let mut expr = self.compile_expr(&key.expr, &mut aggregates)?;
+            if aggregates.len() > aggs_before {
+                let slot = self.vars.slot(&format!(" _order{}", self.vars.len()));
+                hidden.push(CProj { slot, expr: Some(expr) });
+                expr = CExpr::Var(slot);
+            }
+            order_by.push((expr, key.descending));
+        }
 
         let having = sel
             .having
             .iter()
             .map(|h| self.compile_expr(h, &mut aggregates))
             .collect::<Result<Vec<_>, _>>()?;
+
+        // A group has one value per GROUP BY key and expression, none per
+        // other variable.
+        if !group_slots.is_empty() || !aggregates.is_empty() {
+            let loose = projection.iter().find(|p| p.expr.is_none() && !group_slots.contains(&p.slot));
+            if let Some(p) = loose {
+                return Err(SparqlError::Unsupported(format!(
+                    "variable ?{} projected out of a grouped query but not in GROUP BY",
+                    self.vars.name(p.slot)
+                )));
+            }
+        }
 
         for proj in &projection {
             bound.insert(proj.slot);
@@ -553,6 +574,7 @@ impl Compiler<'_> {
             having,
             root,
             order_by,
+            hidden,
             limit: sel.limit,
             offset: sel.offset,
         })
@@ -1022,6 +1044,7 @@ impl Physical<'_> {
             having: lsel.having.clone(),
             root,
             order_by: lsel.order_by.clone(),
+            hidden: lsel.hidden.clone(),
             limit: lsel.limit,
             offset: lsel.offset,
         }

@@ -537,7 +537,7 @@ fn prune_binds_in(node: &mut LNode, used: &HashSet<usize>) -> bool {
 }
 
 fn collect_select_uses(sel: &LSelect, used: &mut HashSet<usize>) {
-    for p in &sel.projection {
+    for p in sel.projection.iter().chain(&sel.hidden) {
         used.insert(p.slot);
         if let Some(e) = &p.expr {
             collect_expr_uses(e, used);

@@ -307,6 +307,112 @@ fn pin_on_a_variable_an_optional_leaves_unbound() {
     assert_eq!(rows, 0, "no row survives");
 }
 
+/// An ORDER BY key holding an aggregate sorts the groups by it, exactly
+/// as ordering by the same aggregate projected under a name does: object
+/// `o{i}` is the target of `i` edges, so descending count is the reverse
+/// of the objects' names.
+#[test]
+fn order_by_an_aggregate_sorts_the_groups() {
+    let store = Store::new();
+    store.create_model("m").expect("model");
+    let quads: Vec<Quad> = (1..=9u32)
+        .flat_map(|i| {
+            (0..i).map(move |j| {
+                let (s, o) = (format!("http://s{i}_{j}"), format!("http://o{i}"));
+                Quad::triple(Term::iri(s), Term::iri("http://p"), Term::iri(o)).expect("valid")
+            })
+        })
+        .collect();
+    store.bulk_load("m", &quads).expect("load");
+    let objects = |q: &str| -> Vec<Option<Term>> {
+        let sols = sparql::select(&store, "m", q).expect("query runs");
+        sols.rows.into_iter().map(|row| row[0].clone()).collect()
+    };
+    let named = objects(
+        "SELECT ?o (COUNT(*) AS ?c) WHERE { ?s <http://p> ?o } GROUP BY ?o ORDER BY DESC(?c) ?o",
+    );
+    assert_eq!(named[0], Some(Term::iri("http://o9")), "{named:?}");
+    for tail in ["", " LIMIT 4"] {
+        let q = format!(
+            "SELECT ?o WHERE {{ ?s <http://p> ?o }} GROUP BY ?o ORDER BY DESC(COUNT(*)) ?o{tail}"
+        );
+        let got = objects(&q);
+        assert_eq!(got[..], named[..got.len()], "{q}");
+    }
+}
+
+/// A variable projected out of a grouped query but not grouped by is a
+/// compile error — also over zero groups, and inside a sub-select, whose
+/// execution errors the sub-select operator would otherwise discard.
+#[test]
+fn projecting_an_ungrouped_variable_is_rejected() {
+    for q in [
+        "SELECT ?y (COUNT(*) AS ?c) WHERE { ?x <http://nothing> ?y } GROUP BY ?x",
+        "SELECT ?a WHERE { { SELECT ?y (COUNT(*) AS ?c) WHERE { ?x <http://knows> ?y } \
+         GROUP BY ?x } }",
+    ] {
+        let result = sparql::query(&store(), "m", q);
+        assert!(matches!(result, Err(sparql::SparqlError::Unsupported(_))), "{q}: {result:?}");
+    }
+}
+
+/// A term's sort key orders exactly like its value under the comparison
+/// ORDER BY used before keys borrowed from the dictionary: numbers by
+/// `f64::total_cmp` (integers through `i64 as f64`, so beyond 2^53 they
+/// round alike), booleans by their canonical spelling, everything else by
+/// string form.
+#[test]
+fn sort_keys_order_terms_like_their_values() {
+    use rdf_model::vocab::xsd;
+    use rdf_model::Iri;
+    use sparql::expr::{SortKey, Value};
+    use std::cmp::Ordering;
+
+    let typed = |lex: &str, dt: &str| Term::Literal(Literal::typed(lex, Iri::new(dt)));
+    let terms = [
+        Term::iri("http://b"),
+        Term::iri("http://a"),
+        Term::blank("b1"),
+        Term::string("abc"),
+        Term::string("10"),
+        Term::string("true"),
+        Term::string(""),
+        Term::Literal(Literal::lang_string("zug", "de")),
+        typed("x", "http://custom"),
+        typed("abc", xsd::STRING),
+        typed("abc", xsd::INTEGER),
+        Term::Literal(Literal::double(f64::NAN)),
+        Term::Literal(Literal::double(-0.0)),
+        Term::Literal(Literal::double(1e300)),
+        Term::int(9),
+        Term::int(10),
+        Term::Literal(Literal::integer((1 << 53) + 1)),
+        Term::Literal(Literal::integer(1 << 53)),
+        Term::Literal(Literal::integer(-(1 << 60))),
+        typed("99999999999999999999", xsd::INTEGER),
+        typed("1.5", xsd::DECIMAL),
+        typed("1", xsd::BOOLEAN),
+        typed("false", xsd::BOOLEAN),
+        typed("yes", xsd::BOOLEAN),
+    ];
+    let old_order = |a: &Value, b: &Value| match (a.as_number(), b.as_number()) {
+        (Some(x), Some(y)) => x.total_cmp(&y),
+        (None, None) => a.str_value().cmp(&b.str_value()),
+        (x, y) => y.is_some().cmp(&x.is_some()),
+    };
+    for a in &terms {
+        for b in &terms {
+            let (va, vb) = (Value::from_term(a), Value::from_term(b));
+            let expected = old_order(&va, &vb);
+            assert_eq!(SortKey::of_term(a).cmp(&SortKey::of_term(b)), expected, "{a} vs {b}");
+            assert_eq!(va.order_cmp(&vb), expected, "{a} vs {b} as values");
+        }
+        assert_eq!(SortKey::Unbound.cmp(&SortKey::of_term(a)), Ordering::Less, "{a}");
+    }
+    let one = typed("1", xsd::BOOLEAN);
+    assert_eq!(SortKey::of_term(&one), SortKey::of_term(&Term::string("true")));
+}
+
 /// ORDER BY needs a total order or `sort_by` may panic: `sparql_cmp`
 /// compares numeric pairs numerically and every other pair by string
 /// form, so `9 < 10`, `10 < "5"`, `"5" < 9`. The sort key order is

@@ -199,3 +199,27 @@ fn row_budget_follows_the_rows_actually_scanned() {
     let ask = under_limits(&store, "ASK { ?s <http://p> ?o }", ExecLimits::rows(100));
     assert_eq!(ask.ok(), Some(QueryResults::Boolean(true)));
 }
+
+/// `ORDER BY … LIMIT k` retains only its `k` best rows, so the memory
+/// budget follows the answer, not the relation: ten of 50,000 rows fit a
+/// budget the whole relation's 2.5 MB sort buffer does not, on every
+/// engine. Without the LIMIT the same query sorts everything and aborts.
+#[test]
+fn ordered_limit_keeps_only_the_top_rows() {
+    let store = dense_store(50_000);
+    let top = "SELECT ?s ?o WHERE { ?s <http://p> ?o } ORDER BY ?o ?s LIMIT 10";
+    let expected = query(&store, "m", top).expect("unlimited");
+    let budget = ExecLimits::memory(256 * 1024);
+    for threads in [1, 4] {
+        let options = ExecOptions::threads(threads).with_limits(budget);
+        let result = query_with_options(&store, "m", top, options.clone());
+        assert_eq!(result.as_ref().ok(), Some(&expected), "threads={threads}: {result:?}");
+        let unlimited = query_with_options(&store, "m", top.trim_end_matches(" LIMIT 10"), options);
+        assert!(
+            matches!(unlimited, Err(SparqlError::ResourceExhausted(_))),
+            "threads={threads}: {unlimited:?}"
+        );
+    }
+    let limited = reference(&store, top, budget);
+    assert_eq!(limited.as_ref().ok(), Some(&expected), "reference: {limited:?}");
+}

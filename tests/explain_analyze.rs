@@ -221,9 +221,12 @@ fn early_ending_tails_report_the_rows_actually_scanned() {
         assert!(t3.steps[0].actual_rows < relation, "{model}\n{}", t3.analyze);
         assert!(t3.analyze.contains("DISTINCT (streaming)"), "{model}\n{}", t3.analyze);
 
-        let (_, blocked) = profiled("?s ?o WHERE { ?s r:follows ?o } ORDER BY ?o ?s LIMIT 10");
-        assert_eq!(blocked.steps[0].actual_rows, relation, "{model}\n{}", blocked.analyze);
-        assert!(blocked.analyze.contains("SLICE limit=Some(10)"), "{model}\n{}", blocked.analyze);
+        let (_, top) = profiled("?s ?o WHERE { ?s r:follows ?o } ORDER BY ?o ?s LIMIT 10");
+        assert_eq!(top.steps[0].actual_rows, relation, "{model}\n{}", top.analyze);
+        assert!(top.analyze.contains("ORDER BY (2 keys, top 10)"), "{model}\n{}", top.analyze);
+        assert!(top.analyze.contains("SLICE limit=Some(10)"), "{model}\n{}", top.analyze);
+        let (_, sorted) = profiled("DISTINCT ?s ?o WHERE { ?s r:follows ?o } ORDER BY ?o ?s LIMIT 10");
+        assert!(sorted.analyze.contains("ORDER BY (2 keys)\n"), "{model}\n{}", sorted.analyze);
     }
 }
 

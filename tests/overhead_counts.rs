@@ -102,12 +102,7 @@ fn per_query_overheads_do_not_grow_with_rows() {
         let (metrics, _) = facade(&bare);
         telemetry::set_enabled(false);
         let view = store.store().dataset(dataset).expect("dataset");
-        let plan = sparql::compile(&view, &sparql::parse_query(text).expect("parse"))
-            .expect("compile");
-        let (executor, _) = counted(|| {
-            let results = sparql::execute_compiled_with_options(&view, &plan, bare.clone());
-            results.expect("execute").into_solutions().expect("solutions").len()
-        });
+        let (executor, _) = executor_alone(&view, text, &bare);
         let delta = |on: u64, off: u64| on as i64 - off as i64;
         let own = delta(flight, executor);
         println!(
@@ -129,4 +124,25 @@ fn per_query_overheads_do_not_grow_with_rows() {
         small_deltas, large_deltas,
         "allocations added by [governor, recorder, telemetry, facade] must not grow with rows"
     );
+
+    // ORDER BY ... LIMIT keeps its ten rows in a heap whose keys borrow
+    // from the dictionary: no allocation per row or per comparison, so it
+    // allocates less than the same BGP's unordered rows, each of which is
+    // materialised and decoded.
+    let view = store.store().dataset(&queries[1].0).expect("dataset");
+    let follows = format!("{}SELECT ?s ?o WHERE {{ ?s r:follows ?o }}", PgVocab::twitter().prefixes());
+    let (top, ten) = executor_alone(&view, &format!("{follows} ORDER BY ?o ?s LIMIT 10"), &bare);
+    let (all, relation) = executor_alone(&view, &follows, &bare);
+    println!("ORDER BY ?o ?s LIMIT 10: {top} allocations; all {relation} rows unordered: {all}");
+    assert!(ten == 10 && relation > 500, "row counts {ten} and {relation}");
+    assert!(top < all, "the top ten allocated {top} times, all {relation} rows {all} times");
+}
+
+/// Allocations and rows of the executor alone running `text` once warm.
+fn executor_alone(view: &quadstore::DatasetView, text: &str, options: &ExecOptions) -> (u64, usize) {
+    let plan = sparql::compile(view, &sparql::parse_query(text).expect("parse")).expect("compile");
+    counted(|| {
+        let results = sparql::execute_compiled_with_options(view, &plan, options.clone());
+        results.expect("execute").into_solutions().expect("solutions").len()
+    })
 }
