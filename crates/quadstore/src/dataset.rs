@@ -268,49 +268,6 @@ impl DatasetView {
             m.scan_base_span_columns(pattern, morsel.lo, morsel.hi, prefer, positions, cols)
         }
     }
-
-    /// Statistics-based per-probe fanout: the expected number of matches of
-    /// `pattern` per distinct combination of the given quad positions
-    /// (0=S, 1=P, 2=O, 3=G), from exact range cardinalities divided by
-    /// cached distinct counts. Unlike [`Self::avg_fanout`] this never scans
-    /// data at plan time.
-    pub fn stat_fanout(&self, pattern: &QuadPattern, positions: &[usize]) -> f64 {
-        let mut total = 0.0f64;
-        for m in &self.members {
-            let est = m.estimate(pattern) as f64;
-            if est == 0.0 {
-                continue;
-            }
-            let distinct = m.distinct_counts();
-            let mut denom = 1.0f64;
-            for &p in positions {
-                denom *= distinct[p].max(1) as f64;
-            }
-            total += (est / denom).max(1.0).min(est);
-        }
-        total.max(1.0)
-    }
-
-    /// Samples the scan of `pattern` to estimate the average number of
-    /// matches per distinct combination of the given quad positions
-    /// (0=S, 1=P, 2=O, 3=G). This is the planner's per-probe fanout
-    /// estimate — a lightweight stand-in for Oracle's
-    /// `optimizer_dynamic_sampling` (§4.4).
-    pub fn avg_fanout(&self, pattern: QuadPattern, group_positions: &[usize]) -> f64 {
-        const SAMPLE: usize = 1024;
-        let mut count = 0usize;
-        let mut groups = std::collections::HashSet::new();
-        for quad in self.scan(pattern).take(SAMPLE) {
-            count += 1;
-            let key: Vec<u64> = group_positions.iter().map(|&p| quad[p]).collect();
-            groups.insert(key);
-        }
-        if groups.is_empty() {
-            1.0
-        } else {
-            count as f64 / groups.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -426,29 +383,6 @@ mod tests {
 
     fn quad_of(s: &str, p: &str, o: &str) -> Quad {
         Quad::triple(Term::iri(s), Term::iri(p), Term::iri(o)).unwrap()
-    }
-
-    #[test]
-    fn stat_fanout_uses_distinct_counts() {
-        let store = Store::new();
-        store.create_model("m").unwrap();
-        // 8 quads, 4 distinct subjects -> fanout 2 per subject.
-        let quads: Vec<Quad> = (0..8)
-            .map(|i| {
-                Quad::triple(
-                    Term::iri(format!("http://s{}", i % 4)),
-                    Term::iri("http://p"),
-                    Term::iri(format!("http://o{i}")),
-                )
-                .unwrap()
-            })
-            .collect();
-        store.bulk_load("m", &quads).unwrap();
-        let view = store.dataset("m").unwrap();
-        let p = store.term_id(&Term::iri("http://p")).unwrap();
-        let pat = QuadPattern { s: None, p: Some(p), o: None, g: GraphConstraint::Any };
-        let fanout = view.stat_fanout(&pat, &[crate::ids::S]);
-        assert!((fanout - 2.0).abs() < 1e-9, "got {fanout}");
     }
 
     #[test]

@@ -186,6 +186,45 @@ impl SortedIndex {
         SortedIndex { kind, keys }
     }
 
+    /// A new index holding `(self − removed) ∪ added`: a key both removed
+    /// and added is kept, once. Only the delta is sorted; the base keys
+    /// are copied in runs between the delta keys, so folding a small delta
+    /// into a large index costs one linear copy, not a sort of the model.
+    pub fn merge(&self, added: &[EncodedQuad], removed: &[EncodedQuad]) -> SortedIndex {
+        // A fresh bulk load: no base to copy, and no tagged copy of a
+        // large input.
+        if self.keys.is_empty() {
+            return SortedIndex::build(self.kind, added);
+        }
+        let kind = self.kind;
+        // Removals sort before additions of the same key, and the last
+        // edit of a key decides whether it stays.
+        let mut edits: Vec<([u64; 4], bool)> = removed
+            .iter()
+            .map(|q| (kind.key_of(q), false))
+            .chain(added.iter().map(|q| (kind.key_of(q), true)))
+            .collect();
+        edits.sort_unstable();
+        let mut keys = Vec::with_capacity(self.keys.len() + added.len());
+        let mut base = &self.keys[..];
+        for (i, &(key, keep)) in edits.iter().enumerate() {
+            if edits.get(i + 1).is_some_and(|next| next.0 == key) {
+                continue;
+            }
+            let at = base.partition_point(|k| *k < key);
+            keys.extend_from_slice(&base[..at]);
+            base = &base[at..];
+            if base.first() == Some(&key) {
+                base = &base[1..];
+            }
+            if keep {
+                keys.push(key);
+            }
+        }
+        keys.extend_from_slice(base);
+        SortedIndex { kind, keys }
+    }
+
     /// The key order of this index.
     pub fn kind(&self) -> IndexKind {
         self.kind
@@ -479,6 +518,18 @@ mod tests {
         let quads = vec![q(1, 2, 3, 0), q(1, 2, 3, 0)];
         let idx = SortedIndex::build(IndexKind::PCSGM, &quads);
         assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn merge_keeps_added_over_removed_and_dedups() {
+        let base = SortedIndex::build(IndexKind::GSPCM, &sample());
+        // Re-adds a base key, adds one key twice, and both removes and adds
+        // (2, 10, 3, 0): the addition wins.
+        let added = [q(9, 10, 2, 0), q(1, 10, 2, 0), q(2, 10, 3, 0), q(9, 10, 2, 0)];
+        let removed = [q(2, 10, 3, 0), q(3, 11, 4, 6)];
+        let merged = base.merge(&added, &removed);
+        let want = [q(1, 10, 2, 0), q(1, 10, 3, 0), q(2, 10, 3, 0), q(1, 11, 2, 5), q(9, 10, 2, 0)];
+        assert_eq!(merged.keys, SortedIndex::build(IndexKind::GSPCM, &want).keys);
     }
 
     #[test]

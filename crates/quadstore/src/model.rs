@@ -3,15 +3,14 @@
 //! Oracle "allows creating one or more semantic models each of which can
 //! hold an RDF dataset" and implements each partition "as a separate model"
 //! (§3.1–3.2). A model owns its local indexes; incremental DML goes to a
-//! small delta overlay that [`SemanticModel::compact`] folds into the
+//! small delta overlay that [`SemanticModel::compact`] merges into the
 //! sorted base arrays (the same bulk-vs-incremental split real stores use).
 
 use std::collections::BTreeSet;
-use std::collections::HashSet;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::error::StoreError;
-use crate::ids::{EncodedQuad, QuadPattern, G, O, P, S};
+use crate::ids::{EncodedQuad, QuadPattern};
 use crate::index::{IndexKind, SortedIndex};
 use crate::stats::{CboStats, StatsCell};
 
@@ -84,10 +83,6 @@ pub struct SemanticModel {
     /// Quads deleted since the last compaction.
     delta_removed: BTreeSet<EncodedQuad>,
     base_len: usize,
-    /// Lazily computed distinct counts per quad position (S, P, O, G),
-    /// reset by any mutation. Thread-safe so concurrent query workers can
-    /// share the model by reference.
-    distinct_cache: OnceLock<[usize; 4]>,
     /// Optimizer statistics, `Arc`-shared across MVCC generations (every
     /// copy-on-write clone of this model keeps the same cell), refreshed
     /// on drift rather than reset on every mutation — see
@@ -114,7 +109,6 @@ impl SemanticModel {
             delta_added: BTreeSet::new(),
             delta_removed: BTreeSet::new(),
             base_len: 0,
-            distinct_cache: OnceLock::new(),
             cbo_cell: Arc::new(StatsCell::default()),
         })
     }
@@ -169,7 +163,6 @@ impl SemanticModel {
         if self.contains(&quad) {
             return false;
         }
-        self.distinct_cache = OnceLock::new();
         if self.delta_removed.remove(&quad) {
             return true; // resurrect a base quad
         }
@@ -178,7 +171,6 @@ impl SemanticModel {
 
     /// Removes one quad; returns `true` if it was present.
     pub fn remove(&mut self, quad: EncodedQuad) -> bool {
-        self.distinct_cache = OnceLock::new();
         if self.delta_added.remove(&quad) {
             return true;
         }
@@ -193,48 +185,50 @@ impl SemanticModel {
         }
     }
 
-    /// Bulk-appends quads and rebuilds all indexes. Equivalent to N-Quads
-    /// bulk load in Oracle: much cheaper per quad than [`Self::insert`].
+    /// Bulk-appends quads, folding them and the pending DML delta into
+    /// every index in one merge. Equivalent to N-Quads bulk load in
+    /// Oracle: much cheaper per quad than [`Self::insert`].
     pub fn bulk_load(&mut self, quads: impl IntoIterator<Item = EncodedQuad>) {
-        let mut all: Vec<EncodedQuad> = self.iter_all().collect();
-        all.extend(quads);
-        self.rebuild(all);
+        let mut added: Vec<EncodedQuad> = quads.into_iter().collect();
+        added.extend(self.delta_added.iter().copied());
+        self.merge(&added);
     }
 
-    /// Folds the DML delta into the sorted base arrays.
+    /// Folds the DML delta into the sorted base arrays: each index merges
+    /// the sorted delta into its existing keys, so the cost is one linear
+    /// copy per index, not a re-sort of the model.
     pub fn compact(&mut self) {
-        if self.delta_added.is_empty() && self.delta_removed.is_empty() {
+        if self.delta_len() == 0 {
             return;
         }
         if telemetry::enabled() {
             crate::metrics::compactions().inc();
         }
-        let all: Vec<EncodedQuad> = self.iter_all().collect();
-        self.rebuild(all);
+        let added: Vec<EncodedQuad> = self.delta_added.iter().copied().collect();
+        self.merge(&added);
     }
 
-    fn rebuild(&mut self, mut all: Vec<EncodedQuad>) {
-        all.sort_unstable();
-        all.dedup();
-        self.distinct_cache = OnceLock::new();
-        self.base_len = all.len();
+    /// Replaces every index with its merge of `added` and the removed
+    /// delta, then clears the delta.
+    fn merge(&mut self, added: &[EncodedQuad]) {
+        let removed: Vec<_> = std::mem::take(&mut self.delta_removed).into_iter().collect();
+        let removed = &removed;
         self.delta_added.clear();
-        self.delta_removed.clear();
-        // Each index is an independent sorted build over the same quads, so
-        // build them on scoped threads; worth it for bulk loads of millions
-        // of quads with 4+ indexes, harmless for small models.
-        let kinds = &self.index_kinds;
-        let quads = &all;
+        // The indexes merge independently, so run them on scoped threads;
+        // worth it for bulk loads of millions of quads with 4+ indexes,
+        // harmless for small models.
         self.indexes = std::thread::scope(|scope| {
-            let handles: Vec<_> = kinds
+            let handles: Vec<_> = self
+                .indexes
                 .iter()
-                .map(|&k| scope.spawn(move || SortedIndex::build(k, quads)))
+                .map(|index| scope.spawn(move || index.merge(added, removed)))
                 .collect();
             handles
                 .into_iter()
-                .map(|h| Arc::new(h.join().expect("index build thread panicked")))
+                .map(|h| Arc::new(h.join().expect("index merge thread panicked")))
                 .collect::<Vec<_>>()
         });
+        self.base_len = self.primary().len();
     }
 
     /// All quads currently visible, in unspecified order.
@@ -493,29 +487,6 @@ impl SemanticModel {
         !self.delta_added.is_empty()
     }
 
-    /// Distinct values per quad position `[S, P, O, G]`, computed in one
-    /// pass (the same counts [`crate::ModelStats`] reports, with the
-    /// default graph counted in G) and cached until the next mutation.
-    /// The planner divides range-scan cardinalities by these to estimate
-    /// per-probe join fanout.
-    pub fn distinct_counts(&self) -> [usize; 4] {
-        *self.distinct_cache.get_or_init(|| {
-            let mut sets = [
-                HashSet::new(),
-                HashSet::new(),
-                HashSet::new(),
-                HashSet::new(),
-            ];
-            for quad in self.iter_all() {
-                sets[S].insert(quad[S]);
-                sets[P].insert(quad[P]);
-                sets[O].insert(quad[O]);
-                sets[G].insert(quad[G]);
-            }
-            [sets[S].len(), sets[P].len(), sets[O].len(), sets[G].len()]
-        })
-    }
-
     /// The optimizer-statistics snapshot for this model: the pinned one
     /// if it has not drifted past [`crate::stats::CBO_DRIFT_THRESHOLD`],
     /// else freshly computed (one pass) and pinned. The cell is shared
@@ -537,8 +508,7 @@ impl SemanticModel {
     /// have drifted — the maintenance hook [`crate::WriteBatch::commit`]
     /// calls at publish.
     pub fn maybe_refresh_cbo_stats(&self) {
-        self.cbo_cell
-            .refresh_if_drifted(self.len(), || self.iter_all().collect());
+        self.cbo_cell.refresh_if_drifted(self.len(), || self.iter_all());
     }
 
     /// The statistics refresh counter (`0` = never computed); part of the
@@ -653,17 +623,6 @@ mod tests {
             out.extend(m.scan_delta(pat));
             assert_eq!(out, sequential, "chunk {chunk}");
         }
-    }
-
-    #[test]
-    fn distinct_counts_track_mutations() {
-        let mut m = model();
-        m.bulk_load(vec![[1, 10, 3, 0], [2, 10, 4, 0]]);
-        assert_eq!(m.distinct_counts(), [2, 1, 2, 1]);
-        m.insert([1, 11, 3, 5]);
-        assert_eq!(m.distinct_counts(), [2, 2, 2, 2]);
-        m.remove([2, 10, 4, 0]);
-        assert_eq!(m.distinct_counts(), [1, 2, 1, 2]);
     }
 
     #[test]

@@ -388,10 +388,10 @@ impl StatsCell {
     /// Recomputes only if stats were previously computed **and** have
     /// drifted — the cheap maintenance hook the MVCC publish path calls.
     /// Models nobody ever planned against never pay for statistics.
-    pub fn refresh_if_drifted(
+    pub fn refresh_if_drifted<I: IntoIterator<Item = EncodedQuad>>(
         &self,
         current_len: usize,
-        quads: impl FnOnce() -> Vec<EncodedQuad>,
+        quads: impl FnOnce() -> I,
     ) {
         let mut pinned = self.pinned.lock().expect("stats cell poisoned");
         let stale = match pinned.as_ref() {

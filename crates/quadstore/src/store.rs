@@ -23,8 +23,9 @@ use crate::ids::{EncodedQuad, G, O, P, S};
 use crate::index::IndexKind;
 use crate::model::SemanticModel;
 
-/// Delta-overlay size at which the writer path folds a model's DML delta
-/// into its sorted base indexes. Bounding the delta bounds both scan
+/// Delta-overlay size at which the writer path merges a model's DML delta
+/// into its sorted base indexes (one linear copy per index, see
+/// [`SemanticModel::compact`]). Bounding the delta bounds both scan
 /// overlay cost and the copy-on-write cost of cloning a model into the
 /// next generation (the `Arc`-shared base indexes are never copied).
 const AUTO_COMPACT_DELTA: usize = 1024;

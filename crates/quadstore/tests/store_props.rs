@@ -1,18 +1,30 @@
 //! Property-style tests of the quad store: every index permutation must
-//! answer every pattern identically to a naive filter, and the DML delta
-//! overlay must behave like a set. Cases are generated deterministically
+//! answer every pattern identically to a naive filter, the DML delta
+//! overlay must behave like a set, and merging it into the indexes must
+//! give what a fresh build gives. Cases are generated deterministically
 //! from seeded pseudo-random streams (std-only, no crates.io access).
 
-use quadstore::{GraphConstraint, IndexKind, QuadPattern, SortedIndex, Store};
+use std::collections::BTreeSet;
+
+use quadstore::{GraphConstraint, IndexKind, QuadPattern, SemanticModel, SortedIndex, Store};
 use rdf_model::{GraphName, Quad, Term, TermId};
 use twittergen::rng::Rng;
 
+fn rand_quad(r: &mut Rng) -> [u64; 4] {
+    [r.gen_range(1..8), r.gen_range(1..5), r.gen_range(1..10), r.gen_range(0..4)].map(|n| n as u64)
+}
+
 fn rand_quads(r: &mut Rng) -> Vec<[u64; 4]> {
     let n = r.gen_range(0..60);
-    (0..n)
-        .map(|_| [r.gen_range(1..8), r.gen_range(1..5), r.gen_range(1..10), r.gen_range(0..4)])
-        .map(|q| q.map(|n| n as u64))
-        .collect()
+    (0..n).map(|_| rand_quad(r)).collect()
+}
+
+/// A random element of `quads`, or a fresh random quad when it is empty.
+fn pick<'a>(r: &mut Rng, mut quads: impl ExactSizeIterator<Item = &'a [u64; 4]>) -> [u64; 4] {
+    match quads.len() {
+        0 => rand_quad(r),
+        n => *quads.nth(r.gen_range(0..n)).expect("in range"),
+    }
 }
 
 fn rand_pattern(r: &mut Rng) -> QuadPattern {
@@ -151,6 +163,86 @@ fn estimate_is_an_upper_bound_on_matches() {
                     QuadPattern { s: None, p: Some(pid), o: None, g: GraphConstraint::Any };
                 let view = store.dataset("m").expect("view");
                 assert!(view.estimate(&probe) >= view.scan(probe).count(), "case {case}");
+            }
+        }
+    }
+}
+
+/// Every index of a compacted model holds exactly what a fresh build over
+/// the same quads holds, in the same order.
+fn assert_indexes_are_fresh_builds(model: &SemanticModel, reference: &BTreeSet<[u64; 4]>, case: u64) {
+    assert_eq!(model.delta_len(), 0, "case {case}");
+    assert_eq!(model.len(), reference.len(), "case {case}");
+    let quads: Vec<[u64; 4]> = reference.iter().copied().collect();
+    for index in model.indexes() {
+        let fresh = SortedIndex::build(index.kind(), &quads);
+        assert!(
+            index.scan_prefix(&[]).eq(fresh.scan_prefix(&[])),
+            "case {case}, index {}",
+            index.kind()
+        );
+    }
+}
+
+/// Random patterns scan the model, delta overlay included, like a naive
+/// filter over the reference set.
+fn assert_scans_like_a_filter(
+    model: &SemanticModel,
+    reference: &BTreeSet<[u64; 4]>,
+    r: &mut Rng,
+    case: u64,
+) {
+    for _ in 0..4 {
+        let pattern = rand_pattern(r);
+        let mut got: Vec<[u64; 4]> = model.scan(pattern).collect();
+        got.sort_unstable();
+        let want: Vec<[u64; 4]> = reference.iter().copied().filter(|q| pattern.matches(q)).collect();
+        assert_eq!(got, want, "case {case}, pattern {pattern:?}");
+    }
+}
+
+#[test]
+fn merged_indexes_equal_fresh_builds() {
+    for case in 0..128u64 {
+        let mut r = Rng::seed_from_u64(case);
+        let mut model = SemanticModel::new("m", &IndexKind::STANDARD_SIX).expect("model");
+        let base = rand_quads(&mut r);
+        model.bulk_load(base.iter().copied());
+        let mut reference: BTreeSet<[u64; 4]> = base.into_iter().collect();
+        assert_indexes_are_fresh_builds(&model, &reference, case);
+        // Every quad ever removed, so inserts and bulk loads can bring
+        // back removed base quads and removed delta quads alike.
+        let mut removed: Vec<[u64; 4]> = Vec::new();
+        for _ in 0..r.gen_range(1..40) {
+            match r.gen_range(0..10) {
+                0..=3 => {
+                    let quad = if r.gen_bool(0.5) { pick(&mut r, removed.iter()) } else { rand_quad(&mut r) };
+                    assert_eq!(model.insert(quad), reference.insert(quad), "case {case}");
+                }
+                4..=6 => {
+                    let quad = pick(&mut r, reference.iter());
+                    assert_eq!(model.remove(quad), reference.remove(&quad), "case {case}");
+                    removed.push(quad);
+                }
+                7 | 8 => {
+                    let batch: Vec<[u64; 4]> = (0..r.gen_range(0..12))
+                        .map(|_| match r.gen_range(0..3) {
+                            0 => pick(&mut r, reference.iter()),
+                            1 => pick(&mut r, removed.iter()),
+                            _ => rand_quad(&mut r),
+                        })
+                        .collect();
+                    model.bulk_load(batch.iter().copied());
+                    reference.extend(batch);
+                    assert_indexes_are_fresh_builds(&model, &reference, case);
+                    assert_scans_like_a_filter(&model, &reference, &mut r, case);
+                }
+                _ => {
+                    assert_scans_like_a_filter(&model, &reference, &mut r, case);
+                    model.compact();
+                    assert_indexes_are_fresh_builds(&model, &reference, case);
+                    assert_scans_like_a_filter(&model, &reference, &mut r, case);
+                }
             }
         }
     }

@@ -16,7 +16,8 @@
 //! Cardinalities come from [`Estimator`]: index range estimates for
 //! scans, and per-predicate distinct counts plus equi-depth object
 //! histograms ([`quadstore::CboStats`]) for join fanouts, falling back to
-//! the coarse index statistics when no predicate statistics apply.
+//! the same snapshot's model-wide distinct counts when no predicate
+//! statistics apply.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -86,35 +87,34 @@ impl<'a> Estimator<'a> {
     }
 
     /// Expected matches per probe when the given positions are bound by
-    /// the join. Uses per-predicate distinct counts (and the object
-    /// histogram when the object is a constant) when the pattern has a
-    /// constant predicate and only subject/object join positions;
-    /// otherwise the coarse per-index fanout.
+    /// the join, summed over members. A member uses its per-predicate
+    /// distinct counts (and the object histogram when the object is a
+    /// constant) when the pattern has a constant predicate and only
+    /// subject/object join positions; otherwise the coarse fanout: its
+    /// range estimate divided by its distinct counts per join position.
+    /// Both come from the pinned snapshot, so planning never scans data.
     pub(crate) fn fanout(&self, triple: &CTriple, positions: &[usize]) -> f64 {
         let pattern = triple.const_pattern();
+        let pure_so = !positions.is_empty()
+            && positions
+                .iter()
+                .all(|&p| p == quadstore::ids::S || p == quadstore::ids::O);
         let pid = match &triple.p {
-            CPos::Const(_, Some(id)) => Some(id.0),
+            CPos::Const(_, Some(id)) if pure_so => Some(id.0),
             _ => None,
         };
-        let pure_so = positions
-            .iter()
-            .all(|&p| p == quadstore::ids::S || p == quadstore::ids::O);
-        let Some(pid) = pid else {
-            return self.view.stat_fanout(&pattern, positions);
-        };
-        if positions.is_empty() || !pure_so {
-            return self.view.stat_fanout(&pattern, positions);
-        }
         let mut total = 0.0f64;
         for (member, stats) in self.view.members().iter().zip(&self.stats) {
             let est = member.estimate(&pattern) as f64;
             if est == 0.0 {
                 continue;
             }
-            let Some(ps) = stats.predicate(pid) else {
-                // Predicate unknown to the statistics snapshot (added
-                // since the last refresh): coarse estimate for this member.
-                total += self.view.stat_fanout(&pattern, positions);
+            // No predicate statistics apply, or the predicate was added
+            // since the last refresh: the coarse fanout of this member.
+            let Some(ps) = pid.and_then(|p| stats.predicate(p)) else {
+                let denom: f64 =
+                    positions.iter().map(|&p| stats.distinct[p].max(1) as f64).product();
+                total += (est / denom).max(1.0).min(est);
                 continue;
             };
             let mut denom = 1.0f64;
@@ -376,5 +376,37 @@ impl BgpPlanner<'_> {
             });
         }
         steps
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use quadstore::Store;
+    use rdf_model::{Quad, Term};
+
+    fn quad(s: usize, o: usize) -> Quad {
+        let iri = |kind: &str, i: usize| Term::iri(format!("http://{kind}{i}"));
+        Quad::triple(iri("s", s), Term::iri("http://p"), iri("o", o)).unwrap()
+    }
+
+    #[test]
+    fn coarse_fanout_reads_the_pinned_snapshot() {
+        let store = Store::new();
+        store.create_model("m").unwrap();
+        // 8 quads, 4 distinct subjects -> fanout 2 per subject.
+        let quads: Vec<Quad> = (0..8).map(|i| quad(i % 4, i)).collect();
+        store.bulk_load("m", &quads).unwrap();
+        // No constant predicate, so no per-predicate statistics apply.
+        let any = CTriple { s: CPos::Var(0), p: CPos::Var(1), o: CPos::Var(2), g: CGraph::Any };
+        let fanout = |store: &Store| {
+            let view = store.dataset("m").unwrap();
+            Estimator::new(&view).fanout(&any, &[quadstore::ids::S])
+        };
+        assert!((fanout(&store) - 2.0).abs() < 1e-9, "got {}", fanout(&store));
+        // A write below the drift threshold keeps the snapshot: a fifth
+        // subject raises the range estimate to 9, not the distinct count.
+        store.insert("m", &quad(4, 8)).unwrap();
+        assert!((fanout(&store) - 2.25).abs() < 1e-9, "got {}", fanout(&store));
     }
 }

@@ -10,7 +10,8 @@
 //! own cost is counted the same way, in pgbench's configuration (recorder
 //! on, telemetry off, no slow-query log): a query through
 //! `PgRdfStore::select_in_with` minus the executor alone on the same plan.
-//! Its own binary with a single test, because it flips the process-wide
+//! Planning is counted the same way: one write must not change what a
+//! compile allocates. Its own binary with a single test, because it flips the process-wide
 //! telemetry and recorder flags.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -19,6 +20,7 @@ use std::time::Duration;
 
 use pgrdf::{GovernorConfig, PgRdfModel, PgVocab};
 use pgrdf_bench::{Eq, Fixture};
+use rdf_model::{Quad, Term};
 use sparql::{CancelToken, ExecLimits, ExecOptions};
 
 thread_local! {
@@ -56,9 +58,14 @@ static GLOBAL: Counting = Counting;
 /// count and row count.
 fn counted(run: impl Fn() -> usize) -> (u64, usize) {
     run();
+    allocations(run)
+}
+
+/// Allocation count and result of one run of `run`, without a warm-up.
+fn allocations<T>(run: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCS.with(Cell::get);
-    let rows = run();
-    (ALLOCS.with(Cell::get) - before, rows)
+    let out = run();
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 #[test]
@@ -136,6 +143,27 @@ fn per_query_overheads_do_not_grow_with_rows() {
     println!("ORDER BY ?o ?s LIMIT 10: {top} allocations; all {relation} rows unordered: {all}");
     assert!(ten == 10 && relation > 500, "row counts {ten} and {relation}");
     assert!(top < all, "the top ten allocated {top} times, all {relation} rows {all} times");
+
+    // Planning reads the pinned statistics snapshot, which a write below
+    // the drift threshold leaves alone: the first compile of EQ5 (a
+    // `GRAPH ?e` join, so coarse fanouts) after one insert allocates
+    // exactly what a warm compile before it did, with no pass over the
+    // model.
+    let eq5_dataset = fixture.dataset_for(Eq::Eq5, ng);
+    let eq5 = sparql::parse_query(&fixture.query_text(Eq::Eq5, ng)).expect("parse");
+    let compile = || {
+        let view = store.store().dataset(&eq5_dataset).expect("dataset");
+        allocations(|| sparql::compile(&view, &eq5).expect("compile")).0
+    };
+    compile();
+    let warm = compile();
+    let edge_kv = store.partition_names().expect("partitioned fixture").edge_kv;
+    let quad = Quad::triple(Term::iri("urn:v1"), Term::iri("urn:p"), Term::iri("urn:v2"))
+        .expect("quad");
+    assert!(store.store().insert(&edge_kv, &quad).expect("insert"));
+    let after_write = compile();
+    println!("EQ5 compile: {warm} allocations warm, {after_write} first after a write");
+    assert_eq!(warm, after_write, "a write must not make planning rescan the model");
 }
 
 /// Allocations and rows of the executor alone running `text` once warm.
