@@ -1,13 +1,13 @@
 //! The high-level facade: load a property graph into the RDF store under
 //! one of the three models and query it with SPARQL.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use propertygraph::PropertyGraph;
-use quadstore::{IndexKind, ModelStats, Snapshot, StorageReport, Store};
+use quadstore::{DatasetView, IndexKind, ModelStats, Snapshot, StorageReport, Store};
 use rdf_model::Quad;
 use sparql::{
     ExecObserver, ExecOptions, PlanCache, QueryProfile, QueryResults, Solutions, SparqlError,
@@ -87,10 +87,15 @@ pub struct PgRdfStore {
     vocab: PgVocab,
     layout: PartitionLayout,
     base: String,
-    /// Compiled-plan cache shared by every query entry point. Entries are
-    /// validated against [`Store::epoch`], so any DML/DDL through this
-    /// handle (or recovery replay) silently evicts stale plans.
+    /// Compiled-plan cache shared by every query entry point, keyed by
+    /// query shape. Entries are validated against the dictionary and the
+    /// statistics of the snapshot a query runs on, so they survive writes
+    /// that leave both alone.
     plan_cache: PlanCache,
+    /// Each dataset's plan-cache key (`"{dataset}={index signature}"`)
+    /// with the epoch of the generation it was built for: index sets
+    /// change only in a new generation.
+    dataset_keys: Mutex<HashMap<String, (u64, Arc<str>)>>,
     /// Slow-query trigger in nanoseconds; 0 disables the log entirely
     /// (the default), so the query hot path pays one relaxed load.
     slow_threshold_nanos: AtomicU64,
@@ -186,6 +191,7 @@ impl PgRdfStore {
             layout: options.layout,
             base: options.base_name,
             plan_cache: PlanCache::default(),
+            dataset_keys: Mutex::new(HashMap::new()),
             slow_threshold_nanos: AtomicU64::new(0),
             slow_log: Mutex::new(VecDeque::new()),
             governor: Mutex::new(None),
@@ -325,31 +331,24 @@ impl PgRdfStore {
             span("admit", admit_t0);
             let _permit = permit?;
             let view = snapshot.dataset(dataset)?;
-            // The key folds in the dataset name *and* the physical index
-            // signature: plans bake index choices into their access paths.
-            let key = format!("{dataset}={}", view.index_signature());
+            let key = self.dataset_key(dataset, snapshot, &view);
             let copts = sparql::CompileOptions::default();
-            let compiled_fresh = std::cell::Cell::new(false);
             let (compile_t0, compile_start) = (now(), Instant::now());
-            let plan = self
-                .plan_cache
-                .get_or_compile(&key, text, copts, snapshot.epoch(), || view.stats_version(), || {
-                    compiled_fresh.set(true);
-                    sparql::compile_with(&view, &sparql::parse_query(text)?, copts)
-                })?;
-            event.cache_hit = !compiled_fresh.get();
-            if compiled_fresh.get() {
+            let cached = self.plan_cache.lookup(&key, text, copts, &view)?;
+            event.cache_hit = !cached.compiled;
+            if cached.compiled {
                 event.compile_nanos = compile_start.elapsed().as_nanos() as u64;
                 span("compile", compile_t0);
             }
-            event.family = crate::metrics::family(&plan);
+            let plan = &cached.plan;
+            event.family = crate::metrics::family(plan);
             let observer = Arc::new(ExecObserver::with_trace(sink.clone()));
             let options = options.with_observer(Arc::clone(&observer));
             let exec_start = Instant::now();
             let result = if profile {
-                sparql::execute_profiled(&view, &plan, options).map(|(r, p)| (r, Some(p)))
+                sparql::execute_profiled(&view, plan, options).map(|(r, p)| (r, Some(p)))
             } else {
-                sparql::execute_compiled_with_options(&view, &plan, options).map(|r| (r, None))
+                sparql::execute_compiled_with_options(&view, plan, options).map(|r| (r, None))
             };
             event.exec_nanos = exec_start.elapsed().as_nanos() as u64;
             event.peak_mem_bytes = observer.peak_mem_bytes();
@@ -357,7 +356,7 @@ impl PgRdfStore {
             event.vectorized = observer.vectorized();
             let (results, exec_profile) = result?;
             event.rows_out = result_rows(&results);
-            self.plan_cache.note_result(&key, text, copts, event.rows_out);
+            cached.note_result(event.rows_out);
             let query_profile = exec_profile.map(|prof| {
                 // One clock for EXPLAIN ANALYZE, the profile and the recorder.
                 event.exec_nanos = prof.wall_nanos;
@@ -365,9 +364,9 @@ impl PgRdfStore {
                     query_id: event.query_id,
                     query: text.to_string(),
                     dataset: dataset.to_string(),
-                    plan: sparql::explain::render(&plan),
-                    analyze: sparql::explain::render_analyze(&plan, &prof),
-                    steps: sparql::explain::step_profiles(&plan, &prof),
+                    plan: sparql::explain::render(plan),
+                    analyze: sparql::explain::render_analyze(plan, &prof),
+                    steps: sparql::explain::step_profiles(plan, &prof),
                     result_rows: event.rows_out,
                     wall_nanos: prof.wall_nanos,
                     compile_nanos: event.compile_nanos,
@@ -387,6 +386,22 @@ impl PgRdfStore {
         };
         self.observe_end(text, dataset, event, sink.as_deref(), profile, threshold);
         result
+    }
+
+    /// The plan-cache key of `dataset` at `snapshot`: the dataset name
+    /// *and* its physical index signature, since plans bake index choices
+    /// into their access paths. Built once per dataset and generation.
+    fn dataset_key(&self, dataset: &str, snapshot: &Snapshot, view: &DatasetView) -> Arc<str> {
+        let epoch = snapshot.epoch();
+        let mut keys = self.dataset_keys.lock().expect("dataset keys poisoned");
+        match keys.get(dataset) {
+            Some((at, key)) if *at == epoch => Arc::clone(key),
+            _ => {
+                let key: Arc<str> = format!("{dataset}={}", view.index_signature()).into();
+                keys.insert(dataset.to_string(), (epoch, Arc::clone(&key)));
+                key
+            }
+        }
     }
 
     /// Terminal bookkeeping for one query: the family-latency histogram
@@ -480,7 +495,7 @@ impl PgRdfStore {
 
     /// Runs a SELECT against an explicitly pinned snapshot (see
     /// [`Self::snapshot`]). Plan-cache entries are validated against the
-    /// *snapshot's* epoch, never the live store's.
+    /// *snapshot's* dictionary and statistics, never the live store's.
     pub fn select_at(&self, snapshot: &Snapshot, text: &str) -> Result<Solutions, CoreError> {
         let dataset = self.dataset_name();
         let (results, _) = self.run(snapshot, &dataset, text, ExecOptions::default(), false)?;
@@ -553,7 +568,7 @@ impl PgRdfStore {
     /// quad-count drift passes the rebuild threshold; this forces it now.
     /// Moves the stats version *without* bumping the mutation epoch, so
     /// cached plans costed under the old statistics are invalidated on
-    /// their next lookup while everything else stays cached.
+    /// their next lookup.
     pub fn refresh_stats(&self) -> Result<(), CoreError> {
         let view = self.store.dataset(&self.dataset_name())?;
         for model in view.members() {
@@ -707,6 +722,7 @@ impl PgRdfStore {
             layout: layout.ok_or_else(bad_meta)?,
             base: base.ok_or_else(bad_meta)?,
             plan_cache: PlanCache::default(),
+            dataset_keys: Mutex::new(HashMap::new()),
             slow_threshold_nanos: AtomicU64::new(0),
             slow_log: Mutex::new(VecDeque::new()),
             governor: Mutex::new(None),

@@ -140,8 +140,9 @@ fn plan_quads(quads: &mut Vec<Quad>, store: &PgRdfStore) {
         let s = Term::iri(format!("pgrdf:sys/plan/{i}"));
         push(quads, g, &s, "dataset", Term::string(&entry.dataset));
         push(quads, g, &s, "text", Term::string(&entry.text));
-        push(quads, g, &s, "epoch", int_t(entry.epoch));
+        push(quads, g, &s, "dictLen", int_t(entry.dict_len));
         push(quads, g, &s, "statsVersion", int_t(entry.stats));
+        push(quads, g, &s, "genericParams", int_t(entry.generic_params as u64));
         push(quads, g, &s, "hits", int_t(entry.hits));
         push(quads, g, &s, "ageTicks", int_t(entry.age_ticks));
         push(quads, g, &s, "estimatedRows", int_t(entry.estimated_rows));

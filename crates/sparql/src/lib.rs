@@ -47,7 +47,7 @@ pub mod rewrite;
 pub mod update;
 
 pub use ast::{Query, Update};
-pub use cache::{PlanCache, PlanCacheEntryInfo, DEFAULT_PLAN_CACHE_CAPACITY};
+pub use cache::{CachedPlan, PlanCache, PlanCacheEntryInfo, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use error::SparqlError;
 pub use exec::{
     default_max_memory, execute_compiled, execute_compiled_with_options, execute_profiled,

@@ -11,38 +11,28 @@ use crate::lexer::{tokenize, Token};
 
 /// Parses a SPARQL query (`SELECT` or `ASK`, with an optional prologue).
 pub fn parse_query(text: &str) -> Result<Query, SparqlError> {
-    let tokens = tokenize(text)?;
-    let mut p = Parser::new(tokens);
-    p.parse_prologue()?;
-    let query = if p.peek_keyword("SELECT") {
-        Query::Select(p.parse_select()?)
-    } else if p.peek_keyword("ASK") {
-        p.bump();
-        p.expect_optional_keyword("WHERE");
-        Query::Ask(p.parse_group_graph_pattern()?)
-    } else if p.peek_keyword("CONSTRUCT") {
-        p.bump();
-        let template = p.parse_quad_data()?;
-        p.expect_keyword("WHERE")?;
-        let pattern = p.parse_group_graph_pattern()?;
-        let inner = SelectQuery {
-            distinct: false,
-            projection: Vec::new(),
-            pattern,
-            group_by: Vec::new(),
-            having: Vec::new(),
-            order_by: Vec::new(),
-            limit: p.parse_trailing_limit()?,
-            offset: None,
-        };
-        Query::Construct(template, Box::new(inner))
-    } else {
-        return Err(SparqlError::Parse(
-            "expected SELECT or ASK after prologue".into(),
-        ));
-    };
-    p.expect_end()?;
-    Ok(query)
+    Parser::new(tokenize(text)?).parse_query()
+}
+
+/// A constant term token of a parsed query.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ConstToken {
+    /// Index of the token in `tokenize(text)`.
+    pub token: usize,
+    /// The term it parsed to (`a` parses to `rdf:type`).
+    pub term: Term,
+    /// True when it was consumed as a triple pattern's subject or object.
+    pub subject_or_object: bool,
+}
+
+/// [`parse_query`] that also reports every constant term the query
+/// names: IRIs, prefixed names, literals and `a`, each with its token
+/// index and whether it is a triple pattern's subject or object.
+pub(crate) fn parse_query_constants(text: &str) -> Result<(Query, Vec<ConstToken>), SparqlError> {
+    let mut p = Parser::new(tokenize(text)?);
+    p.consts = Some(Vec::new());
+    let query = p.parse_query()?;
+    Ok((query, p.consts.unwrap_or_default()))
 }
 
 /// Parses a SPARQL 1.1 Update request.
@@ -63,21 +53,73 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     prefixes: HashMap<String, String>,
+    /// Constant terms in the order they were consumed, when recording.
+    consts: Option<Vec<ConstToken>>,
 }
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0, prefixes: HashMap::new() }
+        Parser { tokens, pos: 0, prefixes: HashMap::new(), consts: None }
+    }
+
+    fn parse_query(&mut self) -> Result<Query, SparqlError> {
+        self.parse_prologue()?;
+        let query = if self.peek_keyword("SELECT") {
+            Query::Select(self.parse_select()?)
+        } else if self.peek_keyword("ASK") {
+            self.bump();
+            self.expect_optional_keyword("WHERE");
+            Query::Ask(self.parse_group_graph_pattern()?)
+        } else if self.peek_keyword("CONSTRUCT") {
+            self.bump();
+            let template = self.parse_quad_data()?;
+            self.expect_keyword("WHERE")?;
+            let pattern = self.parse_group_graph_pattern()?;
+            let inner = SelectQuery {
+                distinct: false,
+                projection: Vec::new(),
+                pattern,
+                group_by: Vec::new(),
+                having: Vec::new(),
+                order_by: Vec::new(),
+                limit: self.parse_trailing_limit()?,
+                offset: None,
+            };
+            Query::Construct(template, Box::new(inner))
+        } else {
+            return Err(SparqlError::Parse(
+                "expected SELECT or ASK after prologue".into(),
+            ));
+        };
+        self.expect_end()?;
+        Ok(query)
     }
 
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
 
+    /// Consumes the current token. The parser never looks back, so the
+    /// token is moved out rather than cloned.
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+        let t = self.tokens.get_mut(self.pos).map(|t| std::mem::replace(t, Token::Dot));
         self.pos += 1;
         t
+    }
+
+    /// Records the constant parsed from the token at `token`.
+    fn note(&mut self, token: usize, term: impl FnOnce() -> Term) {
+        if let Some(consts) = &mut self.consts {
+            consts.push(ConstToken { token, term: term(), subject_or_object: false });
+        }
+    }
+
+    /// Marks the constant parsed from the token at `token`, if any, as a
+    /// triple pattern's subject or object.
+    fn note_subject_or_object(&mut self, token: usize) {
+        if let Some(c) = self.consts.iter_mut().flatten().rev().find(|c| c.token == token) {
+            c.subject_or_object = true;
+        }
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
@@ -482,11 +524,15 @@ impl Parser {
         &mut self,
         out: &mut Vec<TriplePattern>,
     ) -> Result<(), SparqlError> {
+        let at = self.pos;
         let subject = self.parse_var_or_term()?;
+        self.note_subject_or_object(at);
         loop {
             let predicate = self.parse_verb()?;
             loop {
+                let at = self.pos;
                 let object = self.parse_var_or_term()?;
+                self.note_subject_or_object(at);
                 out.push(TriplePattern {
                     subject: subject.clone(),
                     predicate: predicate.clone(),
@@ -515,6 +561,7 @@ impl Parser {
         match self.peek() {
             Some(Token::Var(_)) => Ok(PredicatePattern::Var(self.parse_var()?)),
             Some(Token::Word(w)) if w == "a" => {
+                self.note(self.pos, || Term::iri(rdf::TYPE));
                 self.bump();
                 Ok(PredicatePattern::Path(PropertyPath::Iri(Iri::new(rdf::TYPE))))
             }
@@ -588,11 +635,14 @@ impl Parser {
     // ---- Terms ----
 
     fn parse_iri(&mut self) -> Result<Iri, SparqlError> {
-        match self.bump() {
-            Some(Token::IriRef(iri)) => Ok(Iri::new(iri)),
-            Some(Token::PName(p, l)) => self.resolve_pname(&p, &l),
-            other => Err(SparqlError::Parse(format!("expected IRI, found {other:?}"))),
-        }
+        let at = self.pos;
+        let iri = match self.bump() {
+            Some(Token::IriRef(iri)) => Iri::new(iri),
+            Some(Token::PName(p, l)) => self.resolve_pname(&p, &l)?,
+            other => return Err(SparqlError::Parse(format!("expected IRI, found {other:?}"))),
+        };
+        self.note(at, || Term::Iri(iri.clone()));
+        Ok(iri)
     }
 
     fn parse_var_or_term(&mut self) -> Result<VarOrTerm, SparqlError> {
@@ -603,39 +653,41 @@ impl Parser {
     }
 
     fn parse_term(&mut self) -> Result<Term, SparqlError> {
-        match self.bump() {
-            Some(Token::IriRef(iri)) => Ok(Term::iri(iri)),
-            Some(Token::PName(p, l)) => Ok(Term::Iri(self.resolve_pname(&p, &l)?)),
-            Some(Token::BlankLabel(label)) => Ok(Term::blank(label)),
+        let at = self.pos;
+        let term = match self.bump() {
+            Some(Token::IriRef(iri)) => Term::iri(iri),
+            Some(Token::PName(p, l)) => Term::Iri(self.resolve_pname(&p, &l)?),
+            Some(Token::BlankLabel(label)) => Term::blank(label),
             Some(Token::Integer(n)) => {
-                Ok(Term::Literal(Literal::typed(n.to_string(), Iri::new(xsd::INTEGER))))
+                Term::Literal(Literal::typed(n.to_string(), Iri::new(xsd::INTEGER)))
             }
             Some(Token::Double(d)) => {
-                Ok(Term::Literal(Literal::typed(d.to_string(), Iri::new(xsd::DOUBLE))))
+                Term::Literal(Literal::typed(d.to_string(), Iri::new(xsd::DOUBLE)))
             }
             Some(Token::Word(w)) if w.eq_ignore_ascii_case("true") => {
-                Ok(Term::Literal(Literal::boolean(true)))
+                Term::Literal(Literal::boolean(true))
             }
             Some(Token::Word(w)) if w.eq_ignore_ascii_case("false") => {
-                Ok(Term::Literal(Literal::boolean(false)))
+                Term::Literal(Literal::boolean(false))
             }
             Some(Token::String(s)) => match self.peek() {
                 Some(Token::LangTag(_)) => {
-                    if let Some(Token::LangTag(tag)) = self.bump() {
-                        Ok(Term::Literal(Literal::lang_string(s, tag)))
-                    } else {
+                    let Some(Token::LangTag(tag)) = self.bump() else {
                         unreachable!("peeked LangTag")
-                    }
+                    };
+                    Term::Literal(Literal::lang_string(s, tag))
                 }
                 Some(Token::CaretCaret) => {
                     self.bump();
                     let dt = self.parse_iri()?;
-                    Ok(Term::Literal(Literal::typed(s, dt)))
+                    Term::Literal(Literal::typed(s, dt))
                 }
-                _ => Ok(Term::Literal(Literal::string(s))),
+                _ => Term::Literal(Literal::string(s)),
             },
-            other => Err(SparqlError::Parse(format!("expected term, found {other:?}"))),
-        }
+            other => return Err(SparqlError::Parse(format!("expected term, found {other:?}"))),
+        };
+        self.note(at, || term.clone());
+        Ok(term)
     }
 
     // ---- Expressions ----
@@ -729,7 +781,7 @@ impl Parser {
     }
 
     fn parse_primary_expression(&mut self) -> Result<Expression, SparqlError> {
-        match self.peek().cloned() {
+        match self.peek() {
             Some(Token::LParen) => {
                 self.bump();
                 let e = self.parse_expression()?;
@@ -737,30 +789,28 @@ impl Parser {
                 Ok(e)
             }
             Some(Token::Var(_)) => Ok(Expression::Var(self.parse_var()?)),
-            Some(Token::Word(w)) => {
+            Some(Token::Word(_)) => {
+                let at = self.pos;
+                let Some(Token::Word(w)) = self.bump() else { unreachable!("peeked a word") };
                 if w.eq_ignore_ascii_case("EXISTS") {
-                    self.bump();
                     let inner = self.parse_group_graph_pattern()?;
                     return Ok(Expression::Exists(Box::new(inner), false));
                 }
                 if w.eq_ignore_ascii_case("NOT") {
-                    self.bump();
                     self.expect_keyword("EXISTS")?;
                     let inner = self.parse_group_graph_pattern()?;
                     return Ok(Expression::Exists(Box::new(inner), true));
                 }
                 if let Some(func) = builtin_function(&w) {
-                    self.bump();
                     let args = self.parse_arg_list()?;
                     check_arity(func, args.len())?;
                     Ok(Expression::Call(func, args))
                 } else if let Some(agg) = self.try_parse_aggregate(&w)? {
                     Ok(Expression::Aggregate(Box::new(agg)))
                 } else if w.eq_ignore_ascii_case("true") || w.eq_ignore_ascii_case("false") {
-                    self.bump();
-                    Ok(Expression::Constant(Term::Literal(Literal::boolean(
-                        w.eq_ignore_ascii_case("true"),
-                    ))))
+                    let term = Term::Literal(Literal::boolean(w.eq_ignore_ascii_case("true")));
+                    self.note(at, || term.clone());
+                    Ok(Expression::Constant(term))
                 } else {
                     Err(SparqlError::Parse(format!("unknown function or keyword: {w}")))
                 }
@@ -778,11 +828,11 @@ impl Parser {
         }
     }
 
+    /// An aggregate call whose name `word` has just been consumed.
     fn try_parse_aggregate(&mut self, word: &str) -> Result<Option<Aggregate>, SparqlError> {
         let kind = word.to_ascii_uppercase();
         let agg = match kind.as_str() {
             "COUNT" => {
-                self.bump();
                 self.expect(Token::LParen)?;
                 if self.peek() == Some(&Token::Star) {
                     self.bump();
@@ -796,7 +846,6 @@ impl Parser {
                 }
             }
             "SUM" | "AVG" | "MIN" | "MAX" => {
-                self.bump();
                 self.expect(Token::LParen)?;
                 let _ = self.eat_keyword("DISTINCT");
                 let expr = self.parse_expression()?;

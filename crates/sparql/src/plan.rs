@@ -15,6 +15,7 @@
 //!    nested-loop join and hash join, the two physical strategies whose
 //!    interplay the paper's experiments 4 and 5 highlight.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use quadstore::{AccessPath, DatasetView, GraphConstraint, QuadPattern};
@@ -346,7 +347,8 @@ pub struct CompiledQuery {
     /// The compiled form.
     pub form: CForm,
     /// Rendered logical plan (post-rewrite), with the applied rewrite
-    /// rules — the `EXPLAIN LOGICAL` text.
+    /// rules — the `EXPLAIN LOGICAL` text. A plan the cache bound new
+    /// constants into keeps its template's text.
     pub logical: String,
 }
 
@@ -433,7 +435,63 @@ pub fn compile_with(
     query: &Query,
     options: CompileOptions,
 ) -> Result<CompiledQuery, SparqlError> {
-    let mut c = Compiler { view, vars: VarTable::default(), exists: Vec::new() };
+    compile_inner(view, query, options, None)
+}
+
+/// The input the physical planner got for one basic graph pattern.
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedBgp {
+    /// The rewritten triples, in lowering order.
+    pub triples: Vec<CTriple>,
+    /// The slots bound before them.
+    pub bound: HashSet<usize>,
+}
+
+/// What compiling a query read from the store, for a plan cache to check
+/// and replay.
+#[derive(Debug, Default)]
+pub(crate) struct CompileRecord {
+    /// Every constant looked up in the dictionary, with the ID it got
+    /// (`None` = absent), in lookup order, repeats included.
+    pub resolutions: Vec<(Term, Option<TermId>)>,
+    /// The planner input of every [`Node::Steps`], in [`visit_constants`]
+    /// order; `None` for the synthetic step of a subtree proven empty.
+    pub bgps: Vec<Option<PlannedBgp>>,
+}
+
+/// [`compile_with`] that also returns its [`CompileRecord`]: dictionary
+/// presence is the only store state a plan depends on besides the
+/// statistics its BGPs were planned under (see [`crate::cache`]).
+pub(crate) fn compile_recording(
+    view: &DatasetView,
+    query: &Query,
+    options: CompileOptions,
+) -> Result<(CompiledQuery, CompileRecord), SparqlError> {
+    let mut record = CompileRecord::default();
+    let plan = compile_inner(view, query, options, Some(&mut record))?;
+    Ok((plan, record))
+}
+
+/// Plans one basic graph pattern exactly as compilation does: the same
+/// triples and bound slots give the same steps.
+pub(crate) fn plan_bgp(view: &DatasetView, options: CompileOptions, bgp: PlannedBgp) -> Vec<Step> {
+    let PlannedBgp { triples, mut bound } = bgp;
+    let est = Estimator::new(view);
+    let planner = BgpPlanner { view, est: &est, force_join: options.force_join };
+    match planner.plan(triples, &mut bound) {
+        Some(Node::Steps(steps)) => steps,
+        _ => Vec::new(),
+    }
+}
+
+fn compile_inner(
+    view: &DatasetView,
+    query: &Query,
+    options: CompileOptions,
+    record: Option<&mut CompileRecord>,
+) -> Result<CompiledQuery, SparqlError> {
+    let resolved = record.is_some().then(Vec::new);
+    let mut c = Compiler { view, vars: VarTable::default(), exists: Vec::new(), resolved };
     let root = if options.union_default_graph { CGraph::Any } else { CGraph::Default };
     let form = match query {
         Query::Select(sel) => LForm::Select(c.lower_select(sel, &root, &mut HashSet::new())?),
@@ -453,6 +511,7 @@ pub fn compile_with(
         view,
         options,
         est: Estimator::new(view),
+        bgps: record.is_some().then(|| RefCell::new(Vec::new())),
     };
     let form = match &lquery.form {
         LForm::Select(ls) => CForm::Select(physical.emit_select(ls, &mut HashSet::new())),
@@ -466,6 +525,10 @@ pub fn compile_with(
         .iter()
         .map(|(node, bound)| physical.emit_node(node, &mut bound.clone()))
         .collect();
+    if let Some(record) = record {
+        record.resolutions = c.resolved.take().unwrap_or_default();
+        record.bgps = physical.bgps.map(RefCell::into_inner).unwrap_or_default();
+    }
     Ok(CompiledQuery { vars: c.vars, exists, form, logical })
 }
 
@@ -475,11 +538,18 @@ struct Compiler<'a> {
     /// Lowered EXISTS patterns, shared across the whole query, each with
     /// the bound-slot snapshot at its filter site.
     exists: Vec<(LNode, HashSet<usize>)>,
+    /// Every dictionary lookup, when the caller asked for them.
+    resolved: Option<Vec<(Term, Option<TermId>)>>,
 }
 
 impl Compiler<'_> {
-    fn term_id(&self, term: &Term) -> Option<TermId> {
-        self.view.term_id(term)
+    /// The one place compilation reads the dictionary.
+    fn term_id(&mut self, term: &Term) -> Option<TermId> {
+        let id = self.view.term_id(term);
+        if let Some(resolved) = &mut self.resolved {
+            resolved.push((term.clone(), id));
+        }
+        id
     }
 
     fn cpos(&mut self, vt: &VarOrTerm) -> CPos {
@@ -1020,6 +1090,8 @@ struct Physical<'a> {
     view: &'a DatasetView,
     options: CompileOptions,
     est: Estimator<'a>,
+    /// The planner input of every emitted [`Node::Steps`], when recording.
+    bgps: Option<RefCell<Vec<Option<PlannedBgp>>>>,
 }
 
 impl Physical<'_> {
@@ -1052,10 +1124,13 @@ impl Physical<'_> {
 
     fn emit_node(&self, node: &LNode, bound: &mut HashSet<usize>) -> Node {
         match node {
-            LNode::Bgp(tps) => self
-                .planner()
-                .plan(tps.clone(), bound)
-                .unwrap_or(Node::Steps(Vec::new())),
+            LNode::Bgp(tps) => {
+                if let Some(bgps) = &self.bgps {
+                    let bgp = PlannedBgp { triples: tps.clone(), bound: bound.clone() };
+                    bgps.borrow_mut().push(Some(bgp));
+                }
+                self.planner().plan(tps.clone(), bound).unwrap_or(Node::Steps(Vec::new()))
+            }
             LNode::Path(p) => {
                 if let CPos::Var(s) = &p.s {
                     bound.insert(*s);
@@ -1122,6 +1197,9 @@ impl Physical<'_> {
                 } else {
                     for v in lnode_vars(inner) {
                         bound.insert(v);
+                    }
+                    if let Some(bgps) = &self.bgps {
+                        bgps.borrow_mut().push(None);
                     }
                     Node::Steps(vec![unsatisfiable_step()])
                 }
@@ -1201,6 +1279,161 @@ fn collect_vars(node: &Node, out: &mut Vec<usize>) {
         Node::Values { slots, .. } => out.extend(slots.iter().copied()),
         Node::Extend(slot, _) => out.push(*slot),
         Node::Minus(_) => {}
+    }
+}
+
+/// One constant of a compiled plan, as [`visit_constants`] hands it out.
+#[derive(Debug)]
+pub(crate) enum Site<'p> {
+    /// The subject or object of a planned BGP step: the only position a
+    /// constant the plan cache rebinds may hold.
+    StepEnd(&'p Term),
+    /// The steps of one planned BGP, before their constants are visited.
+    Steps(&'p mut Vec<Step>),
+    /// Any other constant with its ID: a step's predicate or graph, a
+    /// closure path's endpoint or predicate.
+    Term(&'p Term, Option<TermId>),
+    /// A bare ID: an `?v = <const>` filter fast path, a closure path's
+    /// `GRAPH` constant.
+    Id(Option<TermId>),
+    /// A constant kept as a term only: a VALUES cell, a CONSTRUCT
+    /// template term.
+    Bare(&'p Term),
+    /// An expression constant.
+    Value(&'p Value),
+}
+
+/// Visits every constant of a compiled plan — including EXISTS patterns
+/// and sub-selects — in a fixed order.
+pub(crate) fn visit_constants(plan: &mut CompiledQuery, f: &mut impl FnMut(Site<'_>)) {
+    match &mut plan.form {
+        CForm::Select(sel) => visit_select(sel, f),
+        CForm::Ask(node) => visit_node(node, f),
+        CForm::Construct(templates, sel) => {
+            for t in templates.iter() {
+                let graph = t.graph.iter();
+                for pos in [&t.subject, &t.predicate, &t.object].into_iter().chain(graph) {
+                    if let VarOrTerm::Term(term) = pos {
+                        f(Site::Bare(term));
+                    }
+                }
+            }
+            visit_select(sel, f);
+        }
+    }
+    for node in &mut plan.exists {
+        visit_node(node, f);
+    }
+}
+
+fn visit_select(sel: &mut CSelect, f: &mut impl FnMut(Site<'_>)) {
+    for proj in sel.projection.iter().chain(&sel.hidden) {
+        if let Some(expr) = &proj.expr {
+            visit_expr(expr, f);
+        }
+    }
+    for agg in &sel.aggregates {
+        match agg {
+            CAggregate::CountAll => {}
+            CAggregate::Count { expr, .. }
+            | CAggregate::Sum(expr)
+            | CAggregate::Avg(expr)
+            | CAggregate::Min(expr)
+            | CAggregate::Max(expr) => visit_expr(expr, f),
+        }
+    }
+    for expr in sel.having.iter().chain(sel.order_by.iter().map(|(e, _)| e)) {
+        visit_expr(expr, f);
+    }
+    visit_node(&mut sel.root, f);
+}
+
+fn visit_node(node: &mut Node, f: &mut impl FnMut(Site<'_>)) {
+    match node {
+        Node::Steps(steps) => {
+            f(Site::Steps(steps));
+            for step in steps {
+                for end in [&step.triple.s, &step.triple.o] {
+                    if let CPos::Const(term, _) = end {
+                        f(Site::StepEnd(term));
+                    }
+                }
+                if let CPos::Const(term, id) = &step.triple.p {
+                    f(Site::Term(term, *id));
+                }
+                if let CGraph::Const(term, id) = &step.triple.g {
+                    f(Site::Term(term, *id));
+                }
+            }
+        }
+        Node::Path(p) => {
+            for end in [&p.s, &p.o] {
+                if let CPos::Const(term, id) = end {
+                    f(Site::Term(term, *id));
+                }
+            }
+            visit_cpath(&p.path, f);
+            if let GraphConstraint::Named(id) = p.graph {
+                f(Site::Id((id.0 != u64::MAX).then_some(id)));
+            }
+        }
+        Node::Join(children) => {
+            for child in children {
+                visit_node(child, f);
+            }
+        }
+        Node::Filter(exprs, inner) => {
+            for expr in exprs.iter() {
+                visit_expr(expr, f);
+            }
+            visit_node(inner, f);
+        }
+        Node::Union(a, b) | Node::Optional(a, b) => {
+            visit_node(a, f);
+            visit_node(b, f);
+        }
+        Node::SubSelect(sel) => visit_select(sel, f),
+        Node::Values { rows, .. } => {
+            for term in rows.iter().flatten().flatten() {
+                f(Site::Bare(term));
+            }
+        }
+        Node::Extend(_, expr) => visit_expr(expr, f),
+        Node::Minus(inner) => visit_node(inner, f),
+    }
+}
+
+fn visit_cpath(path: &CPath, f: &mut impl FnMut(Site<'_>)) {
+    match path {
+        CPath::Iri(term, id) => f(Site::Term(term, *id)),
+        CPath::Sequence(a, b) | CPath::Alternative(a, b) => {
+            visit_cpath(a, f);
+            visit_cpath(b, f);
+        }
+        CPath::Inverse(p) | CPath::ZeroOrMore(p) | CPath::OneOrMore(p) | CPath::ZeroOrOne(p) => {
+            visit_cpath(p, f)
+        }
+    }
+}
+
+fn visit_expr(expr: &CExpr, f: &mut impl FnMut(Site<'_>)) {
+    match expr {
+        CExpr::Const(value) => f(Site::Value(value)),
+        CExpr::SlotEqConst(_, id, fallback) => {
+            f(Site::Id(id.map(TermId)));
+            visit_expr(fallback, f);
+        }
+        CExpr::Or(a, b) | CExpr::And(a, b) | CExpr::Compare(_, a, b) | CExpr::Arith(_, a, b) => {
+            visit_expr(a, f);
+            visit_expr(b, f);
+        }
+        CExpr::Not(a) | CExpr::Neg(a) => visit_expr(a, f),
+        CExpr::Call(_, args) => {
+            for arg in args {
+                visit_expr(arg, f);
+            }
+        }
+        CExpr::Var(_) | CExpr::KindCheck(..) | CExpr::Agg(_) | CExpr::ExistsRef(_) => {}
     }
 }
 

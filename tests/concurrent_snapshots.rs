@@ -16,6 +16,11 @@
 //!    (1) establishes the data part; in addition the same pinned snapshot
 //!    must return byte-identical results when a query is repeated (no
 //!    dependence on concurrent DML), and epochs must be monotone.
+//! 3. **Cached plans are valid for the snapshot they serve.** Readers also
+//!    look up each writer's sentinel vertex by name: one query shape whose
+//!    lifted literal writers intern and then keep removing and re-adding
+//!    the data of. Each answer must be the sentinel's rows exactly when the
+//!    same snapshot holds the sentinel, and no rows otherwise.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -34,6 +39,19 @@ const RACE_FOR: Duration = Duration::from_millis(2200);
 /// the test never re-implements the encoding rules. Writer `w` gets its
 /// own vertex/edge IDs so sentinels are independent.
 fn sentinel_quads(model: PgRdfModel, w: usize) -> Vec<Quad> {
+    PgRdfStore::load(&sentinel_graph(w), model).expect("sentinel graph loads").quads()
+}
+
+/// Rows of the by-name lookup of writer `w`'s sentinel vertex when the
+/// sentinel is present.
+fn sentinel_rows(model: PgRdfModel, w: usize) -> usize {
+    let store = PgRdfStore::load(&sentinel_graph(w), model).expect("sentinel graph loads");
+    let rows = store.select(&store.queries().q3_node_kvs(&format!("writer{w}"))).expect("query");
+    assert!(!rows.is_empty(), "the sentinel vertex has a name");
+    rows.len()
+}
+
+fn sentinel_graph(w: usize) -> PropertyGraph {
     let mut g = PropertyGraph::new();
     let (src, dst) = (9000 + 2 * w as u64, 9001 + 2 * w as u64);
     g.add_vertex_with_props(src, [("name", PropValue::from(format!("writer{w}")))]);
@@ -41,7 +59,7 @@ fn sentinel_quads(model: PgRdfModel, w: usize) -> Vec<Quad> {
     let e = g.add_edge_with_id(9100 + w as u64, src, "follows", dst).expect("fresh id");
     g.set_edge_prop(e, "since", 2020 + w as i64).expect("edge exists");
     g.set_edge_prop(e, "via", "stress").expect("edge exists");
-    PgRdfStore::load(&g, model).expect("sentinel graph loads").quads()
+    g
 }
 
 /// Encodes a quad against a pinned snapshot's dictionary; `None` when any
@@ -80,6 +98,10 @@ fn writers_never_tear_reads_across_all_encodings() {
         .iter()
         .map(|&m| (0..WRITERS).map(|w| sentinel_quads(m, w)).collect())
         .collect();
+    let sentinel_rows: Vec<Vec<usize>> = PgRdfModel::ALL
+        .iter()
+        .map(|&m| (0..WRITERS).map(|w| sentinel_rows(m, w)).collect())
+        .collect();
 
     let stop = AtomicBool::new(false);
     let saw_present = AtomicUsize::new(0);
@@ -115,6 +137,7 @@ fn writers_never_tear_reads_across_all_encodings() {
         for _ in 0..READERS {
             let stores = &stores;
             let sentinels = &sentinels;
+            let sentinel_rows = &sentinel_rows;
             let stop = &stop;
             let saw_present = &saw_present;
             let saw_absent = &saw_absent;
@@ -137,7 +160,8 @@ fn writers_never_tear_reads_across_all_encodings() {
                         // all-out of this generation.
                         let view =
                             snap.dataset(&store.dataset_name()).expect("dataset at snapshot");
-                        for quads in &sentinels[i] {
+                        let qs = store.queries();
+                        for (w, quads) in sentinels[i].iter().enumerate() {
                             let n = visible_count(&view, quads);
                             assert!(
                                 n == 0 || n == quads.len(),
@@ -150,13 +174,24 @@ fn writers_never_tear_reads_across_all_encodings() {
                             } else {
                                 saw_present.fetch_add(1, Ordering::Relaxed);
                             }
+                            // The same snapshot through a cached plan.
+                            let by_name = qs.q3_node_kvs(&format!("writer{w}"));
+                            let rows =
+                                store.select_at(&snap, &by_name).expect("lookup at snapshot").len();
+                            let want = if n == 0 { 0 } else { sentinel_rows[i][w] };
+                            assert_eq!(
+                                rows,
+                                want,
+                                "{}: writer{w}'s sentinel is {} in the snapshot",
+                                store.model(),
+                                if n == 0 { "absent" } else { "present" }
+                            );
                         }
 
                         // The paper's five query families, all pinned to
                         // the same snapshot: node-KV selection (Q3),
                         // edge-KV access (Q2, model-specific), topology
                         // scan (Q4), aggregation (EQ9), traversal (Q1).
-                        let qs = store.queries();
                         for text in [
                             qs.q3_node_kvs("Amy"),
                             qs.q2_edge_kvs(),

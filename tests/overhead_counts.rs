@@ -11,7 +11,9 @@
 //! on, telemetry off, no slow-query log): a query through
 //! `PgRdfStore::select_in_with` minus the executor alone on the same plan.
 //! Planning is counted the same way: one write must not change what a
-//! compile allocates. Its own binary with a single test, because it flips the process-wide
+//! compile allocates. Plan-cache reuse is counted too: texts that differ
+//! only in lifted constants compile once per cached variant, not once per
+//! text. Its own binary with a single test, because it flips the process-wide
 //! telemetry and recorder flags.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -164,6 +166,32 @@ fn per_query_overheads_do_not_grow_with_rows() {
     let after_write = compile();
     println!("EQ5 compile: {warm} allocations warm, {after_write} first after a write");
     assert_eq!(warm, after_write, "a write must not make planning rescan the model");
+
+    // 200 distinct texts of pgbench's five point-lookup shapes, over tags
+    // and vertices both present and absent: each compile makes one cached
+    // variant, and the rest bind into one.
+    let names = store.partition_names().expect("partitioned fixture");
+    let qs = store.queries();
+    let p = PgVocab::twitter().prefixes();
+    let vertex = |i: u64| format!("<{}>", PgVocab::twitter().vertex_iri(i).as_str());
+    let cache = store.plan_cache();
+    cache.clear();
+    let compiles = cache.compiles();
+    for i in 0..40u64 {
+        let tag = format!("#tag{i}");
+        let (s, o) = (vertex(i), vertex(i + 1));
+        store.select_in(&names.node_kv, &qs.eq1(&tag)).expect("EQ1");
+        store.select_in(&names.topology_edgekv, &qs.eq5(&tag)).expect("EQ5");
+        let p1 = format!("{p}SELECT ?k ?v WHERE {{ {s} ?k ?v }}");
+        store.select_in(&names.node_kv, &p1).expect("P1");
+        let p2 = format!("{p}SELECT ?o WHERE {{ {s} r:follows ?o }}");
+        store.select_in(&names.topology, &p2).expect("P2");
+        store.query(&format!("{p}ASK {{ {s} r:follows {o} }}")).expect("P3");
+    }
+    let compiled = cache.compiles() - compiles;
+    println!("200 lookups: {compiled} compiles, {} cached variants", cache.len());
+    assert_eq!(compiled as usize, cache.len(), "every compile is a variant still cached");
+    assert!(compiled <= 20, "200 texts of 5 shapes compiled {compiled} times");
 }
 
 /// Allocations and rows of the executor alone running `text` once warm.

@@ -1,7 +1,8 @@
 //! Compiled-plan cache behaviour end to end: hits execute with zero
-//! parse/compile work, and any store mutation — plain DML, SPARQL Update,
-//! or writes through the durable WAL wrapper — bumps the store epoch and
-//! evicts stale plans.
+//! parse/compile work, a plan that pruned a constant as absent is evicted
+//! once a write makes it present, and every store mutator — plain DML,
+//! SPARQL Update, or writes through the durable WAL wrapper — still bumps
+//! the store epoch that snapshots and recovery rely on.
 
 use pgrdf::{PgRdfModel, PgRdfStore};
 use propertygraph::PropertyGraph;
@@ -39,8 +40,8 @@ fn different_query_text_is_a_separate_entry() {
     assert_eq!(s.plan_cache().hits(), 0);
 }
 
-/// The regression the epoch counter exists for: a plan compiled while a
-/// constant term was absent from the dictionary resolves it to an
+/// The regression dictionary validation exists for: a plan compiled
+/// while a constant term was absent from the dictionary resolves it to an
 /// unsatisfiable pattern. Without invalidation, replaying that stale plan
 /// after an INSERT would keep returning zero rows forever.
 #[test]
@@ -128,11 +129,11 @@ fn durable_store_dml_bumps_epoch() {
 }
 
 /// The MVCC variant of the stale-plan race: cache entries must be
-/// validated against the epoch of the *snapshot* a query is pinned to,
-/// never the live store's. Otherwise a query racing with DML could replay
-/// a plan whose constant IDs were resolved against a different dictionary
-/// generation than the data it scans. Pinned snapshots make the racy
-/// interleaving deterministic.
+/// validated against the dictionary of the *snapshot* a query is pinned
+/// to, never the live store's. Otherwise a query racing with DML could
+/// replay a plan whose constant IDs were resolved against a different
+/// dictionary generation than the data it scans. Pinned snapshots make
+/// the racy interleaving deterministic.
 #[test]
 fn cached_plans_validate_against_the_snapshot_epoch() {
     for model in PgRdfModel::ALL {
@@ -153,7 +154,8 @@ fn cached_plans_validate_against_the_snapshot_epoch() {
         .unwrap();
 
         // A query pinned to the post-DML generation must not replay the
-        // stale plan: its snapshot's epoch differs from the entry's stamp.
+        // stale plan: a constant it pruned as absent is in this snapshot's
+        // dictionary.
         let snap_after = s.snapshot();
         assert!(snap_after.epoch() > snap_before.epoch(), "{model}");
         assert_eq!(
@@ -163,9 +165,9 @@ fn cached_plans_validate_against_the_snapshot_epoch() {
         );
         assert!(s.plan_cache().invalidations() >= 1, "{model}");
 
-        // And the pre-DML snapshot revalidates against *its own* epoch:
-        // the plan now cached was compiled under the newer dictionary, so
-        // it must be recompiled rather than replayed, and the old
+        // And the pre-DML snapshot revalidates against *its own*
+        // dictionary: the plan now cached was compiled under the newer
+        // one, so it must be recompiled rather than replayed, and the old
         // generation still shows the old (empty) result.
         assert_eq!(
             s.select_at(&snap_before, q).unwrap().len(),
