@@ -212,7 +212,8 @@ impl DatasetView {
             let (lo, hi) = m.base_span(pattern, prefer);
             let mut start = lo;
             while start < hi {
-                let end = (start + size).min(hi);
+                // `start + size` would wrap for sizes near `usize::MAX`.
+                let end = start + size.min(hi - start);
                 out.push(Morsel { member, lo: start, hi: end, delta: false });
                 start = end;
             }
@@ -377,6 +378,33 @@ mod tests {
                 .iter()
                 .flat_map(|m| view.scan_morsel(pat, m))
                 .collect();
+            assert_eq!(chunked, sequential, "morsel_size {morsel_size}");
+        }
+    }
+
+    #[test]
+    fn huge_morsel_sizes_cut_one_morsel_per_member_span() {
+        let store = store_with_two_models();
+        // A predicate interned after `http://p`: its span starts past 0.
+        let quads: Vec<Quad> = (0..10)
+            .map(|i| quad_of(&format!("http://s{i}"), "http://q", "http://o"))
+            .collect();
+        store.bulk_load("a", &quads).unwrap();
+        let view = store.dataset_union(&["a", "b"]).unwrap();
+        let q = store.term_id(&Term::iri("http://q")).unwrap();
+        let pat = QuadPattern { s: None, p: Some(q), o: None, g: GraphConstraint::Any };
+        let sequential: Vec<_> = view.scan(pat).collect();
+        for morsel_size in [usize::MAX, usize::MAX / 2] {
+            let morsels = view.plan_morsels(&pat, morsel_size);
+            // Model "a": its whole base span; model "b": only its delta.
+            let (lo, hi) = view.members()[0].base_span(&pat, None);
+            assert!(lo > 0 && hi > lo);
+            let expected = vec![
+                Morsel { member: 0, lo, hi, delta: false },
+                Morsel { member: 1, lo: 0, hi: 0, delta: true },
+            ];
+            assert_eq!(morsels, expected, "morsel_size {morsel_size}");
+            let chunked: Vec<_> = morsels.iter().flat_map(|m| view.scan_morsel(pat, m)).collect();
             assert_eq!(chunked, sequential, "morsel_size {morsel_size}");
         }
     }

@@ -288,12 +288,14 @@ impl BgpPlanner<'_> {
     }
 
     /// Emits the planned steps in the chosen order: per-step strategy
-    /// (index NLJ vs hash join, or the forced override), access path for
-    /// EXPLAIN, estimated scan and output cardinalities. Updates `bound`
-    /// with every slot the chain binds.
+    /// (index NLJ vs hash join, or the forced override), the cycle-closing
+    /// fusion of [`Self::fuse_cycles`], access path for EXPLAIN, estimated
+    /// scan and output cardinalities. Updates `bound` with every slot the
+    /// chain binds.
     fn emit(&self, triples: Vec<CTriple>, order: &[usize], bound: &mut HashSet<usize>) -> Vec<Step> {
         let mut slots: Vec<Option<CTriple>> = triples.into_iter().map(Some).collect();
         let mut steps = Vec::with_capacity(order.len());
+        let mut planned = Vec::with_capacity(order.len());
         let mut left_card: f64 = 1.0;
         for &idx in order {
             let triple = slots[idx].take().expect("each triple planned once");
@@ -311,13 +313,14 @@ impl BgpPlanner<'_> {
 
             let strategy;
             let out_card;
+            let mut fanout = 0.0;
             if join_slots.is_empty() {
                 strategy = Strategy::IndexNlj;
                 out_card = left_card * est_scan as f64;
             } else {
                 let positions = join_positions(&triple, bound);
-                let per_probe = self.est.fanout(&triple, &positions);
-                let nlj_cost = left_card * (PROBE_COST + per_probe);
+                fanout = self.est.fanout(&triple, &positions);
+                let nlj_cost = left_card * (PROBE_COST + fanout);
                 let hash_cost = 2.0 * est_scan as f64 + left_card;
                 strategy = match self.force_join {
                     Some(ForcedJoin::Nlj) => Strategy::IndexNlj,
@@ -325,65 +328,234 @@ impl BgpPlanner<'_> {
                     None if nlj_cost <= hash_cost => Strategy::IndexNlj,
                     None => Strategy::HashJoin { join_slots },
                 };
-                out_card = (left_card * per_probe).max(1.0);
+                out_card = (left_card * fanout).max(1.0);
             }
             left_card = out_card;
-
-            // What access path will the probe use? (For EXPLAIN.) At probe
-            // time only the *join* slots are bound — reflect exactly those
-            // in the pattern. The hash build side scans constants only.
-            let access = {
-                let mut probe = triple.const_pattern();
-                if !matches!(strategy, Strategy::HashJoin { .. }) {
-                    if let CPos::Var(v) = &triple.s {
-                        if bound.contains(v) && probe.s.is_none() {
-                            probe.s = Some(TermId(u64::MAX));
-                        }
-                    }
-                    if let CPos::Var(v) = &triple.p {
-                        if bound.contains(v) && probe.p.is_none() {
-                            probe.p = Some(TermId(u64::MAX));
-                        }
-                    }
-                    if let CPos::Var(v) = &triple.o {
-                        if bound.contains(v) && probe.o.is_none() {
-                            probe.o = Some(TermId(u64::MAX));
-                        }
-                    }
-                    if let CGraph::Var(v) = &triple.g {
-                        if bound.contains(v) {
-                            probe.g = GraphConstraint::Named(TermId(u64::MAX));
-                        }
-                    }
-                }
-                self.view
-                    .access_paths(&probe)
-                    .into_iter()
-                    .next()
-                    .map(|(_, p)| p)
-            };
-
+            let mut joined = [false; 4];
+            for (pos, slot) in triple.var_positions() {
+                joined[pos] = bound.contains(&slot);
+            }
+            planned.push(Planned { joined, fanout });
             for v in triple.var_slots() {
                 bound.insert(v);
             }
-
             steps.push(Step {
                 triple,
                 strategy,
                 est_scan,
                 est_out: out_card.min(u64::MAX as f64) as u64,
-                access,
+                access: None,
             });
+        }
+        if self.force_join.is_none() {
+            self.fuse_cycles(&mut steps, &planned);
+        }
+        // What access path will the probe use? (For EXPLAIN.) At probe
+        // time only the *join* slots are bound — reflect exactly those in
+        // the pattern. The hash build side scans constants only.
+        for (step, p) in steps.iter_mut().zip(&planned) {
+            let probe = if matches!(step.strategy, Strategy::HashJoin { .. }) {
+                step.triple.const_pattern()
+            } else {
+                probe_shape(&step.triple, p.joined)
+            };
+            step.access = self.view.access_paths(&probe).into_iter().next().map(|(_, p)| p);
         }
         steps
     }
+
+    /// The cycle-closing fusion, applied after the join order is fixed.
+    /// An expand step — an index probe with a join slot that binds exactly
+    /// one new variable `v` (once, at S or O) and whose planner fanout is
+    /// above 1, i.e. it grows its input (Umbra's criterion for a
+    /// worst-case-optimal join) — fuses with the run of steps right after
+    /// it that mention `v` once, at S or O, and are fully bound once `v`
+    /// is. Every fused step must have a fixed graph, and every member's
+    /// index for its probe with `v` unbound must sort `v` right after the
+    /// bound prefix, so each span arrives sorted on `v`. The expand step
+    /// becomes an index NLJ and the closing steps [`Strategy::Intersect`].
+    fn fuse_cycles(&self, steps: &mut [Step], planned: &[Planned]) {
+        let mut k = 0;
+        while k < steps.len() {
+            let Some(v) = self.expands(&steps[k].triple, &planned[k]) else {
+                k += 1;
+                continue;
+            };
+            let mut end = k + 1;
+            while end < steps.len() && self.closes(&steps[end].triple, planned[end].joined, v) {
+                end += 1;
+            }
+            if end > k + 1 {
+                steps[k].strategy = Strategy::IndexNlj;
+                for step in &mut steps[k + 1..end] {
+                    step.strategy = Strategy::Intersect { on: v };
+                }
+            }
+            k = end;
+        }
+    }
+
+    /// The variable an expand step binds: its only unbound position's
+    /// slot, when the step grows its input and its spans are sorted on it.
+    fn expands(&self, triple: &CTriple, planned: &Planned) -> Option<usize> {
+        if planned.fanout <= 1.0 {
+            return None;
+        }
+        let mut new = triple.var_positions().filter(|&(pos, _)| !planned.joined[pos]);
+        let (_, v) = new.next()?;
+        if new.next().is_some() {
+            return None;
+        }
+        let pos = triple.sole_s_or_o(v)?;
+        self.sorted_on(triple, planned.joined, pos).then_some(v)
+    }
+
+    /// Whether a step with `joined` positions bound before it is a closing
+    /// step for `v`: fully bound, with `v` at one position only, S or O,
+    /// and its spans sorted on `v` once `v` is left unbound.
+    fn closes(&self, triple: &CTriple, mut joined: [bool; 4], v: usize) -> bool {
+        if triple.var_positions().any(|(pos, _)| !joined[pos]) {
+            return false;
+        }
+        let Some(pos) = triple.sole_s_or_o(v) else { return false };
+        joined[pos] = false;
+        self.sorted_on(triple, joined, pos)
+    }
+
+    /// Whether `triple` has a fixed graph and no absent constant, and every
+    /// member's index for its probe with `joined` positions bound emits
+    /// matches sorted on quad position `pos`.
+    fn sorted_on(&self, triple: &CTriple, joined: [bool; 4], pos: usize) -> bool {
+        if matches!(triple.g, CGraph::Var(_)) || triple.unsatisfiable() {
+            return false;
+        }
+        let probe = probe_shape(triple, joined);
+        self.view.members().iter().all(|m| {
+            let path = m.choose_index(&probe);
+            path.bound_prefix < 4 && path.index.position_at(path.bound_prefix) == pos
+        })
+    }
+}
+
+/// What [`BgpPlanner::emit`] records per step for the passes after it.
+struct Planned {
+    /// Which quad positions (S, P, O, G) hold a slot bound before the step.
+    joined: [bool; 4],
+    /// The planner's per-probe fanout (0 for an unjoined step).
+    fanout: f64,
+}
+
+/// A triple's probe pattern shape: its constants, plus a placeholder ID at
+/// every `joined` position. Index choice depends only on which positions
+/// are bound, so this is what the executor's per-row probes will choose.
+fn probe_shape(triple: &CTriple, joined: [bool; 4]) -> quadstore::QuadPattern {
+    let mut probe = triple.const_pattern();
+    let placeholder = TermId(u64::MAX);
+    for (pos, _) in triple.var_positions().filter(|&(pos, _)| joined[pos]) {
+        match pos {
+            quadstore::ids::S => probe.s = Some(placeholder),
+            quadstore::ids::P => probe.p = Some(placeholder),
+            quadstore::ids::O => probe.o = Some(placeholder),
+            _ => probe.g = GraphConstraint::Named(placeholder),
+        }
+    }
+    probe
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{compile_with, CForm, CompileOptions};
     use quadstore::Store;
-    use rdf_model::{Quad, Term};
+    use rdf_model::{GraphName, Quad, Term};
+
+    /// Every ordered pair of distinct nodes among `n`, under each of
+    /// `preds` predicates and in each of `graphs` named graphs.
+    fn complete_store(n: usize, preds: usize, graphs: usize) -> Store {
+        let store = Store::new();
+        store.create_model("m").unwrap();
+        let mut quads = Vec::new();
+        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).filter(|(a, b)| a != b) {
+            for (p, g) in (0..preds).flat_map(|p| (0..graphs).map(move |g| (p, g))) {
+                quads.push(
+                    Quad::new(
+                        Term::iri(format!("http://n{a}")),
+                        Term::iri(format!("http://p{p}")),
+                        Term::iri(format!("http://n{b}")),
+                        GraphName::iri(format!("http://g{g}")),
+                    )
+                    .unwrap(),
+                );
+            }
+        }
+        store.bulk_load("m", &quads).unwrap();
+        store
+    }
+
+    /// The strategies of a `SELECT *`'s planned steps, in plan order
+    /// (BGPs joined one after another).
+    fn strategies(store: &Store, body: &str, force_join: Option<ForcedJoin>) -> Vec<Strategy> {
+        let view = store.dataset("m").unwrap();
+        let query = crate::parse_query(&format!("SELECT * WHERE {{ {body} }}")).unwrap();
+        let options = CompileOptions { force_join, ..Default::default() };
+        let CForm::Select(sel) = compile_with(&view, &query, options).unwrap().form else {
+            panic!("expected a select");
+        };
+        let bgps = match sel.root {
+            Node::Join(children) => children,
+            root => vec![root],
+        };
+        bgps.into_iter()
+            .flat_map(|bgp| match bgp {
+                Node::Steps(steps) => steps,
+                other => panic!("expected BGPs, got {other:?}"),
+            })
+            .map(|s| s.strategy)
+            .collect()
+    }
+
+    const TRIANGLE: &str =
+        "?x <http://p0> ?y . ?y <http://p0> ?z . ?z <http://p0> ?x";
+
+    #[test]
+    fn a_growing_expand_step_closes_its_cycle_by_intersection() {
+        // Out-degree 5: the expand step's fanout is above 1.
+        let store = complete_store(6, 1, 1);
+        let got = strategies(&store, TRIANGLE, None);
+        assert_eq!(got[1], Strategy::IndexNlj, "{got:?}");
+        assert!(matches!(got[2], Strategy::Intersect { .. }), "{got:?}");
+        // Forced strategies keep today's binary plans.
+        for force in [ForcedJoin::Nlj, ForcedJoin::Hash] {
+            let got = strategies(&store, TRIANGLE, Some(force));
+            assert!(!got.iter().any(|s| matches!(s, Strategy::Intersect { .. })), "{got:?}");
+        }
+    }
+
+    #[test]
+    fn no_intersection_without_growth_or_off_s_and_o() {
+        let fused = |got: &[Strategy]| got.iter().any(|s| matches!(s, Strategy::Intersect { .. }));
+        // A ring: every node has one successor, so the expand step's
+        // fanout is 1 and it does not grow its input.
+        let ring = Store::new();
+        ring.create_model("m").unwrap();
+        let node = |i: usize| Term::iri(format!("http://n{i}"));
+        let quads: Vec<Quad> = (0..6)
+            .map(|i| Quad::triple(node(i), Term::iri("http://p0"), node((i + 1) % 6)).unwrap())
+            .collect();
+        ring.bulk_load("m", &quads).unwrap();
+        assert!(!fused(&strategies(&ring, TRIANGLE, None)));
+
+        // Four predicates and three graphs between every pair: binding a
+        // predicate or a graph variable grows the input, but the spans are
+        // not sorted on it, so it never fuses.
+        let store = complete_store(4, 4, 3);
+        let at_p = "?x <http://p0> ?y . ?x ?q ?y . ?y ?q ?x";
+        let at_g = "?x <http://p0> ?y . GRAPH ?g { ?x <http://p1> ?y . ?y <http://p2> ?x }";
+        for bgp in [at_p, at_g] {
+            let got = strategies(&store, bgp, None);
+            assert!(!fused(&got), "{bgp}: {got:?}");
+        }
+    }
 
     fn quad(s: usize, o: usize) -> Quad {
         let iri = |kind: &str, i: usize| Term::iri(format!("http://{kind}{i}"));

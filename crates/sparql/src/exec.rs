@@ -1606,7 +1606,9 @@ fn eval_step<'it>(ctx: &'it EvalCtx, step: &'it Step, input: BoxIter<'it>) -> Bo
 fn eval_step_inner<'it>(ctx: &'it EvalCtx, step: &'it Step, input: BoxIter<'it>) -> BoxIter<'it> {
     match &step.strategy {
         // Yields as it scans: a consumer that stops pulling ends the scan.
-        Strategy::IndexNlj => Box::new(input.flat_map(move |row| {
+        // A closing step of a cycle is the same probe: fully bound, it
+        // replicates each row once per matching quad.
+        Strategy::IndexNlj | Strategy::Intersect { .. } => Box::new(input.flat_map(move |row| {
             let scan = probe_pattern(&row, &step.triple).map(move |pattern| {
                 ctx.view
                     .scan(pattern)

@@ -92,6 +92,14 @@ enum FilterSpec<'p> {
     Generic { expr: &'p CExpr, col_slots: Vec<usize> },
 }
 
+/// A closing step fused into a [`VecOp::Intersect`]: its probe with the
+/// merge variable left unbound, and the quad position that variable holds.
+struct Close<'p> {
+    step: &'p Step,
+    spec: ProbeSpec,
+    v_pos: usize,
+}
+
 /// One vectorized operator.
 enum VecOp<'p> {
     /// Index nested-loop probe: per input row, probe the per-row pattern
@@ -107,6 +115,21 @@ enum VecOp<'p> {
     /// Pure existence/multiplicity check: every position statically
     /// bound, so each input row is replicated `count_matches` times.
     Count { step: &'p Step, spec: ProbeSpec, keep: Vec<usize> },
+    /// An index NLJ that binds one variable `v` (the expand step) fused
+    /// with the steps after it that `v` fully binds (the closing steps):
+    /// per input row, the expand step's matching `v` values, in probe
+    /// order, are intersected with each closing step's memoised, sorted
+    /// (value, multiplicity) list ([`intersect_row`]); a match surviving
+    /// every list is emitted once per combination of closing matches,
+    /// exactly as the unfused probe and count steps would emit it.
+    Intersect {
+        step: &'p Step,
+        spec: ProbeSpec,
+        v_pos: usize,
+        closes: Vec<Close<'p>>,
+        binds: Vec<(usize, usize)>,
+        keep: Vec<usize>,
+    },
     /// Hash-join probe against the shared build table.
     Hash {
         step: &'p Step,
@@ -123,15 +146,23 @@ enum VecOp<'p> {
     Filter { specs: Vec<FilterSpec<'p>>, keep: Vec<usize> },
 }
 
-impl VecOp<'_> {
-    fn step_key(&self) -> Option<usize> {
-        match self {
+impl<'p> VecOp<'p> {
+    /// The plan steps this operator runs (their profile tally keys).
+    fn steps(&self) -> impl Iterator<Item = &'p Step> + '_ {
+        let (head, closes): (Option<&'p Step>, &[Close<'p>]) = match self {
             VecOp::Probe { step, .. } | VecOp::Count { step, .. } | VecOp::Hash { step, .. } => {
-                Some(*step as *const Step as usize)
+                (Some(*step), &[])
             }
-            VecOp::Filter { .. } => None,
-        }
+            VecOp::Intersect { step, closes, .. } => (Some(*step), closes),
+            VecOp::Filter { .. } => (None, &[]),
+        };
+        head.into_iter().chain(closes.iter().map(|c| c.step))
     }
+}
+
+/// A step's profile tally key: its address, as the row evaluator keys it.
+fn step_key(step: &Step) -> usize {
+    step as *const Step as usize
 }
 
 /// A batch of column vectors, indexed by binding slot. Only live slots
@@ -153,10 +184,129 @@ impl Batch {
 #[derive(Default)]
 struct OpMemo {
     pattern: Option<QuadPattern>,
-    /// Matched quads' bind values, one vector per materialized bind.
+    /// Matched quads' bind values, one vector per materialized bind (an
+    /// Intersect op keeps its expand step's `v` values here).
     vals: Vec<Vec<u64>>,
     /// Match count (also used by Count ops, which materialise nothing).
     count: usize,
+    /// Intersect ops: one memo per closing step.
+    closes: Vec<CloseMemo>,
+}
+
+/// A closing step's candidates for the merge variable under its current
+/// probe pattern, plus the walk and tally state of the current batch.
+#[derive(Default, Clone)]
+struct CloseMemo {
+    pattern: Option<QuadPattern>,
+    /// Distinct candidate values, ascending.
+    keys: Vec<u64>,
+    /// Matching quads per value (several graphs or members may hold one
+    /// triple).
+    mults: Vec<u64>,
+    /// Gallop cursor of the multi-list walk: every key before it is
+    /// below the value walked last.
+    at: usize,
+    /// Rows into and out of this closing step in the current batch.
+    loops: u64,
+    rows: u64,
+}
+
+impl CloseMemo {
+    /// Reads the candidates of `pattern` at quad position `pos`.
+    fn load(&mut self, view: &DatasetView, pattern: &QuadPattern, pos: usize) {
+        self.keys.clear();
+        span_values(view, pattern, pos, &mut self.keys);
+        self.mults.clear();
+        if self.keys.windows(2).all(|w| w[0] < w[1]) {
+            self.mults.resize(self.keys.len(), 1);
+            self.pattern = Some(*pattern);
+            return;
+        }
+        // Each member's span is sorted on `pos`; several members (or a
+        // delta) concatenate sorted runs, and one triple may match in
+        // several graphs.
+        self.keys.sort_unstable();
+        let mut len = 0;
+        for r in 0..self.keys.len() {
+            if len > 0 && self.keys[len - 1] == self.keys[r] {
+                self.mults[len - 1] += 1;
+            } else {
+                self.keys[len] = self.keys[r];
+                self.mults.push(1);
+                len += 1;
+            }
+        }
+        self.keys.truncate(len);
+        self.pattern = Some(*pattern);
+    }
+}
+
+/// Appends position `pos` of every quad matching `pattern`, in the order
+/// [`DatasetView::probe`] yields them: per member, its base index span,
+/// then its insert delta. Copies straight from the sorted index runs.
+fn span_values(view: &DatasetView, pattern: &QuadPattern, pos: usize, out: &mut Vec<u64>) {
+    for m in view.members() {
+        let (lo, hi) = m.base_span(pattern, None);
+        m.scan_base_span_columns(pattern, lo, hi, None, &[pos], std::slice::from_mut(out));
+        if m.has_delta_added() {
+            m.scan_delta_columns(pattern, &[pos], std::slice::from_mut(out));
+        }
+    }
+}
+
+/// Intersects one input row's expand values (`vals`, in probe order)
+/// with the closing lists, calling `emit(x, n)` for each surviving match
+/// `x`, where `n` is its row count: the product of its closing
+/// multiplicities. Each value gallops forward through every list from a
+/// cursor that restarts at the next ascending run. Matches come out in
+/// `vals` order, so the output is the unfused probe and count steps'
+/// output. Tallies each closing step's rows in and out, and returns the
+/// rows all closing steps produced.
+fn intersect_row(
+    vals: &[u64],
+    closes: &mut [CloseMemo],
+    mut emit: impl FnMut(u64, usize),
+) -> usize {
+    let mut produced = 0;
+    closes.iter_mut().for_each(|cm| cm.at = 0);
+    let mut last = 0u64;
+    for &x in vals {
+        if x < last {
+            // A new ascending run (the next member, or a delta).
+            closes.iter_mut().for_each(|cm| cm.at = 0);
+        }
+        last = x;
+        let mut n = 1u64;
+        for cm in closes.iter_mut() {
+            cm.loops += n;
+            cm.at = gallop(&cm.keys, cm.at, x);
+            if cm.keys.get(cm.at) != Some(&x) {
+                n = 0;
+                break;
+            }
+            n *= cm.mults[cm.at];
+            cm.rows += n;
+            produced += n as usize;
+        }
+        if n > 0 {
+            emit(x, n as usize);
+        }
+    }
+    produced
+}
+
+/// The first index at or after `from` whose key is not below `x`:
+/// exponential probing, then a binary search, so a sorted walk pays
+/// O(log gap) per step.
+fn gallop(keys: &[u64], from: usize, x: u64) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < keys.len() && keys[hi] < x {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(keys.len());
+    lo + keys[lo..hi].partition_point(|&k| k < x)
 }
 
 /// Per-worker mutable pipeline state (memoization only; everything else
@@ -169,13 +319,71 @@ impl VecState {
     pub(super) fn new(pipe: &VecPipeline<'_>) -> VecState {
         let mut memos = Vec::with_capacity(pipe.ops.len());
         for op in &pipe.ops {
-            let nvals = match op {
-                VecOp::Probe { binds, .. } | VecOp::Hash { binds, .. } => binds.len(),
-                _ => 0,
+            let (nvals, ncloses) = match op {
+                VecOp::Probe { binds, .. } | VecOp::Hash { binds, .. } => (binds.len(), 0),
+                VecOp::Intersect { closes, .. } => (1, closes.len()),
+                _ => (0, 0),
             };
-            memos.push(OpMemo { pattern: None, vals: vec![Vec::new(); nvals], count: 0 });
+            memos.push(OpMemo {
+                pattern: None,
+                vals: vec![Vec::new(); nvals],
+                count: 0,
+                closes: vec![CloseMemo::default(); ncloses],
+            });
         }
         VecState { memos }
+    }
+}
+
+/// An operator drafted by [`VecPipeline::compile`]'s first pass, with
+/// the slots it reads and binds.
+struct Draft<'p> {
+    op: VecOp<'p>,
+    reads: Vec<usize>,
+    binds_all: Vec<(usize, usize)>,
+}
+
+impl<'p> Draft<'p> {
+    /// Folds closing step `close` (merge slot `on`) into this draft when
+    /// the draft runs `prev`, the step right before it: an index probe
+    /// binding only `on` (at S or O) becomes a [`VecOp::Intersect`], and
+    /// an Intersect on `on` takes another closing step. `spec` and
+    /// `reads` are the closing step's own probe spec and column reads.
+    fn fold_close(
+        &mut self,
+        prev: &'p Step,
+        close: &'p Step,
+        on: usize,
+        mut spec: ProbeSpec,
+        reads: &[usize],
+    ) -> bool {
+        let Some(v_pos) = close.triple.sole_s_or_o(on) else { return false };
+        match &self.op {
+            VecOp::Probe { step, spec: expand, same, .. }
+                if std::ptr::eq(*step, prev)
+                    && same.is_empty()
+                    && matches!(self.binds_all.as_slice(), [(_, s)] if *s == on)
+                    && step.triple.sole_s_or_o(on).is_some() =>
+            {
+                self.op = VecOp::Intersect {
+                    step: *step,
+                    spec: *expand,
+                    v_pos: self.binds_all[0].0,
+                    closes: Vec::new(),
+                    binds: Vec::new(),
+                    keep: Vec::new(),
+                };
+            }
+            VecOp::Intersect { step, closes, .. }
+                if std::ptr::eq(closes.last().map_or(*step, |c| c.step), prev)
+                    && self.binds_all[0].1 == on => {}
+            _ => return false,
+        }
+        let VecOp::Intersect { closes, .. } = &mut self.op else { unreachable!() };
+        spec.unbind(v_pos);
+        closes.push(Close { step: close, spec, v_pos });
+        self.reads.extend(reads.iter().copied().filter(|&s| s != on));
+        true
     }
 }
 
@@ -274,17 +482,12 @@ impl<'p> VecPipeline<'p> {
         let (drive_binds_all, drive_same) = triple_binds(&plan.drive.triple, &mut bind)?;
 
         // Pass 1: draft every operator, tracking reads and binds.
-        struct Draft<'p> {
-            op: VecOp<'p>,
-            reads: Vec<usize>,
-            binds_all: Vec<(usize, usize)>,
-        }
         let mut drafts: Vec<Draft<'p>> = Vec::new();
         let mut any_exists = false;
         for stage in &plan.stages {
             match stage {
                 Stage::Steps(steps) => {
-                    for step in *steps {
+                    for (idx, step) in steps.iter().enumerate() {
                         let draft = match &step.strategy {
                             Strategy::IndexNlj => {
                                 let (spec, reads) = probe_spec(&step.triple, &bind)?;
@@ -339,6 +542,27 @@ impl<'p> VecPipeline<'p> {
                                         binds: Vec::new(),
                                         keep: Vec::new(),
                                     },
+                                    reads,
+                                    binds_all,
+                                }
+                            }
+                            // A closing step folds into the expand probe
+                            // drafted just before it; anywhere else (its
+                            // expand step drives the scan) it runs as the
+                            // existence count it is.
+                            Strategy::Intersect { on } => {
+                                let (spec, reads) = probe_spec(&step.triple, &bind)?;
+                                let (binds_all, _) = triple_binds(&step.triple, &mut bind)?;
+                                let prev = idx.checked_sub(1).map(|i| &steps[i]);
+                                if let (Some(prev), Some(d), true) =
+                                    (prev, drafts.last_mut(), binds_all.is_empty())
+                                {
+                                    if d.fold_close(prev, step, *on, spec, &reads) {
+                                        continue;
+                                    }
+                                }
+                                Draft {
+                                    op: VecOp::Count { step, spec, keep: Vec::new() },
                                     reads,
                                     binds_all,
                                 }
@@ -433,7 +657,9 @@ impl<'p> VecPipeline<'p> {
                 .filter(|&(_, slot)| need_from[k + 1][slot])
                 .collect();
             match &mut op {
-                VecOp::Probe { binds, keep, .. } | VecOp::Hash { binds, keep, .. } => {
+                VecOp::Probe { binds, keep, .. }
+                | VecOp::Hash { binds, keep, .. }
+                | VecOp::Intersect { binds, keep, .. } => {
                     *binds = bind_list.clone();
                     *keep = keep_list.clone();
                 }
@@ -497,8 +723,8 @@ impl<'p> VecPipeline<'p> {
         }
         if let Some(p) = &ctx.profile {
             p.add(self.drive as *const Step as usize, 0, 1, 0);
-            for key in self.ops.iter().filter_map(VecOp::step_key) {
-                p.add(key, 0, 0, 0);
+            for step in self.ops.iter().flat_map(VecOp::steps) {
+                p.add(step_key(step), 0, 0, 0);
             }
         }
     }
@@ -608,8 +834,18 @@ impl<'p> VecPipeline<'p> {
                 else {
                     break;
                 };
-                if let (Some(p), Some(t0), Some(key)) = (&profile, t0, op.step_key()) {
-                    p.add(key, next.len as u64, in_len as u64, t0.elapsed().as_nanos() as u64);
+                if let (Some(p), Some(t0)) = (&profile, t0) {
+                    let nanos = t0.elapsed().as_nanos() as u64;
+                    if let VecOp::Intersect { step, closes, .. } = op {
+                        // Every fused step is charged the operator's time.
+                        let memo = &st.memos[k];
+                        p.add(step_key(step), memo.count as u64, in_len as u64, nanos);
+                        for (c, cm) in closes.iter().zip(&memo.closes) {
+                            p.add(step_key(c.step), cm.rows, cm.loops, nanos);
+                        }
+                    } else if let Some(step) = op.steps().next() {
+                        p.add(step_key(step), next.len as u64, in_len as u64, nanos);
+                    }
                 }
                 if track && !matches!(op, VecOp::Filter { .. }) {
                     crate::metrics::vec_batches_emitted().inc();
@@ -695,6 +931,57 @@ impl<'p> VecPipeline<'p> {
                 if !settle(ctx, row_bytes, &mut charged_rows, charged_bytes, src.len(), true) {
                     return None;
                 }
+                Some(gather_batch(&batch, &src, keep, binds, fresh, nvars))
+            }
+            VecOp::Intersect { spec, v_pos, closes, binds, keep, .. } => {
+                let row_bytes = (keep.len() + binds.len()) as u64 * 8;
+                // Rows produced: the expand step's matches and every
+                // closing step's output, of which the last is the op's
+                // output (charged with its column bytes) and the rest
+                // exist only as counts.
+                let (mut produced, mut charged_inner, mut charged_rows) = (0usize, 0usize, 0usize);
+                let mut src: Vec<u32> = Vec::new();
+                let mut fresh: Vec<u64> = Vec::new();
+                memo.count = 0;
+                for cm in &mut memo.closes {
+                    (cm.loops, cm.rows) = (0, 0);
+                }
+                for i in 0..batch.len {
+                    let pat = spec.pattern(&batch, i);
+                    if memo.pattern != Some(pat) {
+                        memo.vals[0].clear();
+                        span_values(&ctx.view, &pat, *v_pos, &mut memo.vals[0]);
+                        memo.pattern = Some(pat);
+                    }
+                    for (close, cm) in closes.iter().zip(&mut memo.closes) {
+                        let pat = close.spec.pattern(&batch, i);
+                        if cm.pattern != Some(pat) {
+                            cm.load(&ctx.view, &pat, close.v_pos);
+                        }
+                    }
+                    let vals = &memo.vals[0];
+                    memo.count += vals.len();
+                    produced += vals.len();
+                    produced += intersect_row(vals, &mut memo.closes, |x, n| {
+                        src.extend(std::iter::repeat_n(i as u32, n));
+                        if !binds.is_empty() {
+                            fresh.extend(std::iter::repeat_n(x, n));
+                        }
+                    });
+                    let inner = produced - src.len();
+                    if !settle(ctx, 0, &mut charged_inner, charged_bytes, inner, false)
+                        || !settle(ctx, row_bytes, &mut charged_rows, charged_bytes, src.len(), false)
+                    {
+                        return None;
+                    }
+                }
+                let inner = produced - src.len();
+                if !settle(ctx, 0, &mut charged_inner, charged_bytes, inner, true)
+                    || !settle(ctx, row_bytes, &mut charged_rows, charged_bytes, src.len(), true)
+                {
+                    return None;
+                }
+                let fresh = if binds.is_empty() { Vec::new() } else { vec![fresh] };
                 Some(gather_batch(&batch, &src, keep, binds, fresh, nvars))
             }
             VecOp::Hash { cell, key_srcs, checks, same, binds, keep, step } => {
@@ -869,6 +1156,15 @@ fn gather_batch(
 }
 
 impl ProbeSpec {
+    /// Leaves quad position `pos` (S or O) unconstrained.
+    fn unbind(&mut self, pos: usize) {
+        if pos == quadstore::ids::S {
+            self.s = PosSpec::Any;
+        } else {
+            self.o = PosSpec::Any;
+        }
+    }
+
     /// The per-row probe pattern (mirrors [`probe_pattern`] over a row
     /// whose bound slots come from columns and base constants).
     fn pattern(&self, batch: &Batch, i: usize) -> QuadPattern {
@@ -1077,6 +1373,6 @@ fn filter_spec<'p>(
 fn hash_join_slots(step: &Step) -> &[usize] {
     match &step.strategy {
         Strategy::HashJoin { join_slots } => join_slots,
-        Strategy::IndexNlj => unreachable!("hash op on NLJ step"),
+        Strategy::IndexNlj | Strategy::Intersect { .. } => unreachable!("hash op on probe step"),
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! For each planned triple pattern the output shows the bound components
 //! (constants in brackets), the chosen index, and whether the access is an
-//! index range scan probed per binding (NLJ) or a full scan feeding a hash
-//! join, e.g.:
+//! index range scan probed per binding (NLJ), a full scan feeding a hash
+//! join, or a cycle-closing step merged with the NLJ step before it on the
+//! variable that step binds (`INTERSECT on ?z`), e.g.:
 //!
 //! ```text
 //! 1: ?x <http://pg/r/follows> ?y  [P=<http://pg/r/follows>] PCSGM range scan (NLJ)
@@ -359,6 +360,7 @@ fn step_strategy(vars: &VarTable, step: &Step) -> String {
                 .collect();
             format!("HASH JOIN on {}", keys.join(","))
         }
+        Strategy::Intersect { on } => format!("INTERSECT on ?{}", vars.name(*on)),
     }
 }
 

@@ -13,7 +13,8 @@
 //!    pattern — statistics-driven dynamic programming by default, the
 //!    greedy heuristic as fallback — with a per-step choice between index
 //!    nested-loop join and hash join, the two physical strategies whose
-//!    interplay the paper's experiments 4 and 5 highlight.
+//!    interplay the paper's experiments 4 and 5 highlight, and a third
+//!    that closes cycles by intersecting sorted index spans.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -139,6 +140,28 @@ impl CTriple {
         out
     }
 
+    /// `(quad position, slot)` of every variable position, graph included.
+    pub(crate) fn var_positions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let g = match self.g {
+            CGraph::Var(slot) => Some((quadstore::ids::G, slot)),
+            _ => None,
+        };
+        [(quadstore::ids::S, &self.s), (quadstore::ids::P, &self.p), (quadstore::ids::O, &self.o)]
+            .into_iter()
+            .filter_map(|(pos, c)| c.slot().map(|slot| (pos, slot)))
+            .chain(g)
+    }
+
+    /// The quad position (S or O) of `slot`'s only occurrence in the
+    /// triple, or `None` when it occurs elsewhere or more than once.
+    pub(crate) fn sole_s_or_o(&self, slot: usize) -> Option<usize> {
+        let mut at = self.var_positions().filter(|&(_, s)| s == slot).map(|(pos, _)| pos);
+        match (at.next(), at.next()) {
+            (Some(pos @ (quadstore::ids::S | quadstore::ids::O)), None) => Some(pos),
+            _ => None,
+        }
+    }
+
     /// The constants-only scan pattern (bound variables are not applied).
     pub fn const_pattern(&self) -> QuadPattern {
         let id = |p: &CPos| match p {
@@ -181,6 +204,16 @@ pub enum Strategy {
     HashJoin {
         /// Slots shared with the already-planned part of the query.
         join_slots: Vec<usize>,
+    },
+    /// Cycle closing: the step is fully bound once the index NLJ step
+    /// before it (the expand step, possibly via earlier closing steps)
+    /// binds `on`. The executor merges the sorted index spans of the
+    /// expand step and every closing step on `on` instead of probing
+    /// once per expanded row; semantically it is an [`Self::IndexNlj`]
+    /// existence count, which is how the reference evaluator runs it.
+    Intersect {
+        /// The slot the expand step binds and the spans are merged on.
+        on: usize,
     },
 }
 

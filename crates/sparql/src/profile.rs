@@ -19,7 +19,7 @@ pub struct StepProfile {
     pub pattern: String,
     /// The access path: chosen index + scan kind (or `closure`).
     pub index: String,
-    /// Join strategy (`NLJ`, `HASH JOIN on ?x`, `PATH`).
+    /// Join strategy (`NLJ`, `HASH JOIN on ?x`, `INTERSECT on ?x`, `PATH`).
     pub strategy: String,
     /// Planner's estimated scan rows.
     pub est_rows: u64,

@@ -2,9 +2,12 @@
 //! never change results, and the algebraic operators must obey their
 //! laws, for arbitrary small datasets and patterns.
 
-use quadstore::Store;
+use quadstore::{DatasetView, Store};
 use rdf_model::{GraphName, Quad, Term};
-use sparql::{compile_with, execute_compiled, parse_query, CompileOptions, ForcedJoin, QueryResults};
+use sparql::{
+    compile_with, execute_compiled, execute_reference, parse_query, CompileOptions, ExecLimits,
+    ForcedJoin, QueryResults,
+};
 use twittergen::rng::Rng;
 
 /// A small random dataset: quads over bounded vocabularies so joins and
@@ -45,6 +48,65 @@ fn rand_store(seed: u64) -> Store {
     }
 }
 
+/// A denser random graph over six nodes for cyclic queries, split over
+/// two models viewed as one union: each model bulk-loads edges (one
+/// triple may sit in several graphs, and in both models), then takes
+/// uncompacted inserts and removes, so a probe reads several members,
+/// each as a base span plus a delta.
+fn rand_cyclic_view(seed: u64) -> (Store, DatasetView) {
+    let mut r = Rng::seed_from_u64(seed);
+    let store = Store::new();
+    let quad = |r: &mut Rng| {
+        let [s, p, o, g] =
+            [r.gen_range(0..6), r.gen_range(0..2), r.gen_range(0..6), r.gen_range(0..3)];
+        let graph =
+            if g == 0 { GraphName::Default } else { GraphName::iri(format!("http://g{g}")) };
+        Quad::new(
+            Term::iri(format!("http://n{s}")),
+            Term::iri(format!("http://p{p}")),
+            Term::iri(format!("http://n{o}")),
+            graph,
+        )
+        .expect("valid quad")
+    };
+    for model in ["m", "m2"] {
+        store.create_model(model).expect("fresh model");
+        let base: Vec<Quad> = (0..24 + r.next_u64() % 40).map(|_| quad(&mut r)).collect();
+        store.bulk_load(model, &base).expect("bulk load");
+        for _ in 0..r.next_u64() % 12 {
+            let q = quad(&mut r);
+            store.insert(model, &q).expect("insert");
+        }
+        for q in base.iter().take(r.next_u64() as usize % 8) {
+            store.remove(model, q).expect("remove");
+        }
+    }
+    let view = store.dataset_union(&["m", "m2"]).expect("union view");
+    (store, view)
+}
+
+/// Cyclic queries, each with the most closing steps the optimizer fuses
+/// into one span intersection on some case (0: it must never fuse).
+fn cyclic_queries() -> Vec<(usize, &'static str)> {
+    vec![
+        (1, "SELECT ?x ?y ?z WHERE { ?x <http://p0> ?y . ?y <http://p0> ?z . ?z <http://p0> ?x }"),
+        // A 4-clique: the last variable is closed by two steps.
+        (
+            2,
+            "SELECT ?a ?b ?c ?d WHERE { ?a <http://p0> ?b . ?b <http://p0> ?c . ?a <http://p0> ?c . \
+             ?c <http://p0> ?d . ?a <http://p0> ?d . ?b <http://p0> ?d }",
+        ),
+        (
+            0,
+            "SELECT ?g ?x ?y ?z WHERE { GRAPH ?g { ?x <http://p0> ?y . ?y <http://p0> ?z . \
+             ?z <http://p0> ?x } }",
+        ),
+        // The closing edge's predicate is a variable.
+        (0, "SELECT ?x ?y ?z ?q WHERE { ?x <http://p0> ?y . ?y <http://p0> ?z . ?z ?q ?x }"),
+        (1, "SELECT (COUNT(*) AS ?c) WHERE { ?x <http://p1> ?y . ?y <http://p0> ?z . ?z <http://p1> ?x }"),
+    ]
+}
+
 /// Queries whose joins exercise the planner.
 fn queries() -> Vec<&'static str> {
     vec![
@@ -60,11 +122,14 @@ fn queries() -> Vec<&'static str> {
 }
 
 fn run(store: &Store, text: &str, force: Option<ForcedJoin>) -> Vec<String> {
-    let view = store.dataset("m").expect("dataset");
+    run_on(&store.dataset("m").expect("dataset"), text, force)
+}
+
+fn run_on(view: &DatasetView, text: &str, force: Option<ForcedJoin>) -> Vec<String> {
     let parsed = parse_query(text).expect("parse");
     let options = CompileOptions { force_join: force, ..Default::default() };
-    let compiled = compile_with(&view, &parsed, options).expect("compile");
-    match execute_compiled(&view, &compiled).expect("execute") {
+    let compiled = compile_with(view, &parsed, options).expect("compile");
+    match execute_compiled(view, &compiled).expect("execute") {
         QueryResults::Solutions(s) => {
             let mut rows: Vec<String> = s
                 .rows
@@ -95,6 +160,32 @@ fn join_strategy_never_changes_results() {
             assert_eq!(&plain, &nlj, "NLJ differs on {}", q);
             assert_eq!(&plain, &hash, "hash join differs on {}", q);
         }
+    }
+    // Cycles: the optimizer may close them by span intersection, whose
+    // output must also keep the reference evaluator's row order.
+    let mut most = vec![0; cyclic_queries().len()];
+    for case in 0..48u64 {
+        let (_store, view) = rand_cyclic_view(case);
+        for (qi, (_, q)) in cyclic_queries().into_iter().enumerate() {
+            let compiled = compile_with(&view, &parse_query(q).expect("parse"), CompileOptions::default())
+                .expect("compile");
+            // The longest run of closing steps after one expand step.
+            let (mut run, mut longest) = (0, 0);
+            for line in sparql::explain::render(&compiled).lines() {
+                run = if line.contains("INTERSECT") { run + 1 } else { 0 };
+                longest = longest.max(run);
+            }
+            most[qi] = most[qi].max(longest);
+            let (reference, _) =
+                execute_reference(&view, &compiled, ExecLimits::default()).expect("reference");
+            assert_eq!(reference, execute_compiled(&view, &compiled).expect("execute"), "{q}");
+            let plain = run_on(&view, q, None);
+            assert_eq!(plain, run_on(&view, q, Some(ForcedJoin::Nlj)), "NLJ differs on {q}");
+            assert_eq!(plain, run_on(&view, q, Some(ForcedJoin::Hash)), "hash join differs on {q}");
+        }
+    }
+    for ((expected, q), got) in cyclic_queries().into_iter().zip(most) {
+        assert_eq!(got, expected, "most closing steps fused on {q}");
     }
 }
 

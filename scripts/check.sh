@@ -23,6 +23,11 @@ cargo test --offline -q --manifest-path pgbench/Cargo.toml
 # merge-order bugs actually surface.
 cargo test --release -q --test parallel_equivalence
 
+# Join strategies (optimizer, forced NLJ, forced hash; cycles closed by
+# span intersection) must agree on random data, also under optimized
+# codegen, where integer overflow wraps instead of panicking.
+cargo test --release -q -p sparql --test engine_props
+
 # MVCC snapshot isolation under real concurrency: writers toggling
 # multi-quad edge shapes in all three encodings while readers run the
 # paper's query families against pinned snapshots. Release mode only —

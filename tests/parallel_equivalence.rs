@@ -106,6 +106,31 @@ fn every_configuration_matches_the_reference_exactly() {
     }
 }
 
+/// Morsel sizes near `usize::MAX` cut each member's span into one morsel
+/// (the chunk end must not wrap around and re-scan from the index start).
+#[test]
+fn huge_morsel_sizes_match_the_reference() {
+    let fixture = Fixture::at_scale(0.005);
+    for model in MODELS {
+        for eq in QUERIES {
+            let (view, plan) = compiled(&fixture, eq, model);
+            let expected = reference(&view, &plan);
+            for threads in [1usize, 2] {
+                for morsel_size in [usize::MAX, usize::MAX / 2] {
+                    let options = ExecOptions::threads(threads).with_morsel_size(morsel_size);
+                    assert_eq!(
+                        expected,
+                        run(&view, &plan, options),
+                        "{} {model}: threads={threads} morsel={morsel_size} \
+                         diverged from the reference",
+                        eq.label(model)
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// ORDER BY ties (EQ9/EQ10 sort on a count many groups share) keep the
 /// reference's order when four workers merge 64-quad morsels.
 #[test]
