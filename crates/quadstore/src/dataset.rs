@@ -122,9 +122,9 @@ impl DatasetView {
         self.members.iter().flat_map(move |m| m.scan(pattern))
     }
 
-    /// Alias of [`Self::scan`], kept for the executor's per-probe call
-    /// sites — a nested-loop join issues one probe per input row, so the
-    /// per-call constant matters far more than for full scans.
+    /// Alias of [`Self::scan`], kept because the benchmark's per-layer
+    /// `quadstore.index.probe_ns` times it. The engine reads through
+    /// [`Self::scan_columns`] and [`Self::scan_morsel_columns`].
     pub fn probe(&self, pattern: QuadPattern) -> impl Iterator<Item = EncodedQuad> + '_ {
         self.members.iter().flat_map(move |m| m.scan(pattern))
     }
@@ -184,23 +184,41 @@ impl DatasetView {
             .collect()
     }
 
+    /// Columnar twin of [`Self::scan`]: fills one ID column per requested
+    /// quad position (`positions[i]` → `cols[i]`) from each member's whole
+    /// base span and then its insert delta, in [`Self::scan`] order, and
+    /// returns the match count.
+    pub fn scan_columns(
+        &self,
+        pattern: &QuadPattern,
+        positions: &[usize],
+        cols: &mut [Vec<u64>],
+    ) -> usize {
+        let mut n = 0;
+        for m in &self.members {
+            let (lo, hi) = m.base_span(pattern, None);
+            n += m.scan_base_span_columns(pattern, lo, hi, None, positions, cols);
+            if m.has_delta_added() {
+                n += m.scan_delta_columns(pattern, positions, cols);
+            }
+        }
+        n
+    }
+
     /// Splits the scan of `pattern` into fixed-size morsels: contiguous
     /// chunks of each member's chosen sorted-index span, plus (per member)
     /// one morsel for its uncompacted DML delta. Scanning the morsels in
-    /// order with [`Self::scan_morsel`] yields exactly the quads of
-    /// [`Self::scan`], in the same order — which is what lets parallel
+    /// order with [`Self::scan_morsel_columns`] yields exactly the quads
+    /// of [`Self::scan`], in the same order — which is what lets parallel
     /// workers merge morsel outputs back into the sequential row order.
-    pub fn plan_morsels(&self, pattern: &QuadPattern, morsel_size: usize) -> Vec<Morsel> {
-        self.plan_morsels_ordered(pattern, morsel_size, None)
-    }
-
-    /// [`Self::plan_morsels`] with an output-order preference (0=S, 1=P,
-    /// 2=O, 3=G): among each member's tying indexes, chunk the one whose
+    ///
+    /// `prefer` (0=S, 1=P, 2=O, 3=G, or `None`) is an output-order
+    /// preference: among each member's tying indexes, chunk the one whose
     /// scan emits quads sorted by that position. The same `prefer` must be
-    /// passed to [`Self::scan_morsel_ordered`]. Order-preference changes
-    /// *row order only*; the quad multiset is identical, which is why only
-    /// order-insensitive consumers (grouped aggregation) use it.
-    pub fn plan_morsels_ordered(
+    /// passed to [`Self::scan_morsel_columns`]. It changes *row order
+    /// only*; the quad multiset is identical, which is why only
+    /// order-insensitive consumers (grouped aggregation) set it.
+    pub fn plan_morsels(
         &self,
         pattern: &QuadPattern,
         morsel_size: usize,
@@ -224,36 +242,12 @@ impl DatasetView {
         out
     }
 
-    /// Scans one morsel produced by [`Self::plan_morsels`].
-    pub fn scan_morsel(
-        &self,
-        pattern: QuadPattern,
-        morsel: &Morsel,
-    ) -> Box<dyn Iterator<Item = EncodedQuad> + '_> {
-        self.scan_morsel_ordered(pattern, morsel, None)
-    }
-
-    /// Scans one morsel produced by [`Self::plan_morsels_ordered`], with
-    /// the same `prefer` the morsels were planned with.
-    pub fn scan_morsel_ordered(
-        &self,
-        pattern: QuadPattern,
-        morsel: &Morsel,
-        prefer: Option<usize>,
-    ) -> Box<dyn Iterator<Item = EncodedQuad> + '_> {
-        let m = &self.members[morsel.member];
-        if morsel.delta {
-            Box::new(m.scan_delta(pattern))
-        } else {
-            Box::new(m.scan_base_span(pattern, morsel.lo, morsel.hi, prefer))
-        }
-    }
-
-    /// Columnar variant of [`Self::scan_morsel_ordered`]: fills one ID
-    /// column per requested quad position (`positions[i]` → `cols[i]`)
-    /// and returns the match count. Quad order within the morsel is
-    /// identical to the row-wise scan, so chunked columnar scans preserve
-    /// the sequential row order morsel merging depends on.
+    /// Scans one morsel produced by [`Self::plan_morsels`], with the same
+    /// `prefer` the morsels were planned with: fills one ID column per
+    /// requested quad position (`positions[i]` → `cols[i]`) and returns
+    /// the match count. Quad order within the morsel is the sequential
+    /// scan's, so concatenated morsels preserve the row order morsel
+    /// merging depends on.
     pub fn scan_morsel_columns(
         &self,
         pattern: &QuadPattern,
@@ -350,35 +344,87 @@ mod tests {
         assert_eq!(store.dataset("a").unwrap().len(), 2);
     }
 
-    #[test]
-    fn morsels_reproduce_scan_order() {
+    /// Quads back from columns filled with all four positions.
+    fn quads_of(cols: &[Vec<u64>]) -> Vec<EncodedQuad> {
+        (0..cols[0].len()).map(|i| [cols[0][i], cols[1][i], cols[2][i], cols[3][i]]).collect()
+    }
+
+    /// The quads of `morsels`, scanned in order through the columnar reader.
+    fn scan_morsels(view: &DatasetView, pat: &QuadPattern, morsels: &[Morsel]) -> Vec<EncodedQuad> {
+        let mut cols = vec![Vec::new(); 4];
+        for m in morsels {
+            view.scan_morsel_columns(pat, m, None, &[S, P, O, G], &mut cols);
+        }
+        quads_of(&cols)
+    }
+
+    /// Model "a" with base rows in the default and a named graph, and an
+    /// uncompacted insert; with `remove`, also a pending removed overlay,
+    /// which sends its base reads down the row-wise fallback.
+    fn store_with_deltas(remove: bool) -> Store {
         let store = store_with_two_models();
-        // Give model "a" extra base rows and an uncompacted delta.
         let quads: Vec<Quad> = (0..10)
             .map(|i| {
-                Quad::triple(
-                    Term::iri(format!("http://s{i}")),
-                    Term::iri("http://p"),
-                    Term::iri("http://o"),
-                )
-                .unwrap()
+                let g = if i % 3 == 0 { GraphName::iri("http://g") } else { GraphName::Default };
+                let (p, o) = (Term::iri("http://p"), Term::iri("http://o"));
+                Quad::new(Term::iri(format!("http://s{i}")), p, o, g).unwrap()
             })
             .collect();
         store.bulk_load("a", &quads).unwrap();
         store
             .insert("a", &quad_of("http://sx", "http://p", "http://oy"))
             .unwrap();
-        let view = store.dataset_union(&["a", "b"]).unwrap();
+        if remove {
+            store.remove("a", &quads[4]).unwrap();
+        }
+        store
+    }
+
+    /// A predicate pattern (prefix-covered) and `AnyNamed` (a residual
+    /// filter over a full index scan).
+    fn patterns(store: &Store) -> [QuadPattern; 2] {
         let p = store.term_id(&Term::iri("http://p")).unwrap();
-        let pat = QuadPattern { s: None, p: Some(p), o: None, g: GraphConstraint::Any };
-        let sequential: Vec<_> = view.scan(pat).collect();
-        for morsel_size in [1, 3, 7, 1024] {
-            let morsels = view.plan_morsels(&pat, morsel_size);
-            let chunked: Vec<_> = morsels
-                .iter()
-                .flat_map(|m| view.scan_morsel(pat, m))
-                .collect();
-            assert_eq!(chunked, sequential, "morsel_size {morsel_size}");
+        [
+            QuadPattern { s: None, p: Some(p), o: None, g: GraphConstraint::Any },
+            QuadPattern { s: None, p: None, o: None, g: GraphConstraint::AnyNamed },
+        ]
+    }
+
+    #[test]
+    fn morsels_reproduce_scan_order() {
+        for remove in [false, true] {
+            let store = store_with_deltas(remove);
+            let view = store.dataset_union(&["a", "b"]).unwrap();
+            for pat in patterns(&store) {
+                let sequential: Vec<_> = view.scan(pat).collect();
+                assert!(!sequential.is_empty());
+                for morsel_size in [1, 3, 7, 1024] {
+                    let morsels = view.plan_morsels(&pat, morsel_size, None);
+                    let chunked = scan_morsels(&view, &pat, &morsels);
+                    let case = format!("remove {remove} {pat:?} morsel_size {morsel_size}");
+                    assert_eq!(chunked, sequential, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_columns_is_scan_projected() {
+        for remove in [false, true] {
+            let store = store_with_deltas(remove);
+            let view = store.dataset_union(&["a", "b"]).unwrap();
+            for pat in patterns(&store) {
+                for positions in [vec![S, P, O, G], vec![O, S], vec![G], vec![]] {
+                    let mut cols = vec![Vec::new(); positions.len()];
+                    let n = view.scan_columns(&pat, &positions, &mut cols);
+                    let rows: Vec<_> = view.scan(pat).collect();
+                    assert_eq!(n, rows.len(), "remove {remove} {pat:?}");
+                    for (col, &p) in cols.iter().zip(&positions) {
+                        let want: Vec<u64> = rows.iter().map(|q| q[p]).collect();
+                        assert_eq!(*col, want, "remove {remove} {pat:?} position {p}");
+                    }
+                }
+            }
         }
     }
 
@@ -395,7 +441,7 @@ mod tests {
         let pat = QuadPattern { s: None, p: Some(q), o: None, g: GraphConstraint::Any };
         let sequential: Vec<_> = view.scan(pat).collect();
         for morsel_size in [usize::MAX, usize::MAX / 2] {
-            let morsels = view.plan_morsels(&pat, morsel_size);
+            let morsels = view.plan_morsels(&pat, morsel_size, None);
             // Model "a": its whole base span; model "b": only its delta.
             let (lo, hi) = view.members()[0].base_span(&pat, None);
             assert!(lo > 0 && hi > lo);
@@ -404,7 +450,7 @@ mod tests {
                 Morsel { member: 1, lo: 0, hi: 0, delta: true },
             ];
             assert_eq!(morsels, expected, "morsel_size {morsel_size}");
-            let chunked: Vec<_> = morsels.iter().flat_map(|m| view.scan_morsel(pat, m)).collect();
+            let chunked = scan_morsels(&view, &pat, &morsels);
             assert_eq!(chunked, sequential, "morsel_size {morsel_size}");
         }
     }

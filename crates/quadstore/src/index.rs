@@ -169,6 +169,23 @@ impl fmt::Display for IndexKind {
     }
 }
 
+/// Appends position `positions[i]` of every quad to `cols[i]` and returns
+/// the quad count: the row-wise fill of the columnar scans.
+pub(crate) fn push_columns(
+    quads: impl Iterator<Item = EncodedQuad>,
+    positions: &[usize],
+    cols: &mut [Vec<u64>],
+) -> usize {
+    let mut count = 0;
+    for q in quads {
+        for (col, &p) in cols.iter_mut().zip(positions) {
+            col.push(q[p]);
+        }
+        count += 1;
+    }
+    count
+}
+
 /// A sorted-array index over the quads of one semantic model.
 #[derive(Debug, Clone)]
 pub struct SortedIndex {
@@ -284,7 +301,7 @@ impl SortedIndex {
     /// The absolute key span `[lo, hi)` that a scan of `pattern` would
     /// walk under this index's order — the unit that morsel-driven
     /// execution chunks into fixed-size work items. The prefix is built
-    /// on the stack: telemetry's rows-scanned tally runs this once per
+    /// on the stack: every scan, count and estimate runs this once per
     /// index probe, so an allocation here would be one per probed row.
     pub fn pattern_span(&self, pattern: &QuadPattern) -> (usize, usize) {
         let n = self.kind.bound_prefix_len(pattern);
@@ -357,34 +374,13 @@ impl SortedIndex {
             }
             return hi - lo;
         }
-        let mut count = 0;
-        for k in &self.keys[lo..hi] {
-            let quad = self.kind.quad_of(k);
-            if !pattern.matches(&quad) {
-                continue;
-            }
-            for (col, &p) in cols.iter_mut().zip(positions) {
-                col.push(quad[p]);
-            }
-            count += 1;
-        }
-        count
-    }
-
-    /// Columnar full-pattern scan: [`Self::scan_span_columns`] over the
-    /// pattern's whole [`Self::pattern_span`].
-    pub fn scan_prefix_columns(
-        &self,
-        pattern: &QuadPattern,
-        positions: &[usize],
-        cols: &mut [Vec<u64>],
-    ) -> usize {
-        let (lo, hi) = self.pattern_span(pattern);
-        self.scan_span_columns(pattern, lo, hi, positions, cols)
+        push_columns(self.scan_span(*pattern, lo, hi), positions, cols)
     }
 
     /// Extracts the bound-prefix values of `pattern` under this index's
-    /// order (stopping at the first unbound component).
+    /// order (stopping at the first unbound component). Scans build their
+    /// prefix on the stack ([`Self::pattern_span`]); this allocating form
+    /// is the independent construction property tests check them against.
     pub fn prefix_for(&self, pattern: &QuadPattern) -> Vec<u64> {
         let n = self.kind.bound_prefix_len(pattern);
         (0..n)
@@ -395,13 +391,8 @@ impl SortedIndex {
     /// Scans all quads matching `pattern`, applying residual filtering for
     /// components the prefix does not cover.
     pub fn scan<'a>(&'a self, pattern: QuadPattern) -> impl Iterator<Item = EncodedQuad> + 'a {
-        let prefix = self.prefix_for(&pattern);
-        let (lo, hi) = self.prefix_range(&prefix);
-        let kind = self.kind;
-        self.keys[lo..hi]
-            .iter()
-            .map(move |k| kind.quad_of(k))
-            .filter(move |q| pattern.matches(q))
+        let (lo, hi) = self.pattern_span(&pattern);
+        self.scan_span(pattern, lo, hi)
     }
 
     /// Whether the index contains an exact quad.

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::error::StoreError;
 use crate::ids::{EncodedQuad, QuadPattern};
-use crate::index::{IndexKind, SortedIndex};
+use crate::index::{push_columns, IndexKind, SortedIndex};
 use crate::stats::{CboStats, StatsCell};
 
 /// Decision record of which access path a scan used; surfaces in the
@@ -315,36 +315,23 @@ impl SemanticModel {
     /// rows that survive the residual filter, per chosen index kind;
     /// rows served from the delta overlay count as delta hits.
     pub fn scan<'a>(&'a self, pattern: QuadPattern) -> impl Iterator<Item = EncodedQuad> + 'a {
-        let path = self.choose_index(&pattern);
-        let idx = self
-            .indexes
-            .iter()
-            .find(|i| i.kind() == path.index)
-            .expect("chosen index exists");
-        let metrics = if telemetry::enabled() {
-            let m = crate::metrics::index_metrics(path.index);
+        let idx = self.index_for(&pattern, None);
+        let (lo, hi) = idx.pattern_span(&pattern);
+        let metrics = telemetry::enabled().then(|| {
+            let m = crate::metrics::index_metrics(idx.kind());
             m.scans.inc();
-            let (lo, hi) = idx.pattern_span(&pattern);
             m.rows_scanned.add((hi - lo) as u64);
-            Some(m)
-        } else {
-            None
-        };
+            m
+        });
         let track_delta = metrics.is_some();
         let inner = idx
-            .scan(pattern)
+            .scan_span(pattern, lo, hi)
             .filter(move |q| !self.delta_removed.contains(q))
-            .chain(
-                self.delta_added
-                    .iter()
-                    .copied()
-                    .filter(move |q| pattern.matches(q))
-                    .inspect(move |_| {
-                        if track_delta {
-                            crate::metrics::delta_hits().inc();
-                        }
-                    }),
-            );
+            .chain(self.scan_delta(pattern).inspect(move |_| {
+                if track_delta {
+                    crate::metrics::delta_hits().inc();
+                }
+            }));
         ScanTally { inner, matched: 0, metrics }
     }
 
@@ -360,16 +347,11 @@ impl SemanticModel {
             && self.delta_removed.is_empty()
             && !matches!(pattern.g, crate::ids::GraphConstraint::AnyNamed)
         {
-            let path = self.choose_index(pattern);
+            let idx = self.index_for(pattern, None);
             let bindable = (0..4).filter(|&p| pattern.bound(p).is_some()).count();
-            if path.bound_prefix == bindable {
-                let idx = self
-                    .indexes
-                    .iter()
-                    .find(|i| i.kind() == path.index)
-                    .expect("chosen index exists");
+            if idx.kind().bound_prefix_len(pattern) == bindable {
                 if telemetry::enabled() {
-                    crate::metrics::index_metrics(path.index).scans.inc();
+                    crate::metrics::index_metrics(idx.kind()).scans.inc();
                 }
                 return idx.pattern_count(pattern);
             }
@@ -380,14 +362,7 @@ impl SemanticModel {
     /// Estimated number of matches for `pattern` (exact on the base index
     /// range, plus the whole delta as slack).
     pub fn estimate(&self, pattern: &QuadPattern) -> usize {
-        let path = self.choose_index(pattern);
-        let idx = self
-            .indexes
-            .iter()
-            .find(|i| i.kind() == path.index)
-            .expect("chosen index exists");
-        let prefix = idx.prefix_for(pattern);
-        idx.prefix_count(&prefix) + self.delta_added.len()
+        self.index_for(pattern, None).pattern_count(pattern) + self.delta_added.len()
     }
 
     fn index_for(&self, pattern: &QuadPattern, prefer: Option<usize>) -> &SortedIndex {
@@ -403,25 +378,9 @@ impl SemanticModel {
     /// model's chosen index — what morsel-driven execution chunks. The DML
     /// delta is not part of the span; see [`Self::scan_delta`]. `prefer`
     /// picks among tying indexes per [`Self::choose_index_ordered`] and
-    /// must match the value later passed to [`Self::scan_base_span`].
+    /// must match the value later passed to [`Self::scan_base_span_columns`].
     pub fn base_span(&self, pattern: &QuadPattern, prefer: Option<usize>) -> (usize, usize) {
         self.index_for(pattern, prefer).pattern_span(pattern)
-    }
-
-    /// Scans a sub-span of [`Self::base_span`], applying residual filtering
-    /// and the removed-quads overlay. Concatenating the chunks of the span
-    /// and then [`Self::scan_delta`] reproduces [`Self::scan`] exactly
-    /// (up to row order when `prefer` overrides the default index).
-    pub fn scan_base_span<'a>(
-        &'a self,
-        pattern: QuadPattern,
-        lo: usize,
-        hi: usize,
-        prefer: Option<usize>,
-    ) -> impl Iterator<Item = EncodedQuad> + 'a {
-        self.index_for(&pattern, prefer)
-            .scan_span(pattern, lo, hi)
-            .filter(move |q| !self.delta_removed.contains(q))
     }
 
     /// Quads added by uncompacted DML that match `pattern` (the tail of
@@ -436,11 +395,19 @@ impl SemanticModel {
             .filter(move |q| pattern.matches(q))
     }
 
-    /// Columnar variant of [`Self::scan_base_span`]: fills one ID column
-    /// per requested quad position and returns the match count. When no
+    /// Scans a sub-span of [`Self::base_span`] into one ID column per
+    /// requested quad position (`positions[i]` → `cols[i]`), applying
+    /// residual filtering and the removed-quads overlay, and returns the
+    /// match count. Concatenating the chunks of the span and then
+    /// [`Self::scan_delta_columns`] reproduces [`Self::scan`] exactly (up
+    /// to row order when `prefer` overrides the default index). When no
     /// removed-quads overlay is pending the copy happens directly from the
     /// sorted index runs ([`SortedIndex::scan_span_columns`]); otherwise
     /// the overlay forces a row-wise decode.
+    ///
+    /// When [`telemetry::enabled`], records what [`Self::scan`] records
+    /// for its base span: one range scan, the sub-span's length, and the
+    /// matches.
     pub fn scan_base_span_columns(
         &self,
         pattern: &QuadPattern,
@@ -451,33 +418,36 @@ impl SemanticModel {
         cols: &mut [Vec<u64>],
     ) -> usize {
         let idx = self.index_for(pattern, prefer);
-        if self.delta_removed.is_empty() {
-            return idx.scan_span_columns(pattern, lo, hi, positions, cols);
-        }
-        let mut count = 0;
-        for q in idx.scan_span(*pattern, lo, hi).filter(|q| !self.delta_removed.contains(q)) {
-            for (col, &p) in cols.iter_mut().zip(positions) {
-                col.push(q[p]);
-            }
-            count += 1;
+        let count = if self.delta_removed.is_empty() {
+            idx.scan_span_columns(pattern, lo, hi, positions, cols)
+        } else {
+            let kept = idx.scan_span(*pattern, lo, hi).filter(|q| !self.delta_removed.contains(q));
+            push_columns(kept, positions, cols)
+        };
+        if telemetry::enabled() {
+            let m = crate::metrics::index_metrics(idx.kind());
+            m.scans.inc();
+            m.rows_scanned.add((hi - lo) as u64);
+            m.rows_matched.add(count as u64);
         }
         count
     }
 
     /// Columnar variant of [`Self::scan_delta`]: row-wise over the (small,
-    /// unsorted) insert delta.
+    /// unsorted) insert delta. When [`telemetry::enabled`], records what
+    /// [`Self::scan`] records for its delta rows: matches and delta hits.
     pub fn scan_delta_columns(
         &self,
         pattern: &QuadPattern,
         positions: &[usize],
         cols: &mut [Vec<u64>],
     ) -> usize {
-        let mut count = 0;
-        for q in self.scan_delta(*pattern) {
-            for (col, &p) in cols.iter_mut().zip(positions) {
-                col.push(q[p]);
-            }
-            count += 1;
+        let count = push_columns(self.scan_delta(*pattern), positions, cols);
+        if telemetry::enabled() {
+            crate::metrics::index_metrics(self.choose_index(pattern).index)
+                .rows_matched
+                .add(count as u64);
+            crate::metrics::delta_hits().add(count as u64);
         }
         count
     }
@@ -521,7 +491,7 @@ impl SemanticModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::GraphConstraint;
+    use crate::ids::{GraphConstraint, G, O, P, S};
     use rdf_model::TermId;
 
     fn model() -> SemanticModel {
@@ -612,15 +582,19 @@ mod tests {
         };
         let sequential: Vec<_> = m.scan(pat).collect();
         let (lo, hi) = m.base_span(&pat, None);
+        let all = [S, P, O, G];
         for chunk in [1usize, 2, 100] {
-            let mut out = Vec::new();
+            let mut cols = vec![Vec::new(); 4];
             let mut start = lo;
             while start < hi {
                 let end = (start + chunk).min(hi);
-                out.extend(m.scan_base_span(pat, start, end, None));
+                m.scan_base_span_columns(&pat, start, end, None, &all, &mut cols);
                 start = end;
             }
-            out.extend(m.scan_delta(pat));
+            m.scan_delta_columns(&pat, &all, &mut cols);
+            let out: Vec<EncodedQuad> = (0..cols[0].len())
+                .map(|i| [cols[0][i], cols[1][i], cols[2][i], cols[3][i]])
+                .collect();
             assert_eq!(out, sequential, "chunk {chunk}");
         }
     }

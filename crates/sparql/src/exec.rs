@@ -1893,13 +1893,6 @@ struct DrivePlan<'p> {
     base: Row,
     drive: &'p Step,
     stages: Vec<Stage<'p>>,
-    /// Output-order preference for the driving scan (quad position 0..=3):
-    /// the grouped path sets this to the position its group key lives at,
-    /// so tying indexes are broken towards group-key-sorted output and the
-    /// run-length accumulator sees long key runs. `None` (the ordered
-    /// row-producing path) keeps the sequential index choice — mandatory
-    /// there, since row order must match the streaming executor exactly.
-    prefer: Option<usize>,
 }
 
 /// True when the node is a UNION, possibly under FILTER wrappers.
@@ -1996,22 +1989,50 @@ fn drive_plan<'p>(
         stages.push(Stage::Filters(f));
     }
     stages.extend_from_slice(suffix);
-    Some(DrivePlan { base, drive, stages, prefer: None })
+    Some(DrivePlan { base, drive, stages })
+}
+
+/// One root UNION branch as every consumer runs it: a pipeline with its
+/// drive scan's morsels, or a node and trailing stages for [`stream`].
+#[allow(clippy::large_enum_variant)] // moved once per branch; a box would cost an allocation
+enum Branch<'p> {
+    Pipe(Vec<Morsel>, batch::VecPipeline<'p>),
+    Stream(&'p Node, Vec<Stage<'p>>),
+}
+
+/// The root's UNION branches in sequential order, each planned as it is
+/// pulled: [`drive_plan`], the pipeline (sorted by `group_slot` where an
+/// index allows, see [`batch::VecPipeline::compile`]) and its morsels, or
+/// left to [`stream`]. Nothing runs yet: consumers begin the pipelines they
+/// start, so a fused consumer that falls back leaves no tallies behind.
+fn branches<'p>(
+    ctx: &'p EvalCtx,
+    sel: &'p CSelect,
+    group_slot: Option<usize>,
+) -> impl Iterator<Item = Branch<'p>> + 'p {
+    let needed = batch::needed_slots(ctx, sel);
+    union_branches(&sel.root, &[]).into_iter().map(move |(node, suffix)| {
+        drive_plan(ctx, node, &suffix)
+            .and_then(|plan| batch::VecPipeline::compile(ctx, &plan, &needed, group_slot))
+            .map_or(Branch::Stream(node, suffix), |p| Branch::Pipe(p.morsels(ctx), p))
+    })
 }
 
 /// The root's solution rows in exact sequential order, branch by UNION
-/// branch, produced as they are pulled: drivable branches a round of
+/// branch, produced as they are pulled: pipelined branches a round of
 /// morsels at a time ([`MorselRows`]), the others through [`stream`].
 /// `want` is the tail's [`appetite`].
 fn produce<'it>(ctx: &'it EvalCtx, sel: &'it CSelect, want: Option<usize>) -> BoxIter<'it> {
     if ctx.reference {
         return stream(ctx, &sel.root, &[]);
     }
-    let needed = batch::needed_slots(ctx, sel);
-    let branches = union_branches(&sel.root, &[]);
-    Box::new(branches.into_iter().flat_map(move |(node, suffix)| {
-        MorselRows::start(ctx, node, &suffix, &needed, want)
-            .unwrap_or_else(|| stream(ctx, node, &suffix))
+    Box::new(branches(ctx, sel, None).flat_map(move |branch| -> BoxIter<'it> {
+        match branch {
+            Branch::Pipe(morsels, pipeline) => {
+                Box::new(MorselRows::new(ctx, pipeline, morsels, want))
+            }
+            Branch::Stream(node, suffix) => stream(ctx, node, &suffix),
+        }
     }))
 }
 
@@ -2092,7 +2113,6 @@ fn claim_tasks<S: Send>(
 struct MorselRows<'it> {
     ctx: &'it EvalCtx,
     pipeline: batch::VecPipeline<'it>,
-    pattern: QuadPattern,
     morsels: Vec<Morsel>,
     /// The first morsel no round has run yet.
     next: usize,
@@ -2110,33 +2130,25 @@ struct MorselRows<'it> {
 }
 
 impl<'it> MorselRows<'it> {
-    /// The branch's rows when it is drivable and compiles to a pipeline;
-    /// `None` leaves it to [`stream`].
-    fn start(
+    /// Begins `pipeline` and yields its rows over `morsels`.
+    fn new(
         ctx: &'it EvalCtx,
-        node: &'it Node,
-        suffix: &[Stage<'it>],
-        needed: &[bool],
+        pipeline: batch::VecPipeline<'it>,
+        morsels: Vec<Morsel>,
         want: Option<usize>,
-    ) -> Option<BoxIter<'it>> {
-        let plan = drive_plan(ctx, node, suffix)?;
-        let pipeline = batch::VecPipeline::compile(ctx, &plan, needed)?;
+    ) -> Self {
         pipeline.begin(ctx);
-        let Some(pattern) = probe_pattern(&plan.base, &plan.drive.triple) else {
-            return Some(Box::new(std::iter::empty()));
-        };
-        Some(Box::new(MorselRows {
+        MorselRows {
             ctx,
-            morsels: ctx.view.plan_morsels(&pattern, ctx.morsel_size),
             pipeline,
-            pattern,
+            morsels,
             next: 0,
             round: want.map_or(usize::MAX, |w| w.div_ceil(ctx.morsel_size).max(1)),
             want: want.unwrap_or(usize::MAX),
             bufs: Vec::new(),
             at: (0, 0),
             memo: None,
-        }))
+        }
     }
 
     /// Runs the next round of morsels into `bufs`; `false` when none is
@@ -2160,7 +2172,7 @@ impl<'it> MorselRows<'it> {
         let mut memos = claim_tasks(ctx, tasks.clone(), "morsel", memo, |memo, i| {
             let morsel = &this.morsels[i];
             let mut out = this.bufs[i - tasks.start].lock().expect("morsel buffer lock poisoned");
-            this.pipeline.run_morsel(ctx, &this.pattern, morsel, memo, None, &mut |row| {
+            this.pipeline.run_morsel(ctx, morsel, memo, None, &mut |row| {
                 if out.len() < want {
                     out.push(row.clone());
                 }
@@ -2293,68 +2305,22 @@ struct GroupedPartial {
     saw_rows: bool,
 }
 
-/// The quad position (0=S, 1=P, 2=O, 3=G) at which the driving triple
-/// binds `slot`, when it does and the slot is still free in the base row —
-/// i.e. the position whose index sort order would emit rows grouped by
-/// that slot. Downstream stages only *extend* rows, so a slot bound by the
-/// drive keeps its value (and its run structure) through the pipeline.
-fn drive_sort_preference(plan: &DrivePlan<'_>, slot: usize) -> Option<usize> {
-    if plan.base[slot].is_some() {
-        return None;
-    }
-    let t = &plan.drive.triple;
-    if matches!(t.s, CPos::Var(v) if v == slot) {
-        Some(quadstore::ids::S)
-    } else if matches!(t.p, CPos::Var(v) if v == slot) {
-        Some(quadstore::ids::P)
-    } else if matches!(t.o, CPos::Var(v) if v == slot) {
-        Some(quadstore::ids::O)
-    } else if matches!(t.g, CGraph::Var(v) if v == slot) {
-        Some(quadstore::ids::G)
-    } else {
-        None
-    }
-}
-
-/// A fused path's unit of work: (pipeline, drive pattern, morsel).
-type MorselTask = (usize, QuadPattern, Morsel);
-
-/// Every UNION branch's pipeline and their morsel tasks in sequential
-/// order, or `None` when a branch does not compile to a pipeline. With a
-/// `group_slot`, each drive scan picks among tying indexes one sorted by
-/// it: grouped output ignores row order, and key runs turn per-row group
-/// lookups into one per run (out-degree: PSCGM over PCSGM).
-fn morsel_tasks<'p>(
-    ctx: &EvalCtx,
+/// The fused consumers' plan: every UNION branch's pipeline, begun, and
+/// their morsels as (branch, morsel) tasks in sequential order; `None`,
+/// with nothing begun, when a branch streams.
+#[allow(clippy::type_complexity)]
+fn fused_tasks<'p>(
+    ctx: &'p EvalCtx,
     sel: &'p CSelect,
     group_slot: Option<usize>,
-) -> Option<(Vec<batch::VecPipeline<'p>>, Vec<MorselTask>)> {
-    let branches = union_branches(&sel.root, &[]);
-    let mut plans: Vec<DrivePlan<'p>> = branches
-        .iter()
-        .map(|(node, suffix)| drive_plan(ctx, node, suffix))
-        .collect::<Option<_>>()?;
-    if let Some(slot) = group_slot {
-        for plan in &mut plans {
-            plan.prefer = drive_sort_preference(plan, slot);
-        }
+) -> Option<(Vec<batch::VecPipeline<'p>>, Vec<(usize, Morsel)>)> {
+    let (mut pipelines, mut tasks) = (Vec::new(), Vec::new());
+    for branch in branches(ctx, sel, group_slot) {
+        let Branch::Pipe(morsels, pipeline) = branch else { return None };
+        tasks.extend(morsels.into_iter().map(|m| (pipelines.len(), m)));
+        pipelines.push(pipeline);
     }
-    // Compiled after the sort preference is fixed: the pipeline captures
-    // `prefer` for its driving scan.
-    let needed = batch::needed_slots(ctx, sel);
-    let pipelines: Vec<batch::VecPipeline<'p>> = plans
-        .iter()
-        .map(|p| batch::VecPipeline::compile(ctx, p, &needed))
-        .collect::<Option<_>>()?;
-    let mut tasks = Vec::new();
-    for (i, (plan, pipe)) in plans.iter().zip(&pipelines).enumerate() {
-        pipe.begin(ctx);
-        if let Some(p) = probe_pattern(&plan.base, &plan.drive.triple) {
-            for morsel in ctx.view.plan_morsels_ordered(&p, ctx.morsel_size, plan.prefer) {
-                tasks.push((i, p, morsel));
-            }
-        }
-    }
+    pipelines.iter().for_each(|p| p.begin(ctx));
     Some((pipelines, tasks))
 }
 
@@ -2364,15 +2330,15 @@ fn morsel_tasks<'p>(
 /// arrives as (task, row in morsel), its sequential position. `None` when
 /// a UNION branch does not compile to a pipeline.
 fn par_top_k<'a>(ctx: &'a EvalCtx, sel: &'a CSelect, k: usize) -> Option<Vec<TopK<'a>>> {
-    let (pipelines, tasks) = morsel_tasks(ctx, sel, None)?;
+    let (pipelines, tasks) = fused_tasks(ctx, sel, None)?;
     let init = || {
         let memos: Vec<batch::VecState> = pipelines.iter().map(batch::VecState::new).collect();
         (TopK::new(ctx, sel, k), memos)
     };
     let heaps = claim_tasks(ctx, 0..tasks.len(), "top-k morsel", init, |(heap, memos), t| {
-        let (i, pattern, morsel) = &tasks[t];
+        let (i, morsel) = &tasks[t];
         let mut n = 0;
-        pipelines[*i].run_morsel(ctx, pattern, morsel, &mut memos[*i], None, &mut |row| {
+        pipelines[*i].run_morsel(ctx, morsel, &mut memos[*i], None, &mut |row| {
             project(ctx, sel, row);
             n += 1;
             heap.offer(row, (t, n))
@@ -2387,7 +2353,7 @@ fn par_top_k<'a>(ctx: &'a EvalCtx, sel: &'a CSelect, k: usize) -> Option<Vec<Top
 fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
     let counted: Vec<Option<usize>> = sel.aggregates.iter().map(counted_slot).collect::<Option<_>>()?;
     let group_slot = if let [slot] = sel.group_slots[..] { Some(slot) } else { None };
-    let (pipelines, tasks) = morsel_tasks(ctx, sel, group_slot)?;
+    let (pipelines, tasks) = fused_tasks(ctx, sel, group_slot)?;
     // Each pipeline's per-row increments are static: every row binds a
     // counted slot (and counts) or none does. Rows carry only the keys.
     let incs: Vec<Vec<u64>> = pipelines
@@ -2403,9 +2369,9 @@ fn par_grouped(ctx: &EvalCtx, sel: &CSelect) -> Option<GroupedPartial> {
             (RunSink::default(), memos)
         },
         |(sink, memos), t| {
-            let (i, pattern, morsel) = &tasks[t];
+            let (i, morsel) = &tasks[t];
             let keys = Some(&sel.group_slots[..]);
-            pipelines[*i].run_morsel(ctx, pattern, morsel, &mut memos[*i], keys, &mut |row| {
+            pipelines[*i].run_morsel(ctx, morsel, &mut memos[*i], keys, &mut |row| {
                 sink.push_counts(ctx, sel, row, &incs[*i]);
                 true
             });

@@ -108,6 +108,10 @@ enum VecOp<'p> {
     Probe {
         step: &'p Step,
         spec: ProbeSpec,
+        /// Quad positions read per match, laid out by [`scan_layout`].
+        positions: Vec<usize>,
+        /// Pairs of quad positions while drafting, then of `positions`
+        /// indexes, that must hold equal IDs.
         same: Vec<(usize, usize)>,
         binds: Vec<(usize, usize)>,
         keep: Vec<usize>,
@@ -215,7 +219,7 @@ impl CloseMemo {
     /// Reads the candidates of `pattern` at quad position `pos`.
     fn load(&mut self, view: &DatasetView, pattern: &QuadPattern, pos: usize) {
         self.keys.clear();
-        span_values(view, pattern, pos, &mut self.keys);
+        view.scan_columns(pattern, &[pos], std::slice::from_mut(&mut self.keys));
         self.mults.clear();
         if self.keys.windows(2).all(|w| w[0] < w[1]) {
             self.mults.resize(self.keys.len(), 1);
@@ -238,19 +242,6 @@ impl CloseMemo {
         }
         self.keys.truncate(len);
         self.pattern = Some(*pattern);
-    }
-}
-
-/// Appends position `pos` of every quad matching `pattern`, in the order
-/// [`DatasetView::probe`] yields them: per member, its base index span,
-/// then its insert delta. Copies straight from the sorted index runs.
-fn span_values(view: &DatasetView, pattern: &QuadPattern, pos: usize, out: &mut Vec<u64>) {
-    for m in view.members() {
-        let (lo, hi) = m.base_span(pattern, None);
-        m.scan_base_span_columns(pattern, lo, hi, None, &[pos], std::slice::from_mut(out));
-        if m.has_delta_added() {
-            m.scan_delta_columns(pattern, &[pos], std::slice::from_mut(out));
-        }
     }
 }
 
@@ -320,7 +311,8 @@ impl VecState {
         let mut memos = Vec::with_capacity(pipe.ops.len());
         for op in &pipe.ops {
             let (nvals, ncloses) = match op {
-                VecOp::Probe { binds, .. } | VecOp::Hash { binds, .. } => (binds.len(), 0),
+                VecOp::Probe { positions, .. } => (positions.len(), 0),
+                VecOp::Hash { binds, .. } => (binds.len(), 0),
                 VecOp::Intersect { closes, .. } => (1, closes.len()),
                 _ => (0, 0),
             };
@@ -390,6 +382,13 @@ impl<'p> Draft<'p> {
 /// A compiled vectorized pipeline for one drive plan.
 pub(super) struct VecPipeline<'p> {
     drive: &'p Step,
+    /// The driving scan's pattern.
+    pattern: QuadPattern,
+    /// The driving scan's output-order preference (quad position 0..=3):
+    /// where it binds the group key, so tying indexes break towards
+    /// group-key-sorted output and the run-length accumulator sees long
+    /// key runs. `None` keeps the sequential index choice, which ordered
+    /// row production must: its rows match the streaming executor's.
     prefer: Option<usize>,
     base: Row,
     /// Quad positions the driving scan extracts: one per live slot
@@ -455,11 +454,15 @@ pub(super) fn needed_slots(ctx: &EvalCtx, sel: &CSelect) -> Vec<bool> {
 
 impl<'p> VecPipeline<'p> {
     /// Compiles a drive plan into a vectorized pipeline, or `None` when a
-    /// construct forces the row pipeline.
+    /// construct forces the row pipeline. With a `group_slot` the driving
+    /// scan binds, it prefers an index sorted on it: grouped output ignores
+    /// row order, and key runs turn per-row group lookups into one per run
+    /// (out-degree: PSCGM over PCSGM).
     pub(super) fn compile(
         ctx: &EvalCtx,
         plan: &DrivePlan<'p>,
         needed: &[bool],
+        group_slot: Option<usize>,
     ) -> Option<VecPipeline<'p>> {
         let nvars = ctx.vars.len();
         debug_assert_eq!(needed.len(), nvars);
@@ -480,6 +483,7 @@ impl<'p> VecPipeline<'p> {
 
         // The driving scan binds its triple's free variable positions.
         let (drive_binds_all, drive_same) = triple_binds(&plan.drive.triple, &mut bind)?;
+        let prefer = drive_binds_all.iter().find(|b| Some(b.1) == group_slot).map(|b| b.0);
 
         // Pass 1: draft every operator, tracking reads and binds.
         let mut drafts: Vec<Draft<'p>> = Vec::new();
@@ -503,6 +507,7 @@ impl<'p> VecPipeline<'p> {
                                         op: VecOp::Probe {
                                             step,
                                             spec,
+                                            positions: Vec::new(),
                                             same,
                                             binds: Vec::new(),
                                             keep: Vec::new(),
@@ -626,22 +631,13 @@ impl<'p> VecPipeline<'p> {
         // Pass 3: forward presence; prune drive columns, per-op binds and
         // keep lists to live slots.
         let mut present = vec![false; nvars];
-        let mut positions = Vec::new();
-        let mut drive_slots = Vec::new();
-        for &(pos, slot) in &drive_binds_all {
+        for &(_, slot) in &drive_binds_all {
             present[slot] = true;
-            if need_from[0][slot] {
-                positions.push(pos);
-                drive_slots.push(slot);
-            }
         }
-        let mut col_of = |pos: usize| {
-            positions.iter().position(|&p| p == pos).unwrap_or_else(|| {
-                positions.push(pos);
-                positions.len() - 1
-            })
-        };
-        let same = drive_same.iter().map(|&(a, b)| (col_of(a), col_of(b))).collect();
+        let drive_binds: Vec<(usize, usize)> =
+            drive_binds_all.into_iter().filter(|&(_, slot)| need_from[0][slot]).collect();
+        let (positions, same) = scan_layout(&drive_binds, &drive_same);
+        let drive_slots = drive_binds.iter().map(|&(_, slot)| slot).collect();
         let mut live: Vec<bool> = (0..nvars).map(|s| present[s] && need_from[0][s]).collect();
         let mut ops: Vec<VecOp<'p>> = Vec::with_capacity(nops);
         for (k, draft) in drafts.into_iter().enumerate() {
@@ -656,6 +652,9 @@ impl<'p> VecPipeline<'p> {
                 .copied()
                 .filter(|&(_, slot)| need_from[k + 1][slot])
                 .collect();
+            if let VecOp::Probe { positions, same, .. } = &mut op {
+                (*positions, *same) = scan_layout(&bind_list, same);
+            }
             match &mut op {
                 VecOp::Probe { binds, keep, .. }
                 | VecOp::Hash { binds, keep, .. }
@@ -702,7 +701,8 @@ impl<'p> VecPipeline<'p> {
 
         Some(VecPipeline {
             drive: plan.drive,
-            prefer: plan.prefer,
+            pattern: probe_pattern(&plan.base, &plan.drive.triple)?,
+            prefer,
             base: plan.base.clone(),
             positions,
             drive_slots,
@@ -711,6 +711,11 @@ impl<'p> VecPipeline<'p> {
             final_cols,
             template,
         })
+    }
+
+    /// The driving scan cut into morsels, in sequential order.
+    pub(super) fn morsels(&self, ctx: &EvalCtx) -> Vec<Morsel> {
+        ctx.view.plan_morsels(&self.pattern, ctx.morsel_size, self.prefer)
     }
 
     /// Marks the pipeline as about to run: flags the observer, and under
@@ -737,7 +742,6 @@ impl<'p> VecPipeline<'p> {
     pub(super) fn run_morsel(
         &self,
         ctx: &EvalCtx,
-        pattern: &QuadPattern,
         morsel: &Morsel,
         st: &mut VecState,
         only: Option<&[usize]>,
@@ -746,7 +750,7 @@ impl<'p> VecPipeline<'p> {
         let cols: Vec<usize> =
             self.final_cols.iter().copied().filter(|s| only.is_none_or(|o| o.contains(s))).collect();
         let mut row = self.template.clone();
-        self.for_each_batch(ctx, pattern, morsel, st, &mut |batch: &Batch| {
+        self.for_each_batch(ctx, morsel, st, &mut |batch: &Batch| {
             (0..batch.len).all(|i| {
                 for &s in &cols {
                     row[s] = Some(batch.col(s)[i]);
@@ -771,7 +775,6 @@ impl<'p> VecPipeline<'p> {
     fn for_each_batch(
         &self,
         ctx: &EvalCtx,
-        pattern: &QuadPattern,
         morsel: &Morsel,
         st: &mut VecState,
         sink: &mut dyn FnMut(&Batch) -> bool,
@@ -784,8 +787,8 @@ impl<'p> VecPipeline<'p> {
         // 1. Drive scan → columns.
         let t0 = profile.as_ref().map(|_| Instant::now());
         let mut dcols: Vec<Vec<u64>> = vec![Vec::new(); self.positions.len()];
-        let mut n =
-            ctx.view.scan_morsel_columns(pattern, morsel, self.prefer, &self.positions, &mut dcols);
+        let (pat, pos) = (&self.pattern, &self.positions);
+        let mut n = ctx.view.scan_morsel_columns(pat, morsel, self.prefer, pos, &mut dcols);
         if !self.same.is_empty() {
             n = retain_same(&mut dcols, &self.same, n);
         }
@@ -895,7 +898,7 @@ impl<'p> VecPipeline<'p> {
                 }
                 Some(gather_batch(&batch, &src, keep, &[], Vec::new(), nvars))
             }
-            VecOp::Probe { spec, same, binds, keep, .. } => {
+            VecOp::Probe { spec, positions, same, binds, keep, .. } => {
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
                 let mut src: Vec<u32> = Vec::new();
@@ -903,25 +906,17 @@ impl<'p> VecPipeline<'p> {
                 for i in 0..batch.len {
                     let pat = spec.pattern(&batch, i);
                     if memo.pattern != Some(pat) {
-                        for v in memo.vals.iter_mut() {
-                            v.clear();
-                        }
-                        memo.count = 0;
-                        for quad in ctx.view.probe(pat) {
-                            if same.iter().any(|&(a, b)| quad[a] != quad[b]) {
-                                continue;
-                            }
-                            for (bi, &(pos, _)) in binds.iter().enumerate() {
-                                memo.vals[bi].push(quad[pos]);
-                            }
-                            memo.count += 1;
+                        memo.vals.iter_mut().for_each(Vec::clear);
+                        memo.count = ctx.view.scan_columns(&pat, positions, &mut memo.vals);
+                        if !same.is_empty() {
+                            memo.count = retain_same(&mut memo.vals, same, memo.count);
                         }
                         memo.pattern = Some(pat);
                     }
                     if memo.count > 0 {
                         src.extend(std::iter::repeat(i as u32).take(memo.count));
-                        for (bi, vals) in memo.vals.iter().enumerate() {
-                            fresh[bi].extend_from_slice(vals);
+                        for (col, vals) in fresh.iter_mut().zip(&memo.vals) {
+                            col.extend_from_slice(vals);
                         }
                         if !settle(ctx, row_bytes, &mut charged_rows, charged_bytes, src.len(), false) {
                             return None;
@@ -950,7 +945,7 @@ impl<'p> VecPipeline<'p> {
                     let pat = spec.pattern(&batch, i);
                     if memo.pattern != Some(pat) {
                         memo.vals[0].clear();
-                        span_values(&ctx.view, &pat, *v_pos, &mut memo.vals[0]);
+                        ctx.view.scan_columns(&pat, &[*v_pos], &mut memo.vals);
                         memo.pattern = Some(pat);
                     }
                     for (close, cm) in closes.iter().zip(&mut memo.closes) {
@@ -1077,9 +1072,27 @@ impl<'p> VecPipeline<'p> {
     }
 }
 
+/// The quad positions a scan reads to bind `binds` and check `same`: one
+/// per bind (column `i` fills bind `i`), then any position only a `same`
+/// pair reads; and `same` as pairs of indexes into those positions.
+fn scan_layout(
+    binds: &[(usize, usize)],
+    same: &[(usize, usize)],
+) -> (Vec<usize>, Vec<(usize, usize)>) {
+    let mut positions: Vec<usize> = binds.iter().map(|&(pos, _)| pos).collect();
+    let mut col_of = |pos: usize| {
+        positions.iter().position(|&p| p == pos).unwrap_or_else(|| {
+            positions.push(pos);
+            positions.len() - 1
+        })
+    };
+    let same = same.iter().map(|&(a, b)| (col_of(a), col_of(b))).collect();
+    (positions, same)
+}
+
 /// Compacts freshly scanned columns to the rows whose `same` column pairs
-/// agree — `extend_row`'s consistency check for a variable the driving
-/// triple repeats (`GRAPH ?g { ?g ?k ?v }`, `?x ?p ?x`).
+/// agree — `extend_row`'s consistency check for a variable the triple
+/// repeats (`GRAPH ?g { ?g ?k ?v }`, `?x ?p ?x`).
 fn retain_same(cols: &mut [Vec<u64>], same: &[(usize, usize)], n: usize) -> usize {
     let mut kept = 0;
     for i in 0..n {

@@ -118,6 +118,8 @@ fn queries() -> Vec<&'static str> {
         "SELECT ?g ?x WHERE { GRAPH ?g { ?x <http://p1> ?y } }",
         "SELECT ?x WHERE { ?x <http://p0> ?y FILTER (isIRI(?y)) }",
         "SELECT DISTINCT ?x WHERE { ?x ?p ?y }",
+        "SELECT ?a ?z WHERE { ?x ?a ?y . ?z ?a ?z }",
+        "SELECT ?g ?x ?z WHERE { GRAPH ?g { ?x <http://p0> ?y } GRAPH ?g { ?z <http://p1> ?z } }",
     ]
 }
 

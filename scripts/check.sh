@@ -23,6 +23,11 @@ cargo test --offline -q --manifest-path pgbench/Cargo.toml
 # merge-order bugs actually surface.
 cargo test --release -q --test parallel_equivalence
 
+# Store reads (morsel planning, span and columnar scans, index merges:
+# unit tests and store_props) under optimized codegen, where usize
+# overflow wraps instead of panicking.
+cargo test --release -q -p quadstore
+
 # Join strategies (optimizer, forced NLJ, forced hash; cycles closed by
 # span intersection) must agree on random data, also under optimized
 # codegen, where integer overflow wraps instead of panicking.
