@@ -262,9 +262,10 @@ fn monolithic_scan_ablation(fixture: &Fixture) {
 }
 
 /// Three design-choice ablations (DESIGN.md §5), each variant one warm-up
-/// then one timed run: the join strategy on EQ12, the partitioned vs
-/// monolithic layout on EQ8 (NG), and the index set on EQ2 (NG, one
-/// monolithic model). Every variant of an ablation must count the same.
+/// then one timed run: the join strategy on EQ12 (NG) and EQ6b (SP), the
+/// partitioned vs monolithic layout on EQ8 (NG), and the index set on EQ2
+/// (NG, one monolithic model). Every variant of an ablation must count the
+/// same.
 fn ablations(fixture: &Fixture) {
     use quadstore::{IndexKind, Store};
     use sparql::{compile_with, execute_compiled, CompileOptions, ForcedJoin, QueryResults};
@@ -280,25 +281,29 @@ fn ablations(fixture: &Fixture) {
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "{query}: counts differ {counts:?}");
     };
 
-    let view = fixture.ng.store().dataset(&fixture.dataset_for(Eq::Eq12, ng)).expect("dataset");
-    let parsed = sparql::parse_query(&fixture.query_text(Eq::Eq12, ng)).expect("parse EQ12");
     let joins = [
         ("optimizer", None),
         ("forced NLJ", Some(ForcedJoin::Nlj)),
         ("forced hash", Some(ForcedJoin::Hash)),
     ];
-    report(
-        "EQ12",
-        &joins.map(|(variant, force_join)| {
-            let options = CompileOptions { force_join, ..Default::default() };
-            let compiled = compile_with(&view, &parsed, options).expect("compile EQ12");
-            let run = timed(|| match execute_compiled(&view, &compiled).expect("EQ12") {
-                QueryResults::Solutions(sols) => sols,
-                _ => unreachable!("EQ12 is a SELECT"),
-            });
-            (variant, run)
-        }),
-    );
+    for (eq, model) in [(Eq::Eq12, ng), (Eq::Eq6, PgRdfModel::SP)] {
+        let label = eq.label(model);
+        let store = fixture.store(model).store();
+        let view = store.dataset(&fixture.dataset_for(eq, model)).expect("dataset");
+        let parsed = sparql::parse_query(&fixture.query_text(eq, model)).expect("parse");
+        report(
+            &label,
+            &joins.map(|(variant, force_join)| {
+                let options = CompileOptions { force_join, ..Default::default() };
+                let compiled = compile_with(&view, &parsed, options).expect("compile");
+                let run = timed(|| match execute_compiled(&view, &compiled).expect("execute") {
+                    QueryResults::Solutions(sols) => sols,
+                    _ => unreachable!("{label} is a SELECT"),
+                });
+                (variant, run)
+            }),
+        );
+    }
 
     let text = fixture.query_text(Eq::Eq8, ng);
     let dataset = fixture.dataset_for(Eq::Eq8, ng);

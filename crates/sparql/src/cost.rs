@@ -17,9 +17,12 @@
 //! scans, and per-predicate distinct counts plus equi-depth object
 //! histograms ([`quadstore::CboStats`]) for join fanouts, falling back to
 //! the same snapshot's model-wide distinct counts when no predicate
-//! statistics apply.
+//! statistics apply. A join fanout divides by the larger of a member's
+//! own distinct count and the join variable's domain over the whole
+//! dataset ([`Estimator::domains`]): System R's containment rule,
+//! `|R ⋈ S| = |R|·|S| / max(V(R,a), V(S,a))`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use quadstore::{CboStats, DatasetView, GraphConstraint};
@@ -86,14 +89,37 @@ impl<'a> Estimator<'a> {
         }
     }
 
+    /// Each variable's domain over the whole dataset: the smallest, over
+    /// the variable's positions in `triples`, of the member-summed
+    /// distinct count at that position. A subject or object under a
+    /// constant predicate counts that predicate's distinct subjects or
+    /// objects (0 in a member whose statistics lack it); any other
+    /// position counts the member's distinct values there. Reads the
+    /// pinned snapshots only, never an index.
+    pub(crate) fn domains(&self, triples: &[CTriple]) -> Domains {
+        let mut domains = Domains::new();
+        for triple in triples {
+            for (pos, slot) in triple.var_positions() {
+                let count: u64 = self.stats.iter().map(|s| distinct_at(s, triple, pos)).sum();
+                let count = count as f64;
+                domains.entry(slot).and_modify(|d| *d = d.min(count)).or_insert(count);
+            }
+        }
+        domains
+    }
+
     /// Expected matches per probe when the given positions are bound by
     /// the join, summed over members. A member uses its per-predicate
     /// distinct counts (and the object histogram when the object is a
     /// constant) when the pattern has a constant predicate and only
     /// subject/object join positions; otherwise the coarse fanout: its
     /// range estimate divided by its distinct counts per join position.
-    /// Both come from the pinned snapshot, so planning never scans data.
-    pub(crate) fn fanout(&self, triple: &CTriple, positions: &[usize]) -> f64 {
+    /// Each join position divides by the larger of the member's own count
+    /// and the bound variable's domain, so a member that holds few of the
+    /// variable's values is not priced as if every probe hit it. On one
+    /// member the own count is never below the domain. Both come from the
+    /// pinned snapshot, so planning never scans data.
+    pub(crate) fn fanout(&self, triple: &CTriple, positions: &[usize], domains: &Domains) -> f64 {
         let pattern = triple.const_pattern();
         let pure_so = !positions.is_empty()
             && positions
@@ -103,6 +129,14 @@ impl<'a> Estimator<'a> {
             CPos::Const(_, Some(id)) if pure_so => Some(id.0),
             _ => None,
         };
+        let domain = |pos: usize| {
+            triple
+                .var_positions()
+                .find(|&(at, _)| at == pos)
+                .and_then(|(_, slot)| domains.get(&slot).copied())
+                .unwrap_or(0.0)
+        };
+        let denom = |pos: usize, own: u64| (own.max(1) as f64).max(domain(pos));
         let mut total = 0.0f64;
         for (member, stats) in self.view.members().iter().zip(&self.stats) {
             let est = member.estimate(&pattern) as f64;
@@ -112,27 +146,23 @@ impl<'a> Estimator<'a> {
             // No predicate statistics apply, or the predicate was added
             // since the last refresh: the coarse fanout of this member.
             let Some(ps) = pid.and_then(|p| stats.predicate(p)) else {
-                let denom: f64 =
-                    positions.iter().map(|&p| stats.distinct[p].max(1) as f64).product();
-                total += (est / denom).max(1.0).min(est);
+                let d: f64 = positions.iter().map(|&p| denom(p, stats.distinct[p])).product();
+                total += (est / d).max(1.0).min(est);
                 continue;
             };
-            let mut denom = 1.0f64;
+            let mut d = 1.0f64;
             for &p in positions {
-                denom *= if p == quadstore::ids::S {
-                    ps.distinct_subjects.max(1) as f64
-                } else {
-                    ps.distinct_objects.max(1) as f64
-                };
+                d *= denom(p, distinct_at(stats, triple, p));
             }
-            let mut per = (est / denom).max(1.0).min(est.max(1.0));
+            let mut per = (est / d).max(1.0).min(est.max(1.0));
             // A constant object narrows a subject join below the predicate
             // average: the histogram knows that value's depth.
             if positions == [quadstore::ids::S] {
                 if let CPos::Const(_, Some(oid)) = &triple.o {
                     let rows = ps.objects.estimate_eq(oid.0);
                     if rows > 0.0 {
-                        per = per.min((rows / ps.distinct_subjects.max(1) as f64).max(1.0));
+                        let subjects = denom(quadstore::ids::S, ps.distinct_subjects);
+                        per = per.min((rows / subjects).max(1.0));
                     }
                 }
             }
@@ -140,6 +170,43 @@ impl<'a> Estimator<'a> {
         }
         total.max(1.0)
     }
+}
+
+/// Each variable slot's domain over a BGP's dataset ([`Estimator::domains`]).
+pub(crate) type Domains = HashMap<usize, f64>;
+
+/// One member's distinct count at quad position `pos` of `triple`: the
+/// constant predicate's distinct subjects or objects at S or O (0 when
+/// the snapshot lacks the predicate or the dictionary the constant),
+/// else the member's distinct values at `pos`.
+fn distinct_at(stats: &CboStats, triple: &CTriple, pos: usize) -> u64 {
+    match &triple.p {
+        CPos::Const(_, id) if pos == quadstore::ids::S || pos == quadstore::ids::O => id
+            .and_then(|id| stats.predicate(id.0))
+            .map_or(0, |ps| {
+                if pos == quadstore::ids::S {
+                    ps.distinct_subjects
+                } else {
+                    ps.distinct_objects
+                }
+            }),
+        _ => stats.distinct[pos],
+    }
+}
+
+/// What appending one step to a planned prefix costs and yields
+/// ([`BgpPlanner::price`]).
+struct Price {
+    /// Estimated rows of the step's constants-only scan.
+    scan: usize,
+    /// Cost of the chosen strategy.
+    cost: f64,
+    /// Estimated output rows.
+    out: f64,
+    /// Expected matches per probe (0 for an unjoined step).
+    fanout: f64,
+    /// Whether the step hash-joins instead of probing per row.
+    hash: bool,
 }
 
 /// Plans one BGP: chooses a join order (DP or greedy) and emits the
@@ -164,18 +231,29 @@ impl BgpPlanner<'_> {
         if triples.is_empty() {
             return None;
         }
-        let order = if (2..=DP_MAX_PATTERNS).contains(&triples.len()) {
-            self.dp_order(&triples, bound)
-        } else {
-            self.greedy_order(&triples, bound)
+        // On one member no domain is below the member's own count, so the
+        // rule cannot move a fanout there (`domains_never_move_a_one_member_fanout`).
+        let domains = match self.view.members().len() {
+            1 => Domains::new(),
+            _ => self.est.domains(&triples),
         };
-        Some(Node::Steps(self.emit(triples, &order, bound)))
+        let order = if (2..=DP_MAX_PATTERNS).contains(&triples.len()) {
+            self.dp_order(&triples, bound, &domains)
+        } else {
+            self.greedy_order(&triples, bound, &domains)
+        };
+        Some(Node::Steps(self.emit(triples, &order, bound, &domains)))
     }
 
     /// Exhaustive left-deep join ordering over the 2^n subset lattice.
     /// Deterministic: masks ascend, candidates ascend, and a new path must
     /// strictly beat the recorded one.
-    fn dp_order(&self, triples: &[CTriple], outer: &HashSet<usize>) -> Vec<usize> {
+    fn dp_order(
+        &self,
+        triples: &[CTriple],
+        outer: &HashSet<usize>,
+        domains: &Domains,
+    ) -> Vec<usize> {
         let n = triples.len();
         let slot_sets: Vec<HashSet<usize>> = triples
             .iter()
@@ -209,15 +287,15 @@ impl BgpPlanner<'_> {
                 if any_joined && !joined {
                     continue;
                 }
-                let (step_cost, out_card) = self.step_cost(&triples[i], &bset, base_card);
-                let cost = base_cost + step_cost;
+                let price = self.price(&triples[i], &bset, base_card, domains);
+                let cost = base_cost + price.cost;
                 let next = mask | (1 << i);
                 let better = match &table[next] {
                     None => true,
                     Some(c) => cost + 1e-9 < c.cost,
                 };
                 if better {
-                    table[next] = Some(Cand { cost, card: out_card, last: i, prev: mask });
+                    table[next] = Some(Cand { cost, card: price.out, last: i, prev: mask });
                 }
             }
         }
@@ -231,31 +309,45 @@ impl BgpPlanner<'_> {
         order
     }
 
-    /// Cost and output cardinality of appending one triple to a prefix
-    /// with cardinality `left_card` and bound set `bset`. Mirrors the
-    /// formulas of [`Self::emit`] exactly so the DP's choices survive
-    /// re-derivation at emission time.
-    fn step_cost(&self, triple: &CTriple, bset: &HashSet<usize>, left_card: f64) -> (f64, f64) {
-        let est_scan = self.est.scan_rows(triple) as f64;
-        let positions = join_positions(triple, bset);
+    /// The one pricing of a step that the DP, the greedy order and
+    /// [`Self::emit`] all read: appending `triple` to a prefix of `left`
+    /// rows with slots `bound`. An unjoined step is a cartesian product;
+    /// a joined one is the cheaper (or the forced) of an index NLJ,
+    /// `left·(PROBE_COST + fanout)`, and a hash join over the step's
+    /// constants-only scan, `2·scan + left`.
+    fn price(
+        &self,
+        triple: &CTriple,
+        bound: &HashSet<usize>,
+        left: f64,
+        domains: &Domains,
+    ) -> Price {
+        let scan = self.est.scan_rows(triple);
+        let rows = scan as f64;
+        let positions = join_positions(triple, bound);
         if positions.is_empty() {
-            (left_card * est_scan, left_card * est_scan)
-        } else {
-            let per_probe = self.est.fanout(triple, &positions);
-            let nlj_cost = left_card * (PROBE_COST + per_probe);
-            let hash_cost = 2.0 * est_scan + left_card;
-            let cost = match self.force_join {
-                Some(ForcedJoin::Nlj) => nlj_cost,
-                Some(ForcedJoin::Hash) => hash_cost,
-                None => nlj_cost.min(hash_cost),
-            };
-            (cost, (left_card * per_probe).max(1.0))
+            return Price { scan, cost: left * rows, out: left * rows, fanout: 0.0, hash: false };
         }
+        let fanout = self.est.fanout(triple, &positions, domains);
+        let nlj = left * (PROBE_COST + fanout);
+        let hash_cost = 2.0 * rows + left;
+        let hash = match self.force_join {
+            Some(ForcedJoin::Nlj) => false,
+            Some(ForcedJoin::Hash) => true,
+            None => hash_cost < nlj,
+        };
+        let cost = if hash { hash_cost } else { nlj };
+        Price { scan, cost, out: (left * fanout).max(1.0), fanout, hash }
     }
 
     /// The greedy ordering: joined-to-bound-set first, smallest per-probe
     /// fanout (or total estimate when unjoined) next.
-    fn greedy_order(&self, triples: &[CTriple], outer: &HashSet<usize>) -> Vec<usize> {
+    fn greedy_order(
+        &self,
+        triples: &[CTriple],
+        outer: &HashSet<usize>,
+        domains: &Domains,
+    ) -> Vec<usize> {
         let mut remaining: Vec<(usize, &CTriple)> = triples.iter().enumerate().collect();
         let mut bound = outer.clone();
         let mut order = Vec::with_capacity(triples.len());
@@ -264,12 +356,14 @@ impl BgpPlanner<'_> {
             let mut best_key = (usize::MAX, usize::MAX);
             for (i, (_, t)) in remaining.iter().enumerate() {
                 let shared = t.var_slots().iter().filter(|s| bound.contains(s)).count();
+                // Per probe when joined; the scan estimate when not.
+                let price = self.price(t, &bound, 1.0, domains);
                 let cost = if t.unsatisfiable() {
                     0.0
                 } else if shared > 0 {
-                    self.est.fanout(t, &join_positions(t, &bound))
+                    price.fanout
                 } else {
-                    self.est.scan_rows(t) as f64
+                    price.out
                 };
                 let rank = if shared > 0 || order.is_empty() { 0 } else { 1 };
                 let key = (rank, (cost * 1024.0).min(usize::MAX as f64) as usize);
@@ -292,14 +386,19 @@ impl BgpPlanner<'_> {
     /// fusion of [`Self::fuse_cycles`], access path for EXPLAIN, estimated
     /// scan and output cardinalities. Updates `bound` with every slot the
     /// chain binds.
-    fn emit(&self, triples: Vec<CTriple>, order: &[usize], bound: &mut HashSet<usize>) -> Vec<Step> {
+    fn emit(
+        &self,
+        triples: Vec<CTriple>,
+        order: &[usize],
+        bound: &mut HashSet<usize>,
+        domains: &Domains,
+    ) -> Vec<Step> {
         let mut slots: Vec<Option<CTriple>> = triples.into_iter().map(Some).collect();
         let mut steps = Vec::with_capacity(order.len());
         let mut planned = Vec::with_capacity(order.len());
         let mut left_card: f64 = 1.0;
         for &idx in order {
             let triple = slots[idx].take().expect("each triple planned once");
-            let est_scan = self.est.scan_rows(&triple);
 
             // Slots of this triple already bound upstream = join slots.
             let join_slots: Vec<usize> = {
@@ -311,39 +410,23 @@ impl BgpPlanner<'_> {
                     .collect()
             };
 
-            let strategy;
-            let out_card;
-            let mut fanout = 0.0;
-            if join_slots.is_empty() {
-                strategy = Strategy::IndexNlj;
-                out_card = left_card * est_scan as f64;
-            } else {
-                let positions = join_positions(&triple, bound);
-                fanout = self.est.fanout(&triple, &positions);
-                let nlj_cost = left_card * (PROBE_COST + fanout);
-                let hash_cost = 2.0 * est_scan as f64 + left_card;
-                strategy = match self.force_join {
-                    Some(ForcedJoin::Nlj) => Strategy::IndexNlj,
-                    Some(ForcedJoin::Hash) => Strategy::HashJoin { join_slots },
-                    None if nlj_cost <= hash_cost => Strategy::IndexNlj,
-                    None => Strategy::HashJoin { join_slots },
-                };
-                out_card = (left_card * fanout).max(1.0);
-            }
-            left_card = out_card;
+            let price = self.price(&triple, bound, left_card, domains);
+            let strategy =
+                if price.hash { Strategy::HashJoin { join_slots } } else { Strategy::IndexNlj };
+            left_card = price.out;
             let mut joined = [false; 4];
             for (pos, slot) in triple.var_positions() {
                 joined[pos] = bound.contains(&slot);
             }
-            planned.push(Planned { joined, fanout });
+            planned.push(Planned { joined, fanout: price.fanout });
             for v in triple.var_slots() {
                 bound.insert(v);
             }
             steps.push(Step {
                 triple,
                 strategy,
-                est_scan,
-                est_out: out_card.min(u64::MAX as f64) as u64,
+                est_scan: price.scan,
+                est_out: price.out.min(u64::MAX as f64) as u64,
                 access: None,
             });
         }
@@ -573,12 +656,175 @@ mod tests {
         let any = CTriple { s: CPos::Var(0), p: CPos::Var(1), o: CPos::Var(2), g: CGraph::Any };
         let fanout = |store: &Store| {
             let view = store.dataset("m").unwrap();
-            Estimator::new(&view).fanout(&any, &[quadstore::ids::S])
+            Estimator::new(&view).fanout(&any, &[quadstore::ids::S], &Domains::new())
         };
         assert!((fanout(&store) - 2.0).abs() < 1e-9, "got {}", fanout(&store));
         // A write below the drift threshold keeps the snapshot: a fifth
         // subject raises the range estimate to 9, not the distinct count.
         store.insert("m", &quad(4, 8)).unwrap();
         assert!((fanout(&store) - 2.25).abs() < 1e-9, "got {}", fanout(&store));
+    }
+
+    /// A triple pattern from three tokens: `?name` is a variable, with one
+    /// slot per distinct name in `vars`; anything else is the IRI
+    /// `http://token`, with its ID in `view` (`None` when absent).
+    fn tp(view: &DatasetView, vars: &mut Vec<String>, tokens: [&str; 3]) -> CTriple {
+        let mut pos = |token: &str| match token.strip_prefix('?') {
+            Some(name) => {
+                let slot = vars.iter().position(|v| v == name).unwrap_or_else(|| {
+                    vars.push(name.to_string());
+                    vars.len() - 1
+                });
+                CPos::Var(slot)
+            }
+            None => {
+                let term = Term::iri(format!("http://{token}"));
+                let id = view.term_id(&term);
+                CPos::Const(term, id)
+            }
+        };
+        CTriple { s: pos(tokens[0]), p: pos(tokens[1]), o: pos(tokens[2]), g: CGraph::Any }
+    }
+
+    const TOPO_QUADS: usize = 400;
+    const EDGES: usize = 50;
+
+    /// SP's shape over two models viewed as one, `v`. `topo` holds 400
+    /// `follows` / `knows` quads among 20 nodes; `kv` holds 50 edge IRIs,
+    /// each the predicate of one triple, with its `sub follows` anchor and
+    /// a `tag` triple.
+    fn sp_union() -> Store {
+        let store = Store::new();
+        let triple = |s: &str, p: &str, o: &str| {
+            let iri = |name: &str| Term::iri(format!("http://{name}"));
+            Quad::triple(iri(s), iri(p), iri(o)).unwrap()
+        };
+        let mut topo = Vec::new();
+        for a in 0..20 {
+            for b in 1..=10 {
+                for p in ["follows", "knows"] {
+                    topo.push(triple(&format!("n{a}"), p, &format!("n{}", (a + b) % 20)));
+                }
+            }
+        }
+        let mut kv = Vec::new();
+        for i in 0..EDGES {
+            let e = format!("e{i}");
+            kv.push(triple(&format!("n{}", i % 20), &e, &format!("n{}", (i + 3) % 20)));
+            kv.push(triple(&e, "sub", "follows"));
+            kv.push(triple(&e, "tag", &format!("t{}", i % 5)));
+        }
+        for (name, quads) in [("topo", topo), ("kv", kv)] {
+            store.create_model(name).unwrap();
+            store.bulk_load(name, &quads).unwrap();
+        }
+        store.create_virtual_model("v", &["topo", "kv"]).unwrap();
+        store
+    }
+
+    #[test]
+    fn a_member_without_the_join_values_is_capped_by_the_domain() {
+        let store = sp_union();
+        let view = store.dataset("v").unwrap();
+        let est = Estimator::new(&view);
+        let mut vars = Vec::new();
+        let anchor = tp(&view, &mut vars, ["?p", "sub", "follows"]);
+        let edge = tp(&view, &mut vars, ["?s", "?p", "?o"]);
+        let domains = est.domains(&[anchor, edge.clone()]);
+        // ?p: 50 subjects under `sub`, against 2 + 52 distinct predicates.
+        assert_eq!(domains[&0], EDGES as f64);
+        // `kv` holds 150 quads under 52 predicates; its own count is above
+        // the domain, so only `topo` (2 predicates) is capped.
+        let kv = 3.0 * EDGES as f64 / (EDGES + 2) as f64;
+        let p = [quadstore::ids::P];
+        let uncapped = est.fanout(&edge, &p, &Domains::new());
+        assert!((uncapped - (TOPO_QUADS as f64 / 2.0 + kv)).abs() < 1e-9, "got {uncapped}");
+        let capped = est.fanout(&edge, &p, &domains);
+        let want = TOPO_QUADS as f64 / EDGES as f64 + kv;
+        assert!((capped - want).abs() < 1e-9, "got {capped}, want {want}");
+    }
+
+    #[test]
+    fn the_greedy_order_prices_joins_by_domain() {
+        // Eleven patterns, above the DP cap. After the anchor, the edge
+        // triple (fanout 400/50 + 150/52 ≈ 11) must come before a second
+        // anchor on the same super-property (fanout 50); priced by the
+        // topology member's own 2 predicates it would cost ≈ 203.
+        let store = sp_union();
+        let view = store.dataset("v").unwrap();
+        let est = Estimator::new(&view);
+        let mut vars = Vec::new();
+        let mut triples = vec![
+            tp(&view, &mut vars, ["?p", "sub", "?super"]),
+            tp(&view, &mut vars, ["?q", "sub", "?super"]),
+            tp(&view, &mut vars, ["?s", "?p", "?o"]),
+        ];
+        for hop in 0..8 {
+            let (from, to) = (format!("?x{hop}"), format!("?x{}", hop + 1));
+            let from = if hop == 0 { "?o".to_string() } else { from };
+            triples.push(tp(&view, &mut vars, [&from, "follows", &to]));
+        }
+        assert!(triples.len() > DP_MAX_PATTERNS);
+        let planner = BgpPlanner { view: &view, est: &est, force_join: None };
+        let domains = est.domains(&triples);
+        let outer = HashSet::new();
+        assert_eq!(planner.greedy_order(&triples, &outer, &domains)[..2], [0, 2]);
+        assert_eq!(planner.greedy_order(&triples, &outer, &Domains::new())[..2], [0, 1]);
+        let Node::Steps(steps) = planner.plan(triples, &mut HashSet::new()).unwrap() else {
+            panic!("a BGP plans to steps");
+        };
+        assert_eq!(steps[1].triple.p, CPos::Var(vars.iter().position(|v| v == "p").unwrap()));
+        let fanout = TOPO_QUADS as f64 / EDGES as f64 + 3.0 * EDGES as f64 / (EDGES + 2) as f64;
+        assert_eq!(steps[1].est_out, (EDGES as f64 * fanout) as u64);
+    }
+
+    #[test]
+    fn domains_never_move_a_one_member_fanout() {
+        let mut r = twittergen::rng::Rng::seed_from_u64(29);
+        let tokens = ["?a", "?b", "?c", "?d", "n0", "n1", "n2", "p0", "p1", "p2", "p9"];
+        for case in 0..64 {
+            let store = Store::new();
+            store.create_model("m").unwrap();
+            let iri = |kind: &str, i: usize| Term::iri(format!("http://{kind}{i}"));
+            let quad = |r: &mut twittergen::rng::Rng| {
+                let [s, p, o] = [r.gen_range(0..5), r.gen_range(0..4), r.gen_range(0..5)];
+                Quad::triple(iri("n", s), iri("p", p), iri("n", o)).unwrap()
+            };
+            let quads: Vec<Quad> = (0..1 + r.gen_range(0..40)).map(|_| quad(&mut r)).collect();
+            store.bulk_load("m", &quads).unwrap();
+            // Writes below the drift threshold: the snapshot may lack a
+            // predicate the data now holds.
+            for _ in 0..r.gen_range(0..3) {
+                store.insert("m", &quad(&mut r)).unwrap();
+            }
+            let view = store.dataset("m").unwrap();
+            let est = Estimator::new(&view);
+            let mut vars = Vec::new();
+            let triples: Vec<CTriple> = (0..1 + r.gen_range(0..4))
+                .map(|_| {
+                    let mut pick = || tokens[r.gen_range(0..tokens.len())];
+                    let mut t = tp(&view, &mut vars, [pick(), pick(), pick()]);
+                    if r.gen_bool(0.25) {
+                        t.g = CGraph::Var(r.gen_range(0..vars.len().max(1)));
+                    }
+                    t
+                })
+                .collect();
+            let domains = est.domains(&triples);
+            for t in &triples {
+                for mask in 1..16u32 {
+                    let bound: HashSet<usize> = (0..4).filter(|i| mask & (1 << i) != 0).collect();
+                    let positions = join_positions(t, &bound);
+                    if positions.is_empty() {
+                        continue;
+                    }
+                    assert_eq!(
+                        est.fanout(t, &positions, &domains),
+                        est.fanout(t, &positions, &Domains::new()),
+                        "case {case}: {t:?} at {positions:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -85,6 +85,60 @@ fn rand_cyclic_view(seed: u64) -> (Store, DatasetView) {
     (store, view)
 }
 
+/// SP-shaped data over two models viewed as one virtual model: `kv`
+/// holds edge IRIs, each anchored by `?e <sub> <p0|p1>` and used as the
+/// predicate of `?s ?e ?o` rows (one, sometimes two), plus a key/value
+/// triple; `topo` holds a few heavy predicates among the same nodes. A
+/// variable predicate bound to an edge IRI matches `kv` only, so the
+/// planner prices its probe by the variable's domain over both members.
+fn rand_sp_view(seed: u64) -> (Store, DatasetView) {
+    let mut r = Rng::seed_from_u64(seed);
+    let store = Store::new();
+    let iri = |name: String| Term::iri(format!("http://{name}"));
+    let node = |r: &mut Rng| iri(format!("n{}", r.gen_range(0..6)));
+    let triple = |s: Term, p: Term, o: Term| Quad::triple(s, p, o).expect("valid quad");
+    let mut kv = Vec::new();
+    for e in 0..2 + r.gen_range(0..10) {
+        let edge = || iri(format!("e{e}"));
+        let sup = iri(format!("p{}", r.gen_range(0..3) / 2));
+        kv.push(triple(edge(), iri("sub".into()), sup));
+        for _ in 0..1 + r.gen_range(0..4) / 3 {
+            kv.push(triple(node(&mut r), edge(), node(&mut r)));
+        }
+        kv.push(triple(edge(), iri("k0".into()), Term::string(format!("v{}", r.gen_range(0..3)))));
+    }
+    let topo: Vec<Quad> = (0..20 + r.gen_range(0..40))
+        .map(|_| triple(node(&mut r), iri(format!("p{}", r.gen_range(0..2))), node(&mut r)))
+        .collect();
+    for (model, quads) in [("kv", kv), ("topo", topo)] {
+        store.create_model(model).expect("fresh model");
+        store.bulk_load(model, &quads).expect("bulk load");
+    }
+    // An uncompacted edge in the delta.
+    if r.gen_bool(0.5) {
+        let edge = iri("e99".into());
+        let anchor = triple(edge.clone(), iri("sub".into()), iri("p0".into()));
+        store.insert("kv", &anchor).expect("insert");
+        store.insert("kv", &triple(node(&mut r), edge, node(&mut r))).expect("insert");
+    }
+    store.create_virtual_model("v", &["kv", "topo"]).expect("virtual model");
+    let view = store.dataset("v").expect("virtual view");
+    (store, view)
+}
+
+/// Variable-predicate shapes over [`rand_sp_view`]: SP's edge triple
+/// `?s ?e ?o` joined with its anchor, its key/values and topology hops.
+fn sp_queries() -> Vec<&'static str> {
+    vec![
+        "SELECT ?e ?s ?o ?z WHERE { ?e <http://sub> <http://p0> . ?s ?e ?o . ?o <http://p1> ?z }",
+        "SELECT ?z WHERE { ?s ?e ?o . ?e <http://sub> <http://p0> . ?e <http://k0> \"v1\" . \
+         ?o <http://p0> ?z }",
+        "SELECT ?e ?v WHERE { ?e <http://sub> ?sup . ?s ?e ?o . ?e <http://k0> ?v . ?o ?sup ?s }",
+        "SELECT DISTINCT ?s ?o WHERE { ?e <http://sub> <http://p1> . ?s ?e ?o . \
+         ?s <http://p0> ?x . ?x <http://p1> ?o }",
+    ]
+}
+
 /// Cyclic queries, each with the most closing steps the optimizer fuses
 /// into one span intersection on some case (0: it must never fuse).
 fn cyclic_queries() -> Vec<(usize, &'static str)> {
@@ -188,6 +242,26 @@ fn join_strategy_never_changes_results() {
     }
     for ((expected, q), got) in cyclic_queries().into_iter().zip(most) {
         assert_eq!(got, expected, "most closing steps fused on {q}");
+    }
+    // SP shapes on two members: every shape must match on some case.
+    let mut matched = vec![false; sp_queries().len()];
+    for case in 0..48u64 {
+        let (_store, view) = rand_sp_view(case);
+        for (qi, q) in sp_queries().into_iter().enumerate() {
+            let parsed = parse_query(q).expect("parse");
+            let compiled =
+                compile_with(&view, &parsed, CompileOptions::default()).expect("compile");
+            let (reference, _) =
+                execute_reference(&view, &compiled, ExecLimits::default()).expect("reference");
+            assert_eq!(reference, execute_compiled(&view, &compiled).expect("execute"), "{q}");
+            let plain = run_on(&view, q, None);
+            matched[qi] |= !plain.is_empty();
+            assert_eq!(plain, run_on(&view, q, Some(ForcedJoin::Nlj)), "NLJ differs on {q}");
+            assert_eq!(plain, run_on(&view, q, Some(ForcedJoin::Hash)), "hash join differs on {q}");
+        }
+    }
+    for (q, hit) in sp_queries().into_iter().zip(matched) {
+        assert!(hit, "no case matched {q}");
     }
 }
 

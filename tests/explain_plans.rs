@@ -154,3 +154,31 @@ fn plans_order_selective_patterns_first() {
         "selective hasTag should be planned first:\n{plan}"
     );
 }
+
+#[test]
+fn eq6_sp_probes_edge_triples_by_index() {
+    // Experiment 2 expects SP to pay a constant factor over NG on EQ6,
+    // with index NLJ in both encodings (Table 5). The `?s ?p ?n2` step
+    // runs over topology + edge KVs, and the topology member holds none
+    // of the edge IRIs ?p ranges over: priced by ?p's domain, the step
+    // probes per edge IRI instead of hash-joining a full scan.
+    let f = fixture();
+    let text = f.query_text(Eq::Eq6, PgRdfModel::SP);
+    let dataset = f.dataset_for(Eq::Eq6, PgRdfModel::SP);
+    let (_, profile) = f
+        .sp
+        .select_profiled_in(&dataset, &text, sparql::ExecOptions::threads(1))
+        .unwrap();
+    let plan = &profile.analyze;
+    let line = plan
+        .lines()
+        .find(|l| l.contains("?s ?p ?n2"))
+        .unwrap_or_else(|| panic!("no edge-triple step in plan:\n{plan}"));
+    assert!(line.contains("(NLJ)"), "the edge triple should be probed per binding:\n{plan}");
+    let q: f64 = line
+        .split(" Q=")
+        .nth(1)
+        .and_then(|rest| rest.trim_end_matches(')').parse().ok())
+        .unwrap_or_else(|| panic!("no Q-error on the step:\n{plan}"));
+    assert!(q <= 16.0, "Q-error {q} of the edge-triple step:\n{plan}");
+}
