@@ -197,6 +197,9 @@ pub const DEFAULT_MORSEL_SIZE: usize = 2048;
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 pub(crate) mod batch;
+mod join_table;
+
+use join_table::{row_hash, BuildTable, Chains};
 
 /// Execution tuning knobs: resource limits, worker threads, morsel size.
 ///
@@ -276,12 +279,6 @@ impl ExecOptions {
         self
     }
 }
-
-/// Hash-join build side: quads keyed by join-position IDs. Keys are store
-/// dictionary IDs (never attacker-controlled), so the cheap multiply-rotate
-/// [`IdHasher`] replaces SipHash — the probe side runs once per input row
-/// on the query's hottest path.
-type BuildTable = HashMap<Vec<u64>, Vec<quadstore::EncodedQuad>, IdHashState>;
 
 /// Read-only state shared across worker threads within one execution,
 /// keyed by the address of the plan node that owns it. Each entry is
@@ -399,8 +396,9 @@ enum AbortKind {
     Cancelled,
 }
 
-/// Estimated retained bytes per hash-join build-side quad (the encoded
-/// quad plus its share of key and bucket overhead).
+/// Estimated retained bytes per hash-join build-side quad. The flat
+/// table holds 40–44 (the quad, its `next` link, its share of `heads`)
+/// plus up to 32 of `Vec` growth slack.
 const BUILD_ROW_BYTES: u64 = 56;
 /// Estimated retained bytes per newly visited path-search node (frontier,
 /// visited set, and result set entries).
@@ -1416,31 +1414,29 @@ pub fn eval_node<'it>(ctx: &'it EvalCtx, node: &'it Node, input: BoxIter<'it>) -
                 .copied()
                 .filter(|&s| !input_rows.is_empty() && input_rows.iter().all(|r| r[s].is_some()))
                 .collect();
-            let mut table: HashMap<Vec<u64>, Vec<Row>> = HashMap::new();
-            for irow in inner {
-                let key: Option<Vec<u64>> = join_slots.iter().map(|&s| irow[s]).collect();
-                if let Some(key) = key {
-                    table.entry(key).or_default().push(irow);
-                }
+            if inner.len() > join_table::MAX_ROWS {
+                ctx.exhaust(format!("a sub-select joins more than {} rows", join_table::MAX_ROWS));
+                return Box::new(std::iter::empty());
             }
+            // Inner rows chained on the join slots; one with an unbound
+            // join slot can match no input row and joins no chain.
+            let chains = Chains::new(inner.len(), |i| row_hash(&inner[i], &join_slots));
             Box::new(input_rows.into_iter().flat_map(move |row| {
-                let key: Vec<u64> = join_slots
-                    .iter()
-                    .map(|&s| row[s].expect("join slot bound in all input rows"))
-                    .collect();
+                let hash = row_hash(&row, &join_slots).expect("join slot bound in all input rows");
                 let mut out = Vec::new();
-                if let Some(matches) = table.get(&key) {
-                    'outer: for m in matches {
-                        let mut merged = row.clone();
-                        for &s in &slots {
-                            match (merged[s], m[s]) {
-                                (Some(a), Some(b)) if a != b => continue 'outer,
-                                (None, b) => merged[s] = b,
-                                _ => {}
-                            }
-                        }
-                        out.push(merged);
+                'outer: for m in chains.bucket(hash).map(|i| &inner[i]) {
+                    if join_slots.iter().any(|&s| m[s] != row[s]) {
+                        continue;
                     }
+                    let mut merged = row.clone();
+                    for &s in &slots {
+                        match (merged[s], m[s]) {
+                            (Some(a), Some(b)) if a != b => continue 'outer,
+                            (None, b) => merged[s] = b,
+                            _ => {}
+                        }
+                    }
+                    out.push(merged);
                 }
                 out.into_iter()
             }))
@@ -1626,33 +1622,57 @@ fn eval_step_inner<'it>(ctx: &'it EvalCtx, step: &'it Step, input: BoxIter<'it>)
 /// Builds a hash-join build side: the step's pattern scanned with
 /// constants only, keyed by the join positions.
 fn build_table(ctx: &EvalCtx, step: &Step, join_slots: &[usize]) -> BuildTable {
-    let mut table = BuildTable::default();
-    let mut rows = 0u64;
-    if !step.triple.unsatisfiable() {
-        let positions = key_positions(&step.triple, join_slots);
-        let row_bytes = BUILD_ROW_BYTES + positions.len() as u64 * 8;
-        for quad in ctx.view.scan(step.triple.const_pattern()) {
-            let key: Vec<u64> = positions.iter().map(|&p| quad[p]).collect();
-            table.entry(key).or_default().push(quad);
-            rows += 1;
-            // Build sides charge no rows, so route this blocked phase
-            // through the periodic deadline/cancel check and the memory
-            // budget in chunks — one atomic op per chunk, not per quad.
-            if rows % MEM_CHARGE_CHUNK == 0
-                && (!ctx.tick(MEM_CHARGE_CHUNK) || !ctx.charge_mem(MEM_CHARGE_CHUNK * row_bytes))
-            {
-                return table;
-            }
-        }
-        let rem = rows % MEM_CHARGE_CHUNK;
-        if rem > 0 {
-            let _ = ctx.tick(rem) && ctx.charge_mem(rem * row_bytes);
-        }
-    }
+    build_table_capped(ctx, step, join_slots, join_table::MAX_ROWS)
+}
+
+/// [`build_table`] with at most `cap` rows: a larger build side exhausts
+/// the query's resources. A build cut short (budget, deadline, cancel,
+/// cap) returns an empty table: the query has already failed.
+fn build_table_capped(ctx: &EvalCtx, step: &Step, join_slots: &[usize], cap: usize) -> BuildTable {
+    let positions = key_positions(&step.triple, join_slots);
+    let mut quads = Vec::new();
+    let complete =
+        step.triple.unsatisfiable() || scan_build_side(ctx, step, &positions, cap, &mut quads);
     if telemetry::enabled() {
-        crate::metrics::hash_build_rows().record(rows);
+        crate::metrics::hash_build_rows().record(quads.len() as u64);
     }
-    table
+    if !complete {
+        quads = Vec::new();
+    }
+    BuildTable::new(quads, positions)
+}
+
+/// Scans `step`'s constants-only pattern into `quads`, charging as it
+/// goes. `false` once a limit stops the scan.
+fn scan_build_side(
+    ctx: &EvalCtx,
+    step: &Step,
+    positions: &[usize],
+    cap: usize,
+    quads: &mut Vec<quadstore::EncodedQuad>,
+) -> bool {
+    let row_bytes = BUILD_ROW_BYTES + positions.len() as u64 * 8;
+    for quad in ctx.view.scan(step.triple.const_pattern()) {
+        if quads.len() == cap {
+            ctx.exhaust(format!("a hash-join build side holds more than {cap} rows"));
+            return false;
+        }
+        quads.push(quad);
+        let rows = quads.len() as u64;
+        // Build sides charge no rows, so route this blocked phase
+        // through the periodic deadline/cancel check and the memory
+        // budget in chunks — one atomic op per chunk, not per quad.
+        if rows % MEM_CHARGE_CHUNK == 0
+            && (!ctx.tick(MEM_CHARGE_CHUNK) || !ctx.charge_mem(MEM_CHARGE_CHUNK * row_bytes))
+        {
+            return false;
+        }
+    }
+    let rem = quads.len() as u64 % MEM_CHARGE_CHUNK;
+    if rem > 0 {
+        let _ = ctx.tick(rem) && ctx.charge_mem(rem * row_bytes);
+    }
+    true
 }
 
 /// Lazily-built hash join: the build side is materialised into a hash
@@ -1664,6 +1684,8 @@ struct HashJoinIter<'it> {
     join_slots: &'it [usize],
     input: BoxIter<'it>,
     cell: Arc<OnceLock<BuildTable>>,
+    /// The current probe key (reused across rows).
+    key: Vec<u64>,
     pending: std::vec::IntoIter<Row>,
 }
 
@@ -1675,7 +1697,15 @@ impl<'it> HashJoinIter<'it> {
         input: BoxIter<'it>,
     ) -> Self {
         let cell = ctx.build_cell(step);
-        HashJoinIter { ctx, step, join_slots, input, cell, pending: Vec::new().into_iter() }
+        HashJoinIter {
+            ctx,
+            step,
+            join_slots,
+            input,
+            cell,
+            key: Vec::with_capacity(join_slots.len()),
+            pending: Vec::new().into_iter(),
+        }
     }
 }
 
@@ -1714,25 +1744,20 @@ impl Iterator for HashJoinIter<'_> {
                 }
                 continue;
             }
-            let key: Vec<u64> = self
-                .join_slots
-                .iter()
-                .map(|&s| row[s].expect("checked above"))
-                .collect();
+            self.key.clear();
+            self.key.extend(self.join_slots.iter().map(|&s| row[s].expect("checked above")));
             let (ctx, step, join_slots) = (self.ctx, self.step, self.join_slots);
             let table = self.cell.get_or_init(|| build_table(ctx, step, join_slots));
-            if let Some(quads) = table.get(&key) {
-                let mut out = Vec::with_capacity(quads.len());
-                for quad in quads {
-                    if let Some(new_row) = extend_row(&row, &self.step.triple, quad) {
-                        if !self.ctx.charge(1) {
-                            return None;
-                        }
-                        out.push(new_row);
+            let mut out = Vec::new();
+            for quad in table.get(&self.key) {
+                if let Some(new_row) = extend_row(&row, &self.step.triple, quad) {
+                    if !self.ctx.charge(1) {
+                        return None;
                     }
+                    out.push(new_row);
                 }
-                self.pending = out.into_iter();
             }
+            self.pending = out.into_iter();
         }
     }
 }
@@ -2281,7 +2306,7 @@ impl std::hash::Hasher for IdHasher {
     }
 
     fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+        self.0 = mix(self.0, n);
     }
 
     fn write_usize(&mut self, n: usize) {
@@ -2294,6 +2319,12 @@ impl std::hash::Hasher for IdHasher {
 }
 
 type IdHashState = std::hash::BuildHasherDefault<IdHasher>;
+
+/// [`IdHasher`]'s step: one ID word mixed into a running hash by
+/// multiply-rotate.
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26)
+}
 
 /// Group key -> one accumulator per aggregate.
 type GroupMap = HashMap<Vec<Option<u64>>, Vec<Acc>, IdHashState>;

@@ -991,8 +991,7 @@ impl<'p> VecPipeline<'p> {
                     for (dst, ks) in key.iter_mut().zip(key_srcs) {
                         *dst = ks.value(&batch, i);
                     }
-                    let Some(quads) = table.get(key.as_slice()) else { continue };
-                    for quad in quads {
+                    for quad in table.get(&key) {
                         if checks.iter().any(|(pos, vs)| quad[*pos] != vs.value(&batch, i))
                             || same.iter().any(|&(a, b)| quad[a] != quad[b])
                         {

@@ -28,10 +28,12 @@ cargo test --release -q --test parallel_equivalence
 # overflow wraps instead of panicking.
 cargo test --release -q -p quadstore
 
-# Join strategies (optimizer, forced NLJ, forced hash; cycles closed by
-# span intersection) must agree on random data, also under optimized
-# codegen, where integer overflow wraps instead of panicking.
-cargo test --release -q -p sparql --test engine_props
+# The query engine's own tests under optimized codegen, where integer
+# overflow wraps instead of panicking: join strategies (optimizer, forced
+# NLJ, forced hash; cycles closed by span intersection) agreeing on random
+# data (engine_props), the hash-join table's u32 row indices against a
+# naive oracle (unit tests), resource limits and executor corner cases.
+cargo test --release -q -p sparql
 
 # MVCC snapshot isolation under real concurrency: writers toggling
 # multi-quad edge shapes in all three encodings while readers run the

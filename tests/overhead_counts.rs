@@ -13,8 +13,9 @@
 //! Planning is counted the same way: one write must not change what a
 //! compile allocates. Plan-cache reuse is counted too: texts that differ
 //! only in lifted constants compile once per cached variant, not once per
-//! text. Its own binary with a single test, because it flips the process-wide
-//! telemetry and recorder flags.
+//! text. A hash join's build side is counted too: its allocations must not
+//! grow with the distinct keys it holds. Its own binary with a single
+//! test, because it flips the process-wide telemetry and recorder flags.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +24,7 @@ use std::time::Duration;
 use pgrdf::{GovernorConfig, PgRdfModel, PgVocab};
 use pgrdf_bench::{Eq, Fixture};
 use rdf_model::{Quad, Term};
-use sparql::{CancelToken, ExecLimits, ExecOptions};
+use sparql::{CancelToken, CompileOptions, ExecLimits, ExecOptions, ForcedJoin};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -192,6 +193,38 @@ fn per_query_overheads_do_not_grow_with_rows() {
     println!("200 lookups: {compiled} compiles, {} cached variants", cache.len());
     assert_eq!(compiled as usize, cache.len(), "every compile is a variant still cached");
     assert!(compiled <= 20, "200 texts of 5 shapes compiled {compiled} times");
+
+    // A hash-join build side is one flat table: its allocations do not
+    // grow with its distinct keys. The same ten probes run against
+    // builds of 1,000 and 20,000 distinct keys.
+    let keyed = quadstore::Store::new();
+    keyed.create_model("m").expect("model");
+    let n = |i: u64| Term::iri(format!("urn:n{i}"));
+    let mut quads = Vec::new();
+    for (p, keys) in [("urn:small", 1_000u64), ("urn:large", 20_000)] {
+        quads.extend((0..keys).map(|i| Quad::triple(n(i), Term::iri(p), n(i + 1)).expect("quad")));
+    }
+    quads.extend((0..10).map(|i| Quad::triple(n(0), Term::iri("urn:q"), n(i * 97)).expect("quad")));
+    keyed.bulk_load("m", &quads).expect("load");
+    let view = keyed.dataset("m").expect("dataset");
+    let hash_join = |build: &str| {
+        let text = format!("SELECT * WHERE {{ ?a <urn:q> ?k . ?k <{build}> ?v }}");
+        let query = sparql::parse_query(&text).expect("parse");
+        let options = CompileOptions { force_join: Some(ForcedJoin::Hash), ..Default::default() };
+        let plan = sparql::compile_with(&view, &query, options).expect("compile");
+        counted(|| {
+            let results = sparql::execute_compiled_with_options(&view, &plan, bare.clone());
+            results.expect("execute").into_solutions().expect("solutions").len()
+        })
+    };
+    let (small, small_rows) = hash_join("urn:small");
+    let (large, large_rows) = hash_join("urn:large");
+    println!("hash join: {small} allocations over 1,000 build keys, {large} over 20,000");
+    assert!(small_rows == 10 && large_rows == 10, "row counts {small_rows} and {large_rows}");
+    assert!(
+        small.abs_diff(large) < 64,
+        "a build side allocated {small} times for 1,000 keys and {large} for 20,000"
+    );
 }
 
 /// Allocations and rows of the executor alone running `text` once warm.
