@@ -194,15 +194,7 @@ impl DatasetView {
         positions: &[usize],
         cols: &mut [Vec<u64>],
     ) -> usize {
-        let mut n = 0;
-        for m in &self.members {
-            let (lo, hi) = m.base_span(pattern, None);
-            n += m.scan_base_span_columns(pattern, lo, hi, None, positions, cols);
-            if m.has_delta_added() {
-                n += m.scan_delta_columns(pattern, positions, cols);
-            }
-        }
-        n
+        self.members.iter().map(|m| m.scan_columns(pattern, positions, cols)).sum()
     }
 
     /// Splits the scan of `pattern` into fixed-size morsels: contiguous

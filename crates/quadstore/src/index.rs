@@ -186,6 +186,22 @@ pub(crate) fn push_columns(
     count
 }
 
+/// The first index at or after `from` where `below` turns false, for a
+/// `below` that holds on a prefix of `items` and fails on the rest:
+/// exponential probing from `from`, then a binary search of the last
+/// leap, so a forward walk pays O(log gap) per seek rather than
+/// O(log len).
+pub fn gallop<T>(items: &[T], from: usize, mut below: impl FnMut(&T) -> bool) -> usize {
+    let (mut lo, mut hi, mut step) = (from, from, 1);
+    while hi < items.len() && below(&items[hi]) {
+        lo = hi + 1;
+        hi += step;
+        step *= 2;
+    }
+    let hi = hi.min(items.len());
+    lo + items[lo..hi].partition_point(below)
+}
+
 /// A sorted-array index over the quads of one semantic model.
 #[derive(Debug, Clone)]
 pub struct SortedIndex {
@@ -264,12 +280,38 @@ impl SortedIndex {
     }
 
     /// The contiguous key range whose first `prefix.len()` components equal
-    /// `prefix`. `prefix` may be empty (full index scan).
+    /// `prefix`. `prefix` may be empty (full index scan). One binary search
+    /// finds the start; the end gallops forward from it, so a short span
+    /// (a point probe's 0 or 1 keys) costs a few comparisons near `lo`
+    /// instead of a second root-to-leaf search.
     fn prefix_range(&self, prefix: &[u64]) -> (usize, usize) {
-        debug_assert!(prefix.len() <= 4);
-        let lo = self.keys.partition_point(|k| k[..prefix.len()] < *prefix);
-        let hi = self.keys.partition_point(|k| k[..prefix.len()] <= *prefix);
-        (lo, hi)
+        let n = prefix.len();
+        debug_assert!(n <= 4);
+        if n == 0 {
+            return (0, self.keys.len());
+        }
+        let lo = self.keys.partition_point(|k| k[..n] < *prefix);
+        (lo, gallop(&self.keys, lo, |k| k[..n] == *prefix))
+    }
+
+    /// The span of the keys whose first `n` components equal `pattern`'s
+    /// values there (each of them bound), with the prefix built on the
+    /// stack.
+    pub(crate) fn prefix_span(&self, pattern: &QuadPattern, n: usize) -> (usize, usize) {
+        let mut prefix = [0u64; 4];
+        for (i, slot) in prefix.iter_mut().enumerate().take(n) {
+            *slot = pattern.bound(self.kind.position_at(i)).expect("prefix position bound");
+        }
+        self.prefix_range(&prefix[..n])
+    }
+
+    /// The run `[a, b)` of keys in `[from, hi)` whose component `slot`
+    /// equals `k`, where the keys of `[from, hi)` are sorted on `slot`:
+    /// two gallops from `from`, so a seek costs O(log gap) past the last.
+    pub(crate) fn seek_run(&self, from: usize, hi: usize, slot: usize, k: u64) -> (usize, usize) {
+        let keys = &self.keys[..hi];
+        let a = gallop(keys, from, |key| key[slot] < k);
+        (a, gallop(keys, a, |key| key[slot] == k))
     }
 
     /// Index range scan: yields quads (decoded back to SPOG order) whose
@@ -304,12 +346,7 @@ impl SortedIndex {
     /// on the stack: every scan, count and estimate runs this once per
     /// index probe, so an allocation here would be one per probed row.
     pub fn pattern_span(&self, pattern: &QuadPattern) -> (usize, usize) {
-        let n = self.kind.bound_prefix_len(pattern);
-        let mut prefix = [0u64; 4];
-        for (i, slot) in prefix.iter_mut().enumerate().take(n) {
-            *slot = pattern.bound(self.kind.position_at(i)).expect("prefix position bound");
-        }
-        self.prefix_range(&prefix[..n])
+        self.prefix_span(pattern, self.kind.bound_prefix_len(pattern))
     }
 
     /// Scans an absolute key sub-span (clamped to the index length),
@@ -502,6 +539,45 @@ mod tests {
         assert_eq!(idx.prefix_count(&[10, 3]), 2);
         assert_eq!(idx.prefix_count(&[99]), 0);
         assert_eq!(idx.prefix_count(&[]), 5);
+    }
+
+    /// The galloping end search against the two-binary-search oracle:
+    /// random indexes (empty ones too) under every key order, and prefixes
+    /// of 0-4 components taken from the first key, the last key, a random
+    /// key, or random values (spans at either end, inside, and empty).
+    #[test]
+    fn prefix_range_matches_two_binary_searches() {
+        let mut r = twittergen::rng::Rng::seed_from_u64(31);
+        for case in 0..600 {
+            let quads: Vec<EncodedQuad> = (0..r.gen_range(0..80))
+                .map(|_| [1..4, 1..4, 1..6, 0..3].map(|range| r.gen_range(range) as u64))
+                .collect();
+            let idx = SortedIndex::build(IndexKind::STANDARD_SIX[case % 6], &quads);
+            for _ in 0..20 {
+                let n = r.gen_range(0..5);
+                let pick = r.gen_range(0..4);
+                let prefix: Vec<u64> = match (pick, idx.keys.len()) {
+                    (0, len) if len > 0 => idx.keys[0][..n].to_vec(),
+                    (1, len) if len > 0 => idx.keys[len - 1][..n].to_vec(),
+                    (2, len) if len > 0 => idx.keys[r.gen_range(0..len)][..n].to_vec(),
+                    _ => (0..n).map(|_| r.gen_range(0..7) as u64).collect(),
+                };
+                let lo = idx.keys.partition_point(|k| k[..n] < *prefix);
+                let hi = idx.keys.partition_point(|k| k[..n] <= *prefix);
+                assert_eq!(idx.prefix_range(&prefix), (lo, hi), "case {case} prefix {prefix:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_finds_the_first_failing_item_from_any_start() {
+        let items: Vec<u64> = (0..100).map(|i| i / 3).collect();
+        for x in 0..36 {
+            for from in 0..=items.len() {
+                let want = from.max(items.partition_point(|&k| k < x));
+                assert_eq!(gallop(&items, from, |&k| k < x), want, "x {x} from {from}");
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod bulk;
+pub mod cursor;
 pub mod dataset;
 pub mod durable;
 pub mod error;
@@ -35,12 +36,13 @@ pub mod stats;
 pub mod store;
 pub mod wal;
 
+pub use cursor::SpanCursor;
 pub use dataset::{DatasetView, Morsel};
 pub use durable::{DurableStore, RetryPolicy, SyncPolicy};
 pub use error::StoreError;
 pub use faults::{FaultOp, FaultPlan, FaultyVfs, RealFs, ScheduledFault, Vfs};
 pub use ids::{EncodedQuad, GraphConstraint, QuadPattern};
-pub use index::{Component, IndexKind, SortedIndex};
+pub use index::{gallop, Component, IndexKind, SortedIndex};
 pub use model::{AccessPath, SemanticModel};
 pub use persist::{recover_from_dir, Recovered};
 pub use stats::{

@@ -418,6 +418,38 @@ impl SemanticModel {
         cols: &mut [Vec<u64>],
     ) -> usize {
         let idx = self.index_for(pattern, prefer);
+        self.scan_index_columns(idx, pattern, lo, hi, positions, cols)
+    }
+
+    /// Columnar twin of [`Self::scan`]: the whole base span of `pattern`
+    /// and then the insert delta, into one ID column per requested quad
+    /// position. The access path is resolved once for both parts.
+    pub(crate) fn scan_columns(
+        &self,
+        pattern: &QuadPattern,
+        positions: &[usize],
+        cols: &mut [Vec<u64>],
+    ) -> usize {
+        let idx = self.index_for(pattern, None);
+        let (lo, hi) = idx.pattern_span(pattern);
+        let mut n = self.scan_index_columns(idx, pattern, lo, hi, positions, cols);
+        if self.has_delta_added() {
+            n += self.delta_columns(idx.kind(), pattern, positions, cols);
+        }
+        n
+    }
+
+    /// [`Self::scan_base_span_columns`] over a sub-span of `idx`, one of
+    /// this model's indexes, already resolved by the caller.
+    pub(crate) fn scan_index_columns(
+        &self,
+        idx: &SortedIndex,
+        pattern: &QuadPattern,
+        lo: usize,
+        hi: usize,
+        positions: &[usize],
+        cols: &mut [Vec<u64>],
+    ) -> usize {
         let count = if self.delta_removed.is_empty() {
             idx.scan_span_columns(pattern, lo, hi, positions, cols)
         } else {
@@ -442,11 +474,21 @@ impl SemanticModel {
         positions: &[usize],
         cols: &mut [Vec<u64>],
     ) -> usize {
+        self.delta_columns(self.choose_index(pattern).index, pattern, positions, cols)
+    }
+
+    /// [`Self::scan_delta_columns`], tallied against `kind`, the index the
+    /// caller resolved for `pattern`.
+    pub(crate) fn delta_columns(
+        &self,
+        kind: IndexKind,
+        pattern: &QuadPattern,
+        positions: &[usize],
+        cols: &mut [Vec<u64>],
+    ) -> usize {
         let count = push_columns(self.scan_delta(*pattern), positions, cols);
         if telemetry::enabled() {
-            crate::metrics::index_metrics(self.choose_index(pattern).index)
-                .rows_matched
-                .add(count as u64);
+            crate::metrics::index_metrics(kind).rows_matched.add(count as u64);
             crate::metrics::delta_hits().add(count as u64);
         }
         count

@@ -432,6 +432,7 @@ impl BgpPlanner<'_> {
         }
         if self.force_join.is_none() {
             self.fuse_cycles(&mut steps, &planned);
+            self.merge_sorted(&mut steps, &planned);
         }
         // What access path will the probe use? (For EXPLAIN.) At probe
         // time only the *join* slots are bound — reflect exactly those in
@@ -476,6 +477,41 @@ impl BgpPlanner<'_> {
             }
             k = end;
         }
+    }
+
+    /// The merge-join pass, applied after [`Self::fuse_cycles`]. The drive
+    /// scan (step 0) emits each member's index span in order, so the
+    /// variable at the first unbound position of every member's index for
+    /// it arrives sorted within each morsel; every operator after the
+    /// drive emits its output row by row in input order, so the variable
+    /// stays sorted down the chain. A hash join on that variable alone
+    /// becomes [`Strategy::Merge`] when every member's index for the
+    /// step's probe orders the step's constants and then the variable:
+    /// successive probes then read successive runs of one span.
+    fn merge_sorted(&self, steps: &mut [Step], planned: &[Planned]) {
+        let Some(drive) = steps.first() else { return };
+        let sorted = drive.triple.var_positions().find(|&(pos, v)| {
+            !planned[0].joined[pos]
+                && drive.triple.sole_position(v).is_some()
+                && self.sorted_on(&drive.triple, planned[0].joined, pos)
+        });
+        let Some((_, v)) = sorted else { return };
+        for (step, p) in steps.iter_mut().zip(planned).skip(1) {
+            if matches!(&step.strategy, Strategy::HashJoin { join_slots } if join_slots == &[v])
+                && self.merges(&step.triple, p.joined, v)
+            {
+                step.strategy = Strategy::Merge { on: v };
+            }
+        }
+    }
+
+    /// Whether every member's index for `triple`'s probe with `joined`
+    /// positions bound ends its bound prefix with `v`'s one position: what
+    /// [`DatasetView::span_cursor`] walks.
+    fn merges(&self, triple: &CTriple, joined: [bool; 4], v: usize) -> bool {
+        let Some(pos) = triple.sole_position(v) else { return false };
+        let probe = probe_shape(triple, joined);
+        !triple.unsatisfiable() && self.view.span_cursor(&probe, pos).is_some()
     }
 
     /// The variable an expand step binds: its only unbound position's

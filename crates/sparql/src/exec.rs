@@ -1603,16 +1603,19 @@ fn eval_step_inner<'it>(ctx: &'it EvalCtx, step: &'it Step, input: BoxIter<'it>)
     match &step.strategy {
         // Yields as it scans: a consumer that stops pulling ends the scan.
         // A closing step of a cycle is the same probe: fully bound, it
-        // replicates each row once per matching quad.
-        Strategy::IndexNlj | Strategy::Intersect { .. } => Box::new(input.flat_map(move |row| {
-            let scan = probe_pattern(&row, &step.triple).map(move |pattern| {
-                ctx.view
-                    .scan(pattern)
-                    .filter_map(move |quad| extend_row(&row, &step.triple, &quad))
-                    .take_while(move |_| ctx.charge(1))
-            });
-            scan.into_iter().flatten()
-        })),
+        // replicates each row once per matching quad. A merge step is the
+        // same probe too, whatever order its rows arrive in.
+        Strategy::IndexNlj | Strategy::Intersect { .. } | Strategy::Merge { .. } => {
+            Box::new(input.flat_map(move |row| {
+                let scan = probe_pattern(&row, &step.triple).map(move |pattern| {
+                    ctx.view
+                        .scan(pattern)
+                        .filter_map(move |quad| extend_row(&row, &step.triple, &quad))
+                        .take_while(move |_| ctx.charge(1))
+                });
+                scan.into_iter().flatten()
+            }))
+        }
         Strategy::HashJoin { join_slots } => {
             Box::new(HashJoinIter::new(ctx, step, join_slots, input))
         }

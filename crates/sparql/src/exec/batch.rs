@@ -28,6 +28,7 @@
 //! them.
 
 use super::*;
+use quadstore::SpanCursor;
 
 /// Per-slot static binding state during pipeline compilation.
 #[derive(Clone, Copy, PartialEq)]
@@ -116,6 +117,20 @@ enum VecOp<'p> {
         binds: Vec<(usize, usize)>,
         keep: Vec<usize>,
     },
+    /// Merge join ([`Strategy::Merge`]): a [`Self::Probe`] whose per-row
+    /// spans are runs of one index span that the rows, sorted on the key,
+    /// meet in ascending order. Each worker reads them through its own
+    /// copy of `cursor`, galloping forward from the last run, so it emits
+    /// exactly the probe's rows in the probe's order.
+    Merge {
+        step: &'p Step,
+        spec: ProbeSpec,
+        cursor: SpanCursor,
+        positions: Vec<usize>,
+        same: Vec<(usize, usize)>,
+        binds: Vec<(usize, usize)>,
+        keep: Vec<usize>,
+    },
     /// Pure existence/multiplicity check: every position statically
     /// bound, so each input row is replicated `count_matches` times.
     Count { step: &'p Step, spec: ProbeSpec, keep: Vec<usize> },
@@ -154,9 +169,10 @@ impl<'p> VecOp<'p> {
     /// The plan steps this operator runs (their profile tally keys).
     fn steps(&self) -> impl Iterator<Item = &'p Step> + '_ {
         let (head, closes): (Option<&'p Step>, &[Close<'p>]) = match self {
-            VecOp::Probe { step, .. } | VecOp::Count { step, .. } | VecOp::Hash { step, .. } => {
-                (Some(*step), &[])
-            }
+            VecOp::Probe { step, .. }
+            | VecOp::Merge { step, .. }
+            | VecOp::Count { step, .. }
+            | VecOp::Hash { step, .. } => (Some(*step), &[]),
             VecOp::Intersect { step, closes, .. } => (Some(*step), closes),
             VecOp::Filter { .. } => (None, &[]),
         };
@@ -195,6 +211,8 @@ struct OpMemo {
     count: usize,
     /// Intersect ops: one memo per closing step.
     closes: Vec<CloseMemo>,
+    /// Merge ops: this worker's forward cursor.
+    cursor: Option<SpanCursor>,
 }
 
 /// A closing step's candidates for the merge variable under its current
@@ -270,7 +288,7 @@ fn intersect_row(
         let mut n = 1u64;
         for cm in closes.iter_mut() {
             cm.loops += n;
-            cm.at = gallop(&cm.keys, cm.at, x);
+            cm.at = quadstore::gallop(&cm.keys, cm.at, |&k| k < x);
             if cm.keys.get(cm.at) != Some(&x) {
                 n = 0;
                 break;
@@ -286,20 +304,6 @@ fn intersect_row(
     produced
 }
 
-/// The first index at or after `from` whose key is not below `x`:
-/// exponential probing, then a binary search, so a sorted walk pays
-/// O(log gap) per step.
-fn gallop(keys: &[u64], from: usize, x: u64) -> usize {
-    let (mut lo, mut hi, mut step) = (from, from, 1);
-    while hi < keys.len() && keys[hi] < x {
-        lo = hi + 1;
-        hi += step;
-        step *= 2;
-    }
-    let hi = hi.min(keys.len());
-    lo + keys[lo..hi].partition_point(|&k| k < x)
-}
-
 /// Per-worker mutable pipeline state (memoization only; everything else
 /// lives on the stack of `run_morsel`).
 pub(super) struct VecState {
@@ -311,16 +315,23 @@ impl VecState {
         let mut memos = Vec::with_capacity(pipe.ops.len());
         for op in &pipe.ops {
             let (nvals, ncloses) = match op {
-                VecOp::Probe { positions, .. } => (positions.len(), 0),
+                VecOp::Probe { positions, .. } | VecOp::Merge { positions, .. } => {
+                    (positions.len(), 0)
+                }
                 VecOp::Hash { binds, .. } => (binds.len(), 0),
                 VecOp::Intersect { closes, .. } => (1, closes.len()),
                 _ => (0, 0),
+            };
+            let cursor = match op {
+                VecOp::Merge { cursor, .. } => Some(cursor.clone()),
+                _ => None,
             };
             memos.push(OpMemo {
                 pattern: None,
                 vals: vec![Vec::new(); nvals],
                 count: 0,
                 closes: vec![CloseMemo::default(); ncloses],
+                cursor,
             });
         }
         VecState { memos }
@@ -493,10 +504,32 @@ impl<'p> VecPipeline<'p> {
                 Stage::Steps(steps) => {
                     for (idx, step) in steps.iter().enumerate() {
                         let draft = match &step.strategy {
-                            Strategy::IndexNlj => {
+                            Strategy::IndexNlj | Strategy::Merge { .. } => {
                                 let (spec, reads) = probe_spec(&step.triple, &bind)?;
                                 let (binds_all, same) = triple_binds(&step.triple, &mut bind)?;
-                                if binds_all.is_empty() {
+                                // A base-row constant can bind a position
+                                // the planner left free and move the
+                                // probe to another index: then the merge
+                                // step probes like any other.
+                                let cursor = match &step.strategy {
+                                    Strategy::Merge { on } => merge_cursor(ctx, step, &spec, *on),
+                                    _ => None,
+                                };
+                                if let Some(cursor) = cursor {
+                                    Draft {
+                                        op: VecOp::Merge {
+                                            step,
+                                            spec,
+                                            cursor,
+                                            positions: Vec::new(),
+                                            same,
+                                            binds: Vec::new(),
+                                            keep: Vec::new(),
+                                        },
+                                        reads,
+                                        binds_all,
+                                    }
+                                } else if binds_all.is_empty() {
                                     Draft {
                                         op: VecOp::Count { step, spec, keep: Vec::new() },
                                         reads,
@@ -652,11 +685,14 @@ impl<'p> VecPipeline<'p> {
                 .copied()
                 .filter(|&(_, slot)| need_from[k + 1][slot])
                 .collect();
-            if let VecOp::Probe { positions, same, .. } = &mut op {
+            if let VecOp::Probe { positions, same, .. } | VecOp::Merge { positions, same, .. } =
+                &mut op
+            {
                 (*positions, *same) = scan_layout(&bind_list, same);
             }
             match &mut op {
                 VecOp::Probe { binds, keep, .. }
+                | VecOp::Merge { binds, keep, .. }
                 | VecOp::Hash { binds, keep, .. }
                 | VecOp::Intersect { binds, keep, .. } => {
                     *binds = bind_list.clone();
@@ -898,7 +934,8 @@ impl<'p> VecPipeline<'p> {
                 }
                 Some(gather_batch(&batch, &src, keep, &[], Vec::new(), nvars))
             }
-            VecOp::Probe { spec, positions, same, binds, keep, .. } => {
+            VecOp::Probe { spec, positions, same, binds, keep, .. }
+            | VecOp::Merge { spec, positions, same, binds, keep, .. } => {
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
                 let mut src: Vec<u32> = Vec::new();
@@ -907,7 +944,10 @@ impl<'p> VecPipeline<'p> {
                     let pat = spec.pattern(&batch, i);
                     if memo.pattern != Some(pat) {
                         memo.vals.iter_mut().for_each(Vec::clear);
-                        memo.count = ctx.view.scan_columns(&pat, positions, &mut memo.vals);
+                        memo.count = match &mut memo.cursor {
+                            Some(cursor) => cursor.scan_columns(&pat, positions, &mut memo.vals),
+                            None => ctx.view.scan_columns(&pat, positions, &mut memo.vals),
+                        };
                         if !same.is_empty() {
                             memo.count = retain_same(&mut memo.vals, same, memo.count);
                         }
@@ -1180,10 +1220,15 @@ impl ProbeSpec {
     /// The per-row probe pattern (mirrors [`probe_pattern`] over a row
     /// whose bound slots come from columns and base constants).
     fn pattern(&self, batch: &Batch, i: usize) -> QuadPattern {
+        self.pattern_with(|s| batch.col(s)[i])
+    }
+
+    /// The probe pattern with every column position bound to `col(slot)`.
+    fn pattern_with(&self, col: impl Fn(usize) -> u64) -> QuadPattern {
         let get = |ps: &PosSpec| match ps {
             PosSpec::Any => None,
             PosSpec::Const(id) => Some(TermId(*id)),
-            PosSpec::Col(s) => Some(TermId(batch.col(*s)[i])),
+            PosSpec::Col(s) => Some(TermId(col(*s))),
         };
         QuadPattern {
             s: get(&self.s),
@@ -1191,7 +1236,7 @@ impl ProbeSpec {
             o: get(&self.o),
             g: match &self.g {
                 GSpec::Fixed(g) => *g,
-                GSpec::Col(s) => GraphConstraint::Named(TermId(batch.col(*s)[i])),
+                GSpec::Col(s) => GraphConstraint::Named(TermId(col(*s))),
             },
         }
     }
@@ -1385,6 +1430,16 @@ fn filter_spec<'p>(
 fn hash_join_slots(step: &Step) -> &[usize] {
     match &step.strategy {
         Strategy::HashJoin { join_slots } => join_slots,
-        Strategy::IndexNlj | Strategy::Intersect { .. } => unreachable!("hash op on probe step"),
+        Strategy::IndexNlj | Strategy::Intersect { .. } | Strategy::Merge { .. } => {
+            unreachable!("hash op on probe step")
+        }
     }
+}
+
+/// The forward cursor a merge step on slot `on` reads its spans through,
+/// or `None` when the step's probe (as `spec` builds it, base constants
+/// included) does not end its bound prefix with `on` in every member.
+fn merge_cursor(ctx: &EvalCtx, step: &Step, spec: &ProbeSpec, on: usize) -> Option<SpanCursor> {
+    let key = step.triple.sole_position(on)?;
+    ctx.view.span_cursor(&spec.pattern_with(|_| u64::MAX), key)
 }

@@ -361,6 +361,7 @@ fn step_strategy(vars: &VarTable, step: &Step) -> String {
             format!("HASH JOIN on {}", keys.join(","))
         }
         Strategy::Intersect { on } => format!("INTERSECT on ?{}", vars.name(*on)),
+        Strategy::Merge { on } => format!("MERGE JOIN on ?{}", vars.name(*on)),
     }
 }
 

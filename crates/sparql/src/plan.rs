@@ -152,14 +152,19 @@ impl CTriple {
             .chain(g)
     }
 
-    /// The quad position (S or O) of `slot`'s only occurrence in the
-    /// triple, or `None` when it occurs elsewhere or more than once.
-    pub(crate) fn sole_s_or_o(&self, slot: usize) -> Option<usize> {
+    /// The quad position of `slot`'s only occurrence in the triple, or
+    /// `None` when it occurs more than once (or not at all).
+    pub(crate) fn sole_position(&self, slot: usize) -> Option<usize> {
         let mut at = self.var_positions().filter(|&(_, s)| s == slot).map(|(pos, _)| pos);
         match (at.next(), at.next()) {
-            (Some(pos @ (quadstore::ids::S | quadstore::ids::O)), None) => Some(pos),
+            (Some(pos), None) => Some(pos),
             _ => None,
         }
+    }
+
+    /// [`Self::sole_position`] when it is S or O.
+    pub(crate) fn sole_s_or_o(&self, slot: usize) -> Option<usize> {
+        self.sole_position(slot).filter(|&pos| pos == quadstore::ids::S || pos == quadstore::ids::O)
     }
 
     /// The constants-only scan pattern (bound variables are not applied).
@@ -213,6 +218,18 @@ pub enum Strategy {
     /// existence count, which is how the reference evaluator runs it.
     Intersect {
         /// The slot the expand step binds and the spans are merged on.
+        on: usize,
+    },
+    /// Merge join: the step's probe rows arrive sorted on `on` (the drive
+    /// scan binds it in index order, and every operator after it keeps
+    /// input order), and every member's index for the probe orders the
+    /// step's constants and then `on`. The executor walks that index with
+    /// a forward cursor ([`quadstore::SpanCursor`]) instead of building a
+    /// hash table over the constants-only scan; semantically it is an
+    /// [`Self::IndexNlj`] probe, which is how the reference evaluator
+    /// runs it.
+    Merge {
+        /// The one join slot, which the probe rows arrive sorted on.
         on: usize,
     },
 }

@@ -31,7 +31,9 @@ cargo test --release -q -p quadstore
 # The query engine's own tests under optimized codegen, where integer
 # overflow wraps instead of panicking: join strategies (optimizer, forced
 # NLJ, forced hash; cycles closed by span intersection) agreeing on random
-# data (engine_props), the hash-join table's u32 row indices against a
+# data (engine_props), merge joins matching the reference, forced hash
+# and forced NLJ in rows, order and tallies across threads and morsel
+# sizes (merge_join), the hash-join table's u32 row indices against a
 # naive oracle (unit tests), resource limits and executor corner cases.
 cargo test --release -q -p sparql
 

@@ -182,3 +182,53 @@ fn eq6_sp_probes_edge_triples_by_index() {
         .unwrap_or_else(|| panic!("no Q-error on the step:\n{plan}"));
     assert!(q <= 16.0, "Q-error {q} of the edge-triple step:\n{plan}");
 }
+
+/// `topk`'s T7 in an encoding: the edge joined with its tag, ordered and
+/// cut to ten rows.
+fn t7_text(model: PgRdfModel) -> String {
+    let shape = match model {
+        PgRdfModel::NG => "GRAPH ?e { ?x r:follows ?y . ?e k:hasTag ?t }",
+        _ => "?x ?e ?y . ?e rdfs:subPropertyOf r:follows . ?e k:hasTag ?t",
+    };
+    let p = PgVocab::twitter().prefixes();
+    format!("{p}SELECT ?x ?y ?t WHERE {{ {shape} }} ORDER BY ?t ?x ?y LIMIT 10")
+}
+
+/// The plan of `text` over `model`'s edge-KV dataset (where EQ7 and
+/// `topk`'s T7 run), with its actuals at threads=1.
+fn analyzed_edge_plan(f: &Fixture, model: PgRdfModel, text: &str) -> String {
+    let dataset = f.dataset_for(Eq::Eq7, model);
+    let options = sparql::ExecOptions::threads(1);
+    let (rows, profile) = f.store(model).select_profiled_in(&dataset, text, options).unwrap();
+    assert_eq!(rows.len(), 10, "{}", profile.analyze);
+    profile.analyze
+}
+
+#[test]
+fn t7_sp_merge_joins_on_the_sorted_edge_iri() {
+    // SP's drive scans the `subPropertyOf` anchor through PCSGM [P, C],
+    // which emits `?e` in order: both joins on `?e` walk their index
+    // spans forward instead of hash-building the `hasTag` rows and a full
+    // scan of `?x ?e ?y`. NG's drive is not sorted on `?e`, so its join
+    // stays a hash join. At 0.01 scale the planner drives T7-SP from the
+    // anchor, as it does at pgbench's 0.05.
+    let f = Fixture::with_seed(0.01, 7);
+    let sp = analyzed_edge_plan(&f, PgRdfModel::SP, &t7_text(PgRdfModel::SP));
+    let joins: Vec<&str> = sp.lines().filter(|l| l.contains("JOIN")).collect();
+    assert_eq!(joins.len(), 2, "{sp}");
+    assert!(joins.iter().all(|l| l.contains("(MERGE JOIN on ?e)")), "{sp}");
+    assert!(joins.iter().all(|l| l.contains("range scan")), "merge steps probe an index:\n{sp}");
+    let ng = analyzed_edge_plan(&f, PgRdfModel::NG, &t7_text(PgRdfModel::NG));
+    assert!(ng.contains("(HASH JOIN on ?e)"), "{ng}");
+    assert!(!ng.contains("MERGE"), "{ng}");
+    // The cycle-closing fusion is untouched: EQ12 still intersects.
+    for model in [PgRdfModel::NG, PgRdfModel::SP] {
+        let text = f.query_text(Eq::Eq12, model);
+        let view = f.store(model).store().dataset(&f.dataset_for(Eq::Eq12, model)).unwrap();
+        let plan = sparql::explain::render(
+            &sparql::compile(&view, &sparql::parse_query(&text).unwrap()).unwrap(),
+        );
+        assert!(plan.contains("INTERSECT on ?"), "{model}:\n{plan}");
+        assert!(!plan.contains("MERGE"), "{model}:\n{plan}");
+    }
+}

@@ -14,8 +14,9 @@
 //! compile allocates. Plan-cache reuse is counted too: texts that differ
 //! only in lifted constants compile once per cached variant, not once per
 //! text. A hash join's build side is counted too: its allocations must not
-//! grow with the distinct keys it holds. Its own binary with a single
-//! test, because it flips the process-wide telemetry and recorder flags.
+//! grow with the distinct keys it holds, and a merge join builds none.
+//! Its own binary with a single test, because it flips the
+//! process-wide telemetry and recorder flags.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -225,6 +226,44 @@ fn per_query_overheads_do_not_grow_with_rows() {
         small.abs_diff(large) < 64,
         "a build side allocated {small} times for 1,000 keys and {large} for 20,000"
     );
+
+    // A merge join builds no table: `topk`'s T7 in SP walks both of its
+    // joins on `?e` through index spans (`pgrdf_hash_build_rows` records
+    // nothing), while NG still builds its `hasTag` rows, once. At 0.01
+    // scale SP drives T7 from the anchor, as at pgbench's 0.05.
+    let t7 = Fixture::with_seed(0.01, 7);
+    let mut built = Vec::new();
+    for model in [ng, PgRdfModel::SP] {
+        let shape = match model {
+            PgRdfModel::NG => "GRAPH ?e { ?x r:follows ?y . ?e k:hasTag ?t }",
+            _ => "?x ?e ?y . ?e rdfs:subPropertyOf r:follows . ?e k:hasTag ?t",
+        };
+        let p = PgVocab::twitter().prefixes();
+        let text = format!("{p}SELECT ?x ?y ?t WHERE {{ {shape} }} ORDER BY ?t ?x ?y LIMIT 10");
+        let dataset = t7.dataset_for(Eq::Eq7, model);
+        telemetry::set_enabled(true);
+        let before = hash_build_rows();
+        let rows = t7.store(model).select_in_with(&dataset, &text, bare.clone()).expect("T7");
+        let after = hash_build_rows();
+        telemetry::set_enabled(false);
+        assert_eq!(rows.len(), 10, "T7 {model}");
+        built.push((after.0 - before.0, after.1 - before.1));
+    }
+    println!("T7 hash builds (count, rows): NG {:?}, SP {:?}", built[0], built[1]);
+    assert!(built[0].0 == 1 && built[0].1 > 0, "T7-NG builds its hasTag rows once");
+    assert_eq!(built[1], (0, 0), "T7-SP builds no hash table");
+}
+
+/// `(count, sum)` of the `pgrdf_hash_build_rows` histogram.
+fn hash_build_rows() -> (u64, u64) {
+    telemetry::global()
+        .samples()
+        .into_iter()
+        .find(|s| s.name == "pgrdf_hash_build_rows")
+        .map_or((0, 0), |s| match s.value {
+            telemetry::MetricValue::Histogram { count, sum, .. } => (count, sum),
+            other => panic!("expected a histogram, got {other:?}"),
+        })
 }
 
 /// Allocations and rows of the executor alone running `text` once warm.
