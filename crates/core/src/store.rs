@@ -245,12 +245,6 @@ impl PgRdfStore {
         governor
     }
 
-    /// Shares an existing governor (several stores can gate on one
-    /// process-wide instance).
-    pub fn share_governor(&self, governor: Arc<Governor>) {
-        *self.governor.lock().expect("governor slot") = Some(governor);
-    }
-
     /// Removes the admission governor; queries run ungated again.
     pub fn clear_governor(&self) {
         *self.governor.lock().expect("governor slot") = None;
@@ -262,20 +256,13 @@ impl PgRdfStore {
     }
 
     /// Acquires an admission permit when a governor is installed. The
-    /// reservation is the query's effective memory budget (explicit
-    /// limit, else the process default, else the governor's default).
+    /// reservation is the query's memory budget, else the governor's
+    /// default.
     fn admit(&self, options: &ExecOptions) -> Result<Option<AdmissionPermit>, CoreError> {
         let governor = self.governor.lock().expect("governor slot").clone();
         match governor {
             None => Ok(None),
-            Some(g) => {
-                let reservation = options
-                    .limits
-                    .max_memory
-                    .or_else(sparql::default_max_memory)
-                    .unwrap_or(0);
-                g.admit(reservation).map(Some)
-            }
+            Some(g) => g.admit(options.limits.max_memory.unwrap_or(0)).map(Some),
         }
     }
 

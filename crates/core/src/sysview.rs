@@ -30,7 +30,7 @@
 
 use quadstore::{DatasetView, StorageReport, Store};
 use rdf_model::{GraphName, Literal, Quad, Term};
-use sparql::{ExecOptions, QueryResults, Solutions};
+use sparql::{ExecOptions, QueryResults};
 use telemetry::{MetricValue, QueryEvent};
 
 use crate::error::CoreError;
@@ -235,11 +235,6 @@ impl PgRdfStore {
         let parsed = sparql::parse_query(text)?;
         let compiled = sparql::compile(&view, &parsed)?;
         Ok(sparql::execute_compiled_with_options(&view, &compiled, options)?)
-    }
-
-    /// Runs a SELECT against the system graphs and returns solutions.
-    pub fn select_sys(&self, text: &str) -> Result<Solutions, CoreError> {
-        Ok(self.query_sys(text)?.into_solutions()?)
     }
 
     /// Renders the recorded span timeline of `query_id` as Chrome

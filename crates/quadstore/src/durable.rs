@@ -169,11 +169,6 @@ impl DurableStore {
         Ok(ds)
     }
 
-    /// Replaces the transient-failure retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
     /// The underlying in-memory store (read-only: all mutation must go
     /// through the logged methods).
     pub fn store(&self) -> &Store {

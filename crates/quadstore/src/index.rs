@@ -414,17 +414,6 @@ impl SortedIndex {
         push_columns(self.scan_span(*pattern, lo, hi), positions, cols)
     }
 
-    /// Extracts the bound-prefix values of `pattern` under this index's
-    /// order (stopping at the first unbound component). Scans build their
-    /// prefix on the stack ([`Self::pattern_span`]); this allocating form
-    /// is the independent construction property tests check them against.
-    pub fn prefix_for(&self, pattern: &QuadPattern) -> Vec<u64> {
-        let n = self.kind.bound_prefix_len(pattern);
-        (0..n)
-            .map(|i| pattern.bound(self.kind.0[i].quad_position()).unwrap())
-            .collect()
-    }
-
     /// Scans all quads matching `pattern`, applying residual filtering for
     /// components the prefix does not cover.
     pub fn scan<'a>(&'a self, pattern: QuadPattern) -> impl Iterator<Item = EncodedQuad> + 'a {

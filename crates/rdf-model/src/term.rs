@@ -31,11 +31,6 @@ impl Iri {
         &self.0
     }
 
-    /// Consumes the IRI and returns the underlying string.
-    pub fn into_string(self) -> String {
-        self.0
-    }
-
     /// True if the IRI is syntactically plausible (non-empty, free of
     /// whitespace and angle brackets). Used by the strict N-Quads parser.
     pub fn is_plausible(&self) -> bool {
@@ -308,14 +303,6 @@ impl Term {
     /// True for [`Term::Literal`]; this is what SPARQL's `isLiteral()` tests.
     pub fn is_literal(&self) -> bool {
         matches!(self, Term::Literal(_))
-    }
-
-    /// The IRI if this term is one.
-    pub fn as_iri(&self) -> Option<&Iri> {
-        match self {
-            Term::Iri(iri) => Some(iri),
-            _ => None,
-        }
     }
 
     /// The literal if this term is one.

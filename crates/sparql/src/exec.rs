@@ -62,8 +62,7 @@ pub struct ExecLimits {
     /// Abort once the estimated bytes of retained intermediate state
     /// (hash-join build sides, group-by partials, sort/DISTINCT buffers,
     /// path-search frontiers, morsel output buffers) exceed this budget
-    /// (`None` = fall back to the process-wide default, see
-    /// [`set_default_max_memory`]; a default of zero means unbounded).
+    /// (`None` = unbounded).
     pub max_memory: Option<u64>,
 }
 
@@ -93,23 +92,6 @@ impl ExecLimits {
 /// How often (in row charges or phase ticks) the deadline and the cancel
 /// token are checked.
 const DEADLINE_STRIDE: u64 = 1024;
-
-/// Process-wide default per-query memory budget in bytes (0 = none).
-static DEFAULT_MAX_MEMORY: AtomicU64 = AtomicU64::new(0);
-
-/// Sets the process-wide default per-query memory budget, applied to any
-/// execution whose [`ExecLimits::max_memory`] is unset. `0` clears it.
-pub fn set_default_max_memory(bytes: u64) {
-    DEFAULT_MAX_MEMORY.store(bytes, Ordering::Relaxed);
-}
-
-/// The process-wide default per-query memory budget, if one is set.
-pub fn default_max_memory() -> Option<u64> {
-    match DEFAULT_MAX_MEMORY.load(Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
 
 /// A shareable handle that cooperatively cancels one query execution.
 /// Cloning is cheap (an `Arc`); every clone observes the same flag. The
@@ -190,11 +172,9 @@ impl ExecObserver {
     }
 }
 
-/// Default number of driving-scan rows per morsel.
+/// Default number of driving-scan rows per morsel. The vectorized
+/// pipeline runs each morsel as one column batch.
 pub const DEFAULT_MORSEL_SIZE: usize = 2048;
-
-/// Default number of rows per column batch in the vectorized pipeline.
-pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 pub(crate) mod batch;
 mod join_table;
@@ -216,9 +196,6 @@ pub struct ExecOptions {
     pub morsel_size: usize,
     /// Cooperative cancellation token (`None` = not cancellable).
     pub cancel: Option<CancelToken>,
-    /// Rows per column batch in the vectorized pipeline (clamped to at
-    /// least 1).
-    pub batch_size: usize,
     /// Optional per-query observer (peak memory, resolved threads,
     /// span timeline) read by the flight recorder after execution.
     pub observer: Option<Arc<ExecObserver>>,
@@ -231,7 +208,6 @@ impl Default for ExecOptions {
             threads: 0,
             morsel_size: DEFAULT_MORSEL_SIZE,
             cancel: None,
-            batch_size: DEFAULT_BATCH_SIZE,
             observer: None,
         }
     }
@@ -241,12 +217,6 @@ impl ExecOptions {
     /// Options with an explicit worker thread count.
     pub fn threads(n: usize) -> ExecOptions {
         ExecOptions { threads: n, ..ExecOptions::default() }
-    }
-
-    /// Sets the worker thread count (0 = auto).
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
     }
 
     /// Sets resource limits.
@@ -264,12 +234,6 @@ impl ExecOptions {
     /// Attaches a cancellation token.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Sets the column batch size (clamped to at least 1).
-    pub fn with_batch_size(mut self, size: usize) -> Self {
-        self.batch_size = size.max(1);
         self
     }
 
@@ -357,9 +321,6 @@ pub struct EvalCtx {
     pub exists: Vec<Node>,
     computed: RwLock<Computed>,
     limits: ExecLimits,
-    /// Resolved memory budget: the per-query limit, else the process-wide
-    /// default at context-construction time.
-    max_memory: Option<u64>,
     /// Whether the strided periodic check has anything to look at (a
     /// deadline or a cancel token) — precomputed so the row-charge hot
     /// path pays nothing when neither is configured.
@@ -370,8 +331,6 @@ pub struct EvalCtx {
     /// Set only by [`execute_reference`]: every pattern streams through
     /// [`eval_node`] on the calling thread.
     reference: bool,
-    /// Rows per column batch in the vectorized pipeline.
-    batch_size: usize,
     charged: AtomicU64,
     next_deadline_check: AtomicU64,
     /// Phase ticks from rowless work (hash builds, aggregate finalization,
@@ -437,13 +396,11 @@ impl EvalCtx {
             exists,
             computed: RwLock::new(Computed::default()),
             limits: ExecLimits::default(),
-            max_memory: default_max_memory(),
             check_periodic: false,
             cancel: None,
             threads: 1,
             morsel_size: DEFAULT_MORSEL_SIZE,
             reference: false,
-            batch_size: DEFAULT_BATCH_SIZE,
             charged: AtomicU64::new(0),
             next_deadline_check: AtomicU64::new(DEADLINE_STRIDE),
             ticks: AtomicU64::new(0),
@@ -460,7 +417,6 @@ impl EvalCtx {
     /// Applies resource limits to this execution.
     pub fn with_limits(mut self, limits: ExecLimits) -> Self {
         self.limits = limits;
-        self.max_memory = limits.max_memory.or_else(default_max_memory);
         self.check_periodic = limits.deadline.is_some() || self.cancel.is_some();
         if self.check_periodic {
             // A token cancelled (or a deadline expired) before execution
@@ -482,7 +438,6 @@ impl EvalCtx {
             options.threads
         };
         self.morsel_size = options.morsel_size.max(1);
-        self.batch_size = options.batch_size.max(1);
         self.observer = options.observer;
         if let Some(obs) = &self.observer {
             obs.threads.store(self.threads as u64, Ordering::Relaxed);
@@ -565,7 +520,7 @@ impl EvalCtx {
     /// budget. Returns `false` (sticky, like [`Self::charge`]) once the
     /// budget is exceeded; a no-op when no budget is configured.
     pub fn charge_mem(&self, bytes: u64) -> bool {
-        let Some(max) = self.max_memory else {
+        let Some(max) = self.limits.max_memory else {
             // No budget to enforce, but an attached observer still wants
             // the peak; callers batch charges (MEM_CHARGE_CHUNK), so this
             // costs two relaxed atomics per chunk, not per row.
@@ -603,7 +558,7 @@ impl EvalCtx {
     /// (column batches are freed at morsel boundaries, unlike hash builds
     /// that live for the whole query).
     pub fn release_mem(&self, bytes: u64) {
-        if self.max_memory.is_some() || self.observer.is_some() {
+        if self.limits.max_memory.is_some() || self.observer.is_some() {
             self.mem_bytes.fetch_sub(bytes.min(self.mem_bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
         }
     }
@@ -1897,8 +1852,8 @@ fn extend_pos(row: &mut Row, pos: &CPos, value: u64) -> bool {
 // The driving index scan of a plan `VecPipeline` can lower is split into
 // fixed-size morsels (contiguous chunks of the chosen sorted index, plus
 // per-member DML-delta morsels). Workers claim morsels from a shared
-// counter and run the pipeline's column batches over each morsel, and the
-// outputs are pulled in morsel order, which reproduces the sequential row
+// counter and run each morsel through the pipeline as one column batch, and
+// the outputs are pulled in morsel order, which reproduces the sequential row
 // order exactly, because step chains and FILTERs are "order-local": their
 // output order depends only on their input order. Every other plan
 // streams through `eval_node` on the calling thread.

@@ -109,24 +109,16 @@ enum VecOp<'p> {
     Probe {
         step: &'p Step,
         spec: ProbeSpec,
+        /// A merge join's ([`Strategy::Merge`]) forward cursor: the per-row
+        /// spans are runs of one index span that the rows, sorted on the
+        /// key, meet in ascending order. Each worker reads them through its
+        /// own copy, galloping forward from the last run, so it emits
+        /// exactly the plain probe's rows in the probe's order.
+        cursor: Option<SpanCursor>,
         /// Quad positions read per match, laid out by [`scan_layout`].
         positions: Vec<usize>,
         /// Pairs of quad positions while drafting, then of `positions`
         /// indexes, that must hold equal IDs.
-        same: Vec<(usize, usize)>,
-        binds: Vec<(usize, usize)>,
-        keep: Vec<usize>,
-    },
-    /// Merge join ([`Strategy::Merge`]): a [`Self::Probe`] whose per-row
-    /// spans are runs of one index span that the rows, sorted on the key,
-    /// meet in ascending order. Each worker reads them through its own
-    /// copy of `cursor`, galloping forward from the last run, so it emits
-    /// exactly the probe's rows in the probe's order.
-    Merge {
-        step: &'p Step,
-        spec: ProbeSpec,
-        cursor: SpanCursor,
-        positions: Vec<usize>,
         same: Vec<(usize, usize)>,
         binds: Vec<(usize, usize)>,
         keep: Vec<usize>,
@@ -170,7 +162,6 @@ impl<'p> VecOp<'p> {
     fn steps(&self) -> impl Iterator<Item = &'p Step> + '_ {
         let (head, closes): (Option<&'p Step>, &[Close<'p>]) = match self {
             VecOp::Probe { step, .. }
-            | VecOp::Merge { step, .. }
             | VecOp::Count { step, .. }
             | VecOp::Hash { step, .. } => (Some(*step), &[]),
             VecOp::Intersect { step, closes, .. } => (Some(*step), closes),
@@ -200,7 +191,7 @@ impl Batch {
 
 /// Per-op probe memoization: the driving column is index-sorted, so
 /// consecutive rows usually probe the same pattern. Persisted across
-/// batches and morsels (the store is immutable during a query).
+/// morsels (the store is immutable during a query).
 #[derive(Default)]
 struct OpMemo {
     pattern: Option<QuadPattern>,
@@ -211,12 +202,12 @@ struct OpMemo {
     count: usize,
     /// Intersect ops: one memo per closing step.
     closes: Vec<CloseMemo>,
-    /// Merge ops: this worker's forward cursor.
+    /// Merge probes: this worker's copy of the forward cursor.
     cursor: Option<SpanCursor>,
 }
 
 /// A closing step's candidates for the merge variable under its current
-/// probe pattern, plus the walk and tally state of the current batch.
+/// probe pattern, plus the walk and tally state of the current morsel.
 #[derive(Default, Clone)]
 struct CloseMemo {
     pattern: Option<QuadPattern>,
@@ -228,7 +219,7 @@ struct CloseMemo {
     /// Gallop cursor of the multi-list walk: every key before it is
     /// below the value walked last.
     at: usize,
-    /// Rows into and out of this closing step in the current batch.
+    /// Rows into and out of this closing step in the current morsel.
     loops: u64,
     rows: u64,
 }
@@ -314,17 +305,11 @@ impl VecState {
     pub(super) fn new(pipe: &VecPipeline<'_>) -> VecState {
         let mut memos = Vec::with_capacity(pipe.ops.len());
         for op in &pipe.ops {
-            let (nvals, ncloses) = match op {
-                VecOp::Probe { positions, .. } | VecOp::Merge { positions, .. } => {
-                    (positions.len(), 0)
-                }
-                VecOp::Hash { binds, .. } => (binds.len(), 0),
-                VecOp::Intersect { closes, .. } => (1, closes.len()),
-                _ => (0, 0),
-            };
-            let cursor = match op {
-                VecOp::Merge { cursor, .. } => Some(cursor.clone()),
-                _ => None,
+            let (nvals, ncloses, cursor) = match op {
+                VecOp::Probe { positions, cursor, .. } => (positions.len(), 0, cursor.clone()),
+                VecOp::Hash { binds, .. } => (binds.len(), 0, None),
+                VecOp::Intersect { closes, .. } => (1, closes.len(), None),
+                _ => (0, 0, None),
             };
             memos.push(OpMemo {
                 pattern: None,
@@ -362,7 +347,7 @@ impl<'p> Draft<'p> {
     ) -> bool {
         let Some(v_pos) = close.triple.sole_s_or_o(on) else { return false };
         match &self.op {
-            VecOp::Probe { step, spec: expand, same, .. }
+            VecOp::Probe { step, spec: expand, cursor: None, same, .. }
                 if std::ptr::eq(*step, prev)
                     && same.is_empty()
                     && matches!(self.binds_all.as_slice(), [(_, s)] if *s == on)
@@ -515,40 +500,20 @@ impl<'p> VecPipeline<'p> {
                                     Strategy::Merge { on } => merge_cursor(ctx, step, &spec, *on),
                                     _ => None,
                                 };
-                                if let Some(cursor) = cursor {
-                                    Draft {
-                                        op: VecOp::Merge {
-                                            step,
-                                            spec,
-                                            cursor,
-                                            positions: Vec::new(),
-                                            same,
-                                            binds: Vec::new(),
-                                            keep: Vec::new(),
-                                        },
-                                        reads,
-                                        binds_all,
-                                    }
-                                } else if binds_all.is_empty() {
-                                    Draft {
-                                        op: VecOp::Count { step, spec, keep: Vec::new() },
-                                        reads,
-                                        binds_all,
-                                    }
+                                let op = if cursor.is_none() && binds_all.is_empty() {
+                                    VecOp::Count { step, spec, keep: Vec::new() }
                                 } else {
-                                    Draft {
-                                        op: VecOp::Probe {
-                                            step,
-                                            spec,
-                                            positions: Vec::new(),
-                                            same,
-                                            binds: Vec::new(),
-                                            keep: Vec::new(),
-                                        },
-                                        reads,
-                                        binds_all,
+                                    VecOp::Probe {
+                                        step,
+                                        spec,
+                                        cursor,
+                                        positions: Vec::new(),
+                                        same,
+                                        binds: Vec::new(),
+                                        keep: Vec::new(),
                                     }
-                                }
+                                };
+                                Draft { op, reads, binds_all }
                             }
                             Strategy::HashJoin { join_slots } => {
                                 // A statically unbound key slot takes the
@@ -685,14 +650,11 @@ impl<'p> VecPipeline<'p> {
                 .copied()
                 .filter(|&(_, slot)| need_from[k + 1][slot])
                 .collect();
-            if let VecOp::Probe { positions, same, .. } | VecOp::Merge { positions, same, .. } =
-                &mut op
-            {
+            if let VecOp::Probe { positions, same, .. } = &mut op {
                 (*positions, *same) = scan_layout(&bind_list, same);
             }
             match &mut op {
                 VecOp::Probe { binds, keep, .. }
-                | VecOp::Merge { binds, keep, .. }
                 | VecOp::Hash { binds, keep, .. }
                 | VecOp::Intersect { binds, keep, .. } => {
                     *binds = bind_list.clone();
@@ -783,17 +745,21 @@ impl<'p> VecPipeline<'p> {
         only: Option<&[usize]>,
         emit: &mut impl FnMut(&mut Row) -> bool,
     ) {
-        let cols: Vec<usize> =
-            self.final_cols.iter().copied().filter(|s| only.is_none_or(|o| o.contains(s))).collect();
-        let mut row = self.template.clone();
-        self.for_each_batch(ctx, morsel, st, &mut |batch: &Batch| {
-            (0..batch.len).all(|i| {
+        let mut charged_bytes: u64 = 0;
+        if let Some(batch) = self.run_batch(ctx, morsel, st, &mut charged_bytes) {
+            let cols: Vec<usize> =
+                self.final_cols.iter().copied().filter(|s| only.is_none_or(|o| o.contains(s))).collect();
+            let mut row = self.template.clone();
+            for i in 0..batch.len {
                 for &s in &cols {
                     row[s] = Some(batch.col(s)[i]);
                 }
-                emit(&mut row)
-            })
-        });
+                if !emit(&mut row) {
+                    break;
+                }
+            }
+        }
+        ctx.release_mem(charged_bytes);
     }
 
     /// Whether every finished row binds `slot`, as a live column or a base
@@ -802,23 +768,21 @@ impl<'p> VecPipeline<'p> {
         self.final_cols.contains(&slot) || self.base[slot].is_some()
     }
 
-    /// Runs one morsel and feeds finished batches to `sink` until it
-    /// returns `false` (its appetite is filled). Handles the
-    /// drive scan, chunking into `ctx.batch_size` batches, charging (row
-    /// totals identical to the row pipeline; column buffers charged
-    /// against the memory budget and released at morsel end), profiling
-    /// and telemetry.
-    fn for_each_batch(
+    /// Scans one morsel into its drive columns, which become the morsel's
+    /// one batch, and runs the operator chain over it. Returns the
+    /// finished batch, or `None` when no row survives or a limit fired.
+    /// Handles charging (row totals identical to the row pipeline; column
+    /// buffers added to `charged_bytes`, which the caller releases once
+    /// the rows are emitted), profiling and telemetry.
+    fn run_batch(
         &self,
         ctx: &EvalCtx,
         morsel: &Morsel,
         st: &mut VecState,
-        sink: &mut dyn FnMut(&Batch) -> bool,
-    ) {
+        charged_bytes: &mut u64,
+    ) -> Option<Batch> {
         let track = telemetry::enabled();
         let profile = ctx.profile.clone();
-        let nvars = ctx.vars.len();
-        let mut charged_bytes: u64 = 0;
 
         // 1. Drive scan → columns.
         let t0 = profile.as_ref().map(|_| Instant::now());
@@ -836,68 +800,50 @@ impl<'p> VecPipeline<'p> {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        if n == 0 {
-            return;
+        if n == 0 || !ctx.charge(n as u64) {
+            return None;
         }
-        if !ctx.charge(n as u64) {
-            return;
-        }
-        charged_bytes += (n * self.positions.len() * 8) as u64;
-        let _ = ctx.charge_mem((n * self.positions.len() * 8) as u64);
+        let bytes = (n * self.positions.len() * 8) as u64;
+        *charged_bytes += bytes;
+        let _ = ctx.charge_mem(bytes);
         if track {
             crate::metrics::vec_batches_emitted().inc();
             crate::metrics::vec_rows_emitted().add(n as u64);
         }
-
-        // 2. Chunk into batches and run the operator chain.
-        let bsz = ctx.batch_size.max(1);
-        let mut start = 0usize;
-        while start < n {
-            if ctx.is_exhausted() {
-                break;
-            }
-            let end = (start + bsz).min(n);
-            let mut batch = Batch { len: end - start, cols: vec![None; nvars] };
-            for (ci, &slot) in self.drive_slots.iter().enumerate() {
-                batch.cols[slot] = Some(dcols[ci][start..end].to_vec());
-            }
-            let mut cur = Some(batch);
-            for (k, op) in self.ops.iter().enumerate() {
-                let b = cur.take().expect("batch alive inside chain");
-                if b.len == 0 || ctx.is_exhausted() {
-                    break;
-                }
-                let t0 = profile.as_ref().map(|_| Instant::now());
-                let in_len = b.len;
-                let Some(next) = self.run_op(ctx, op, &mut st.memos[k], b, &mut charged_bytes)
-                else {
-                    break;
-                };
-                if let (Some(p), Some(t0)) = (&profile, t0) {
-                    let nanos = t0.elapsed().as_nanos() as u64;
-                    if let VecOp::Intersect { step, closes, .. } = op {
-                        // Every fused step is charged the operator's time.
-                        let memo = &st.memos[k];
-                        p.add(step_key(step), memo.count as u64, in_len as u64, nanos);
-                        for (c, cm) in closes.iter().zip(&memo.closes) {
-                            p.add(step_key(c.step), cm.rows, cm.loops, nanos);
-                        }
-                    } else if let Some(step) = op.steps().next() {
-                        p.add(step_key(step), next.len as u64, in_len as u64, nanos);
-                    }
-                }
-                if track && !matches!(op, VecOp::Filter { .. }) {
-                    crate::metrics::vec_batches_emitted().inc();
-                    crate::metrics::vec_rows_emitted().add(next.len as u64);
-                }
-                cur = Some(next);
-            }
-            if cur.is_some_and(|b| b.len > 0 && !sink(&b)) {
-                break;
-            }
-            start = end;
+        // The live drive columns move into the batch; columns only a
+        // `same` check read are dropped.
+        let mut batch = Batch { len: n, cols: vec![None; ctx.vars.len()] };
+        for (col, &slot) in dcols.into_iter().zip(&self.drive_slots) {
+            batch.cols[slot] = Some(col);
         }
-        ctx.release_mem(charged_bytes);
+
+        // 2. The operator chain.
+        for (k, op) in self.ops.iter().enumerate() {
+            if batch.len == 0 || ctx.is_exhausted() {
+                return None;
+            }
+            let t0 = profile.as_ref().map(|_| Instant::now());
+            let in_len = batch.len;
+            batch = self.run_op(ctx, op, &mut st.memos[k], batch, charged_bytes)?;
+            if let (Some(p), Some(t0)) = (&profile, t0) {
+                let nanos = t0.elapsed().as_nanos() as u64;
+                if let VecOp::Intersect { step, closes, .. } = op {
+                    // Every fused step is charged the operator's time.
+                    let memo = &st.memos[k];
+                    p.add(step_key(step), memo.count as u64, in_len as u64, nanos);
+                    for (c, cm) in closes.iter().zip(&memo.closes) {
+                        p.add(step_key(c.step), cm.rows, cm.loops, nanos);
+                    }
+                } else if let Some(step) = op.steps().next() {
+                    p.add(step_key(step), batch.len as u64, in_len as u64, nanos);
+                }
+            }
+            if track && !matches!(op, VecOp::Filter { .. }) {
+                crate::metrics::vec_batches_emitted().inc();
+                crate::metrics::vec_rows_emitted().add(batch.len as u64);
+            }
+        }
+        (batch.len > 0).then_some(batch)
     }
 
     /// Applies one operator to a batch. `None` means a resource limit
@@ -934,8 +880,7 @@ impl<'p> VecPipeline<'p> {
                 }
                 Some(gather_batch(&batch, &src, keep, &[], Vec::new(), nvars))
             }
-            VecOp::Probe { spec, positions, same, binds, keep, .. }
-            | VecOp::Merge { spec, positions, same, binds, keep, .. } => {
+            VecOp::Probe { spec, positions, same, binds, keep, .. } => {
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
                 let mut src: Vec<u32> = Vec::new();

@@ -50,9 +50,9 @@ pub use ast::{Query, Update};
 pub use cache::{CachedPlan, PlanCache, PlanCacheEntryInfo, DEFAULT_PLAN_CACHE_CAPACITY};
 pub use error::SparqlError;
 pub use exec::{
-    default_max_memory, execute_compiled, execute_compiled_with_options, execute_profiled,
-    execute_reference, set_default_max_memory, CancelToken, ExecLimits, ExecObserver, ExecOptions,
-    ExecProfile, QueryResults, StepTally, DEFAULT_BATCH_SIZE, DEFAULT_MORSEL_SIZE,
+    execute_compiled, execute_compiled_with_options, execute_profiled, execute_reference,
+    CancelToken, ExecLimits, ExecObserver, ExecOptions, ExecProfile, QueryResults, StepTally,
+    DEFAULT_MORSEL_SIZE,
 };
 pub use parser::{parse_query, parse_update};
 pub use plan::{compile, compile_with, CompileOptions, CompiledQuery, ForcedJoin};

@@ -1291,47 +1291,6 @@ fn unsatisfiable_step() -> Step {
     }
 }
 
-/// All variable slots a node can bind.
-pub fn node_vars(node: &Node) -> Vec<usize> {
-    let mut out = Vec::new();
-    collect_vars(node, &mut out);
-    out.sort_unstable();
-    out.dedup();
-    out
-}
-
-fn collect_vars(node: &Node, out: &mut Vec<usize>) {
-    match node {
-        Node::Steps(steps) => {
-            for step in steps {
-                out.extend(step.triple.var_slots());
-            }
-        }
-        Node::Path(p) => {
-            if let CPos::Var(s) = &p.s {
-                out.push(*s);
-            }
-            if let CPos::Var(s) = &p.o {
-                out.push(*s);
-            }
-        }
-        Node::Join(children) => {
-            for c in children {
-                collect_vars(c, out);
-            }
-        }
-        Node::Filter(_, inner) => collect_vars(inner, out),
-        Node::Union(a, b) | Node::Optional(a, b) => {
-            collect_vars(a, out);
-            collect_vars(b, out);
-        }
-        Node::SubSelect(sel) => out.extend(sel.projected_slots()),
-        Node::Values { slots, .. } => out.extend(slots.iter().copied()),
-        Node::Extend(slot, _) => out.push(*slot),
-        Node::Minus(_) => {}
-    }
-}
-
 /// One constant of a compiled plan, as [`visit_constants`] hands it out.
 #[derive(Debug)]
 pub(crate) enum Site<'p> {

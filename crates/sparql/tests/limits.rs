@@ -89,7 +89,7 @@ fn budget_inside_subselect_still_surfaces() {
 /// The memory budget must account for the executor's own row/column
 /// buffers, not just retained state like hash tables: a wide cross
 /// product whose intermediate buffers dwarf the budget has to abort
-/// *between* operators under every engine — vectorized at any batch
+/// *between* operators under every engine — vectorized at any morsel
 /// size, the row evaluator, and the parallel executor. (Regression: the
 /// collected row vectors and column batches were once uncharged, so a
 /// wide scan could balloon far past `max_memory` before any retained
@@ -102,7 +102,7 @@ fn memory_budget_charges_interoperator_buffers() {
     let limits = ExecLimits::memory(64 * 1024);
     for (label, options) in [
         ("vectorized", ExecOptions::default().with_limits(limits)),
-        ("vectorized batch=1", ExecOptions::default().with_limits(limits).with_batch_size(1)),
+        ("vectorized morsel=1", ExecOptions::default().with_limits(limits).with_morsel_size(1)),
         ("parallel", ExecOptions::threads(4).with_limits(limits)),
     ] {
         let result = query_with_options(&store, "m", CROSS, options);

@@ -17,10 +17,10 @@ cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy:
 # the PropertyGraph oracle.
 cargo test --offline -q --manifest-path pgbench/Cargo.toml
 
-# Every executor configuration (threads x morsel size x batch size) must
-# stay bit-identical to the reference evaluator, with EXPLAIN ANALYZE
-# tally parity, under optimized codegen, where data races and
-# merge-order bugs actually surface.
+# Every executor configuration (threads x morsel size; a morsel is one
+# column batch) must stay bit-identical to the reference evaluator, with
+# EXPLAIN ANALYZE tally parity, under optimized codegen, where data races
+# and merge-order bugs actually surface.
 cargo test --release -q --test parallel_equivalence
 
 # Store reads (morsel planning, span and columnar scans, index merges:
@@ -34,7 +34,8 @@ cargo test --release -q -p quadstore
 # data (engine_props), merge joins matching the reference, forced hash
 # and forced NLJ in rows, order and tallies across threads and morsel
 # sizes (merge_join), the hash-join table's u32 row indices against a
-# naive oracle (unit tests), resource limits and executor corner cases.
+# naive oracle (unit tests), one column batch per morsel
+# (batch_per_morsel), resource limits and executor corner cases.
 cargo test --release -q -p sparql
 
 # MVCC snapshot isolation under real concurrency: writers toggling

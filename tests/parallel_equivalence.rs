@@ -1,8 +1,8 @@
 //! Every way of running a query must be indistinguishable from the
 //! reference evaluator (`sparql::execute_reference`: one thread, rows
 //! streamed through `eval_node`, nothing else): for every paper query
-//! family, storage encoding, thread count, morsel size and batch size
-//! the result rows must be *identical* — same multiset, same order (the
+//! family, storage encoding, thread count and morsel size (each morsel
+//! runs as one column batch) the result rows must be *identical* — same multiset, same order (the
 //! executor merges morsel outputs back into sequential scan order, so
 //! even queries without ORDER BY must match row-for-row, and ORDER BY
 //! queries must tie-break identically) — and `EXPLAIN ANALYZE` must
@@ -77,8 +77,9 @@ fn run_observed(
 }
 
 /// The one sweep: EQ1–EQ12 x {NG, SP, RF} x threads {1, 2, 8} x morsel
-/// {7, 1024} x batch {1, 64, 1024}. Ordered comparison: `QueryResults`
-/// equality covers variable names, row order, and every binding.
+/// {1, 7, 1024}; a morsel of 1 runs one-row batches between operators.
+/// Ordered comparison: `QueryResults` equality covers variable names, row
+/// order, and every binding.
 #[test]
 fn every_configuration_matches_the_reference_exactly() {
     let fixture = Fixture::at_scale(0.005);
@@ -87,19 +88,15 @@ fn every_configuration_matches_the_reference_exactly() {
             let (view, plan) = compiled(&fixture, eq, model);
             let expected = reference(&view, &plan);
             for threads in [1usize, 2, 8] {
-                for morsel_size in [7usize, 1024] {
-                    for batch_size in [1usize, 64, 1024] {
-                        let options = ExecOptions::threads(threads)
-                            .with_morsel_size(morsel_size)
-                            .with_batch_size(batch_size);
-                        assert_eq!(
-                            expected,
-                            run(&view, &plan, options),
-                            "{} {model}: threads={threads} morsel={morsel_size} \
-                             batch={batch_size} diverged from the reference",
-                            eq.label(model)
-                        );
-                    }
+                for morsel_size in [1usize, 7, 1024] {
+                    let options = ExecOptions::threads(threads).with_morsel_size(morsel_size);
+                    assert_eq!(
+                        expected,
+                        run(&view, &plan, options),
+                        "{} {model}: threads={threads} morsel={morsel_size} \
+                         diverged from the reference",
+                        eq.label(model)
+                    );
                 }
             }
         }
@@ -145,7 +142,7 @@ fn order_by_ties_keep_sequential_order() {
     }
 }
 
-/// Asserts that profiling `plan` under every (threads, morsel, batch)
+/// Asserts that profiling `plan` under every (threads, morsel)
 /// configuration returns the reference's rows and per-step
 /// `(ordinal, actual_rows, loops, executed)`.
 fn assert_reference_tallies(view: &DatasetView, plan: &CompiledQuery, label: &str) {
@@ -153,11 +150,9 @@ fn assert_reference_tallies(view: &DatasetView, plan: &CompiledQuery, label: &st
         sparql::execute_reference(view, plan, ExecLimits::default()).expect("reference");
     let steps_r = sparql::explain::step_profiles(plan, &prof_r);
     for threads in [1usize, 2, 8] {
-        for (morsel_size, batch_size) in [(1024usize, 1024usize), (7, 1), (7, 64)] {
-            let config = format!("threads={threads} morsel={morsel_size} batch={batch_size}");
-            let options = ExecOptions::threads(threads)
-                .with_morsel_size(morsel_size)
-                .with_batch_size(batch_size);
+        for morsel_size in [1usize, 7, 1024] {
+            let config = format!("threads={threads} morsel={morsel_size}");
+            let options = ExecOptions::threads(threads).with_morsel_size(morsel_size);
             let (got, prof) = sparql::execute_profiled(view, plan, options).expect("profiled");
             assert_eq!(expected, got, "{label} {config}: profiled results diverged");
             let steps = sparql::explain::step_profiles(plan, &prof);
@@ -398,10 +393,8 @@ fn repeated_variables_in_one_triple() {
         let expected = reference(&view, &plan);
         assert_eq!(row_count(&expected), rows, "{text}");
         for threads in [1usize, 4] {
-            for (morsel_size, batch_size) in [(1usize, 1usize), (1024, 1024)] {
-                let options = ExecOptions::threads(threads)
-                    .with_morsel_size(morsel_size)
-                    .with_batch_size(batch_size);
+            for morsel_size in [1usize, 1024] {
+                let options = ExecOptions::threads(threads).with_morsel_size(morsel_size);
                 let (got, vectorized) = run_observed(&view, &plan, options);
                 assert_eq!(expected, got, "{text}: threads={threads} morsel={morsel_size}");
                 assert!(vectorized, "{text}: threads={threads} missed VecPipeline");
@@ -501,11 +494,8 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
     let orders: [&[(usize, bool)]; 4] = [&[], &[(0, false)], &[(0, true), (1, false)], &[(2, false)]];
     let mut configs: Vec<Option<ExecOptions>> = vec![None];
     for threads in [1usize, 2, 8] {
-        for morsel_size in [7usize, 1024] {
-            for batch_size in [1usize, 64, 1024] {
-                let options = ExecOptions::threads(threads);
-                configs.push(Some(options.with_morsel_size(morsel_size).with_batch_size(batch_size)));
-            }
+        for morsel_size in [1usize, 7, 1024] {
+            configs.push(Some(ExecOptions::threads(threads).with_morsel_size(morsel_size)));
         }
     }
     let compile = |text: &str| {

@@ -178,9 +178,9 @@ fn cached_plans_validate_against_the_snapshot_epoch() {
     }
 }
 
-/// Execution options select no plan: whatever the thread count, morsel
-/// size or batch size, and profiled or not, one text against one dataset
-/// is one cache entry.
+/// Execution options select no plan: whatever the thread count or morsel
+/// size, and profiled or not, one text against one dataset is one cache
+/// entry.
 #[test]
 fn execution_options_are_not_part_of_the_cache_key() {
     use sparql::ExecOptions;
@@ -192,7 +192,7 @@ fn execution_options_are_not_part_of_the_cache_key() {
     for options in [
         ExecOptions::threads(1),
         ExecOptions::threads(4).with_morsel_size(1),
-        ExecOptions::default().with_batch_size(1),
+        ExecOptions::default().with_morsel_size(1),
     ] {
         assert_eq!(first, s.select_in_with(&dataset, q, options).unwrap());
     }

@@ -5,7 +5,7 @@
 //! layer's fsyncs fail persistently — with zero acknowledged writes lost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pgrdf::{CoreError, GovernorConfig, PgRdfModel, PgRdfStore};
@@ -32,17 +32,6 @@ fn dense_store(n: u32) -> Store {
     store
 }
 
-/// Serialises the tests that set the process-wide default memory budget
-/// with the tests whose queries run under it: a 32 KiB default set by one
-/// would otherwise abort the other's query mid-flight.
-static DEFAULT_BUDGET: Mutex<()> = Mutex::new(());
-
-/// Holds [`DEFAULT_BUDGET`] for the rest of the caller's scope, also after
-/// another holder panicked.
-fn default_budget_lock() -> MutexGuard<'static, ()> {
-    DEFAULT_BUDGET.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 /// Three unconstrained patterns: n³ intermediate rows, far too many to
 /// finish before the test cancels or the budget trips.
 const TRIPLE_CROSS: &str = "SELECT ?a ?b ?c WHERE { \
@@ -57,7 +46,6 @@ const TRIPLE_CROSS: &str = "SELECT ?a ?b ?c WHERE { \
 /// would run for orders of magnitude longer (250³ intermediate rows).
 #[test]
 fn cancellation_returns_in_bounded_time_across_thread_counts() {
-    let _budget = default_budget_lock();
     let store = Arc::new(dense_store(250));
     for threads in [1usize, 2, 8] {
         let token = CancelToken::new();
@@ -143,8 +131,7 @@ fn memory_budget_aborts_a_skewed_hash_join() {
 }
 
 /// A high-cardinality GROUP BY (every subject its own group) must abort
-/// when the aggregation state exceeds the budget — and the process-wide
-/// default budget must apply when per-query limits are unset.
+/// when the aggregation state exceeds the budget.
 #[test]
 fn memory_budget_aborts_a_large_group_by() {
     let store = dense_store(20_000);
@@ -154,21 +141,6 @@ fn memory_budget_aborts_a_large_group_by() {
         matches!(result, Err(SparqlError::ResourceExhausted(_))),
         "expected ResourceExhausted, got {result:?}"
     );
-
-    // Process default: no per-query limit set, default budget trips it.
-    let budget = default_budget_lock();
-    sparql::set_default_max_memory(32 << 10);
-    let defaulted = sparql::query_with_options(&store, "m", q, ExecOptions::default());
-    sparql::set_default_max_memory(0);
-    drop(budget);
-    assert!(
-        matches!(defaulted, Err(SparqlError::ResourceExhausted(_))),
-        "expected the process-default budget to abort, got {defaulted:?}"
-    );
-
-    // With the default cleared the query completes.
-    sparql::query_with_options(&store, "m", q, ExecOptions::default())
-        .expect("unbudgeted query must complete");
 }
 
 // ---------------------------------------------------------------------
