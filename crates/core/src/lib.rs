@@ -5,7 +5,7 @@
 //! three schemes for storing property graphs in an RDF quad store and
 //! querying them with standard SPARQL — lives in this crate:
 //!
-//! * [`convert`] — the RF (reification), NG (named graph), and SP
+//! * [`convert`](mod@convert) — the RF (reification), NG (named graph), and SP
 //!   (subproperty) transformations of §2 (Table 1), with the §2.3
 //!   optimizations as options.
 //! * [`vocab::PgVocab`] — the IRI-generation vocabulary of §2.2

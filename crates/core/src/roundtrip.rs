@@ -1,4 +1,4 @@
-//! RDF-to-PG reconstruction: the inverse of [`crate::convert`], showing
+//! RDF-to-PG reconstruction: the inverse of [`crate::convert`](mod@crate::convert), showing
 //! the transformations are lossless (an RDF store really can serve as
 //! "backend storage for large property graph datasets", §1).
 

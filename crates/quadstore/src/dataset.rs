@@ -158,13 +158,6 @@ impl DatasetView {
         sig
     }
 
-    /// Exact number of quads matching `pattern` across members, using
-    /// each member's pure range count when the pattern fully binds its
-    /// chosen index prefix (see [`SemanticModel::count_matches`]).
-    pub fn count_matches(&self, pattern: &QuadPattern) -> usize {
-        self.members.iter().map(|m| m.count_matches(pattern)).sum()
-    }
-
     /// Whether any member contains the quad.
     pub fn contains(&self, quad: &EncodedQuad) -> bool {
         self.members.iter().any(|m| m.contains(quad))
@@ -250,9 +243,11 @@ impl DatasetView {
     ) -> usize {
         let m = &self.members[morsel.member];
         if morsel.delta {
-            m.scan_delta_columns(pattern, positions, cols)
+            // Tallied against the index an unordered scan picks, as `scan`.
+            m.delta_columns(m.index_for(pattern, None).kind(), pattern, positions, cols)
         } else {
-            m.scan_base_span_columns(pattern, morsel.lo, morsel.hi, prefer, positions, cols)
+            let idx = m.index_for(pattern, prefer);
+            m.scan_index_columns(idx, pattern, morsel.lo, morsel.hi, positions, cols)
         }
     }
 }

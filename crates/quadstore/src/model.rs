@@ -278,7 +278,7 @@ impl SemanticModel {
     /// declaration-order winner when no tying index matches. The grouped
     /// executor uses this to feed its run-length accumulator keys in sorted
     /// runs; it never changes which rows are produced, only their order.
-    pub fn choose_index_ordered(
+    fn choose_index_ordered(
         &self,
         pattern: &QuadPattern,
         prefer: Option<usize>,
@@ -335,37 +335,14 @@ impl SemanticModel {
         ScanTally { inner, matched: 0, metrics }
     }
 
-    /// Exact number of matches for `pattern`. When the chosen index's
-    /// bound prefix covers every bindable position, the graph constraint
-    /// is not the un-rangeable `AnyNamed`, and no DML delta is pending,
-    /// this is a pure range count (two binary searches, no iteration) —
-    /// the executor's fast path for fully-bound existence probes such as
-    /// the closing edge of a triangle query. Falls back to counting the
-    /// filtered scan otherwise.
-    pub fn count_matches(&self, pattern: &QuadPattern) -> usize {
-        if self.delta_added.is_empty()
-            && self.delta_removed.is_empty()
-            && !matches!(pattern.g, crate::ids::GraphConstraint::AnyNamed)
-        {
-            let idx = self.index_for(pattern, None);
-            let bindable = (0..4).filter(|&p| pattern.bound(p).is_some()).count();
-            if idx.kind().bound_prefix_len(pattern) == bindable {
-                if telemetry::enabled() {
-                    crate::metrics::index_metrics(idx.kind()).scans.inc();
-                }
-                return idx.pattern_count(pattern);
-            }
-        }
-        self.scan(*pattern).count()
-    }
-
     /// Estimated number of matches for `pattern` (exact on the base index
     /// range, plus the whole delta as slack).
     pub fn estimate(&self, pattern: &QuadPattern) -> usize {
         self.index_for(pattern, None).pattern_count(pattern) + self.delta_added.len()
     }
 
-    fn index_for(&self, pattern: &QuadPattern, prefer: Option<usize>) -> &SortedIndex {
+    /// The index [`Self::choose_index_ordered`] picks for `pattern`.
+    pub(crate) fn index_for(&self, pattern: &QuadPattern, prefer: Option<usize>) -> &SortedIndex {
         let path = self.choose_index_ordered(pattern, prefer);
         self.indexes
             .iter()
@@ -377,8 +354,9 @@ impl SemanticModel {
     /// The base-index key span `[lo, hi)` a scan of `pattern` walks in the
     /// model's chosen index — what morsel-driven execution chunks. The DML
     /// delta is not part of the span; see [`Self::scan_delta`]. `prefer`
-    /// picks among tying indexes per [`Self::choose_index_ordered`] and
-    /// must match the value later passed to [`Self::scan_base_span_columns`].
+    /// picks among tying indexes as `choose_index_ordered` does, and the
+    /// chunks must be scanned with the same `prefer`
+    /// ([`DatasetView::scan_morsel_columns`](crate::DatasetView::scan_morsel_columns)).
     pub fn base_span(&self, pattern: &QuadPattern, prefer: Option<usize>) -> (usize, usize) {
         self.index_for(pattern, prefer).pattern_span(pattern)
     }
@@ -393,32 +371,6 @@ impl SemanticModel {
             .iter()
             .copied()
             .filter(move |q| pattern.matches(q))
-    }
-
-    /// Scans a sub-span of [`Self::base_span`] into one ID column per
-    /// requested quad position (`positions[i]` → `cols[i]`), applying
-    /// residual filtering and the removed-quads overlay, and returns the
-    /// match count. Concatenating the chunks of the span and then
-    /// [`Self::scan_delta_columns`] reproduces [`Self::scan`] exactly (up
-    /// to row order when `prefer` overrides the default index). When no
-    /// removed-quads overlay is pending the copy happens directly from the
-    /// sorted index runs ([`SortedIndex::scan_span_columns`]); otherwise
-    /// the overlay forces a row-wise decode.
-    ///
-    /// When [`telemetry::enabled`], records what [`Self::scan`] records
-    /// for its base span: one range scan, the sub-span's length, and the
-    /// matches.
-    pub fn scan_base_span_columns(
-        &self,
-        pattern: &QuadPattern,
-        lo: usize,
-        hi: usize,
-        prefer: Option<usize>,
-        positions: &[usize],
-        cols: &mut [Vec<u64>],
-    ) -> usize {
-        let idx = self.index_for(pattern, prefer);
-        self.scan_index_columns(idx, pattern, lo, hi, positions, cols)
     }
 
     /// Columnar twin of [`Self::scan`]: the whole base span of `pattern`
@@ -439,8 +391,21 @@ impl SemanticModel {
         n
     }
 
-    /// [`Self::scan_base_span_columns`] over a sub-span of `idx`, one of
-    /// this model's indexes, already resolved by the caller.
+    /// Scans the sub-span `[lo, hi)` of `idx`, one of this model's
+    /// indexes, into one ID column per requested quad position
+    /// (`positions[i]` → `cols[i]`), applying residual filtering and the
+    /// removed-quads overlay, and returns the match count. Concatenating
+    /// the chunks of [`Self::base_span`] and then [`Self::delta_columns`]
+    /// reproduces [`Self::scan`] exactly (up to row order when `idx` is
+    /// not the index `scan` picks). With no positions it touches no key
+    /// unless a residual filter or the overlay must. When no removed-quads
+    /// overlay is pending the copy happens directly from the sorted index
+    /// runs ([`SortedIndex::scan_span_columns`]); otherwise the overlay
+    /// forces a row-wise decode.
+    ///
+    /// When [`telemetry::enabled`], records what [`Self::scan`] records
+    /// for its base span: one range scan, the sub-span's length, and the
+    /// matches.
     pub(crate) fn scan_index_columns(
         &self,
         idx: &SortedIndex,
@@ -467,18 +432,8 @@ impl SemanticModel {
 
     /// Columnar variant of [`Self::scan_delta`]: row-wise over the (small,
     /// unsorted) insert delta. When [`telemetry::enabled`], records what
-    /// [`Self::scan`] records for its delta rows: matches and delta hits.
-    pub fn scan_delta_columns(
-        &self,
-        pattern: &QuadPattern,
-        positions: &[usize],
-        cols: &mut [Vec<u64>],
-    ) -> usize {
-        self.delta_columns(self.choose_index(pattern).index, pattern, positions, cols)
-    }
-
-    /// [`Self::scan_delta_columns`], tallied against `kind`, the index the
-    /// caller resolved for `pattern`.
+    /// [`Self::scan`] records for its delta rows, tallied against `kind`,
+    /// the index the caller resolved for `pattern`: matches and delta hits.
     pub(crate) fn delta_columns(
         &self,
         kind: IndexKind,
@@ -624,16 +579,17 @@ mod tests {
         };
         let sequential: Vec<_> = m.scan(pat).collect();
         let (lo, hi) = m.base_span(&pat, None);
+        let idx = m.index_for(&pat, None);
         let all = [S, P, O, G];
         for chunk in [1usize, 2, 100] {
             let mut cols = vec![Vec::new(); 4];
             let mut start = lo;
             while start < hi {
                 let end = (start + chunk).min(hi);
-                m.scan_base_span_columns(&pat, start, end, None, &all, &mut cols);
+                m.scan_index_columns(idx, &pat, start, end, &all, &mut cols);
                 start = end;
             }
-            m.scan_delta_columns(&pat, &all, &mut cols);
+            m.delta_columns(idx.kind(), &pat, &all, &mut cols);
             let out: Vec<EncodedQuad> = (0..cols[0].len())
                 .map(|i| [cols[0][i], cols[1][i], cols[2][i], cols[3][i]])
                 .collect();

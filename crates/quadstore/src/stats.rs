@@ -469,7 +469,7 @@ impl StorageReport {
         StorageReport { rows }
     }
 
-    /// [`StorageReport::compute`] against a pinned [`Snapshot`] instead
+    /// [`StorageReport::compute`] against a pinned [`Snapshot`](crate::Snapshot) instead
     /// of the live store — every row reflects the same MVCC generation,
     /// which is what the `pgrdf:sys/store` system graph materializes.
     pub fn compute_at(snapshot: &crate::Snapshot, model_names: &[&str]) -> Self {

@@ -1308,7 +1308,7 @@ pub fn eval_node<'it>(ctx: &'it EvalCtx, node: &'it Node, input: BoxIter<'it>) -
                 if bad(&s_val) || bad(&o_val) {
                     return Vec::new().into_iter();
                 }
-                let pairs = path::eval_path_pairs_with(
+                let pairs = path::eval_path_pairs(
                     &ctx.view,
                     &pstep.path,
                     pstep.graph,

@@ -105,7 +105,9 @@ struct Close<'p> {
 enum VecOp<'p> {
     /// Index nested-loop probe: per input row, probe the per-row pattern
     /// and emit one output row per match (memoized on the pattern, which
-    /// repeats in long runs because the drive column is index-sorted).
+    /// repeats in long runs because the drive column is index-sorted). A
+    /// step that binds nothing reads no positions: each input row is
+    /// repeated once per match, an existence and multiplicity check.
     Probe {
         step: &'p Step,
         spec: ProbeSpec,
@@ -123,16 +125,13 @@ enum VecOp<'p> {
         binds: Vec<(usize, usize)>,
         keep: Vec<usize>,
     },
-    /// Pure existence/multiplicity check: every position statically
-    /// bound, so each input row is replicated `count_matches` times.
-    Count { step: &'p Step, spec: ProbeSpec, keep: Vec<usize> },
     /// An index NLJ that binds one variable `v` (the expand step) fused
     /// with the steps after it that `v` fully binds (the closing steps):
     /// per input row, the expand step's matching `v` values, in probe
     /// order, are intersected with each closing step's memoised, sorted
     /// (value, multiplicity) list ([`intersect_row`]); a match surviving
     /// every list is emitted once per combination of closing matches,
-    /// exactly as the unfused probe and count steps would emit it.
+    /// exactly as the unfused probe steps would emit it.
     Intersect {
         step: &'p Step,
         spec: ProbeSpec,
@@ -144,6 +143,7 @@ enum VecOp<'p> {
     /// Hash-join probe against the shared build table.
     Hash {
         step: &'p Step,
+        join_slots: &'p [usize],
         cell: Arc<OnceLock<BuildTable>>,
         key_srcs: Vec<ValSrc>,
         /// Residual equality checks for positions the key does not cover
@@ -158,12 +158,22 @@ enum VecOp<'p> {
 }
 
 impl<'p> VecOp<'p> {
+    /// A drafted probe: positions, binds and keeps are filled in once
+    /// liveness is known.
+    fn probe(
+        step: &'p Step,
+        spec: ProbeSpec,
+        cursor: Option<SpanCursor>,
+        same: Vec<(usize, usize)>,
+    ) -> VecOp<'p> {
+        let (positions, binds, keep) = (Vec::new(), Vec::new(), Vec::new());
+        VecOp::Probe { step, spec, cursor, positions, same, binds, keep }
+    }
+
     /// The plan steps this operator runs (their profile tally keys).
     fn steps(&self) -> impl Iterator<Item = &'p Step> + '_ {
         let (head, closes): (Option<&'p Step>, &[Close<'p>]) = match self {
-            VecOp::Probe { step, .. }
-            | VecOp::Count { step, .. }
-            | VecOp::Hash { step, .. } => (Some(*step), &[]),
+            VecOp::Probe { step, .. } | VecOp::Hash { step, .. } => (Some(*step), &[]),
             VecOp::Intersect { step, closes, .. } => (Some(*step), closes),
             VecOp::Filter { .. } => (None, &[]),
         };
@@ -198,7 +208,7 @@ struct OpMemo {
     /// Matched quads' bind values, one vector per materialized bind (an
     /// Intersect op keeps its expand step's `v` values here).
     vals: Vec<Vec<u64>>,
-    /// Match count (also used by Count ops, which materialise nothing).
+    /// Match count.
     count: usize,
     /// Intersect ops: one memo per closing step.
     closes: Vec<CloseMemo>,
@@ -259,7 +269,7 @@ impl CloseMemo {
 /// `x`, where `n` is its row count: the product of its closing
 /// multiplicities. Each value gallops forward through every list from a
 /// cursor that restarts at the next ascending run. Matches come out in
-/// `vals` order, so the output is the unfused probe and count steps'
+/// `vals` order, so the output is the unfused probe steps'
 /// output. Tallies each closing step's rows in and out, and returns the
 /// rows all closing steps produced.
 fn intersect_row(
@@ -500,19 +510,7 @@ impl<'p> VecPipeline<'p> {
                                     Strategy::Merge { on } => merge_cursor(ctx, step, &spec, *on),
                                     _ => None,
                                 };
-                                let op = if cursor.is_none() && binds_all.is_empty() {
-                                    VecOp::Count { step, spec, keep: Vec::new() }
-                                } else {
-                                    VecOp::Probe {
-                                        step,
-                                        spec,
-                                        cursor,
-                                        positions: Vec::new(),
-                                        same,
-                                        binds: Vec::new(),
-                                        keep: Vec::new(),
-                                    }
-                                };
+                                let op = VecOp::probe(step, spec, cursor, same);
                                 Draft { op, reads, binds_all }
                             }
                             Strategy::HashJoin { join_slots } => {
@@ -538,6 +536,7 @@ impl<'p> VecPipeline<'p> {
                                 Draft {
                                     op: VecOp::Hash {
                                         step,
+                                        join_slots,
                                         cell: ctx.build_cell(step),
                                         key_srcs,
                                         checks,
@@ -552,7 +551,7 @@ impl<'p> VecPipeline<'p> {
                             // A closing step folds into the expand probe
                             // drafted just before it; anywhere else (its
                             // expand step drives the scan) it runs as the
-                            // existence count it is.
+                            // existence probe it is.
                             Strategy::Intersect { on } => {
                                 let (spec, reads) = probe_spec(&step.triple, &bind)?;
                                 let (binds_all, _) = triple_binds(&step.triple, &mut bind)?;
@@ -565,7 +564,7 @@ impl<'p> VecPipeline<'p> {
                                     }
                                 }
                                 Draft {
-                                    op: VecOp::Count { step, spec, keep: Vec::new() },
+                                    op: VecOp::probe(step, spec, None, Vec::new()),
                                     reads,
                                     binds_all,
                                 }
@@ -660,7 +659,7 @@ impl<'p> VecPipeline<'p> {
                     *binds = bind_list.clone();
                     *keep = keep_list.clone();
                 }
-                VecOp::Count { keep, .. } | VecOp::Filter { keep, .. } => {
+                VecOp::Filter { keep, .. } => {
                     *keep = keep_list.clone();
                 }
             }
@@ -858,28 +857,6 @@ impl<'p> VecPipeline<'p> {
     ) -> Option<Batch> {
         let nvars = batch.cols.len();
         match op {
-            VecOp::Count { spec, keep, .. } => {
-                let row_bytes = keep.len() as u64 * 8;
-                let mut charged_rows = 0usize;
-                let mut src: Vec<u32> = Vec::new();
-                for i in 0..batch.len {
-                    let pat = spec.pattern(&batch, i);
-                    if memo.pattern != Some(pat) {
-                        memo.count = ctx.view.count_matches(&pat);
-                        memo.pattern = Some(pat);
-                    }
-                    if memo.count > 0 {
-                        src.extend(std::iter::repeat(i as u32).take(memo.count));
-                        if !settle(ctx, row_bytes, &mut charged_rows, charged_bytes, src.len(), false) {
-                            return None;
-                        }
-                    }
-                }
-                if !settle(ctx, row_bytes, &mut charged_rows, charged_bytes, src.len(), true) {
-                    return None;
-                }
-                Some(gather_batch(&batch, &src, keep, &[], Vec::new(), nvars))
-            }
             VecOp::Probe { spec, positions, same, binds, keep, .. } => {
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
@@ -964,9 +941,8 @@ impl<'p> VecPipeline<'p> {
                 let fresh = if binds.is_empty() { Vec::new() } else { vec![fresh] };
                 Some(gather_batch(&batch, &src, keep, binds, fresh, nvars))
             }
-            VecOp::Hash { cell, key_srcs, checks, same, binds, keep, step } => {
-                let table =
-                    cell.get_or_init(|| build_table(ctx, step, hash_join_slots(step)));
+            VecOp::Hash { step, join_slots, cell, key_srcs, checks, same, binds, keep } => {
+                let table = cell.get_or_init(|| build_table(ctx, step, join_slots));
                 let row_bytes = (keep.len() + binds.len()) as u64 * 8;
                 let mut charged_rows = 0usize;
                 let mut src: Vec<u32> = Vec::new();
@@ -1028,10 +1004,6 @@ impl<'p> VecPipeline<'p> {
                         }
                     }
                     sel.push(i as u32);
-                }
-                if telemetry::enabled() && in_len > 0 {
-                    crate::metrics::vec_filter_selectivity()
-                        .record((sel.len() * 100 / in_len) as u64);
                 }
                 if sel.len() == in_len {
                     // Everything survived: reuse the batch as-is (dropping
@@ -1369,16 +1341,6 @@ fn filter_spec<'p>(
         }
     }
     (FilterSpec::Generic { expr, col_slots }, exists)
-}
-
-/// The join slots of a hash step (for the shared build-table closure).
-fn hash_join_slots(step: &Step) -> &[usize] {
-    match &step.strategy {
-        Strategy::HashJoin { join_slots } => join_slots,
-        Strategy::IndexNlj | Strategy::Intersect { .. } | Strategy::Merge { .. } => {
-            unreachable!("hash op on probe step")
-        }
-    }
 }
 
 /// The forward cursor a merge step on slot `on` reads its spans through,

@@ -5,7 +5,7 @@
 //! *lowered* into this algebra (slot-resolved variables, dictionary-ID
 //! constants, paths expanded), then a rule-based rewrite pass runs over
 //! it ([`crate::rewrite`]), and only then does the physical planner
-//! ([`crate::cost`]) pick join orders and strategies, emitting the
+//! (`crate::cost`) pick join orders and strategies, emitting the
 //! executable [`crate::plan::Node`] tree.
 //!
 //! The algebra deliberately reuses the compiled leaf types

@@ -37,4 +37,3 @@ histogram_fn!(worker_busy_nanos, "pgrdf_worker_busy_nanos", "Per-worker busy tim
 histogram_fn!(hash_build_rows, "pgrdf_hash_build_rows", "Rows materialised into hash-join build sides");
 counter_fn!(vec_batches_emitted, "pgrdf_vec_batches_emitted_total", "Column batches emitted by vectorized operators");
 counter_fn!(vec_rows_emitted, "pgrdf_vec_rows_emitted_total", "Rows emitted by vectorized operators (post-selection)");
-histogram_fn!(vec_filter_selectivity, "pgrdf_vec_filter_selectivity_pct", "Per-batch percentage of rows surviving a vectorized FILTER");

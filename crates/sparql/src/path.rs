@@ -24,15 +24,6 @@ pub trait PathBudget {
     fn path_nodes(&self, nodes: u64) -> bool;
 }
 
-/// A [`PathBudget`] that never stops the search.
-pub struct Unbounded;
-
-impl PathBudget for Unbounded {
-    fn path_nodes(&self, _nodes: u64) -> bool {
-        true
-    }
-}
-
 /// Evaluates a compiled path between optionally-bound endpoints, returning
 /// `(subject, object)` ID pairs.
 ///
@@ -41,20 +32,11 @@ impl PathBudget for Unbounded {
 /// * object bound → backward evaluation (the path is inverted);
 /// * neither bound → evaluation from every candidate start node (all
 ///   distinct subjects/objects touched by the path's predicates).
+///
+/// The search charges `budget` as it runs, so it observes the memory
+/// budget and the periodic deadline/cancel check of the executor instead
+/// of only after it returns.
 pub fn eval_path_pairs(
-    view: &DatasetView,
-    path: &CPath,
-    graph: GraphConstraint,
-    s: Option<u64>,
-    o: Option<u64>,
-) -> Vec<(u64, u64)> {
-    eval_path_pairs_with(view, path, graph, s, o, &Unbounded)
-}
-
-/// [`eval_path_pairs`] under a [`PathBudget`]: the search observes the
-/// memory budget and the periodic deadline/cancel check of the executor
-/// while it runs, instead of only after it returns.
-pub fn eval_path_pairs_with(
     view: &DatasetView,
     path: &CPath,
     graph: GraphConstraint,
@@ -70,18 +52,18 @@ pub fn eval_path_pairs_with(
                 Vec::new()
             }
         }
-        (Some(s), None) => forward_with(view, path, graph, s, budget)
+        (Some(s), None) => forward(view, path, graph, s, budget)
             .into_iter()
             .map(|o| (s, o))
             .collect(),
-        (None, Some(o)) => backward_with(view, path, graph, o, budget)
+        (None, Some(o)) => backward(view, path, graph, o, budget)
             .into_iter()
             .map(|s| (s, o))
             .collect(),
         (None, None) => {
             let mut out = Vec::new();
             for start in candidate_starts(view, path, graph, budget) {
-                for end in forward_with(view, path, graph, start, budget) {
+                for end in forward(view, path, graph, start, budget) {
                     out.push((start, end));
                 }
                 if !budget.path_nodes(0) {
@@ -99,16 +81,6 @@ pub fn forward(
     path: &CPath,
     graph: GraphConstraint,
     start: u64,
-) -> Vec<u64> {
-    forward_with(view, path, graph, start, &Unbounded)
-}
-
-/// [`forward`] under a [`PathBudget`].
-pub fn forward_with(
-    view: &DatasetView,
-    path: &CPath,
-    graph: GraphConstraint,
-    start: u64,
     budget: &dyn PathBudget,
 ) -> Vec<u64> {
     match path {
@@ -116,11 +88,11 @@ pub fn forward_with(
             Some(pid) => scan_objects(view, graph, Some(start), pid.0),
             None => Vec::new(),
         },
-        CPath::Inverse(inner) => backward_with(view, inner, graph, start, budget),
+        CPath::Inverse(inner) => backward(view, inner, graph, start, budget),
         CPath::Sequence(a, b) => {
             let mut out = HashSet::new();
-            for mid in forward_with(view, a, graph, start, budget) {
-                for end in forward_with(view, b, graph, mid, budget) {
+            for mid in forward(view, a, graph, start, budget) {
+                for end in forward(view, b, graph, mid, budget) {
                     if out.insert(end) && !budget.path_nodes(1) {
                         return out.into_iter().collect();
                     }
@@ -130,13 +102,13 @@ pub fn forward_with(
         }
         CPath::Alternative(a, b) => {
             let mut out: HashSet<u64> =
-                forward_with(view, a, graph, start, budget).into_iter().collect();
-            out.extend(forward_with(view, b, graph, start, budget));
+                forward(view, a, graph, start, budget).into_iter().collect();
+            out.extend(forward(view, b, graph, start, budget));
             out.into_iter().collect()
         }
         CPath::ZeroOrOne(inner) => {
             let mut out: HashSet<u64> =
-                forward_with(view, inner, graph, start, budget).into_iter().collect();
+                forward(view, inner, graph, start, budget).into_iter().collect();
             out.insert(start);
             out.into_iter().collect()
         }
@@ -155,16 +127,6 @@ pub fn backward(
     path: &CPath,
     graph: GraphConstraint,
     end: u64,
-) -> Vec<u64> {
-    backward_with(view, path, graph, end, &Unbounded)
-}
-
-/// [`backward`] under a [`PathBudget`].
-pub fn backward_with(
-    view: &DatasetView,
-    path: &CPath,
-    graph: GraphConstraint,
-    end: u64,
     budget: &dyn PathBudget,
 ) -> Vec<u64> {
     match path {
@@ -172,11 +134,11 @@ pub fn backward_with(
             Some(pid) => scan_subjects(view, graph, pid.0, Some(end)),
             None => Vec::new(),
         },
-        CPath::Inverse(inner) => forward_with(view, inner, graph, end, budget),
+        CPath::Inverse(inner) => forward(view, inner, graph, end, budget),
         CPath::Sequence(a, b) => {
             let mut out = HashSet::new();
-            for mid in backward_with(view, b, graph, end, budget) {
-                for s in backward_with(view, a, graph, mid, budget) {
+            for mid in backward(view, b, graph, end, budget) {
+                for s in backward(view, a, graph, mid, budget) {
                     if out.insert(s) && !budget.path_nodes(1) {
                         return out.into_iter().collect();
                     }
@@ -186,13 +148,13 @@ pub fn backward_with(
         }
         CPath::Alternative(a, b) => {
             let mut out: HashSet<u64> =
-                backward_with(view, a, graph, end, budget).into_iter().collect();
-            out.extend(backward_with(view, b, graph, end, budget));
+                backward(view, a, graph, end, budget).into_iter().collect();
+            out.extend(backward(view, b, graph, end, budget));
             out.into_iter().collect()
         }
         CPath::ZeroOrOne(inner) => {
             let mut out: HashSet<u64> =
-                backward_with(view, inner, graph, end, budget).into_iter().collect();
+                backward(view, inner, graph, end, budget).into_iter().collect();
             out.insert(end);
             out.into_iter().collect()
         }
@@ -232,8 +194,8 @@ fn bfs(
     }
     while let Some(node) = frontier.pop() {
         let nexts = match direction {
-            Direction::Forward => forward_with(view, inner, graph, node, budget),
-            Direction::Backward => backward_with(view, inner, graph, node, budget),
+            Direction::Forward => forward(view, inner, graph, node, budget),
+            Direction::Backward => backward(view, inner, graph, node, budget),
         };
         for next in nexts {
             result.insert(next);
@@ -258,7 +220,7 @@ fn reaches(
     o: u64,
     budget: &dyn PathBudget,
 ) -> bool {
-    forward_with(view, path, graph, s, budget).contains(&o)
+    forward(view, path, graph, s, budget).contains(&o)
 }
 
 fn scan_objects(
@@ -336,6 +298,15 @@ mod tests {
     use quadstore::Store;
     use rdf_model::{Quad, Term};
 
+    /// A [`PathBudget`] that never stops the search.
+    struct Unbounded;
+
+    impl PathBudget for Unbounded {
+        fn path_nodes(&self, _nodes: u64) -> bool {
+            true
+        }
+    }
+
     /// Chain 1 -> 2 -> 3 -> 4 plus a cycle 4 -> 1.
     fn chain_store() -> Store {
         let store = Store::new();
@@ -375,7 +346,7 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let path = CPath::OneOrMore(Box::new(follows_path(&store)));
         let start = node_id(&store, 1);
-        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, start);
+        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, start, &Unbounded);
         reached.sort_unstable();
         // 1+ reaches 2,3,4 and (via the cycle) 1 itself.
         assert_eq!(reached.len(), 4);
@@ -402,7 +373,7 @@ mod tests {
         let id = store.term_id(&term);
         let path = CPath::ZeroOrMore(Box::new(CPath::Iri(term, id)));
         let a = store.term_id(&Term::iri("http://a")).unwrap().0;
-        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, a);
+        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, a, &Unbounded);
         reached.sort_unstable();
         assert_eq!(reached.len(), 2); // a itself and b
         assert!(reached.contains(&a));
@@ -414,7 +385,7 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let path = CPath::OneOrMore(Box::new(follows_path(&store)));
         let end = node_id(&store, 3);
-        let sources = backward(&view, &path, GraphConstraint::DefaultOnly, end);
+        let sources = backward(&view, &path, GraphConstraint::DefaultOnly, end, &Unbounded);
         // Everyone reaches 3 in the cycle.
         assert_eq!(sources.len(), 4);
     }
@@ -426,7 +397,8 @@ mod tests {
         let path = CPath::OneOrMore(Box::new(follows_path(&store)));
         let s = node_id(&store, 1);
         let o = node_id(&store, 4);
-        let pairs = eval_path_pairs(&view, &path, GraphConstraint::DefaultOnly, Some(s), Some(o));
+        let graph = GraphConstraint::DefaultOnly;
+        let pairs = eval_path_pairs(&view, &path, graph, Some(s), Some(o), &Unbounded);
         assert_eq!(pairs, vec![(s, o)]);
     }
 
@@ -435,7 +407,8 @@ mod tests {
         let store = chain_store();
         let view = store.dataset("m").unwrap();
         let path = CPath::OneOrMore(Box::new(follows_path(&store)));
-        let pairs = eval_path_pairs(&view, &path, GraphConstraint::DefaultOnly, None, None);
+        let graph = GraphConstraint::DefaultOnly;
+        let pairs = eval_path_pairs(&view, &path, graph, None, None, &Unbounded);
         // Cycle of 4: every node reaches all 4 nodes -> 16 pairs.
         assert_eq!(pairs.len(), 16);
     }
@@ -445,7 +418,7 @@ mod tests {
         let store = chain_store();
         let view = store.dataset("m").unwrap();
         let path = CPath::OneOrMore(Box::new(CPath::Iri(Term::iri("http://nowhere"), None)));
-        assert!(forward(&view, &path, GraphConstraint::DefaultOnly, 1).is_empty());
+        assert!(forward(&view, &path, GraphConstraint::DefaultOnly, 1, &Unbounded).is_empty());
     }
 
     #[test]
@@ -454,7 +427,7 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let path = CPath::ZeroOrOne(Box::new(follows_path(&store)));
         let start = node_id(&store, 1);
-        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, start);
+        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, start, &Unbounded);
         reached.sort_unstable();
         assert_eq!(reached.len(), 2); // itself + direct successor
     }

@@ -9,7 +9,7 @@
 //!    [`crate::logical`].
 //! 2. **Rewriting** ([`crate::rewrite`]) pushes filter pins into scans,
 //!    folds constants, and eliminates provably empty subtrees.
-//! 3. **Physical planning** ([`crate::cost`]) orders each basic graph
+//! 3. **Physical planning** (`crate::cost`) orders each basic graph
 //!    pattern — statistics-driven dynamic programming by default, the
 //!    greedy heuristic as fallback — with a per-step choice between index
 //!    nested-loop join and hash join, the two physical strategies whose

@@ -12,7 +12,7 @@
 //! - **Negligible overhead when disabled.** Hot paths gate on a single
 //!   relaxed [`enabled`] load *per operation* (not per row) and
 //!   accumulate row counts locally, flushing once per scan. Per-query
-//!   profiling ([`sparql`]'s `EXPLAIN ANALYZE`) is independent of this
+//!   profiling (`sparql`'s `EXPLAIN ANALYZE`) is independent of this
 //!   flag: it is opted into per call and pays its cost only then.
 //! - **Lock-free recording.** Counters and histogram buckets are plain
 //!   `AtomicU64`s with `Relaxed` ordering; the registry mutex is touched

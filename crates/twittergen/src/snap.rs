@@ -1,5 +1,5 @@
 //! Loader for the SNAP `egonets-Twitter` format — the paper's actual
-//! dataset (http://snap.stanford.edu/data/egonets-Twitter.html). Given the
+//! dataset (<http://snap.stanford.edu/data/egonets-Twitter.html>). Given the
 //! downloaded `twitter/` directory, this reconstructs the property graph
 //! exactly as §4.2 describes:
 //!

@@ -10,6 +10,10 @@ cargo test -q
 # Deny-level lints (clippy's correctness group) fail the gate; the rest stay advisory.
 cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy::correctness
 
+# Rustdoc warnings fail the gate, so a deleted or private item cannot
+# leave a dangling intra-doc link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # The benchmark package is a workspace of its own (BENCHMARK.json runs it
 # with --manifest-path), so the two commands above never compile it: an
 # engine API change could break the benchmark without failing this gate.
