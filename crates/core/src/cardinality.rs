@@ -136,9 +136,8 @@ pub fn measure(quads: &[Quad], vocab: &PgVocab) -> RdfCardinalities {
 }
 
 /// Resource-count measurements for Table 8 (distinct subjects, predicates,
-/// objects, named graphs). Re-exported from the quadstore statistics
-/// layer, which owns the one distinct-counting code path shared with the
-/// optimizer's [`quadstore::CboStats`].
+/// objects, named graphs), over term-level quads. Re-exported from the
+/// quadstore statistics layer.
 pub use quadstore::ResourceCounts;
 
 /// Measures Table 8 resource counts over a quad set (delegates to

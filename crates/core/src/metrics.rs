@@ -87,7 +87,9 @@ fn node_has_path(node: &Node) -> bool {
         Node::Path(_) => true,
         Node::Steps(_) | Node::Values { .. } | Node::Extend(..) => false,
         Node::Join(children) => children.iter().any(node_has_path),
-        Node::Filter(_, inner) | Node::Minus(inner) => node_has_path(inner),
+        Node::Filter(_, _, inner) | Node::Minus(inner) | Node::Unsatisfiable(inner) => {
+            node_has_path(inner)
+        }
         Node::Union(a, b) | Node::Optional(a, b) => node_has_path(a) || node_has_path(b),
         Node::SubSelect(sel) => select_has_path(sel),
     }

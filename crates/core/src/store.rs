@@ -544,8 +544,8 @@ impl PgRdfStore {
         Ok(sparql::explain_query(&self.store, &self.dataset_name(), text)?)
     }
 
-    /// Renders the rewritten logical plan — the optimizer's intermediate
-    /// algebra plus the rewrite rules that fired (`pgq --explain-logical`).
+    /// Renders the query tree after the rewrite rules and before
+    /// planning, headed by the rules that fired (`pgq --explain-logical`).
     pub fn explain_logical(&self, text: &str) -> Result<String, CoreError> {
         Ok(sparql::explain_logical_query(&self.store, &self.dataset_name(), text)?)
     }

@@ -81,11 +81,6 @@ impl DatasetView {
         Quad::new_unchecked(term(quad[S]), term(quad[P]), term(quad[O]), graph)
     }
 
-    /// Names of the member models, in view order.
-    pub fn member_names(&self) -> Vec<&str> {
-        self.members.iter().map(|m| m.name()).collect()
-    }
-
     /// The member models themselves, in view order. The cost-based
     /// optimizer walks these to pair each member's exact range estimates
     /// with its [`SemanticModel::cbo_stats`] snapshot.

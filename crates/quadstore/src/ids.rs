@@ -106,11 +106,6 @@ impl QuadPattern {
             && self.o.map_or(true, |t| t.0 == quad[O])
             && self.g.matches(quad[G])
     }
-
-    /// Number of bound S/P/O/G positions.
-    pub fn bound_count(&self) -> usize {
-        (0..4).filter(|&i| self.bound(i).is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -152,7 +147,6 @@ mod tests {
         assert_eq!(pat.bound(S), Some(1));
         assert_eq!(pat.bound(P), None);
         assert_eq!(pat.bound(G), Some(4));
-        assert_eq!(pat.bound_count(), 2);
         let dpat = QuadPattern::default_graph();
         assert_eq!(dpat.bound(G), Some(0));
     }

@@ -45,31 +45,7 @@ pub struct ModelStats {
 impl ModelStats {
     /// Computes statistics by a single pass over the model.
     pub fn compute(model: &SemanticModel) -> Self {
-        let mut subjects = HashSet::new();
-        let mut predicates = HashSet::new();
-        let mut objects = HashSet::new();
-        let mut graphs = HashSet::new();
-        let mut quads = 0usize;
-        let mut in_named = 0usize;
-        for quad in model.iter_all() {
-            quads += 1;
-            subjects.insert(quad[S]);
-            predicates.insert(quad[P]);
-            objects.insert(quad[O]);
-            if quad[G] != 0 {
-                graphs.insert(quad[G]);
-                in_named += 1;
-            }
-        }
-        ModelStats {
-            name: model.name().to_string(),
-            quads,
-            distinct_subjects: subjects.len(),
-            distinct_predicates: predicates.len(),
-            distinct_objects: objects.len(),
-            distinct_named_graphs: graphs.len(),
-            quads_in_named_graphs: in_named,
-        }
+        Self::compute_union(model.name(), [model])
     }
 
     /// Aggregates statistics across several models as if they were one
@@ -123,10 +99,10 @@ pub struct ResourceCounts {
     pub named_graphs: usize,
 }
 
-/// Measures [`ResourceCounts`] over a term-level quad set — the one
-/// distinct-counting code path shared by the conversion-time cardinality
-/// checks (before any dictionary exists) and this crate's encoded-ID
-/// statistics ([`ModelStats`], [`CboStats`]).
+/// Measures [`ResourceCounts`] over a term-level quad set, for the
+/// conversion-time cardinality checks (before any dictionary exists). The
+/// store's own statistics ([`ModelStats`], [`CboStats`]) count encoded IDs
+/// in their own passes and do not call it.
 pub fn resource_counts(quads: &[Quad]) -> ResourceCounts {
     let mut subjects = BTreeSet::new();
     let mut predicates = BTreeSet::new();
@@ -247,20 +223,6 @@ pub struct PredicateStat {
     pub distinct_objects: u64,
     /// Equi-depth histogram over the object IDs of those quads.
     pub objects: EquiDepthHistogram,
-}
-
-impl PredicateStat {
-    /// Expected quads per distinct subject (the fanout of a
-    /// subject-bound probe on this predicate).
-    pub fn subject_fanout(&self) -> f64 {
-        (self.quads as f64 / self.distinct_subjects.max(1) as f64).max(1.0)
-    }
-
-    /// Expected quads per distinct object (the fanout of an
-    /// object-bound probe on this predicate).
-    pub fn object_fanout(&self) -> f64 {
-        (self.quads as f64 / self.distinct_objects.max(1) as f64).max(1.0)
-    }
 }
 
 /// One optimizer-statistics snapshot of a model: computed in a single
@@ -615,8 +577,6 @@ mod tests {
         assert_eq!(p10.quads, 6);
         assert_eq!(p10.distinct_subjects, 3);
         assert_eq!(p10.distinct_objects, 2);
-        assert!((p10.subject_fanout() - 2.0).abs() < 1e-9);
-        assert!((p10.object_fanout() - 3.0).abs() < 1e-9);
         assert!((p10.objects.estimate_eq(100) - 3.0).abs() < 1e-9);
         assert_eq!(s.graph_quads(5), 2);
         assert_eq!(s.graph_quads(0), 6);

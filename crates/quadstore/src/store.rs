@@ -822,7 +822,8 @@ mod tests {
         store.create_model("b").unwrap();
         store.create_virtual_model("v", &["a", "b"]).unwrap();
         let view = store.dataset_union(&["a", "v"]).unwrap();
-        assert_eq!(view.member_names(), vec!["a", "b"]);
+        let names: Vec<&str> = view.members().iter().map(|m| m.name()).collect();
+        assert_eq!(names, ["a", "b"]);
     }
 
     #[test]

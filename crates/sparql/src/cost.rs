@@ -28,7 +28,7 @@ use std::sync::Arc;
 use quadstore::{CboStats, DatasetView, GraphConstraint};
 use rdf_model::TermId;
 
-use crate::plan::{CGraph, CPos, CTriple, ForcedJoin, Node, Step, Strategy};
+use crate::plan::{CGraph, CPos, CTriple, ForcedJoin, Step, Strategy};
 
 /// Cost charged per index probe (binary search + pointer chasing) relative
 /// to one sequential key visit; used in the NLJ-vs-hash decision.
@@ -227,9 +227,9 @@ struct Cand {
 }
 
 impl BgpPlanner<'_> {
-    pub(crate) fn plan(&self, triples: Vec<CTriple>, bound: &mut HashSet<usize>) -> Option<Node> {
+    pub(crate) fn plan(&self, triples: Vec<CTriple>, bound: &mut HashSet<usize>) -> Vec<Step> {
         if triples.is_empty() {
-            return None;
+            return Vec::new();
         }
         // On one member no domain is below the member's own count, so the
         // rule cannot move a fanout there (`domains_never_move_a_one_member_fanout`).
@@ -242,7 +242,7 @@ impl BgpPlanner<'_> {
         } else {
             self.greedy_order(&triples, bound, &domains)
         };
-        Some(Node::Steps(self.emit(triples, &order, bound, &domains)))
+        self.emit(triples, &order, bound, &domains)
     }
 
     /// Exhaustive left-deep join ordering over the 2^n subset lattice.
@@ -584,7 +584,7 @@ fn probe_shape(triple: &CTriple, joined: [bool; 4]) -> quadstore::QuadPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{compile_with, CForm, CompileOptions};
+    use crate::plan::{compile_with, CForm, CompileOptions, Node};
     use quadstore::Store;
     use rdf_model::{GraphName, Quad, Term};
 
@@ -806,9 +806,7 @@ mod tests {
         let outer = HashSet::new();
         assert_eq!(planner.greedy_order(&triples, &outer, &domains)[..2], [0, 2]);
         assert_eq!(planner.greedy_order(&triples, &outer, &Domains::new())[..2], [0, 1]);
-        let Node::Steps(steps) = planner.plan(triples, &mut HashSet::new()).unwrap() else {
-            panic!("a BGP plans to steps");
-        };
+        let steps = planner.plan(triples, &mut HashSet::new());
         assert_eq!(steps[1].triple.p, CPos::Var(vars.iter().position(|v| v == "p").unwrap()));
         let fanout = TOPO_QUADS as f64 / EDGES as f64 + 3.0 * EDGES as f64 / (EDGES + 2) as f64;
         assert_eq!(steps[1].est_out, (EDGES as f64 * fanout) as u64);

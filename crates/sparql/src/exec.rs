@@ -1337,7 +1337,7 @@ pub fn eval_node<'it>(ctx: &'it EvalCtx, node: &'it Node, input: BoxIter<'it>) -
             }
             stream
         }
-        Node::Filter(filters, inner) => {
+        Node::Filter(filters, _, inner) => {
             let stream = eval_node(ctx, inner, input);
             Box::new(stream.filter(move |row| passes(ctx, filters, row)))
         }
@@ -1457,6 +1457,9 @@ pub fn eval_node<'it>(ctx: &'it EvalCtx, node: &'it Node, input: BoxIter<'it>) -
                 })
             }))
         }
+        // Proven empty. Planning replaces this node, so only a tree run
+        // before planning gets here.
+        Node::Unsatisfiable(_) => Box::new(std::iter::empty()),
     }
 }
 
@@ -1882,7 +1885,7 @@ struct DrivePlan<'p> {
 fn root_union(node: &Node) -> bool {
     match node {
         Node::Union(..) => true,
-        Node::Filter(_, inner) => root_union(inner),
+        Node::Filter(_, _, inner) => root_union(inner),
         _ => false,
     }
 }
@@ -1898,7 +1901,7 @@ fn union_branches<'p>(node: &'p Node, suffix: &[Stage<'p>]) -> Vec<(&'p Node, Ve
             out.extend(union_branches(b, suffix));
             out
         }
-        Node::Filter(filters, inner) if root_union(inner) => {
+        Node::Filter(filters, _, inner) if root_union(inner) => {
             let mut with_filter: Vec<Stage<'p>> = vec![Stage::Filters(filters)];
             with_filter.extend_from_slice(suffix);
             union_branches(inner, &with_filter)
@@ -1920,7 +1923,7 @@ fn drive_plan<'p>(
 ) -> Option<DrivePlan<'p>> {
     let mut filters: Vec<&'p [CExpr]> = Vec::new();
     let mut cur = node;
-    while let Node::Filter(f, inner) = cur {
+    while let Node::Filter(f, _, inner) = cur {
         filters.push(f);
         cur = inner;
     }

@@ -148,7 +148,7 @@ fn collect_node(
                 collect_node(vars, child, counter, profile, out);
             }
         }
-        Node::Filter(_, inner) | Node::Minus(inner) => {
+        Node::Filter(_, _, inner) | Node::Minus(inner) | Node::Unsatisfiable(inner) => {
             collect_node(vars, inner, counter, profile, out)
         }
         Node::Union(a, b) | Node::Optional(a, b) => {
@@ -246,7 +246,7 @@ fn render_node(
                 render_node(out, vars, child, depth, counter, profile);
             }
         }
-        Node::Filter(filters, inner) => {
+        Node::Filter(filters, _, inner) => {
             render_node(out, vars, inner, depth, counter, profile);
             let _ = writeln!(out, "{pad}FILTER ({} predicates)", filters.len());
         }
@@ -274,6 +274,10 @@ fn render_node(
         }
         Node::Minus(inner) => {
             let _ = writeln!(out, "{pad}MINUS");
+            render_node(out, vars, inner, depth + 1, counter, profile);
+        }
+        Node::Unsatisfiable(inner) => {
+            let _ = writeln!(out, "{pad}UNSATISFIABLE (yields no solutions)");
             render_node(out, vars, inner, depth + 1, counter, profile);
         }
     }

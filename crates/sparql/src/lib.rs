@@ -108,8 +108,8 @@ pub fn explain_query(store: &Store, dataset: &str, text: &str) -> Result<String,
     Ok(explain::render(&compiled))
 }
 
-/// Renders the rewritten logical plan of a query — the optimizer's
-/// intermediate algebra plus the rewrite rules that fired.
+/// Renders a query's tree after the rewrite rules and before planning —
+/// the `EXPLAIN LOGICAL` text, headed by the rules that fired.
 pub fn explain_logical_query(
     store: &Store,
     dataset: &str,
@@ -117,8 +117,7 @@ pub fn explain_logical_query(
 ) -> Result<String, SparqlError> {
     let view = store.dataset(dataset)?;
     let parsed = parse_query(text)?;
-    let compiled = compile(&view, &parsed)?;
-    Ok(compiled.logical.clone())
+    Ok(compile(&view, &parsed)?.logical)
 }
 
 /// Parses and executes a SPARQL Update against a semantic model. Each

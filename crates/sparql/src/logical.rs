@@ -1,29 +1,22 @@
-//! The logical query algebra — the optimizer's intermediate form.
+//! `EXPLAIN LOGICAL`: the query tree between rewriting and planning.
 //!
-//! Compilation is layered (the classic optimizer pipeline the paper
-//! attributes to Oracle's SEM_MATCH translation): the AST is first
-//! *lowered* into this algebra (slot-resolved variables, dictionary-ID
-//! constants, paths expanded), then a rule-based rewrite pass runs over
-//! it ([`crate::rewrite`]), and only then does the physical planner
-//! (`crate::cost`) pick join orders and strategies, emitting the
-//! executable [`crate::plan::Node`] tree.
-//!
-//! The algebra deliberately reuses the compiled leaf types
-//! ([`CTriple`], [`CExpr`], [`PathStep`]): the logical/physical split is
-//! about *structure* (what joins what, which filters apply where), not
-//! about re-encoding terms.
-
-use std::collections::HashSet;
+//! Compilation works on one tree, [`crate::plan::Node`]. Lowering builds
+//! it from the AST (slot-resolved variables, dictionary-ID constants,
+//! paths expanded), with every basic graph pattern an unplanned
+//! [`Node::Steps`] chain in lowering order; the rewrite pass
+//! ([`crate::rewrite`]) edits it in place; [`render`] prints it; and the
+//! planner then orders each BGP and resolves each
+//! [`Node::Unsatisfiable`] in place. The tree is executable at every
+//! phase: an unplanned chain is a correct index nested-loop chain.
 
 use rdf_model::{Term, TermId};
 
-use crate::expr::CExpr;
-use crate::plan::{CAggregate, CGraph, CPos, CProj, CTriple, PathStep, VarTable};
+use crate::plan::{CForm, CGraph, CPos, CSelect, CompiledQuery, Node, VarTable};
 
 /// A `?v = <const>` equality proven by a conjunctive filter: the variable
 /// is *pinned* to one term for the whole scope of the filter. Recorded by
 /// lowering; consumed by the pin-pushdown rewrite, which substitutes the
-/// resolved ID into scan patterns.
+/// resolved ID into scan patterns. Planning drops them.
 #[derive(Debug, Clone)]
 pub struct Pin {
     /// The pinned variable's slot.
@@ -34,102 +27,8 @@ pub struct Pin {
     pub id: Option<TermId>,
 }
 
-/// A logical pattern-tree node. Mirrors [`crate::plan::Node`] minus every
-/// physical decision: BGPs are unordered triple sets, not planned step
-/// chains, and no join strategies exist yet.
-#[derive(Debug, Clone)]
-pub enum LNode {
-    /// An unordered basic graph pattern.
-    Bgp(Vec<CTriple>),
-    /// A closure-path step (`p*`, `p+`, `p?`).
-    Path(PathStep),
-    /// Sequential join of children.
-    Join(Vec<LNode>),
-    /// Filters over the child's solutions, plus any pins lowered from
-    /// them.
-    Filter {
-        /// Compiled filter expressions (conjunctive).
-        exprs: Vec<CExpr>,
-        /// `?v = <const>` pins extracted from the expressions.
-        pins: Vec<Pin>,
-        /// The filtered subtree.
-        inner: Box<LNode>,
-    },
-    /// Union of two branches.
-    Union(Box<LNode>, Box<LNode>),
-    /// Left outer join.
-    Optional(Box<LNode>, Box<LNode>),
-    /// A nested sub-select (its own projection scope).
-    SubSelect(Box<LSelect>),
-    /// Inline VALUES rows.
-    Values {
-        /// Target slots.
-        slots: Vec<usize>,
-        /// Rows; `None` = UNDEF.
-        rows: Vec<Vec<Option<Term>>>,
-    },
-    /// `BIND(expr AS ?v)`.
-    Extend(usize, CExpr),
-    /// `MINUS { ... }`.
-    Minus(Box<LNode>),
-    /// A subtree the rewrite pass proved can produce no solutions
-    /// (missing constant, constant-false filter). The original subtree is
-    /// kept for rendering and variable bookkeeping; the physical planner
-    /// emits a zero-cost empty scan for anything but a plain BGP (whose
-    /// own unsatisfiable triple already short-circuits execution).
-    Unsatisfiable(Box<LNode>),
-}
-
-/// A logical SELECT (top-level or nested). Identical to
-/// [`crate::plan::CSelect`] except the WHERE tree is logical.
-#[derive(Debug, Clone)]
-pub struct LSelect {
-    /// DISTINCT flag.
-    pub distinct: bool,
-    /// Projected columns in order.
-    pub projection: Vec<CProj>,
-    /// Aggregates referenced by projection expressions.
-    pub aggregates: Vec<CAggregate>,
-    /// GROUP BY slots.
-    pub group_slots: Vec<usize>,
-    /// HAVING conditions.
-    pub having: Vec<CExpr>,
-    /// WHERE tree.
-    pub root: LNode,
-    /// ORDER BY keys (expr, descending).
-    pub order_by: Vec<(CExpr, bool)>,
-    /// Hidden per-group columns of aggregate-bearing ORDER BY keys.
-    pub hidden: Vec<CProj>,
-    /// LIMIT.
-    pub limit: Option<usize>,
-    /// OFFSET.
-    pub offset: Option<usize>,
-}
-
-/// Logical query forms.
-#[derive(Debug, Clone)]
-pub enum LForm {
-    /// `SELECT`.
-    Select(LSelect),
-    /// `ASK`.
-    Ask(LNode),
-    /// `CONSTRUCT`.
-    Construct(Vec<crate::ast::QuadTemplate>, LSelect),
-}
-
-/// A lowered query: the form plus every `EXISTS { ... }` pattern, each
-/// paired with a snapshot of the slots certainly bound at its filter site
-/// (the physical planner seeds BGP planning with that bound set).
-#[derive(Debug)]
-pub struct LQuery {
-    /// The query form.
-    pub form: LForm,
-    /// Compiled EXISTS patterns in [`CExpr::ExistsRef`] index order.
-    pub exists: Vec<(LNode, HashSet<usize>)>,
-}
-
-/// All variable slots a logical node can bind.
-pub fn lnode_vars(node: &LNode) -> Vec<usize> {
+/// All variable slots a node can bind, sorted.
+pub fn node_vars(node: &Node) -> Vec<usize> {
     let mut out = Vec::new();
     collect_vars(node, &mut out);
     out.sort_unstable();
@@ -137,43 +36,36 @@ pub fn lnode_vars(node: &LNode) -> Vec<usize> {
     out
 }
 
-fn collect_vars(node: &LNode, out: &mut Vec<usize>) {
+fn collect_vars(node: &Node, out: &mut Vec<usize>) {
     match node {
-        LNode::Bgp(tps) => {
-            for t in tps {
-                out.extend(t.var_slots());
+        Node::Steps(steps) => {
+            for step in steps {
+                out.extend(step.triple.var_slots());
             }
         }
-        LNode::Path(p) => {
-            if let CPos::Var(s) = &p.s {
-                out.push(*s);
-            }
-            if let CPos::Var(s) = &p.o {
-                out.push(*s);
-            }
-        }
-        LNode::Join(children) => {
+        Node::Path(p) => out.extend([&p.s, &p.o].into_iter().filter_map(CPos::slot)),
+        Node::Join(children) => {
             for c in children {
                 collect_vars(c, out);
             }
         }
-        LNode::Filter { inner, .. } => collect_vars(inner, out),
-        LNode::Union(a, b) | LNode::Optional(a, b) => {
+        Node::Filter(_, _, inner) | Node::Unsatisfiable(inner) => collect_vars(inner, out),
+        Node::Union(a, b) | Node::Optional(a, b) => {
             collect_vars(a, out);
             collect_vars(b, out);
         }
-        LNode::SubSelect(sel) => out.extend(sel.projection.iter().map(|p| p.slot)),
-        LNode::Values { slots, .. } => out.extend(slots.iter().copied()),
-        LNode::Extend(slot, _) => out.push(*slot),
-        LNode::Minus(_) => {}
-        LNode::Unsatisfiable(inner) => collect_vars(inner, out),
+        Node::SubSelect(sel) => out.extend(sel.projection.iter().map(|p| p.slot)),
+        Node::Values { slots, .. } => out.extend(slots.iter().copied()),
+        Node::Extend(slot, _) => out.push(*slot),
+        Node::Minus(_) => {}
     }
 }
 
-/// Renders the rewritten logical plan as indented text — the
+/// Renders a rewritten, not yet planned query as indented text — the
 /// `EXPLAIN LOGICAL` output (`pgq --explain-logical`). The header lists
 /// which rewrite rules fired.
-pub fn render(vars: &VarTable, query: &LQuery, applied_rules: &[&'static str]) -> String {
+pub fn render(query: &CompiledQuery, applied_rules: &[&'static str]) -> String {
+    let vars = &query.vars;
     let mut out = String::new();
     out.push_str("LOGICAL PLAN");
     if applied_rules.is_empty() {
@@ -184,24 +76,24 @@ pub fn render(vars: &VarTable, query: &LQuery, applied_rules: &[&'static str]) -
         out.push_str(")\n");
     }
     match &query.form {
-        LForm::Select(sel) => render_select(&mut out, vars, sel, 0),
-        LForm::Ask(node) => {
+        CForm::Select(sel) => render_select(&mut out, vars, sel, 0),
+        CForm::Ask(node) => {
             out.push_str("ASK\n");
             render_node(&mut out, vars, node, 1);
         }
-        LForm::Construct(templates, sel) => {
+        CForm::Construct(templates, sel) => {
             out.push_str(&format!("CONSTRUCT ({} template quads)\n", templates.len()));
             render_select(&mut out, vars, sel, 1);
         }
     }
-    for (i, (node, _)) in query.exists.iter().enumerate() {
+    for (i, node) in query.exists.iter().enumerate() {
         out.push_str(&format!("EXISTS #{i}\n"));
         render_node(&mut out, vars, node, 1);
     }
     out
 }
 
-fn render_select(out: &mut String, vars: &VarTable, sel: &LSelect, depth: usize) {
+fn render_select(out: &mut String, vars: &VarTable, sel: &CSelect, depth: usize) {
     let pad = "  ".repeat(depth);
     let cols: Vec<String> = sel
         .projection
@@ -216,12 +108,12 @@ fn render_select(out: &mut String, vars: &VarTable, sel: &LSelect, depth: usize)
     render_node(out, vars, &sel.root, depth + 1);
 }
 
-fn render_node(out: &mut String, vars: &VarTable, node: &LNode, depth: usize) {
+fn render_node(out: &mut String, vars: &VarTable, node: &Node, depth: usize) {
     let pad = "  ".repeat(depth);
     match node {
-        LNode::Bgp(tps) => {
-            out.push_str(&format!("{pad}BGP ({} triple patterns)\n", tps.len()));
-            for t in tps {
+        Node::Steps(steps) => {
+            out.push_str(&format!("{pad}BGP ({} triple patterns)\n", steps.len()));
+            for t in steps.iter().map(|s| &s.triple) {
                 out.push_str(&format!(
                     "{pad}  {} {} {}{}\n",
                     render_pos(vars, &t.s),
@@ -235,20 +127,20 @@ fn render_node(out: &mut String, vars: &VarTable, node: &LNode, depth: usize) {
                 ));
             }
         }
-        LNode::Path(p) => {
+        Node::Path(p) => {
             out.push_str(&format!(
                 "{pad}PATH {} -[closure]-> {}\n",
                 render_pos(vars, &p.s),
                 render_pos(vars, &p.o)
             ));
         }
-        LNode::Join(children) => {
+        Node::Join(children) => {
             out.push_str(&format!("{pad}JOIN\n"));
             for c in children {
                 render_node(out, vars, c, depth + 1);
             }
         }
-        LNode::Filter { exprs, pins, inner } => {
+        Node::Filter(exprs, pins, inner) => {
             let pin_text = if pins.is_empty() {
                 String::new()
             } else {
@@ -261,21 +153,21 @@ fn render_node(out: &mut String, vars: &VarTable, node: &LNode, depth: usize) {
             out.push_str(&format!("{pad}FILTER ({} exprs){pin_text}\n", exprs.len()));
             render_node(out, vars, inner, depth + 1);
         }
-        LNode::Union(a, b) => {
+        Node::Union(a, b) => {
             out.push_str(&format!("{pad}UNION\n"));
             render_node(out, vars, a, depth + 1);
             render_node(out, vars, b, depth + 1);
         }
-        LNode::Optional(a, b) => {
+        Node::Optional(a, b) => {
             out.push_str(&format!("{pad}OPTIONAL\n"));
             render_node(out, vars, a, depth + 1);
             render_node(out, vars, b, depth + 1);
         }
-        LNode::SubSelect(sel) => {
+        Node::SubSelect(sel) => {
             out.push_str(&format!("{pad}SUBQUERY\n"));
             render_select(out, vars, sel, depth + 1);
         }
-        LNode::Values { slots, rows } => {
+        Node::Values { slots, rows } => {
             let names: Vec<String> =
                 slots.iter().map(|&s| format!("?{}", vars.name(s))).collect();
             out.push_str(&format!(
@@ -284,14 +176,14 @@ fn render_node(out: &mut String, vars: &VarTable, node: &LNode, depth: usize) {
                 rows.len()
             ));
         }
-        LNode::Extend(slot, _) => {
+        Node::Extend(slot, _) => {
             out.push_str(&format!("{pad}BIND -> ?{}\n", vars.name(*slot)));
         }
-        LNode::Minus(inner) => {
+        Node::Minus(inner) => {
             out.push_str(&format!("{pad}MINUS\n"));
             render_node(out, vars, inner, depth + 1);
         }
-        LNode::Unsatisfiable(inner) => {
+        Node::Unsatisfiable(inner) => {
             out.push_str(&format!("{pad}UNSATISFIABLE (yields no solutions)\n"));
             render_node(out, vars, inner, depth + 1);
         }

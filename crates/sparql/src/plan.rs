@@ -1,22 +1,25 @@
 //! Query compilation and planning.
 //!
-//! Compilation is a layered optimizer pipeline:
+//! Compilation builds one tree, [`Node`], and edits it in place:
 //!
 //! 1. **Lowering** maps AST variables to binding slots, resolves constant
 //!    terms to dictionary IDs, and rewrites property-path
 //!    sequences/alternatives into joins/unions (the standard SPARQL
-//!    algebra translation), producing the logical algebra of
-//!    [`crate::logical`].
+//!    algebra translation). Each basic graph pattern becomes a
+//!    [`Node::Steps`] chain in lowering order, every step an index
+//!    nested-loop probe with no estimates: already executable.
 //! 2. **Rewriting** ([`crate::rewrite`]) pushes filter pins into scans,
-//!    folds constants, and eliminates provably empty subtrees.
-//! 3. **Physical planning** (`crate::cost`) orders each basic graph
-//!    pattern — statistics-driven dynamic programming by default, the
-//!    greedy heuristic as fallback — with a per-step choice between index
+//!    folds constants, and marks provably empty subtrees
+//!    [`Node::Unsatisfiable`]; the result is the `EXPLAIN LOGICAL` text
+//!    ([`crate::logical`]).
+//! 3. **Planning** (`cost`) replaces each chain with its planned order —
+//!    statistics-driven dynamic programming by default, the greedy
+//!    heuristic as fallback — with a per-step choice between index
 //!    nested-loop join and hash join, the two physical strategies whose
 //!    interplay the paper's experiments 4 and 5 highlight, and a third
-//!    that closes cycles by intersecting sorted index spans.
+//!    that closes cycles by intersecting sorted index spans. It also
+//!    resolves each unsatisfiable subtree and drops the filter pins.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
 use quadstore::{AccessPath, DatasetView, GraphConstraint, QuadPattern};
@@ -29,7 +32,7 @@ use crate::ast::{
 use crate::cost::{BgpPlanner, Estimator};
 use crate::error::SparqlError;
 use crate::expr::{CExpr, TermKind, Value};
-use crate::logical::{lnode_vars, LForm, LNode, LQuery, LSelect, Pin};
+use crate::logical::{node_vars, Pin};
 
 /// Maps variable names to binding slots.
 #[derive(Debug, Default, Clone)]
@@ -251,6 +254,14 @@ pub struct Step {
     pub access: Option<AccessPath>,
 }
 
+impl Step {
+    /// A step as lowering emits it, before planning: an index
+    /// nested-loop probe with no estimates and no access path.
+    fn unplanned(triple: CTriple) -> Step {
+        Step { triple, strategy: Strategy::IndexNlj, est_scan: 0, est_out: 0, access: None }
+    }
+}
+
 /// A compiled closure path (only `*`, `+`, `?` survive compilation; other
 /// operators were rewritten into joins/unions).
 #[derive(Debug, Clone, PartialEq)]
@@ -284,18 +295,20 @@ pub struct PathStep {
     pub graph: GraphConstraint,
 }
 
-/// A compiled pattern-tree node.
+/// A compiled pattern-tree node: lowered, rewritten and planned in place
+/// (see the module docs).
 #[derive(Debug, Clone)]
 pub enum Node {
-    /// A planned BGP fragment: ordered steps.
+    /// A BGP fragment: steps in lowering order until planning orders them.
     Steps(Vec<Step>),
     /// A closure-path step.
     Path(PathStep),
     /// Sequential join of children (each child consumes the previous
     /// child's bindings).
     Join(Vec<Node>),
-    /// Filters applied over the child's solutions.
-    Filter(Vec<CExpr>, Box<Node>),
+    /// Conjunctive filters applied over the child's solutions, plus the
+    /// `?v = <const>` pins lowered from them (planning drops the pins).
+    Filter(Vec<CExpr>, Vec<Pin>, Box<Node>),
     /// Union of two branches.
     Union(Box<Node>, Box<Node>),
     /// Left outer join.
@@ -313,6 +326,12 @@ pub enum Node {
     Extend(usize, CExpr),
     /// `MINUS { ... }`: drop rows compatible with the inner solutions.
     Minus(Box<Node>),
+    /// A subtree the rewrite pass proved can produce no solutions
+    /// (missing constant, constant-false filter); it yields no rows. The
+    /// original subtree is kept for `EXPLAIN LOGICAL` and for planning,
+    /// which replaces the node with the subtree or with one empty scan,
+    /// so a compiled plan holds none.
+    Unsatisfiable(Box<Node>),
 }
 
 /// One projected column: output slot plus an optional computed expression.
@@ -410,7 +429,7 @@ impl CompiledQuery {
         fn last_est(node: &Node) -> Option<u64> {
             match node {
                 Node::Steps(steps) => steps.last().map(|s| s.est_out),
-                Node::Filter(_, inner) => last_est(inner),
+                Node::Filter(_, _, inner) => last_est(inner),
                 Node::Join(children) => children.iter().rev().find_map(last_est),
                 Node::Union(a, b) => {
                     Some(last_est(a).unwrap_or(0).saturating_add(last_est(b).unwrap_or(0)))
@@ -478,8 +497,8 @@ pub fn compile(view: &DatasetView, query: &Query) -> Result<CompiledQuery, Sparq
     compile_with(view, query, CompileOptions::default())
 }
 
-/// [`compile`] with explicit options: lower to the logical algebra, run
-/// the rewrite rules, then plan physically.
+/// [`compile`] with explicit options: lower the query to a [`Node`] tree,
+/// run the rewrite rules over it, then plan it in place.
 pub fn compile_with(
     view: &DatasetView,
     query: &Query,
@@ -527,11 +546,7 @@ pub(crate) fn compile_recording(
 pub(crate) fn plan_bgp(view: &DatasetView, options: CompileOptions, bgp: PlannedBgp) -> Vec<Step> {
     let PlannedBgp { triples, mut bound } = bgp;
     let est = Estimator::new(view);
-    let planner = BgpPlanner { view, est: &est, force_join: options.force_join };
-    match planner.plan(triples, &mut bound) {
-        Some(Node::Steps(steps)) => steps,
-        _ => Vec::new(),
-    }
+    BgpPlanner { view, est: &est, force_join: options.force_join }.plan(triples, &mut bound)
 }
 
 fn compile_inner(
@@ -541,53 +556,57 @@ fn compile_inner(
     record: Option<&mut CompileRecord>,
 ) -> Result<CompiledQuery, SparqlError> {
     let resolved = record.is_some().then(Vec::new);
-    let mut c = Compiler { view, vars: VarTable::default(), exists: Vec::new(), resolved };
+    let mut c = Compiler {
+        view,
+        vars: VarTable::default(),
+        exists: Vec::new(),
+        exists_bound: Vec::new(),
+        resolved,
+    };
     let root = if options.union_default_graph { CGraph::Any } else { CGraph::Default };
     let form = match query {
-        Query::Select(sel) => LForm::Select(c.lower_select(sel, &root, &mut HashSet::new())?),
+        Query::Select(sel) => CForm::Select(c.lower_select(sel, &root, &mut HashSet::new())?),
         Query::Ask(pattern) => {
-            LForm::Ask(c.lower_pattern(pattern, &root, &mut HashSet::new())?)
+            CForm::Ask(c.lower_pattern(pattern, &root, &mut HashSet::new())?)
         }
-        Query::Construct(templates, inner) => LForm::Construct(
+        Query::Construct(templates, inner) => CForm::Construct(
             templates.clone(),
             c.lower_select(inner, &root, &mut HashSet::new())?,
         ),
     };
-    let mut lquery = LQuery { form, exists: std::mem::take(&mut c.exists) };
-    let trace = crate::rewrite::rewrite_query(&mut lquery);
-    let logical = crate::logical::render(&c.vars, &lquery, trace.applied());
+    let mut plan = CompiledQuery { vars: c.vars, exists: c.exists, form, logical: String::new() };
+    let trace = crate::rewrite::rewrite_query(&mut plan);
+    plan.logical = crate::logical::render(&plan, trace.applied());
 
-    let physical = Physical {
-        view,
-        options,
-        est: Estimator::new(view),
-        bgps: record.is_some().then(|| RefCell::new(Vec::new())),
+    let est = Estimator::new(view);
+    let mut planning = Planning {
+        planner: BgpPlanner { view, est: &est, force_join: options.force_join },
+        bgps: record.is_some().then(Vec::new),
     };
-    let form = match &lquery.form {
-        LForm::Select(ls) => CForm::Select(physical.emit_select(ls, &mut HashSet::new())),
-        LForm::Ask(node) => CForm::Ask(physical.emit_node(node, &mut HashSet::new())),
-        LForm::Construct(templates, ls) => {
-            CForm::Construct(templates.clone(), physical.emit_select(ls, &mut HashSet::new()))
+    match &mut plan.form {
+        CForm::Select(sel) | CForm::Construct(_, sel) => {
+            planning.node(&mut sel.root, &mut HashSet::new())
         }
-    };
-    let exists = lquery
-        .exists
-        .iter()
-        .map(|(node, bound)| physical.emit_node(node, &mut bound.clone()))
-        .collect();
-    if let Some(record) = record {
-        record.resolutions = c.resolved.take().unwrap_or_default();
-        record.bgps = physical.bgps.map(RefCell::into_inner).unwrap_or_default();
+        CForm::Ask(node) => planning.node(node, &mut HashSet::new()),
     }
-    Ok(CompiledQuery { vars: c.vars, exists, form, logical })
+    for (node, mut bound) in plan.exists.iter_mut().zip(c.exists_bound) {
+        planning.node(node, &mut bound);
+    }
+    if let Some(record) = record {
+        record.resolutions = c.resolved.unwrap_or_default();
+        record.bgps = planning.bgps.unwrap_or_default();
+    }
+    Ok(plan)
 }
 
 struct Compiler<'a> {
     view: &'a DatasetView,
     vars: VarTable,
-    /// Lowered EXISTS patterns, shared across the whole query, each with
-    /// the bound-slot snapshot at its filter site.
-    exists: Vec<(LNode, HashSet<usize>)>,
+    /// Lowered EXISTS patterns, shared across the whole query.
+    exists: Vec<Node>,
+    /// The slots certainly bound at each EXISTS pattern's filter site,
+    /// which planning seeds its BGPs with.
+    exists_bound: Vec<HashSet<usize>>,
     /// Every dictionary lookup, when the caller asked for them.
     resolved: Option<Vec<(Term, Option<TermId>)>>,
 }
@@ -609,7 +628,7 @@ impl Compiler<'_> {
         }
     }
 
-    /// Lowers a SELECT into the logical algebra. SELECT-star projection is
+    /// Lowers a SELECT. SELECT-star projection is
     /// resolved here, before any rewrite runs, so later tree surgery can
     /// never change the projected columns.
     fn lower_select(
@@ -617,7 +636,7 @@ impl Compiler<'_> {
         sel: &SelectQuery,
         graph: &CGraph,
         bound: &mut HashSet<usize>,
-    ) -> Result<LSelect, SparqlError> {
+    ) -> Result<CSelect, SparqlError> {
         let root = self.lower_pattern(&sel.pattern, graph, bound)?;
 
         let group_slots: Vec<usize> = sel.group_by.iter().map(|v| self.vars.slot(v)).collect();
@@ -626,7 +645,7 @@ impl Compiler<'_> {
         let mut projection = Vec::new();
         if sel.projection.is_empty() {
             // SELECT *: project every user-visible variable in the pattern.
-            let mut slots: Vec<usize> = lnode_vars(&root)
+            let mut slots: Vec<usize> = node_vars(&root)
                 .into_iter()
                 .filter(|&s| !self.vars.name(s).starts_with(' '))
                 .collect();
@@ -686,7 +705,7 @@ impl Compiler<'_> {
             bound.insert(proj.slot);
         }
 
-        Ok(LSelect {
+        Ok(CSelect {
             distinct: sel.distinct,
             projection,
             aggregates,
@@ -705,7 +724,7 @@ impl Compiler<'_> {
         pattern: &GraphPattern,
         graph: &CGraph,
         bound: &mut HashSet<usize>,
-    ) -> Result<LNode, SparqlError> {
+    ) -> Result<Node, SparqlError> {
         match pattern {
             GraphPattern::Bgp(tps) => self.lower_bgp(tps, graph, bound),
             GraphPattern::Graph(g, inner) => {
@@ -747,7 +766,7 @@ impl Compiler<'_> {
                 let joined = if children.len() == 1 {
                     children.pop().expect("one child")
                 } else {
-                    LNode::Join(children)
+                    Node::Join(children)
                 };
                 if filters.is_empty() {
                     Ok(joined)
@@ -762,7 +781,7 @@ impl Compiler<'_> {
                             "aggregates are not allowed in FILTER".into(),
                         ));
                     }
-                    Ok(LNode::Filter { exprs: cfilters, pins, inner: Box::new(joined) })
+                    Ok(Node::Filter(cfilters, pins, Box::new(joined)))
                 }
             }
             GraphPattern::Union(a, b) => {
@@ -775,30 +794,30 @@ impl Compiler<'_> {
                 for s in bound_a.intersection(&bound_b) {
                     bound.insert(*s);
                 }
-                Ok(LNode::Union(Box::new(na), Box::new(nb)))
+                Ok(Node::Union(Box::new(na), Box::new(nb)))
             }
             GraphPattern::Optional(a, b) => {
                 let na = self.lower_pattern(a, graph, bound)?;
                 let mut bound_b = bound.clone();
                 let nb = self.lower_pattern(b, graph, &mut bound_b)?;
-                Ok(LNode::Optional(Box::new(na), Box::new(nb)))
+                Ok(Node::Optional(Box::new(na), Box::new(nb)))
             }
             GraphPattern::SubSelect(sel) => {
                 // SPARQL sub-selects evaluate bottom-up: independent of the
                 // outer bindings.
                 let mut inner_bound = HashSet::new();
-                let lsel = self.lower_select(sel, graph, &mut inner_bound)?;
-                for proj in &lsel.projection {
+                let csel = self.lower_select(sel, graph, &mut inner_bound)?;
+                for proj in &csel.projection {
                     bound.insert(proj.slot);
                 }
-                Ok(LNode::SubSelect(Box::new(lsel)))
+                Ok(Node::SubSelect(Box::new(csel)))
             }
             GraphPattern::Values(vars, rows) => {
                 let slots: Vec<usize> = vars.iter().map(|v| self.vars.slot(v)).collect();
                 for &s in &slots {
                     bound.insert(s);
                 }
-                Ok(LNode::Values { slots, rows: rows.clone() })
+                Ok(Node::Values { slots, rows: rows.clone() })
             }
             GraphPattern::Bind(expr, var) => {
                 let mut aggs = Vec::new();
@@ -810,14 +829,14 @@ impl Compiler<'_> {
                 }
                 let slot = self.vars.slot(var);
                 bound.insert(slot);
-                Ok(LNode::Extend(slot, cexpr))
+                Ok(Node::Extend(slot, cexpr))
             }
             GraphPattern::Minus(inner) => {
                 // MINUS evaluates its pattern independently (bottom-up); it
                 // binds nothing outward.
                 let mut inner_bound = HashSet::new();
                 let node = self.lower_pattern(inner, graph, &mut inner_bound)?;
-                Ok(LNode::Minus(Box::new(node)))
+                Ok(Node::Minus(Box::new(node)))
             }
         }
     }
@@ -827,9 +846,9 @@ impl Compiler<'_> {
         tps: &[crate::ast::TriplePattern],
         graph: &CGraph,
         bound: &mut HashSet<usize>,
-    ) -> Result<LNode, SparqlError> {
+    ) -> Result<Node, SparqlError> {
         let mut plain: Vec<CTriple> = Vec::new();
-        let mut extras: Vec<LNode> = Vec::new();
+        let mut extras: Vec<Node> = Vec::new();
 
         for tp in tps {
             let s = self.cpos(&tp.subject);
@@ -849,29 +868,9 @@ impl Compiler<'_> {
             }
         }
 
-        // Extras (closure paths, alternation unions) run after the indexed
-        // triples so their endpoints are bound where possible.
-        let mut children = Vec::new();
-        if !plain.is_empty() {
-            for t in &plain {
-                for v in t.var_slots() {
-                    bound.insert(v);
-                }
-            }
-            children.push(LNode::Bgp(plain));
-        }
-        for extra in extras {
-            // Update bound set with the vars the extra will bind.
-            for v in lnode_vars(&extra) {
-                bound.insert(v);
-            }
-            children.push(extra);
-        }
-        match children.len() {
-            0 => Ok(LNode::Bgp(Vec::new())),
-            1 => Ok(children.pop().expect("one child")),
-            _ => Ok(LNode::Join(children)),
-        }
+        let node = bgp_node(plain, extras);
+        bound.extend(node_vars(&node));
+        Ok(node)
     }
 
     /// The SPARQL algebra path translation: sequences create fresh
@@ -884,7 +883,7 @@ impl Compiler<'_> {
         o: CPos,
         graph: &CGraph,
         plain: &mut Vec<CTriple>,
-        extras: &mut Vec<LNode>,
+        extras: &mut Vec<Node>,
     ) -> Result<(), SparqlError> {
         match path {
             PropertyPath::Iri(iri) => {
@@ -906,21 +905,9 @@ impl Compiler<'_> {
                 let mut plain_b = Vec::new();
                 let mut extras_b = Vec::new();
                 self.expand_path(s, b, o, graph, &mut plain_b, &mut extras_b)?;
-                let branch = |plain: Vec<CTriple>, mut extras: Vec<LNode>| {
-                    let mut children = Vec::new();
-                    if !plain.is_empty() {
-                        children.push(LNode::Bgp(plain));
-                    }
-                    children.append(&mut extras);
-                    match children.len() {
-                        0 => LNode::Bgp(Vec::new()),
-                        1 => children.pop().expect("one child"),
-                        _ => LNode::Join(children),
-                    }
-                };
-                let na = branch(plain_a, extras_a);
-                let nb = branch(plain_b, extras_b);
-                extras.push(LNode::Union(Box::new(na), Box::new(nb)));
+                let na = bgp_node(plain_a, extras_a);
+                let nb = bgp_node(plain_b, extras_b);
+                extras.push(Node::Union(Box::new(na), Box::new(nb)));
                 Ok(())
             }
             PropertyPath::ZeroOrMore(_)
@@ -938,7 +925,7 @@ impl Compiler<'_> {
                         ))
                     }
                 };
-                extras.push(LNode::Path(PathStep {
+                extras.push(Node::Path(PathStep {
                     s,
                     o,
                     path: self.compile_cpath(path),
@@ -973,7 +960,7 @@ impl Compiler<'_> {
 
     /// Compiles an expression in a pattern context, allowing
     /// `EXISTS { ... }` (which lowers its pattern against the current
-    /// graph context and records the bound-slot snapshot for the physical
+    /// graph context and records the bound-slot snapshot for the
     /// planner).
     fn compile_expr_in(
         &mut self,
@@ -986,7 +973,8 @@ impl Compiler<'_> {
             Expression::Exists(pattern, negated) => {
                 let mut inner_bound = bound.clone();
                 let node = self.lower_pattern(pattern, graph, &mut inner_bound)?;
-                self.exists.push((node, bound.clone()));
+                self.exists.push(node);
+                self.exists_bound.push(bound.clone());
                 let exists_ref = CExpr::ExistsRef(self.exists.len() - 1);
                 Ok(if *negated {
                     CExpr::Not(Box::new(exists_ref))
@@ -1132,126 +1120,90 @@ fn extract_pins(filters: &[Expression]) -> Vec<(String, Term)> {
     pins
 }
 
-/// Physical planner: walks the rewritten logical tree, threading the
-/// certainly-bound slot set exactly like lowering did, and emits the
-/// executable [`Node`] tree. BGP join ordering and strategy selection are
-/// delegated to [`BgpPlanner`].
-struct Physical<'a> {
-    view: &'a DatasetView,
-    options: CompileOptions,
-    est: Estimator<'a>,
-    /// The planner input of every emitted [`Node::Steps`], when recording.
-    bgps: Option<RefCell<Vec<Option<PlannedBgp>>>>,
+/// A lowered BGP: its indexed triples as one unplanned step chain, then
+/// the closure paths and alternation unions expanded from it, which run
+/// after the triples so their endpoints are bound where possible.
+fn bgp_node(plain: Vec<CTriple>, extras: Vec<Node>) -> Node {
+    let mut children = Vec::new();
+    if !plain.is_empty() {
+        children.push(Node::Steps(plain.into_iter().map(Step::unplanned).collect()));
+    }
+    children.extend(extras);
+    match children.len() {
+        0 => Node::Steps(Vec::new()),
+        1 => children.pop().expect("one child"),
+        _ => Node::Join(children),
+    }
 }
 
-impl Physical<'_> {
-    fn planner(&self) -> BgpPlanner<'_> {
-        BgpPlanner {
-            view: self.view,
-            est: &self.est,
-            force_join: self.options.force_join,
-        }
-    }
+/// The planning pass over a rewritten tree, in place. It threads the
+/// certainly-bound slot set exactly like lowering did, orders every
+/// [`Node::Steps`] chain with [`BgpPlanner`], resolves every
+/// [`Node::Unsatisfiable`] and drops the filter pins.
+struct Planning<'a> {
+    planner: BgpPlanner<'a>,
+    /// The planner input of every planned [`Node::Steps`], when recording.
+    bgps: Option<Vec<Option<PlannedBgp>>>,
+}
 
-    fn emit_select(&self, lsel: &LSelect, bound: &mut HashSet<usize>) -> CSelect {
-        let root = self.emit_node(&lsel.root, bound);
-        for proj in &lsel.projection {
-            bound.insert(proj.slot);
-        }
-        CSelect {
-            distinct: lsel.distinct,
-            projection: lsel.projection.clone(),
-            aggregates: lsel.aggregates.clone(),
-            group_slots: lsel.group_slots.clone(),
-            having: lsel.having.clone(),
-            root,
-            order_by: lsel.order_by.clone(),
-            hidden: lsel.hidden.clone(),
-            limit: lsel.limit,
-            offset: lsel.offset,
-        }
-    }
-
-    fn emit_node(&self, node: &LNode, bound: &mut HashSet<usize>) -> Node {
+impl Planning<'_> {
+    fn node(&mut self, node: &mut Node, bound: &mut HashSet<usize>) {
         match node {
-            LNode::Bgp(tps) => {
-                if let Some(bgps) = &self.bgps {
-                    let bgp = PlannedBgp { triples: tps.clone(), bound: bound.clone() };
-                    bgps.borrow_mut().push(Some(bgp));
+            Node::Steps(steps) => {
+                let triples: Vec<CTriple> =
+                    std::mem::take(steps).into_iter().map(|s| s.triple).collect();
+                if let Some(bgps) = &mut self.bgps {
+                    bgps.push(Some(PlannedBgp { triples: triples.clone(), bound: bound.clone() }));
                 }
-                self.planner().plan(tps.clone(), bound).unwrap_or(Node::Steps(Vec::new()))
+                *steps = self.planner.plan(triples, bound);
             }
-            LNode::Path(p) => {
-                if let CPos::Var(s) = &p.s {
-                    bound.insert(*s);
+            Node::Path(p) => bound.extend([&p.s, &p.o].into_iter().filter_map(CPos::slot)),
+            Node::Join(children) => {
+                for child in children {
+                    self.node(child, bound);
                 }
-                if let CPos::Var(s) = &p.o {
-                    bound.insert(*s);
-                }
-                Node::Path(p.clone())
             }
-            LNode::Join(children) => {
-                Node::Join(children.iter().map(|c| self.emit_node(c, bound)).collect())
+            Node::Filter(_, pins, inner) => {
+                pins.clear();
+                self.node(inner, bound);
             }
-            LNode::Filter { exprs, inner, .. } => {
-                Node::Filter(exprs.clone(), Box::new(self.emit_node(inner, bound)))
-            }
-            LNode::Union(a, b) => {
+            Node::Union(a, b) => {
                 let mut bound_a = bound.clone();
                 let mut bound_b = bound.clone();
-                let na = self.emit_node(a, &mut bound_a);
-                let nb = self.emit_node(b, &mut bound_b);
-                for s in bound_a.intersection(&bound_b) {
-                    bound.insert(*s);
-                }
-                Node::Union(Box::new(na), Box::new(nb))
+                self.node(a, &mut bound_a);
+                self.node(b, &mut bound_b);
+                bound.extend(bound_a.intersection(&bound_b));
             }
-            LNode::Optional(a, b) => {
-                let na = self.emit_node(a, bound);
-                let mut bound_b = bound.clone();
-                let nb = self.emit_node(b, &mut bound_b);
-                Node::Optional(Box::new(na), Box::new(nb))
+            Node::Optional(a, b) => {
+                self.node(a, bound);
+                self.node(b, &mut bound.clone());
             }
-            LNode::SubSelect(lsel) => {
-                let mut inner_bound = HashSet::new();
-                let csel = self.emit_select(lsel, &mut inner_bound);
-                for proj in &csel.projection {
-                    bound.insert(proj.slot);
-                }
-                Node::SubSelect(Box::new(csel))
+            Node::SubSelect(sel) => {
+                self.node(&mut sel.root, &mut HashSet::new());
+                bound.extend(sel.projection.iter().map(|p| p.slot));
             }
-            LNode::Values { slots, rows } => {
-                for &s in slots {
-                    bound.insert(s);
-                }
-                Node::Values { slots: slots.clone(), rows: rows.clone() }
-            }
-            LNode::Extend(slot, expr) => {
+            Node::Values { slots, .. } => bound.extend(slots.iter().copied()),
+            Node::Extend(slot, _) => {
                 bound.insert(*slot);
-                Node::Extend(*slot, expr.clone())
             }
-            LNode::Minus(inner) => {
-                let mut inner_bound = HashSet::new();
-                Node::Minus(Box::new(self.emit_node(inner, &mut inner_bound)))
-            }
-            LNode::Unsatisfiable(inner) => {
-                // A subtree proven empty by a missing constant still emits
-                // its real operators when it contains a zero-row scan that
+            Node::Minus(inner) => self.node(inner, &mut HashSet::new()),
+            Node::Unsatisfiable(inner) => {
+                // A subtree proven empty by a missing constant keeps its
+                // real operators when it contains a zero-row scan that
                 // short-circuits execution anyway: the planner drives the
                 // zero-estimate pattern first, and EXPLAIN keeps showing
                 // the actual scans. Only subtrees with no natural short
                 // circuit (constant-false filters over live patterns,
                 // empty unions) collapse to one synthetic empty scan.
                 if short_circuits(inner) {
-                    self.emit_node(inner, bound)
+                    self.node(inner, bound);
+                    *node = std::mem::replace(&mut **inner, Node::Steps(Vec::new()));
                 } else {
-                    for v in lnode_vars(inner) {
-                        bound.insert(v);
+                    bound.extend(node_vars(inner));
+                    if let Some(bgps) = &mut self.bgps {
+                        bgps.push(None);
                     }
-                    if let Some(bgps) = &self.bgps {
-                        bgps.borrow_mut().push(None);
-                    }
-                    Node::Steps(vec![unsatisfiable_step()])
+                    *node = Node::Steps(vec![unsatisfiable_step()]);
                 }
             }
         }
@@ -1260,14 +1212,14 @@ impl Physical<'_> {
 
 /// True when executing `node` starts from a scan that produces zero rows
 /// on its own — an unsatisfiable triple pattern, or a join whose first
-/// (reordered) input is proven empty. Such subtrees are emitted normally:
+/// (reordered) input is proven empty. Such subtrees are planned normally:
 /// the pipeline stops at the zero-row producer.
-fn short_circuits(node: &LNode) -> bool {
+fn short_circuits(node: &Node) -> bool {
     match node {
-        LNode::Bgp(tps) => tps.iter().any(|t| t.unsatisfiable()),
-        LNode::Join(children) => children.first().is_some_and(short_circuits),
-        LNode::Filter { inner, .. } => short_circuits(inner),
-        LNode::Unsatisfiable(_) => true,
+        Node::Steps(steps) => steps.iter().any(|s| s.triple.unsatisfiable()),
+        Node::Join(children) => children.first().is_some_and(short_circuits),
+        Node::Filter(_, _, inner) => short_circuits(inner),
+        Node::Unsatisfiable(_) => true,
         _ => false,
     }
 }
@@ -1277,18 +1229,12 @@ fn short_circuits(node: &LNode) -> bool {
 /// vectorized scan) already treats as a zero-row scan.
 fn unsatisfiable_step() -> Step {
     let marker = Term::iri("urn:pgrdf:unsatisfiable");
-    Step {
-        triple: CTriple {
-            s: CPos::Const(marker.clone(), None),
-            p: CPos::Const(marker.clone(), None),
-            o: CPos::Const(marker, None),
-            g: CGraph::Any,
-        },
-        strategy: Strategy::IndexNlj,
-        est_scan: 0,
-        est_out: 0,
-        access: None,
-    }
+    Step::unplanned(CTriple {
+        s: CPos::Const(marker.clone(), None),
+        p: CPos::Const(marker.clone(), None),
+        o: CPos::Const(marker, None),
+        g: CGraph::Any,
+    })
 }
 
 /// One constant of a compiled plan, as [`visit_constants`] hands it out.
@@ -1391,7 +1337,7 @@ fn visit_node(node: &mut Node, f: &mut impl FnMut(Site<'_>)) {
                 visit_node(child, f);
             }
         }
-        Node::Filter(exprs, inner) => {
+        Node::Filter(exprs, _, inner) => {
             for expr in exprs.iter() {
                 visit_expr(expr, f);
             }
@@ -1408,7 +1354,7 @@ fn visit_node(node: &mut Node, f: &mut impl FnMut(Site<'_>)) {
             }
         }
         Node::Extend(_, expr) => visit_expr(expr, f),
-        Node::Minus(inner) => visit_node(inner, f),
+        Node::Minus(inner) | Node::Unsatisfiable(inner) => visit_node(inner, f),
     }
 }
 
@@ -1629,7 +1575,7 @@ mod tests {
         .unwrap();
         let c = compile(&view, &q).unwrap();
         let CForm::Select(sel) = c.form else { panic!("expected select") };
-        let Node::Filter(filters, _) = &sel.root else { panic!("expected filter") };
+        let Node::Filter(filters, _, _) = &sel.root else { panic!("expected filter") };
         assert!(matches!(filters[0], CExpr::SlotEqConst(_, Some(_), _)));
     }
 

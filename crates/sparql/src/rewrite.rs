@@ -1,6 +1,6 @@
-//! Rule-based rewrites over the logical algebra ([`crate::logical`]).
+//! Rule-based rewrites over the lowered query tree, in place.
 //!
-//! The pass runs between lowering and physical planning:
+//! The pass runs between lowering and planning (see [`crate::logical`]):
 //!
 //! 1. **pin-pushdown** — a filter that pins `?v = <const>` substitutes the
 //!    resolved dictionary ID into every scan position of its subtree
@@ -32,8 +32,8 @@ use std::mem;
 use rdf_model::Term;
 
 use crate::expr::{CExpr, Value};
-use crate::logical::{LForm, LNode, LQuery, LSelect, Pin};
-use crate::plan::{CAggregate, CGraph, CPos, PathStep};
+use crate::logical::Pin;
+use crate::plan::{CAggregate, CForm, CGraph, CPos, CSelect, CompiledQuery, Node, PathStep};
 
 /// Upper bound on rewrite fixpoint iterations. The rules are monotone
 /// (they only shrink or annotate the tree), so convergence is fast; the
@@ -60,24 +60,16 @@ impl RewriteTrace {
 }
 
 /// Rewrites a lowered query in place and reports which rules fired.
-pub fn rewrite_query(query: &mut LQuery) -> RewriteTrace {
+pub fn rewrite_query(query: &mut CompiledQuery) -> RewriteTrace {
     let mut trace = RewriteTrace::default();
     {
-        let mut roots: Vec<&mut LNode> = Vec::new();
-        match &mut query.form {
-            LForm::Select(sel) => roots.push(&mut sel.root),
-            LForm::Ask(node) => roots.push(node),
-            LForm::Construct(_, sel) => roots.push(&mut sel.root),
-        }
-        for (node, _) in &mut query.exists {
-            roots.push(node);
-        }
-        for root in &mut roots {
+        let mut trees = roots(query);
+        for root in &mut trees {
             push_pins(root, &mut trace);
         }
         for _ in 0..MAX_PASSES {
             let mut changed = false;
-            for root in &mut roots {
+            for root in &mut trees {
                 changed |= fold_constants(root, &mut trace);
                 changed |= propagate_unsat(root, &mut trace);
             }
@@ -94,17 +86,26 @@ pub fn rewrite_query(query: &mut LQuery) -> RewriteTrace {
     trace
 }
 
-fn take(node: &mut LNode) -> LNode {
-    mem::replace(node, LNode::Bgp(Vec::new()))
+/// The form's pattern tree, then every EXISTS pattern.
+fn roots(query: &mut CompiledQuery) -> Vec<&mut Node> {
+    let form = match &mut query.form {
+        CForm::Select(sel) | CForm::Construct(_, sel) => &mut sel.root,
+        CForm::Ask(node) => node,
+    };
+    std::iter::once(form).chain(&mut query.exists).collect()
+}
+
+fn take(node: &mut Node) -> Node {
+    mem::replace(node, Node::Steps(Vec::new()))
 }
 
 // ---------------------------------------------------------------------------
 // Pin pushdown
 // ---------------------------------------------------------------------------
 
-fn push_pins(node: &mut LNode, trace: &mut RewriteTrace) {
+fn push_pins(node: &mut Node, trace: &mut RewriteTrace) {
     match node {
-        LNode::Filter { pins, inner, .. } => {
+        Node::Filter(_, pins, inner) => {
             push_pins(inner, trace);
             // An unpushed pin stays an ordinary equality in `exprs`.
             let bound = certainly_bound(inner);
@@ -115,50 +116,50 @@ fn push_pins(node: &mut LNode, trace: &mut RewriteTrace) {
             for pin in pins.iter() {
                 substitute(inner, pin);
             }
-            let values = LNode::Values {
+            let values = Node::Values {
                 slots: pins.iter().map(|p| p.slot).collect(),
                 rows: vec![pins.iter().map(|p| Some(p.term.clone())).collect()],
             };
             match &mut **inner {
-                LNode::Join(children) => children.insert(0, values),
+                Node::Join(children) => children.insert(0, values),
                 _ => {
                     let prev = take(inner);
-                    **inner = LNode::Join(vec![values, prev]);
+                    **inner = Node::Join(vec![values, prev]);
                 }
             }
             trace.note("pin-pushdown");
         }
-        LNode::Join(children) => {
+        Node::Join(children) => {
             for c in children {
                 push_pins(c, trace);
             }
         }
-        LNode::Union(a, b) | LNode::Optional(a, b) => {
+        Node::Union(a, b) | Node::Optional(a, b) => {
             push_pins(a, trace);
             push_pins(b, trace);
         }
-        LNode::Minus(inner) | LNode::Unsatisfiable(inner) => push_pins(inner, trace),
-        LNode::SubSelect(sel) => push_pins(&mut sel.root, trace),
-        LNode::Bgp(_) | LNode::Path(_) | LNode::Values { .. } | LNode::Extend(..) => {}
+        Node::Minus(inner) | Node::Unsatisfiable(inner) => push_pins(inner, trace),
+        Node::SubSelect(sel) => push_pins(&mut sel.root, trace),
+        Node::Steps(_) | Node::Path(_) | Node::Values { .. } | Node::Extend(..) => {}
     }
 }
 
 /// The slots every solution of `node` binds.
-fn certainly_bound(node: &LNode) -> HashSet<usize> {
+fn certainly_bound(node: &Node) -> HashSet<usize> {
     match node {
-        LNode::Bgp(tps) => tps.iter().flat_map(|t| t.var_slots()).collect(),
-        LNode::Path(p) => [&p.s, &p.o].into_iter().filter_map(CPos::slot).collect(),
-        LNode::Join(children) => children.iter().flat_map(certainly_bound).collect(),
-        LNode::Filter { inner, .. } | LNode::Unsatisfiable(inner) => certainly_bound(inner),
-        LNode::Union(a, b) => &certainly_bound(a) & &certainly_bound(b),
-        LNode::Optional(a, _) => certainly_bound(a),
-        LNode::Values { slots, rows } => slots
+        Node::Steps(steps) => steps.iter().flat_map(|s| s.triple.var_slots()).collect(),
+        Node::Path(p) => [&p.s, &p.o].into_iter().filter_map(CPos::slot).collect(),
+        Node::Join(children) => children.iter().flat_map(certainly_bound).collect(),
+        Node::Filter(_, _, inner) | Node::Unsatisfiable(inner) => certainly_bound(inner),
+        Node::Union(a, b) => &certainly_bound(a) & &certainly_bound(b),
+        Node::Optional(a, _) => certainly_bound(a),
+        Node::Values { slots, rows } => slots
             .iter()
             .enumerate()
             .filter(|(i, _)| rows.iter().all(|row| row[*i].is_some()))
             .map(|(_, slot)| *slot)
             .collect(),
-        LNode::SubSelect(sel) => {
+        Node::SubSelect(sel) => {
             let inner = certainly_bound(&sel.root);
             sel.projection
                 .iter()
@@ -168,17 +169,17 @@ fn certainly_bound(node: &LNode) -> HashSet<usize> {
         }
         // BIND leaves its target unbound on an expression error; MINUS
         // binds nothing.
-        LNode::Extend(..) | LNode::Minus(_) => HashSet::new(),
+        Node::Extend(..) | Node::Minus(_) => HashSet::new(),
     }
 }
 
 /// Substitutes a pinned constant into every scan position of a subtree.
 /// Does not descend into scopes with their own binding rules (sub-selects,
 /// VALUES, BIND): the safety-net filter still constrains those.
-fn substitute(node: &mut LNode, pin: &Pin) {
+fn substitute(node: &mut Node, pin: &Pin) {
     match node {
-        LNode::Bgp(tps) => {
-            for t in tps {
+        Node::Steps(steps) => {
+            for t in steps.iter_mut().map(|s| &mut s.triple) {
                 substitute_pos(&mut t.s, pin, false);
                 substitute_pos(&mut t.p, pin, true);
                 substitute_pos(&mut t.o, pin, false);
@@ -189,22 +190,22 @@ fn substitute(node: &mut LNode, pin: &Pin) {
                 }
             }
         }
-        LNode::Path(p) => {
+        Node::Path(p) => {
             substitute_path(p, pin);
         }
-        LNode::Join(children) => {
+        Node::Join(children) => {
             for c in children {
                 substitute(c, pin);
             }
         }
-        LNode::Filter { inner, .. } => substitute(inner, pin),
-        LNode::Union(a, b) | LNode::Optional(a, b) => {
+        Node::Filter(_, _, inner) => substitute(inner, pin),
+        Node::Union(a, b) | Node::Optional(a, b) => {
             substitute(a, pin);
             substitute(b, pin);
         }
-        LNode::Minus(inner) => substitute(inner, pin),
-        LNode::Unsatisfiable(inner) => substitute(inner, pin),
-        LNode::SubSelect(_) | LNode::Values { .. } | LNode::Extend(..) => {}
+        Node::Minus(inner) => substitute(inner, pin),
+        Node::Unsatisfiable(inner) => substitute(inner, pin),
+        Node::SubSelect(_) | Node::Values { .. } | Node::Extend(..) => {}
     }
 }
 
@@ -226,16 +227,16 @@ fn substitute_path(p: &mut PathStep, pin: &Pin) {
 // Constant folding
 // ---------------------------------------------------------------------------
 
-fn fold_constants(node: &mut LNode, trace: &mut RewriteTrace) -> bool {
+fn fold_constants(node: &mut Node, trace: &mut RewriteTrace) -> bool {
     let changed = match node {
-        LNode::Join(children) => {
+        Node::Join(children) => {
             let mut c = false;
             for child in children {
                 c |= fold_constants(child, trace);
             }
             c
         }
-        LNode::Filter { exprs, inner, pins } => {
+        Node::Filter(exprs, pins, inner) => {
             let mut c = fold_constants(inner, trace);
             for e in exprs.iter_mut() {
                 c |= fold_expr(e);
@@ -252,18 +253,18 @@ fn fold_constants(node: &mut LNode, trace: &mut RewriteTrace) -> bool {
             }
             c
         }
-        LNode::Union(a, b) | LNode::Optional(a, b) => {
+        Node::Union(a, b) | Node::Optional(a, b) => {
             let ca = fold_constants(a, trace);
             let cb = fold_constants(b, trace);
             ca | cb
         }
-        LNode::Minus(inner) => fold_constants(inner, trace),
-        LNode::SubSelect(sel) => fold_constants(&mut sel.root, trace),
-        LNode::Unsatisfiable(_)
-        | LNode::Bgp(_)
-        | LNode::Path(_)
-        | LNode::Values { .. }
-        | LNode::Extend(..) => false,
+        Node::Minus(inner) => fold_constants(inner, trace),
+        Node::SubSelect(sel) => fold_constants(&mut sel.root, trace),
+        Node::Unsatisfiable(_)
+        | Node::Steps(_)
+        | Node::Path(_)
+        | Node::Values { .. }
+        | Node::Extend(..) => false,
     };
     if changed {
         trace.note("fold-constants");
@@ -326,59 +327,59 @@ fn fold_expr(expr: &mut CExpr) -> bool {
 // Unsatisfiability
 // ---------------------------------------------------------------------------
 
-fn propagate_unsat(node: &mut LNode, trace: &mut RewriteTrace) -> bool {
+fn propagate_unsat(node: &mut Node, trace: &mut RewriteTrace) -> bool {
     let mut changed = match node {
-        LNode::Join(children) => {
+        Node::Join(children) => {
             let mut c = false;
             for child in children.iter_mut() {
                 c |= propagate_unsat(child, trace);
             }
             c
         }
-        LNode::Filter { inner, .. } => propagate_unsat(inner, trace),
-        LNode::Union(a, b) | LNode::Optional(a, b) => {
+        Node::Filter(_, _, inner) => propagate_unsat(inner, trace),
+        Node::Union(a, b) | Node::Optional(a, b) => {
             let ca = propagate_unsat(a, trace);
             let cb = propagate_unsat(b, trace);
             ca | cb
         }
-        LNode::Minus(inner) => propagate_unsat(inner, trace),
-        LNode::SubSelect(sel) => propagate_unsat(&mut sel.root, trace),
+        Node::Minus(inner) => propagate_unsat(inner, trace),
+        Node::SubSelect(sel) => propagate_unsat(&mut sel.root, trace),
         // Already-proven subtrees are final; do not re-derive.
-        LNode::Unsatisfiable(_)
-        | LNode::Bgp(_)
-        | LNode::Path(_)
-        | LNode::Values { .. }
-        | LNode::Extend(..) => false,
+        Node::Unsatisfiable(_)
+        | Node::Steps(_)
+        | Node::Path(_)
+        | Node::Values { .. }
+        | Node::Extend(..) => false,
     };
 
     match node {
-        LNode::Bgp(tps) => {
-            if !tps.is_empty() && tps.iter().any(|t| t.unsatisfiable()) {
+        Node::Steps(steps) => {
+            if steps.iter().any(|s| s.triple.unsatisfiable()) {
                 let inner = take(node);
-                *node = LNode::Unsatisfiable(Box::new(inner));
+                *node = Node::Unsatisfiable(Box::new(inner));
                 trace.note("prune-unsatisfiable");
                 changed = true;
             }
         }
-        LNode::Join(children) => {
-            if children.iter().any(|c| matches!(c, LNode::Unsatisfiable(_))) {
+        Node::Join(children) => {
+            if children.iter().any(|c| matches!(c, Node::Unsatisfiable(_))) {
                 // Hoist proven-empty inputs to the front: the pipeline
                 // starts with a zero-row producer and never runs the rest.
-                children.sort_by_key(|c| !matches!(c, LNode::Unsatisfiable(_)));
+                children.sort_by_key(|c| !matches!(c, Node::Unsatisfiable(_)));
                 let inner = take(node);
-                *node = LNode::Unsatisfiable(Box::new(inner));
+                *node = Node::Unsatisfiable(Box::new(inner));
                 trace.note("prune-unsatisfiable");
                 changed = true;
             } else {
                 let before = children.len();
                 if before > 1 {
-                    children.retain(|c| !matches!(c, LNode::Bgp(tps) if tps.is_empty()));
+                    children.retain(|c| !matches!(c, Node::Steps(steps) if steps.is_empty()));
                     if children.is_empty() {
-                        *node = LNode::Bgp(Vec::new());
+                        *node = Node::Steps(Vec::new());
                         changed = true;
                     }
                 }
-                if let LNode::Join(children) = node {
+                if let Node::Join(children) = node {
                     if children.len() != before {
                         trace.note("simplify-join");
                         changed = true;
@@ -392,12 +393,12 @@ fn propagate_unsat(node: &mut LNode, trace: &mut RewriteTrace) -> bool {
                 }
             }
         }
-        LNode::Union(a, b) => {
-            let a_unsat = matches!(&**a, LNode::Unsatisfiable(_));
-            let b_unsat = matches!(&**b, LNode::Unsatisfiable(_));
+        Node::Union(a, b) => {
+            let a_unsat = matches!(&**a, Node::Unsatisfiable(_));
+            let b_unsat = matches!(&**b, Node::Unsatisfiable(_));
             if a_unsat && b_unsat {
                 let inner = take(node);
-                *node = LNode::Unsatisfiable(Box::new(inner));
+                *node = Node::Unsatisfiable(Box::new(inner));
                 trace.note("prune-unsatisfiable");
                 changed = true;
             } else if a_unsat {
@@ -410,38 +411,38 @@ fn propagate_unsat(node: &mut LNode, trace: &mut RewriteTrace) -> bool {
                 changed = true;
             }
         }
-        LNode::Optional(a, b) => {
-            if matches!(&**a, LNode::Unsatisfiable(_)) {
+        Node::Optional(a, b) => {
+            if matches!(&**a, Node::Unsatisfiable(_)) {
                 let inner = take(node);
-                *node = LNode::Unsatisfiable(Box::new(inner));
+                *node = Node::Unsatisfiable(Box::new(inner));
                 trace.note("prune-unsatisfiable");
                 changed = true;
-            } else if matches!(&**b, LNode::Unsatisfiable(_)) {
+            } else if matches!(&**b, Node::Unsatisfiable(_)) {
                 // OPTIONAL over an empty right side keeps every left row.
                 *node = take(a);
                 trace.note("drop-empty-optional");
                 changed = true;
             }
         }
-        LNode::Minus(inner) => {
-            if matches!(&**inner, LNode::Unsatisfiable(_)) {
+        Node::Minus(inner) => {
+            if matches!(&**inner, Node::Unsatisfiable(_)) {
                 // MINUS an empty set removes nothing.
-                *node = LNode::Bgp(Vec::new());
+                *node = Node::Steps(Vec::new());
                 trace.note("drop-empty-minus");
                 changed = true;
             }
         }
-        LNode::Filter { exprs, inner, .. } => {
+        Node::Filter(exprs, _, inner) => {
             let false_filter = exprs
                 .iter()
                 .any(|e| matches!(e, CExpr::Const(Value::Bool(false))));
-            if false_filter || matches!(&**inner, LNode::Unsatisfiable(_)) {
-                if let LNode::Unsatisfiable(proved) = &mut **inner {
+            if false_filter || matches!(&**inner, Node::Unsatisfiable(_)) {
+                if let Node::Unsatisfiable(proved) = &mut **inner {
                     let unwrapped = take(proved);
                     **inner = unwrapped;
                 }
                 let whole = take(node);
-                *node = LNode::Unsatisfiable(Box::new(whole));
+                *node = Node::Unsatisfiable(Box::new(whole));
                 trace.note(if false_filter {
                     "constant-false-filter"
                 } else {
@@ -450,9 +451,9 @@ fn propagate_unsat(node: &mut LNode, trace: &mut RewriteTrace) -> bool {
                 changed = true;
             }
         }
-        LNode::Unsatisfiable(inner) => {
-            if matches!(&**inner, LNode::Unsatisfiable(_)) {
-                if let LNode::Unsatisfiable(nested) = &mut **inner {
+        Node::Unsatisfiable(inner) => {
+            if matches!(&**inner, Node::Unsatisfiable(_)) {
+                if let Node::Unsatisfiable(nested) = &mut **inner {
                     let flat = take(nested);
                     **inner = flat;
                     changed = true;
@@ -468,29 +469,18 @@ fn propagate_unsat(node: &mut LNode, trace: &mut RewriteTrace) -> bool {
 // BIND liveness
 // ---------------------------------------------------------------------------
 
-fn prune_unused_binds(query: &mut LQuery, trace: &mut RewriteTrace) -> bool {
+fn prune_unused_binds(query: &mut CompiledQuery, trace: &mut RewriteTrace) -> bool {
     let mut used = HashSet::new();
     match &query.form {
-        LForm::Select(sel) | LForm::Construct(_, sel) => collect_select_uses(sel, &mut used),
-        LForm::Ask(node) => collect_node_uses(node, &mut used),
+        CForm::Select(sel) | CForm::Construct(_, sel) => collect_select_uses(sel, &mut used),
+        CForm::Ask(node) => collect_node_uses(node, &mut used),
     }
-    for (node, _) in &query.exists {
+    for node in &query.exists {
         collect_node_uses(node, &mut used);
     }
     let mut changed = false;
-    {
-        let mut roots: Vec<&mut LNode> = Vec::new();
-        match &mut query.form {
-            LForm::Select(sel) => roots.push(&mut sel.root),
-            LForm::Ask(node) => roots.push(node),
-            LForm::Construct(_, sel) => roots.push(&mut sel.root),
-        }
-        for (node, _) in &mut query.exists {
-            roots.push(node);
-        }
-        for root in roots {
-            changed |= prune_binds_in(root, &used);
-        }
+    for root in roots(query) {
+        changed |= prune_binds_in(root, &used);
     }
     if changed {
         trace.note("prune-unused-bind");
@@ -498,12 +488,12 @@ fn prune_unused_binds(query: &mut LQuery, trace: &mut RewriteTrace) -> bool {
     changed
 }
 
-fn prune_binds_in(node: &mut LNode, used: &HashSet<usize>) -> bool {
+fn prune_binds_in(node: &mut Node, used: &HashSet<usize>) -> bool {
     match node {
-        LNode::Join(children) => {
+        Node::Join(children) => {
             let mut changed = false;
             let before = children.len();
-            children.retain(|c| !matches!(c, LNode::Extend(slot, _) if !used.contains(slot)));
+            children.retain(|c| !matches!(c, Node::Extend(slot, _) if !used.contains(slot)));
             if children.len() != before {
                 changed = true;
             }
@@ -515,28 +505,28 @@ fn prune_binds_in(node: &mut LNode, used: &HashSet<usize>) -> bool {
                 *node = only;
                 changed = true;
             } else if children.is_empty() {
-                *node = LNode::Bgp(Vec::new());
+                *node = Node::Steps(Vec::new());
                 changed = true;
             }
             changed
         }
-        LNode::Extend(slot, _) if !used.contains(slot) => {
-            *node = LNode::Bgp(Vec::new());
+        Node::Extend(slot, _) if !used.contains(slot) => {
+            *node = Node::Steps(Vec::new());
             true
         }
-        LNode::Filter { inner, .. } => prune_binds_in(inner, used),
-        LNode::Union(a, b) | LNode::Optional(a, b) => {
+        Node::Filter(_, _, inner) => prune_binds_in(inner, used),
+        Node::Union(a, b) | Node::Optional(a, b) => {
             let ca = prune_binds_in(a, used);
             let cb = prune_binds_in(b, used);
             ca | cb
         }
-        LNode::Minus(inner) | LNode::Unsatisfiable(inner) => prune_binds_in(inner, used),
-        LNode::SubSelect(sel) => prune_binds_in(&mut sel.root, used),
+        Node::Minus(inner) | Node::Unsatisfiable(inner) => prune_binds_in(inner, used),
+        Node::SubSelect(sel) => prune_binds_in(&mut sel.root, used),
         _ => false,
     }
 }
 
-fn collect_select_uses(sel: &LSelect, used: &mut HashSet<usize>) {
+fn collect_select_uses(sel: &CSelect, used: &mut HashSet<usize>) {
     for p in sel.projection.iter().chain(&sel.hidden) {
         used.insert(p.slot);
         if let Some(e) = &p.expr {
@@ -563,27 +553,20 @@ fn collect_select_uses(sel: &LSelect, used: &mut HashSet<usize>) {
     collect_node_uses(&sel.root, used);
 }
 
-fn collect_node_uses(node: &LNode, used: &mut HashSet<usize>) {
+fn collect_node_uses(node: &Node, used: &mut HashSet<usize>) {
     match node {
-        LNode::Bgp(tps) => {
-            for t in tps {
-                used.extend(t.var_slots());
+        Node::Steps(steps) => {
+            for step in steps {
+                used.extend(step.triple.var_slots());
             }
         }
-        LNode::Path(p) => {
-            if let CPos::Var(s) = &p.s {
-                used.insert(*s);
-            }
-            if let CPos::Var(s) = &p.o {
-                used.insert(*s);
-            }
-        }
-        LNode::Join(children) => {
+        Node::Path(p) => used.extend([&p.s, &p.o].into_iter().filter_map(CPos::slot)),
+        Node::Join(children) => {
             for c in children {
                 collect_node_uses(c, used);
             }
         }
-        LNode::Filter { exprs, inner, pins } => {
+        Node::Filter(exprs, pins, inner) => {
             for e in exprs {
                 collect_expr_uses(e, used);
             }
@@ -592,16 +575,16 @@ fn collect_node_uses(node: &LNode, used: &mut HashSet<usize>) {
             }
             collect_node_uses(inner, used);
         }
-        LNode::Union(a, b) | LNode::Optional(a, b) => {
+        Node::Union(a, b) | Node::Optional(a, b) => {
             collect_node_uses(a, used);
             collect_node_uses(b, used);
         }
-        LNode::SubSelect(sel) => collect_select_uses(sel, used),
-        LNode::Values { slots, .. } => used.extend(slots.iter().copied()),
+        Node::SubSelect(sel) => collect_select_uses(sel, used),
+        Node::Values { slots, .. } => used.extend(slots.iter().copied()),
         // The defined slot is NOT a use: an Extend only stays alive when
         // some other site references its output.
-        LNode::Extend(_, expr) => collect_expr_uses(expr, used),
-        LNode::Minus(inner) | LNode::Unsatisfiable(inner) => collect_node_uses(inner, used),
+        Node::Extend(_, expr) => collect_expr_uses(expr, used),
+        Node::Minus(inner) | Node::Unsatisfiable(inner) => collect_node_uses(inner, used),
     }
 }
 

@@ -39,7 +39,9 @@ cargo test --release -q -p quadstore
 # and forced NLJ in rows, order and tallies across threads and morsel
 # sizes (merge_join), the hash-join table's u32 row indices against a
 # naive oracle (unit tests), one column batch per morsel
-# (batch_per_morsel), resource limits and executor corner cases.
+# (batch_per_morsel), resource limits, executor corner cases, and the
+# golden EXPLAIN LOGICAL and EXPLAIN texts of one query per rewrite
+# outcome and operator (plan_text).
 cargo test --release -q -p sparql
 
 # MVCC snapshot isolation under real concurrency: writers toggling

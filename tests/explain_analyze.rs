@@ -45,7 +45,7 @@ fn single_chain(compiled: &CompiledQuery) -> Option<&[Step]> {
     let mut node = &sel.root;
     loop {
         match node {
-            Node::Filter(_, inner) => node = inner,
+            Node::Filter(_, _, inner) => node = inner,
             Node::Steps(steps) => return Some(steps),
             _ => return None,
         }
