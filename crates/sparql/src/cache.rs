@@ -691,7 +691,7 @@ impl PlanCache {
                 (v.last_used.load(Ordering::Relaxed), info)
             })
             .collect();
-        out.sort_by(|a, b| b.0.cmp(&a.0));
+        out.sort_by_key(|e| std::cmp::Reverse(e.0));
         out.into_iter().map(|(_, info)| info).collect()
     }
 
@@ -847,8 +847,8 @@ mod tests {
     #[test]
     fn distinct_keys_are_distinct_entries() {
         let cache = PlanCache::new(4);
-        let mut forced = CompileOptions::default();
-        forced.force_join = Some(crate::plan::ForcedJoin::Hash);
+        let forced =
+            CompileOptions { force_join: Some(crate::plan::ForcedJoin::Hash), ..Default::default() };
         cache.get_or_compile("a[PCSGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
         cache.get_or_compile("b[PCSGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
         cache.get_or_compile("a[PCSGM]", "ASK {}", forced, 1, || 0, || Ok(dummy_plan())).unwrap();

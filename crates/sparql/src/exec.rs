@@ -377,23 +377,14 @@ struct Computed {
 }
 
 impl EvalCtx {
-    /// Creates a context for one query execution.
-    pub fn new(view: DatasetView, vars: VarTable) -> Self {
-        Self::with_exists(view, vars, Vec::new())
-    }
-
-    /// A context for one execution of `compiled` against `view`.
+    /// A context for one execution of `compiled` against `view`. Defaults
+    /// to sequential execution; use [`Self::with_options`] to enable
+    /// parallelism.
     fn for_query(view: &DatasetView, compiled: &CompiledQuery) -> Self {
-        Self::with_exists(view.clone(), compiled.vars.clone(), compiled.exists.clone())
-    }
-
-    /// A context carrying compiled EXISTS patterns. Defaults to sequential
-    /// execution; use [`Self::with_options`] to enable parallelism.
-    pub fn with_exists(view: DatasetView, vars: VarTable, exists: Vec<Node>) -> Self {
         EvalCtx {
-            view,
-            vars,
-            exists,
+            view: view.clone(),
+            vars: compiled.vars.clone(),
+            exists: compiled.exists.clone(),
             computed: RwLock::new(Computed::default()),
             limits: ExecLimits::default(),
             check_periodic: false,
@@ -1043,7 +1034,7 @@ impl<'a> TopK<'a> {
         if self.heap.len() < self.k {
             let keys = std::mem::take(&mut self.keys);
             self.heap.push(Ranked { keys, seq, row: row.clone() });
-            let whole = self.heap.len() as u64 % MEM_CHARGE_CHUNK == 0;
+            let whole = (self.heap.len() as u64).is_multiple_of(MEM_CHARGE_CHUNK);
             return !whole || self.ctx.charge_mem(MEM_CHARGE_CHUNK * self.entry_bytes);
         }
         let mut worst = self.heap.peek_mut().expect("a full heap of k >= 1 rows");
@@ -1066,7 +1057,7 @@ fn collect_rows(ctx: &EvalCtx, rows: impl Iterator<Item = Row>) -> Result<Vec<Ro
     let mut out: Vec<Row> = Vec::new();
     for row in rows {
         out.push(row);
-        if out.len() % chunk == 0 && !ctx.charge_mem(MEM_CHARGE_CHUNK * ctx.row_bytes()) {
+        if out.len().is_multiple_of(chunk) && !ctx.charge_mem(MEM_CHARGE_CHUNK * ctx.row_bytes()) {
             break;
         }
     }
@@ -1563,21 +1554,54 @@ fn eval_step_inner<'it>(ctx: &'it EvalCtx, step: &'it Step, input: BoxIter<'it>)
         // A closing step of a cycle is the same probe: fully bound, it
         // replicates each row once per matching quad. A merge step is the
         // same probe too, whatever order its rows arrive in.
-        Strategy::IndexNlj | Strategy::Intersect { .. } | Strategy::Merge { .. } => {
-            Box::new(input.flat_map(move |row| {
-                let scan = probe_pattern(&row, &step.triple).map(move |pattern| {
-                    ctx.view
-                        .scan(pattern)
-                        .filter_map(move |quad| extend_row(&row, &step.triple, &quad))
-                        .take_while(move |_| ctx.charge(1))
-                });
-                scan.into_iter().flatten()
-            }))
-        }
+        Strategy::IndexNlj | Strategy::Intersect { .. } | Strategy::Merge { .. } => Box::new(
+            input.flat_map(move |row| probe_rows(ctx, step, row).take_while(move |_| ctx.charge(1))),
+        ),
+        // The build side is materialised on the first row with a bound key
+        // — at most once per execution, shared across every worker and
+        // re-evaluation of the step — then probed per input row. A row's
+        // matches are charged before any is yielded; a failed charge ends
+        // the step.
         Strategy::HashJoin { join_slots } => {
-            Box::new(HashJoinIter::new(ctx, step, join_slots, input))
+            let cell = ctx.build_cell(step);
+            let mut key = Vec::with_capacity(join_slots.len());
+            let rows = input.map_while(move |row| {
+                // Join keys are usually bound — but OPTIONAL/VALUES can
+                // leave a planned-bound slot UNDEF at runtime. A row with a
+                // computed ID in a join slot can never match stored quads; a
+                // row with an unbound slot falls back to the index probe.
+                let computed = |s: &usize| matches!(row[*s], Some(id) if id & COMPUTED_BIT != 0);
+                if join_slots.iter().any(computed) {
+                    return Some(Vec::new());
+                }
+                if join_slots.iter().any(|&s| row[s].is_none()) {
+                    return charge_all(ctx, probe_rows(ctx, step, row));
+                }
+                key.clear();
+                key.extend(join_slots.iter().map(|&s| row[s].expect("checked above")));
+                let table = cell.get_or_init(|| build_table(ctx, step, join_slots));
+                let found = table.get(&key).filter_map(|q| extend_row(&row, &step.triple, q));
+                charge_all(ctx, found)
+            });
+            Box::new(rows.flatten())
         }
     }
+}
+
+/// The rows `step`'s pattern extends `row` to, one per matching quad, in
+/// scan order (none when the row binds a position to an ID no quad holds).
+fn probe_rows<'it>(
+    ctx: &'it EvalCtx,
+    step: &'it Step,
+    row: Row,
+) -> impl Iterator<Item = Row> + 'it {
+    let scan = probe_pattern(&row, &step.triple).map(|pattern| ctx.view.scan(pattern));
+    scan.into_iter().flatten().filter_map(move |quad| extend_row(&row, &step.triple, &quad))
+}
+
+/// Charges each of `rows`, collecting them: `None` once a charge fails.
+fn charge_all(ctx: &EvalCtx, rows: impl Iterator<Item = Row>) -> Option<Vec<Row>> {
+    rows.map(|row| ctx.charge(1).then_some(row)).collect()
 }
 
 /// Builds a hash-join build side: the step's pattern scanned with
@@ -1623,7 +1647,7 @@ fn scan_build_side(
         // Build sides charge no rows, so route this blocked phase
         // through the periodic deadline/cancel check and the memory
         // budget in chunks — one atomic op per chunk, not per quad.
-        if rows % MEM_CHARGE_CHUNK == 0
+        if rows.is_multiple_of(MEM_CHARGE_CHUNK)
             && (!ctx.tick(MEM_CHARGE_CHUNK) || !ctx.charge_mem(MEM_CHARGE_CHUNK * row_bytes))
         {
             return false;
@@ -1634,93 +1658,6 @@ fn scan_build_side(
         let _ = ctx.tick(rem) && ctx.charge_mem(rem * row_bytes);
     }
     true
-}
-
-/// Lazily-built hash join: the build side is materialised into a hash
-/// table on first use — at most once per execution, shared across every
-/// worker and re-evaluation of the step — then probed per input row.
-struct HashJoinIter<'it> {
-    ctx: &'it EvalCtx,
-    step: &'it Step,
-    join_slots: &'it [usize],
-    input: BoxIter<'it>,
-    cell: Arc<OnceLock<BuildTable>>,
-    /// The current probe key (reused across rows).
-    key: Vec<u64>,
-    pending: std::vec::IntoIter<Row>,
-}
-
-impl<'it> HashJoinIter<'it> {
-    fn new(
-        ctx: &'it EvalCtx,
-        step: &'it Step,
-        join_slots: &'it [usize],
-        input: BoxIter<'it>,
-    ) -> Self {
-        let cell = ctx.build_cell(step);
-        HashJoinIter {
-            ctx,
-            step,
-            join_slots,
-            input,
-            cell,
-            key: Vec::with_capacity(join_slots.len()),
-            pending: Vec::new().into_iter(),
-        }
-    }
-}
-
-impl Iterator for HashJoinIter<'_> {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            if let Some(row) = self.pending.next() {
-                return Some(row);
-            }
-            let row = self.input.next()?;
-            // Join keys are usually bound — but OPTIONAL/VALUES can leave a
-            // planned-bound slot UNDEF at runtime. A row with a computed ID
-            // in a join slot can never match stored quads; a row with an
-            // unbound slot falls back to a per-row index scan (NLJ-style).
-            if self
-                .join_slots
-                .iter()
-                .any(|&s| matches!(row[s], Some(id) if id & COMPUTED_BIT != 0))
-            {
-                continue;
-            }
-            if self.join_slots.iter().any(|&s| row[s].is_none()) {
-                if let Some(pattern) = probe_pattern(&row, &self.step.triple) {
-                    let mut out = Vec::new();
-                    for quad in self.ctx.view.scan(pattern) {
-                        if let Some(new_row) = extend_row(&row, &self.step.triple, &quad) {
-                            if !self.ctx.charge(1) {
-                                return None;
-                            }
-                            out.push(new_row);
-                        }
-                    }
-                    self.pending = out.into_iter();
-                }
-                continue;
-            }
-            self.key.clear();
-            self.key.extend(self.join_slots.iter().map(|&s| row[s].expect("checked above")));
-            let (ctx, step, join_slots) = (self.ctx, self.step, self.join_slots);
-            let table = self.cell.get_or_init(|| build_table(ctx, step, join_slots));
-            let mut out = Vec::new();
-            for quad in table.get(&self.key) {
-                if let Some(new_row) = extend_row(&row, &self.step.triple, quad) {
-                    if !self.ctx.charge(1) {
-                        return None;
-                    }
-                    out.push(new_row);
-                }
-            }
-            self.pending = out.into_iter();
-        }
-    }
 }
 
 /// The quad position each join slot is keyed on (first occurrence).
@@ -1862,132 +1799,43 @@ fn extend_pos(row: &mut Row, pos: &CPos, value: u64) -> bool {
 // streams through `eval_node` on the calling thread.
 // ---------------------------------------------------------------------------
 
-/// One pipeline stage applied to each morsel's rows after the driving scan.
-#[derive(Clone, Copy)]
-enum Stage<'p> {
-    /// Remaining steps of the driving Steps node, or a sibling Steps
-    /// node of the same Join.
-    Steps(&'p [Step]),
-    /// A FILTER wrapper unwrapped from around the root.
-    Filters(&'p [CExpr]),
-}
-
-/// A root plan rewritten for morsel-parallel execution: a base row (from a
-/// leading one-row VALUES pin), a driving index scan, and the downstream
-/// stages every morsel's rows flow through.
-struct DrivePlan<'p> {
-    base: Row,
-    drive: &'p Step,
-    stages: Vec<Stage<'p>>,
-}
-
-/// True when the node is a UNION, possibly under FILTER wrappers.
-fn root_union(node: &Node) -> bool {
-    match node {
-        Node::Union(..) => true,
-        Node::Filter(_, _, inner) => root_union(inner),
-        _ => false,
-    }
-}
-
-/// Splits a root into its UNION branches in sequential order, each with
-/// the FILTERs unwrapped from above it as trailing stages. Every input
-/// row flows through every branch exactly once, so the branches' outputs
-/// concatenated are the root's rows, in its order.
-fn union_branches<'p>(node: &'p Node, suffix: &[Stage<'p>]) -> Vec<(&'p Node, Vec<Stage<'p>>)> {
-    match node {
-        Node::Union(a, b) => {
-            let mut out = union_branches(a, suffix);
-            out.extend(union_branches(b, suffix));
-            out
-        }
-        Node::Filter(filters, _, inner) if root_union(inner) => {
-            let mut with_filter: Vec<Stage<'p>> = vec![Stage::Filters(filters)];
-            with_filter.extend_from_slice(suffix);
-            union_branches(inner, &with_filter)
-        }
-        _ => vec![(node, suffix.to_vec())],
-    }
-}
-
-/// Tries to rewrite a UNION branch into a morsel-drivable plan. The node
-/// must be (under optional FILTER wrappers) a non-empty Steps node, or a
-/// Join of an optional leading one-row VALUES pin, a non-empty Steps node,
-/// and sibling Steps nodes — the shapes [`batch::VecPipeline`] lowers.
-/// The driving step must be an index scan.
-/// `suffix` (the branch's trailing stages) runs last.
-fn drive_plan<'p>(
-    ctx: &EvalCtx,
+/// Splits a root into its UNION branches in sequential order, each as its
+/// innermost non-FILTER node and every FILTER wrapped around it (those
+/// above the UNIONs too), innermost first. Every input row flows through
+/// every branch exactly once, so the branches' outputs concatenated are
+/// the root's rows, in its order.
+fn union_branches<'p>(
     node: &'p Node,
-    suffix: &[Stage<'p>],
-) -> Option<DrivePlan<'p>> {
-    let mut filters: Vec<&'p [CExpr]> = Vec::new();
+    outer: &[&'p [CExpr]],
+) -> Vec<(&'p Node, Vec<&'p [CExpr]>)> {
+    let mut filters = Vec::new();
     let mut cur = node;
     while let Node::Filter(f, _, inner) = cur {
-        filters.push(f);
+        filters.push(f.as_slice());
         cur = inner;
     }
-    let mut base = ctx.empty_row();
-    let mut stages: Vec<Stage<'p>> = Vec::new();
-    let drive: &'p Step;
+    filters.reverse();
+    filters.extend_from_slice(outer);
     match cur {
-        Node::Steps(steps) if !steps.is_empty() => {
-            drive = &steps[0];
-            if steps.len() > 1 {
-                stages.push(Stage::Steps(&steps[1..]));
-            }
+        Node::Union(a, b) => {
+            let mut out = union_branches(a, &filters);
+            out.extend(union_branches(b, &filters));
+            out
         }
-        Node::Join(children) if !children.is_empty() => {
-            let mut idx = 0;
-            if let Node::Values { slots, rows } = &children[0] {
-                // The constant-equality pushdown plants a one-row VALUES
-                // pin ahead of the steps; fold it into the base row.
-                if rows.len() != 1 {
-                    return None;
-                }
-                for (&slot, t) in slots.iter().zip(&rows[0]) {
-                    if let Some(t) = t {
-                        base[slot] = Some(ctx.intern_term(t));
-                    }
-                }
-                idx = 1;
-            }
-            let steps = match children.get(idx) {
-                Some(Node::Steps(steps)) if !steps.is_empty() => steps,
-                _ => return None,
-            };
-            drive = &steps[0];
-            if steps.len() > 1 {
-                stages.push(Stage::Steps(&steps[1..]));
-            }
-            for child in &children[idx + 1..] {
-                let Node::Steps(steps) = child else { return None };
-                stages.push(Stage::Steps(steps));
-            }
-        }
-        _ => return None,
+        _ => vec![(cur, filters)],
     }
-    if !matches!(drive.strategy, Strategy::IndexNlj) {
-        return None;
-    }
-    // Filters run last, innermost first (matching the nesting order).
-    for f in filters.into_iter().rev() {
-        stages.push(Stage::Filters(f));
-    }
-    stages.extend_from_slice(suffix);
-    Some(DrivePlan { base, drive, stages })
 }
 
 /// One root UNION branch as every consumer runs it: a pipeline with its
-/// drive scan's morsels, or a node and trailing stages for [`stream`].
+/// drive scan's morsels, or a node and its FILTERs for [`stream`].
 #[allow(clippy::large_enum_variant)] // moved once per branch; a box would cost an allocation
 enum Branch<'p> {
     Pipe(Vec<Morsel>, batch::VecPipeline<'p>),
-    Stream(&'p Node, Vec<Stage<'p>>),
+    Stream(&'p Node, Vec<&'p [CExpr]>),
 }
 
 /// The root's UNION branches in sequential order, each planned as it is
-/// pulled: [`drive_plan`], the pipeline (sorted by `group_slot` where an
+/// pulled: the pipeline (sorted by `group_slot` where an
 /// index allows, see [`batch::VecPipeline::compile`]) and its morsels, or
 /// left to [`stream`]. Nothing runs yet: consumers begin the pipelines they
 /// start, so a fused consumer that falls back leaves no tallies behind.
@@ -1997,10 +1845,9 @@ fn branches<'p>(
     group_slot: Option<usize>,
 ) -> impl Iterator<Item = Branch<'p>> + 'p {
     let needed = batch::needed_slots(ctx, sel);
-    union_branches(&sel.root, &[]).into_iter().map(move |(node, suffix)| {
-        drive_plan(ctx, node, &suffix)
-            .and_then(|plan| batch::VecPipeline::compile(ctx, &plan, &needed, group_slot))
-            .map_or(Branch::Stream(node, suffix), |p| Branch::Pipe(p.morsels(ctx), p))
+    union_branches(&sel.root, &[]).into_iter().map(move |(node, filters)| {
+        batch::VecPipeline::compile(ctx, node, &filters, &needed, group_slot)
+            .map_or(Branch::Stream(node, filters), |p| Branch::Pipe(p.morsels(ctx), p))
     })
 }
 
@@ -2017,18 +1864,18 @@ fn produce<'it>(ctx: &'it EvalCtx, sel: &'it CSelect, want: Option<usize>) -> Bo
             Branch::Pipe(morsels, pipeline) => {
                 Box::new(MorselRows::new(ctx, pipeline, morsels, want))
             }
-            Branch::Stream(node, suffix) => stream(ctx, node, &suffix),
+            Branch::Stream(node, filters) => stream(ctx, node, &filters),
         }
     }))
 }
 
-/// Streams one seed row through `node` and `stages` on the calling
+/// Streams one seed row through `node` and then `filters` on the calling
 /// thread.
-fn stream<'it>(ctx: &'it EvalCtx, node: &'it Node, stages: &[Stage<'it>]) -> BoxIter<'it> {
+fn stream<'it>(ctx: &'it EvalCtx, node: &'it Node, filters: &[&'it [CExpr]]) -> BoxIter<'it> {
     let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
-    stages
-        .iter()
-        .fold(eval_node(ctx, node, input), |stream, stage| apply_stage(ctx, stage, stream))
+    filters.iter().fold(eval_node(ctx, node, input), |rows, &f| {
+        Box::new(rows.filter(move |row| passes(ctx, f, row)))
+    })
 }
 
 /// Runs the morsel tasks `tasks` across the context's workers — the one
@@ -2212,15 +2059,6 @@ impl Drop for MorselRows<'_> {
     fn drop(&mut self) {
         let waiting: usize = self.bufs.iter_mut().map(|buf| buf_of(buf).len()).sum();
         self.ctx.release_mem(waiting as u64 * self.ctx.row_bytes());
-    }
-}
-
-fn apply_stage<'it>(ctx: &'it EvalCtx, stage: &Stage<'it>, input: BoxIter<'it>) -> BoxIter<'it> {
-    match *stage {
-        Stage::Steps(steps) => {
-            steps.iter().fold(input, |stream, step| eval_step(ctx, step, stream))
-        }
-        Stage::Filters(filters) => Box::new(input.filter(move |row| passes(ctx, filters, row))),
     }
 }
 

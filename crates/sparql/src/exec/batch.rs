@@ -1,12 +1,12 @@
 //! The vectorized columnar pipeline.
 //!
-//! A drive plan (steps and filters after an index scan) can run batch-at-a-time over *columns* of
-//! dictionary IDs instead of materialised `Row`s: the driving index scan
-//! fills one `Vec<u64>` per bound variable straight from the sorted key
-//! runs, each join step turns a batch into the next batch via a
-//! source-index vector (the columnar analogue of the row pipeline's
-//! extend-per-match loop), and filters emit selection vectors that are
-//! applied with a single gather per surviving column. Dictionary
+//! A UNION branch (steps and filters after an index scan) can run
+//! batch-at-a-time over *columns* of dictionary IDs instead of materialised
+//! `Row`s: the driving index scan fills one `Vec<u64>` per bound variable
+//! straight from the sorted key runs, each join step turns a batch into the
+//! next batch via a source-index vector (the columnar analogue of the row
+//! pipeline's extend-per-match loop), and filters emit selection vectors
+//! that are applied with a single gather per surviving column. Dictionary
 //! materialisation is deferred: only FILTER expressions that need term
 //! values (the scalar fallback) and final result emission touch the
 //! dictionary; everything else moves raw IDs.
@@ -364,7 +364,7 @@ impl<'p> Draft<'p> {
                     && step.triple.sole_s_or_o(on).is_some() =>
             {
                 self.op = VecOp::Intersect {
-                    step: *step,
+                    step,
                     spec: *expand,
                     v_pos: self.binds_all[0].0,
                     closes: Vec::new(),
@@ -385,7 +385,7 @@ impl<'p> Draft<'p> {
     }
 }
 
-/// A compiled vectorized pipeline for one drive plan.
+/// A compiled vectorized pipeline for one UNION branch.
 pub(super) struct VecPipeline<'p> {
     drive: &'p Step,
     /// The driving scan's pattern.
@@ -459,27 +459,58 @@ pub(super) fn needed_slots(ctx: &EvalCtx, sel: &CSelect) -> Vec<bool> {
 }
 
 impl<'p> VecPipeline<'p> {
-    /// Compiles a drive plan into a vectorized pipeline, or `None` when a
-    /// construct forces the row pipeline. With a `group_slot` the driving
-    /// scan binds, it prefers an index sorted on it: grouped output ignores
-    /// row order, and key runs turn per-row group lookups into one per run
-    /// (out-degree: PSCGM over PCSGM).
+    /// Compiles a UNION branch — its innermost non-FILTER `node` and the
+    /// `filters` around it, innermost first — into a vectorized pipeline,
+    /// or `None` when a construct forces the row pipeline. The node must
+    /// be a Steps chain, or a Join of an optional leading one-row VALUES
+    /// pin and Steps chains, whose first step is an index scan that drives
+    /// the morsels. With a `group_slot` the driving scan binds, it prefers
+    /// an index sorted on it: grouped output ignores row order, and key
+    /// runs turn per-row group lookups into one per run (out-degree: PSCGM
+    /// over PCSGM).
     pub(super) fn compile(
         ctx: &EvalCtx,
-        plan: &DrivePlan<'p>,
+        node: &'p Node,
+        filters: &[&'p [CExpr]],
         needed: &[bool],
         group_slot: Option<usize>,
     ) -> Option<VecPipeline<'p>> {
         let nvars = ctx.vars.len();
         debug_assert_eq!(needed.len(), nvars);
+        let children = match node {
+            Node::Join(children) => children.as_slice(),
+            Node::Steps(_) => std::slice::from_ref(node),
+            _ => return None,
+        };
+        let mut base = ctx.empty_row();
+        let mut chains: Vec<&'p [Step]> = Vec::with_capacity(children.len());
+        for (i, child) in children.iter().enumerate() {
+            match child {
+                // The constant-equality pushdown plants a one-row VALUES
+                // pin ahead of the steps; fold it into the base row.
+                Node::Values { slots, rows } if i == 0 && rows.len() == 1 => {
+                    for (&slot, t) in slots.iter().zip(&rows[0]) {
+                        if let Some(t) = t {
+                            base[slot] = Some(ctx.intern_term(t));
+                        }
+                    }
+                }
+                Node::Steps(steps) => chains.push(steps),
+                _ => return None,
+            }
+        }
+        let drive = chains.first()?.first()?;
+        chains[0] = &chains[0][1..];
+        if !matches!(drive.strategy, Strategy::IndexNlj) {
+            return None;
+        }
         // Computed IDs in the base row take per-row code paths
         // (probe_pattern bailouts, hash-join skips) that the columnar
         // compiler does not model.
-        if plan.base.iter().flatten().any(|id| id & COMPUTED_BIT != 0) {
+        if base.iter().flatten().any(|id| id & COMPUTED_BIT != 0) {
             return None;
         }
-        let mut bind: Vec<BindState> = plan
-            .base
+        let mut bind: Vec<BindState> = base
             .iter()
             .map(|v| match v {
                 Some(id) => BindState::Base(*id),
@@ -488,106 +519,89 @@ impl<'p> VecPipeline<'p> {
             .collect();
 
         // The driving scan binds its triple's free variable positions.
-        let (drive_binds_all, drive_same) = triple_binds(&plan.drive.triple, &mut bind)?;
+        let (drive_binds_all, drive_same) = triple_binds(&drive.triple, &mut bind)?;
         let prefer = drive_binds_all.iter().find(|b| Some(b.1) == group_slot).map(|b| b.0);
 
         // Pass 1: draft every operator, tracking reads and binds.
         let mut drafts: Vec<Draft<'p>> = Vec::new();
         let mut any_exists = false;
-        for stage in &plan.stages {
-            match stage {
-                Stage::Steps(steps) => {
-                    for (idx, step) in steps.iter().enumerate() {
-                        let draft = match &step.strategy {
-                            Strategy::IndexNlj | Strategy::Merge { .. } => {
-                                let (spec, reads) = probe_spec(&step.triple, &bind)?;
-                                let (binds_all, same) = triple_binds(&step.triple, &mut bind)?;
-                                // A base-row constant can bind a position
-                                // the planner left free and move the
-                                // probe to another index: then the merge
-                                // step probes like any other.
-                                let cursor = match &step.strategy {
-                                    Strategy::Merge { on } => merge_cursor(ctx, step, &spec, *on),
-                                    _ => None,
-                                };
-                                let op = VecOp::probe(step, spec, cursor, same);
-                                Draft { op, reads, binds_all }
-                            }
-                            Strategy::HashJoin { join_slots } => {
-                                // A statically unbound key slot takes the
-                                // row evaluator's per-row fallback.
-                                if join_slots.iter().any(|&s| bind[s] == BindState::Unbound) {
-                                    return None;
-                                }
-                                let mut reads = Vec::new();
-                                let key_srcs: Vec<ValSrc> = join_slots
-                                    .iter()
-                                    .map(|&s| val_src(s, &bind, &mut reads))
-                                    .collect();
-                                let key_pos = key_positions(&step.triple, join_slots);
-                                let checks = hash_checks(
-                                    &step.triple,
-                                    join_slots,
-                                    &key_pos,
-                                    &bind,
-                                    &mut reads,
-                                );
-                                let (binds_all, same) = triple_binds(&step.triple, &mut bind)?;
-                                Draft {
-                                    op: VecOp::Hash {
-                                        step,
-                                        join_slots,
-                                        cell: ctx.build_cell(step),
-                                        key_srcs,
-                                        checks,
-                                        same,
-                                        binds: Vec::new(),
-                                        keep: Vec::new(),
-                                    },
-                                    reads,
-                                    binds_all,
-                                }
-                            }
-                            // A closing step folds into the expand probe
-                            // drafted just before it; anywhere else (its
-                            // expand step drives the scan) it runs as the
-                            // existence probe it is.
-                            Strategy::Intersect { on } => {
-                                let (spec, reads) = probe_spec(&step.triple, &bind)?;
-                                let (binds_all, _) = triple_binds(&step.triple, &mut bind)?;
-                                let prev = idx.checked_sub(1).map(|i| &steps[i]);
-                                if let (Some(prev), Some(d), true) =
-                                    (prev, drafts.last_mut(), binds_all.is_empty())
-                                {
-                                    if d.fold_close(prev, step, *on, spec, &reads) {
-                                        continue;
-                                    }
-                                }
-                                Draft {
-                                    op: VecOp::probe(step, spec, None, Vec::new()),
-                                    reads,
-                                    binds_all,
-                                }
-                            }
+        for steps in chains {
+            for (idx, step) in steps.iter().enumerate() {
+                let draft = match &step.strategy {
+                    Strategy::IndexNlj | Strategy::Merge { .. } => {
+                        let (spec, reads) = probe_spec(&step.triple, &bind)?;
+                        let (binds_all, same) = triple_binds(&step.triple, &mut bind)?;
+                        // A base-row constant can bind a position the planner
+                        // left free and move the probe to another index: then
+                        // the merge step probes like any other.
+                        let cursor = match &step.strategy {
+                            Strategy::Merge { on } => merge_cursor(ctx, step, &spec, *on),
+                            _ => None,
                         };
-                        drafts.push(draft);
+                        let op = VecOp::probe(step, spec, cursor, same);
+                        Draft { op, reads, binds_all }
                     }
-                }
-                Stage::Filters(filters) => {
-                    let mut reads = Vec::new();
-                    let mut specs = Vec::with_capacity(filters.len());
-                    for f in filters.iter() {
-                        let (spec, exists) = filter_spec(ctx, f, &plan.base, &bind, &mut reads);
-                        any_exists |= exists;
-                        specs.push(spec);
+                    Strategy::HashJoin { join_slots } => {
+                        // A statically unbound key slot takes the row
+                        // evaluator's per-row fallback.
+                        if join_slots.iter().any(|&s| bind[s] == BindState::Unbound) {
+                            return None;
+                        }
+                        let mut reads = Vec::new();
+                        let key_srcs: Vec<ValSrc> =
+                            join_slots.iter().map(|&s| val_src(s, &bind, &mut reads)).collect();
+                        let key_pos = key_positions(&step.triple, join_slots);
+                        let checks =
+                            hash_checks(&step.triple, join_slots, &key_pos, &bind, &mut reads);
+                        let (binds_all, same) = triple_binds(&step.triple, &mut bind)?;
+                        Draft {
+                            op: VecOp::Hash {
+                                step,
+                                join_slots,
+                                cell: ctx.build_cell(step),
+                                key_srcs,
+                                checks,
+                                same,
+                                binds: Vec::new(),
+                                keep: Vec::new(),
+                            },
+                            reads,
+                            binds_all,
+                        }
                     }
-                    drafts.push(Draft {
-                        op: VecOp::Filter { specs, keep: Vec::new() },
-                        reads,
-                        binds_all: Vec::new(),
-                    });
-                }
+                    // A closing step folds into the expand probe drafted just
+                    // before it; anywhere else (its expand step drives the
+                    // scan) it runs as the existence probe it is.
+                    Strategy::Intersect { on } => {
+                        let (spec, reads) = probe_spec(&step.triple, &bind)?;
+                        let (binds_all, _) = triple_binds(&step.triple, &mut bind)?;
+                        let prev = idx.checked_sub(1).map(|i| &steps[i]);
+                        if let (Some(prev), Some(d), true) =
+                            (prev, drafts.last_mut(), binds_all.is_empty())
+                        {
+                            if d.fold_close(prev, step, *on, spec, &reads) {
+                                continue;
+                            }
+                        }
+                        Draft { op: VecOp::probe(step, spec, None, Vec::new()), reads, binds_all }
+                    }
+                };
+                drafts.push(draft);
             }
+        }
+        for filters in filters {
+            let mut reads = Vec::new();
+            let mut specs = Vec::with_capacity(filters.len());
+            for f in filters.iter() {
+                let (spec, exists) = filter_spec(ctx, f, &base, &bind, &mut reads);
+                any_exists |= exists;
+                specs.push(spec);
+            }
+            drafts.push(Draft {
+                op: VecOp::Filter { specs, keep: Vec::new() },
+                reads,
+                binds_all: Vec::new(),
+            });
         }
 
         // An EXISTS inside a filter may read any slot through its inner
@@ -690,17 +704,17 @@ impl<'p> VecPipeline<'p> {
         let final_cols: Vec<usize> = (0..nvars).filter(|&s| live[s]).collect();
 
         let mut template = vec![None; nvars];
-        for (slot, v) in plan.base.iter().enumerate() {
+        for (slot, v) in base.iter().enumerate() {
             if final_need[slot] {
                 template[slot] = *v;
             }
         }
 
         Some(VecPipeline {
-            drive: plan.drive,
-            pattern: probe_pattern(&plan.base, &plan.drive.triple)?,
+            drive,
+            pattern: probe_pattern(&base, &drive.triple)?,
             prefer,
-            base: plan.base.clone(),
+            base,
             positions,
             drive_slots,
             same,
@@ -876,7 +890,7 @@ impl<'p> VecPipeline<'p> {
                         memo.pattern = Some(pat);
                     }
                     if memo.count > 0 {
-                        src.extend(std::iter::repeat(i as u32).take(memo.count));
+                        src.extend(std::iter::repeat_n(i as u32, memo.count));
                         for (col, vals) in fresh.iter_mut().zip(&memo.vals) {
                             col.extend_from_slice(vals);
                         }

@@ -235,7 +235,7 @@ mod tests {
             })
             .expect("a hash step");
         for (cap, fails) in [(5, false), (4, true)] {
-            let ctx = EvalCtx::new(view.clone(), compiled.vars.clone());
+            let ctx = EvalCtx::for_query(&view, &compiled);
             let table = build_table_capped(&ctx, step, slots, cap);
             match ctx.abort_error() {
                 Some(SparqlError::ResourceExhausted(reason)) if fails => {

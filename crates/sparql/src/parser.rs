@@ -471,8 +471,6 @@ impl Parser {
 
         if members.len() == 1 && filters.is_empty() {
             Ok(members.pop().expect("one member"))
-        } else if members.len() == 1 {
-            Ok(GraphPattern::Group(members, filters))
         } else {
             Ok(GraphPattern::Group(members, filters))
         }

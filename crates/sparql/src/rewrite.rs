@@ -353,13 +353,11 @@ fn propagate_unsat(node: &mut Node, trace: &mut RewriteTrace) -> bool {
     };
 
     match node {
-        Node::Steps(steps) => {
-            if steps.iter().any(|s| s.triple.unsatisfiable()) {
-                let inner = take(node);
-                *node = Node::Unsatisfiable(Box::new(inner));
-                trace.note("prune-unsatisfiable");
-                changed = true;
-            }
+        Node::Steps(steps) if steps.iter().any(|s| s.triple.unsatisfiable()) => {
+            let inner = take(node);
+            *node = Node::Unsatisfiable(Box::new(inner));
+            trace.note("prune-unsatisfiable");
+            changed = true;
         }
         Node::Join(children) => {
             if children.iter().any(|c| matches!(c, Node::Unsatisfiable(_))) {

@@ -174,6 +174,13 @@ fn queries() -> Vec<&'static str> {
         "SELECT DISTINCT ?x WHERE { ?x ?p ?y }",
         "SELECT ?a ?z WHERE { ?x ?a ?y . ?z ?a ?z }",
         "SELECT ?g ?x ?z WHERE { GRAPH ?g { ?x <http://p0> ?y } GRAPH ?g { ?z <http://p1> ?z } }",
+        // The row engine's hash join: a key left unbound at runtime probes
+        // the index per row (the optimizer plans HASH JOIN on ?x,?y here)...
+        "SELECT ?x ?y WHERE { VALUES (?x ?y) { (<http://n1> UNDEF) (<http://n2> <http://n3>) } \
+         ?x <http://p0> ?y }",
+        // ...and a key bound to a term the store lacks matches nothing.
+        "SELECT ?x ?y WHERE { { BIND(<http://n99> AS ?x) } UNION { BIND(<http://n1> AS ?x) } \
+         ?x <http://p0> ?y }",
     ]
 }
 

@@ -7,8 +7,13 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
-# Deny-level lints (clippy's correctness group) fail the gate; the rest stay advisory.
+# Deny-level lints (clippy's correctness group) fail the gate; elsewhere the
+# rest stay advisory.
 cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy::correctness
+
+# The query engine is held to every default lint: any clippy warning in
+# the sparql crate (its own code and tests) fails the gate.
+cargo clippy --offline -p sparql --all-targets --no-deps -q -- -D warnings
 
 # Rustdoc warnings fail the gate, so a deleted or private item cannot
 # leave a dangling intra-doc link behind.

@@ -460,7 +460,7 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
     let view = store.dataset("m").expect("dataset");
     let (p, q, r) = ("<http://x/p>", "<http://x/q>", "<http://x/r>");
     // (name, untailed head, tailed head, WHERE + GROUP BY, sequential order?)
-    let shapes: [(&str, &str, &str, String, bool); 5] = [
+    let shapes: [(&str, &str, &str, String, bool); 6] = [
         ("flat BGP", "?a ?b ?c", "?a ?b", format!("{{ ?a {p} ?b . ?a {q} ?c }}"), true),
         (
             "GROUP BY + COUNT",
@@ -487,6 +487,16 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
             true,
         ),
         ("OPTIONAL root", "?a ?b ?c", "?a ?b", format!("{{ ?a {p} ?b OPTIONAL {{ ?a {q} ?c }} }}"), true),
+        (
+            "FILTER around a mixed UNION",
+            "?a ?b ?c",
+            "?a ?b",
+            format!(
+                "{{ {{ ?a {p} ?b . ?a {q} ?c FILTER (?c < 4) }} \
+                 UNION {{ ?a {r} ?b OPTIONAL {{ ?a {q} ?c }} }} FILTER (?b != 5) }}"
+            ),
+            true,
+        ),
     ];
     // Sort keys as (column of the untailed row, descending); the last one
     // leads with the non-projected ?c. The grouped shape extends each to
@@ -516,6 +526,14 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
         let untailed_plan = compile(&format!("SELECT {untailed_head} WHERE {body}"));
         let untailed: Vec<Vec<TermRow>> = configs.iter().map(|c| rows(&untailed_plan, c)).collect();
         assert!(untailed[0].len() > 20, "{name}: {} rows", untailed[0].len());
+        if *name == "FILTER around a mixed UNION" {
+            // Its BGP branch runs as a pipeline, its OPTIONAL branch
+            // streams, and both apply every FILTER as the reference does.
+            let (_, vectorized) = run_observed(&view, &untailed_plan, ExecOptions::threads(2));
+            assert!(vectorized, "{name}: expected a pipeline to run");
+            let same = untailed.iter().all(|rows| *rows == untailed[0]);
+            assert!(same, "{name}: a configuration differs from the reference");
+        }
         for order in orders {
             let mut order = order.to_vec();
             if !sequential && !order.is_empty() {
