@@ -101,9 +101,9 @@ impl QuadPattern {
 
     /// Whether an encoded quad matches this pattern.
     pub fn matches(&self, quad: &EncodedQuad) -> bool {
-        self.s.map_or(true, |t| t.0 == quad[S])
-            && self.p.map_or(true, |t| t.0 == quad[P])
-            && self.o.map_or(true, |t| t.0 == quad[O])
+        self.s.is_none_or(|t| t.0 == quad[S])
+            && self.p.is_none_or(|t| t.0 == quad[P])
+            && self.o.is_none_or(|t| t.0 == quad[O])
             && self.g.matches(quad[G])
     }
 }

@@ -57,7 +57,8 @@ pub(crate) struct IndexMetrics {
 /// Per-kind metric handles, cached so a scan resolves its counters with
 /// one short lock over a ≤6-entry list (only when telemetry is enabled).
 pub(crate) fn index_metrics(kind: IndexKind) -> Arc<IndexMetrics> {
-    static CACHE: OnceLock<Mutex<Vec<(IndexKind, Arc<IndexMetrics>)>>> = OnceLock::new();
+    type Cache = Mutex<Vec<(IndexKind, Arc<IndexMetrics>)>>;
+    static CACHE: OnceLock<Cache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(Vec::new()));
     let mut cache = cache.lock().expect("index metrics cache poisoned");
     if let Some((_, m)) = cache.iter().find(|(k, _)| *k == kind) {

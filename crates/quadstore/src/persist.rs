@@ -117,7 +117,7 @@ fn parse_manifest(text: &str) -> Result<Manifest, StoreError> {
                 // before it.
                 let want = u32::from_str_radix(fields[1], 16)
                     .map_err(|_| bad("unparseable manifest crc"))?;
-                let got = crc32(text[..consumed].as_bytes());
+                let got = crc32(&text.as_bytes()[..consumed]);
                 if got != want {
                     return Err(StoreError::Corrupt(format!(
                         "manifest checksum mismatch: computed {got:08x}, recorded {want:08x}"

@@ -957,7 +957,7 @@ mod tests {
                 for _ in 0..200 {
                     let view = store.dataset("m").unwrap();
                     let n = view.len();
-                    assert!(n % 2 == 0, "torn batch visible: {n} quads");
+                    assert!(n.is_multiple_of(2), "torn batch visible: {n} quads");
                 }
             });
             for i in 0..50 {

@@ -7,8 +7,11 @@
 //! store ID instead, so joins and grouping treat value-equal terms as
 //! equal regardless of where they came from.
 //!
-//! One result tail serves every form ([`exec_select`]). Its only blocking
-//! stage, ORDER BY, keeps the best `offset + limit` rows in bounded heaps.
+//! One result tail serves every form. The producer pushes rows into it,
+//! and it returns `false` to stop them; at one thread a pipelined row goes
+//! from the pipeline's row buffer to its decoded solution without a copy.
+//! Its only blocking stage, ORDER BY, keeps the best `offset + limit` rows
+//! in bounded heaps.
 
 use std::cmp;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -42,15 +45,15 @@ type BoxIter<'it> = Box<dyn Iterator<Item = Row> + 'it>;
 /// memory or wall-clock time.
 ///
 /// Both budgets follow the work actually done, not the size of the
-/// relations a query names. Rows are produced on demand, so a result tail
-/// that stops pulling (`LIMIT k` without ORDER BY, DISTINCT or grouping;
-/// `DISTINCT ... LIMIT k` at its k-th fresh key; `ASK` at its first
-/// solution) ends the scans beneath it: the row budget is charged for the
-/// rows scanned up to that point — whole morsels of the driving scan, so
-/// up to `morsel_size` rows past the last one used at `threads == 1` and
-/// one round of morsels past it above — and the memory budget for the
-/// state retained at any one time (the collected result, the DISTINCT
-/// set, an ORDER BY's kept rows, hash builds, one round of morsel output).
+/// relations a query names. A result tail that stops taking rows (`LIMIT
+/// k` without ORDER BY or grouping, at its `k`-th row or `k`-th fresh
+/// DISTINCT key; `ASK` at its first solution) ends the scans beneath it:
+/// the row budget is charged for the rows scanned up to that point — whole
+/// morsels of the driving scan, so up to `morsel_size` rows past the last
+/// one used at `threads == 1` and one round of morsels past it above — and
+/// the memory budget for the state retained at any one time (the result
+/// rows kept, the DISTINCT set, an ORDER BY's kept rows, hash builds, and
+/// above one thread one round of morsel output).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecLimits {
     /// Abort after producing this many intermediate rows across all
@@ -825,10 +828,7 @@ fn run_profiled(
 
 fn execute_with_ctx(ctx: &EvalCtx, compiled: &CompiledQuery) -> Result<QueryResults, SparqlError> {
     match &compiled.form {
-        CForm::Select(sel) => {
-            let rows = exec_select(ctx, sel)?;
-            Ok(QueryResults::Solutions(decode_solutions(ctx, sel, rows)))
-        }
+        CForm::Select(sel) => Ok(QueryResults::Solutions(select_solutions(ctx, sel)?)),
         CForm::Ask(node) => {
             let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
             let mut out = eval_node(ctx, node, input);
@@ -839,8 +839,7 @@ fn execute_with_ctx(ctx: &EvalCtx, compiled: &CompiledQuery) -> Result<QueryResu
             Ok(QueryResults::Boolean(answer))
         }
         CForm::Construct(templates, sel) => {
-            let rows = exec_select(ctx, sel)?;
-            let solutions = decode_solutions(ctx, sel, rows);
+            let solutions = select_solutions(ctx, sel)?;
             let mut quads = crate::update::instantiate(templates, &solutions);
             quads.sort();
             quads.dedup();
@@ -849,28 +848,35 @@ fn execute_with_ctx(ctx: &EvalCtx, compiled: &CompiledQuery) -> Result<QueryResu
     }
 }
 
-/// Narrows result rows to the projected slots and decodes their IDs to
-/// terms (the "emit" span of a traced query).
-fn decode_solutions(ctx: &EvalCtx, sel: &CSelect, rows: Vec<Row>) -> crate::results::Solutions {
+/// A top-level SELECT's solutions: the tail's sink decodes each result
+/// row's projected slots to terms as it arrives. The "emit" span of a
+/// traced query covers the tail, decoding included.
+fn select_solutions(ctx: &EvalCtx, sel: &CSelect) -> Result<crate::results::Solutions, SparqlError> {
     let emit_started = ctx.trace().map(|t| t.now_nanos());
     let slots = sel.projected_slots();
     let vars: Vec<String> = slots.iter().map(|&s| ctx.vars.name(s).to_string()).collect();
-    let rows: Vec<Vec<Option<Term>>> = rows
-        .into_iter()
-        .map(|row| slots.iter().map(|&s| row[s].and_then(|id| ctx.resolve(id))).collect())
-        .collect();
+    let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
+    run_tail(ctx, sel, &mut |row| {
+        rows.push(slots.iter().map(|&s| row[s].and_then(|id| ctx.resolve(id))).collect());
+    })?;
     if let (Some(t), Some(started)) = (ctx.trace(), emit_started) {
         t.record("emit", format!("{} rows", rows.len()), 0, started);
     }
-    crate::results::Solutions { vars, rows }
+    Ok(crate::results::Solutions { vars, rows })
 }
 
-/// Rows the result tail can use before it stops pulling: `offset + limit`
-/// when nothing between the producer and the slice reorders, drops or
-/// folds rows; `None` when every row is needed.
+/// Rows a tail without ORDER BY or grouping can use, `offset + limit`:
+/// [`drive`] sizes its first round of morsels to cover them.
+fn wanted(sel: &CSelect) -> Option<usize> {
+    let unsorted = sel.order_by.is_empty() && !sel.is_grouped();
+    sel.limit.filter(|_| unsorted).map(|limit| limit.saturating_add(sel.offset.unwrap_or(0)))
+}
+
+/// Rows the result tail can use before it stops taking them: [`wanted`]
+/// when nothing between the producer and the slice drops rows; `None`
+/// when every row is needed.
 pub(crate) fn appetite(sel: &CSelect) -> Option<usize> {
-    let plain = sel.order_by.is_empty() && !sel.distinct && !sel.is_grouped();
-    sel.limit.filter(|_| plain).map(|limit| limit.saturating_add(sel.offset.unwrap_or(0)))
+    wanted(sel).filter(|_| !sel.distinct)
 }
 
 /// The rows an ORDER BY keeps: `offset + limit` under a LIMIT without
@@ -879,54 +885,79 @@ pub(crate) fn top_k(sel: &CSelect) -> Option<usize> {
     sel.limit.filter(|_| !sel.distinct).map(|limit| limit.saturating_add(sel.offset.unwrap_or(0)))
 }
 
-/// Evaluates a SELECT pipeline, returning full-width rows (only the
-/// projected slots set). One pull chain serves top-level SELECT,
-/// CONSTRUCT, sub-SELECT and grouped output: expression projection →
-/// order stage → narrow → DISTINCT → OFFSET → LIMIT → collect. Only the
-/// order stage blocks; without ORDER BY the slice ends the scan.
+/// Evaluates a SELECT into full-width rows with only the projected slots
+/// set: a sub-select's rows, through the same tail as every other form.
 pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
-    let mut rows: BoxIter = if sel.is_grouped() {
-        Box::new(grouped_rows(ctx, sel).into_iter())
-    } else {
-        Box::new(produce(ctx, sel, appetite(sel)).map(|mut row| {
-            project(ctx, sel, &mut row);
-            row
-        }))
-    };
-    if !sel.order_by.is_empty() {
-        rows = Box::new(order_rows(ctx, sel, rows)?.into_iter());
-    }
-
-    // Narrow rows to the projected slots in place (DISTINCT keys and
-    // sub-select joins read nothing else), then dedup and slice as rows
-    // are pulled: DISTINCT stops at the fresh key that fills the LIMIT.
     let slots = sel.projected_slots();
-    let mut keep = vec![false; ctx.vars.len()];
-    for &s in &slots {
-        keep[s] = true;
-    }
-    let narrowed = rows.map(|mut row| {
-        for (value, keep) in row.iter_mut().zip(&keep) {
-            if !keep {
-                *value = None;
-            }
+    let mut rows = Vec::new();
+    run_tail(ctx, sel, &mut |row| {
+        let mut narrowed = ctx.empty_row();
+        for &s in &slots {
+            narrowed[s] = row[s];
         }
-        row
-    });
+        rows.push(narrowed);
+    })?;
+    Ok(rows)
+}
+
+/// A consumer of pushed rows: `false` stops the rows feeding it.
+type Emit<'e> = dyn FnMut(&mut Row) -> bool + Send + 'e;
+
+/// Runs a SELECT's result tail into `sink`. Rows are pushed through one
+/// closure chain — projection → DISTINCT → OFFSET → LIMIT → sink — whose
+/// `false` stops the producer, so without ORDER BY the slice ends the
+/// scan. ORDER BY is the only blocking stage, and grouping folds every row
+/// before the tail takes one. DISTINCT keys and the sink read only the
+/// projected slots. The rows the sink keeps are retained state like any
+/// other: they are charged in chunks, so a wide result stops once it
+/// exceeds the memory budget, and a limit hit anywhere below — including
+/// inside a sub-select whose error was discarded — surfaces here rather
+/// than as silently truncated results.
+fn run_tail(ctx: &EvalCtx, sel: &CSelect, sink: &mut (dyn FnMut(&Row) + Send)) -> Result<(), SparqlError> {
+    let slots = sel.projected_slots();
     // Keys are term IDs, as in the group maps; a duplicate allocates nothing.
     let mut seen: HashSet<Vec<Option<u64>>, IdHashState> = HashSet::default();
     let mut key = Vec::with_capacity(slots.len());
     let key_bytes = slots.len() as u64 * SLOT_BYTES + 48;
-    let fresh = narrowed.filter(|row| {
-        if !sel.distinct {
+    let (mut skip, limit) = (sel.offset.unwrap_or(0), sel.limit.unwrap_or(usize::MAX));
+    let (chunk, row_bytes) = (MEM_CHARGE_CHUNK as usize, ctx.row_bytes());
+    let mut kept = 0usize;
+    let mut take = |row: &Row| -> bool {
+        if sel.distinct {
+            key.clear();
+            key.extend(slots.iter().map(|&s| row[s]));
+            if seen.contains(&key) {
+                return true;
+            }
+            seen.insert(key.clone());
+            if !ctx.charge_mem(key_bytes) {
+                return false;
+            }
+        }
+        if skip > 0 {
+            skip -= 1;
             return true;
         }
-        key.clear();
-        key.extend(slots.iter().map(|&s| row[s]));
-        !seen.contains(&key) && seen.insert(key.clone()) && ctx.charge_mem(key_bytes)
-    });
-    let sliced = fresh.skip(sel.offset.unwrap_or(0)).take(sel.limit.unwrap_or(usize::MAX));
-    collect_rows(ctx, sliced)
+        sink(row);
+        kept += 1;
+        (!kept.is_multiple_of(chunk) || ctx.charge_mem(MEM_CHARGE_CHUNK * row_bytes)) && kept < limit
+    };
+    if sel.is_grouped() || !sel.order_by.is_empty() {
+        let grouped = sel.is_grouped().then(|| grouped_rows(ctx, sel));
+        let rows =
+            if sel.order_by.is_empty() { grouped.unwrap_or_default() } else { order_rows(ctx, sel, grouped)? };
+        let _ = limit > 0 && rows.iter().all(&mut take);
+    } else if limit > 0 {
+        produce(ctx, sel, &mut |row| {
+            project(ctx, sel, row);
+            take(row)
+        });
+    }
+    let _ = ctx.charge_mem((kept % chunk) as u64 * row_bytes);
+    match ctx.abort_error() {
+        Some(err) => Err(err),
+        None => Ok(()),
+    }
 }
 
 /// Evaluates a flat SELECT's projection expressions into their slots.
@@ -940,18 +971,28 @@ fn project(ctx: &EvalCtx, sel: &CSelect, row: &mut Row) {
 
 /// The order stage: each row's keys are computed once and the best
 /// [`top_k`] rows (all without one) kept in bounded heaps — per morsel
-/// worker ([`par_top_k`]) or over `rows` — then sorted; ties keep arrival
-/// order, so the result is a stable sort's prefix.
-fn order_rows<'it>(
-    ctx: &'it EvalCtx,
-    sel: &'it CSelect,
-    rows: BoxIter<'it>,
-) -> Result<Vec<Row>, SparqlError> {
+/// worker ([`par_top_k`]), or over the `grouped` rows or the projected
+/// rows [`produce`] pushes — then sorted; ties keep arrival order, so the
+/// result is a stable sort's prefix.
+fn order_rows(ctx: &EvalCtx, sel: &CSelect, grouped: Option<Vec<Row>>) -> Result<Vec<Row>, SparqlError> {
     let k = top_k(sel).unwrap_or(usize::MAX);
-    let fused = if sel.is_grouped() || ctx.reference { None } else { par_top_k(ctx, sel, k) };
+    let fused = if grouped.is_some() || ctx.reference { None } else { par_top_k(ctx, sel, k) };
     let heaps = fused.unwrap_or_else(|| {
         let mut heap = TopK::new(ctx, sel, k);
-        let _ = rows.enumerate().all(|(n, row)| heap.offer(&row, (0, n)));
+        let mut n = 0;
+        let mut offer = |row: &mut Row| {
+            n += 1;
+            heap.offer(row, (0, n))
+        };
+        match grouped {
+            Some(mut rows) => {
+                let _ = rows.iter_mut().all(offer);
+            }
+            None => produce(ctx, sel, &mut |row| {
+                project(ctx, sel, row);
+                offer(row)
+            }),
+        }
         vec![heap]
     });
     // `offer` charged whole chunks of entries; charge each last one, then
@@ -1008,7 +1049,7 @@ fn sort_keys<'a>(ctx: &'a EvalCtx, sel: &CSelect, row: &Row, keys: &mut Vec<Dire
 /// The `k` best rows offered so far, worst on top: a row that does not
 /// beat it is dropped after one key comparison, one that does takes its
 /// place and buffers. Entries are charged to the memory budget in chunks
-/// as they are added, like [`collect_rows`]' buffer.
+/// as they are added, like the rows a result sink keeps ([`run_tail`]).
 struct TopK<'a> {
     ctx: &'a EvalCtx,
     sel: &'a CSelect,
@@ -1044,27 +1085,6 @@ impl<'a> TopK<'a> {
             worst.seq = seq;
         }
         true
-    }
-}
-
-/// Collects the rows a blocking stage keeps. The buffer is retained state
-/// like any other: it is charged in chunks as it grows, so a wide result
-/// stops being pulled once it exceeds the memory budget. A limit hit
-/// anywhere below — including inside a sub-select whose error was
-/// discarded — surfaces here rather than as silently truncated results.
-fn collect_rows(ctx: &EvalCtx, rows: impl Iterator<Item = Row>) -> Result<Vec<Row>, SparqlError> {
-    let chunk = MEM_CHARGE_CHUNK as usize;
-    let mut out: Vec<Row> = Vec::new();
-    for row in rows {
-        out.push(row);
-        if out.len().is_multiple_of(chunk) && !ctx.charge_mem(MEM_CHARGE_CHUNK * ctx.row_bytes()) {
-            break;
-        }
-    }
-    let _ = ctx.charge_mem((out.len() % chunk) as u64 * ctx.row_bytes());
-    match ctx.abort_error() {
-        Some(err) => Err(err),
-        None => Ok(out),
     }
 }
 
@@ -1194,7 +1214,7 @@ fn grouped_rows(ctx: &EvalCtx, sel: &CSelect) -> Vec<Row> {
             return finalize_groups(ctx, sel, partial.groups, partial.saw_rows);
         }
     }
-    group_and_aggregate(ctx, sel, produce(ctx, sel, None))
+    group_and_aggregate(ctx, sel)
 }
 
 /// Estimated retained bytes for one group-by partial: the key vector plus
@@ -1204,27 +1224,26 @@ fn group_mem_bytes(sel: &CSelect) -> u64 {
     48 + sel.group_slots.len() as u64 * SLOT_BYTES + sel.aggregates.len() as u64 * 48
 }
 
-fn group_and_aggregate(ctx: &EvalCtx, sel: &CSelect, solutions: BoxIter<'_>) -> Vec<Row> {
+/// Groups the rows [`produce`] pushes, in their sequential order.
+fn group_and_aggregate(ctx: &EvalCtx, sel: &CSelect) -> Vec<Row> {
     // A fixed hasher: the same input gives the same group order on every
     // run, like the fused path.
     let mut groups = GroupMap::default();
     let make_accs = || sel.aggregates.iter().map(Acc::new).collect::<Vec<_>>();
     let group_bytes = group_mem_bytes(sel);
     let mut saw_rows = false;
-    for row in solutions {
+    produce(ctx, sel, &mut |row| {
         saw_rows = true;
         let key: Vec<Option<u64>> = sel.group_slots.iter().map(|&s| row[s]).collect();
         let before = groups.len();
         let accs = groups.entry(key).or_insert_with(make_accs);
         for (acc, agg) in accs.iter_mut().zip(&sel.aggregates) {
-            acc.update(ctx, agg, &row);
+            acc.update(ctx, agg, row);
         }
         // Group-by partials are retained state: each fresh group charges
         // the memory budget, and an exceeded budget stops consuming input.
-        if groups.len() > before && !ctx.charge_mem(group_bytes) {
-            break;
-        }
-    }
+        groups.len() == before || ctx.charge_mem(group_bytes)
+    });
     finalize_groups(ctx, sel, groups, saw_rows)
 }
 
@@ -1793,7 +1812,7 @@ fn extend_pos(row: &mut Row, pos: &CPos, value: u64) -> bool {
 // fixed-size morsels (contiguous chunks of the chosen sorted index, plus
 // per-member DML-delta morsels). Workers claim morsels from a shared
 // counter and run each morsel through the pipeline as one column batch, and
-// the outputs are pulled in morsel order, which reproduces the sequential row
+// the outputs are pushed in morsel order, which reproduces the sequential row
 // order exactly, because step chains and FILTERs are "order-local": their
 // output order depends only on their input order. Every other plan
 // streams through `eval_node` on the calling thread.
@@ -1835,7 +1854,7 @@ enum Branch<'p> {
 }
 
 /// The root's UNION branches in sequential order, each planned as it is
-/// pulled: the pipeline (sorted by `group_slot` where an
+/// reached: the pipeline (sorted by `group_slot` where an
 /// index allows, see [`batch::VecPipeline::compile`]) and its morsels, or
 /// left to [`stream`]. Nothing runs yet: consumers begin the pipelines they
 /// start, so a fused consumer that falls back leaves no tallies behind.
@@ -1851,22 +1870,23 @@ fn branches<'p>(
     })
 }
 
-/// The root's solution rows in exact sequential order, branch by UNION
-/// branch, produced as they are pulled: pipelined branches a round of
-/// morsels at a time ([`MorselRows`]), the others through [`stream`].
-/// `want` is the tail's [`appetite`].
-fn produce<'it>(ctx: &'it EvalCtx, sel: &'it CSelect, want: Option<usize>) -> BoxIter<'it> {
+/// Pushes the root's solution rows to `emit` in exact sequential order,
+/// branch by UNION branch, until it returns `false`: pipelined branches
+/// through [`drive`], the others through [`stream`].
+fn produce(ctx: &EvalCtx, sel: &CSelect, emit: &mut Emit<'_>) {
     if ctx.reference {
-        return stream(ctx, &sel.root, &[]);
+        let _ = stream(ctx, &sel.root, &[]).all(|mut row| emit(&mut row));
+        return;
     }
-    Box::new(branches(ctx, sel, None).flat_map(move |branch| -> BoxIter<'it> {
-        match branch {
-            Branch::Pipe(morsels, pipeline) => {
-                Box::new(MorselRows::new(ctx, pipeline, morsels, want))
-            }
-            Branch::Stream(node, filters) => stream(ctx, node, &filters),
+    for branch in branches(ctx, sel, None) {
+        let more = match branch {
+            Branch::Pipe(morsels, pipeline) => drive(ctx, sel, &pipeline, &morsels, emit),
+            Branch::Stream(node, filters) => stream(ctx, node, &filters).all(|mut row| emit(&mut row)),
+        };
+        if !more {
+            return;
         }
-    }))
+    }
 }
 
 /// Streams one seed row through `node` and then `filters` on the calling
@@ -1934,132 +1954,83 @@ fn claim_tasks<S: Send>(
     })
 }
 
-/// One drivable UNION branch's rows in morsel order — which is the
-/// sequential row order, see above — produced through its pipeline a
-/// *round* of morsels per refill. At `threads == 1` a round is one
-/// morsel, so a consumer that stops pulling ends the scan at the next
-/// morsel boundary. Above, a round is every morsel when the
-/// consumer needs every row, else enough morsels to cover its appetite
-/// if each scanned row came out, doubling while it keeps pulling: the
-/// rows scanned and charged depend on the thread count, never on thread
-/// timing.
-struct MorselRows<'it> {
-    ctx: &'it EvalCtx,
-    pipeline: batch::VecPipeline<'it>,
-    morsels: Vec<Morsel>,
-    /// The first morsel no round has run yet.
-    next: usize,
-    /// Morsels in the next round at `threads > 1`.
-    round: usize,
-    /// Rows the consumer can still use (`usize::MAX`: all of them).
-    want: usize,
-    /// The round's outputs by morsel; each worker fills the ones it
-    /// claims. Drained buffers are kept for the next round.
-    bufs: Vec<Mutex<Vec<Row>>>,
-    /// The buffer being drained, and the next row in it.
-    at: (usize, usize),
-    /// A worker's probe memo, kept from round to round.
-    memo: Option<batch::VecState>,
-}
-
-impl<'it> MorselRows<'it> {
-    /// Begins `pipeline` and yields its rows over `morsels`.
-    fn new(
-        ctx: &'it EvalCtx,
-        pipeline: batch::VecPipeline<'it>,
-        morsels: Vec<Morsel>,
-        want: Option<usize>,
-    ) -> Self {
-        pipeline.begin(ctx);
-        MorselRows {
-            ctx,
-            pipeline,
-            morsels,
-            next: 0,
-            round: want.map_or(usize::MAX, |w| w.div_ceil(ctx.morsel_size).max(1)),
-            want: want.unwrap_or(usize::MAX),
-            bufs: Vec::new(),
-            at: (0, 0),
-            memo: None,
+/// Pushes one pipelined UNION branch's rows to `emit` in morsel order —
+/// the sequential row order, see above — and says whether `emit` still
+/// takes rows. At `threads == 1` each morsel runs on the calling thread
+/// straight into `emit`: no row is copied, and a tail that stops ends the
+/// scan inside that morsel. Above, a *round* of morsels runs across the
+/// workers into per-morsel buffers, which the calling thread then pushes
+/// in order. A round is every morsel when the tail needs every row, else
+/// enough morsels to cover its [`wanted`] rows if each scanned row came
+/// out, doubling while it keeps taking; a plain tail's buffers keep no
+/// more rows than it can still use ([`appetite`]), a DISTINCT's keep whole
+/// morsels. The rows scanned and charged depend on the thread count, never
+/// on thread timing.
+fn drive(
+    ctx: &EvalCtx,
+    sel: &CSelect,
+    pipeline: &batch::VecPipeline<'_>,
+    morsels: &[Morsel],
+    emit: &mut Emit<'_>,
+) -> bool {
+    pipeline.begin(ctx);
+    let direct = ctx.threads == 1;
+    let mut want = appetite(sel).unwrap_or(usize::MAX);
+    let mut round = wanted(sel).map_or(usize::MAX, |w| w.div_ceil(ctx.morsel_size).max(1));
+    let (mut next, mut memo) = (0, None);
+    let mut bufs: Vec<Mutex<Vec<Row>>> = Vec::new();
+    let mut stopped = AtomicBool::new(false);
+    let mut emit = Mutex::new(emit);
+    while next < morsels.len() && !ctx.is_exhausted() && !*stopped.get_mut() {
+        let tasks = next..next.saturating_add(if direct { 1 } else { round }).min(morsels.len());
+        if bufs.len() < tasks.len() {
+            bufs.resize_with(tasks.len(), Default::default);
         }
-    }
-
-    /// Runs the next round of morsels into `bufs`; `false` when none is
-    /// left or a limit fired.
-    fn refill(&mut self) -> bool {
-        let ctx = self.ctx;
-        let len = if ctx.threads == 1 { 1 } else { self.round };
-        let tasks = self.next..self.next.saturating_add(len).min(self.morsels.len());
-        if tasks.is_empty() || ctx.is_exhausted() {
-            return false;
-        }
-        if self.bufs.len() < tasks.len() {
-            self.bufs.resize_with(tasks.len(), Default::default);
-        }
-        let kept = Mutex::new(self.memo.take());
-        let (this, want) = (&*self, self.want);
-        let memo = || {
+        // A worker's probe memo is kept from round to round.
+        let kept = Mutex::new(memo.take());
+        let init = || {
             let kept = kept.lock().expect("memo lock poisoned").take();
-            kept.unwrap_or_else(|| batch::VecState::new(&this.pipeline))
+            kept.unwrap_or_else(|| batch::VecState::new(pipeline))
         };
-        let mut memos = claim_tasks(ctx, tasks.clone(), "morsel", memo, |memo, i| {
-            let morsel = &this.morsels[i];
-            let mut out = this.bufs[i - tasks.start].lock().expect("morsel buffer lock poisoned");
-            this.pipeline.run_morsel(ctx, morsel, memo, None, &mut |row| {
+        let mut memos = claim_tasks(ctx, tasks.clone(), "morsel", init, |memo, i| {
+            if direct {
+                let mut emit = emit.lock().expect("emit lock poisoned");
+                pipeline.run_morsel(ctx, &morsels[i], memo, None, &mut |row| {
+                    let more = emit(row);
+                    if !more {
+                        stopped.store(true, Ordering::Relaxed);
+                    }
+                    more
+                });
+                return;
+            }
+            let mut out = bufs[i - tasks.start].lock().expect("morsel buffer lock poisoned");
+            pipeline.run_morsel(ctx, &morsels[i], memo, None, &mut |row| {
                 if out.len() < want {
                     out.push(row.clone());
                 }
                 out.len() < want
             });
-            // The round's output waits in memory until it is pulled: one
-            // bulk memory charge per morsel, released as it drains.
+            // The round's output waits in memory until it is pushed: one
+            // bulk memory charge per morsel, released once it is.
             let _ = ctx.charge_mem(out.len() as u64 * ctx.row_bytes());
         });
-        self.memo = memos.pop();
-        self.next = tasks.end;
-        self.round = self.round.saturating_mul(2);
-        self.at = (0, 0);
-        true
-    }
-}
-
-fn buf_of(buf: &mut Mutex<Vec<Row>>) -> &mut Vec<Row> {
-    buf.get_mut().expect("morsel buffer lock poisoned")
-}
-
-impl Iterator for MorselRows<'_> {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Row> {
-        loop {
-            let (b, i) = self.at;
-            if b == self.bufs.len() {
-                if !self.refill() {
-                    return None;
-                }
-                continue;
-            }
-            let buf = buf_of(&mut self.bufs[b]);
-            if i < buf.len() {
-                self.at.1 += 1;
-                self.want = self.want.saturating_sub(1);
-                return Some(std::mem::take(&mut buf[i]));
-            }
-            // Drained: keep the allocation, return the charge.
-            self.ctx.release_mem(buf.len() as u64 * self.ctx.row_bytes());
+        memo = memos.pop();
+        next = tasks.end;
+        round = round.saturating_mul(2);
+        let (emit, stop) = (emit.get_mut().expect("emit lock poisoned"), stopped.get_mut());
+        for buf in &mut bufs[..tasks.len()] {
+            let buf = buf.get_mut().expect("morsel buffer lock poisoned");
+            *stop = *stop
+                || !buf.iter_mut().all(|row| {
+                    want = want.saturating_sub(1);
+                    emit(row)
+                });
+            ctx.release_mem(buf.len() as u64 * ctx.row_bytes());
             buf.clear();
-            self.at = (b + 1, 0);
         }
     }
-}
-
-impl Drop for MorselRows<'_> {
-    /// Returns the charge of the buffers not drained (drained ones are
-    /// empty).
-    fn drop(&mut self) {
-        let waiting: usize = self.bufs.iter_mut().map(|buf| buf_of(buf).len()).sum();
-        self.ctx.release_mem(waiting as u64 * self.ctx.row_bytes());
-    }
+    !stopped.into_inner()
 }
 
 // ---------------------------------------------------------------------------

@@ -25,11 +25,11 @@
 //! loops do not depend on it; at `threads > 1` a step's `time=` is the
 //! sum over the workers that ran it, so it can exceed the wall time.
 //!
-//! Rows are produced as the result tail pulls them, so under a tail that
-//! ends early — `LIMIT 10 (ends scan)`, or `DISTINCT (streaming)` filling
-//! its LIMIT — a step's `actual` rows are the rows it actually produced
-//! before the pulling stopped: for the driving step, the morsels scanned
-//! (whole ones), not the size of the relation. An ORDER BY reads every
+//! Rows are pushed into the result tail, which stops them once it needs no
+//! more, so under a tail that ends early — `LIMIT 10 (ends scan)`, or
+//! `DISTINCT (streaming)` filling its LIMIT — a step's `actual` rows are
+//! the rows it actually produced before the tail stopped: for the driving
+//! step, the morsels scanned (whole ones), not the size of the relation. An ORDER BY reads every
 //! row either way: `ORDER BY (2 keys, top 10)` keeps ten of them in a
 //! bounded heap, `ORDER BY (2 keys)` sorts them all.
 
@@ -192,7 +192,7 @@ fn render_select(
     // The result tail, in pipeline order. Only ORDER BY blocks — under a
     // LIMIT without DISTINCT it keeps the top `offset + limit` rows in a
     // bounded heap, else it sorts them all: without it DISTINCT dedups
-    // rows as they are pulled, and a plain LIMIT is the executor's
+    // rows as they are pushed, and a plain LIMIT is the executor's
     // appetite — it ends the scans beneath it.
     if !sel.order_by.is_empty() {
         let top = crate::exec::top_k(sel).map(|k| format!(", top {k}")).unwrap_or_default();

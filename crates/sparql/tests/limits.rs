@@ -200,6 +200,47 @@ fn row_budget_follows_the_rows_actually_scanned() {
     assert_eq!(ask.ok(), Some(QueryResults::Boolean(true)));
 }
 
+/// `DISTINCT … LIMIT k` stops at its k-th fresh key at every thread count:
+/// above one thread its rounds of morsels are sized from the LIMIT, like a
+/// plain LIMIT's, so ten distinct rows of 50,000 fit a 5,000-row budget.
+#[test]
+fn distinct_limit_ends_the_scan_at_every_thread_count() {
+    let store = dense_store(50_000);
+    let q = "SELECT DISTINCT ?o WHERE { ?s <http://p> ?o } LIMIT 10";
+    let expected = reference(&store, q, ExecLimits::rows(5_000)).expect("reference");
+    assert!(matches!(&expected, QueryResults::Solutions(sols) if sols.len() == 10), "{expected:?}");
+    for threads in [1, 2, 4] {
+        let options = ExecOptions::threads(threads).with_limits(ExecLimits::rows(5_000));
+        let result = query_with_options(&store, "m", q, options);
+        assert_eq!(result.as_ref().ok(), Some(&expected), "threads={threads}: {result:?}");
+    }
+}
+
+/// The rows a result keeps are charged as the tail takes them: a plain
+/// whole-relation SELECT, whose 50,000 rows need about 2.5 MB, fails a
+/// 256 KB budget on every engine rather than returning a truncated
+/// result, and under a generous budget equals the reference exactly.
+#[test]
+fn a_result_over_the_memory_budget_fails_rather_than_truncates() {
+    let store = dense_store(50_000);
+    let q = "SELECT ?s ?o WHERE { ?s <http://p> ?o }";
+    let small = ExecLimits::memory(256 * 1024);
+    for threads in [1, 4] {
+        let result = query_with_options(&store, "m", q, ExecOptions::threads(threads).with_limits(small));
+        assert!(matches!(result, Err(SparqlError::ResourceExhausted(_))), "threads={threads}: {result:?}");
+    }
+    let result = reference(&store, q, small);
+    assert!(matches!(result, Err(SparqlError::ResourceExhausted(_))), "reference: {result:?}");
+
+    let generous = ExecLimits::memory(64 * 1024 * 1024);
+    let expected = reference(&store, q, generous).expect("reference");
+    assert!(matches!(&expected, QueryResults::Solutions(sols) if sols.len() == 50_000));
+    for threads in [1, 4] {
+        let result = query_with_options(&store, "m", q, ExecOptions::threads(threads).with_limits(generous));
+        assert_eq!(result.as_ref().ok(), Some(&expected), "threads={threads}");
+    }
+}
+
 /// `ORDER BY … LIMIT k` retains only its `k` best rows, so the memory
 /// budget follows the answer, not the relation: ten of 50,000 rows fit a
 /// budget the whole relation's 2.5 MB sort buffer does not, on every

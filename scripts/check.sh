@@ -11,9 +11,11 @@ cargo test -q
 # rest stay advisory.
 cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy::correctness
 
-# The query engine is held to every default lint: any clippy warning in
-# the sparql crate (its own code and tests) fails the gate.
+# The query engine and the store are held to every default lint: any
+# clippy warning in the sparql or quadstore crate (its own code and tests)
+# fails the gate.
 cargo clippy --offline -p sparql --all-targets --no-deps -q -- -D warnings
+cargo clippy --offline -p quadstore --all-targets --no-deps -q -- -D warnings
 
 # Rustdoc warnings fail the gate, so a deleted or private item cannot
 # leave a dangling intra-doc link behind.

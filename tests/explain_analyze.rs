@@ -185,8 +185,8 @@ fn analyze_actual_rows_match_naive_join_oracle() {
 
 /// pgbench's T1 and T3 shapes at pgbench's one thread: the drive step
 /// scans one morsel for ten rows, and fewer rows than the relation holds
-/// for its first fresh keys. (Above one thread DISTINCT has no appetite,
-/// so a round is every morsel: the profile reports what that run scanned.)
+/// for its first fresh keys. (Above one thread a round is several morsels,
+/// sized from the LIMIT: the profile reports what that run scanned.)
 #[test]
 fn early_ending_tails_report_the_rows_actually_scanned() {
     // Big enough for `follows` to span several default-size morsels.
