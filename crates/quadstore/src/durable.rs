@@ -76,7 +76,11 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// `n` retries with no backoff sleeps (tests, latency-critical callers).
     pub fn immediate(max_retries: u32) -> RetryPolicy {
-        RetryPolicy { max_retries, base_backoff: Duration::ZERO, max_backoff: Duration::ZERO }
+        RetryPolicy {
+            max_retries,
+            base_backoff: Duration::ZERO,
+            max_backoff: Duration::ZERO,
+        }
     }
 
     /// No retries at all: the first failure degrades the store.
@@ -139,8 +143,7 @@ impl DurableStore {
         let recovered = recover_with(vfs.as_ref(), &dir)?;
         if recovered.wal_truncated.is_some() {
             let wal = wal_path(&dir, recovered.epoch);
-            retry_interrupted(|| vfs.truncate(&wal, recovered.wal_valid_len))
-                .map_err(io_err)?;
+            retry_interrupted(|| vfs.truncate(&wal, recovered.wal_valid_len)).map_err(io_err)?;
             retry_interrupted(|| vfs.sync_file(&wal)).map_err(io_err)?;
         }
         Ok(DurableStore {
@@ -366,7 +369,10 @@ impl DurableStore {
         if self.store.model(model).is_none() {
             return Err(StoreError::UnknownModel(model.to_string()));
         }
-        self.log(&WalRecord::Insert { model: model.to_string(), quad: quad.clone() })?;
+        self.log(&WalRecord::Insert {
+            model: model.to_string(),
+            quad: quad.clone(),
+        })?;
         self.store.insert(model, quad)
     }
 
@@ -375,7 +381,10 @@ impl DurableStore {
         if self.store.model(model).is_none() {
             return Err(StoreError::UnknownModel(model.to_string()));
         }
-        self.log(&WalRecord::Remove { model: model.to_string(), quad: quad.clone() })?;
+        self.log(&WalRecord::Remove {
+            model: model.to_string(),
+            quad: quad.clone(),
+        })?;
         self.store.remove(model, quad)
     }
 
@@ -403,8 +412,16 @@ impl DurableStore {
     pub fn create_model(&mut self, name: &str) -> Result<(), StoreError> {
         self.check_writable()?;
         self.store.create_model(name)?;
-        let indexes = self.store.model(name).expect("just created").index_kinds().to_vec();
-        self.log(&WalRecord::CreateModel { model: name.to_string(), indexes })
+        let indexes = self
+            .store
+            .model(name)
+            .expect("just created")
+            .index_kinds()
+            .to_vec();
+        self.log(&WalRecord::CreateModel {
+            model: name.to_string(),
+            indexes,
+        })
     }
 
     /// Logged [`Store::create_model_with_indexes`].
@@ -415,22 +432,23 @@ impl DurableStore {
     ) -> Result<(), StoreError> {
         self.check_writable()?;
         self.store.create_model_with_indexes(name, kinds)?;
-        self.log(&WalRecord::CreateModel { model: name.to_string(), indexes: kinds.to_vec() })
+        self.log(&WalRecord::CreateModel {
+            model: name.to_string(),
+            indexes: kinds.to_vec(),
+        })
     }
 
     /// Logged [`Store::drop_model`].
     pub fn drop_model(&mut self, name: &str) -> Result<(), StoreError> {
         self.check_writable()?;
         self.store.drop_model(name)?;
-        self.log(&WalRecord::DropModel { model: name.to_string() })
+        self.log(&WalRecord::DropModel {
+            model: name.to_string(),
+        })
     }
 
     /// Logged [`Store::create_virtual_model`].
-    pub fn create_virtual_model(
-        &mut self,
-        name: &str,
-        members: &[&str],
-    ) -> Result<(), StoreError> {
+    pub fn create_virtual_model(&mut self, name: &str, members: &[&str]) -> Result<(), StoreError> {
         self.check_writable()?;
         self.store.create_virtual_model(name, members)?;
         self.log(&WalRecord::CreateVirtualModel {
@@ -443,14 +461,20 @@ impl DurableStore {
     pub fn create_index(&mut self, model: &str, kind: IndexKind) -> Result<(), StoreError> {
         self.check_writable()?;
         self.store.create_index(model, kind)?;
-        self.log(&WalRecord::CreateIndex { model: model.to_string(), kind })
+        self.log(&WalRecord::CreateIndex {
+            model: model.to_string(),
+            kind,
+        })
     }
 
     /// Logged [`Store::drop_index`].
     pub fn drop_index(&mut self, model: &str, kind: IndexKind) -> Result<(), StoreError> {
         self.check_writable()?;
         self.store.drop_index(model, kind)?;
-        self.log(&WalRecord::DropIndex { model: model.to_string(), kind })
+        self.log(&WalRecord::DropIndex {
+            model: model.to_string(),
+            kind,
+        })
     }
 }
 
@@ -527,7 +551,8 @@ mod tests {
         let dir = tmp("ddl");
         {
             let mut ds = DurableStore::open(&dir).unwrap();
-            ds.create_model_with_indexes("a", &[IndexKind::PCSGM]).unwrap();
+            ds.create_model_with_indexes("a", &[IndexKind::PCSGM])
+                .unwrap();
             ds.create_model("b").unwrap();
             ds.create_virtual_model("v", &["a", "b"]).unwrap();
             ds.create_index("a", IndexKind::GPSCM).unwrap();
@@ -579,13 +604,19 @@ mod tests {
         ds.create_model("m").unwrap();
         ds.insert("m", &q(1, 1)).unwrap();
         vfs.fail_next(crate::faults::FaultOp::Append, 10);
-        assert!(matches!(ds.insert("m", &q(2, 2)), Err(StoreError::ReadOnly(_))));
+        assert!(matches!(
+            ds.insert("m", &q(2, 2)),
+            Err(StoreError::ReadOnly(_))
+        ));
         assert!(ds.is_read_only());
         assert!(ds.read_only_reason().unwrap().contains("append"));
         // Reads keep serving; the failed write never applied in memory.
         assert_eq!(ds.store().model("m").unwrap().len(), 1);
         // Further writes (DML and DDL) fail fast, typed.
-        assert!(matches!(ds.insert("m", &q(3, 3)), Err(StoreError::ReadOnly(_))));
+        assert!(matches!(
+            ds.insert("m", &q(3, 3)),
+            Err(StoreError::ReadOnly(_))
+        ));
         assert!(matches!(ds.create_model("n"), Err(StoreError::ReadOnly(_))));
         assert!(ds.store().model("n").is_none());
         // The fault is still live: recovery probes fail, store stays down.
@@ -619,7 +650,10 @@ mod tests {
         vfs.fail_next(crate::faults::FaultOp::Sync, 100);
         // The frame appends but never reaches stable storage: the op
         // must fail, and the un-acked frame must not outlive it.
-        assert!(matches!(ds.insert("m", &q(2, 2)), Err(StoreError::ReadOnly(_))));
+        assert!(matches!(
+            ds.insert("m", &q(2, 2)),
+            Err(StoreError::ReadOnly(_))
+        ));
         assert!(ds.is_read_only());
         assert_eq!(ds.wal_len(), acked);
         vfs.clear_scheduled();
@@ -634,8 +668,8 @@ mod tests {
     #[test]
     fn group_commit_defers_fsync() {
         let dir = tmp("group");
-        let mut ds = DurableStore::open_with(&dir, Arc::new(RealFs), SyncPolicy::EveryN(8))
-            .unwrap();
+        let mut ds =
+            DurableStore::open_with(&dir, Arc::new(RealFs), SyncPolicy::EveryN(8)).unwrap();
         ds.create_model("m").unwrap();
         for i in 0..20 {
             ds.insert("m", &q(i, i)).unwrap();

@@ -72,7 +72,10 @@ impl Vfs for RealFs {
     }
 
     fn append(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+        let mut f = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
         f.write_all(data)
     }
 
@@ -222,7 +225,11 @@ impl FaultyVfs {
     /// Schedules a transient fault at runtime: the next `n` operations
     /// matching `op` fail with a non-retryable I/O error, then succeed.
     pub fn fail_next(&self, op: FaultOp, n: u64) {
-        self.schedule(ScheduledFault { op, path_contains: None, remaining: n });
+        self.schedule(ScheduledFault {
+            op,
+            path_contains: None,
+            remaining: n,
+        });
     }
 
     /// Schedules an arbitrary transient fault at runtime.
@@ -273,7 +280,9 @@ impl FaultyVfs {
             fault.remaining -= 1;
             // Deliberately NOT `Interrupted`: this error must reach the
             // caller's backoff/degradation path, not `retry_interrupted`.
-            return Err(io::Error::other(format!("injected transient {kind:?} failure")));
+            return Err(io::Error::other(format!(
+                "injected transient {kind:?} failure"
+            )));
         }
         Ok(false)
     }
@@ -376,7 +385,10 @@ mod tests {
     #[test]
     fn kill_point_leaves_half_the_bytes() {
         let dir = tmp("kill");
-        let vfs = FaultyVfs::new(FaultPlan { kill_at: Some(0), ..Default::default() });
+        let vfs = FaultyVfs::new(FaultPlan {
+            kill_at: Some(0),
+            ..Default::default()
+        });
         let path = dir.join("f");
         assert!(vfs.write(&path, b"12345678").is_err());
         assert!(vfs.crashed());

@@ -79,12 +79,22 @@ pub struct QuadPattern {
 impl QuadPattern {
     /// A fully-wildcard pattern over the default graph.
     pub fn default_graph() -> Self {
-        QuadPattern { s: None, p: None, o: None, g: GraphConstraint::DefaultOnly }
+        QuadPattern {
+            s: None,
+            p: None,
+            o: None,
+            g: GraphConstraint::DefaultOnly,
+        }
     }
 
     /// A fully-wildcard pattern over everything.
     pub fn any() -> Self {
-        QuadPattern { s: None, p: None, o: None, g: GraphConstraint::Any }
+        QuadPattern {
+            s: None,
+            p: None,
+            o: None,
+            g: GraphConstraint::Any,
+        }
     }
 
     /// Bound value for one of the S/P/O/G positions (by [`EncodedQuad`]

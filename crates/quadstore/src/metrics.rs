@@ -32,15 +32,51 @@ macro_rules! histogram_fn {
     };
 }
 
-counter_fn!(delta_hits, "pgrdf_delta_hits_total", "Rows served from a model's uncompacted DML delta overlay");
-counter_fn!(compactions, "pgrdf_compactions_total", "DML-delta folds into sorted base indexes");
-counter_fn!(publishes, "pgrdf_publishes_total", "Write batches published as a new MVCC generation");
-counter_fn!(snapshot_pins, "pgrdf_snapshot_pins_total", "Snapshots pinned by readers");
-counter_fn!(wal_appends, "pgrdf_wal_appends_total", "WAL frames appended");
-counter_fn!(wal_retries, "pgrdf_wal_retries_total", "WAL append/fsync attempts retried after transient failures");
-counter_fn!(wal_read_only_flips, "pgrdf_wal_read_only_flips_total", "Degradations to read-only after persistent WAL failures");
-counter_fn!(wal_recoveries, "pgrdf_wal_recoveries_total", "Successful write-path recoveries after a read-only flip");
-histogram_fn!(wal_fsync_nanos, "pgrdf_wal_fsync_nanos", "WAL fsync latency in nanoseconds");
+counter_fn!(
+    delta_hits,
+    "pgrdf_delta_hits_total",
+    "Rows served from a model's uncompacted DML delta overlay"
+);
+counter_fn!(
+    compactions,
+    "pgrdf_compactions_total",
+    "DML-delta folds into sorted base indexes"
+);
+counter_fn!(
+    publishes,
+    "pgrdf_publishes_total",
+    "Write batches published as a new MVCC generation"
+);
+counter_fn!(
+    snapshot_pins,
+    "pgrdf_snapshot_pins_total",
+    "Snapshots pinned by readers"
+);
+counter_fn!(
+    wal_appends,
+    "pgrdf_wal_appends_total",
+    "WAL frames appended"
+);
+counter_fn!(
+    wal_retries,
+    "pgrdf_wal_retries_total",
+    "WAL append/fsync attempts retried after transient failures"
+);
+counter_fn!(
+    wal_read_only_flips,
+    "pgrdf_wal_read_only_flips_total",
+    "Degradations to read-only after persistent WAL failures"
+);
+counter_fn!(
+    wal_recoveries,
+    "pgrdf_wal_recoveries_total",
+    "Successful write-path recoveries after a read-only flip"
+);
+histogram_fn!(
+    wal_fsync_nanos,
+    "pgrdf_wal_fsync_nanos",
+    "WAL fsync latency in nanoseconds"
+);
 
 /// Per-composite-index scan statistics, one set of series per
 /// [`IndexKind`] label.

@@ -71,15 +71,13 @@ fn parse_manifest(text: &str) -> Result<Manifest, StoreError> {
     for (lineno, line) in text.lines().enumerate() {
         let raw = line;
         let line = line.trim();
-        let bad = |what: &str| {
-            StoreError::Manifest(format!("line {}: {what} {line:?}", lineno + 1))
-        };
+        let bad =
+            |what: &str| StoreError::Manifest(format!("line {}: {what} {line:?}", lineno + 1));
         let fields: Vec<&str> = line.split('\t').collect();
         match fields.first().copied() {
             _ if line.is_empty() || line.starts_with('#') => {}
             Some("epoch") if fields.len() == 2 => {
-                manifest.epoch =
-                    fields[1].parse().map_err(|_| bad("unparseable epoch"))?;
+                manifest.epoch = fields[1].parse().map_err(|_| bad("unparseable epoch"))?;
                 saw_epoch = true;
             }
             Some("model") if fields.len() == 4 || fields.len() == 5 => {
@@ -87,24 +85,19 @@ fn parse_manifest(text: &str) -> Result<Manifest, StoreError> {
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| {
-                        IndexKind::parse(s).ok_or_else(|| {
-                            StoreError::Manifest(format!("bad index name {s:?}"))
-                        })
+                        IndexKind::parse(s)
+                            .ok_or_else(|| StoreError::Manifest(format!("bad index name {s:?}")))
                     })
                     .collect::<Result<_, _>>()?;
                 let crc = match fields.get(4) {
                     Some(hex) => Some(
-                        u32::from_str_radix(hex, 16)
-                            .map_err(|_| bad("unparseable file crc"))?,
+                        u32::from_str_radix(hex, 16).map_err(|_| bad("unparseable file crc"))?,
                     ),
                     None => None,
                 };
-                manifest.models.push((
-                    fields[1].to_string(),
-                    fields[2].to_string(),
-                    kinds,
-                    crc,
-                ));
+                manifest
+                    .models
+                    .push((fields[1].to_string(), fields[2].to_string(), kinds, crc));
             }
             Some("virtual") if fields.len() == 3 => {
                 manifest.virtuals.push((
@@ -148,8 +141,7 @@ fn render_manifest(snap: &Snapshot, epoch: u64, file_crcs: &[u32]) -> String {
     let _ = writeln!(text, "epoch\t{epoch}");
     for (i, name) in snap.model_names().iter().enumerate() {
         let model = snap.model(name).expect("listed model exists");
-        let indexes: Vec<String> =
-            model.index_kinds().iter().map(|k| k.to_string()).collect();
+        let indexes: Vec<String> = model.index_kinds().iter().map(|k| k.to_string()).collect();
         let _ = writeln!(
             text,
             "model\t{name}\tm{i}.e{epoch}.nq\t{}\t{:08x}",
@@ -391,12 +383,10 @@ pub fn replay(store: &Store, record: WalRecord) -> Result<(), StoreError> {
                 store.create_model_with_indexes(&model, &indexes)?;
             }
         }
-        WalRecord::DropModel { model } => {
-            match store.drop_model(&model) {
-                Ok(()) | Err(StoreError::UnknownModel(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
+        WalRecord::DropModel { model } => match store.drop_model(&model) {
+            Ok(()) | Err(StoreError::UnknownModel(_)) => {}
+            Err(e) => return Err(e),
+        },
         WalRecord::CreateVirtualModel { model, members } => {
             if store.virtual_model(&model).is_none() {
                 let refs: Vec<&str> = members.iter().map(|s| s.as_str()).collect();
@@ -462,7 +452,9 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        store.create_virtual_model("all", &["topology", "kv"]).unwrap();
+        store
+            .create_virtual_model("all", &["topology", "kv"])
+            .unwrap();
         store
     }
 
@@ -593,12 +585,19 @@ mod tests {
             Term::string("Zoe"),
         )
         .unwrap();
-        let frame =
-            WalRecord::Insert { model: "kv".into(), quad: extra.clone() }.to_frame();
+        let frame = WalRecord::Insert {
+            model: "kv".into(),
+            quad: extra.clone(),
+        }
+        .to_frame();
         vfs.append(&wal_path(&dir, epoch), &frame).unwrap();
         // A torn second frame must be dropped, not fatal.
-        let torn = WalRecord::DropModel { model: "topology".into() }.to_frame();
-        vfs.append(&wal_path(&dir, epoch), &torn[..torn.len() - 2]).unwrap();
+        let torn = WalRecord::DropModel {
+            model: "topology".into(),
+        }
+        .to_frame();
+        vfs.append(&wal_path(&dir, epoch), &torn[..torn.len() - 2])
+            .unwrap();
 
         let recovered = recover_from_dir(&dir).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();

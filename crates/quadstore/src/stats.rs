@@ -191,7 +191,9 @@ impl EquiDepthHistogram {
     /// `rows / distincts` (uniformity within the bucket), `0` outside the
     /// histogram's range or in a gap between buckets.
     pub fn estimate_eq(&self, v: u64) -> f64 {
-        let Some(b) = self.bucket_of(v) else { return 0.0 };
+        let Some(b) = self.bucket_of(v) else {
+            return 0.0;
+        };
         self.rows[b] as f64 / self.distincts[b].max(1) as f64
     }
 
@@ -246,7 +248,12 @@ pub struct CboStats {
 impl CboStats {
     /// Computes a snapshot over a quad iterator in one pass.
     pub fn compute(version: u64, quads: impl Iterator<Item = EncodedQuad>) -> Self {
-        let mut distinct = [HashSet::new(), HashSet::new(), HashSet::new(), HashSet::new()];
+        let mut distinct = [
+            HashSet::new(),
+            HashSet::new(),
+            HashSet::new(),
+            HashSet::new(),
+        ];
         let mut per_pred: HashMap<u64, (HashSet<u64>, Vec<u64>)> = HashMap::new();
         let mut graphs: HashMap<u64, u64> = HashMap::new();
         let mut total = 0u64;
@@ -473,17 +480,19 @@ impl StorageReport {
 
 impl fmt::Display for StorageReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{:<34} {:>12} {:>14}", "DB Object", "Entries", "Approx bytes")?;
-        for row in &self.rows {
-            writeln!(f, "{:<34} {:>12} {:>14}", row.object, row.entries, row.bytes)?;
-        }
         writeln!(
             f,
             "{:<34} {:>12} {:>14}",
-            "Total",
-            "",
-            self.total_bytes()
-        )
+            "DB Object", "Entries", "Approx bytes"
+        )?;
+        for row in &self.rows {
+            writeln!(
+                f,
+                "{:<34} {:>12} {:>14}",
+                row.object, row.entries, row.bytes
+            )?;
+        }
+        writeln!(f, "{:<34} {:>12} {:>14}", "Total", "", self.total_bytes())
     }
 }
 
@@ -527,8 +536,7 @@ mod tests {
     fn union_stats_dedup_across_models() {
         let store = loaded_store();
         store.create_model("n").unwrap();
-        let q =
-            Quad::triple(Term::iri("http://s1"), Term::iri("http://p1"), Term::int(1)).unwrap();
+        let q = Quad::triple(Term::iri("http://s1"), Term::iri("http://p1"), Term::int(1)).unwrap();
         store.insert("n", &q).unwrap();
         let models: Vec<_> = ["m", "n"].iter().map(|n| store.model(n).unwrap()).collect();
         let stats = ModelStats::compute_union("u", models.iter().map(|m| m.as_ref()));

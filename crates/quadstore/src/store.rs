@@ -196,7 +196,10 @@ impl Store {
     pub fn with_default_indexes(kinds: &[IndexKind]) -> Self {
         Store {
             published: RwLock::new(Arc::new(Gen::empty())),
-            writer: Mutex::new(WriterState { dict: DictBuilder::new(), epoch: 0 }),
+            writer: Mutex::new(WriterState {
+                dict: DictBuilder::new(),
+                epoch: 0,
+            }),
             default_indexes: kinds.to_vec(),
             names: NameArena::default(),
         }
@@ -205,7 +208,10 @@ impl Store {
     /// The currently published generation (one `Arc` clone under a
     /// momentary read lock).
     fn published(&self) -> Arc<Gen> {
-        self.published.read().expect("publish lock poisoned").clone()
+        self.published
+            .read()
+            .expect("publish lock poisoned")
+            .clone()
     }
 
     /// Pins the current generation into an owned [`Snapshot`]: a
@@ -216,7 +222,9 @@ impl Store {
         if telemetry::enabled() {
             crate::metrics::snapshot_pins().inc();
         }
-        Snapshot { gen: self.published() }
+        Snapshot {
+            gen: self.published(),
+        }
     }
 
     /// The term dictionary of the published generation.
@@ -570,11 +578,7 @@ impl WriteBatch<'_> {
     }
 
     /// Defines a virtual model as the UNION of existing semantic models.
-    pub fn create_virtual_model(
-        &mut self,
-        name: &str,
-        members: &[&str],
-    ) -> Result<(), StoreError> {
+    pub fn create_virtual_model(&mut self, name: &str, members: &[&str]) -> Result<(), StoreError> {
         if self.models.contains_key(name) || self.virtual_models.contains_key(name) {
             return Err(StoreError::DuplicateModel(name.to_string()));
         }
@@ -589,8 +593,10 @@ impl WriteBatch<'_> {
                 return Err(StoreError::UnknownModel(member.to_string()));
             }
         }
-        self.virtual_models
-            .insert(name.to_string(), members.iter().map(|s| s.to_string()).collect());
+        self.virtual_models.insert(
+            name.to_string(),
+            members.iter().map(|s| s.to_string()).collect(),
+        );
         self.bumps += 1;
         Ok(())
     }
@@ -701,7 +707,13 @@ impl WriteBatch<'_> {
     /// Publishes the draft generation atomically. A no-op batch (zero
     /// mutations) publishes nothing and leaves the epoch untouched.
     pub fn commit(self) {
-        let WriteBatch { store, mut state, models, virtual_models, bumps } = self;
+        let WriteBatch {
+            store,
+            mut state,
+            models,
+            virtual_models,
+            bumps,
+        } = self;
         if bumps == 0 {
             return;
         }
@@ -745,7 +757,10 @@ mod tests {
             Err(StoreError::DuplicateModel(_))
         ));
         store.drop_model("a").unwrap();
-        assert!(matches!(store.drop_model("a"), Err(StoreError::UnknownModel(_))));
+        assert!(matches!(
+            store.drop_model("a"),
+            Err(StoreError::UnknownModel(_))
+        ));
     }
 
     #[test]
@@ -921,7 +936,11 @@ mod tests {
         assert!(store.epoch() > e2, "drop_index must bump the epoch");
         let pinned = snap.model("m").unwrap();
         assert_eq!(pinned.index_kinds(), before_kinds.as_slice());
-        assert_eq!(pinned.delta_len(), 1, "snapshot keeps its uncompacted delta");
+        assert_eq!(
+            pinned.delta_len(),
+            1,
+            "snapshot keeps its uncompacted delta"
+        );
         assert_eq!(snap.dataset("m").unwrap().len(), 9);
         assert_eq!(store.model("m").unwrap().delta_len(), 0);
     }

@@ -37,7 +37,11 @@ const fn crc32_table() -> [u32; 256] {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
             bit += 1;
         }
         table[i] = crc;
@@ -134,8 +138,11 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, StoreError> {
     let corrupt = || StoreError::Corrupt("truncated WAL payload field".into());
-    let len_bytes: [u8; 4] =
-        buf.get(*pos..*pos + 4).ok_or_else(corrupt)?.try_into().expect("4 bytes");
+    let len_bytes: [u8; 4] = buf
+        .get(*pos..*pos + 4)
+        .ok_or_else(corrupt)?
+        .try_into()
+        .expect("4 bytes");
     let len = u32::from_le_bytes(len_bytes) as usize;
     *pos += 4;
     let bytes = buf.get(*pos..*pos + len).ok_or_else(corrupt)?;
@@ -149,8 +156,8 @@ fn quad_to_line(quad: &Quad) -> String {
 }
 
 fn quad_from_line(line: &str) -> Result<Quad, StoreError> {
-    let mut quads = nquads::parse(line)
-        .map_err(|e| StoreError::Corrupt(format!("WAL quad payload: {e}")))?;
+    let mut quads =
+        nquads::parse(line).map_err(|e| StoreError::Corrupt(format!("WAL quad payload: {e}")))?;
     if quads.len() != 1 {
         return Err(StoreError::Corrupt(format!(
             "WAL quad payload held {} statements, expected 1",
@@ -211,7 +218,9 @@ impl WalRecord {
 
     /// Decodes one record payload.
     pub fn decode(buf: &[u8]) -> Result<WalRecord, StoreError> {
-        let tag = *buf.first().ok_or_else(|| StoreError::Corrupt("empty WAL payload".into()))?;
+        let tag = *buf
+            .first()
+            .ok_or_else(|| StoreError::Corrupt("empty WAL payload".into()))?;
         let mut pos = 1;
         let parse_kind = |s: &str| {
             IndexKind::parse(s)
@@ -243,7 +252,9 @@ impl WalRecord {
                     .collect::<Result<_, _>>()?;
                 WalRecord::CreateModel { model, indexes }
             }
-            TAG_DROP_MODEL => WalRecord::DropModel { model: get_str(buf, &mut pos)? },
+            TAG_DROP_MODEL => WalRecord::DropModel {
+                model: get_str(buf, &mut pos)?,
+            },
             TAG_CREATE_VIRTUAL => {
                 let model = get_str(buf, &mut pos)?;
                 let members = get_str(buf, &mut pos)?;
@@ -263,7 +274,9 @@ impl WalRecord {
                 WalRecord::DropIndex { model, kind }
             }
             other => {
-                return Err(StoreError::Corrupt(format!("unknown WAL record tag {other}")));
+                return Err(StoreError::Corrupt(format!(
+                    "unknown WAL record tag {other}"
+                )));
             }
         };
         if pos != buf.len() {
@@ -336,7 +349,11 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
         }
         pos += 8 + len as usize;
     }
-    WalScan { records, valid_len: pos as u64, truncated }
+    WalScan {
+        records,
+        valid_len: pos as u64,
+        truncated,
+    }
 }
 
 #[cfg(test)]
@@ -360,8 +377,14 @@ mod tests {
                 model: "m".into(),
                 indexes: vec![IndexKind::PCSGM, IndexKind::PSCGM],
             },
-            WalRecord::Insert { model: "m".into(), quad: sample_quad() },
-            WalRecord::Remove { model: "m".into(), quad: sample_quad() },
+            WalRecord::Insert {
+                model: "m".into(),
+                quad: sample_quad(),
+            },
+            WalRecord::Remove {
+                model: "m".into(),
+                quad: sample_quad(),
+            },
             WalRecord::BulkLoad {
                 model: "m".into(),
                 nquads: "<http://s> <http://p> <http://o> .\n".into(),
@@ -370,8 +393,14 @@ mod tests {
                 model: "v".into(),
                 members: vec!["m".into(), "m2".into()],
             },
-            WalRecord::CreateIndex { model: "m".into(), kind: IndexKind::GPSCM },
-            WalRecord::DropIndex { model: "m".into(), kind: IndexKind::GPSCM },
+            WalRecord::CreateIndex {
+                model: "m".into(),
+                kind: IndexKind::GPSCM,
+            },
+            WalRecord::DropIndex {
+                model: "m".into(),
+                kind: IndexKind::GPSCM,
+            },
             WalRecord::DropModel { model: "v".into() },
         ]
     }
@@ -398,7 +427,11 @@ mod tests {
     #[test]
     fn torn_tail_is_dropped_not_fatal() {
         let good = WalRecord::DropModel { model: "m".into() }.to_frame();
-        let torn = WalRecord::Insert { model: "m".into(), quad: sample_quad() }.to_frame();
+        let torn = WalRecord::Insert {
+            model: "m".into(),
+            quad: sample_quad(),
+        }
+        .to_frame();
         for cut in 1..torn.len() {
             let mut stream = good.clone();
             stream.extend_from_slice(&torn[..cut]);
@@ -411,7 +444,10 @@ mod tests {
 
     #[test]
     fn bit_flip_in_payload_is_detected() {
-        let mut stream = WalRecord::DropModel { model: "model".into() }.to_frame();
+        let mut stream = WalRecord::DropModel {
+            model: "model".into(),
+        }
+        .to_frame();
         let last = stream.len() - 1;
         stream[last] ^= 0x01;
         let scan = scan_wal(&stream);
