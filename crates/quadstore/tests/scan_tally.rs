@@ -1,10 +1,11 @@
-//! The columnar reads the batch engine makes record the same index
-//! telemetry as a row scan of the same pattern. A binary of its own: the
-//! telemetry switch and the registry are process-global, so no other test
-//! may scan while this one reads counter deltas.
+//! Row scans and the columnar reads the batch engine makes record the
+//! index telemetry a naive count predicts, and the same as each other. A
+//! binary of its own: the telemetry switch and the registry are
+//! process-global, so no other test may scan while this one reads counter
+//! deltas.
 
 use quadstore::ids::{G, O, P, S};
-use quadstore::{GraphConstraint, QuadPattern, Store};
+use quadstore::{EncodedQuad, GraphConstraint, QuadPattern, Store};
 use rdf_model::{GraphName, Quad, Term};
 use telemetry::MetricValue;
 
@@ -51,18 +52,34 @@ fn quad(s: usize, p: usize, g: usize) -> Quad {
     .expect("valid quad")
 }
 
+/// `quad` in the store's IDs.
+fn encode(store: &Store, quad: &Quad) -> EncodedQuad {
+    let id = |t: &Term| store.term_id(t).expect("interned").0;
+    let g = match &quad.graph {
+        GraphName::Default => 0,
+        GraphName::Named(t) => id(t),
+    };
+    [id(&quad.subject), id(&quad.predicate), id(&quad.object), g]
+}
+
 #[test]
 fn columnar_reads_tally_like_row_scans() {
     telemetry::set_enabled(true);
     let store = Store::new();
+    // Each member's visible quads and its inserted ones.
+    let mut members: Vec<(Vec<Quad>, Vec<Quad>)> = Vec::new();
     for (m, name) in ["a", "b"].into_iter().enumerate() {
         store.create_model(name).expect("model");
-        let base: Vec<Quad> = (0..12).map(|i| quad(i, i % 2, (i + m) % 3)).collect();
+        let mut base: Vec<Quad> = (0..12).map(|i| quad(i, i % 2, (i + m) % 3)).collect();
         store.bulk_load(name, &base).expect("load");
         // A removed overlay and an insert delta on both members.
-        store.remove(name, &base[m + 2]).expect("remove");
-        store.insert(name, &quad(20 + m, 0, m)).expect("insert");
-        store.insert(name, &quad(30 + m, 1, 1)).expect("insert");
+        store.remove(name, &base.remove(m + 2)).expect("remove");
+        let inserted = vec![quad(20 + m, 0, m), quad(30 + m, 1, 1)];
+        for q in &inserted {
+            store.insert(name, q).expect("insert");
+        }
+        base.extend(inserted.iter().cloned());
+        members.push((base, inserted));
     }
     let view = store.dataset_union(&["a", "b"]).expect("view");
     let id = |t: &str| store.term_id(&Term::iri(t));
@@ -95,6 +112,14 @@ fn columnar_reads_tally_like_row_scans() {
     ];
     let mut delta_hits = 0;
     for pattern in patterns {
+        let count = |quads: &[Quad]| {
+            quads
+                .iter()
+                .filter(|q| pattern.matches(&encode(&store, q)))
+                .count() as u64
+        };
+        let matched: u64 = members.iter().map(|(visible, _)| count(visible)).sum();
+        let hits: u64 = members.iter().map(|(_, inserted)| count(inserted)).sum();
         let rows = moved(|| {
             view.scan(pattern).count();
         });
@@ -103,11 +128,15 @@ fn columnar_reads_tally_like_row_scans() {
             view.scan_columns(&pattern, &[S, P, O, G], &mut cols);
         });
         assert_eq!(cols, rows, "{pattern:?}");
-        assert!(
-            rows[0] > 0 && rows[2] > 0,
-            "{pattern:?}: the scan matched nothing"
+        assert_eq!(
+            rows[0],
+            members.len() as u64,
+            "{pattern:?}: one range scan per member"
         );
-        delta_hits += rows[3];
+        assert_eq!(rows[2], matched, "{pattern:?}: rows matched");
+        assert_eq!(rows[3], hits, "{pattern:?}: delta hits");
+        assert!(matched > 0, "{pattern:?}: the scan matched nothing");
+        delta_hits += hits;
     }
     assert!(delta_hits > 0, "no pattern read the insert delta");
     telemetry::set_enabled(false);

@@ -800,7 +800,7 @@ mod tests {
         CompiledQuery {
             vars: VarTable::default(),
             exists: Vec::new(),
-            form: CForm::Ask(crate::plan::Node::Steps(Vec::new())),
+            form: CForm::Ask(crate::plan::CSelect::default()),
             logical: String::new(),
         }
     }

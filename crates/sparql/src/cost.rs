@@ -443,7 +443,7 @@ impl BgpPlanner<'_> {
             } else {
                 probe_shape(&step.triple, p.joined)
             };
-            step.access = self.view.access_paths(&probe).into_iter().next().map(|(_, p)| p);
+            step.access = self.view.access_path(&probe);
         }
         steps
     }

@@ -829,14 +829,14 @@ fn run_profiled(
 fn execute_with_ctx(ctx: &EvalCtx, compiled: &CompiledQuery) -> Result<QueryResults, SparqlError> {
     match &compiled.form {
         CForm::Select(sel) => Ok(QueryResults::Solutions(select_solutions(ctx, sel)?)),
-        CForm::Ask(node) => {
-            let input: BoxIter = Box::new(std::iter::once(ctx.empty_row()));
-            let mut out = eval_node(ctx, node, input);
-            let answer = out.next().is_some();
-            if let Some(err) = ctx.abort_error() {
-                return Err(err);
-            }
-            Ok(QueryResults::Boolean(answer))
+        CForm::Ask(sel) => {
+            // The first solution answers: `false` stops the producer there.
+            let mut answer = false;
+            produce(ctx, sel, &mut |_| {
+                answer = true;
+                false
+            });
+            ctx.abort_error().map_or(Ok(QueryResults::Boolean(answer)), Err)
         }
         CForm::Construct(templates, sel) => {
             let solutions = select_solutions(ctx, sel)?;
@@ -1856,7 +1856,9 @@ enum Branch<'p> {
 /// The root's UNION branches in sequential order, each planned as it is
 /// reached: the pipeline (sorted by `group_slot` where an
 /// index allows, see [`batch::VecPipeline::compile`]) and its morsels, or
-/// left to [`stream`]. Nothing runs yet: consumers begin the pipelines they
+/// left to [`stream`]. A tail that wants one row (an ASK) gets morsels
+/// from one key up, doubling, so a dense match scans one row as the row
+/// evaluator does. Nothing runs yet: consumers begin the pipelines they
 /// start, so a fused consumer that falls back leaves no tallies behind.
 fn branches<'p>(
     ctx: &'p EvalCtx,
@@ -1864,9 +1866,10 @@ fn branches<'p>(
     group_slot: Option<usize>,
 ) -> impl Iterator<Item = Branch<'p>> + 'p {
     let needed = batch::needed_slots(ctx, sel);
+    let first = if wanted(sel) == Some(1) { 1 } else { ctx.morsel_size };
     union_branches(&sel.root, &[]).into_iter().map(move |(node, filters)| {
         batch::VecPipeline::compile(ctx, node, &filters, &needed, group_slot)
-            .map_or(Branch::Stream(node, filters), |p| Branch::Pipe(p.morsels(ctx), p))
+            .map_or(Branch::Stream(node, filters), |p| Branch::Pipe(p.morsels(ctx, first), p))
     })
 }
 

@@ -724,9 +724,10 @@ impl<'p> VecPipeline<'p> {
         })
     }
 
-    /// The driving scan cut into morsels, in sequential order.
-    pub(super) fn morsels(&self, ctx: &EvalCtx) -> Vec<Morsel> {
-        ctx.view.plan_morsels(&self.pattern, ctx.morsel_size, self.prefer)
+    /// The driving scan cut into morsels of `first` keys and doubling up
+    /// to the morsel size, in sequential order.
+    pub(super) fn morsels(&self, ctx: &EvalCtx, first: usize) -> Vec<Morsel> {
+        ctx.view.plan_morsels(&self.pattern, first, ctx.morsel_size, self.prefer)
     }
 
     /// Marks the pipeline as about to run: flags the observer, and under
@@ -800,8 +801,7 @@ impl<'p> VecPipeline<'p> {
         // 1. Drive scan → columns.
         let t0 = profile.as_ref().map(|_| Instant::now());
         let mut dcols: Vec<Vec<u64>> = vec![Vec::new(); self.positions.len()];
-        let (pat, pos) = (&self.pattern, &self.positions);
-        let mut n = ctx.view.scan_morsel_columns(pat, morsel, self.prefer, pos, &mut dcols);
+        let mut n = ctx.view.scan_morsel_columns(&self.pattern, morsel, &self.positions, &mut dcols);
         if !self.same.is_empty() {
             n = retain_same(&mut dcols, &self.same, n);
         }

@@ -56,9 +56,9 @@ fn render_with(compiled: &CompiledQuery, profile: Option<&ExecProfile>) -> Strin
     let mut out = String::new();
     match &compiled.form {
         CForm::Select(sel) => render_select(&mut out, &compiled.vars, sel, 0, profile),
-        CForm::Ask(node) => {
+        CForm::Ask(sel) => {
             let _ = writeln!(out, "ASK");
-            render_node(&mut out, &compiled.vars, node, 1, &mut 1, profile);
+            render_node(&mut out, &compiled.vars, &sel.root, 1, &mut 1, profile);
         }
         CForm::Construct(templates, sel) => {
             let _ = writeln!(out, "CONSTRUCT ({} template quads)", templates.len());
@@ -79,8 +79,8 @@ pub fn step_profiles(compiled: &CompiledQuery, profile: &ExecProfile) -> Vec<Ste
         CForm::Select(sel) | CForm::Construct(_, sel) => {
             collect_select(&compiled.vars, sel, profile, &mut steps)
         }
-        CForm::Ask(node) => {
-            collect_node(&compiled.vars, node, &mut 1, profile, &mut steps)
+        CForm::Ask(sel) => {
+            collect_node(&compiled.vars, &sel.root, &mut 1, profile, &mut steps)
         }
     }
     steps

@@ -77,9 +77,9 @@ pub fn render(query: &CompiledQuery, applied_rules: &[&'static str]) -> String {
     }
     match &query.form {
         CForm::Select(sel) => render_select(&mut out, vars, sel, 0),
-        CForm::Ask(node) => {
+        CForm::Ask(sel) => {
             out.push_str("ASK\n");
-            render_node(&mut out, vars, node, 1);
+            render_node(&mut out, vars, &sel.root, 1);
         }
         CForm::Construct(templates, sel) => {
             out.push_str(&format!("CONSTRUCT ({} template quads)\n", templates.len()));

@@ -366,7 +366,7 @@ pub enum CAggregate {
 }
 
 /// A compiled SELECT (top-level or nested).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CSelect {
     /// DISTINCT flag.
     pub distinct: bool,
@@ -442,7 +442,7 @@ impl CompiledQuery {
         }
         let root = match &self.form {
             CForm::Select(sel) | CForm::Construct(_, sel) => &sel.root,
-            CForm::Ask(node) => return last_est(node).unwrap_or(0).min(1),
+            CForm::Ask(sel) => return last_est(&sel.root).unwrap_or(0).min(1),
         };
         last_est(root).unwrap_or(0)
     }
@@ -453,8 +453,8 @@ impl CompiledQuery {
 pub enum CForm {
     /// `SELECT`.
     Select(CSelect),
-    /// `ASK`.
-    Ask(Node),
+    /// `ASK`: the select it runs as, with no projection and LIMIT 1.
+    Ask(CSelect),
     /// `CONSTRUCT`: instantiate the templates per solution of the select.
     Construct(Vec<crate::ast::QuadTemplate>, CSelect),
 }
@@ -567,7 +567,8 @@ fn compile_inner(
     let form = match query {
         Query::Select(sel) => CForm::Select(c.lower_select(sel, &root, &mut HashSet::new())?),
         Query::Ask(pattern) => {
-            CForm::Ask(c.lower_pattern(pattern, &root, &mut HashSet::new())?)
+            let root = c.lower_pattern(pattern, &root, &mut HashSet::new())?;
+            CForm::Ask(CSelect { root, limit: Some(1), ..CSelect::default() })
         }
         Query::Construct(templates, inner) => CForm::Construct(
             templates.clone(),
@@ -583,12 +584,8 @@ fn compile_inner(
         planner: BgpPlanner { view, est: &est, force_join: options.force_join },
         bgps: record.is_some().then(Vec::new),
     };
-    match &mut plan.form {
-        CForm::Select(sel) | CForm::Construct(_, sel) => {
-            planning.node(&mut sel.root, &mut HashSet::new())
-        }
-        CForm::Ask(node) => planning.node(node, &mut HashSet::new()),
-    }
+    let (CForm::Select(sel) | CForm::Construct(_, sel) | CForm::Ask(sel)) = &mut plan.form;
+    planning.node(&mut sel.root, &mut HashSet::new());
     for (node, mut bound) in plan.exists.iter_mut().zip(c.exists_bound) {
         planning.node(node, &mut bound);
     }
@@ -1262,8 +1259,7 @@ pub(crate) enum Site<'p> {
 /// and sub-selects — in a fixed order.
 pub(crate) fn visit_constants(plan: &mut CompiledQuery, f: &mut impl FnMut(Site<'_>)) {
     match &mut plan.form {
-        CForm::Select(sel) => visit_select(sel, f),
-        CForm::Ask(node) => visit_node(node, f),
+        CForm::Select(sel) | CForm::Ask(sel) => visit_select(sel, f),
         CForm::Construct(templates, sel) => {
             for t in templates.iter() {
                 let graph = t.graph.iter();

@@ -89,14 +89,20 @@ pub fn rewrite_query(query: &mut CompiledQuery) -> RewriteTrace {
 /// The form's pattern tree, then every EXISTS pattern.
 fn roots(query: &mut CompiledQuery) -> Vec<&mut Node> {
     let form = match &mut query.form {
-        CForm::Select(sel) | CForm::Construct(_, sel) => &mut sel.root,
-        CForm::Ask(node) => node,
+        CForm::Select(sel) | CForm::Construct(_, sel) | CForm::Ask(sel) => &mut sel.root,
     };
     std::iter::once(form).chain(&mut query.exists).collect()
 }
 
+/// The empty group pattern: what a node taken out of the tree leaves.
+impl Default for Node {
+    fn default() -> Node {
+        Node::Steps(Vec::new())
+    }
+}
+
 fn take(node: &mut Node) -> Node {
-    mem::replace(node, Node::Steps(Vec::new()))
+    mem::take(node)
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +477,7 @@ fn prune_unused_binds(query: &mut CompiledQuery, trace: &mut RewriteTrace) -> bo
     let mut used = HashSet::new();
     match &query.form {
         CForm::Select(sel) | CForm::Construct(_, sel) => collect_select_uses(sel, &mut used),
-        CForm::Ask(node) => collect_node_uses(node, &mut used),
+        CForm::Ask(sel) => collect_node_uses(&sel.root, &mut used),
     }
     for node in &query.exists {
         collect_node_uses(node, &mut used);

@@ -2,9 +2,11 @@
 //! OFFSET/LIMIT, sub-SELECT joins, language tags, aggregates over empty
 //! input, and the computed-term identity rules.
 
+use std::sync::Arc;
+
 use quadstore::Store;
 use rdf_model::{GraphName, Literal, Quad, Term};
-use sparql::{QueryResults, Solutions};
+use sparql::{ExecLimits, ExecObserver, ExecOptions, QueryResults, Solutions};
 
 fn store() -> Store {
     let store = Store::new();
@@ -193,6 +195,38 @@ fn ask_true_and_false() {
     match sparql::query(&store, "m", "ASK { <http://b> <http://knows> <http://a> }").unwrap() {
         QueryResults::Boolean(b) => assert!(!b),
         _ => panic!("expected boolean"),
+    }
+}
+
+/// ASK runs on the producer every SELECT runs on: it answers like the
+/// row evaluator at every thread count, and a pipelinable pattern runs on
+/// the vectorized pipeline.
+#[test]
+fn ask_runs_on_the_shared_producer() {
+    let store = store();
+    let view = store.dataset("m").expect("dataset");
+    let cases = [
+        ("ASK { ?x <http://knows> ?y }", Some(true)),
+        ("ASK { ?x <http://knows> <http://a> }", Some(false)),
+        ("ASK { { ?x <http://age> 99 } UNION { ?x <http://knows> <http://c> } }", None),
+        ("ASK { ?x <http://name> ?n OPTIONAL { ?x <http://age> ?a } FILTER (!BOUND(?a)) }", None),
+    ];
+    for (text, answer) in cases {
+        let plan = sparql::compile(&view, &sparql::parse_query(text).expect("parse")).expect("compile");
+        let (expected, _) =
+            sparql::execute_reference(&view, &plan, ExecLimits::default()).expect("reference");
+        if let Some(answer) = answer {
+            assert_eq!(expected, QueryResults::Boolean(answer), "{text}");
+        }
+        for threads in [1, 2] {
+            let observer = Arc::new(ExecObserver::new());
+            let options = ExecOptions::threads(threads).with_observer(Arc::clone(&observer));
+            let got = sparql::execute_compiled_with_options(&view, &plan, options).expect("run");
+            assert_eq!(got, expected, "{text} threads={threads}");
+            if answer.is_some() {
+                assert!(observer.vectorized(), "{text} threads={threads}: not vectorized");
+            }
+        }
     }
 }
 
