@@ -332,8 +332,9 @@ mod tests {
     #[test]
     fn plain_path_detection() {
         assert!(PropertyPath::Iri(Iri::new("http://p")).is_plain());
-        assert!(!PropertyPath::OneOrMore(Box::new(PropertyPath::Iri(Iri::new("http://p"))))
-            .is_plain());
+        assert!(
+            !PropertyPath::OneOrMore(Box::new(PropertyPath::Iri(Iri::new("http://p")))).is_plain()
+        );
     }
 
     #[test]

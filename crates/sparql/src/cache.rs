@@ -96,7 +96,11 @@ impl Replan {
         for &(i, subject, generic) in &self.fill {
             let triple = &mut bgp.triples[i];
             let (term, id) = terms[generic].clone();
-            *if subject { &mut triple.s } else { &mut triple.o } = CPos::Const(term, id);
+            *if subject {
+                &mut triple.s
+            } else {
+                &mut triple.o
+            } = CPos::Const(term, id);
         }
         *steps = plan_bgp(view, options, bgp);
     }
@@ -274,7 +278,9 @@ fn generic_params(
 ) -> Vec<Generic> {
     let mut generic = Vec::new();
     for (i, param) in shape.params().iter().enumerate() {
-        let Some(token) = consts.iter().find(|c| c.token == param.token) else { continue };
+        let Some(token) = consts.iter().find(|c| c.token == param.token) else {
+            continue;
+        };
         let term = &token.term;
         // The parser must read the token as the term a rebinding builds.
         if !token.subject_or_object
@@ -283,7 +289,10 @@ fn generic_params(
         {
             continue;
         }
-        let id = resolved.iter().find(|(t, _)| t == term).and_then(|(_, id)| *id);
+        let id = resolved
+            .iter()
+            .find(|(t, _)| t == term)
+            .and_then(|(_, id)| *id);
         // Another term with the same ID (one literal written two ways)
         // would not follow a rebinding.
         if id.is_some() && resolved.iter().any(|(t, other)| *other == id && t != term) {
@@ -300,7 +309,11 @@ fn generic_params(
             Site::Value(v) => elsewhere |= *v == value,
         });
         if ends > 0 && !elsewhere {
-            generic.push(Generic { param: i, term: term.clone(), id });
+            generic.push(Generic {
+                param: i,
+                term: term.clone(),
+                id,
+            });
         }
     }
     generic
@@ -459,7 +472,9 @@ impl PlanCache {
             let candidates = match inner.map.get_mut(&key) {
                 Some(entry) if entry.is(dataset, &shape.key, options) => {
                     let before = entry.variants.len();
-                    entry.variants.retain(|v| v.stamp.is_some() || v.stats == stats);
+                    entry
+                        .variants
+                        .retain(|v| v.stamp.is_some() || v.stats == stats);
                     self.invalidated((before - entry.variants.len()) as u64);
                     entry
                         .variants
@@ -484,7 +499,11 @@ impl PlanCache {
                 Bind::Plan(plan) => {
                     variant.last_used.store(tick, Ordering::Relaxed);
                     self.hit(&variant);
-                    return Ok(CachedPlan { plan, compiled: false, variant });
+                    return Ok(CachedPlan {
+                        plan,
+                        compiled: false,
+                        variant,
+                    });
                 }
                 Bind::Mismatch => {}
                 Bind::Stale => {
@@ -501,7 +520,11 @@ impl PlanCache {
         self.missed();
         let variant = Arc::new(self.compile_variant(view, text, options, &shape, dict_len)?);
         self.insert(key, dataset, &shape.key, options, Arc::clone(&variant));
-        Ok(CachedPlan { plan: Arc::clone(&variant.plan), compiled: true, variant })
+        Ok(CachedPlan {
+            plan: Arc::clone(&variant.plan),
+            compiled: true,
+            variant,
+        })
     }
 
     /// Parses and compiles `text` into a variant of `shape`.
@@ -533,7 +556,11 @@ impl PlanCache {
             }
         }
         let mut variant = Variant::new(plan, text, self.lock().tick);
-        variant.values = shape.params().iter().map(|p| shape.value(p).into_owned()).collect();
+        variant.values = shape
+            .params()
+            .iter()
+            .map(|p| shape.value(p).into_owned())
+            .collect();
         variant.generic = generic;
         variant.replans = replans;
         // Compiling may have computed the statistics it read.
@@ -558,7 +585,11 @@ impl PlanCache {
         let mut inner = self.lock();
         let tick = inner.next_tick();
         variant.last_used.store(tick, Ordering::Relaxed);
-        if !inner.map.get(&key).is_some_and(|e| e.is(dataset, shape, options)) {
+        if !inner
+            .map
+            .get(&key)
+            .is_some_and(|e| e.is(dataset, shape, options))
+        {
             let entry = Entry {
                 dataset: dataset.to_string(),
                 shape: shape.to_string(),
@@ -585,7 +616,12 @@ impl PlanCache {
                 .min_by_key(|(_, _, v)| v.last_used.load(Ordering::Relaxed))
                 .map(|(k, i, _)| (*k, i));
             let Some((lru, i)) = lru else { break };
-            inner.map.get_mut(&lru).expect("found above").variants.remove(i);
+            inner
+                .map
+                .get_mut(&lru)
+                .expect("found above")
+                .variants
+                .remove(i);
             inner.drop_if_empty(lru);
             self.evicted();
         }
@@ -618,7 +654,11 @@ impl PlanCache {
         {
             let mut inner = self.lock();
             let tick = inner.next_tick();
-            if let Some(entry) = inner.map.get_mut(&key).filter(|e| e.is(dataset, text, options)) {
+            if let Some(entry) = inner
+                .map
+                .get_mut(&key)
+                .filter(|e| e.is(dataset, text, options))
+            {
                 let before = entry.variants.len();
                 let mut current = None;
                 entry.variants.retain(|v| match v.stamp {
@@ -814,9 +854,14 @@ mod tests {
         let cache = PlanCache::new(4);
         for _ in 0..3 {
             cache
-                .get_or_compile("m[PCSGM]", "SELECT * WHERE {}", opts(), 7, || 0, || {
-                    Ok(dummy_plan())
-                })
+                .get_or_compile(
+                    "m[PCSGM]",
+                    "SELECT * WHERE {}",
+                    opts(),
+                    7,
+                    || 0,
+                    || Ok(dummy_plan()),
+                )
                 .unwrap();
         }
         assert_eq!(cache.compiles(), 1);
@@ -832,7 +877,14 @@ mod tests {
         let cache = PlanCache::new(4);
         let run = |epoch| {
             cache
-                .get_or_compile("m[PCSGM]", "ASK {}", opts(), epoch, || 0, || Ok(dummy_plan()))
+                .get_or_compile(
+                    "m[PCSGM]",
+                    "ASK {}",
+                    opts(),
+                    epoch,
+                    || 0,
+                    || Ok(dummy_plan()),
+                )
                 .unwrap()
         };
         run(1);
@@ -847,12 +899,22 @@ mod tests {
     #[test]
     fn distinct_keys_are_distinct_entries() {
         let cache = PlanCache::new(4);
-        let forced =
-            CompileOptions { force_join: Some(crate::plan::ForcedJoin::Hash), ..Default::default() };
-        cache.get_or_compile("a[PCSGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
-        cache.get_or_compile("b[PCSGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
-        cache.get_or_compile("a[PCSGM]", "ASK {}", forced, 1, || 0, || Ok(dummy_plan())).unwrap();
-        cache.get_or_compile("a[SPCGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
+        let forced = CompileOptions {
+            force_join: Some(crate::plan::ForcedJoin::Hash),
+            ..Default::default()
+        };
+        cache
+            .get_or_compile("a[PCSGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
+        cache
+            .get_or_compile("b[PCSGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
+        cache
+            .get_or_compile("a[PCSGM]", "ASK {}", forced, 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
+        cache
+            .get_or_compile("a[SPCGM]", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.hits(), 0);
     }
@@ -860,16 +922,32 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let cache = PlanCache::new(2);
-        cache.get_or_compile("m", "q1", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
-        cache.get_or_compile("m", "q2", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
+        cache
+            .get_or_compile("m", "q1", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
+        cache
+            .get_or_compile("m", "q2", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
         // Touch q1 so q2 becomes the LRU victim.
-        cache.get_or_compile("m", "q1", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
-        cache.get_or_compile("m", "q3", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
+        cache
+            .get_or_compile("m", "q1", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
+        cache
+            .get_or_compile("m", "q3", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
         assert_eq!(cache.len(), 2);
-        cache.get_or_compile("m", "q1", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
+        cache
+            .get_or_compile("m", "q1", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
         assert_eq!(cache.hits(), 2, "q1 must have survived eviction");
-        cache.get_or_compile("m", "q2", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
-        assert_eq!(cache.compiles(), 4, "q2 must have been evicted and recompiled");
+        cache
+            .get_or_compile("m", "q2", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
+        assert_eq!(
+            cache.compiles(),
+            4,
+            "q2 must have been evicted and recompiled"
+        );
         assert_eq!(cache.evictions(), 2, "q2 then q3 fell to capacity pressure");
         assert_eq!(cache.invalidations(), 0, "no stamp moved in this test");
     }
@@ -877,12 +955,19 @@ mod tests {
     #[test]
     fn compile_errors_are_not_cached() {
         let cache = PlanCache::new(4);
-        let err = cache.get_or_compile("m", "bad", opts(), 1, || 0, || {
-            Err(SparqlError::Unsupported("nope".into()))
-        });
+        let err = cache.get_or_compile(
+            "m",
+            "bad",
+            opts(),
+            1,
+            || 0,
+            || Err(SparqlError::Unsupported("nope".into())),
+        );
         assert!(err.is_err());
         assert!(cache.is_empty());
-        cache.get_or_compile("m", "bad", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
+        cache
+            .get_or_compile("m", "bad", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
         assert_eq!(cache.compiles(), 2);
     }
 
@@ -905,7 +990,9 @@ mod tests {
     #[test]
     fn note_result_surfaces_actual_rows() {
         let cache = PlanCache::new(4);
-        cache.get_or_compile("m", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan())).unwrap();
+        cache
+            .get_or_compile("m", "ASK {}", opts(), 1, || 0, || Ok(dummy_plan()))
+            .unwrap();
         assert_eq!(cache.entries()[0].actual_rows, None);
         cache.note_result("m", "ASK {}", opts(), 42);
         assert_eq!(cache.entries()[0].actual_rows, Some(42));
@@ -945,7 +1032,10 @@ mod tests {
         assert!(first.compiled);
         assert_eq!(rows, 1);
         let (again, _) = run(&cache, &store, &text(1));
-        assert!(Arc::ptr_eq(&first.plan, &again.plan), "same values serve the template itself");
+        assert!(
+            Arc::ptr_eq(&first.plan, &again.plan),
+            "same values serve the template itself"
+        );
         for v in 2..8 {
             let (bound, rows) = run(&cache, &store, &text(v));
             assert!(!bound.compiled && !Arc::ptr_eq(&first.plan, &bound.plan));
@@ -967,11 +1057,21 @@ mod tests {
                 run(&cache, &store, &text(p));
             }
         }
-        assert_eq!((cache.compiles(), cache.hits(), cache.evictions()), (12, 12, 0));
+        assert_eq!(
+            (cache.compiles(), cache.hits(), cache.evictions()),
+            (12, 12, 0)
+        );
         run(&cache, &store, "SELECT ?s WHERE { ?s ?p ?o }");
-        assert_eq!((cache.len(), cache.evictions()), (12, 1), "a new shape evicts a variant");
+        assert_eq!(
+            (cache.len(), cache.evictions()),
+            (12, 1),
+            "a new shape evicts a variant"
+        );
         assert!(!run(&cache, &store, &text(11)).0.compiled);
-        assert!(run(&cache, &store, &text(0)).0.compiled, "p0 was the least recently used");
+        assert!(
+            run(&cache, &store, &text(0)).0.compiled,
+            "p0 was the least recently used"
+        );
     }
 
     #[test]
@@ -982,11 +1082,23 @@ mod tests {
         assert!(cache.lookup("m", text, opts(), &view).unwrap().compiled);
         store.insert("m", &follows(20, 21)).unwrap();
         let view = store.dataset("m").unwrap();
-        assert!(!cache.lookup("m", text, opts(), &view).unwrap().compiled, "a write is no reason");
-        let likes = |s| Quad::triple(Term::iri(s), Term::iri("http://likes"), Term::iri("http://v2"));
+        assert!(
+            !cache.lookup("m", text, opts(), &view).unwrap().compiled,
+            "a write is no reason"
+        );
+        let likes = |s| {
+            Quad::triple(
+                Term::iri(s),
+                Term::iri("http://likes"),
+                Term::iri("http://v2"),
+            )
+        };
         store.insert("m", &likes("http://v1").unwrap()).unwrap();
         let view = store.dataset("m").unwrap();
         assert!(cache.lookup("m", text, opts(), &view).unwrap().compiled);
-        assert_eq!((cache.compiles(), cache.invalidations(), cache.len()), (2, 1, 1));
+        assert_eq!(
+            (cache.compiles(), cache.invalidations(), cache.len()),
+            (2, 1, 1)
+        );
     }
 }

@@ -102,7 +102,10 @@ impl<'a> Estimator<'a> {
             for (pos, slot) in triple.var_positions() {
                 let count: u64 = self.stats.iter().map(|s| distinct_at(s, triple, pos)).sum();
                 let count = count as f64;
-                domains.entry(slot).and_modify(|d| *d = d.min(count)).or_insert(count);
+                domains
+                    .entry(slot)
+                    .and_modify(|d| *d = d.min(count))
+                    .or_insert(count);
             }
         }
         domains
@@ -146,7 +149,10 @@ impl<'a> Estimator<'a> {
             // No predicate statistics apply, or the predicate was added
             // since the last refresh: the coarse fanout of this member.
             let Some(ps) = pid.and_then(|p| stats.predicate(p)) else {
-                let d: f64 = positions.iter().map(|&p| denom(p, stats.distinct[p])).product();
+                let d: f64 = positions
+                    .iter()
+                    .map(|&p| denom(p, stats.distinct[p]))
+                    .product();
                 total += (est / d).max(1.0).min(est);
                 continue;
             };
@@ -181,15 +187,15 @@ pub(crate) type Domains = HashMap<usize, f64>;
 /// else the member's distinct values at `pos`.
 fn distinct_at(stats: &CboStats, triple: &CTriple, pos: usize) -> u64 {
     match &triple.p {
-        CPos::Const(_, id) if pos == quadstore::ids::S || pos == quadstore::ids::O => id
-            .and_then(|id| stats.predicate(id.0))
-            .map_or(0, |ps| {
+        CPos::Const(_, id) if pos == quadstore::ids::S || pos == quadstore::ids::O => {
+            id.and_then(|id| stats.predicate(id.0)).map_or(0, |ps| {
                 if pos == quadstore::ids::S {
                     ps.distinct_subjects
                 } else {
                     ps.distinct_objects
                 }
-            }),
+            })
+        }
         _ => stats.distinct[pos],
     }
 }
@@ -276,9 +282,8 @@ impl BgpPlanner<'_> {
                     bset.extend(slots.iter().copied());
                 }
             }
-            let any_joined = (0..n).any(|i| {
-                mask & (1 << i) == 0 && slot_sets[i].iter().any(|s| bset.contains(s))
-            });
+            let any_joined = (0..n)
+                .any(|i| mask & (1 << i) == 0 && slot_sets[i].iter().any(|s| bset.contains(s)));
             for i in 0..n {
                 if mask & (1 << i) != 0 {
                     continue;
@@ -295,7 +300,12 @@ impl BgpPlanner<'_> {
                     Some(c) => cost + 1e-9 < c.cost,
                 };
                 if better {
-                    table[next] = Some(Cand { cost, card: price.out, last: i, prev: mask });
+                    table[next] = Some(Cand {
+                        cost,
+                        card: price.out,
+                        last: i,
+                        prev: mask,
+                    });
                 }
             }
         }
@@ -326,7 +336,13 @@ impl BgpPlanner<'_> {
         let rows = scan as f64;
         let positions = join_positions(triple, bound);
         if positions.is_empty() {
-            return Price { scan, cost: left * rows, out: left * rows, fanout: 0.0, hash: false };
+            return Price {
+                scan,
+                cost: left * rows,
+                out: left * rows,
+                fanout: 0.0,
+                hash: false,
+            };
         }
         let fanout = self.est.fanout(triple, &positions, domains);
         let nlj = left * (PROBE_COST + fanout);
@@ -337,7 +353,13 @@ impl BgpPlanner<'_> {
             None => hash_cost < nlj,
         };
         let cost = if hash { hash_cost } else { nlj };
-        Price { scan, cost, out: (left * fanout).max(1.0), fanout, hash }
+        Price {
+            scan,
+            cost,
+            out: (left * fanout).max(1.0),
+            fanout,
+            hash,
+        }
     }
 
     /// The greedy ordering: joined-to-bound-set first, smallest per-probe
@@ -411,14 +433,20 @@ impl BgpPlanner<'_> {
             };
 
             let price = self.price(&triple, bound, left_card, domains);
-            let strategy =
-                if price.hash { Strategy::HashJoin { join_slots } } else { Strategy::IndexNlj };
+            let strategy = if price.hash {
+                Strategy::HashJoin { join_slots }
+            } else {
+                Strategy::IndexNlj
+            };
             left_card = price.out;
             let mut joined = [false; 4];
             for (pos, slot) in triple.var_positions() {
                 joined[pos] = bound.contains(&slot);
             }
-            planned.push(Planned { joined, fanout: price.fanout });
+            planned.push(Planned {
+                joined,
+                fanout: price.fanout,
+            });
             for v in triple.var_slots() {
                 bound.insert(v);
             }
@@ -509,7 +537,9 @@ impl BgpPlanner<'_> {
     /// positions bound ends its bound prefix with `v`'s one position: what
     /// [`DatasetView::span_cursor`] walks.
     fn merges(&self, triple: &CTriple, joined: [bool; 4], v: usize) -> bool {
-        let Some(pos) = triple.sole_position(v) else { return false };
+        let Some(pos) = triple.sole_position(v) else {
+            return false;
+        };
         let probe = probe_shape(triple, joined);
         !triple.unsatisfiable() && self.view.span_cursor(&probe, pos).is_some()
     }
@@ -520,7 +550,9 @@ impl BgpPlanner<'_> {
         if planned.fanout <= 1.0 {
             return None;
         }
-        let mut new = triple.var_positions().filter(|&(pos, _)| !planned.joined[pos]);
+        let mut new = triple
+            .var_positions()
+            .filter(|&(pos, _)| !planned.joined[pos]);
         let (_, v) = new.next()?;
         if new.next().is_some() {
             return None;
@@ -536,7 +568,9 @@ impl BgpPlanner<'_> {
         if triple.var_positions().any(|(pos, _)| !joined[pos]) {
             return false;
         }
-        let Some(pos) = triple.sole_s_or_o(v) else { return false };
+        let Some(pos) = triple.sole_s_or_o(v) else {
+            return false;
+        };
         joined[pos] = false;
         self.sorted_on(triple, joined, pos)
     }
@@ -594,7 +628,10 @@ mod tests {
         let store = Store::new();
         store.create_model("m").unwrap();
         let mut quads = Vec::new();
-        for (a, b) in (0..n).flat_map(|a| (0..n).map(move |b| (a, b))).filter(|(a, b)| a != b) {
+        for (a, b) in (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|(a, b)| a != b)
+        {
             for (p, g) in (0..preds).flat_map(|p| (0..graphs).map(move |g| (p, g))) {
                 quads.push(
                     Quad::new(
@@ -616,7 +653,10 @@ mod tests {
     fn strategies(store: &Store, body: &str, force_join: Option<ForcedJoin>) -> Vec<Strategy> {
         let view = store.dataset("m").unwrap();
         let query = crate::parse_query(&format!("SELECT * WHERE {{ {body} }}")).unwrap();
-        let options = CompileOptions { force_join, ..Default::default() };
+        let options = CompileOptions {
+            force_join,
+            ..Default::default()
+        };
         let CForm::Select(sel) = compile_with(&view, &query, options).unwrap().form else {
             panic!("expected a select");
         };
@@ -633,8 +673,7 @@ mod tests {
             .collect()
     }
 
-    const TRIANGLE: &str =
-        "?x <http://p0> ?y . ?y <http://p0> ?z . ?z <http://p0> ?x";
+    const TRIANGLE: &str = "?x <http://p0> ?y . ?y <http://p0> ?z . ?z <http://p0> ?x";
 
     #[test]
     fn a_growing_expand_step_closes_its_cycle_by_intersection() {
@@ -646,7 +685,10 @@ mod tests {
         // Forced strategies keep today's binary plans.
         for force in [ForcedJoin::Nlj, ForcedJoin::Hash] {
             let got = strategies(&store, TRIANGLE, Some(force));
-            assert!(!got.iter().any(|s| matches!(s, Strategy::Intersect { .. })), "{got:?}");
+            assert!(
+                !got.iter().any(|s| matches!(s, Strategy::Intersect { .. })),
+                "{got:?}"
+            );
         }
     }
 
@@ -689,16 +731,29 @@ mod tests {
         let quads: Vec<Quad> = (0..8).map(|i| quad(i % 4, i)).collect();
         store.bulk_load("m", &quads).unwrap();
         // No constant predicate, so no per-predicate statistics apply.
-        let any = CTriple { s: CPos::Var(0), p: CPos::Var(1), o: CPos::Var(2), g: CGraph::Any };
+        let any = CTriple {
+            s: CPos::Var(0),
+            p: CPos::Var(1),
+            o: CPos::Var(2),
+            g: CGraph::Any,
+        };
         let fanout = |store: &Store| {
             let view = store.dataset("m").unwrap();
             Estimator::new(&view).fanout(&any, &[quadstore::ids::S], &Domains::new())
         };
-        assert!((fanout(&store) - 2.0).abs() < 1e-9, "got {}", fanout(&store));
+        assert!(
+            (fanout(&store) - 2.0).abs() < 1e-9,
+            "got {}",
+            fanout(&store)
+        );
         // A write below the drift threshold keeps the snapshot: a fifth
         // subject raises the range estimate to 9, not the distinct count.
         store.insert("m", &quad(4, 8)).unwrap();
-        assert!((fanout(&store) - 2.25).abs() < 1e-9, "got {}", fanout(&store));
+        assert!(
+            (fanout(&store) - 2.25).abs() < 1e-9,
+            "got {}",
+            fanout(&store)
+        );
     }
 
     /// A triple pattern from three tokens: `?name` is a variable, with one
@@ -719,7 +774,12 @@ mod tests {
                 CPos::Const(term, id)
             }
         };
-        CTriple { s: pos(tokens[0]), p: pos(tokens[1]), o: pos(tokens[2]), g: CGraph::Any }
+        CTriple {
+            s: pos(tokens[0]),
+            p: pos(tokens[1]),
+            o: pos(tokens[2]),
+            g: CGraph::Any,
+        }
     }
 
     const TOPO_QUADS: usize = 400;
@@ -746,7 +806,11 @@ mod tests {
         let mut kv = Vec::new();
         for i in 0..EDGES {
             let e = format!("e{i}");
-            kv.push(triple(&format!("n{}", i % 20), &e, &format!("n{}", (i + 3) % 20)));
+            kv.push(triple(
+                &format!("n{}", i % 20),
+                &e,
+                &format!("n{}", (i + 3) % 20),
+            ));
             kv.push(triple(&e, "sub", "follows"));
             kv.push(triple(&e, "tag", &format!("t{}", i % 5)));
         }
@@ -774,7 +838,10 @@ mod tests {
         let kv = 3.0 * EDGES as f64 / (EDGES + 2) as f64;
         let p = [quadstore::ids::P];
         let uncapped = est.fanout(&edge, &p, &Domains::new());
-        assert!((uncapped - (TOPO_QUADS as f64 / 2.0 + kv)).abs() < 1e-9, "got {uncapped}");
+        assert!(
+            (uncapped - (TOPO_QUADS as f64 / 2.0 + kv)).abs() < 1e-9,
+            "got {uncapped}"
+        );
         let capped = est.fanout(&edge, &p, &domains);
         let want = TOPO_QUADS as f64 / EDGES as f64 + kv;
         assert!((capped - want).abs() < 1e-9, "got {capped}, want {want}");
@@ -801,13 +868,26 @@ mod tests {
             triples.push(tp(&view, &mut vars, [&from, "follows", &to]));
         }
         assert!(triples.len() > DP_MAX_PATTERNS);
-        let planner = BgpPlanner { view: &view, est: &est, force_join: None };
+        let planner = BgpPlanner {
+            view: &view,
+            est: &est,
+            force_join: None,
+        };
         let domains = est.domains(&triples);
         let outer = HashSet::new();
-        assert_eq!(planner.greedy_order(&triples, &outer, &domains)[..2], [0, 2]);
-        assert_eq!(planner.greedy_order(&triples, &outer, &Domains::new())[..2], [0, 1]);
+        assert_eq!(
+            planner.greedy_order(&triples, &outer, &domains)[..2],
+            [0, 2]
+        );
+        assert_eq!(
+            planner.greedy_order(&triples, &outer, &Domains::new())[..2],
+            [0, 1]
+        );
         let steps = planner.plan(triples, &mut HashSet::new());
-        assert_eq!(steps[1].triple.p, CPos::Var(vars.iter().position(|v| v == "p").unwrap()));
+        assert_eq!(
+            steps[1].triple.p,
+            CPos::Var(vars.iter().position(|v| v == "p").unwrap())
+        );
         let fanout = TOPO_QUADS as f64 / EDGES as f64 + 3.0 * EDGES as f64 / (EDGES + 2) as f64;
         assert_eq!(steps[1].est_out, (EDGES as f64 * fanout) as u64);
     }
@@ -815,7 +895,9 @@ mod tests {
     #[test]
     fn domains_never_move_a_one_member_fanout() {
         let mut r = twittergen::rng::Rng::seed_from_u64(29);
-        let tokens = ["?a", "?b", "?c", "?d", "n0", "n1", "n2", "p0", "p1", "p2", "p9"];
+        let tokens = [
+            "?a", "?b", "?c", "?d", "n0", "n1", "n2", "p0", "p1", "p2", "p9",
+        ];
         for case in 0..64 {
             let store = Store::new();
             store.create_model("m").unwrap();

@@ -27,7 +27,9 @@ pub(super) fn key_hash(words: impl IntoIterator<Item = u64>) -> u64 {
 
 /// The hash of a row's `slots`, or `None` if one is unbound.
 pub(super) fn row_hash(row: &[Option<u64>], slots: &[usize]) -> Option<u64> {
-    slots.iter().try_fold(0, |hash, &s| row[s].map(|id| mix(hash, id)))
+    slots
+        .iter()
+        .try_fold(0, |hash, &s| row[s].map(|id| mix(hash, id)))
 }
 
 /// Bucket chains over rows `0..len`, each chain in ascending row order.
@@ -48,7 +50,10 @@ impl Chains {
         len: usize,
         mut hash: impl FnMut(usize) -> Option<u64>,
     ) -> Self {
-        assert!(buckets.is_power_of_two() && len <= MAX_ROWS, "{len} rows in {buckets} buckets");
+        assert!(
+            buckets.is_power_of_two() && len <= MAX_ROWS,
+            "{len} rows in {buckets} buckets"
+        );
         let mask = buckets as u64 - 1;
         let mut heads = vec![NIL; buckets];
         let mut next = vec![NIL; len];
@@ -66,7 +71,10 @@ impl Chains {
     /// superset of the rows with that hash, which the caller filters.
     pub(super) fn bucket(&self, hash: u64) -> Bucket<'_> {
         let mask = self.heads.len() as u64 - 1;
-        Bucket { next: &self.next, row: self.heads[(hash & mask) as usize] }
+        Bucket {
+            next: &self.next,
+            row: self.heads[(hash & mask) as usize],
+        }
     }
 }
 
@@ -102,7 +110,11 @@ impl BuildTable {
     /// Chains `quads` (at most [`MAX_ROWS`]) on the quad `positions`.
     pub(super) fn new(quads: Vec<EncodedQuad>, positions: Vec<usize>) -> Self {
         let chains = Chains::new(quads.len(), |i| Some(quad_hash(&quads[i], &positions)));
-        BuildTable { quads, positions, chains }
+        BuildTable {
+            quads,
+            positions,
+            chains,
+        }
     }
 
     /// The quads whose key positions hold `key`, in scan order.
@@ -127,7 +139,9 @@ mod tests {
     fn scanned(n: usize, ids: u64, seed: u64) -> Vec<EncodedQuad> {
         let mut state = seed;
         let mut draw = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) % ids + 1
         };
         (0..n).map(|_| [draw(), draw(), draw(), draw()]).collect()
@@ -145,8 +159,10 @@ mod tests {
     /// Every key present in `quads` plus a few absent ones, each probed
     /// against the oracle.
     fn check(table: &BuildTable, quads: &[EncodedQuad], positions: &[usize], ids: u64) {
-        let mut keys: Vec<Vec<u64>> =
-            quads.iter().map(|q| positions.iter().map(|&p| q[p]).collect()).collect();
+        let mut keys: Vec<Vec<u64>> = quads
+            .iter()
+            .map(|q| positions.iter().map(|&p| q[p]).collect())
+            .collect();
         keys.sort_unstable();
         keys.dedup();
         keys.push(vec![0; positions.len()]);
@@ -154,7 +170,11 @@ mod tests {
         keys.push(vec![u64::MAX; positions.len()]);
         for key in keys {
             let got: Vec<EncodedQuad> = table.get(&key).copied().collect();
-            assert_eq!(got, oracle(quads, positions, &key), "key {key:?} on {positions:?}");
+            assert_eq!(
+                got,
+                oracle(quads, positions, &key),
+                "key {key:?} on {positions:?}"
+            );
         }
     }
 
@@ -184,8 +204,15 @@ mod tests {
         let positions = vec![0, 2];
         let hash = |i: usize| Some(quad_hash(&quads[i], &positions));
         let chains = Chains::with_buckets(1, quads.len(), hash);
-        assert_eq!(chains.bucket(0).collect::<Vec<_>>(), (0..quads.len()).collect::<Vec<_>>());
-        let table = BuildTable { quads: quads.clone(), positions: positions.clone(), chains };
+        assert_eq!(
+            chains.bucket(0).collect::<Vec<_>>(),
+            (0..quads.len()).collect::<Vec<_>>()
+        );
+        let table = BuildTable {
+            quads: quads.clone(),
+            positions: positions.clone(),
+            chains,
+        };
         check(&table, &quads, &positions, 40);
     }
 
@@ -223,10 +250,17 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let query =
             crate::parse_query("SELECT * WHERE { ?x <http://p> ?y . ?y <http://p> ?z }").unwrap();
-        let options = CompileOptions { force_join: Some(ForcedJoin::Hash), ..Default::default() };
+        let options = CompileOptions {
+            force_join: Some(ForcedJoin::Hash),
+            ..Default::default()
+        };
         let compiled = compile_with(&view, &query, options).unwrap();
-        let CForm::Select(sel) = &compiled.form else { panic!("expected a select") };
-        let Node::Steps(steps) = &sel.root else { panic!("expected one BGP") };
+        let CForm::Select(sel) = &compiled.form else {
+            panic!("expected a select")
+        };
+        let Node::Steps(steps) = &sel.root else {
+            panic!("expected one BGP")
+        };
         let (step, slots) = steps
             .iter()
             .find_map(|s| match &s.strategy {

@@ -79,9 +79,7 @@ pub fn step_profiles(compiled: &CompiledQuery, profile: &ExecProfile) -> Vec<Ste
         CForm::Select(sel) | CForm::Construct(_, sel) => {
             collect_select(&compiled.vars, sel, profile, &mut steps)
         }
-        CForm::Ask(sel) => {
-            collect_node(&compiled.vars, &sel.root, &mut 1, profile, &mut steps)
-        }
+        CForm::Ask(sel) => collect_node(&compiled.vars, &sel.root, &mut 1, profile, &mut steps),
     }
     steps
 }
@@ -195,16 +193,25 @@ fn render_select(
     // rows as they are pushed, and a plain LIMIT is the executor's
     // appetite — it ends the scans beneath it.
     if !sel.order_by.is_empty() {
-        let top = crate::exec::top_k(sel).map(|k| format!(", top {k}")).unwrap_or_default();
+        let top = crate::exec::top_k(sel)
+            .map(|k| format!(", top {k}"))
+            .unwrap_or_default();
         let _ = writeln!(out, "{pad}ORDER BY ({} keys{top})", sel.order_by.len());
     } else if sel.distinct {
         let _ = writeln!(out, "{pad}DISTINCT (streaming)");
     }
     if let Some(limit) = sel.limit.filter(|_| crate::exec::appetite(sel).is_some()) {
-        let offset = sel.offset.map(|o| format!(" OFFSET {o}")).unwrap_or_default();
+        let offset = sel
+            .offset
+            .map(|o| format!(" OFFSET {o}"))
+            .unwrap_or_default();
         let _ = writeln!(out, "{pad}LIMIT {limit}{offset} (ends scan)");
     } else if sel.limit.is_some() || sel.offset.is_some() {
-        let _ = writeln!(out, "{pad}SLICE limit={:?} offset={:?}", sel.limit, sel.offset);
+        let _ = writeln!(
+            out,
+            "{pad}SLICE limit={:?} offset={:?}",
+            sel.limit, sel.offset
+        );
     }
 }
 
@@ -223,7 +230,13 @@ fn render_node(
                 let actual = profile
                     .map(|p| format_actual(p.step(step), Some(step.est_out)))
                     .unwrap_or_default();
-                let _ = writeln!(out, "{pad}{}: {}{}", counter, render_step(vars, step), actual);
+                let _ = writeln!(
+                    out,
+                    "{pad}{}: {}{}",
+                    counter,
+                    render_step(vars, step),
+                    actual
+                );
                 *counter += 1;
             }
         }
@@ -266,7 +279,10 @@ fn render_node(
             render_select(out, vars, sel, depth + 1, profile);
         }
         Node::Values { slots, rows } => {
-            let names: Vec<String> = slots.iter().map(|&s| format!("?{}", vars.name(s))).collect();
+            let names: Vec<String> = slots
+                .iter()
+                .map(|&s| format!("?{}", vars.name(s)))
+                .collect();
             let _ = writeln!(out, "{pad}VALUES {} ({} rows)", names.join(" "), rows.len());
         }
         Node::Extend(slot, _) => {

@@ -322,9 +322,7 @@ impl CExpr {
         match self {
             CExpr::Var(slot) => env.term_of_slot(*slot).map(|t| Value::from_term(&t)),
             CExpr::Const(v) => Some(v.clone()),
-            CExpr::KindCheck(slot, kind) => {
-                Some(Value::Bool(env.kind_of_slot(*slot)? == *kind))
-            }
+            CExpr::KindCheck(slot, kind) => Some(Value::Bool(env.kind_of_slot(*slot)? == *kind)),
             CExpr::SlotEqConst(slot, id, fallback) => {
                 let bound = env.id_of_slot(*slot)?;
                 match id {
@@ -479,7 +477,7 @@ fn eval_call(func: Function, args: &[CExpr], env: &dyn ExprEnv) -> Option<Value>
             Some(Value::Bool(a.contains(&b)))
         }
         Function::StrLen => Some(Value::Int(
-            args[0].eval(env)?.str_value().chars().count() as i64,
+            args[0].eval(env)?.str_value().chars().count() as i64
         )),
         Function::Ucase => Some(Value::Str(args[0].eval(env)?.str_value().to_uppercase())),
         Function::Lcase => Some(Value::Str(args[0].eval(env)?.str_value().to_lowercase())),
@@ -580,7 +578,10 @@ mod tests {
             Value::from_term(&Term::Literal(Literal::boolean(true))),
             Value::Bool(true)
         );
-        assert!(matches!(Value::from_term(&Term::iri("http://x")), Value::Term(_)));
+        assert!(matches!(
+            Value::from_term(&Term::iri("http://x")),
+            Value::Term(_)
+        ));
     }
 
     #[test]

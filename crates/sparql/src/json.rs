@@ -61,10 +61,16 @@ fn solutions_to_json(solutions: &Solutions) -> String {
 fn term_to_json(term: &Term) -> String {
     match term {
         Term::Iri(iri) => {
-            format!("{{\"type\":\"uri\",\"value\":\"{}\"}}", escape(iri.as_str()))
+            format!(
+                "{{\"type\":\"uri\",\"value\":\"{}\"}}",
+                escape(iri.as_str())
+            )
         }
         Term::Blank(b) => {
-            format!("{{\"type\":\"bnode\",\"value\":\"{}\"}}", escape(b.as_str()))
+            format!(
+                "{{\"type\":\"bnode\",\"value\":\"{}\"}}",
+                escape(b.as_str())
+            )
         }
         Term::Literal(lit) => {
             let mut out = format!(

@@ -330,7 +330,13 @@ pub(crate) struct Shape<'a> {
 
 impl<'a> Shape<'a> {
     fn new(text: &'a str, key: String) -> Self {
-        Shape { key, text, inline: [Param::default(); INLINE_PARAMS], len: 0, spilled: Vec::new() }
+        Shape {
+            key,
+            text,
+            inline: [Param::default(); INLINE_PARAMS],
+            len: 0,
+            spilled: Vec::new(),
+        }
     }
 
     fn push(&mut self, param: Param) {
@@ -416,9 +422,16 @@ pub(crate) fn shape(text: &str) -> Result<Shape<'_>, SparqlError> {
     let mut copied = 0;
     let mut lift = |kind, token, (start, end): (usize, usize), (a, b): (usize, usize)| {
         shape.key.push_str(&text[copied..start]);
-        shape.key.push_str(if kind == ParamKind::Iri { "<>" } else { "\"\"" });
+        shape
+            .key
+            .push_str(if kind == ParamKind::Iri { "<>" } else { "\"\"" });
         copied = end;
-        shape.push(Param { kind, token, start: a, end: b });
+        shape.push(Param {
+            kind,
+            token,
+            start: a,
+            end: b,
+        });
     };
     let mut prologue = Prologue::Keyword;
     let mut based = false;
@@ -475,7 +488,12 @@ fn escape_char(b: u8) -> Result<char, SparqlError> {
         b'\\' => '\\',
         b'"' => '"',
         b'\'' => '\'',
-        other => return Err(SparqlError::Parse(format!("bad escape \\{}", other as char))),
+        other => {
+            return Err(SparqlError::Parse(format!(
+                "bad escape \\{}",
+                other as char
+            )))
+        }
     })
 }
 
@@ -615,7 +633,11 @@ mod tests {
         let toks = tokenize("42 3.25 1e3").unwrap();
         assert_eq!(
             toks,
-            vec![Token::Integer(42), Token::Double(3.25), Token::Double(1000.0)]
+            vec![
+                Token::Integer(42),
+                Token::Double(3.25),
+                Token::Double(1000.0)
+            ]
         );
     }
 
@@ -630,7 +652,10 @@ mod tests {
         let toks = tokenize("\"train\"@en-us").unwrap();
         assert_eq!(
             toks,
-            vec![Token::String("train".into()), Token::LangTag("en-us".into())]
+            vec![
+                Token::String("train".into()),
+                Token::LangTag("en-us".into())
+            ]
         );
     }
 
@@ -650,7 +675,10 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let toks = tokenize("SELECT # comment\n ?x").unwrap();
-        assert_eq!(toks, vec![Token::Word("SELECT".into()), Token::Var("x".into())]);
+        assert_eq!(
+            toks,
+            vec![Token::Word("SELECT".into()), Token::Var("x".into())]
+        );
     }
 
     #[test]
@@ -693,7 +721,10 @@ mod tests {
         let text =
             "PREFIX k: <http://pg/k/>\nSELECT ?n WHERE { <http://pg/v1> k:hasTag 'a\\'b', \"#x\" }";
         let (key, params) = lifted(text);
-        assert_eq!(key, "PREFIX k: <http://pg/k/>\nSELECT ?n WHERE { <> k:hasTag \"\", \"\" }");
+        assert_eq!(
+            key,
+            "PREFIX k: <http://pg/k/>\nSELECT ?n WHERE { <> k:hasTag \"\", \"\" }"
+        );
         assert_eq!(
             params,
             vec![

@@ -96,7 +96,9 @@ pub fn construct(
 ) -> Result<Vec<rdf_model::Quad>, SparqlError> {
     match query(store, dataset, text)? {
         QueryResults::Graph(quads) => Ok(quads),
-        _ => Err(SparqlError::Unsupported("expected a CONSTRUCT query".into())),
+        _ => Err(SparqlError::Unsupported(
+            "expected a CONSTRUCT query".into(),
+        )),
     }
 }
 

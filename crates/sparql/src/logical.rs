@@ -168,8 +168,10 @@ fn render_node(out: &mut String, vars: &VarTable, node: &Node, depth: usize) {
             render_select(out, vars, sel, depth + 1);
         }
         Node::Values { slots, rows } => {
-            let names: Vec<String> =
-                slots.iter().map(|&s| format!("?{}", vars.name(s))).collect();
+            let names: Vec<String> = slots
+                .iter()
+                .map(|&s| format!("?{}", vars.name(s)))
+                .collect();
             out.push_str(&format!(
                 "{pad}VALUES {} ({} rows)\n",
                 names.join(" "),

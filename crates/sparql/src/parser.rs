@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 
-use rdf_model::{Iri, Literal, Term};
 use rdf_model::vocab::{rdf, xsd};
+use rdf_model::{Iri, Literal, Term};
 
 use crate::ast::*;
 use crate::error::SparqlError;
@@ -59,7 +59,12 @@ struct Parser {
 
 impl Parser {
     fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0, prefixes: HashMap::new(), consts: None }
+        Parser {
+            tokens,
+            pos: 0,
+            prefixes: HashMap::new(),
+            consts: None,
+        }
     }
 
     fn parse_query(&mut self) -> Result<Query, SparqlError> {
@@ -102,7 +107,10 @@ impl Parser {
     /// Consumes the current token. The parser never looks back, so the
     /// token is moved out rather than cloned.
     fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get_mut(self.pos).map(|t| std::mem::replace(t, Token::Dot));
+        let t = self
+            .tokens
+            .get_mut(self.pos)
+            .map(|t| std::mem::replace(t, Token::Dot));
         self.pos += 1;
         t
     }
@@ -110,14 +118,24 @@ impl Parser {
     /// Records the constant parsed from the token at `token`.
     fn note(&mut self, token: usize, term: impl FnOnce() -> Term) {
         if let Some(consts) = &mut self.consts {
-            consts.push(ConstToken { token, term: term(), subject_or_object: false });
+            consts.push(ConstToken {
+                token,
+                term: term(),
+                subject_or_object: false,
+            });
         }
     }
 
     /// Marks the constant parsed from the token at `token`, if any, as a
     /// triple pattern's subject or object.
     fn note_subject_or_object(&mut self, token: usize) {
-        if let Some(c) = self.consts.iter_mut().flatten().rev().find(|c| c.token == token) {
+        if let Some(c) = self
+            .consts
+            .iter_mut()
+            .flatten()
+            .rev()
+            .find(|c| c.token == token)
+        {
             c.subject_or_object = true;
         }
     }
@@ -218,9 +236,10 @@ impl Parser {
     }
 
     fn resolve_pname(&self, prefix: &str, local: &str) -> Result<Iri, SparqlError> {
-        let ns = self.prefixes.get(prefix).ok_or_else(|| {
-            SparqlError::Parse(format!("undeclared prefix: {prefix}:"))
-        })?;
+        let ns = self
+            .prefixes
+            .get(prefix)
+            .ok_or_else(|| SparqlError::Parse(format!("undeclared prefix: {prefix}:")))?;
         Ok(Iri::new(format!("{ns}{local}")))
     }
 
@@ -292,15 +311,24 @@ impl Parser {
                     self.expect(Token::LParen)?;
                     let expr = self.parse_expression()?;
                     self.expect(Token::RParen)?;
-                    order_by.push(OrderKey { expr, descending: true });
+                    order_by.push(OrderKey {
+                        expr,
+                        descending: true,
+                    });
                 } else if self.eat_keyword("ASC") {
                     self.expect(Token::LParen)?;
                     let expr = self.parse_expression()?;
                     self.expect(Token::RParen)?;
-                    order_by.push(OrderKey { expr, descending: false });
+                    order_by.push(OrderKey {
+                        expr,
+                        descending: false,
+                    });
                 } else if let Some(Token::Var(_)) = self.peek() {
                     let var = self.parse_var()?;
-                    order_by.push(OrderKey { expr: Expression::Var(var), descending: false });
+                    order_by.push(OrderKey {
+                        expr: Expression::Var(var),
+                        descending: false,
+                    });
                 } else {
                     break;
                 }
@@ -322,7 +350,16 @@ impl Parser {
             }
         }
 
-        Ok(SelectQuery { distinct, projection, pattern, group_by, having, order_by, limit, offset })
+        Ok(SelectQuery {
+            distinct,
+            projection,
+            pattern,
+            group_by,
+            having,
+            order_by,
+            limit,
+            offset,
+        })
     }
 
     fn parse_trailing_limit(&mut self) -> Result<Option<usize>, SparqlError> {
@@ -561,7 +598,9 @@ impl Parser {
             Some(Token::Word(w)) if w == "a" => {
                 self.note(self.pos, || Term::iri(rdf::TYPE));
                 self.bump();
-                Ok(PredicatePattern::Path(PropertyPath::Iri(Iri::new(rdf::TYPE))))
+                Ok(PredicatePattern::Path(PropertyPath::Iri(Iri::new(
+                    rdf::TYPE,
+                ))))
             }
             _ => Ok(PredicatePattern::Path(self.parse_path()?)),
         }
@@ -682,7 +721,11 @@ impl Parser {
                 }
                 _ => Term::Literal(Literal::string(s)),
             },
-            other => return Err(SparqlError::Parse(format!("expected term, found {other:?}"))),
+            other => {
+                return Err(SparqlError::Parse(format!(
+                    "expected term, found {other:?}"
+                )))
+            }
         };
         self.note(at, || term.clone());
         Ok(term)
@@ -789,7 +832,9 @@ impl Parser {
             Some(Token::Var(_)) => Ok(Expression::Var(self.parse_var()?)),
             Some(Token::Word(_)) => {
                 let at = self.pos;
-                let Some(Token::Word(w)) = self.bump() else { unreachable!("peeked a word") };
+                let Some(Token::Word(w)) = self.bump() else {
+                    unreachable!("peeked a word")
+                };
                 if w.eq_ignore_ascii_case("EXISTS") {
                     let inner = self.parse_group_graph_pattern()?;
                     return Ok(Expression::Exists(Box::new(inner), false));
@@ -810,7 +855,9 @@ impl Parser {
                     self.note(at, || term.clone());
                     Ok(Expression::Constant(term))
                 } else {
-                    Err(SparqlError::Parse(format!("unknown function or keyword: {w}")))
+                    Err(SparqlError::Parse(format!(
+                        "unknown function or keyword: {w}"
+                    )))
                 }
             }
             Some(
@@ -888,7 +935,11 @@ impl Parser {
             let insert = self.parse_quad_data()?;
             self.expect_keyword("WHERE")?;
             let pattern = self.parse_group_graph_pattern()?;
-            return Ok(Update::Modify { delete: Vec::new(), insert, pattern });
+            return Ok(Update::Modify {
+                delete: Vec::new(),
+                insert,
+                pattern,
+            });
         }
         if self.eat_keyword("DELETE") {
             if self.eat_keyword("DATA") {
@@ -905,7 +956,11 @@ impl Parser {
             };
             self.expect_keyword("WHERE")?;
             let pattern = self.parse_group_graph_pattern()?;
-            return Ok(Update::Modify { delete, insert, pattern });
+            return Ok(Update::Modify {
+                delete,
+                insert,
+                pattern,
+            });
         }
         Err(SparqlError::Parse(
             "expected INSERT or DELETE update operation".into(),
@@ -962,9 +1017,7 @@ impl Parser {
         for t in triples {
             let predicate = match t.predicate {
                 PredicatePattern::Var(v) => VarOrTerm::Var(v),
-                PredicatePattern::Path(PropertyPath::Iri(iri)) => {
-                    VarOrTerm::Term(Term::Iri(iri))
-                }
+                PredicatePattern::Path(PropertyPath::Iri(iri)) => VarOrTerm::Term(Term::Iri(iri)),
                 PredicatePattern::Path(_) => {
                     return Err(SparqlError::Parse(
                         "property paths are not allowed in update templates".into(),
@@ -1040,9 +1093,7 @@ mod tests {
 
     #[test]
     fn parses_eq1() {
-        let q = select(
-            "PREFIX k: <http://pg/k/> SELECT ?n WHERE { ?n k:hasTag \"#webseries\" }",
-        );
+        let q = select("PREFIX k: <http://pg/k/> SELECT ?n WHERE { ?n k:hasTag \"#webseries\" }");
         assert_eq!(q.projection.len(), 1);
         match &q.pattern {
             GraphPattern::Bgp(tps) => {
@@ -1086,9 +1137,7 @@ mod tests {
 
     #[test]
     fn parses_filter_isliteral() {
-        let q = select(
-            "SELECT ?v WHERE { ?x ?k ?v FILTER (isLiteral(?v)) }",
-        );
+        let q = select("SELECT ?v WHERE { ?x ?k ?v FILTER (isLiteral(?v)) }");
         match &q.pattern {
             GraphPattern::Group(members, filters) => {
                 assert_eq!(members.len(), 1);
@@ -1113,9 +1162,8 @@ mod tests {
             },
             other => panic!("expected BGP, got {other:?}"),
         }
-        let q2 = select(
-            "PREFIX r: <http://pg/r/> SELECT ?n2 WHERE { ?n1 (r:knows|r:follows) ?n2 }",
-        );
+        let q2 =
+            select("PREFIX r: <http://pg/r/> SELECT ?n2 WHERE { ?n1 (r:knows|r:follows) ?n2 }");
         match &q2.pattern {
             GraphPattern::Bgp(tps) => match &tps[0].predicate {
                 PredicatePattern::Path(PropertyPath::Alternative(_, _)) => {}
@@ -1159,7 +1207,10 @@ mod tests {
         );
         match &q.pattern {
             GraphPattern::Group(_, filters) => {
-                assert!(matches!(filters[0], Expression::Compare(CompareOp::Eq, _, _)));
+                assert!(matches!(
+                    filters[0],
+                    Expression::Compare(CompareOp::Eq, _, _)
+                ));
             }
             other => panic!("expected group, got {other:?}"),
         }
@@ -1173,9 +1224,7 @@ mod tests {
 
     #[test]
     fn parses_optional() {
-        let q = select(
-            "SELECT ?x ?n WHERE { ?x <http://a> ?y OPTIONAL { ?x <http://name> ?n } }",
-        );
+        let q = select("SELECT ?x ?n WHERE { ?x <http://a> ?y OPTIONAL { ?x <http://name> ?n } }");
         fn has_optional(p: &GraphPattern) -> bool {
             match p {
                 GraphPattern::Optional(_, _) => true,
@@ -1188,9 +1237,7 @@ mod tests {
 
     #[test]
     fn parses_values() {
-        let q = select(
-            "SELECT ?x WHERE { VALUES ?x { <http://a> <http://b> } ?x ?p ?o }",
-        );
+        let q = select("SELECT ?x WHERE { VALUES ?x { <http://a> <http://b> } ?x ?p ?o }");
         fn has_values(p: &GraphPattern) -> bool {
             match p {
                 GraphPattern::Values(_, rows) => rows.len() == 2,

@@ -107,8 +107,9 @@ pub fn forward(
             out.into_iter().collect()
         }
         CPath::ZeroOrOne(inner) => {
-            let mut out: HashSet<u64> =
-                forward(view, inner, graph, start, budget).into_iter().collect();
+            let mut out: HashSet<u64> = forward(view, inner, graph, start, budget)
+                .into_iter()
+                .collect();
             out.insert(start);
             out.into_iter().collect()
         }
@@ -147,23 +148,19 @@ pub fn backward(
             out.into_iter().collect()
         }
         CPath::Alternative(a, b) => {
-            let mut out: HashSet<u64> =
-                backward(view, a, graph, end, budget).into_iter().collect();
+            let mut out: HashSet<u64> = backward(view, a, graph, end, budget).into_iter().collect();
             out.extend(backward(view, b, graph, end, budget));
             out.into_iter().collect()
         }
         CPath::ZeroOrOne(inner) => {
-            let mut out: HashSet<u64> =
-                backward(view, inner, graph, end, budget).into_iter().collect();
+            let mut out: HashSet<u64> = backward(view, inner, graph, end, budget)
+                .into_iter()
+                .collect();
             out.insert(end);
             out.into_iter().collect()
         }
-        CPath::ZeroOrMore(inner) => {
-            bfs(view, inner, graph, end, true, Direction::Backward, budget)
-        }
-        CPath::OneOrMore(inner) => {
-            bfs(view, inner, graph, end, false, Direction::Backward, budget)
-        }
+        CPath::ZeroOrMore(inner) => bfs(view, inner, graph, end, true, Direction::Backward, budget),
+        CPath::OneOrMore(inner) => bfs(view, inner, graph, end, false, Direction::Backward, budget),
     }
 }
 
@@ -223,12 +220,7 @@ fn reaches(
     forward(view, path, graph, s, budget).contains(&o)
 }
 
-fn scan_objects(
-    view: &DatasetView,
-    graph: GraphConstraint,
-    s: Option<u64>,
-    p: u64,
-) -> Vec<u64> {
+fn scan_objects(view: &DatasetView, graph: GraphConstraint, s: Option<u64>, p: u64) -> Vec<u64> {
     let pattern = QuadPattern {
         s: s.map(TermId),
         p: Some(TermId(p)),
@@ -238,12 +230,7 @@ fn scan_objects(
     view.scan(pattern).map(|q| q[quadstore::ids::O]).collect()
 }
 
-fn scan_subjects(
-    view: &DatasetView,
-    graph: GraphConstraint,
-    p: u64,
-    o: Option<u64>,
-) -> Vec<u64> {
+fn scan_subjects(view: &DatasetView, graph: GraphConstraint, p: u64, o: Option<u64>) -> Vec<u64> {
     let pattern = QuadPattern {
         s: None,
         p: Some(TermId(p)),
@@ -265,7 +252,12 @@ fn candidate_starts(
     collect_predicates(path, &mut preds);
     let mut nodes = HashSet::new();
     for pid in preds {
-        let pattern = QuadPattern { s: None, p: Some(TermId(pid)), o: None, g: graph };
+        let pattern = QuadPattern {
+            s: None,
+            p: Some(TermId(pid)),
+            o: None,
+            g: graph,
+        };
         for quad in view.scan(pattern) {
             let mut fresh = 0;
             fresh += u64::from(nodes.insert(quad[quadstore::ids::S]));
@@ -346,7 +338,13 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let path = CPath::OneOrMore(Box::new(follows_path(&store)));
         let start = node_id(&store, 1);
-        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, start, &Unbounded);
+        let mut reached = forward(
+            &view,
+            &path,
+            GraphConstraint::DefaultOnly,
+            start,
+            &Unbounded,
+        );
         reached.sort_unstable();
         // 1+ reaches 2,3,4 and (via the cycle) 1 itself.
         assert_eq!(reached.len(), 4);
@@ -427,7 +425,13 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let path = CPath::ZeroOrOne(Box::new(follows_path(&store)));
         let start = node_id(&store, 1);
-        let mut reached = forward(&view, &path, GraphConstraint::DefaultOnly, start, &Unbounded);
+        let mut reached = forward(
+            &view,
+            &path,
+            GraphConstraint::DefaultOnly,
+            start,
+            &Unbounded,
+        );
         reached.sort_unstable();
         assert_eq!(reached.len(), 2); // itself + direct successor
     }

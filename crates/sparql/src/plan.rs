@@ -149,16 +149,23 @@ impl CTriple {
             CGraph::Var(slot) => Some((quadstore::ids::G, slot)),
             _ => None,
         };
-        [(quadstore::ids::S, &self.s), (quadstore::ids::P, &self.p), (quadstore::ids::O, &self.o)]
-            .into_iter()
-            .filter_map(|(pos, c)| c.slot().map(|slot| (pos, slot)))
-            .chain(g)
+        [
+            (quadstore::ids::S, &self.s),
+            (quadstore::ids::P, &self.p),
+            (quadstore::ids::O, &self.o),
+        ]
+        .into_iter()
+        .filter_map(|(pos, c)| c.slot().map(|slot| (pos, slot)))
+        .chain(g)
     }
 
     /// The quad position of `slot`'s only occurrence in the triple, or
     /// `None` when it occurs more than once (or not at all).
     pub(crate) fn sole_position(&self, slot: usize) -> Option<usize> {
-        let mut at = self.var_positions().filter(|&(_, s)| s == slot).map(|(pos, _)| pos);
+        let mut at = self
+            .var_positions()
+            .filter(|&(_, s)| s == slot)
+            .map(|(pos, _)| pos);
         match (at.next(), at.next()) {
             (Some(pos), None) => Some(pos),
             _ => None,
@@ -167,7 +174,8 @@ impl CTriple {
 
     /// [`Self::sole_position`] when it is S or O.
     pub(crate) fn sole_s_or_o(&self, slot: usize) -> Option<usize> {
-        self.sole_position(slot).filter(|&pos| pos == quadstore::ids::S || pos == quadstore::ids::O)
+        self.sole_position(slot)
+            .filter(|&pos| pos == quadstore::ids::S || pos == quadstore::ids::O)
     }
 
     /// The constants-only scan pattern (bound variables are not applied).
@@ -258,7 +266,13 @@ impl Step {
     /// A step as lowering emits it, before planning: an index
     /// nested-loop probe with no estimates and no access path.
     fn unplanned(triple: CTriple) -> Step {
-        Step { triple, strategy: Strategy::IndexNlj, est_scan: 0, est_out: 0, access: None }
+        Step {
+            triple,
+            strategy: Strategy::IndexNlj,
+            est_scan: 0,
+            est_out: 0,
+            access: None,
+        }
     }
 }
 
@@ -431,9 +445,11 @@ impl CompiledQuery {
                 Node::Steps(steps) => steps.last().map(|s| s.est_out),
                 Node::Filter(_, _, inner) => last_est(inner),
                 Node::Join(children) => children.iter().rev().find_map(last_est),
-                Node::Union(a, b) => {
-                    Some(last_est(a).unwrap_or(0).saturating_add(last_est(b).unwrap_or(0)))
-                }
+                Node::Union(a, b) => Some(
+                    last_est(a)
+                        .unwrap_or(0)
+                        .saturating_add(last_est(b).unwrap_or(0)),
+                ),
                 Node::Optional(a, _) => last_est(a),
                 Node::SubSelect(sel) => last_est(&sel.root),
                 Node::Values { rows, .. } => Some(rows.len() as u64),
@@ -546,7 +562,12 @@ pub(crate) fn compile_recording(
 pub(crate) fn plan_bgp(view: &DatasetView, options: CompileOptions, bgp: PlannedBgp) -> Vec<Step> {
     let PlannedBgp { triples, mut bound } = bgp;
     let est = Estimator::new(view);
-    BgpPlanner { view, est: &est, force_join: options.force_join }.plan(triples, &mut bound)
+    BgpPlanner {
+        view,
+        est: &est,
+        force_join: options.force_join,
+    }
+    .plan(triples, &mut bound)
 }
 
 fn compile_inner(
@@ -563,25 +584,42 @@ fn compile_inner(
         exists_bound: Vec::new(),
         resolved,
     };
-    let root = if options.union_default_graph { CGraph::Any } else { CGraph::Default };
+    let root = if options.union_default_graph {
+        CGraph::Any
+    } else {
+        CGraph::Default
+    };
     let form = match query {
         Query::Select(sel) => CForm::Select(c.lower_select(sel, &root, &mut HashSet::new())?),
         Query::Ask(pattern) => {
             let root = c.lower_pattern(pattern, &root, &mut HashSet::new())?;
-            CForm::Ask(CSelect { root, limit: Some(1), ..CSelect::default() })
+            CForm::Ask(CSelect {
+                root,
+                limit: Some(1),
+                ..CSelect::default()
+            })
         }
         Query::Construct(templates, inner) => CForm::Construct(
             templates.clone(),
             c.lower_select(inner, &root, &mut HashSet::new())?,
         ),
     };
-    let mut plan = CompiledQuery { vars: c.vars, exists: c.exists, form, logical: String::new() };
+    let mut plan = CompiledQuery {
+        vars: c.vars,
+        exists: c.exists,
+        form,
+        logical: String::new(),
+    };
     let trace = crate::rewrite::rewrite_query(&mut plan);
     plan.logical = crate::logical::render(&plan, trace.applied());
 
     let est = Estimator::new(view);
     let mut planning = Planning {
-        planner: BgpPlanner { view, est: &est, force_join: options.force_join },
+        planner: BgpPlanner {
+            view,
+            est: &est,
+            force_join: options.force_join,
+        },
         bgps: record.is_some().then(Vec::new),
     };
     let (CForm::Select(sel) | CForm::Construct(_, sel) | CForm::Ask(sel)) = &mut plan.form;
@@ -654,11 +692,17 @@ impl Compiler<'_> {
             for proj in &sel.projection {
                 match proj {
                     Projection::Var(v) => {
-                        projection.push(CProj { slot: self.vars.slot(v), expr: None });
+                        projection.push(CProj {
+                            slot: self.vars.slot(v),
+                            expr: None,
+                        });
                     }
                     Projection::Expr(expr, v) => {
                         let cexpr = self.compile_expr(expr, &mut aggregates)?;
-                        projection.push(CProj { slot: self.vars.slot(v), expr: Some(cexpr) });
+                        projection.push(CProj {
+                            slot: self.vars.slot(v),
+                            expr: Some(cexpr),
+                        });
                     }
                 }
             }
@@ -674,7 +718,10 @@ impl Compiler<'_> {
             let mut expr = self.compile_expr(&key.expr, &mut aggregates)?;
             if aggregates.len() > aggs_before {
                 let slot = self.vars.slot(&format!(" _order{}", self.vars.len()));
-                hidden.push(CProj { slot, expr: Some(expr) });
+                hidden.push(CProj {
+                    slot,
+                    expr: Some(expr),
+                });
                 expr = CExpr::Var(slot);
             }
             order_by.push((expr, key.descending));
@@ -689,7 +736,9 @@ impl Compiler<'_> {
         // A group has one value per GROUP BY key and expression, none per
         // other variable.
         if !group_slots.is_empty() || !aggregates.is_empty() {
-            let loose = projection.iter().find(|p| p.expr.is_none() && !group_slots.contains(&p.slot));
+            let loose = projection
+                .iter()
+                .find(|p| p.expr.is_none() && !group_slots.contains(&p.slot));
             if let Some(p) = loose {
                 return Err(SparqlError::Unsupported(format!(
                     "variable ?{} projected out of a grouped query but not in GROUP BY",
@@ -814,7 +863,10 @@ impl Compiler<'_> {
                 for &s in &slots {
                     bound.insert(s);
                 }
-                Ok(Node::Values { slots, rows: rows.clone() })
+                Ok(Node::Values {
+                    slots,
+                    rows: rows.clone(),
+                })
             }
             GraphPattern::Bind(expr, var) => {
                 let mut aggs = Vec::new();
@@ -886,7 +938,12 @@ impl Compiler<'_> {
             PropertyPath::Iri(iri) => {
                 let term = Term::Iri(iri.clone());
                 let id = self.term_id(&term);
-                plain.push(CTriple { s, p: CPos::Const(term, id), o, g: graph.clone() });
+                plain.push(CTriple {
+                    s,
+                    p: CPos::Const(term, id),
+                    o,
+                    g: graph.clone(),
+                });
                 Ok(())
             }
             PropertyPath::Inverse(inner) => self.expand_path(o, inner, s, graph, plain, extras),
@@ -917,8 +974,7 @@ impl Compiler<'_> {
                     CGraph::Const(_, None) => GraphConstraint::Named(TermId(u64::MAX)),
                     CGraph::Var(_) => {
                         return Err(SparqlError::Unsupported(
-                            "closure property paths inside GRAPH ?var are not supported"
-                                .into(),
+                            "closure property paths inside GRAPH ?var are not supported".into(),
                         ))
                     }
                 };
@@ -1123,7 +1179,9 @@ fn extract_pins(filters: &[Expression]) -> Vec<(String, Term)> {
 fn bgp_node(plain: Vec<CTriple>, extras: Vec<Node>) -> Node {
     let mut children = Vec::new();
     if !plain.is_empty() {
-        children.push(Node::Steps(plain.into_iter().map(Step::unplanned).collect()));
+        children.push(Node::Steps(
+            plain.into_iter().map(Step::unplanned).collect(),
+        ));
     }
     children.extend(extras);
     match children.len() {
@@ -1147,10 +1205,15 @@ impl Planning<'_> {
     fn node(&mut self, node: &mut Node, bound: &mut HashSet<usize>) {
         match node {
             Node::Steps(steps) => {
-                let triples: Vec<CTriple> =
-                    std::mem::take(steps).into_iter().map(|s| s.triple).collect();
+                let triples: Vec<CTriple> = std::mem::take(steps)
+                    .into_iter()
+                    .map(|s| s.triple)
+                    .collect();
                 if let Some(bgps) = &mut self.bgps {
-                    bgps.push(Some(PlannedBgp { triples: triples.clone(), bound: bound.clone() }));
+                    bgps.push(Some(PlannedBgp {
+                        triples: triples.clone(),
+                        bound: bound.clone(),
+                    }));
                 }
                 *steps = self.planner.plan(triples, bound);
             }
@@ -1263,7 +1326,10 @@ pub(crate) fn visit_constants(plan: &mut CompiledQuery, f: &mut impl FnMut(Site<
         CForm::Construct(templates, sel) => {
             for t in templates.iter() {
                 let graph = t.graph.iter();
-                for pos in [&t.subject, &t.predicate, &t.object].into_iter().chain(graph) {
+                for pos in [&t.subject, &t.predicate, &t.object]
+                    .into_iter()
+                    .chain(graph)
+                {
                     if let VarOrTerm::Term(term) = pos {
                         f(Site::Bare(term));
                     }
@@ -1412,7 +1478,12 @@ mod tests {
             );
         }
         quads.push(
-            Quad::triple(Term::iri("http://pg/v1"), Term::iri(tag), Term::string("#x")).unwrap(),
+            Quad::triple(
+                Term::iri("http://pg/v1"),
+                Term::iri(tag),
+                Term::string("#x"),
+            )
+            .unwrap(),
         );
         store.bulk_load("m", &quads).unwrap();
         store
@@ -1428,8 +1499,12 @@ mod tests {
         )
         .unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
-        let Node::Steps(steps) = &sel.root else { panic!("expected steps") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
+        let Node::Steps(steps) = &sel.root else {
+            panic!("expected steps")
+        };
         // hasTag (est 1) must be planned before follows (est 100).
         assert!(steps[0].est_scan <= steps[1].est_scan);
         assert_eq!(steps.len(), 2);
@@ -1486,8 +1561,12 @@ mod tests {
         )
         .unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
-        let Node::Steps(steps) = &sel.root else { panic!("expected steps") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
+        let Node::Steps(steps) = &sel.root else {
+            panic!("expected steps")
+        };
         assert_eq!(steps.len(), 3);
         assert_eq!(steps[0].est_scan, 1, "rare pattern drives");
         assert_eq!(
@@ -1506,8 +1585,12 @@ mod tests {
         )
         .unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
-        let Node::Steps(steps) = &sel.root else { panic!("expected steps") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
+        let Node::Steps(steps) = &sel.root else {
+            panic!("expected steps")
+        };
         assert_eq!(steps.len(), 2);
     }
 
@@ -1515,12 +1598,13 @@ mod tests {
     fn alternation_becomes_union() {
         let store = small_store();
         let view = store.dataset("m").unwrap();
-        let q = parse_query(
-            "PREFIX r: <http://pg/r/> SELECT ?y WHERE { ?x (r:follows|r:follows) ?y }",
-        )
-        .unwrap();
+        let q =
+            parse_query("PREFIX r: <http://pg/r/> SELECT ?y WHERE { ?x (r:follows|r:follows) ?y }")
+                .unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
         assert!(matches!(sel.root, Node::Union(_, _)));
     }
 
@@ -1533,7 +1617,9 @@ mod tests {
         )
         .unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
         assert!(matches!(sel.root, Node::Path(_)));
     }
 
@@ -1543,8 +1629,12 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let q = parse_query("SELECT ?x WHERE { ?x <http://nowhere> ?y }").unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
-        let Node::Steps(steps) = &sel.root else { panic!("expected steps") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
+        let Node::Steps(steps) = &sel.root else {
+            panic!("expected steps")
+        };
         assert!(steps[0].triple.unsatisfiable());
         assert_eq!(steps[0].est_scan, 0);
     }
@@ -1555,7 +1645,9 @@ mod tests {
         let view = store.dataset("m").unwrap();
         let q = parse_query("SELECT (COUNT(*) AS ?c) WHERE { ?x ?p ?y }").unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
         assert_eq!(sel.aggregates.len(), 1);
         assert!(sel.is_grouped());
         assert!(matches!(sel.projection[0].expr, Some(CExpr::Agg(0))));
@@ -1565,13 +1657,14 @@ mod tests {
     fn filter_eq_const_gets_fast_path() {
         let store = small_store();
         let view = store.dataset("m").unwrap();
-        let q = parse_query(
-            "SELECT ?v WHERE { ?x ?k ?v FILTER (?v = \"#x\") }",
-        )
-        .unwrap();
+        let q = parse_query("SELECT ?v WHERE { ?x ?k ?v FILTER (?v = \"#x\") }").unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
-        let Node::Filter(filters, _, _) = &sel.root else { panic!("expected filter") };
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
+        let Node::Filter(filters, _, _) = &sel.root else {
+            panic!("expected filter")
+        };
         assert!(matches!(filters[0], CExpr::SlotEqConst(_, Some(_), _)));
     }
 
@@ -1579,17 +1672,14 @@ mod tests {
     fn fresh_vars_are_hidden_from_select_star() {
         let store = small_store();
         let view = store.dataset("m").unwrap();
-        let q = parse_query(
-            "PREFIX r: <http://pg/r/> SELECT * WHERE { ?x r:follows/r:follows ?y }",
-        )
-        .unwrap();
+        let q =
+            parse_query("PREFIX r: <http://pg/r/> SELECT * WHERE { ?x r:follows/r:follows ?y }")
+                .unwrap();
         let c = compile(&view, &q).unwrap();
-        let CForm::Select(sel) = c.form else { panic!("expected select") };
-        let names: Vec<&str> = sel
-            .projection
-            .iter()
-            .map(|p| c.vars.name(p.slot))
-            .collect();
+        let CForm::Select(sel) = c.form else {
+            panic!("expected select")
+        };
+        let names: Vec<&str> = sel.projection.iter().map(|p| c.vars.name(p.slot)).collect();
         assert_eq!(names, vec!["x", "y"]);
     }
 }

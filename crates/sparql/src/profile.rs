@@ -142,7 +142,10 @@ mod tests {
             cache_hit: false,
         };
         let json = profile.to_json();
-        assert!(json.contains("\\\"x\\\""), "query text must be escaped: {json}");
+        assert!(
+            json.contains("\\\"x\\\""),
+            "query text must be escaped: {json}"
+        );
         assert!(json.contains("\"steps\": [{\"ordinal\": 1,"), "{json}");
         assert!(json.contains("\"cache_hit\": false"));
         assert!(json.contains("\\n"), "plan newlines must be escaped");

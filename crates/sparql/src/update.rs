@@ -8,7 +8,9 @@
 use quadstore::Store;
 use rdf_model::{GraphName, Quad, Term};
 
-use crate::ast::{GraphPattern, Query, QuadTemplate, SelectQuery, TriplePattern, Update, VarOrTerm};
+use crate::ast::{
+    GraphPattern, QuadTemplate, Query, SelectQuery, TriplePattern, Update, VarOrTerm,
+};
 use crate::error::SparqlError;
 use crate::exec::{execute_compiled, QueryResults};
 use crate::plan::{compile_with, CompileOptions};
@@ -46,9 +48,16 @@ pub fn execute_update(
             let solutions = run_pattern(store, model, &pattern)?;
             (instantiate(templates, &solutions), Vec::new())
         }
-        Update::Modify { delete, insert, pattern } => {
+        Update::Modify {
+            delete,
+            insert,
+            pattern,
+        } => {
             let solutions = run_pattern(store, model, pattern)?;
-            (instantiate(delete, &solutions), instantiate(insert, &solutions))
+            (
+                instantiate(delete, &solutions),
+                instantiate(insert, &solutions),
+            )
         }
     };
     let mut batch = store.begin();
@@ -87,7 +96,10 @@ fn run_pattern(
     let compiled = compile_with(
         &view,
         &query,
-        CompileOptions { union_default_graph: false, ..Default::default() },
+        CompileOptions {
+            union_default_graph: false,
+            ..Default::default()
+        },
     )?;
     match execute_compiled(&view, &compiled)? {
         QueryResults::Solutions(s) => Ok(s),
@@ -98,7 +110,10 @@ fn run_pattern(
 }
 
 fn ground_quads(templates: &[QuadTemplate]) -> Result<Vec<Quad>, SparqlError> {
-    let empty = Solutions { vars: Vec::new(), rows: vec![Vec::new()] };
+    let empty = Solutions {
+        vars: Vec::new(),
+        rows: vec![Vec::new()],
+    };
     let quads = instantiate(templates, &empty);
     if quads.len() != templates.len() {
         return Err(SparqlError::Unsupported(

@@ -46,9 +46,19 @@ fn each_morsel_is_one_batch() {
     let after = batches_emitted();
     telemetry::set_enabled(false);
 
-    assert!(observer.vectorized(), "the chain must run on the vectorized pipeline");
-    assert_eq!(results.into_solutions().expect("solutions").len() as u64, DRIVE_ROWS - 1);
+    assert!(
+        observer.vectorized(),
+        "the chain must run on the vectorized pipeline"
+    );
+    assert_eq!(
+        results.into_solutions().expect("solutions").len() as u64,
+        DRIVE_ROWS - 1
+    );
     // Per morsel: the drive scan's batch, then the join step's.
     let morsels = DRIVE_ROWS.div_ceil(DEFAULT_MORSEL_SIZE as u64);
-    assert_eq!(after - before, 2 * morsels, "batches emitted over {morsels} morsels");
+    assert_eq!(
+        after - before,
+        2 * morsels,
+        "batches emitted over {morsels} morsels"
+    );
 }

@@ -11,9 +11,7 @@ use sparql::{ExecLimits, ExecObserver, ExecOptions, QueryResults, Solutions};
 fn store() -> Store {
     let store = Store::new();
     store.create_model("m").expect("model");
-    let t = |s: &str, p: &str, o: Term| {
-        Quad::triple(Term::iri(s), Term::iri(p), o).expect("valid")
-    };
+    let t = |s: &str, p: &str, o: Term| Quad::triple(Term::iri(s), Term::iri(p), o).expect("valid");
     store
         .bulk_load(
             "m",
@@ -25,7 +23,11 @@ fn store() -> Store {
                 t("http://c", "http://age", Term::int(25)),
                 t("http://a", "http://knows", Term::iri("http://b")),
                 t("http://b", "http://knows", Term::iri("http://c")),
-                t("http://a", "http://label", Term::Literal(Literal::lang_string("zug", "de"))),
+                t(
+                    "http://a",
+                    "http://label",
+                    Term::Literal(Literal::lang_string("zug", "de")),
+                ),
                 Quad::new(
                     Term::iri("http://a"),
                     Term::iri("http://secret"),
@@ -45,9 +47,8 @@ fn select(q: &str) -> Solutions {
 
 #[test]
 fn optional_keeps_unmatched_left_rows() {
-    let sols = select(
-        "SELECT ?x ?age WHERE { ?x <http://name> ?n OPTIONAL { ?x <http://age> ?age } }",
-    );
+    let sols =
+        select("SELECT ?x ?age WHERE { ?x <http://name> ?n OPTIONAL { ?x <http://age> ?age } }");
     assert_eq!(sols.len(), 3);
     let unbound = sols.rows.iter().filter(|r| r[1].is_none()).count();
     assert_eq!(unbound, 1, "bob has no age");
@@ -64,9 +65,8 @@ fn optional_binds_when_present() {
 
 #[test]
 fn values_restricts_and_binds() {
-    let sols = select(
-        "SELECT ?x ?n WHERE { VALUES ?x { <http://a> <http://c> } ?x <http://name> ?n }",
-    );
+    let sols =
+        select("SELECT ?x ?n WHERE { VALUES ?x { <http://a> <http://c> } ?x <http://name> ?n }");
     assert_eq!(sols.len(), 2);
 }
 
@@ -82,9 +82,7 @@ fn values_multi_column_with_undef() {
 
 #[test]
 fn order_by_multiple_keys_and_offset() {
-    let sols = select(
-        "SELECT ?n ?x WHERE { ?x <http://name> ?n } ORDER BY ?n LIMIT 2 OFFSET 1",
-    );
+    let sols = select("SELECT ?n ?x WHERE { ?x <http://name> ?n } ORDER BY ?n LIMIT 2 OFFSET 1");
     assert_eq!(sols.len(), 2);
     assert_eq!(sols.rows[0][0].as_ref().unwrap().str_value(), "bob");
     assert_eq!(sols.rows[1][0].as_ref().unwrap().str_value(), "carol");
@@ -92,9 +90,7 @@ fn order_by_multiple_keys_and_offset() {
 
 #[test]
 fn order_by_desc_numeric() {
-    let sols = select(
-        "SELECT ?x ?a WHERE { ?x <http://age> ?a } ORDER BY DESC(?a)",
-    );
+    let sols = select("SELECT ?x ?a WHERE { ?x <http://age> ?a } ORDER BY DESC(?a)");
     assert_eq!(sols.rows[0][1].as_ref().unwrap().str_value(), "30");
     assert_eq!(sols.rows[1][1].as_ref().unwrap().str_value(), "25");
 }
@@ -128,18 +124,14 @@ fn sum_avg_min_max() {
 
 #[test]
 fn count_distinct() {
-    let sols = select(
-        "SELECT (COUNT(DISTINCT ?p) AS ?c) WHERE { <http://a> ?p ?o }",
-    );
+    let sols = select("SELECT (COUNT(DISTINCT ?p) AS ?c) WHERE { <http://a> ?p ?o }");
     // name, age, knows, label, secret (named graph; union semantics).
     assert_eq!(sols.scalar_i64(), Some(5));
 }
 
 #[test]
 fn lang_tag_functions() {
-    let sols = select(
-        "SELECT ?l WHERE { ?x <http://label> ?l FILTER (LANG(?l) = \"de\") }",
-    );
+    let sols = select("SELECT ?l WHERE { ?x <http://label> ?l FILTER (LANG(?l) = \"de\") }");
     assert_eq!(sols.len(), 1);
 }
 
@@ -149,17 +141,13 @@ fn named_graph_data_visible_without_graph_clause() {
     let sols = select("SELECT ?o WHERE { <http://a> <http://secret> ?o }");
     assert_eq!(sols.len(), 1);
     // But GRAPH restricts to named graphs and binds the graph.
-    let sols = select(
-        "SELECT ?g WHERE { GRAPH ?g { <http://a> <http://secret> ?o } }",
-    );
+    let sols = select("SELECT ?g WHERE { GRAPH ?g { <http://a> <http://secret> ?o } }");
     assert_eq!(sols.rows[0][0].as_ref().unwrap().str_value(), "http://g1");
 }
 
 #[test]
 fn projection_expression_arithmetic() {
-    let sols = select(
-        "SELECT ?x ((?a + 1) AS ?next) WHERE { ?x <http://age> ?a } ORDER BY ?next",
-    );
+    let sols = select("SELECT ?x ((?a + 1) AS ?next) WHERE { ?x <http://age> ?a } ORDER BY ?next");
     assert_eq!(sols.rows[0][1].as_ref().unwrap().str_value(), "26");
     assert_eq!(sols.rows[1][1].as_ref().unwrap().str_value(), "31");
 }
@@ -208,11 +196,18 @@ fn ask_runs_on_the_shared_producer() {
     let cases = [
         ("ASK { ?x <http://knows> ?y }", Some(true)),
         ("ASK { ?x <http://knows> <http://a> }", Some(false)),
-        ("ASK { { ?x <http://age> 99 } UNION { ?x <http://knows> <http://c> } }", None),
-        ("ASK { ?x <http://name> ?n OPTIONAL { ?x <http://age> ?a } FILTER (!BOUND(?a)) }", None),
+        (
+            "ASK { { ?x <http://age> 99 } UNION { ?x <http://knows> <http://c> } }",
+            None,
+        ),
+        (
+            "ASK { ?x <http://name> ?n OPTIONAL { ?x <http://age> ?a } FILTER (!BOUND(?a)) }",
+            None,
+        ),
     ];
     for (text, answer) in cases {
-        let plan = sparql::compile(&view, &sparql::parse_query(text).expect("parse")).expect("compile");
+        let plan =
+            sparql::compile(&view, &sparql::parse_query(text).expect("parse")).expect("compile");
         let (expected, _) =
             sparql::execute_reference(&view, &plan, ExecLimits::default()).expect("reference");
         if let Some(answer) = answer {
@@ -224,7 +219,10 @@ fn ask_runs_on_the_shared_producer() {
             let got = sparql::execute_compiled_with_options(&view, &plan, options).expect("run");
             assert_eq!(got, expected, "{text} threads={threads}");
             if answer.is_some() {
-                assert!(observer.vectorized(), "{text} threads={threads}: not vectorized");
+                assert!(
+                    observer.vectorized(),
+                    "{text} threads={threads}: not vectorized"
+                );
             }
         }
     }
@@ -238,10 +236,18 @@ fn repeated_variable_in_pattern() {
         .bulk_load(
             "m",
             &[
-                Quad::triple(Term::iri("http://x"), Term::iri("http://p"), Term::iri("http://x"))
-                    .unwrap(),
-                Quad::triple(Term::iri("http://x"), Term::iri("http://p"), Term::iri("http://y"))
-                    .unwrap(),
+                Quad::triple(
+                    Term::iri("http://x"),
+                    Term::iri("http://p"),
+                    Term::iri("http://x"),
+                )
+                .unwrap(),
+                Quad::triple(
+                    Term::iri("http://x"),
+                    Term::iri("http://p"),
+                    Term::iri("http://y"),
+                )
+                .unwrap(),
             ],
         )
         .unwrap();
@@ -251,13 +257,9 @@ fn repeated_variable_in_pattern() {
 
 #[test]
 fn filter_regex_and_strstarts() {
-    let sols = select(
-        "SELECT ?n WHERE { ?x <http://name> ?n FILTER (REGEX(?n, \"^ali\")) }",
-    );
+    let sols = select("SELECT ?n WHERE { ?x <http://name> ?n FILTER (REGEX(?n, \"^ali\")) }");
     assert_eq!(sols.len(), 1);
-    let sols = select(
-        "SELECT ?n WHERE { ?x <http://name> ?n FILTER (STRSTARTS(?n, \"c\")) }",
-    );
+    let sols = select("SELECT ?n WHERE { ?x <http://name> ?n FILTER (STRSTARTS(?n, \"c\")) }");
     assert_eq!(sols.len(), 1);
 }
 
@@ -281,9 +283,8 @@ fn zero_or_one_path() {
 fn unpinned_rows(q: &str) -> usize {
     let store = Store::new();
     store.create_model("m").unwrap();
-    let t = |s: &str, p: &str, o: &str| {
-        Quad::triple(Term::iri(s), Term::iri(p), Term::iri(o)).unwrap()
-    };
+    let t =
+        |s: &str, p: &str, o: &str| Quad::triple(Term::iri(s), Term::iri(p), Term::iri(o)).unwrap();
     store
         .bulk_load(
             "m",
@@ -309,7 +310,10 @@ fn unpinned_rows(q: &str) -> usize {
             sparql::ExecOptions::threads(threads),
         )
         .unwrap();
-        assert_eq!(reference, got, "threads={threads} diverged from the reference");
+        assert_eq!(
+            reference, got,
+            "threads={threads} diverged from the reference"
+        );
     }
     match reference {
         QueryResults::Solutions(s) => s.len(),
@@ -386,7 +390,10 @@ fn projecting_an_ungrouped_variable_is_rejected() {
          GROUP BY ?x } }",
     ] {
         let result = sparql::query(&store(), "m", q);
-        assert!(matches!(result, Err(sparql::SparqlError::Unsupported(_))), "{q}: {result:?}");
+        assert!(
+            matches!(result, Err(sparql::SparqlError::Unsupported(_))),
+            "{q}: {result:?}"
+        );
     }
 }
 
@@ -438,13 +445,24 @@ fn sort_keys_order_terms_like_their_values() {
         for b in &terms {
             let (va, vb) = (Value::from_term(a), Value::from_term(b));
             let expected = old_order(&va, &vb);
-            assert_eq!(SortKey::of_term(a).cmp(&SortKey::of_term(b)), expected, "{a} vs {b}");
+            assert_eq!(
+                SortKey::of_term(a).cmp(&SortKey::of_term(b)),
+                expected,
+                "{a} vs {b}"
+            );
             assert_eq!(va.order_cmp(&vb), expected, "{a} vs {b} as values");
         }
-        assert_eq!(SortKey::Unbound.cmp(&SortKey::of_term(a)), Ordering::Less, "{a}");
+        assert_eq!(
+            SortKey::Unbound.cmp(&SortKey::of_term(a)),
+            Ordering::Less,
+            "{a}"
+        );
     }
     let one = typed("1", xsd::BOOLEAN);
-    assert_eq!(SortKey::of_term(&one), SortKey::of_term(&Term::string("true")));
+    assert_eq!(
+        SortKey::of_term(&one),
+        SortKey::of_term(&Term::string("true"))
+    );
 }
 
 /// ORDER BY needs a total order or `sort_by` may panic: `sparql_cmp`
@@ -467,7 +485,14 @@ fn order_by_is_total_over_mixed_numeric_and_string_keys() {
     let mut quads: Vec<Quad> = (0..2_000u32)
         .map(|i| {
             let n = (i / 2) as i32;
-            row(i, if i % 2 == 0 { Term::int(n) } else { Term::string(n.to_string()) })
+            row(
+                i,
+                if i % 2 == 0 {
+                    Term::int(n)
+                } else {
+                    Term::string(n.to_string())
+                },
+            )
         })
         .collect();
     quads.push(row(2_000, Term::Literal(Literal::double(f64::NAN))));

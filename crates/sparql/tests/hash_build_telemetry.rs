@@ -38,7 +38,10 @@ fn every_build_records_the_rows_it_scanned() {
     let view = store.dataset("m").expect("dataset");
     let text = "SELECT * WHERE { ?a <http://q> ?k . ?k <http://p> ?v }";
     let query = sparql::parse_query(text).expect("parse");
-    let options = CompileOptions { force_join: Some(ForcedJoin::Hash), ..Default::default() };
+    let options = CompileOptions {
+        force_join: Some(ForcedJoin::Hash),
+        ..Default::default()
+    };
     let plan = sparql::compile_with(&view, &query, options).expect("compile");
     let run = |limits: ExecLimits| {
         let options = ExecOptions::threads(1).with_limits(limits);
@@ -56,7 +59,15 @@ fn every_build_records_the_rows_it_scanned() {
     telemetry::set_enabled(false);
 
     assert_eq!(rows.into_solutions().expect("solutions").len(), 10);
-    assert_eq!(finished, (before.0 + 1, before.1 + BUILD_ROWS), "a finished build");
+    assert_eq!(
+        finished,
+        (before.0 + 1, before.1 + BUILD_ROWS),
+        "a finished build"
+    );
     assert!(matches!(err, SparqlError::ResourceExhausted(_)), "{err:?}");
-    assert_eq!(stopped, (finished.0 + 1, finished.1 + 1_024), "a build stopped by the budget");
+    assert_eq!(
+        stopped,
+        (finished.0 + 1, finished.1 + 1_024),
+        "a build stopped by the budget"
+    );
 }

@@ -31,8 +31,11 @@ fn rand_view(seed: u64) -> (Store, DatasetView) {
     let mut r = Rng::seed_from_u64(seed);
     let store = Store::new();
     let quad = |s: Term, p: Term, o: Term, g: usize| {
-        let graph =
-            if g == 0 { GraphName::Default } else { GraphName::Named(iri(&format!("g{g}"))) };
+        let graph = if g == 0 {
+            GraphName::Default
+        } else {
+            GraphName::Named(iri(&format!("g{g}")))
+        };
         Quad::new(s, p, o, graph).expect("valid quad")
     };
     let mut models = Vec::new();
@@ -45,7 +48,11 @@ fn rand_view(seed: u64) -> (Store, DatasetView) {
             let node = |r: &mut Rng| iri(&format!("n{}", r.gen_range(0..6)));
             let sup = iri(if r.gen_range(0..4) == 0 { "p1" } else { "p0" });
             let g = r.gen_range(0..3);
-            let quads = if r.gen_range(0..5) == 0 { &mut extra } else { &mut base };
+            let quads = if r.gen_range(0..5) == 0 {
+                &mut extra
+            } else {
+                &mut base
+            };
             quads.push(quad(edge.clone(), iri("sub"), sup, 0));
             let (s, o) = (node(&mut r), node(&mut r));
             quads.push(quad(s.clone(), edge.clone(), o.clone(), 0));
@@ -96,7 +103,10 @@ fn queries() -> Vec<&'static str> {
 }
 
 fn compiled(view: &DatasetView, text: &str, force_join: Option<ForcedJoin>) -> CompiledQuery {
-    let options = CompileOptions { force_join, ..Default::default() };
+    let options = CompileOptions {
+        force_join,
+        ..Default::default()
+    };
     compile_with(view, &parse_query(text).expect("parse"), options).expect("compile")
 }
 
@@ -133,10 +143,13 @@ fn merge_joins_match_hash_nlj_and_the_reference() {
                         options = options.with_morsel_size(size);
                     }
                     let label = format!("case {case} threads {threads} morsel {morsel:?}: {text}");
-                    let (got, profile) =
-                        execute_profiled(&view, &plan, options).expect("profiled");
+                    let (got, profile) = execute_profiled(&view, &plan, options).expect("profiled");
                     assert_eq!(got, want, "{label}\n{rendered}");
-                    assert_eq!(tallies(&plan, &profile), want_tallies, "{label}\n{rendered}");
+                    assert_eq!(
+                        tallies(&plan, &profile),
+                        want_tallies,
+                        "{label}\n{rendered}"
+                    );
                 }
             }
             // A forced plan in the same join order: the same rows in the
@@ -148,7 +161,10 @@ fn merge_joins_match_hash_nlj_and_the_reference() {
                 if order(&forced_tallies) == order(&want_tallies) {
                     same_order[fi] += 1;
                     assert_eq!(rows, want, "case {case} {force:?}: {text}");
-                    assert_eq!(forced_tallies, want_tallies, "case {case} {force:?}: {text}");
+                    assert_eq!(
+                        forced_tallies, want_tallies,
+                        "case {case} {force:?}: {text}"
+                    );
                 } else {
                     let case = format!("case {case} {force:?}: {text}");
                     assert_eq!(sorted(rows), sorted(want.clone()), "{case}");
@@ -156,16 +172,23 @@ fn merge_joins_match_hash_nlj_and_the_reference() {
             }
         }
     }
-    println!("merge joins over 40 cases per query: {merged:?}; forced plans in order: {same_order:?}");
+    println!(
+        "merge joins over 40 cases per query: {merged:?}; forced plans in order: {same_order:?}"
+    );
     for (q, n) in queries().into_iter().zip(merged) {
         assert!(n >= 10, "MERGE JOIN fired on {n} of 40 cases: {q}");
     }
-    assert!(same_order.iter().all(|&n| n >= 100), "same join order: {same_order:?}");
+    assert!(
+        same_order.iter().all(|&n| n >= 100),
+        "same join order: {same_order:?}"
+    );
 }
 
 /// Result rows as sorted strings, for plans whose join order differs.
 fn sorted(results: QueryResults) -> Vec<String> {
-    let QueryResults::Solutions(s) = results else { panic!("expected solutions") };
+    let QueryResults::Solutions(s) = results else {
+        panic!("expected solutions")
+    };
     let mut rows: Vec<String> = s.rows.iter().map(|row| format!("{row:?}")).collect();
     rows.sort();
     rows

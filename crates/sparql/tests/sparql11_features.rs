@@ -8,9 +8,7 @@ use sparql::QueryResults;
 fn store() -> Store {
     let store = Store::new();
     store.create_model("m").expect("model");
-    let t = |s: &str, p: &str, o: Term| {
-        Quad::triple(Term::iri(s), Term::iri(p), o).expect("valid")
-    };
+    let t = |s: &str, p: &str, o: Term| Quad::triple(Term::iri(s), Term::iri(p), o).expect("valid");
     store
         .bulk_load(
             "m",
@@ -139,7 +137,9 @@ fn construct_builds_new_graph() {
     )
     .unwrap();
     assert_eq!(quads.len(), 2);
-    assert!(quads.iter().all(|q| q.predicate == Term::iri("http://knownBy")));
+    assert!(quads
+        .iter()
+        .all(|q| q.predicate == Term::iri("http://knownBy")));
     assert!(quads
         .iter()
         .any(|q| q.subject == Term::iri("http://b") && q.object == Term::iri("http://a")));
@@ -201,7 +201,10 @@ fn construct_roundtrips_the_ng_encoding() {
     )
     .unwrap();
     assert_eq!(quads.len(), 1);
-    assert!(quads[0].graph.is_default(), "published triple leaves the named graph");
+    assert!(
+        quads[0].graph.is_default(),
+        "published triple leaves the named graph"
+    );
 }
 
 #[test]
@@ -220,8 +223,12 @@ fn exists_inside_boolean_expression() {
 #[test]
 fn queryresults_graph_variant_via_query() {
     let store = store();
-    match sparql::query(&store, "m", "CONSTRUCT { ?x <http://q> ?y } WHERE { ?x <http://knows> ?y }")
-        .unwrap()
+    match sparql::query(
+        &store,
+        "m",
+        "CONSTRUCT { ?x <http://q> ?y } WHERE { ?x <http://knows> ?y }",
+    )
+    .unwrap()
     {
         QueryResults::Graph(quads) => assert_eq!(quads.len(), 2),
         other => panic!("expected graph, got {other:?}"),
