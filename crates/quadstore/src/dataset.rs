@@ -184,8 +184,8 @@ impl DatasetView {
     /// Splits the scan of `pattern` into morsels: contiguous chunks of each
     /// member's span, `first` keys long and doubling up to `max`, plus (per
     /// member) one morsel for its uncompacted insert delta. A reader that
-    /// wants one row passes `first = 1`, so a dense match reads one key;
-    /// the others pass `first = max`. Reading the morsels in order with
+    /// wants `k` rows passes `first = k`, so a dense match reads about `k`
+    /// keys; the others pass `first = max`. Reading the morsels in order with
     /// [`Self::scan_morsel_columns`] yields exactly the quads of
     /// [`Self::scan`], in the same order — which is what lets parallel
     /// workers merge morsel outputs back into the sequential row order.

@@ -28,7 +28,7 @@ pub fn encode(s: TermId, p: TermId, o: TermId, g: TermId) -> EncodedQuad {
 /// SPARQL semantics need more than bound/unbound here: a triple pattern
 /// outside any `GRAPH` clause matches **only** the default graph, while
 /// `GRAPH ?g { ... }` matches **only** named graphs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphConstraint {
     /// Only the default graph (encoded graph ID `0`).
     DefaultOnly,
@@ -64,7 +64,7 @@ impl GraphConstraint {
 
 /// An encoded scan pattern: bound or wildcard per S/P/O position plus a
 /// [`GraphConstraint`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QuadPattern {
     /// Subject constraint (`None` = wildcard).
     pub s: Option<TermId>,

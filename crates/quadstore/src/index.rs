@@ -153,12 +153,11 @@ impl IndexKind {
             .expect("a permutation")
     }
 
-    /// Whether every key of `pattern`'s bound-prefix span matches it: the
-    /// prefix pins each bound position, and the graph constraint is not
-    /// `AnyNamed`, which no prefix expresses. Otherwise a read of the span
-    /// filters it.
-    pub(crate) fn covers(&self, pattern: &QuadPattern) -> bool {
-        let n = self.bound_prefix_len(pattern);
+    /// Whether every key of `pattern`'s bound-prefix span, `n` components
+    /// long ([`Self::bound_prefix_len`]), matches it: the prefix pins each
+    /// bound position, and the graph constraint is not `AnyNamed`, which
+    /// no prefix expresses. Otherwise a read of the span filters it.
+    pub(crate) fn covers(&self, pattern: &QuadPattern, n: usize) -> bool {
         !matches!(pattern.g, GraphConstraint::AnyNamed)
             && (n..4).all(|i| pattern.bound(self.position_at(i)).is_none())
     }
@@ -433,7 +432,7 @@ mod tests {
             o: None,
             g: GraphConstraint::DefaultOnly,
         };
-        assert!(!IndexKind::PCSGM.covers(&pat));
+        assert!(!IndexKind::PCSGM.covers(&pat, IndexKind::PCSGM.bound_prefix_len(&pat)));
         let hits = scan(IndexKind::PCSGM, pat);
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|h| h[0] == 1 && h[1] == 10 && h[3] == 0));
@@ -447,7 +446,7 @@ mod tests {
             o: None,
             g: GraphConstraint::AnyNamed,
         };
-        assert!(!IndexKind::GSPCM.covers(&pat));
+        assert!(!IndexKind::GSPCM.covers(&pat, IndexKind::GSPCM.bound_prefix_len(&pat)));
         let hits = scan(IndexKind::GSPCM, pat);
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|h| h[3] != 0));

@@ -44,6 +44,10 @@ pub(crate) struct Span {
     pub(crate) keys: Option<(usize, usize)>,
     /// Whether the insert delta is read after the keys.
     pub(crate) delta: bool,
+    /// Whether each key must be checked against the pattern and the
+    /// removed overlay: the index's bound prefix does not cover the
+    /// pattern ([`IndexKind::covers`]), or the member has removed quads.
+    pub(crate) filter: bool,
 }
 
 /// The one member read: the quads of a [`Span`] that match a pattern, in
@@ -74,7 +78,8 @@ impl MemberRead<'_> {
     /// Appends position `positions[i]` of every match to `cols[i]` and
     /// returns the match count. With no residual filter and no removed
     /// overlay, the columns are copied straight out of the sorted key run,
-    /// and with no positions no key is touched at all.
+    /// with no positions no key is touched at all, and with no delta that
+    /// is the whole read.
     pub(crate) fn fill(mut self, positions: &[usize], cols: &mut [Vec<u64>]) -> usize {
         debug_assert_eq!(positions.len(), cols.len());
         if !self.filter {
@@ -84,6 +89,9 @@ impl MemberRead<'_> {
                 col.extend(keys.iter().map(|k| k[slot]));
             }
             self.matched += keys.len();
+            if self.delta.len() == 0 {
+                return self.matched;
+            }
         }
         for q in self.by_ref() {
             for (col, &p) in cols.iter_mut().zip(positions) {
@@ -381,15 +389,17 @@ impl SemanticModel {
     /// key span of its bound prefix, then the insert delta if any.
     pub(crate) fn span(&self, pattern: &QuadPattern, prefer: Option<usize>) -> Span {
         let (index, n) = self.choose(pattern, prefer);
-        let keys = Some(self.indexes[index].prefix_span(pattern, n));
+        let kind = self.index_kinds[index];
         Span {
             index,
-            keys,
+            keys: Some(self.indexes[index].prefix_span(pattern, n)),
             delta: !self.delta_added.is_empty(),
+            filter: !kind.covers(pattern, n) || !self.delta_removed.is_empty(),
         }
     }
 
-    /// The quads of `span` that match `pattern` (see [`MemberRead`]).
+    /// The quads of `span` that match `pattern` (see [`MemberRead`]), which
+    /// must have been resolved for a pattern binding the same positions.
     pub(crate) fn read(&self, pattern: &QuadPattern, span: Span) -> MemberRead<'_> {
         let index = &self.indexes[span.index];
         let (lo, hi) = span.keys.unwrap_or_default();
@@ -398,7 +408,7 @@ impl SemanticModel {
             pattern: *pattern,
             kind: index.kind(),
             keys: index.keys()[lo..hi].iter(),
-            filter: !index.kind().covers(pattern) || !self.delta_removed.is_empty(),
+            filter: span.filter,
             delta: if span.delta {
                 self.delta_added.iter()
             } else {

@@ -16,8 +16,9 @@ cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy:
 # fails the gate.
 cargo clippy --offline -p sparql --all-targets --no-deps -q -- -D warnings
 cargo clippy --offline -p quadstore --all-targets --no-deps -q -- -D warnings
-# The store is held to rustfmt's layout as well.
+# The store and the query engine are held to rustfmt's layout as well.
 cargo fmt -p quadstore -- --check
+cargo fmt -p sparql -- --check
 
 # Rustdoc warnings fail the gate, so a deleted or private item cannot
 # leave a dangling intra-doc link behind.

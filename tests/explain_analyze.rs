@@ -230,6 +230,32 @@ fn early_ending_tails_report_the_rows_actually_scanned() {
     }
 }
 
+/// A plain `LIMIT k` starts its drive at `k` keys and doubles from there,
+/// so at one thread pgbench's T1 shape scans at most `2·k` rows for its
+/// `k`, not a whole default-size morsel.
+#[test]
+fn a_plain_limit_scans_at_most_twice_its_rows() {
+    let f = Fixture::with_seed(0.01, 7);
+    let prefixes = pgrdf::PgVocab::twitter().prefixes();
+    for model in [PgRdfModel::NG, PgRdfModel::SP] {
+        let store = f.store(model);
+        let dataset = store.partition_names().expect("partitioned").topology;
+        for k in [2u64, 10, 100] {
+            let text = format!("{prefixes}SELECT ?s ?o WHERE {{ ?s r:follows ?o }} LIMIT {k}");
+            let (sols, t1) = store
+                .select_profiled_in(&dataset, &text, sparql::ExecOptions::threads(1))
+                .unwrap_or_else(|e| panic!("{model} {text}: {e}"));
+            assert_eq!(sols.len() as u64, k, "{model}\n{}", t1.analyze);
+            let drive = t1.steps[0].actual_rows;
+            assert!(
+                (k..=2 * k).contains(&drive),
+                "{model} LIMIT {k}: drive step scanned {drive} rows\n{}",
+                t1.analyze
+            );
+        }
+    }
+}
+
 #[test]
 fn analyze_reports_chosen_index_and_elapsed_time() {
     let f = fixture();
