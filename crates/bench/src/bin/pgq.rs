@@ -145,7 +145,11 @@ fn parse_bytes(s: &str) -> Option<u64> {
     } else {
         (t.as_str(), 1u64)
     };
-    digits.trim().parse::<u64>().ok().map(|n| n.saturating_mul(mult))
+    digits
+        .trim()
+        .parse::<u64>()
+        .ok()
+        .map(|n| n.saturating_mul(mult))
 }
 
 /// Execution options for one query run: fresh deadline (timeouts are
@@ -157,7 +161,10 @@ fn exec_options(args: &Args) -> sparql::ExecOptions {
         limits.deadline = Some(Instant::now() + Duration::from_secs_f64(secs));
     }
     limits.max_memory = args.memory_limit;
-    let options = sparql::ExecOptions { limits, ..Default::default() };
+    let options = sparql::ExecOptions {
+        limits,
+        ..Default::default()
+    };
     match CANCEL.get() {
         Some(token) => options.with_cancel(token.clone()),
         None => options,
@@ -210,31 +217,42 @@ fn parse_args() -> Args {
             "--generate" => args.generate = argv.next().and_then(|s| s.parse().ok()),
             "--out" => args.out = argv.next(),
             "--workers" => {
-                args.workers = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+                args.workers = argv
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
             "--replay" => args.replay = argv.next(),
             "--repeat" => {
-                args.repeat = argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+                args.repeat = argv
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
             "--timeout" => {
                 args.timeout = Some(
-                    argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage()),
+                    argv.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage()),
                 )
             }
             "--memory-limit" => {
                 args.memory_limit = Some(
-                    argv.next().as_deref().and_then(parse_bytes).unwrap_or_else(|| usage()),
+                    argv.next()
+                        .as_deref()
+                        .and_then(parse_bytes)
+                        .unwrap_or_else(|| usage()),
                 )
             }
             "--max-concurrent" => {
-                args.max_concurrent =
-                    argv.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+                args.max_concurrent = argv
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or_else(|| usage())
             }
             "--explain-logical" => args.explain_logical = true,
             "--sys" => args.sys = Some(argv.next().unwrap_or_else(|| usage())),
-            "--trace-out" => {
-                args.trace_out = Some(argv.next().unwrap_or_else(|| usage()))
-            }
+            "--trace-out" => args.trace_out = Some(argv.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             q => args.query = Some(q.to_string()),
         }
@@ -284,7 +302,11 @@ fn main() {
         usage();
     };
 
-    let vocab = if args.demo { PgVocab::default() } else { PgVocab::twitter() };
+    let vocab = if args.demo {
+        PgVocab::default()
+    } else {
+        PgVocab::twitter()
+    };
     let store = PgRdfStore::load_with(
         &graph,
         args.model,
@@ -312,8 +334,11 @@ fn main() {
             max_concurrent: args.max_concurrent,
             ..GovernorConfig::default()
         });
-        eprintln!("admission governor: at most {} concurrent quer{}", args.max_concurrent,
-            if args.max_concurrent == 1 { "y" } else { "ies" });
+        eprintln!(
+            "admission governor: at most {} concurrent quer{}",
+            args.max_concurrent,
+            if args.max_concurrent == 1 { "y" } else { "ies" }
+        );
     }
 
     // Span timelines are captured when the slow-query log is armed; a
@@ -349,7 +374,13 @@ fn main() {
         if queries.is_empty() {
             fail("replay: no queries (file empty, or missing QUERY argument)");
         }
-        replay(&store, &queries, args.workers.max(1), args.repeat.max(1), &args);
+        replay(
+            &store,
+            &queries,
+            args.workers.max(1),
+            args.repeat.max(1),
+            &args,
+        );
         write_latest_trace(&store, &args);
         run_sys(&store, &args);
         dump_metrics(&args);
@@ -454,13 +485,12 @@ fn run_sys(store: &PgRdfStore, args: &Args) {
 fn write_trace(store: &PgRdfStore, query_id: u64, path: &str) {
     match store.trace_json(query_id) {
         Some(json) => {
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
+            std::fs::write(path, json).unwrap_or_else(|e| fail(&format!("write {path}: {e}")));
             eprintln!("wrote trace of query {query_id} to {path} (open in chrome://tracing)");
         }
-        None => eprintln!(
-            "pgq: no trace recorded for query {query_id} (flight recorder disabled?)"
-        ),
+        None => {
+            eprintln!("pgq: no trace recorded for query {query_id} (flight recorder disabled?)")
+        }
     }
 }
 
@@ -519,7 +549,9 @@ struct ReplayTally {
 /// queue-wait percentiles are reported at the end.
 fn replay(store: &PgRdfStore, queries: &[String], workers: usize, repeat: usize, args: &Args) {
     for q in queries {
-        store.query(q).unwrap_or_else(|e| fail(&format!("replay warm-up: {e}")));
+        store
+            .query(q)
+            .unwrap_or_else(|e| fail(&format!("replay warm-up: {e}")));
     }
     // Warm-up queries bypass limits; admission stats start clean.
     if let Some(g) = store.governor() {
@@ -531,8 +563,7 @@ fn replay(store: &PgRdfStore, queries: &[String], workers: usize, repeat: usize,
             .map(|_| {
                 scope.spawn(move || {
                     let mut tally = ReplayTally::default();
-                    let mut lat: Vec<Vec<u64>> =
-                        vec![Vec::with_capacity(repeat); queries.len()];
+                    let mut lat: Vec<Vec<u64>> = vec![Vec::with_capacity(repeat); queries.len()];
                     'outer: for _ in 0..repeat {
                         for (i, q) in queries.iter().enumerate() {
                             let start = Instant::now();

@@ -67,7 +67,10 @@ pub struct ConvertOptions {
 
 impl Default for ConvertOptions {
     fn default() -> Self {
-        ConvertOptions { single_triple_for_kvless_edges: false, assert_spo: true }
+        ConvertOptions {
+            single_triple_for_kvless_edges: false,
+            assert_spo: true,
+        }
     }
 }
 
@@ -193,7 +196,10 @@ mod tests {
             GraphName::iri("http://pg/e3"),
         )
         .unwrap();
-        assert!(quads.contains(&kv), "edge KVs clustered in the edge's named graph");
+        assert!(
+            quads.contains(&kv),
+            "edge KVs clustered in the edge's named graph"
+        );
     }
 
     #[test]
@@ -251,7 +257,10 @@ mod tests {
     fn kvless_edge_optimization() {
         let mut g = PropertyGraph::new();
         g.add_edge_with_id(3, 1, "follows", 2).unwrap();
-        let opts = ConvertOptions { single_triple_for_kvless_edges: true, assert_spo: true };
+        let opts = ConvertOptions {
+            single_triple_for_kvless_edges: true,
+            assert_spo: true,
+        };
         for model in PgRdfModel::ALL {
             let quads = convert_with(&g, model, &PgVocab::default(), opts);
             assert_eq!(quads.len(), 1, "{model}: single -s-p-o triple");
@@ -262,7 +271,10 @@ mod tests {
     #[test]
     fn no_spo_ablation() {
         let g = fig1();
-        let opts = ConvertOptions { single_triple_for_kvless_edges: false, assert_spo: false };
+        let opts = ConvertOptions {
+            single_triple_for_kvless_edges: false,
+            assert_spo: false,
+        };
         let sp = convert_with(&g, PgRdfModel::SP, &PgVocab::default(), opts);
         // 2 triples per edge instead of 3.
         assert_eq!(sp.len(), 2 * 2 + 2 + 4);

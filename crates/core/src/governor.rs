@@ -48,7 +48,10 @@ impl Default for GovernorConfig {
 impl GovernorConfig {
     /// A governor that only caps concurrency.
     pub fn concurrency(max_concurrent: usize) -> GovernorConfig {
-        GovernorConfig { max_concurrent, ..GovernorConfig::default() }
+        GovernorConfig {
+            max_concurrent,
+            ..GovernorConfig::default()
+        }
     }
 }
 
@@ -109,7 +112,11 @@ pub struct Governor {
 impl Governor {
     /// A governor with the given config.
     pub fn new(config: GovernorConfig) -> Arc<Governor> {
-        Arc::new(Governor { config, state: Mutex::new(State::default()), cond: Condvar::new() })
+        Arc::new(Governor {
+            config,
+            state: Mutex::new(State::default()),
+            cond: Condvar::new(),
+        })
     }
 
     /// The configuration this governor enforces.
@@ -158,7 +165,10 @@ impl Governor {
         if telemetry::enabled() {
             crate::metrics::governor_admitted().inc();
         }
-        AdmissionPermit { governor: Arc::clone(self), reservation }
+        AdmissionPermit {
+            governor: Arc::clone(self),
+            reservation,
+        }
     }
 
     fn record_wait(st: &mut State, nanos: u64) {

@@ -25,16 +25,30 @@ macro_rules! counter_fn {
     };
 }
 
-counter_fn!(governor_admitted, "pgrdf_governor_admitted_total", "Queries admitted by the resource governor");
-counter_fn!(governor_queued, "pgrdf_governor_queued_total", "Queries that waited in the admission queue");
-counter_fn!(governor_shed, "pgrdf_governor_shed_total", "Queries shed by the governor (queue full or timeout)");
+counter_fn!(
+    governor_admitted,
+    "pgrdf_governor_admitted_total",
+    "Queries admitted by the resource governor"
+);
+counter_fn!(
+    governor_queued,
+    "pgrdf_governor_queued_total",
+    "Queries that waited in the admission queue"
+);
+counter_fn!(
+    governor_shed,
+    "pgrdf_governor_shed_total",
+    "Queries shed by the governor (queue full or timeout)"
+);
 
 /// Cached global histogram of admission queue waits.
 pub(crate) fn governor_queue_wait_nanos() -> &'static Histogram {
     static H: OnceLock<Arc<Histogram>> = OnceLock::new();
     H.get_or_init(|| {
-        telemetry::global()
-            .histogram("pgrdf_governor_queue_wait_nanos", "Admission queue wait in nanoseconds")
+        telemetry::global().histogram(
+            "pgrdf_governor_queue_wait_nanos",
+            "Admission queue wait in nanoseconds",
+        )
     })
 }
 
@@ -141,10 +155,7 @@ mod tests {
             classify("SELECT (COUNT(*) AS ?c) WHERE { ?s <http://p> ?o }"),
             "aggregate"
         );
-        assert_eq!(
-            classify("SELECT ?s WHERE { ?s <http://p>+ ?o }"),
-            "path"
-        );
+        assert_eq!(classify("SELECT ?s WHERE { ?s <http://p>+ ?o }"), "path");
         assert_eq!(classify("ASK { ?s <http://p> ?o }"), "ask");
         assert_eq!(
             classify("CONSTRUCT { ?s <http://q> ?o } WHERE { ?s <http://p> ?o }"),

@@ -7,8 +7,8 @@
 //! semantic model; queries that span partitions go through a virtual
 //! model (the UNION of the three).
 
-use rdf_model::{Quad, Term};
 use rdf_model::vocab::rdfs;
+use rdf_model::{Quad, Term};
 
 use crate::convert::PgRdfModel;
 use crate::vocab::PgVocab;
@@ -138,11 +138,7 @@ mod tests {
         assert_eq!(counts, (8, 4, 2));
     }
 
-    fn count_classes(
-        quads: &[Quad],
-        vocab: &PgVocab,
-        model: PgRdfModel,
-    ) -> (usize, usize, usize) {
+    fn count_classes(quads: &[Quad], vocab: &PgVocab, model: PgRdfModel) -> (usize, usize, usize) {
         let mut t = 0;
         let mut n = 0;
         let mut e = 0;

@@ -65,7 +65,11 @@ mod tests {
         assert!(ttl.contains("key:since"));
         // Parses back as triples.
         let triples = rdf_model::turtle::parse(&ttl).unwrap();
-        assert_eq!(triples.len(), store.stats().quads, "one triple per quad (no dups here)");
+        assert_eq!(
+            triples.len(),
+            store.stats().quads,
+            "one triple per quad (no dups here)"
+        );
     }
 
     #[test]

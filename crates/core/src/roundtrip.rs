@@ -32,10 +32,16 @@ pub fn to_property_graph(
 
     // Pass 2: KVs and isolated vertices.
     for quad in quads {
-        let Term::Iri(pred) = &quad.predicate else { continue };
+        let Term::Iri(pred) = &quad.predicate else {
+            continue;
+        };
         if let Some(key) = vocab.key_of(pred) {
-            let Term::Iri(subj) = &quad.subject else { continue };
-            let Some(value) = vocab.term_value(&quad.object) else { continue };
+            let Term::Iri(subj) = &quad.subject else {
+                continue;
+            };
+            let Some(value) = vocab.term_value(&quad.object) else {
+                continue;
+            };
             if let Some(vid) = vocab.vertex_id(subj) {
                 graph.add_vertex(vid);
                 graph
@@ -63,12 +69,24 @@ fn reconstruct_ng_edges(
     graph: &mut PropertyGraph,
 ) -> Result<(), CoreError> {
     for quad in quads {
-        let GraphName::Named(Term::Iri(g)) = &quad.graph else { continue };
-        let Some(eid) = vocab.edge_id(g) else { continue };
-        let Term::Iri(pred) = &quad.predicate else { continue };
-        let Some(label) = vocab.label_of(pred) else { continue };
-        let (Term::Iri(s), Term::Iri(o)) = (&quad.subject, &quad.object) else { continue };
-        let (Some(src), Some(dst)) = (vocab.vertex_id(s), vocab.vertex_id(o)) else { continue };
+        let GraphName::Named(Term::Iri(g)) = &quad.graph else {
+            continue;
+        };
+        let Some(eid) = vocab.edge_id(g) else {
+            continue;
+        };
+        let Term::Iri(pred) = &quad.predicate else {
+            continue;
+        };
+        let Some(label) = vocab.label_of(pred) else {
+            continue;
+        };
+        let (Term::Iri(s), Term::Iri(o)) = (&quad.subject, &quad.object) else {
+            continue;
+        };
+        let (Some(src), Some(dst)) = (vocab.vertex_id(s), vocab.vertex_id(o)) else {
+            continue;
+        };
         graph
             .add_edge_with_id(eid, src, label, dst)
             .map_err(|e| CoreError::Roundtrip(e.to_string()))?;
@@ -85,7 +103,9 @@ fn reconstruct_sp_edges(
     let mut labels = std::collections::HashMap::new();
     for quad in quads {
         if quad.predicate == Term::iri(rdfs::SUB_PROPERTY_OF) {
-            let (Term::Iri(e), Term::Iri(p)) = (&quad.subject, &quad.object) else { continue };
+            let (Term::Iri(e), Term::Iri(p)) = (&quad.subject, &quad.object) else {
+                continue;
+            };
             if let (Some(eid), Some(label)) = (vocab.edge_id(e), vocab.label_of(p)) {
                 labels.insert(eid, label.to_string());
             }
@@ -93,15 +113,23 @@ fn reconstruct_sp_edges(
     }
     // Then -s-e-o triples.
     for quad in quads {
-        let Term::Iri(pred) = &quad.predicate else { continue };
-        let Some(eid) = vocab.edge_id(pred) else { continue };
+        let Term::Iri(pred) = &quad.predicate else {
+            continue;
+        };
+        let Some(eid) = vocab.edge_id(pred) else {
+            continue;
+        };
         let Some(label) = labels.get(&eid) else {
             return Err(CoreError::Roundtrip(format!(
                 "SP edge {eid} has no rdfs:subPropertyOf anchor"
             )));
         };
-        let (Term::Iri(s), Term::Iri(o)) = (&quad.subject, &quad.object) else { continue };
-        let (Some(src), Some(dst)) = (vocab.vertex_id(s), vocab.vertex_id(o)) else { continue };
+        let (Term::Iri(s), Term::Iri(o)) = (&quad.subject, &quad.object) else {
+            continue;
+        };
+        let (Some(src), Some(dst)) = (vocab.vertex_id(s), vocab.vertex_id(o)) else {
+            continue;
+        };
         graph
             .add_edge_with_id(eid, src, label, dst)
             .map_err(|e| CoreError::Roundtrip(e.to_string()))?;
@@ -122,9 +150,15 @@ fn reconstruct_rf_edges(
     }
     let mut parts: std::collections::HashMap<u64, Parts> = std::collections::HashMap::new();
     for quad in quads {
-        let Term::Iri(subj) = &quad.subject else { continue };
-        let Some(eid) = vocab.edge_id(subj) else { continue };
-        let Term::Iri(pred) = &quad.predicate else { continue };
+        let Term::Iri(subj) = &quad.subject else {
+            continue;
+        };
+        let Some(eid) = vocab.edge_id(subj) else {
+            continue;
+        };
+        let Term::Iri(pred) = &quad.predicate else {
+            continue;
+        };
         match pred.as_str() {
             p if p == rdf::SUBJECT => {
                 if let Term::Iri(o) = &quad.object {

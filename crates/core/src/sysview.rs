@@ -68,7 +68,12 @@ fn bool_t(v: bool) -> Term {
 }
 
 fn push(quads: &mut Vec<Quad>, graph: &'static str, s: &Term, p: &str, o: Term) {
-    quads.push(Quad::new_unchecked(s.clone(), pred(p), o, GraphName::iri(graph)));
+    quads.push(Quad::new_unchecked(
+        s.clone(),
+        pred(p),
+        o,
+        GraphName::iri(graph),
+    ));
 }
 
 /// `pgrdf:sys/metrics`: one subject per registry series.
@@ -81,7 +86,13 @@ fn metrics_quads(quads: &mut Vec<Quad>) {
         let g = SYS_GRAPH_METRICS;
         push(quads, g, &subject, "name", Term::string(&sample.name));
         if let Some((k, v)) = &sample.label {
-            push(quads, g, &subject, "label", Term::string(format!("{k}={v}")));
+            push(
+                quads,
+                g,
+                &subject,
+                "label",
+                Term::string(format!("{k}={v}")),
+            );
         }
         push(quads, g, &subject, "help", Term::string(&sample.help));
         match sample.value {
@@ -91,9 +102,21 @@ fn metrics_quads(quads: &mut Vec<Quad>) {
             }
             MetricValue::Gauge(v) => {
                 push(quads, g, &subject, "kind", Term::string("gauge"));
-                push(quads, g, &subject, "value", Term::Literal(Literal::integer(v)));
+                push(
+                    quads,
+                    g,
+                    &subject,
+                    "value",
+                    Term::Literal(Literal::integer(v)),
+                );
             }
-            MetricValue::Histogram { count, sum, p50, p95, p99 } => {
+            MetricValue::Histogram {
+                count,
+                sum,
+                p50,
+                p95,
+                p99,
+            } => {
                 push(quads, g, &subject, "kind", Term::string("histogram"));
                 push(quads, g, &subject, "count", int_t(count));
                 push(quads, g, &subject, "sum", int_t(sum));
@@ -111,8 +134,20 @@ fn event_quads(quads: &mut Vec<Quad>, e: &QueryEvent) {
     let g = SYS_GRAPH_QUERIES;
     push(quads, g, &s, "queryId", int_t(e.query_id));
     push(quads, g, &s, "family", Term::string(e.family));
-    push(quads, g, &s, "textHash", Term::string(format!("{:016x}", e.text_hash)));
-    push(quads, g, &s, "admissionWaitNanos", int_t(e.admission_wait_nanos));
+    push(
+        quads,
+        g,
+        &s,
+        "textHash",
+        Term::string(format!("{:016x}", e.text_hash)),
+    );
+    push(
+        quads,
+        g,
+        &s,
+        "admissionWaitNanos",
+        int_t(e.admission_wait_nanos),
+    );
     push(quads, g, &s, "cacheHit", bool_t(e.cache_hit));
     push(quads, g, &s, "compileNanos", int_t(e.compile_nanos));
     push(quads, g, &s, "execNanos", int_t(e.exec_nanos));
@@ -142,7 +177,13 @@ fn plan_quads(quads: &mut Vec<Quad>, store: &PgRdfStore) {
         push(quads, g, &s, "text", Term::string(&entry.text));
         push(quads, g, &s, "dictLen", int_t(entry.dict_len));
         push(quads, g, &s, "statsVersion", int_t(entry.stats));
-        push(quads, g, &s, "genericParams", int_t(entry.generic_params as u64));
+        push(
+            quads,
+            g,
+            &s,
+            "genericParams",
+            int_t(entry.generic_params as u64),
+        );
         push(quads, g, &s, "hits", int_t(entry.hits));
         push(quads, g, &s, "ageTicks", int_t(entry.age_ticks));
         push(quads, g, &s, "estimatedRows", int_t(entry.estimated_rows));
@@ -160,7 +201,11 @@ fn store_quads(quads: &mut Vec<Quad>, store: &PgRdfStore) {
     let model_names: Vec<String> = match store.partition_names() {
         None => vec![store.dataset_name()],
         Some(names) => {
-            vec![names.topology.clone(), names.node_kv.clone(), names.edge_kv.clone()]
+            vec![
+                names.topology.clone(),
+                names.node_kv.clone(),
+                names.edge_kv.clone(),
+            ]
         }
     };
     let s = Term::iri("pgrdf:sys/store");
@@ -169,7 +214,13 @@ fn store_quads(quads: &mut Vec<Quad>, store: &PgRdfStore) {
     push(quads, g, &s, "epoch", int_t(snapshot.epoch()));
     let name_refs: Vec<&str> = model_names.iter().map(|n| n.as_str()).collect();
     let report = StorageReport::compute_at(&snapshot, &name_refs);
-    push(quads, g, &s, "totalBytes", int_t(report.total_bytes() as u64));
+    push(
+        quads,
+        g,
+        &s,
+        "totalBytes",
+        int_t(report.total_bytes() as u64),
+    );
     for (i, row) in report.rows.iter().enumerate() {
         let s = Term::iri(format!("pgrdf:sys/store/object/{i}"));
         push(quads, g, &s, "object", Term::string(&row.object));
@@ -181,8 +232,7 @@ fn store_quads(quads: &mut Vec<Quad>, store: &PgRdfStore) {
             let s = Term::iri(format!("pgrdf:sys/store/model/{name}"));
             push(quads, g, &s, "name", Term::string(name.as_str()));
             push(quads, g, &s, "quads", int_t(model.len() as u64));
-            let indexes: Vec<String> =
-                model.index_kinds().iter().map(|k| k.to_string()).collect();
+            let indexes: Vec<String> = model.index_kinds().iter().map(|k| k.to_string()).collect();
             push(quads, g, &s, "indexes", Term::string(indexes.join(",")));
         }
     }
@@ -234,7 +284,9 @@ impl PgRdfStore {
         let view = self.sys_view()?;
         let parsed = sparql::parse_query(text)?;
         let compiled = sparql::compile(&view, &parsed)?;
-        Ok(sparql::execute_compiled_with_options(&view, &compiled, options)?)
+        Ok(sparql::execute_compiled_with_options(
+            &view, &compiled, options,
+        )?)
     }
 
     /// Renders the recorded span timeline of `query_id` as Chrome

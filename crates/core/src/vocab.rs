@@ -45,7 +45,10 @@ impl PgVocab {
     /// The vocabulary used by the paper's Twitter experiments (`n`-prefixed
     /// vertex IRIs).
     pub fn twitter() -> Self {
-        PgVocab { vertex_prefix: "n".to_string(), ..PgVocab::default() }
+        PgVocab {
+            vertex_prefix: "n".to_string(),
+            ..PgVocab::default()
+        }
     }
 
     /// IRI of a vertex.

@@ -144,7 +144,10 @@ impl InferenceEngine {
             .collect();
         store.bulk_load(target_model, &quads)?;
 
-        Ok(InferenceStats { derived: derived_all.len(), rounds })
+        Ok(InferenceStats {
+            derived: derived_all.len(),
+            rounds,
+        })
     }
 }
 
@@ -283,9 +286,7 @@ mod tests {
         store.create_model("data").unwrap();
         let quads: Vec<Quad> = triples
             .iter()
-            .map(|(s, p, o)| {
-                Quad::triple(Term::iri(*s), Term::iri(*p), Term::iri(*o)).unwrap()
-            })
+            .map(|(s, p, o)| Quad::triple(Term::iri(*s), Term::iri(*p), Term::iri(*o)).unwrap())
             .collect();
         store.bulk_load("data", &quads).unwrap();
         store
@@ -303,8 +304,16 @@ mod tests {
             .add_rule(Rule::new(
                 "trans",
                 vec![
-                    Atom::new(RuleTerm::var("x"), RuleTerm::iri("http://p"), RuleTerm::var("y")),
-                    Atom::new(RuleTerm::var("y"), RuleTerm::iri("http://p"), RuleTerm::var("z")),
+                    Atom::new(
+                        RuleTerm::var("x"),
+                        RuleTerm::iri("http://p"),
+                        RuleTerm::var("y"),
+                    ),
+                    Atom::new(
+                        RuleTerm::var("y"),
+                        RuleTerm::iri("http://p"),
+                        RuleTerm::var("z"),
+                    ),
                 ],
                 vec![Atom::new(
                     RuleTerm::var("x"),
@@ -341,7 +350,10 @@ mod tests {
             .unwrap();
         let stats = engine.run(&mut store, &["data"], "inf").unwrap();
         assert_eq!(stats.derived, 1);
-        let results = sparql_count(&store, "SELECT (COUNT(*) AS ?c) WHERE { ?x <http://derived> <http://Thing> }");
+        let results = sparql_count(
+            &store,
+            "SELECT (COUNT(*) AS ?c) WHERE { ?x <http://derived> <http://Thing> }",
+        );
         assert_eq!(results, 1);
     }
 

@@ -137,9 +137,7 @@ mod tests {
     fn load(store: &mut Store, model: &str, triples: &[(&str, &str, &str)]) {
         let quads: Vec<Quad> = triples
             .iter()
-            .map(|(s, p, o)| {
-                Quad::triple(Term::iri(*s), Term::iri(*p), Term::iri(*o)).unwrap()
-            })
+            .map(|(s, p, o)| Quad::triple(Term::iri(*s), Term::iri(*p), Term::iri(*o)).unwrap())
             .collect();
         store.bulk_load(model, &quads).unwrap();
     }
@@ -223,7 +221,11 @@ mod tests {
             &mut store,
             "data",
             &[
-                ("http://p", rdf_model::vocab::owl::EQUIVALENT_PROPERTY, "http://q"),
+                (
+                    "http://p",
+                    rdf_model::vocab::owl::EQUIVALENT_PROPERTY,
+                    "http://q",
+                ),
                 ("http://s1", "http://p", "http://o1"),
                 ("http://s2", "http://q", "http://o2"),
             ],

@@ -59,7 +59,11 @@ pub struct Rule {
 impl Rule {
     /// Builds a named rule.
     pub fn new(name: &str, body: Vec<Atom>, head: Vec<Atom>) -> Self {
-        Rule { name: name.to_string(), body, head }
+        Rule {
+            name: name.to_string(),
+            body,
+            head,
+        }
     }
 
     /// Head variables must all occur in the body (safe rules) — returns
@@ -90,14 +94,30 @@ mod tests {
     fn safety_check() {
         let safe = Rule::new(
             "r",
-            vec![Atom::new(RuleTerm::var("x"), RuleTerm::iri("http://p"), RuleTerm::var("y"))],
-            vec![Atom::new(RuleTerm::var("y"), RuleTerm::iri("http://q"), RuleTerm::var("x"))],
+            vec![Atom::new(
+                RuleTerm::var("x"),
+                RuleTerm::iri("http://p"),
+                RuleTerm::var("y"),
+            )],
+            vec![Atom::new(
+                RuleTerm::var("y"),
+                RuleTerm::iri("http://q"),
+                RuleTerm::var("x"),
+            )],
         );
         assert!(safe.is_safe());
         let unsafe_rule = Rule::new(
             "r2",
-            vec![Atom::new(RuleTerm::var("x"), RuleTerm::iri("http://p"), RuleTerm::var("y"))],
-            vec![Atom::new(RuleTerm::var("z"), RuleTerm::iri("http://q"), RuleTerm::var("x"))],
+            vec![Atom::new(
+                RuleTerm::var("x"),
+                RuleTerm::iri("http://p"),
+                RuleTerm::var("y"),
+            )],
+            vec![Atom::new(
+                RuleTerm::var("z"),
+                RuleTerm::iri("http://q"),
+                RuleTerm::var("x"),
+            )],
         );
         assert!(!unsafe_rule.is_safe());
     }

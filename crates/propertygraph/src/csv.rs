@@ -93,7 +93,8 @@ pub fn from_tsv(text: &str) -> Result<PropertyGraph, PgError> {
                 });
             }
             Section::Isolated => {
-                rel.isolated_vertices.push(fields[0].parse().map_err(|_| bad())?);
+                rel.isolated_vertices
+                    .push(fields[0].parse().map_err(|_| bad())?);
             }
             Section::None => return Err(bad()),
         }

@@ -99,7 +99,8 @@ impl PropertyGraph {
     {
         self.add_vertex(id);
         for (k, val) in props {
-            self.add_vertex_prop(id, &k.into(), val).expect("vertex exists");
+            self.add_vertex_prop(id, &k.into(), val)
+                .expect("vertex exists");
         }
         self.vertices.get_mut(&id).expect("just inserted")
     }
@@ -127,7 +128,12 @@ impl PropertyGraph {
         self.add_vertex(dst);
         self.edges.insert(
             id,
-            Edge { src, dst, label: label.to_string(), props: BTreeMap::new() },
+            Edge {
+                src,
+                dst,
+                label: label.to_string(),
+                props: BTreeMap::new(),
+            },
         );
         self.vertices
             .get_mut(&src)
@@ -358,7 +364,8 @@ impl PropertyGraph {
         let e3 = g.add_edge_with_id(3, 1, "follows", 2).expect("fresh id");
         g.set_edge_prop(e3, "since", 2007).expect("edge exists");
         let e4 = g.add_edge_with_id(4, 1, "knows", 2).expect("fresh id");
-        g.set_edge_prop(e4, "firstMetAt", "MIT").expect("edge exists");
+        g.set_edge_prop(e4, "firstMetAt", "MIT")
+            .expect("edge exists");
         g
     }
 }
@@ -448,8 +455,13 @@ mod tests {
         g.add_vertex_prop(1, "hasTag", "#b").unwrap();
         g.add_vertex_prop(1, "hasTag", "#a").unwrap(); // duplicate ignored
         assert_eq!(g.node_kv_count(), 2);
-        assert!(g.vertex(1).unwrap().has_prop("hasTag", &PropValue::from("#b")));
-        let hits: Vec<_> = g.vertices_with_prop("hasTag", &PropValue::from("#a")).collect();
+        assert!(g
+            .vertex(1)
+            .unwrap()
+            .has_prop("hasTag", &PropValue::from("#b")));
+        let hits: Vec<_> = g
+            .vertices_with_prop("hasTag", &PropValue::from("#a"))
+            .collect();
         assert_eq!(hits, vec![1]);
     }
 

@@ -93,7 +93,11 @@ impl RelationalGraph {
                 isolated.push(id);
             }
         }
-        RelationalGraph { edges, kvs, isolated_vertices: isolated }
+        RelationalGraph {
+            edges,
+            kvs,
+            isolated_vertices: isolated,
+        }
     }
 
     /// Rebuilds a property graph from relational form.
@@ -130,11 +134,21 @@ mod tests {
         assert_eq!(rel.edges.len(), 2);
         assert_eq!(
             rel.edges[0],
-            EdgeRow { start_vertex: 1, edge: 3, label: "follows".into(), end_vertex: 2 }
+            EdgeRow {
+                start_vertex: 1,
+                edge: 3,
+                label: "follows".into(),
+                end_vertex: 2
+            }
         );
         assert_eq!(
             rel.edges[1],
-            EdgeRow { start_vertex: 1, edge: 4, label: "knows".into(), end_vertex: 2 }
+            EdgeRow {
+                start_vertex: 1,
+                edge: 4,
+                label: "knows".into(),
+                end_vertex: 2
+            }
         );
         // KVs: 2 edge KVs + 4 node KVs.
         assert_eq!(rel.kvs.len(), 6);

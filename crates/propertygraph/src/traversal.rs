@@ -35,7 +35,10 @@ impl<'g> Traversal<'g> {
     /// Starts at all vertices matching a key/value ("qualifying start
     /// nodes identified with certain key/values", §1).
     pub fn start_with_prop(graph: &'g PropertyGraph, key: &str, value: &PropValue) -> Self {
-        let frontier = graph.vertices_with_prop(key, value).map(|v| (v, 1)).collect();
+        let frontier = graph
+            .vertices_with_prop(key, value)
+            .map(|v| (v, 1))
+            .collect();
         Traversal { graph, frontier }
     }
 
@@ -47,7 +50,10 @@ impl<'g> Traversal<'g> {
                 *next.entry(dst).or_insert(0) += paths;
             }
         }
-        Traversal { graph: self.graph, frontier: next }
+        Traversal {
+            graph: self.graph,
+            frontier: next,
+        }
     }
 
     /// One hop along in-edges with the given label.
@@ -58,7 +64,10 @@ impl<'g> Traversal<'g> {
                 *next.entry(src).or_insert(0) += paths;
             }
         }
-        Traversal { graph: self.graph, frontier: next }
+        Traversal {
+            graph: self.graph,
+            frontier: next,
+        }
     }
 
     /// `k` hops along out-edges — the procedural equivalent of
@@ -79,7 +88,10 @@ impl<'g> Traversal<'g> {
             .into_iter()
             .filter(|(v, _)| self.graph.vertex(*v).map(&predicate).unwrap_or(false))
             .collect();
-        Traversal { graph: self.graph, frontier }
+        Traversal {
+            graph: self.graph,
+            frontier,
+        }
     }
 
     /// Keeps only vertices with the given key/value.
@@ -267,7 +279,10 @@ mod tests {
     fn label_filtering() {
         let mut g = diamond();
         g.add_edge(1, "knows", 4);
-        assert_eq!(Traversal::start(&g, 1).out(Some("knows")).vertices(), vec![4]);
+        assert_eq!(
+            Traversal::start(&g, 1).out(Some("knows")).vertices(),
+            vec![4]
+        );
         assert_eq!(Traversal::start(&g, 1).out(None).distinct_count(), 3);
     }
 

@@ -148,7 +148,12 @@ impl DictSegment {
             .map(|(i, t)| (t.clone(), TermId(first_id + i as u64)))
             .collect();
         let value_bytes = terms.iter().map(term_value_bytes).sum();
-        DictSegment { first_id, terms, ids, value_bytes }
+        DictSegment {
+            first_id,
+            terms,
+            ids,
+            value_bytes,
+        }
     }
 
     /// Number of terms in this segment.
@@ -180,10 +185,7 @@ impl DictSnapshot {
             return None;
         }
         // Binary search for the segment whose range contains the ID.
-        let seg = match self
-            .segments
-            .binary_search_by(|s| s.first_id.cmp(&id.0))
-        {
+        let seg = match self.segments.binary_search_by(|s| s.first_id.cmp(&id.0)) {
             Ok(i) => &self.segments[i],
             Err(0) => return None,
             Err(i) => &self.segments[i - 1],
@@ -298,7 +300,8 @@ impl DictBuilder {
             let terms = std::mem::take(&mut self.tail_terms);
             self.tail_ids.clear();
             self.frozen_len += terms.len();
-            self.frozen.push(Arc::new(DictSegment::new(first_id, terms)));
+            self.frozen
+                .push(Arc::new(DictSegment::new(first_id, terms)));
             // LSM merge: fold the newest segment into its predecessor while
             // it is at least as large, bounding the segment count at
             // O(log n) without ever rewriting the big old segments.
@@ -315,7 +318,10 @@ impl DictBuilder {
                     .push(Arc::new(DictSegment::new(older.first_id, terms)));
             }
         }
-        DictSnapshot { segments: self.frozen.clone(), len: self.frozen_len }
+        DictSnapshot {
+            segments: self.frozen.clone(),
+            len: self.frozen_len,
+        }
     }
 }
 

@@ -157,7 +157,9 @@ impl<'a> Cursor<'a> {
             Some('<') => self.parse_iri().map(Term::Iri),
             Some('_') => self.parse_blank().map(Term::Blank),
             Some('"') => self.parse_literal().map(Term::Literal),
-            other => Err(ModelError::Syntax(format!("expected term, found {other:?}"))),
+            other => Err(ModelError::Syntax(format!(
+                "expected term, found {other:?}"
+            ))),
         }
     }
 
@@ -276,10 +278,8 @@ mod tests {
 
     #[test]
     fn parse_quad_line() {
-        let q = parse_line(
-            "<http://pg/v1> <http://pg/r/follows> <http://pg/v2> <http://pg/e3> .",
-        )
-        .unwrap();
+        let q = parse_line("<http://pg/v1> <http://pg/r/follows> <http://pg/v2> <http://pg/e3> .")
+            .unwrap();
         assert_eq!(q.graph, GraphName::iri("http://pg/e3"));
     }
 
@@ -341,8 +341,12 @@ mod tests {
     #[test]
     fn serialize_then_parse_roundtrips() {
         let quads = vec![
-            Quad::triple(Term::iri("http://s"), Term::iri("http://p"), Term::string("v\n2"))
-                .unwrap(),
+            Quad::triple(
+                Term::iri("http://s"),
+                Term::iri("http://p"),
+                Term::string("v\n2"),
+            )
+            .unwrap(),
             Quad::new(
                 Term::blank("b"),
                 Term::iri("http://p"),

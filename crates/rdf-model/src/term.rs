@@ -98,7 +98,11 @@ pub struct Literal {
 impl Literal {
     /// A plain string literal (`xsd:string`).
     pub fn string(value: impl Into<String>) -> Self {
-        Literal { lexical: value.into(), datatype: None, lang: None }
+        Literal {
+            lexical: value.into(),
+            datatype: None,
+            lang: None,
+        }
     }
 
     /// A language-tagged string, e.g. `"train"@en-us`.
@@ -112,7 +116,11 @@ impl Literal {
 
     /// A typed literal with an explicit datatype IRI.
     pub fn typed(value: impl Into<String>, datatype: Iri) -> Self {
-        Literal { lexical: value.into(), datatype: Some(datatype), lang: None }
+        Literal {
+            lexical: value.into(),
+            datatype: Some(datatype),
+            lang: None,
+        }
     }
 
     /// An `xsd:integer` literal.
@@ -411,7 +419,10 @@ mod tests {
 
     #[test]
     fn literal_escaping_in_display() {
-        assert_eq!(Literal::string("a\"b\\c\nd").to_string(), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(
+            Literal::string("a\"b\\c\nd").to_string(),
+            "\"a\\\"b\\\\c\\nd\""
+        );
     }
 
     #[test]

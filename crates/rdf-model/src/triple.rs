@@ -71,18 +71,31 @@ impl Triple {
         if !predicate.valid_as_predicate() {
             return Err(ModelError::InvalidPredicate(predicate.to_string()));
         }
-        Ok(Triple { subject, predicate, object })
+        Ok(Triple {
+            subject,
+            predicate,
+            object,
+        })
     }
 
     /// Creates a triple without positional validation. Used by internal
     /// code paths that construct terms from known-valid components.
     pub fn new_unchecked(subject: Term, predicate: Term, object: Term) -> Self {
-        Triple { subject, predicate, object }
+        Triple {
+            subject,
+            predicate,
+            object,
+        }
     }
 
     /// Lifts this triple into a quad in the given graph.
     pub fn in_graph(self, graph: GraphName) -> Quad {
-        Quad { subject: self.subject, predicate: self.predicate, object: self.object, graph }
+        Quad {
+            subject: self.subject,
+            predicate: self.predicate,
+            object: self.object,
+            graph,
+        }
     }
 }
 
@@ -123,7 +136,12 @@ impl Quad {
 
     /// Creates a quad without positional validation.
     pub fn new_unchecked(subject: Term, predicate: Term, object: Term, graph: GraphName) -> Self {
-        Quad { subject, predicate, object, graph }
+        Quad {
+            subject,
+            predicate,
+            object,
+            graph,
+        }
     }
 
     /// A quad in the default graph.
@@ -133,7 +151,11 @@ impl Quad {
 
     /// Drops the graph component.
     pub fn into_triple(self) -> Triple {
-        Triple { subject: self.subject, predicate: self.predicate, object: self.object }
+        Triple {
+            subject: self.subject,
+            predicate: self.predicate,
+            object: self.object,
+        }
     }
 }
 
@@ -144,7 +166,11 @@ impl fmt::Display for Quad {
                 write!(f, "{} {} {} .", self.subject, self.predicate, self.object)
             }
             GraphName::Named(g) => {
-                write!(f, "{} {} {} {} .", self.subject, self.predicate, self.object, g)
+                write!(
+                    f,
+                    "{} {} {} {} .",
+                    self.subject, self.predicate, self.object, g
+                )
             }
         }
     }

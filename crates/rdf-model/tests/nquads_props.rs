@@ -15,13 +15,17 @@ const CHARS: &[char] = &[
 
 fn rand_string(r: &mut Rng) -> String {
     let len = r.gen_range(0..12);
-    (0..len).map(|_| CHARS[r.gen_range(0..CHARS.len())]).collect()
+    (0..len)
+        .map(|_| CHARS[r.gen_range(0..CHARS.len())])
+        .collect()
 }
 
 fn rand_ascii(r: &mut Rng, alphabet: &str, max_len: usize) -> String {
     let bytes = alphabet.as_bytes();
     let len = r.gen_range(0..max_len);
-    (0..len).map(|_| bytes[r.gen_range(0..bytes.len())] as char).collect()
+    (0..len)
+        .map(|_| bytes[r.gen_range(0..bytes.len())] as char)
+        .collect()
 }
 
 fn rand_iri(r: &mut Rng) -> Iri {
@@ -84,7 +88,11 @@ fn escape_unescape_roundtrip() {
     for case in 0..256u64 {
         let mut r = Rng::seed_from_u64(case);
         let s = rand_string(&mut r);
-        assert_eq!(nquads::unescape(&nquads::escape(&s)).expect("unescape"), s, "case {case}");
+        assert_eq!(
+            nquads::unescape(&nquads::escape(&s)).expect("unescape"),
+            s,
+            "case {case}"
+        );
     }
 }
 

@@ -209,7 +209,10 @@ impl Histogram {
     /// Starts a span timer that records elapsed nanoseconds into this
     /// histogram when dropped.
     pub fn span(&self) -> Span<'_> {
-        Span { hist: self, start: Instant::now() }
+        Span {
+            hist: self,
+            start: Instant::now(),
+        }
     }
 
     /// Number of observations.
@@ -252,9 +255,9 @@ impl Histogram {
                 let within = rank - cum; // 1 ..= in_bucket
                 let (lo, hi) = bucket_bounds(b);
                 let hi = hi.min(lo.saturating_mul(2)); // keep +Inf bucket finite
-                // Multiply before dividing (in u128, so it cannot overflow):
-                // dividing first floors to `lo` whenever a bucket holds
-                // more observations than it is wide.
+                                                       // Multiply before dividing (in u128, so it cannot overflow):
+                                                       // dividing first floors to `lo` whenever a bucket holds
+                                                       // more observations than it is wide.
                 let step = u128::from(hi - lo) * u128::from(within) / u128::from(in_bucket);
                 return lo + (step as u64).min(hi - lo);
             }
@@ -335,7 +338,9 @@ fn escape_help(s: &str) -> String {
 /// Escapes a label value per the Prometheus exposition format:
 /// backslash, double quote, and newline.
 fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 impl Entry {
@@ -420,8 +425,7 @@ impl MetricsRegistry {
     ) -> Handle {
         let mut entries = self.entries.lock().expect("metrics registry poisoned");
         let found = entries.iter().find(|e| {
-            e.family == family
-                && e.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str())) == label
+            e.family == family && e.label.as_ref().map(|(k, v)| (k.as_str(), v.as_str())) == label
         });
         if let Some(e) = found {
             return e.handle.clone();
@@ -438,7 +442,9 @@ impl MetricsRegistry {
 
     /// Gets or registers a counter.
     pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        match self.get_or_insert(name, None, help, || Handle::Counter(Arc::new(Counter::new()))) {
+        match self.get_or_insert(name, None, help, || {
+            Handle::Counter(Arc::new(Counter::new()))
+        }) {
             Handle::Counter(c) => c,
             _ => panic!("metric {name} registered with a different type"),
         }
@@ -502,7 +508,11 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::render_prometheus`], used to materialize the
     /// `pgrdf:sys/metrics` system graph.
     pub fn samples(&self) -> Vec<MetricSample> {
-        let entries = self.entries.lock().expect("metrics registry poisoned").clone();
+        let entries = self
+            .entries
+            .lock()
+            .expect("metrics registry poisoned")
+            .clone();
         let mut samples: Vec<MetricSample> = entries
             .iter()
             .map(|e| MetricSample {
@@ -534,7 +544,11 @@ impl MetricsRegistry {
     /// family) and output is stable across registration orders; HELP
     /// text and label values are escaped per the exposition format.
     pub fn render_prometheus(&self) -> String {
-        let mut entries = self.entries.lock().expect("metrics registry poisoned").clone();
+        let mut entries = self
+            .entries
+            .lock()
+            .expect("metrics registry poisoned")
+            .clone();
         entries.sort_by(|a, b| (&a.family, &a.label).cmp(&(&b.family, &b.label)));
         let mut out = String::new();
         let mut seen_family: Option<String> = None;
@@ -646,9 +660,9 @@ mod tests {
         h.record(64); // one observation in [64, 127]
         assert_eq!(h.percentile(1.0), 64 + (127 - 64)); // r = k = 1 → hi
         assert_eq!(h.p50(), 127); // single obs: every rank maps to hi
-        // Two buckets: 1 in [0,0], 99 in [64,127] → p50 lands in the
-        // second bucket at rank 49 of 99: 64 + 63 * 49 / 99 = 95, not
-        // the bucket floor.
+                                  // Two buckets: 1 in [0,0], 99 in [64,127] → p50 lands in the
+                                  // second bucket at rank 49 of 99: 64 + 63 * 49 / 99 = 95, not
+                                  // the bucket floor.
         let h = Histogram::new();
         h.record(0);
         for _ in 0..99 {
@@ -743,7 +757,9 @@ mod tests {
             let (series, value) = line.rsplit_once(' ').expect("sample line has a value");
             assert!(!series.is_empty());
             if !value.contains("Inf") {
-                value.parse::<f64>().unwrap_or_else(|_| panic!("unparsable value: {line}"));
+                value
+                    .parse::<f64>()
+                    .unwrap_or_else(|_| panic!("unparsable value: {line}"));
             }
             if series.contains("_bucket") || series.contains("le=") {
                 let cum: u64 = value.parse().unwrap();
@@ -765,7 +781,8 @@ mod tests {
     fn prometheus_escapes_help_and_label_values() {
         let reg = MetricsRegistry::new();
         reg.counter("esc_total", "line one\nline \\two").inc();
-        reg.counter_with("lab_total", "q", "he said \"hi\\bye\"\nend", "labelled").add(4);
+        reg.counter_with("lab_total", "q", "he said \"hi\\bye\"\nend", "labelled")
+            .add(4);
         let text = reg.render_prometheus();
         assert!(
             text.contains("# HELP esc_total line one\\nline \\\\two"),
@@ -779,7 +796,11 @@ mod tests {
         for line in text.lines() {
             assert!(!line.is_empty());
         }
-        assert_eq!(text.lines().count(), 6, "2 families x (HELP+TYPE+series): {text}");
+        assert_eq!(
+            text.lines().count(),
+            6,
+            "2 families x (HELP+TYPE+series): {text}"
+        );
     }
 
     #[test]
@@ -791,8 +812,14 @@ mod tests {
         reg.counter_with("a_total", "k", "1", "a").inc();
         let text = reg.render_prometheus();
         let lines: Vec<&str> = text.lines().collect();
-        let a_lines: Vec<usize> = (0..lines.len()).filter(|&i| lines[i].contains("a_total")).collect();
-        assert_eq!(a_lines, vec![0, 1, 2, 3], "family a must form one block: {text}");
+        let a_lines: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].contains("a_total"))
+            .collect();
+        assert_eq!(
+            a_lines,
+            vec![0, 1, 2, 3],
+            "family a must form one block: {text}"
+        );
         // Stable ordering: labels sorted within the family.
         let a1 = text.find("a_total{k=\"1\"}").unwrap();
         let a2 = text.find("a_total{k=\"2\"}").unwrap();

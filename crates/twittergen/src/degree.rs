@@ -44,7 +44,11 @@ pub fn summarize(hist: &DegreeHistogram) -> DegreeSummary {
     DegreeSummary {
         distinct_degrees: hist.len(),
         max_degree: hist.keys().max().copied().unwrap_or(0),
-        mean_degree: if vertices == 0 { 0.0 } else { total as f64 / vertices as f64 },
+        mean_degree: if vertices == 0 {
+            0.0
+        } else {
+            total as f64 / vertices as f64
+        },
     }
 }
 

@@ -36,7 +36,11 @@ impl fmt::Display for SnapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapError::Io(e) => write!(f, "I/O error: {e}"),
-            SnapError::Parse { file, line, content } => {
+            SnapError::Parse {
+                file,
+                line,
+                content,
+            } => {
                 write!(f, "{file}:{line}: cannot parse {content:?}")
             }
         }
@@ -69,7 +73,10 @@ pub struct EgoFiles {
 /// Parses feature names: index -> (key, value) where `@x` maps to
 /// `refs/@x` and `#y` to `hasTag/#y`; other names are skipped (the SNAP
 /// files occasionally carry empty or malformed names).
-fn parse_featnames(label: &str, text: &str) -> Result<BTreeMap<usize, (String, String)>, SnapError> {
+fn parse_featnames(
+    label: &str,
+    text: &str,
+) -> Result<BTreeMap<usize, (String, String)>, SnapError> {
     let mut out = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -77,14 +84,15 @@ fn parse_featnames(label: &str, text: &str) -> Result<BTreeMap<usize, (String, S
             continue;
         }
         let mut parts = line.splitn(2, ' ');
-        let idx: usize = parts
-            .next()
-            .and_then(|p| p.parse().ok())
-            .ok_or_else(|| SnapError::Parse {
-                file: label.to_string(),
-                line: lineno + 1,
-                content: line.to_string(),
-            })?;
+        let idx: usize =
+            parts
+                .next()
+                .and_then(|p| p.parse().ok())
+                .ok_or_else(|| SnapError::Parse {
+                    file: label.to_string(),
+                    line: lineno + 1,
+                    content: line.to_string(),
+                })?;
         let Some(name) = parts.next() else { continue };
         let name = name.trim();
         if let Some(rest) = name.strip_prefix('@') {
@@ -140,14 +148,15 @@ pub fn load_ego(graph: &mut PropertyGraph, files: &EgoFiles) -> Result<(), SnapE
             continue;
         }
         let mut parts = line.split_whitespace();
-        let node: VertexId = parts
-            .next()
-            .and_then(|p| p.parse().ok())
-            .ok_or_else(|| SnapError::Parse {
-                file: format!("{}.feat", files.ego),
-                line: lineno + 1,
-                content: line.to_string(),
-            })?;
+        let node: VertexId =
+            parts
+                .next()
+                .and_then(|p| p.parse().ok())
+                .ok_or_else(|| SnapError::Parse {
+                    file: format!("{}.feat", files.ego),
+                    line: lineno + 1,
+                    content: line.to_string(),
+                })?;
         apply_feature_vector(graph, node, parts.map(|b| b == "1"), &names);
     }
 

@@ -41,9 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ds.insert("topology", &follows("v2", "v3", "e2"))?;
         let epoch = ds.checkpoint()?;
         ds.insert("topology", &follows("v3", "v1", "e3"))?;
-        println!(
-            "wrote 3 quads; snapshot epoch {epoch}, 1 record in the live WAL"
-        );
+        println!("wrote 3 quads; snapshot epoch {epoch}, 1 record in the live WAL");
     }
 
     // --- 2. Crash mid-write. The fault-injection VFS kills the process

@@ -76,14 +76,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // neighbours.
     store.create_model("factbook")?;
     let factbook: Vec<Quad> = [
-        (format!("{FB}USA"), format!("{FB}ports"), format!("{FB}Tampa")),
-        (format!("{FB}USA"), format!("{FB}bndry"), format!("{FB}Canada")),
-        (format!("{FB}USA"), format!("{FB}bndry"), format!("{FB}Mexico")),
+        (
+            format!("{FB}USA"),
+            format!("{FB}ports"),
+            format!("{FB}Tampa"),
+        ),
+        (
+            format!("{FB}USA"),
+            format!("{FB}bndry"),
+            format!("{FB}Canada"),
+        ),
+        (
+            format!("{FB}USA"),
+            format!("{FB}bndry"),
+            format!("{FB}Mexico"),
+        ),
     ]
     .iter()
     .map(|(s, p, o)| {
-        Quad::triple(Term::iri(s.clone()), Term::iri(p.clone()), Term::iri(o.clone()))
-            .expect("valid triple")
+        Quad::triple(
+            Term::iri(s.clone()),
+            Term::iri(p.clone()),
+            Term::iri(o.clone()),
+        )
+        .expect("valid triple")
     })
     .collect();
     store.bulk_load("factbook", &factbook)?;
@@ -103,7 +119,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
           FILTER (STR(?y) = CONCAT("#", STR(?label)))
         }"##;
     let sols = sparql::select(&store, "twitter+wordnet", expansion)?;
-    println!("query-term expansion for 'train' found {} tagged nodes:", sols.len());
+    println!(
+        "query-term expansion for 'train' found {} tagged nodes:",
+        sols.len()
+    );
     for row in &sols.rows {
         let node = row[0].as_ref().map(|t| t.str_value()).unwrap_or_default();
         let label = row[1].as_ref().map(|t| t.str_value()).unwrap_or_default();
@@ -162,7 +181,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| format!("rule rejected: {e}"))?;
 
     let stats = engine.run(&mut store, &["twitter", "factbook"], "entailed")?;
-    println!("\ninference derived {} facts in {} rounds", stats.derived, stats.rounds);
+    println!(
+        "\ninference derived {} facts in {} rounds",
+        stats.derived, stats.rounds
+    );
 
     store.create_virtual_model(
         "twitter+factbook+entailed",

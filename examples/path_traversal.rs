@@ -16,9 +16,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small follower web with a hub, a chain, and a cycle.
     let mut graph = PropertyGraph::new();
     for (a, b) in [
-        (1u64, 2u64), (1, 3), (1, 4),       // hub 1
-        (2, 5), (3, 5), (4, 5),             // diamond into 5
-        (5, 6), (6, 7), (7, 5),             // cycle 5-6-7
+        (1u64, 2u64),
+        (1, 3),
+        (1, 4), // hub 1
+        (2, 5),
+        (3, 5),
+        (4, 5), // diamond into 5
+        (5, 6),
+        (6, 7),
+        (7, 5), // cycle 5-6-7
         (7, 8),
     ] {
         graph.add_edge(a, "follows", b);
@@ -31,9 +37,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    traversal.
     for hops in 1..=4 {
         let path = vec!["r:follows"; hops].join("/");
-        let q = format!(
-            "{prefixes}SELECT (COUNT(?y) AS ?cnt) WHERE {{ <http://pg/v1> {path} ?y }}"
-        );
+        let q =
+            format!("{prefixes}SELECT (COUNT(?y) AS ?cnt) WHERE {{ <http://pg/v1> {path} ?y }}");
         let sparql_count = store.count(&q)? as u64;
         let procedural = Traversal::start(&graph, 1)
             .out_hops(Some("follows"), hops)
@@ -43,11 +48,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. Unbounded reachability: `r:follows+` (distinct nodes).
-    let q = format!(
-        "{prefixes}SELECT ?y WHERE {{ <http://pg/v1> r:follows+ ?y }}"
-    );
+    let q = format!("{prefixes}SELECT ?y WHERE {{ <http://pg/v1> r:follows+ ?y }}");
     let reachable = store.select(&q)?;
-    println!("\nnodes reachable from v1 via follows+: {}", reachable.len());
+    println!(
+        "\nnodes reachable from v1 via follows+: {}",
+        reachable.len()
+    );
     assert_eq!(reachable.len(), 7); // 2,3,4,5,6,7,8
 
     // 3. What property paths cannot do (§5.1): bounded-length reachability
@@ -59,9 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 4. Alternation + inverse paths.
-    let q = format!(
-        "{prefixes}SELECT ?x WHERE {{ ?x (r:follows|^r:follows) <http://pg/v5> }}"
-    );
+    let q = format!("{prefixes}SELECT ?x WHERE {{ ?x (r:follows|^r:follows) <http://pg/v5> }}");
     let neighbors = store.select(&q)?;
     println!("in- or out-neighbours of v5: {}", neighbors.len());
 
@@ -78,14 +82,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sp = shortest_path(&graph, 1, 8, Some("follows")).expect("8 reachable");
     println!(
         "shortest path v1 -> v8: {} ({} hops)",
-        sp.iter().map(|v| format!("v{v}")).collect::<Vec<_>>().join(" -> "),
+        sp.iter()
+            .map(|v| format!("v{v}"))
+            .collect::<Vec<_>>()
+            .join(" -> "),
         sp.len() - 1
     );
 
     // 6. Cycle detection via ASK.
-    let q = format!(
-        "{prefixes}ASK {{ <http://pg/v5> r:follows+ <http://pg/v5> }}"
-    );
+    let q = format!("{prefixes}ASK {{ <http://pg/v5> r:follows+ <http://pg/v5> }}");
     match store.query(&q)? {
         sparql::QueryResults::Boolean(b) => {
             println!("v5 lies on a follows-cycle: {b}");

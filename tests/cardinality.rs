@@ -64,7 +64,11 @@ fn rand_graph(seed: u64) -> PropertyGraph {
     let keys = ["age", "since", "name"];
     let mut edges = std::collections::BTreeSet::new();
     for _ in 0..r.gen_range(0..25) {
-        edges.insert((r.gen_range(0..12) as u64, r.gen_range(0..3), r.gen_range(0..12) as u64));
+        edges.insert((
+            r.gen_range(0..12) as u64,
+            r.gen_range(0..3),
+            r.gen_range(0..12) as u64,
+        ));
     }
     let mut g = PropertyGraph::new();
     let mut edge_ids = Vec::new();
@@ -77,8 +81,11 @@ fn rand_graph(seed: u64) -> PropertyGraph {
         }
     }
     for _ in 0..r.gen_range(0..20) {
-        let (v, key, val) =
-            (r.gen_range(0..12) as u64, r.gen_range(0..3), r.gen_range(0..5) as i64);
+        let (v, key, val) = (
+            r.gen_range(0..12) as u64,
+            r.gen_range(0..3),
+            r.gen_range(0..5) as i64,
+        );
         g.add_vertex(v);
         g.add_vertex_prop(v, keys[key], val).expect("vertex exists");
     }
@@ -98,7 +105,11 @@ fn ng_is_always_smallest_sp_middle_rf_largest() {
         let graph = rand_graph(case);
         let vocab = PgVocab::default();
         let count = |model| convert(&graph, model, &vocab).len();
-        let (rf, ng, sp) = (count(PgRdfModel::RF), count(PgRdfModel::NG), count(PgRdfModel::SP));
+        let (rf, ng, sp) = (
+            count(PgRdfModel::RF),
+            count(PgRdfModel::NG),
+            count(PgRdfModel::SP),
+        );
         assert!(ng <= sp, "NG={ng} SP={sp}");
         assert!(sp <= rf, "SP={sp} RF={rf}");
         let e = graph.edge_count();

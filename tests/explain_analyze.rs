@@ -68,7 +68,11 @@ fn bind(row: &mut HashMap<usize, Term>, pos: &CPos, term: &Term) -> bool {
 }
 
 /// One naive match attempt of `quad` against `triple` under `row`.
-fn match_quad(row: &HashMap<usize, Term>, triple: &CTriple, quad: &Quad) -> Option<HashMap<usize, Term>> {
+fn match_quad(
+    row: &HashMap<usize, Term>,
+    triple: &CTriple,
+    quad: &Quad,
+) -> Option<HashMap<usize, Term>> {
     let mut next = row.clone();
     if !bind(&mut next, &triple.s, &quad.subject)
         || !bind(&mut next, &triple.p, &quad.predicate)
@@ -130,8 +134,7 @@ fn analyze_actual_rows_match_naive_join_oracle() {
             let Some(steps) = single_chain(&compiled) else {
                 continue; // shape the oracle can't replay (path, union, ...)
             };
-            let quads: Vec<Quad> =
-                view.scan_decoded(quadstore::QuadPattern::any()).collect();
+            let quads: Vec<Quad> = view.scan_decoded(quadstore::QuadPattern::any()).collect();
             let expected = naive_chain_rows(&quads, steps);
 
             let (sols, profile) = store
@@ -145,7 +148,11 @@ fn analyze_actual_rows_match_naive_join_oracle() {
                 profile.analyze
             );
             for (sp, want) in profile.steps.iter().zip(&expected) {
-                assert!(sp.executed, "{label} {model} step {}: never executed", sp.ordinal);
+                assert!(
+                    sp.executed,
+                    "{label} {model} step {}: never executed",
+                    sp.ordinal
+                );
                 assert_eq!(
                     sp.actual_rows, *want,
                     "{label} {model} step {}: EXPLAIN ANALYZE rows disagree with \
@@ -155,7 +162,11 @@ fn analyze_actual_rows_match_naive_join_oracle() {
             }
             // Chain consistency: the driving step runs once; every later
             // step is probed once per row its predecessor emitted.
-            assert_eq!(profile.steps[0].loops, 1, "{label} {model}\n{}", profile.analyze);
+            assert_eq!(
+                profile.steps[0].loops, 1,
+                "{label} {model}\n{}",
+                profile.analyze
+            );
             for pair in profile.steps.windows(2) {
                 assert_eq!(
                     pair[1].loops, pair[0].actual_rows,
@@ -203,10 +214,18 @@ fn early_ending_tails_report_the_rows_actually_scanned() {
         };
         let (all, _) = profiled("?s ?o WHERE { ?s r:follows ?o }");
         let relation = all.len() as u64;
-        assert!(relation > sparql::DEFAULT_MORSEL_SIZE as u64, "{model}: {relation} rows");
+        assert!(
+            relation > sparql::DEFAULT_MORSEL_SIZE as u64,
+            "{model}: {relation} rows"
+        );
 
         let (sols, t1) = profiled("?s ?o WHERE { ?s r:follows ?o } LIMIT 10");
-        assert_eq!((sols.len(), t1.result_rows), (10, 10), "{model}\n{}", t1.analyze);
+        assert_eq!(
+            (sols.len(), t1.result_rows),
+            (10, 10),
+            "{model}\n{}",
+            t1.analyze
+        );
         assert_eq!(sols.rows[..], all.rows[..10], "{model}: LIMIT is a prefix");
         let drive = t1.steps[0].actual_rows;
         assert!(
@@ -214,19 +233,48 @@ fn early_ending_tails_report_the_rows_actually_scanned() {
             "{model}: drive step scanned {drive} of {relation}\n{}",
             t1.analyze
         );
-        assert!(t1.analyze.contains("LIMIT 10 (ends scan)"), "{model}\n{}", t1.analyze);
+        assert!(
+            t1.analyze.contains("LIMIT 10 (ends scan)"),
+            "{model}\n{}",
+            t1.analyze
+        );
 
         let (sols, t3) = profiled("DISTINCT ?o WHERE { ?s r:follows ?o } LIMIT 5");
         assert_eq!(sols.len(), 5, "{model}\n{}", t3.analyze);
-        assert!(t3.steps[0].actual_rows < relation, "{model}\n{}", t3.analyze);
-        assert!(t3.analyze.contains("DISTINCT (streaming)"), "{model}\n{}", t3.analyze);
+        assert!(
+            t3.steps[0].actual_rows < relation,
+            "{model}\n{}",
+            t3.analyze
+        );
+        assert!(
+            t3.analyze.contains("DISTINCT (streaming)"),
+            "{model}\n{}",
+            t3.analyze
+        );
 
         let (_, top) = profiled("?s ?o WHERE { ?s r:follows ?o } ORDER BY ?o ?s LIMIT 10");
-        assert_eq!(top.steps[0].actual_rows, relation, "{model}\n{}", top.analyze);
-        assert!(top.analyze.contains("ORDER BY (2 keys, top 10)"), "{model}\n{}", top.analyze);
-        assert!(top.analyze.contains("SLICE limit=Some(10)"), "{model}\n{}", top.analyze);
-        let (_, sorted) = profiled("DISTINCT ?s ?o WHERE { ?s r:follows ?o } ORDER BY ?o ?s LIMIT 10");
-        assert!(sorted.analyze.contains("ORDER BY (2 keys)\n"), "{model}\n{}", sorted.analyze);
+        assert_eq!(
+            top.steps[0].actual_rows, relation,
+            "{model}\n{}",
+            top.analyze
+        );
+        assert!(
+            top.analyze.contains("ORDER BY (2 keys, top 10)"),
+            "{model}\n{}",
+            top.analyze
+        );
+        assert!(
+            top.analyze.contains("SLICE limit=Some(10)"),
+            "{model}\n{}",
+            top.analyze
+        );
+        let (_, sorted) =
+            profiled("DISTINCT ?s ?o WHERE { ?s r:follows ?o } ORDER BY ?o ?s LIMIT 10");
+        assert!(
+            sorted.analyze.contains("ORDER BY (2 keys)\n"),
+            "{model}\n{}",
+            sorted.analyze
+        );
     }
 }
 

@@ -106,14 +106,27 @@ fn triangle_query_closes_by_intersection() {
     let plan = sparql::explain::render(&compiled);
     let lines: Vec<&str> = plan.lines().filter(|l| l.contains("follows")).collect();
     assert_eq!(lines.len(), 3, "{plan}");
-    assert!(lines[1].contains("(NLJ)"), "the expand step probes per binding:\n{plan}");
-    assert!(lines[2].contains("(INTERSECT on ?"), "the closing step intersects:\n{plan}");
+    assert!(
+        lines[1].contains("(NLJ)"),
+        "the expand step probes per binding:\n{plan}"
+    );
+    assert!(
+        lines[2].contains("(INTERSECT on ?"),
+        "the closing step intersects:\n{plan}"
+    );
     assert!(!plan.contains("HASH JOIN"), "{plan}");
 
-    let options = CompileOptions { force_join: Some(ForcedJoin::Hash), ..Default::default() };
+    let options = CompileOptions {
+        force_join: Some(ForcedJoin::Hash),
+        ..Default::default()
+    };
     let forced = sparql::compile_with(&view, &parsed, options).unwrap();
     let plan = sparql::explain::render(&forced);
-    assert_eq!(plan.matches("HASH JOIN").count(), 2, "forced hash joins:\n{plan}");
+    assert_eq!(
+        plan.matches("HASH JOIN").count(),
+        2,
+        "forced hash joins:\n{plan}"
+    );
     assert!(!plan.contains("INTERSECT"), "{plan}");
 }
 
@@ -165,16 +178,18 @@ fn eq6_sp_probes_edge_triples_by_index() {
     let f = fixture();
     let text = f.query_text(Eq::Eq6, PgRdfModel::SP);
     let dataset = f.dataset_for(Eq::Eq6, PgRdfModel::SP);
-    let (_, profile) = f
-        .sp
-        .select_profiled_in(&dataset, &text, sparql::ExecOptions::threads(1))
-        .unwrap();
+    let (_, profile) =
+        f.sp.select_profiled_in(&dataset, &text, sparql::ExecOptions::threads(1))
+            .unwrap();
     let plan = &profile.analyze;
     let line = plan
         .lines()
         .find(|l| l.contains("?s ?p ?n2"))
         .unwrap_or_else(|| panic!("no edge-triple step in plan:\n{plan}"));
-    assert!(line.contains("(NLJ)"), "the edge triple should be probed per binding:\n{plan}");
+    assert!(
+        line.contains("(NLJ)"),
+        "the edge triple should be probed per binding:\n{plan}"
+    );
     let q: f64 = line
         .split(" Q=")
         .nth(1)
@@ -199,7 +214,10 @@ fn t7_text(model: PgRdfModel) -> String {
 fn analyzed_edge_plan(f: &Fixture, model: PgRdfModel, text: &str) -> String {
     let dataset = f.dataset_for(Eq::Eq7, model);
     let options = sparql::ExecOptions::threads(1);
-    let (rows, profile) = f.store(model).select_profiled_in(&dataset, text, options).unwrap();
+    let (rows, profile) = f
+        .store(model)
+        .select_profiled_in(&dataset, text, options)
+        .unwrap();
     assert_eq!(rows.len(), 10, "{}", profile.analyze);
     profile.analyze
 }
@@ -216,15 +234,25 @@ fn t7_sp_merge_joins_on_the_sorted_edge_iri() {
     let sp = analyzed_edge_plan(&f, PgRdfModel::SP, &t7_text(PgRdfModel::SP));
     let joins: Vec<&str> = sp.lines().filter(|l| l.contains("JOIN")).collect();
     assert_eq!(joins.len(), 2, "{sp}");
-    assert!(joins.iter().all(|l| l.contains("(MERGE JOIN on ?e)")), "{sp}");
-    assert!(joins.iter().all(|l| l.contains("range scan")), "merge steps probe an index:\n{sp}");
+    assert!(
+        joins.iter().all(|l| l.contains("(MERGE JOIN on ?e)")),
+        "{sp}"
+    );
+    assert!(
+        joins.iter().all(|l| l.contains("range scan")),
+        "merge steps probe an index:\n{sp}"
+    );
     let ng = analyzed_edge_plan(&f, PgRdfModel::NG, &t7_text(PgRdfModel::NG));
     assert!(ng.contains("(HASH JOIN on ?e)"), "{ng}");
     assert!(!ng.contains("MERGE"), "{ng}");
     // The cycle-closing fusion is untouched: EQ12 still intersects.
     for model in [PgRdfModel::NG, PgRdfModel::SP] {
         let text = f.query_text(Eq::Eq12, model);
-        let view = f.store(model).store().dataset(&f.dataset_for(Eq::Eq12, model)).unwrap();
+        let view = f
+            .store(model)
+            .store()
+            .dataset(&f.dataset_for(Eq::Eq12, model))
+            .unwrap();
         let plan = sparql::explain::render(
             &sparql::compile(&view, &sparql::parse_query(&text).unwrap()).unwrap(),
         );

@@ -19,24 +19,36 @@ fn rdfs_inference_recovers_unasserted_spo_triples() {
         &graph,
         PgRdfModel::SP,
         &vocab,
-        ConvertOptions { single_triple_for_kvless_edges: false, assert_spo: false },
+        ConvertOptions {
+            single_triple_for_kvless_edges: false,
+            assert_spo: false,
+        },
     );
     let mut store = Store::with_default_indexes(&IndexKind::PAPER_FOUR);
     store.create_model("sp").unwrap();
     store.bulk_load("sp", &quads).unwrap();
 
     let q = "PREFIX rel: <http://pg/r/> SELECT ?x ?y WHERE { ?x rel:follows ?y }";
-    assert_eq!(sparql::select(&store, "sp", q).unwrap().len(), 0, "no asserted -s-p-o");
+    assert_eq!(
+        sparql::select(&store, "sp", q).unwrap().len(),
+        0,
+        "no asserted -s-p-o"
+    );
 
     let mut engine = InferenceEngine::new();
     engine.add_rules(rdfs_rules()).unwrap();
     let stats = engine.run(&mut store, &["sp"], "entailed").unwrap();
     assert!(stats.derived >= 2, "follows + knows entailments");
 
-    store.create_virtual_model("sp+entailed", &["sp", "entailed"]).unwrap();
+    store
+        .create_virtual_model("sp+entailed", &["sp", "entailed"])
+        .unwrap();
     let sols = sparql::select(&store, "sp+entailed", q).unwrap();
     assert_eq!(sols.len(), 1);
-    assert_eq!(sols.rows[0][0].as_ref().unwrap().str_value(), "http://pg/v1");
+    assert_eq!(
+        sols.rows[0][0].as_ref().unwrap().str_value(),
+        "http://pg/v1"
+    );
 }
 
 #[test]
@@ -63,8 +75,12 @@ fn equivalent_property_bridges_vocabularies() {
         .unwrap();
 
     let mut engine = InferenceEngine::new();
-    engine.add_rules(inference::equivalent_property_rules()).unwrap();
-    engine.run(&mut store, &["pg", "ontology"], "entailed").unwrap();
+    engine
+        .add_rules(inference::equivalent_property_rules())
+        .unwrap();
+    engine
+        .run(&mut store, &["pg", "ontology"], "entailed")
+        .unwrap();
     store
         .create_virtual_model("all", &["pg", "ontology", "entailed"])
         .unwrap();
@@ -118,7 +134,9 @@ fn user_rule_derives_edges_queriable_with_paths() {
         ))
         .unwrap();
     engine.run(&mut store, &["pg"], "entailed").unwrap();
-    store.create_virtual_model("all", &["pg", "entailed"]).unwrap();
+    store
+        .create_virtual_model("all", &["pg", "entailed"])
+        .unwrap();
 
     // 1 closeTo 2 closeTo 3: transitive reach via the derived predicate.
     let sols = sparql::select(

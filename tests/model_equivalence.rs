@@ -13,7 +13,11 @@ fn load(graph: &PropertyGraph, model: PgRdfModel, layout: PartitionLayout) -> Pg
     PgRdfStore::load_with(
         graph,
         model,
-        LoadOptions { vocab: PgVocab::twitter(), layout, ..Default::default() },
+        LoadOptions {
+            vocab: PgVocab::twitter(),
+            layout,
+            ..Default::default()
+        },
     )
     .unwrap()
 }
@@ -119,8 +123,7 @@ fn single_triple_optimization_preserves_topology_answers() {
 #[test]
 fn random_seeds_keep_models_equivalent() {
     for seed in [0u64, 17, 42, 99, 123, 200, 256, 311, 365, 404, 451, 499] {
-        let graph = twittergen::generate(
-            &twittergen::TwitterGenConfig::with_seed(0.001, seed));
+        let graph = twittergen::generate(&twittergen::TwitterGenConfig::with_seed(0.001, seed));
         let q = "PREFIX r: <http://pg/r/>\
                  SELECT (COUNT(*) AS ?c) WHERE { ?x r:follows ?y . ?y r:knows ?z }";
         let mut counts = Vec::new();

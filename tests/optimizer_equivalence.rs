@@ -32,8 +32,12 @@ fn skewed_store() -> Store {
     for h in 0..10 {
         let hub = Term::iri(format!("http://x/hub{h}"));
         quads.push(
-            Quad::triple(hub.clone(), rel.clone(), Term::iri(format!("http://x/r{h}")))
-                .unwrap(),
+            Quad::triple(
+                hub.clone(),
+                rel.clone(),
+                Term::iri(format!("http://x/r{h}")),
+            )
+            .unwrap(),
         );
         for m in 0..100 {
             quads.push(
@@ -46,9 +50,7 @@ fn skewed_store() -> Store {
             );
         }
     }
-    quads.push(
-        Quad::triple(Term::iri("http://x/hub0"), tag, Term::string("T")).unwrap(),
-    );
+    quads.push(Quad::triple(Term::iri("http://x/hub0"), tag, Term::string("T")).unwrap());
     for i in 0..10_000 {
         quads.push(
             Quad::triple(
@@ -77,7 +79,10 @@ fn skewed_join_order_follows_per_predicate_statistics() {
 
     // The 1-row `rel` probe must come before the 100-row `member` fan-out.
     let plan = sparql::explain::render(&compiled);
-    let pos = |what: &str| plan.find(what).unwrap_or_else(|| panic!("no {what} step in:\n{plan}"));
+    let pos = |what: &str| {
+        plan.find(what)
+            .unwrap_or_else(|| panic!("no {what} step in:\n{plan}"))
+    };
     assert!(
         pos("/tag>") < pos("/rel>") && pos("/rel>") < pos("/member>"),
         "expected tag, then rel, then the member fan-out:\n{plan}"
@@ -90,7 +95,11 @@ fn skewed_join_order_follows_per_predicate_statistics() {
         sparql::execute_profiled(&view, &compiled, ExecOptions::threads(1)).unwrap();
     let steps = sparql::explain::step_profiles(&compiled, &prof);
     let tallies: Vec<(u64, u64)> = steps.iter().map(|s| (s.actual_rows, s.loops)).collect();
-    assert_eq!(tallies, [(1, 1), (1, 1), (100, 1)], "rows and loops per step:\n{plan}");
+    assert_eq!(
+        tallies,
+        [(1, 1), (1, 1), (100, 1)],
+        "rows and loops per step:\n{plan}"
+    );
     match results {
         sparql::QueryResults::Solutions(s) => assert_eq!(s.len(), 100),
         other => panic!("expected solutions, got {other:?}"),
@@ -106,8 +115,7 @@ fn skewed_fixture_estimates_are_tight() {
     let view = store.dataset("m").unwrap();
     let parsed = sparql::parse_query(SKEWED_QUERY).unwrap();
     let compiled = sparql::compile_with(&view, &parsed, CompileOptions::default()).unwrap();
-    let (_, prof) =
-        sparql::execute_profiled(&view, &compiled, ExecOptions::threads(1)).unwrap();
+    let (_, prof) = sparql::execute_profiled(&view, &compiled, ExecOptions::threads(1)).unwrap();
     for step in sparql::explain::step_profiles(&compiled, &prof) {
         if !step.executed {
             continue;

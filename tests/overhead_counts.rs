@@ -100,7 +100,12 @@ fn per_query_overheads_do_not_grow_with_rows() {
     let mut deltas = Vec::new();
     for (dataset, text) in &queries {
         let facade = |options: &ExecOptions| {
-            counted(|| store.select_in_with(dataset, text, options.clone()).expect("query").len())
+            counted(|| {
+                store
+                    .select_in_with(dataset, text, options.clone())
+                    .expect("query")
+                    .len()
+            })
         };
         let (base, rows) = facade(&bare);
         store.set_governor(GovernorConfig::concurrency(64));
@@ -121,7 +126,12 @@ fn per_query_overheads_do_not_grow_with_rows() {
              {flight} recorder on, {metrics} telemetry on, {executor} executor alone \
              (facade: {own} per query)"
         );
-        let added = [delta(governor, base), delta(flight, base), delta(metrics, base), own];
+        let added = [
+            delta(governor, base),
+            delta(flight, base),
+            delta(metrics, base),
+            own,
+        ];
         deltas.push((rows, added));
     }
     let [(small, small_deltas), (large, large_deltas)] = deltas[..] else {
@@ -141,12 +151,21 @@ fn per_query_overheads_do_not_grow_with_rows() {
     // allocates less than the same BGP's unordered rows, each of which is
     // materialised and decoded.
     let view = store.store().dataset(&queries[1].0).expect("dataset");
-    let follows = format!("{}SELECT ?s ?o WHERE {{ ?s r:follows ?o }}", PgVocab::twitter().prefixes());
+    let follows = format!(
+        "{}SELECT ?s ?o WHERE {{ ?s r:follows ?o }}",
+        PgVocab::twitter().prefixes()
+    );
     let (top, ten) = executor_alone(&view, &format!("{follows} ORDER BY ?o ?s LIMIT 10"), &bare);
     let (all, relation) = executor_alone(&view, &follows, &bare);
     println!("ORDER BY ?o ?s LIMIT 10: {top} allocations; all {relation} rows unordered: {all}");
-    assert!(ten == 10 && relation > 500, "row counts {ten} and {relation}");
-    assert!(top < all, "the top ten allocated {top} times, all {relation} rows {all} times");
+    assert!(
+        ten == 10 && relation > 500,
+        "row counts {ten} and {relation}"
+    );
+    assert!(
+        top < all,
+        "the top ten allocated {top} times, all {relation} rows {all} times"
+    );
 
     // Planning reads the pinned statistics snapshot, which a write below
     // the drift threshold leaves alone: the first compile of EQ5 (a
@@ -161,13 +180,19 @@ fn per_query_overheads_do_not_grow_with_rows() {
     };
     compile();
     let warm = compile();
-    let edge_kv = store.partition_names().expect("partitioned fixture").edge_kv;
-    let quad = Quad::triple(Term::iri("urn:v1"), Term::iri("urn:p"), Term::iri("urn:v2"))
-        .expect("quad");
+    let edge_kv = store
+        .partition_names()
+        .expect("partitioned fixture")
+        .edge_kv;
+    let quad =
+        Quad::triple(Term::iri("urn:v1"), Term::iri("urn:p"), Term::iri("urn:v2")).expect("quad");
     assert!(store.store().insert(&edge_kv, &quad).expect("insert"));
     let after_write = compile();
     println!("EQ5 compile: {warm} allocations warm, {after_write} first after a write");
-    assert_eq!(warm, after_write, "a write must not make planning rescan the model");
+    assert_eq!(
+        warm, after_write,
+        "a write must not make planning rescan the model"
+    );
 
     // 200 distinct texts of pgbench's five point-lookup shapes, over tags
     // and vertices both present and absent: each compile makes one cached
@@ -183,17 +208,31 @@ fn per_query_overheads_do_not_grow_with_rows() {
         let tag = format!("#tag{i}");
         let (s, o) = (vertex(i), vertex(i + 1));
         store.select_in(&names.node_kv, &qs.eq1(&tag)).expect("EQ1");
-        store.select_in(&names.topology_edgekv, &qs.eq5(&tag)).expect("EQ5");
+        store
+            .select_in(&names.topology_edgekv, &qs.eq5(&tag))
+            .expect("EQ5");
         let p1 = format!("{p}SELECT ?k ?v WHERE {{ {s} ?k ?v }}");
         store.select_in(&names.node_kv, &p1).expect("P1");
         let p2 = format!("{p}SELECT ?o WHERE {{ {s} r:follows ?o }}");
         store.select_in(&names.topology, &p2).expect("P2");
-        store.query(&format!("{p}ASK {{ {s} r:follows {o} }}")).expect("P3");
+        store
+            .query(&format!("{p}ASK {{ {s} r:follows {o} }}"))
+            .expect("P3");
     }
     let compiled = cache.compiles() - compiles;
-    println!("200 lookups: {compiled} compiles, {} cached variants", cache.len());
-    assert_eq!(compiled as usize, cache.len(), "every compile is a variant still cached");
-    assert!(compiled <= 20, "200 texts of 5 shapes compiled {compiled} times");
+    println!(
+        "200 lookups: {compiled} compiles, {} cached variants",
+        cache.len()
+    );
+    assert_eq!(
+        compiled as usize,
+        cache.len(),
+        "every compile is a variant still cached"
+    );
+    assert!(
+        compiled <= 20,
+        "200 texts of 5 shapes compiled {compiled} times"
+    );
 
     // A hash-join build side is one flat table: its allocations do not
     // grow with its distinct keys. The same ten probes run against
@@ -211,17 +250,27 @@ fn per_query_overheads_do_not_grow_with_rows() {
     let hash_join = |build: &str| {
         let text = format!("SELECT * WHERE {{ ?a <urn:q> ?k . ?k <{build}> ?v }}");
         let query = sparql::parse_query(&text).expect("parse");
-        let options = CompileOptions { force_join: Some(ForcedJoin::Hash), ..Default::default() };
+        let options = CompileOptions {
+            force_join: Some(ForcedJoin::Hash),
+            ..Default::default()
+        };
         let plan = sparql::compile_with(&view, &query, options).expect("compile");
         counted(|| {
             let results = sparql::execute_compiled_with_options(&view, &plan, bare.clone());
-            results.expect("execute").into_solutions().expect("solutions").len()
+            results
+                .expect("execute")
+                .into_solutions()
+                .expect("solutions")
+                .len()
         })
     };
     let (small, small_rows) = hash_join("urn:small");
     let (large, large_rows) = hash_join("urn:large");
     println!("hash join: {small} allocations over 1,000 build keys, {large} over 20,000");
-    assert!(small_rows == 10 && large_rows == 10, "row counts {small_rows} and {large_rows}");
+    assert!(
+        small_rows == 10 && large_rows == 10,
+        "row counts {small_rows} and {large_rows}"
+    );
     assert!(
         small.abs_diff(large) < 64,
         "a build side allocated {small} times for 1,000 keys and {large} for 20,000"
@@ -243,14 +292,23 @@ fn per_query_overheads_do_not_grow_with_rows() {
         let dataset = t7.dataset_for(Eq::Eq7, model);
         telemetry::set_enabled(true);
         let before = hash_build_rows();
-        let rows = t7.store(model).select_in_with(&dataset, &text, bare.clone()).expect("T7");
+        let rows = t7
+            .store(model)
+            .select_in_with(&dataset, &text, bare.clone())
+            .expect("T7");
         let after = hash_build_rows();
         telemetry::set_enabled(false);
         assert_eq!(rows.len(), 10, "T7 {model}");
         built.push((after.0 - before.0, after.1 - before.1));
     }
-    println!("T7 hash builds (count, rows): NG {:?}, SP {:?}", built[0], built[1]);
-    assert!(built[0].0 == 1 && built[0].1 > 0, "T7-NG builds its hasTag rows once");
+    println!(
+        "T7 hash builds (count, rows): NG {:?}, SP {:?}",
+        built[0], built[1]
+    );
+    assert!(
+        built[0].0 == 1 && built[0].1 > 0,
+        "T7-NG builds its hasTag rows once"
+    );
     assert_eq!(built[1], (0, 0), "T7-SP builds no hash table");
 }
 
@@ -267,10 +325,18 @@ fn hash_build_rows() -> (u64, u64) {
 }
 
 /// Allocations and rows of the executor alone running `text` once warm.
-fn executor_alone(view: &quadstore::DatasetView, text: &str, options: &ExecOptions) -> (u64, usize) {
+fn executor_alone(
+    view: &quadstore::DatasetView,
+    text: &str,
+    options: &ExecOptions,
+) -> (u64, usize) {
     let plan = sparql::compile(view, &sparql::parse_query(text).expect("parse")).expect("compile");
     counted(|| {
         let results = sparql::execute_compiled_with_options(view, &plan, options.clone());
-        results.expect("execute").into_solutions().expect("solutions").len()
+        results
+            .expect("execute")
+            .into_solutions()
+            .expect("solutions")
+            .len()
     })
 }

@@ -18,8 +18,7 @@ use pgrdf_bench::{Eq, Fixture};
 use quadstore::{DatasetView, Store};
 use rdf_model::{GraphName, Quad, Term};
 use sparql::{
-    CompileOptions, CompiledQuery, ExecLimits, ExecObserver, ExecOptions, ForcedJoin,
-    QueryResults,
+    CompileOptions, CompiledQuery, ExecLimits, ExecObserver, ExecOptions, ForcedJoin, QueryResults,
 };
 
 const MODELS: [PgRdfModel; 3] = [PgRdfModel::NG, PgRdfModel::SP, PgRdfModel::RF];
@@ -50,7 +49,9 @@ fn compiled(fixture: &Fixture, eq: Eq, model: PgRdfModel) -> (DatasetView, Compi
 }
 
 fn reference(view: &DatasetView, plan: &CompiledQuery) -> QueryResults {
-    sparql::execute_reference(view, plan, ExecLimits::default()).expect("reference").0
+    sparql::execute_reference(view, plan, ExecLimits::default())
+        .expect("reference")
+        .0
 }
 
 fn run(view: &DatasetView, plan: &CompiledQuery, options: ExecOptions) -> QueryResults {
@@ -199,21 +200,34 @@ fn explain_analyze_tallies_match_the_reference() {
             let parsed = sparql::parse_query(&text).expect("parse");
             let plan = sparql::compile(&view, &parsed).expect("compile");
             let (_, vectorized) = run_observed(&view, &plan, ExecOptions::threads(2));
-            assert!(!vectorized, "{text}: expected the row evaluator, a pipeline ran");
+            assert!(
+                !vectorized,
+                "{text}: expected the row evaluator, a pipeline ran"
+            );
             assert_reference_tallies(&view, &plan, &text);
         }
     }
 
-    let (text, dataset) = (fixture.query_text(Eq::Eq9, ng), fixture.dataset_for(Eq::Eq9, ng));
+    let (text, dataset) = (
+        fixture.query_text(Eq::Eq9, ng),
+        fixture.dataset_for(Eq::Eq9, ng),
+    );
     let options = ExecOptions::threads(2);
-    let (_, profile) = fixture.ng.select_profiled_in(&dataset, &text, options).expect("profiled");
+    let (_, profile) = fixture
+        .ng
+        .select_profiled_in(&dataset, &text, options)
+        .expect("profiled");
     let sys = format!(
         "SELECT ?t WHERE {{ GRAPH <pgrdf:sys/queries> {{ \
            ?q <pgrdf:sys#queryId> {} . ?q <pgrdf:sys#threads> ?t }} }}",
         profile.query_id
     );
     let threads = fixture.ng.select(&sys).expect("sys query").scalar_i64();
-    assert_eq!(threads, Some(2), "sys:threads must be the profiled run's thread count");
+    assert_eq!(
+        threads,
+        Some(2),
+        "sys:threads must be the profiled run's thread count"
+    );
 }
 
 /// A morsel is always run by a pipeline: a plan the columnar compiler
@@ -243,14 +257,21 @@ fn morsels_imply_pipelines() {
         format!("SELECT ?a ?b ?c WHERE {{ {bgp} {{ ?a {q} ?d OPTIONAL {{ ?a {r} ?x }} }} }}"),
         format!("SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE {{ {bgp} MINUS {{ ?a {r} ?x }} }}"),
     ] {
-        assert_eq!(traced(&text), (0, false), "{text}: a morsel ran without a pipeline");
+        assert_eq!(
+            traced(&text),
+            (0, false),
+            "{text}: a morsel ran without a pipeline"
+        );
     }
     for text in [
         format!("SELECT ?a ?b ?c WHERE {{ {bgp} }}"),
         format!("SELECT (COUNT(DISTINCT ?c) AS ?n) WHERE {{ {bgp} }}"),
     ] {
         let (drives, vectorized) = traced(&text);
-        assert!(drives >= 1 && vectorized, "{text}: {drives} drive spans, vectorized={vectorized}");
+        assert!(
+            drives >= 1 && vectorized,
+            "{text}: {drives} drive spans, vectorized={vectorized}"
+        );
     }
 }
 
@@ -274,7 +295,11 @@ fn unfused_grouped_aggregates_match_the_reference() {
         let plan = sparql::compile(&view, &parsed).expect("compile");
         let expected = reference(&view, &plan);
         assert_eq!(row_count(&expected), 40, "{text}");
-        assert_eq!(expected, reference(&view, &plan), "{text}: group order changed between runs");
+        assert_eq!(
+            expected,
+            reference(&view, &plan),
+            "{text}: group order changed between runs"
+        );
         for threads in [1usize, 2, 8] {
             for morsel in [7usize, 1024] {
                 let options = ExecOptions::threads(threads).with_morsel_size(morsel);
@@ -314,7 +339,10 @@ fn ng_edge_family_runs_columnar() {
             let (got, vectorized) = run_observed(&view, &plan, ExecOptions::threads(threads));
             assert_eq!(expected, got, "{label} threads={threads}");
             assert!(vectorized, "{label} threads={threads} missed VecPipeline");
-            assert!(vec_rows() > before, "{label} threads={threads}: vec_rows did not move");
+            assert!(
+                vec_rows() > before,
+                "{label} threads={threads}: vec_rows did not move"
+            );
         }
     }
     telemetry::set_enabled(false);
@@ -375,7 +403,11 @@ fn repeated_variables_in_one_triple() {
             5,
         ),
         // A self-loop probe behind a one-row scan.
-        ("SELECT ?n ?z WHERE { ?n <http://x/name> \"ann\" . ?z <http://x/follows> ?z }", None, 2),
+        (
+            "SELECT ?n ?z WHERE { ?n <http://x/name> \"ann\" . ?z <http://x/follows> ?z }",
+            None,
+            2,
+        ),
         // Hash join on ?m with ?g repeated on the build side: a follows a
         // once and b twice (default graph and e1); e9's quad is not its own
         // graph's.
@@ -388,7 +420,10 @@ fn repeated_variables_in_one_triple() {
     ];
     for (text, force_join, rows) in cases {
         let parsed = sparql::parse_query(text).expect("parse");
-        let options = CompileOptions { force_join, ..CompileOptions::default() };
+        let options = CompileOptions {
+            force_join,
+            ..CompileOptions::default()
+        };
         let plan = sparql::compile_with(&view, &parsed, options).expect("compile");
         let expected = reference(&view, &plan);
         assert_eq!(row_count(&expected), rows, "{text}");
@@ -396,7 +431,10 @@ fn repeated_variables_in_one_triple() {
             for morsel_size in [1usize, 1024] {
                 let options = ExecOptions::threads(threads).with_morsel_size(morsel_size);
                 let (got, vectorized) = run_observed(&view, &plan, options);
-                assert_eq!(expected, got, "{text}: threads={threads} morsel={morsel_size}");
+                assert_eq!(
+                    expected, got,
+                    "{text}: threads={threads} morsel={morsel_size}"
+                );
                 assert!(vectorized, "{text}: threads={threads} missed VecPipeline");
             }
         }
@@ -411,7 +449,9 @@ fn tail_store() -> Store {
     let mut quads = Vec::new();
     for i in 0..40i32 {
         let mut add = |p: &str, n: i32| {
-            quads.push(Quad::triple(iri(format!("s{i:02}")), iri(p.into()), Term::int(n)).expect("quad"));
+            quads.push(
+                Quad::triple(iri(format!("s{i:02}")), iri(p.into()), Term::int(n)).expect("quad"),
+            );
         };
         add("p", i % 7);
         add("p", i % 3 + 7);
@@ -438,11 +478,13 @@ type TermRow = Vec<Option<Term>>;
 fn key_order(a: &Option<Term>, b: &Option<Term>) -> std::cmp::Ordering {
     let num = |t: &Option<Term>| t.as_ref()?.as_literal()?.as_f64();
     let text = |t: &Option<Term>| t.as_ref().map(|t| t.str_value().to_string());
-    a.is_some().cmp(&b.is_some()).then_with(|| match (num(a), num(b)) {
-        (Some(x), Some(y)) => x.total_cmp(&y),
-        (None, None) => text(a).cmp(&text(b)),
-        (x, y) => y.is_some().cmp(&x.is_some()),
-    })
+    a.is_some()
+        .cmp(&b.is_some())
+        .then_with(|| match (num(a), num(b)) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            (None, None) => text(a).cmp(&text(b)),
+            (x, y) => y.is_some().cmp(&x.is_some()),
+        })
 }
 
 /// The result tail against an oracle that is not the tail
@@ -462,7 +504,13 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
     let (p, q, r) = ("<http://x/p>", "<http://x/q>", "<http://x/r>");
     // (name, untailed head, tailed head, WHERE + GROUP BY, sequential order?)
     let shapes: [(&str, &str, &str, String, bool); 6] = [
-        ("flat BGP", "?a ?b ?c", "?a ?b", format!("{{ ?a {p} ?b . ?a {q} ?c }}"), true),
+        (
+            "flat BGP",
+            "?a ?b ?c",
+            "?a ?b",
+            format!("{{ ?a {p} ?b . ?a {q} ?c }}"),
+            true,
+        ),
         (
             "GROUP BY + COUNT",
             "?a (COUNT(*) AS ?b) ?c",
@@ -487,7 +535,13 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
             format!("{{ {{ ?a {p} ?b . ?a {q} ?c }} UNION {{ ?a {r} ?b . ?a {q} ?c }} }}"),
             true,
         ),
-        ("OPTIONAL root", "?a ?b ?c", "?a ?b", format!("{{ ?a {p} ?b OPTIONAL {{ ?a {q} ?c }} }}"), true),
+        (
+            "OPTIONAL root",
+            "?a ?b ?c",
+            "?a ?b",
+            format!("{{ ?a {p} ?b OPTIONAL {{ ?a {q} ?c }} }}"),
+            true,
+        ),
         (
             "FILTER around a mixed UNION",
             "?a ?b ?c",
@@ -502,11 +556,14 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
     // Sort keys as (column of the untailed row, descending); the last one
     // leads with the non-projected ?c. The grouped shape extends each to
     // a total order over its (?a, ?c) groups.
-    let orders: [&[(usize, bool)]; 4] = [&[], &[(0, false)], &[(0, true), (1, false)], &[(2, false)]];
+    let orders: [&[(usize, bool)]; 4] =
+        [&[], &[(0, false)], &[(0, true), (1, false)], &[(2, false)]];
     let mut configs: Vec<Option<ExecOptions>> = vec![None];
     for threads in [1usize, 2, 8] {
         for morsel_size in [1usize, 7, 1024] {
-            configs.push(Some(ExecOptions::threads(threads).with_morsel_size(morsel_size)));
+            configs.push(Some(
+                ExecOptions::threads(threads).with_morsel_size(morsel_size),
+            ));
         }
     }
     let compile = |text: &str| {
@@ -546,7 +603,10 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
                 true => *rows == untailed[0],
                 false => as_multiset(rows) == as_multiset(&untailed[0]),
             };
-            assert!(same, "{name}: untailed rows under {config:?} differ from the reference");
+            assert!(
+                same,
+                "{name}: untailed rows under {config:?} differ from the reference"
+            );
         }
         for order in orders {
             let mut order = order.to_vec();
@@ -555,10 +615,16 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
             }
             let order_text = match order.is_empty() {
                 true => String::new(),
-                false => order.iter().fold(" ORDER BY".to_string(), |text, &(col, desc)| {
-                    let var = ["?a", "?b", "?c"][col];
-                    text + &if desc { format!(" DESC({var})") } else { format!(" {var}") }
-                }),
+                false => order
+                    .iter()
+                    .fold(" ORDER BY".to_string(), |text, &(col, desc)| {
+                        let var = ["?a", "?b", "?c"][col];
+                        text + &if desc {
+                            format!(" DESC({var})")
+                        } else {
+                            format!(" {var}")
+                        }
+                    }),
             };
             for distinct in [false, true] {
                 for offset in [0usize, 3] {
@@ -577,10 +643,12 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
                         for (config, untailed) in configs.iter().zip(&untailed) {
                             let mut sorted = untailed.clone();
                             sorted.sort_by(|x, y| {
-                                order.iter().fold(std::cmp::Ordering::Equal, |ord, &(col, desc)| {
-                                    let next = key_order(&x[col], &y[col]);
-                                    ord.then(if desc { next.reverse() } else { next })
-                                })
+                                order
+                                    .iter()
+                                    .fold(std::cmp::Ordering::Equal, |ord, &(col, desc)| {
+                                        let next = key_order(&x[col], &y[col]);
+                                        ord.then(if desc { next.reverse() } else { next })
+                                    })
                             });
                             let mut projected: Vec<TermRow> =
                                 sorted.into_iter().map(|row| row[..2].to_vec()).collect();
@@ -599,7 +667,11 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
                                 assert!(got == expected, "{name}: {text} under {config:?}");
                                 continue;
                             }
-                            assert_eq!(got.len(), expected.len(), "{name}: {text} under {config:?}");
+                            assert_eq!(
+                                got.len(),
+                                expected.len(),
+                                "{name}: {text} under {config:?}"
+                            );
                             for row in got {
                                 let at = projected.iter().position(|r| *r == row);
                                 let at = at.unwrap_or_else(|| {
@@ -621,15 +693,23 @@ fn result_tails_match_an_oracle_over_the_untailed_rows() {
 fn eleven_pattern_bgp_plans_greedily() {
     let store = shapes_store();
     let view = store.dataset("m").expect("dataset");
-    let chain: Vec<String> =
-        (0..11).map(|i| format!("?v{i} <http://x/next> ?v{}", i + 1)).collect();
+    let chain: Vec<String> = (0..11)
+        .map(|i| format!("?v{i} <http://x/next> ?v{}", i + 1))
+        .collect();
     let text = format!("SELECT ?v0 ?v11 WHERE {{ {} }}", chain.join(" . "));
     let parsed = sparql::parse_query(&text).expect("parse");
     let plan = sparql::compile(&view, &parsed).expect("compile");
     let expected = reference(&view, &plan);
     assert_eq!(row_count(&expected), 1);
     for threads in [1usize, 4] {
-        assert_eq!(expected, run(&view, &plan, ExecOptions::threads(threads).with_morsel_size(3)));
+        assert_eq!(
+            expected,
+            run(
+                &view,
+                &plan,
+                ExecOptions::threads(threads).with_morsel_size(3)
+            )
+        );
     }
 }
 

@@ -92,7 +92,9 @@ fn every_store_mutator_bumps_the_epoch() {
     .unwrap();
     store.insert("m", &quad).unwrap();
     bumped(&store, "insert", &mut last);
-    store.create_index("m", quadstore::IndexKind::SPCGM).unwrap();
+    store
+        .create_index("m", quadstore::IndexKind::SPCGM)
+        .unwrap();
     bumped(&store, "create_index", &mut last);
     store.drop_index("m", quadstore::IndexKind::SPCGM).unwrap();
     bumped(&store, "drop_index", &mut last);
@@ -188,7 +190,9 @@ fn execution_options_are_not_part_of_the_cache_key() {
     let dataset = s.dataset_name();
     let q = "PREFIX key: <http://pg/k/> SELECT ?n WHERE { ?v key:name ?n }";
 
-    let first = s.select_in_with(&dataset, q, ExecOptions::default()).unwrap();
+    let first = s
+        .select_in_with(&dataset, q, ExecOptions::default())
+        .unwrap();
     for options in [
         ExecOptions::threads(1),
         ExecOptions::threads(4).with_morsel_size(1),
@@ -196,7 +200,9 @@ fn execution_options_are_not_part_of_the_cache_key() {
     ] {
         assert_eq!(first, s.select_in_with(&dataset, q, options).unwrap());
     }
-    let (profiled, prof) = s.select_profiled_in(&dataset, q, ExecOptions::default()).unwrap();
+    let (profiled, prof) = s
+        .select_profiled_in(&dataset, q, ExecOptions::default())
+        .unwrap();
     assert_eq!(first, profiled);
     assert!(prof.cache_hit, "the profiled run must reuse the entry");
     assert_eq!(s.plan_cache().compiles(), 1);

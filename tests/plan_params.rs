@@ -35,7 +35,9 @@ fn answer(results: QueryResults) -> Answer {
 /// Runs `text` through the facade and through a fresh compile, both
 /// against the store's whole dataset, and asserts the answers agree.
 fn agree(store: &PgRdfStore, text: &str) {
-    let served = store.query(text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", store.model()));
+    let served = store
+        .query(text)
+        .unwrap_or_else(|e| panic!("{}: {e}\n{text}", store.model()));
     let fresh = sparql::query(store.store(), &store.dataset_name(), text).expect("fresh query");
     assert_eq!(answer(served), answer(fresh), "{}: {text}", store.model());
 }
@@ -48,7 +50,9 @@ fn fresh_at(store: &PgRdfStore, snapshot: &Snapshot, text: &str) -> Answer {
 }
 
 fn served_at(store: &PgRdfStore, snapshot: &Snapshot, text: &str) -> Answer {
-    answer(QueryResults::Solutions(store.select_at(snapshot, text).expect("query at snapshot")))
+    answer(QueryResults::Solutions(
+        store.select_at(snapshot, text).expect("query at snapshot"),
+    ))
 }
 
 /// Eight people with names, ages and their ages as plain strings: a
@@ -57,18 +61,30 @@ fn served_at(store: &PgRdfStore, snapshot: &Snapshot, text: &str) -> Answer {
 fn people() -> PropertyGraph {
     let mut g = PropertyGraph::new();
     for i in 1..=8u64 {
-        let name = if i == 8 { "Quo\"ted".to_string() } else { format!("P{i}") };
+        let name = if i == 8 {
+            "Quo\"ted".to_string()
+        } else {
+            format!("P{i}")
+        };
         let age = 20 + i as i64;
         let code = PropValue::from(age.to_string());
-        let props = [("name", PropValue::from(name)), ("age", age.into()), ("code", code)];
+        let props = [
+            ("name", PropValue::from(name)),
+            ("age", age.into()),
+            ("code", code),
+        ];
         g.add_vertex_with_props(i, props);
     }
     for i in 1..=6u64 {
-        let e = g.add_edge_with_id(100 + i, i, "follows", i + 1).expect("fresh id");
-        g.set_edge_prop(e, "since", 2000 + i as i64).expect("edge exists");
+        let e = g
+            .add_edge_with_id(100 + i, i, "follows", i + 1)
+            .expect("fresh id");
+        g.set_edge_prop(e, "since", 2000 + i as i64)
+            .expect("edge exists");
     }
     for o in [3, 4, 5] {
-        g.add_edge_with_id(200 + o, 1, "follows", o).expect("fresh id");
+        g.add_edge_with_id(200 + o, 1, "follows", o)
+            .expect("fresh id");
     }
     g.add_edge_with_id(300, 2, "knows", 1).expect("fresh id");
     g
@@ -106,14 +122,23 @@ fn lifted_constants_bind_in_every_position_they_can_occupy() {
     // One case per shape: its texts, with `$v` a vertex, `$a`/`$b` a
     // pair of vertices or `$x` a word.
     let vertices = |shape: &str| -> Vec<String> {
-        VERTICES.iter().map(|&i| format!("{p}{}", shape.replace("$v", &v(i)))).collect()
+        VERTICES
+            .iter()
+            .map(|&i| format!("{p}{}", shape.replace("$v", &v(i))))
+            .collect()
     };
     let pairs = |shape: &str, pairs: &[(u64, u64)]| -> Vec<String> {
         let bind = |&(a, b): &(u64, u64)| shape.replace("$a", &v(a)).replace("$b", &v(b));
-        pairs.iter().map(|pair| format!("{p}{}", bind(pair))).collect()
+        pairs
+            .iter()
+            .map(|pair| format!("{p}{}", bind(pair)))
+            .collect()
     };
     let words = |shape: &str, words: &[&str]| -> Vec<String> {
-        words.iter().map(|w| format!("{p}{}", shape.replace("$x", w))).collect()
+        words
+            .iter()
+            .map(|w| format!("{p}{}", shape.replace("$x", w)))
+            .collect()
     };
     let xsd_int = "<http://www.w3.org/2001/XMLSchema#int>";
     let mut cases: Vec<Vec<String>> = vec![
@@ -123,15 +148,30 @@ fn lifted_constants_bind_in_every_position_they_can_occupy() {
         // A repeated constant pins itself; distinct ones rebind.
         pairs(
             "ASK { $a r:follows $b }",
-            &[(1, 1), (1, 2), (2, 3), (3, 3), (1, 99), (99, 99), (2, 1), (4, 5)],
+            &[
+                (1, 1),
+                (1, 2),
+                (2, 3),
+                (3, 3),
+                (1, 99),
+                (99, 99),
+                (2, 1),
+                (4, 5),
+            ],
         ),
         // Predicate, GRAPH, FILTER pin, VALUES and BIND positions pin.
-        words("SELECT ?s ?o WHERE { ?s <http://pg/r/$x> ?o }", &["follows", "knows", "likes"]),
+        words(
+            "SELECT ?s ?o WHERE { ?s <http://pg/r/$x> ?o }",
+            &["follows", "knows", "likes"],
+        ),
         words(
             "SELECT ?k ?x WHERE { GRAPH <http://pg/e$x> { ?s ?k ?x } }",
             &["101", "102", "300", "999"],
         ),
-        words("SELECT ?s WHERE { ?s key:name ?n FILTER(?n = \"$x\") }", &["P1", "P3", "Nobody"]),
+        words(
+            "SELECT ?s WHERE { ?s key:name ?n FILTER(?n = \"$x\") }",
+            &["P1", "P3", "Nobody"],
+        ),
         vertices("SELECT ?s WHERE { ?s r:follows ?o FILTER(?o = $v) }"),
         vertices("SELECT ?o WHERE { VALUES ?s { $v } ?s r:follows ?o }"),
         pairs(
@@ -155,22 +195,41 @@ fn lifted_constants_bind_in_every_position_they_can_occupy() {
         // tagged and typed literals, numbers and BASE queries stay whole.
         words(
             "SELECT ?x WHERE { ?x key:name $x }",
-            &[r#""P1""#, r#""Quo\"ted""#, "'P2'", r#""Nobody""#, r#""P1"@en"#],
+            &[
+                r#""P1""#,
+                r#""Quo\"ted""#,
+                "'P2'",
+                r#""Nobody""#,
+                r#""P1"@en"#,
+            ],
         ),
-        words(&format!("SELECT ?x WHERE {{ ?x key:age \"$x\"^^{xsd_int} }}"), &["21", "22", "99"]),
-        words("SELECT ?x WHERE { ?x key:nick \"$x\"@en }", &["N1", "N2", "N3"]),
+        words(
+            &format!("SELECT ?x WHERE {{ ?x key:age \"$x\"^^{xsd_int} }}"),
+            &["21", "22", "99"],
+        ),
+        words(
+            "SELECT ?x WHERE { ?x key:nick \"$x\"@en }",
+            &["N1", "N2", "N3"],
+        ),
         words(
             "SELECT ?x WHERE { ?x key:age ?a . ?x key:name \"P1\" FILTER(?a < $x) }",
             &["23", "25"],
         ),
         VERTICES
             .iter()
-            .map(|&i| format!("BASE <http://pg/> {p}SELECT ?o WHERE {{ {} r:follows ?o }}", v(i)))
+            .map(|&i| {
+                format!(
+                    "BASE <http://pg/> {p}SELECT ?o WHERE {{ {} r:follows ?o }}",
+                    v(i)
+                )
+            })
             .collect(),
     ];
     // Every case once more in reverse order, on the warm cache.
-    let reversed: Vec<Vec<String>> =
-        cases.iter().map(|c| c.iter().rev().cloned().collect()).collect();
+    let reversed: Vec<Vec<String>> = cases
+        .iter()
+        .map(|c| c.iter().rev().cloned().collect())
+        .collect();
     cases.extend(reversed);
     for store in people_stores() {
         let mut texts = 0;
@@ -197,18 +256,41 @@ fn filter_and_predicate_constants_pin_and_subject_constants_rebind() {
     let generic = |text: &str| {
         store.query(text).expect("query");
         let entries = store.plan_cache().entries();
-        let entry = entries.iter().find(|e| e.text == text).expect("the text compiled");
+        let entry = entries
+            .iter()
+            .find(|e| e.text == text)
+            .expect("the text compiled");
         entry.generic_params
     };
     // Compiled first, a repeated constant pins both occurrences; the
     // distinct pair then needs a variant of its own, which rebinds both.
-    assert_eq!(generic(&format!("{p}ASK {{ {} r:follows {} }}", v(3), v(3))), 0);
-    assert_eq!(generic(&format!("{p}ASK {{ {} r:follows {} }}", v(1), v(2))), 2);
-    let pinned = format!("{p}SELECT ?s WHERE {{ ?s r:follows ?o FILTER(?o = {}) }}", v(2));
+    assert_eq!(
+        generic(&format!("{p}ASK {{ {} r:follows {} }}", v(3), v(3))),
+        0
+    );
+    assert_eq!(
+        generic(&format!("{p}ASK {{ {} r:follows {} }}", v(1), v(2))),
+        2
+    );
+    let pinned = format!(
+        "{p}SELECT ?s WHERE {{ ?s r:follows ?o FILTER(?o = {}) }}",
+        v(2)
+    );
     assert_eq!(generic(&pinned), 0);
-    assert_eq!(generic(&format!("{p}SELECT ?s ?o WHERE {{ ?s <http://pg/r/knows> ?o }}")), 0);
-    assert_eq!(generic(&format!("{p}SELECT ?y WHERE {{ {} r:follows+ ?y }}", v(2))), 0);
-    assert_eq!(generic(&format!("{p}SELECT ?x WHERE {{ ?x key:name 'P4' }}")), 1);
+    assert_eq!(
+        generic(&format!(
+            "{p}SELECT ?s ?o WHERE {{ ?s <http://pg/r/knows> ?o }}"
+        )),
+        0
+    );
+    assert_eq!(
+        generic(&format!("{p}SELECT ?y WHERE {{ {} r:follows+ ?y }}", v(2))),
+        0
+    );
+    assert_eq!(
+        generic(&format!("{p}SELECT ?x WHERE {{ ?x key:name 'P4' }}")),
+        1
+    );
 }
 
 #[test]
@@ -239,7 +321,13 @@ fn every_query_set_shape_binds_over_present_and_absent_constants() {
                 QuerySetFn::Vertex(f) => vertices.iter().for_each(|&v| agree(store, &f(&qs, v))),
             }
         }
-        let fixed = [qs.q1_triangles(), qs.q2_edge_kvs(), qs.q4_all_edges(), qs.eq9(), qs.eq10()];
+        let fixed = [
+            qs.q1_triangles(),
+            qs.q2_edge_kvs(),
+            qs.q4_all_edges(),
+            qs.eq9(),
+            qs.eq10(),
+        ];
         for text in fixed.into_iter().chain([qs.eq12()]) {
             agree(store, &text);
             agree(store, &text);
@@ -259,7 +347,9 @@ fn tag_pool(fixture: &Fixture) -> Vec<String> {
     let mut counts: std::collections::BTreeMap<String, usize> = Default::default();
     for (_, vertex) in fixture.graph.vertices() {
         for tag in vertex.props.get("hasTag").into_iter().flatten() {
-            *counts.entry(tag.as_str().expect("string tag").to_string()).or_default() += 1;
+            *counts
+                .entry(tag.as_str().expect("string tag").to_string())
+                .or_default() += 1;
         }
     }
     let mut on_edges = std::collections::BTreeSet::new();
@@ -268,19 +358,30 @@ fn tag_pool(fixture: &Fixture) -> Vec<String> {
             on_edges.insert(tag.as_str().expect("string tag").to_string());
         }
     }
-    let mut tags: Vec<(usize, String)> =
-        counts.into_iter().filter(|(t, _)| on_edges.contains(t)).map(|(t, c)| (c, t)).collect();
+    let mut tags: Vec<(usize, String)> = counts
+        .into_iter()
+        .filter(|(t, _)| on_edges.contains(t))
+        .map(|(t, c)| (c, t))
+        .collect();
     tags.sort_by(|a, b| b.cmp(a));
     let step = (tags.len() / 5).max(1);
     let mut pool = vec![fixture.tag.clone()];
-    pool.extend(tags.into_iter().step_by(step).map(|(_, t)| t).filter(|t| *t != fixture.tag));
+    pool.extend(
+        tags.into_iter()
+            .step_by(step)
+            .map(|(_, t)| t)
+            .filter(|t| *t != fixture.tag),
+    );
     pool.truncate(6);
     pool
 }
 
 /// Step order, access paths and strategies of a plan, as profiled.
 fn plan_shape(steps: &[sparql::StepProfile]) -> Vec<(String, String, String)> {
-    steps.iter().map(|s| (s.pattern.clone(), s.index.clone(), s.strategy.clone())).collect()
+    steps
+        .iter()
+        .map(|s| (s.pattern.clone(), s.index.clone(), s.strategy.clone()))
+        .collect()
 }
 
 #[test]
@@ -303,8 +404,9 @@ fn analytic_plans_bound_from_a_cached_shape_match_a_fresh_compile() {
                     _ => qs.eq8(tag),
                 };
                 let options = || ExecOptions::threads(1);
-                let (_, served) =
-                    store.select_profiled_in(&dataset, &text, options()).expect("served");
+                let (_, served) = store
+                    .select_profiled_in(&dataset, &text, options())
+                    .expect("served");
                 let view = store.store().dataset(&dataset).expect("dataset");
                 let plan = sparql::compile(&view, &sparql::parse_query(&text).expect("parse"))
                     .expect("compile");
@@ -323,7 +425,10 @@ fn analytic_plans_bound_from_a_cached_shape_match_a_fresh_compile() {
             }
         }
     }
-    assert!(bound > 0, "no tag was served from a plan bound to another tag");
+    assert!(
+        bound > 0,
+        "no tag was served from a plan bound to another tag"
+    );
 }
 
 #[test]
@@ -362,11 +467,22 @@ fn plans_compiled_on_a_newer_snapshot_are_not_replayed_on_an_older_one() {
     for store in people_stores() {
         let old = store.snapshot();
         store
-            .update(&format!("{p}INSERT DATA {{ {} r:follows {} }}", v(60), v(1)))
+            .update(&format!(
+                "{p}INSERT DATA {{ {} r:follows {} }}",
+                v(60),
+                v(1)
+            ))
             .expect("insert");
         let new = store.snapshot();
         let from = |s: u64| format!("{p}SELECT ?o WHERE {{ {} r:follows ?o }}", v(s));
-        for (snapshot, s) in [(&new, 60), (&old, 60), (&old, 1), (&new, 1), (&old, 60), (&new, 2)] {
+        for (snapshot, s) in [
+            (&new, 60),
+            (&old, 60),
+            (&old, 1),
+            (&new, 1),
+            (&old, 60),
+            (&new, 2),
+        ] {
             assert_eq!(
                 served_at(&store, snapshot, &from(s)),
                 fresh_at(&store, snapshot, &from(s)),
@@ -394,7 +510,12 @@ fn plans_compiled_on_a_newer_snapshot_are_not_replayed_on_an_older_one() {
                 snapshot.epoch()
             );
             let at = snapshot.epoch();
-            assert_eq!(compiles() - before, compiled, "{} at epoch {at}", store.model());
+            assert_eq!(
+                compiles() - before,
+                compiled,
+                "{} at epoch {at}",
+                store.model()
+            );
         }
     }
 }

@@ -125,10 +125,26 @@ fn intro_uncle_query_runs() {
         .bulk_load(
             "m",
             &[
-                t("http://x/john", "http://x/name", rdf_model::Term::string("John")),
-                t("http://x/john", "http://x/hasFather", rdf_model::Term::iri("http://x/fred")),
-                t("http://x/fred", "http://x/hasBrother", rdf_model::Term::iri("http://x/bob")),
-                t("http://x/bob", "http://x/worksFor", rdf_model::Term::iri("http://x/oracle")),
+                t(
+                    "http://x/john",
+                    "http://x/name",
+                    rdf_model::Term::string("John"),
+                ),
+                t(
+                    "http://x/john",
+                    "http://x/hasFather",
+                    rdf_model::Term::iri("http://x/fred"),
+                ),
+                t(
+                    "http://x/fred",
+                    "http://x/hasBrother",
+                    rdf_model::Term::iri("http://x/bob"),
+                ),
+                t(
+                    "http://x/bob",
+                    "http://x/worksFor",
+                    rdf_model::Term::iri("http://x/oracle"),
+                ),
             ],
         )
         .unwrap();

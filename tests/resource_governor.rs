@@ -55,8 +55,7 @@ fn cancellation_returns_in_bounded_time_across_thread_counts() {
             let options = ExecOptions::threads(threads).with_cancel(token.clone());
             std::thread::spawn(move || {
                 let started = Instant::now();
-                let result =
-                    sparql::query_with_options(&store, "m", TRIPLE_CROSS, options);
+                let result = sparql::query_with_options(&store, "m", TRIPLE_CROSS, options);
                 tx.send((result, started.elapsed())).ok();
             })
         };
@@ -87,8 +86,7 @@ fn cancellation_returns_in_bounded_time_across_thread_counts() {
 /// aborts at the first periodic check without doing real work.
 #[test]
 fn facade_cancel_token_aborts_with_typed_error() {
-    let store =
-        PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load");
+    let store = PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load");
     let dataset = store.dataset_name();
     let token = CancelToken::new();
     token.cancel();
@@ -152,9 +150,8 @@ fn memory_budget_aborts_a_large_group_by() {
 /// `Overloaded` error, and the stats account for every arrival.
 #[test]
 fn admission_control_sheds_under_sixteen_clients() {
-    let store = Arc::new(
-        PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load"),
-    );
+    let store =
+        Arc::new(PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load"));
     let governor = store.set_governor(GovernorConfig {
         max_concurrent: 1,
         max_queue: 1,
@@ -197,9 +194,7 @@ fn admission_control_sheds_under_sixteen_clients() {
         })
         .collect();
     let burst_started = Instant::now();
-    while shed.load(Ordering::Relaxed) == 0
-        && burst_started.elapsed() < Duration::from_secs(5)
-    {
+    while shed.load(Ordering::Relaxed) == 0 && burst_started.elapsed() < Duration::from_secs(5) {
         std::thread::sleep(Duration::from_millis(1));
     }
     drop(warm);
@@ -209,9 +204,17 @@ fn admission_control_sheds_under_sixteen_clients() {
 
     let stats = governor.stats();
     let total = (CLIENTS * PER_CLIENT) as u64;
-    assert_eq!(ok.load(Ordering::Relaxed), stats.admitted, "admit accounting");
+    assert_eq!(
+        ok.load(Ordering::Relaxed),
+        stats.admitted,
+        "admit accounting"
+    );
     assert_eq!(shed.load(Ordering::Relaxed), stats.shed, "shed accounting");
-    assert_eq!(stats.admitted + stats.shed, total, "every arrival accounted for");
+    assert_eq!(
+        stats.admitted + stats.shed,
+        total,
+        "every arrival accounted for"
+    );
     assert!(stats.admitted > 0, "at least some queries must be admitted");
     assert!(
         stats.shed > 0,
@@ -222,15 +225,16 @@ fn admission_control_sheds_under_sixteen_clients() {
     assert_eq!(governor.running(), 0);
     assert_eq!(governor.waiting(), 0);
     store.clear_governor();
-    store.query_with(q, ExecOptions::default()).expect("post-burst query");
+    store
+        .query_with(q, ExecOptions::default())
+        .expect("post-burst query");
 }
 
 /// An explicit per-query memory budget above the governor's aggregate cap
 /// still runs — alone — instead of deadlocking.
 #[test]
 fn oversized_reservation_degrades_to_serial_not_deadlock() {
-    let store =
-        PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::SP).expect("load");
+    let store = PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::SP).expect("load");
     let governor = store.set_governor(GovernorConfig {
         max_total_memory: 1 << 20,
         queue_timeout: Duration::from_secs(5),
@@ -239,7 +243,10 @@ fn oversized_reservation_degrades_to_serial_not_deadlock() {
     governor.reset_stats();
     let options = ExecOptions::default().with_limits(ExecLimits::memory(1 << 30));
     store
-        .query_with("PREFIX key: <http://pg/k/> SELECT ?v WHERE { ?v key:age ?a }", options)
+        .query_with(
+            "PREFIX key: <http://pg/k/> SELECT ?v WHERE { ?v key:age ?a }",
+            options,
+        )
         .expect("an over-budget query must run alone, not deadlock");
     let stats = governor.stats();
     assert_eq!(stats.admitted, 1);
@@ -264,8 +271,10 @@ fn fsync_storm_degrades_to_read_only_and_recovers_without_losing_acks() {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos())
         .unwrap_or(0);
-    let dir = std::env::temp_dir()
-        .join(format!("pgrdf_governor_fsync_{}_{nonce}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "pgrdf_governor_fsync_{}_{nonce}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let vfs = Arc::new(FaultyVfs::counting());
     let mut ds = DurableStore::open_with_retry(
@@ -310,11 +319,17 @@ fn fsync_storm_degrades_to_read_only_and_recovers_without_losing_acks() {
 
     // Reads keep serving while degraded, and further writes fail fast.
     assert_eq!(ds.store().model("m").expect("model").len(), acked.len());
-    assert!(matches!(ds.insert("m", &quad(999)), Err(StoreError::ReadOnly(_))));
+    assert!(matches!(
+        ds.insert("m", &quad(999)),
+        Err(StoreError::ReadOnly(_))
+    ));
     assert!(matches!(ds.sync(), Err(StoreError::ReadOnly(_))));
 
     // While the fault persists, the recovery probe keeps the store down.
-    assert!(!ds.try_recover(), "probe must fail while fsync still faults");
+    assert!(
+        !ds.try_recover(),
+        "probe must fail while fsync still faults"
+    );
     assert!(ds.is_read_only());
 
     // Fault clears → probe re-arms writes and the store accepts DML again.
@@ -328,7 +343,11 @@ fn fsync_storm_degrades_to_read_only_and_recovers_without_losing_acks() {
     // Cold recovery replays exactly the acknowledged writes.
     let reopened = DurableStore::open(&dir).expect("reopen");
     let model = reopened.store().model("m").expect("model");
-    assert_eq!(model.len(), acked.len(), "acked writes survive, nothing extra");
+    assert_eq!(
+        model.len(),
+        acked.len(),
+        "acked writes survive, nothing extra"
+    );
     let present = |i: u32| {
         let ask = format!("ASK {{ <http://s{i}> <http://p> <http://o{i}> }}");
         match sparql::query(reopened.store(), "m", &ask).expect("ask") {
@@ -336,8 +355,14 @@ fn fsync_storm_degrades_to_read_only_and_recovers_without_losing_acks() {
             other => panic!("ASK returned {other:?}"),
         }
     };
-    assert!(present(0) && present(119) && present(500), "acked quads lost");
-    assert!(!present(120) && !present(999), "un-acked quads must not reappear");
+    assert!(
+        present(0) && present(119) && present(500),
+        "acked quads lost"
+    );
+    assert!(
+        !present(120) && !present(999),
+        "un-acked quads must not reappear"
+    );
     drop(reopened);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -354,8 +379,7 @@ fn fsync_storm_degrades_to_read_only_and_recovers_without_losing_acks() {
 /// recorder with the same outcome.
 #[test]
 fn aborted_queries_are_recorded_with_their_outcome() {
-    let store =
-        PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load");
+    let store = PgRdfStore::load(&PropertyGraph::sample_figure1(), PgRdfModel::NG).expect("load");
     let dataset = store.dataset_name();
     store.set_slow_query_threshold(u64::MAX);
 
@@ -363,7 +387,10 @@ fn aborted_queries_are_recorded_with_their_outcome() {
     store
         .select("PREFIX key: <http://pg/k/> SELECT ?v WHERE { ?v key:age ?a }")
         .expect("ok query");
-    assert!(store.slow_queries().is_empty(), "fast ok queries must not land in the log");
+    assert!(
+        store.slow_queries().is_empty(),
+        "fast ok queries must not land in the log"
+    );
 
     let cross = "SELECT ?a ?b ?c WHERE { ?a ?p ?x . ?b ?q ?y . ?c ?r ?z }";
 
@@ -372,7 +399,10 @@ fn aborted_queries_are_recorded_with_their_outcome() {
     token.cancel();
     let options = ExecOptions::default().with_cancel(token);
     let cancelled = store.select_in_with(&dataset, cross, options);
-    assert!(matches!(cancelled, Err(CoreError::Sparql(SparqlError::Cancelled))));
+    assert!(matches!(
+        cancelled,
+        Err(CoreError::Sparql(SparqlError::Cancelled))
+    ));
 
     // Budget trip (row budget reads as `memory_exhausted`).
     let exhausted = store.select_in_with(
@@ -380,7 +410,10 @@ fn aborted_queries_are_recorded_with_their_outcome() {
         cross,
         ExecOptions::default().with_limits(ExecLimits::rows(10)),
     );
-    assert!(matches!(exhausted, Err(CoreError::Sparql(SparqlError::ResourceExhausted(_)))));
+    assert!(matches!(
+        exhausted,
+        Err(CoreError::Sparql(SparqlError::ResourceExhausted(_)))
+    ));
 
     // Shed: the only execution slot is held and there is no queue seat,
     // so the next arrival is rejected before doing any work.
@@ -392,7 +425,10 @@ fn aborted_queries_are_recorded_with_their_outcome() {
     });
     let slot = governor.admit(1).expect("occupy the only slot");
     let shed = store.select_in(&dataset, cross);
-    assert!(matches!(shed, Err(CoreError::Overloaded(_))), "expected shed, got {shed:?}");
+    assert!(
+        matches!(shed, Err(CoreError::Overloaded(_))),
+        "expected shed, got {shed:?}"
+    );
     drop(slot);
     store.clear_governor();
 

@@ -99,7 +99,11 @@ fn rand_graph(seed: u64) -> PropertyGraph {
     let keys = ["age", "name", "score"];
     let mut edges = std::collections::BTreeSet::new();
     for _ in 0..r.gen_range(0..15) {
-        edges.insert((r.gen_range(0..10) as u64, r.gen_range(0..2), r.gen_range(0..10) as u64));
+        edges.insert((
+            r.gen_range(0..10) as u64,
+            r.gen_range(0..2),
+            r.gen_range(0..10) as u64,
+        ));
     }
     let mut g = PropertyGraph::new();
     let mut ids = Vec::new();
@@ -107,11 +111,15 @@ fn rand_graph(seed: u64) -> PropertyGraph {
         ids.push(g.add_edge(src, labels[label], dst));
     }
     for _ in 0..r.gen_range(0..15) {
-        let (v, key, val) =
-            (r.gen_range(0..10) as u64, r.gen_range(0..3), r.gen_range(0..55) as i64 - 5);
+        let (v, key, val) = (
+            r.gen_range(0..10) as u64,
+            r.gen_range(0..3),
+            r.gen_range(0..55) as i64 - 5,
+        );
         g.add_vertex(v);
         if key == 1 {
-            g.add_vertex_prop(v, keys[key], format!("s{val}")).expect("exists");
+            g.add_vertex_prop(v, keys[key], format!("s{val}"))
+                .expect("exists");
         } else {
             g.add_vertex_prop(v, keys[key], val).expect("exists");
         }

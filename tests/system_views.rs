@@ -110,7 +110,11 @@ fn sys_plans_graph_lists_cached_entries() {
         )
         .expect("plans query");
     let hit_entry = sols.rows.iter().find(|row| {
-        row[0].as_ref().and_then(|t| t.as_literal()).map(|l| l.lexical()) == Some(q.as_str())
+        row[0]
+            .as_ref()
+            .and_then(|t| t.as_literal())
+            .map(|l| l.lexical())
+            == Some(q.as_str())
     });
     let hits = hit_entry.expect("cached entry visible")[1]
         .as_ref()
@@ -149,7 +153,9 @@ fn sys_queries_report_whether_a_vectorized_pipeline_ran() {
         let text = fixture.query_text(eq, PgRdfModel::NG);
         let dataset = fixture.dataset_for(eq, PgRdfModel::NG);
         for threads in [1usize, 4] {
-            store.select_in_with(&dataset, &text, ExecOptions::threads(threads)).expect("select");
+            store
+                .select_in_with(&dataset, &text, ExecOptions::threads(threads))
+                .expect("select");
             let flags = recorded(&text, threads);
             assert!(
                 !flags.is_empty() && flags.iter().all(|v| v == "true"),
@@ -167,7 +173,10 @@ fn sys_queries_report_whether_a_vectorized_pipeline_ran() {
     let plan_flags = store
         .select("SELECT ?v WHERE { GRAPH <pgrdf:sys/plans> { ?p <pgrdf:sys#vectorized> ?v } }")
         .expect("plans query");
-    assert!(plan_flags.is_empty(), "pgrdf:sys/plans must not describe an execution");
+    assert!(
+        plan_flags.is_empty(),
+        "pgrdf:sys/plans must not describe an execution"
+    );
 }
 
 /// Sys queries are never cached, governed, recorded or profiled: a
@@ -177,10 +186,16 @@ fn sys_queries_report_whether_a_vectorized_pipeline_ran() {
 fn profiled_sys_query_is_refused_not_answered_from_user_data() {
     let store = sample_store();
     let q = "SELECT (COUNT(*) AS ?n) WHERE { GRAPH <pgrdf:sys/store> { ?s ?p ?o } }";
-    assert!(scalar(&store, q) > 0, "the overlay answers the unprofiled query");
+    assert!(
+        scalar(&store, q) > 0,
+        "the overlay answers the unprofiled query"
+    );
     let profiled = store.select_profiled(q);
     assert!(
-        matches!(profiled, Err(CoreError::Sparql(SparqlError::Unsupported(_)))),
+        matches!(
+            profiled,
+            Err(CoreError::Sparql(SparqlError::Unsupported(_)))
+        ),
         "expected Unsupported, got {profiled:?}"
     );
 }
@@ -261,7 +276,10 @@ fn trace_json_parses_and_spans_nest() {
             "span {} ends before it starts",
             span.scope
         );
-        assert!(span.start_nanos >= last_start, "spans must be start-ordered");
+        assert!(
+            span.start_nanos >= last_start,
+            "spans must be start-ordered"
+        );
         last_start = span.start_nanos;
     }
 
@@ -284,7 +302,9 @@ fn sys_graphs_invisible_unless_named() {
     let store = sample_store();
     let quads_before = store.quads().len();
     // Seed the recorder so the queries graph is non-empty.
-    store.select(&store.queries().q2_edge_kvs()).expect("seed query");
+    store
+        .select(&store.queries().q2_edge_kvs())
+        .expect("seed query");
 
     let graphs = store
         .select("SELECT DISTINCT ?g WHERE { GRAPH ?g { ?s ?p ?o } }")
@@ -296,7 +316,10 @@ fn sys_graphs_invisible_unless_named() {
             rdf_model::Term::Iri(iri) => iri.as_str(),
             other => panic!("unexpected graph term {other:?}"),
         };
-        assert!(!iri.starts_with("pgrdf:sys"), "sys graph leaked into wildcard: {iri}");
+        assert!(
+            !iri.starts_with("pgrdf:sys"),
+            "sys graph leaked into wildcard: {iri}"
+        );
     }
 
     let named = store
@@ -306,5 +329,9 @@ fn sys_graphs_invisible_unless_named() {
         )
         .expect("explicit sys graph");
     assert!(!named.is_empty(), "explicitly named sys graph must resolve");
-    assert_eq!(store.quads().len(), quads_before, "sys overlay must not leak into the store");
+    assert_eq!(
+        store.quads().len(),
+        quads_before,
+        "sys overlay must not leak into the store"
+    );
 }
