@@ -363,3 +363,42 @@ fn plain_counts_charge_weighted_rows_and_materialised_bytes() {
         "reference: expected ResourceExhausted, got {result:?}"
     );
 }
+
+/// An ordered LIMIT over a UNION whose second branch streams (an
+/// OPTIONAL) keeps its heap bound on every branch: the pipelined branch's
+/// 25,000 rows are offered to the workers' heaps as they are made, not
+/// buffered for the streamed branch's sake, so the 256 KB budget that ten
+/// rows of one BGP fit holds at every thread count. Ties on `?o` must
+/// break as a stable sort's do, as in the reference.
+#[test]
+fn ordered_limit_over_a_union_with_a_streamed_branch_keeps_only_the_top_rows() {
+    let store = Store::new();
+    store.create_model("m").expect("model");
+    let mut quads = Vec::new();
+    for i in 0..25_000u32 {
+        let s = Term::iri(format!("http://s{i}"));
+        let o = Term::iri(format!("http://o{}", i % 997));
+        for p in ["http://p", "http://q"] {
+            quads.push(Quad::triple(s.clone(), Term::iri(p), o.clone()).expect("quad"));
+        }
+        if i % 3 == 0 {
+            let z = Term::iri(format!("http://z{i}"));
+            quads.push(Quad::triple(s, Term::iri("http://r"), z).expect("quad"));
+        }
+    }
+    store.bulk_load("m", &quads).expect("load");
+    let top = "SELECT ?s ?o ?z WHERE { { ?s <http://p> ?o } \
+               UNION { ?s <http://q> ?o OPTIONAL { ?s <http://r> ?z } } } \
+               ORDER BY ?o LIMIT 10";
+    let budget = ExecLimits::memory(256 * 1024);
+    let expected = reference(&store, top, budget).expect("reference");
+    for threads in [1, 2, 4] {
+        let options = ExecOptions::threads(threads).with_limits(budget);
+        let result = query_with_options(&store, "m", top, options);
+        assert_eq!(
+            result.as_ref().ok(),
+            Some(&expected),
+            "threads={threads}: {result:?}"
+        );
+    }
+}

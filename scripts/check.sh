@@ -7,18 +7,11 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 
-# Deny-level lints (clippy's correctness group) fail the gate; elsewhere the
-# rest stay advisory.
-cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy::correctness
-
-# The query engine and the store are held to every default lint: any
-# clippy warning in the sparql or quadstore crate (its own code and tests)
-# fails the gate.
-cargo clippy --offline -p sparql --all-targets --no-deps -q -- -D warnings
-cargo clippy --offline -p quadstore --all-targets --no-deps -q -- -D warnings
-# The store and the query engine are held to rustfmt's layout as well.
-cargo fmt -p quadstore -- --check
-cargo fmt -p sparql -- --check
+# Every crate is held to every default clippy lint: any warning in the
+# workspace's code, tests, examples or benches fails the gate.
+cargo clippy --offline --workspace --all-targets --no-deps -q -- -D warnings
+# And to rustfmt's layout.
+cargo fmt --all -- --check
 
 # Rustdoc warnings fail the gate, so a deleted or private item cannot
 # leave a dangling intra-doc link behind.

@@ -1,0 +1,114 @@
+//! The work golden: the paper's experiment queries EQ1–EQ12 (EQ11 at one
+//! to four hops; five hops alone would take several seconds in a debug
+//! build) on the NG, SP and RF stores of a scale-0.005 fixture,
+//! each checked against `tests/work_golden.txt` for:
+//! - its EXPLAIN text;
+//! - every step's actual rows and loops, profiled at threads 1 and 2;
+//! - its result count (a COUNT query's count, else its rows);
+//! - its peak charged memory at threads 1.
+//!
+//! These are exact counts, so a change that moves a plan or the work a
+//! plan does fails here, whatever the timings say. A change that means to
+//! move them rewrites the file and explains the diff:
+//!
+//! ```sh
+//! BLESS=1 cargo test --test work_golden
+//! ```
+
+use std::fmt::Write as _;
+use std::sync::Arc;
+
+use pgrdf::PgRdfModel;
+use pgrdf_bench::{Eq, Fixture};
+use sparql::{ExecObserver, ExecOptions, QueryResults};
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/work_golden.txt");
+
+const QUERIES: [Eq; 15] = [
+    Eq::Eq1,
+    Eq::Eq2,
+    Eq::Eq3,
+    Eq::Eq4,
+    Eq::Eq5,
+    Eq::Eq6,
+    Eq::Eq7,
+    Eq::Eq8,
+    Eq::Eq9,
+    Eq::Eq10,
+    Eq::Eq11(1),
+    Eq::Eq11(2),
+    Eq::Eq11(3),
+    Eq::Eq11(4),
+    Eq::Eq12,
+];
+
+/// One query's record: EXPLAIN, the step tallies per thread count, the
+/// result count and the peak memory at threads 1.
+fn record(fixture: &Fixture, eq: Eq, model: PgRdfModel, out: &mut String) {
+    let store = fixture.store(model);
+    let view = store
+        .store()
+        .dataset(&fixture.dataset_for(eq, model))
+        .expect("dataset");
+    let query = sparql::parse_query(&fixture.query_text(eq, model)).expect("parse");
+    let plan = sparql::compile(&view, &query).expect("compile");
+    writeln!(out, "== {} {model}", eq.label(model)).unwrap();
+    for line in sparql::explain::render(&plan).lines() {
+        writeln!(out, "  {line}").unwrap();
+    }
+    let mut peak = 0;
+    let mut count = 0;
+    for threads in [1, 2] {
+        let observer = Arc::new(ExecObserver::new());
+        let options = ExecOptions::threads(threads).with_observer(Arc::clone(&observer));
+        let (results, profile) =
+            sparql::execute_profiled(&view, &plan, options).expect("profiled execution");
+        let tallies: Vec<String> = sparql::explain::step_profiles(&plan, &profile)
+            .iter()
+            .map(|s| format!("{}:{}/{}", s.ordinal, s.actual_rows, s.loops))
+            .collect();
+        writeln!(out, "steps@{threads} (rows/loops): {}", tallies.join(" ")).unwrap();
+        if threads == 1 {
+            peak = observer.peak_mem_bytes();
+            count = match results {
+                QueryResults::Solutions(s) => s.scalar_i64().map_or(s.len() as i64, |n| n),
+                other => panic!("expected solutions, got {other:?}"),
+            };
+        }
+    }
+    writeln!(out, "results: {count}").unwrap();
+    writeln!(out, "peak_mem_bytes@1: {peak}").unwrap();
+}
+
+#[test]
+fn plans_and_work_match_the_golden_file() {
+    let fixture = Fixture::at_scale(0.005);
+    let mut got = String::new();
+    for model in [PgRdfModel::NG, PgRdfModel::SP, PgRdfModel::RF] {
+        for eq in QUERIES {
+            record(&fixture, eq, model, &mut got);
+        }
+    }
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(GOLDEN, &got).expect("write the golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(GOLDEN).expect("read tests/work_golden.txt");
+    if let Some((i, (w, g))) = want
+        .lines()
+        .zip(got.lines())
+        .enumerate()
+        .find(|(_, (w, g))| w != g)
+    {
+        panic!(
+            "work golden line {}:\n  want {w}\n  got  {g}\n\
+             (BLESS=1 cargo test --test work_golden rewrites the file)",
+            i + 1
+        );
+    }
+    assert_eq!(
+        want.lines().count(),
+        got.lines().count(),
+        "work golden length differs (BLESS=1 cargo test --test work_golden rewrites the file)"
+    );
+}
