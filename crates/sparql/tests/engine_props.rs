@@ -444,7 +444,10 @@ fn path_plus_is_transitive_closure_of_single_step() {
 /// ending in an index probe or a hash join, a triangle closed by span
 /// intersection (or, forced, by an existence probe or a hash join), and
 /// a fork whose `?w` step binds only a dead variable, so a weighted batch
-/// can feed a step that still binds a live one. On
+/// can feed a step that still binds a live one; a UNION of a chain, which
+/// pipelines, and an OPTIONAL, which streams, so one count takes weighted
+/// pipeline rows and streamed rows; and EQ9's shape, a count grouped by a
+/// computed count of a grouped sub-select, which streams. On
 /// two-member union views where a triple repeats across graphs and
 /// members and each member carries uncompacted inserts and removes, every
 /// thread count and morsel size returns the reference's counts and
@@ -454,6 +457,11 @@ fn plain_counts_match_the_reference_with_its_tallies() {
     let chain = "?x <http://p0> ?y . ?y <http://p0> ?z";
     let triangle = "?x <http://p0> ?y . ?y <http://p0> ?z . ?z <http://p0> ?x";
     let fork = "?x <http://p0> ?y . ?x <http://p1> ?w . ?y <http://p0> ?z";
+    let mixed = "{ ?x <http://p0> ?y . ?y <http://p0> ?z } \
+                 UNION { ?x <http://p1> ?y OPTIONAL { ?y <http://p0> ?z } }";
+    let degrees = "{ SELECT ?x (COUNT(?w) AS ?z) \
+                   WHERE { ?x <http://p0> ?y . ?y <http://p0> ?w } GROUP BY ?x }";
+    let bodies = [chain, triangle, fork, mixed, degrees];
     let heads = [
         ("(COUNT(*) AS ?n)", ""),
         ("(COUNT(?z) AS ?n)", ""),
@@ -470,10 +478,10 @@ fn plain_counts_match_the_reference_with_its_tallies() {
         other => panic!("expected solutions, got {other:?}"),
     };
     // Operators seen per body: probe tails, hash tails, intersections.
-    let mut seen = [[false; 3]; 3];
+    let mut seen = [[false; 3]; 5];
     for case in 0..48u64 {
         let (_store, view) = rand_cyclic_view(case);
-        for (bi, body) in [chain, triangle, fork].into_iter().enumerate() {
+        for (bi, body) in bodies.into_iter().enumerate() {
             for (head, group) in heads {
                 for force in forces {
                     let text = format!("SELECT {head} WHERE {{ {body} }} {group}");
@@ -514,7 +522,13 @@ fn plain_counts_match_the_reference_with_its_tallies() {
     }
     assert_eq!(
         seen,
-        [[true, true, false], [true, true, true], [true, true, false]],
+        [
+            [true, true, false],
+            [true, true, true],
+            [true, true, false],
+            [true, true, false],
+            [true, true, false],
+        ],
         "plan tails covered"
     );
 }
