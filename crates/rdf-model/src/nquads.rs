@@ -164,7 +164,12 @@ impl<'a> Cursor<'a> {
     }
 
     fn parse_iri(&mut self) -> Result<Iri, ModelError> {
-        debug_assert_eq!(self.peek(), Some('<'));
+        if self.peek() != Some('<') {
+            return Err(ModelError::Syntax(format!(
+                "expected '<', found {:?}",
+                self.peek()
+            )));
+        }
         self.bump();
         let start = self.pos;
         while let Some(c) = self.peek() {
@@ -281,6 +286,18 @@ mod tests {
         let q = parse_line("<http://pg/v1> <http://pg/r/follows> <http://pg/v2> <http://pg/e3> .")
             .unwrap();
         assert_eq!(q.graph, GraphName::iri("http://pg/e3"));
+    }
+
+    /// A datatype must be an IRI in angle brackets: the parser used to
+    /// skip whatever character stood in place of the '<'.
+    #[test]
+    fn datatype_without_angle_bracket_is_a_syntax_error() {
+        let line = "<http://a/s> <http://a/p> \"5\"^^http://x> .";
+        assert!(
+            matches!(parse_line(line), Err(ModelError::Syntax(_))),
+            "{:?}",
+            parse_line(line)
+        );
     }
 
     #[test]

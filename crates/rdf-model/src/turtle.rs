@@ -78,6 +78,19 @@ fn is_local_char(c: char) -> bool {
     c.is_alphanumeric() || c == '_' || c == '-' || c == '.'
 }
 
+/// The byte offset where the run of characters of `s` from `start` that
+/// `keep(char, next char)` accepts ends: always a char boundary, so a
+/// multi-byte character is kept or left whole.
+fn scan_while(s: &str, start: usize, keep: impl Fn(char, Option<char>) -> bool) -> usize {
+    let mut chars = s[start..].char_indices().peekable();
+    while let Some((at, c)) = chars.next() {
+        if !keep(c, chars.peek().map(|&(_, next)| next)) {
+            return start + at;
+        }
+    }
+    s.len()
+}
+
 fn render_term(term: &Term, prefixes: &Prefixes) -> String {
     match term {
         Term::Iri(iri) => prefixes.render(iri),
@@ -157,13 +170,13 @@ pub fn parse(input: &str) -> Result<Vec<Triple>, ModelError> {
     while pos < tokens.len() {
         if tokens[pos] == Tok::AtPrefix {
             // @prefix pfx: <ns> .
-            let Tok::PName(ref prefix, ref local) = tokens[pos + 1] else {
+            let Some(Tok::PName(prefix, local)) = tokens.get(pos + 1) else {
                 return Err(ModelError::Syntax("expected prefix name".into()));
             };
             if !local.is_empty() {
                 return Err(ModelError::Syntax("malformed @prefix".into()));
             }
-            let Tok::IriRef(ref ns) = tokens[pos + 2] else {
+            let Some(Tok::IriRef(ns)) = tokens.get(pos + 2) else {
                 return Err(ModelError::Syntax("expected namespace IRI".into()));
             };
             if tokens.get(pos + 3) != Some(&Tok::Dot) {
@@ -275,9 +288,10 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
                     }
                     match bytes[j] {
                         b'\\' => {
-                            let chunk = &input[j..j + 2.min(input.len() - j)];
+                            let escaped = input[j + 1..].chars().next().map_or(0, char::len_utf8);
+                            let chunk = &input[j..j + 1 + escaped];
                             value.push_str(&crate::nquads::unescape(chunk)?);
-                            j += 2;
+                            j += 1 + escaped;
                         }
                         b'"' => {
                             j += 1;
@@ -318,16 +332,9 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
                             .find(':')
                             .ok_or_else(|| ModelError::Syntax("bad datatype pname".into()))?;
                         let prefix = &rest[..colon];
-                        let mut k = colon + 1;
-                        let rb = rest.as_bytes();
-                        while k < rb.len() && is_local_char(rb[k] as char) {
-                            k += 1;
-                        }
+                        let k = scan_while(rest, colon + 1, |c, _| is_local_char(c));
                         // Trailing '.' is a statement terminator.
-                        let mut local_end = k;
-                        while local_end > colon + 1 && rb[local_end - 1] == b'.' {
-                            local_end -= 1;
-                        }
+                        let local_end = colon + 1 + rest[colon + 1..k].trim_end_matches('.').len();
                         out.push(Tok::Literal(Literal::typed(
                             value,
                             Iri::new(format!(
@@ -344,24 +351,18 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
             }
             '_' if bytes.get(i + 1) == Some(&b':') => {
                 let start = i + 2;
-                let mut k = start;
-                while k < bytes.len() && is_local_char(bytes[k] as char) && bytes[k] != b'.' {
-                    k += 1;
-                }
+                let k = scan_while(input, start, |c, _| is_local_char(c) && c != '.');
                 out.push(Tok::Blank(input[start..k].to_string()));
                 i = k;
             }
             _ => {
                 // keyword 'a' or prefixed name
                 let start = i;
-                let mut k = i;
-                while k < bytes.len()
-                    && (is_local_char(bytes[k] as char) || bytes[k] == b':')
-                    && !(bytes[k] == b'.'
-                        && (k + 1 >= bytes.len() || (bytes[k + 1] as char).is_whitespace()))
-                {
-                    k += 1;
-                }
+                // A '.' before whitespace or the end ends the statement.
+                let k = scan_while(input, start, |c, next| {
+                    (is_local_char(c) || c == ':')
+                        && !(c == '.' && next.is_none_or(char::is_whitespace))
+                });
                 let word = &input[start..k];
                 if word == "a" {
                     out.push(Tok::A);
@@ -517,5 +518,39 @@ mod tests {
     #[test]
     fn undeclared_prefix_errors() {
         assert!(parse("<http://s> foo:bar <http://o> .").is_err());
+    }
+
+    /// A truncated `@prefix` is a syntax error, not an out-of-bounds read.
+    #[test]
+    fn truncated_prefix_is_a_syntax_error() {
+        for ttl in ["@prefix", "@prefix ex:", "@prefix ex: <http://x/>"] {
+            assert!(
+                matches!(parse(ttl), Err(ModelError::Syntax(_))),
+                "{ttl}: {:?}",
+                parse(ttl)
+            );
+        }
+    }
+
+    /// Names, blank labels and escapes holding multi-byte characters are
+    /// cut on character boundaries: an undeclared prefix or a bad escape
+    /// is a syntax error, and declared names and blank labels parse.
+    #[test]
+    fn multibyte_names_split_on_char_boundaries() {
+        for ttl in [
+            "éx:a <http://a/p> <http://a/o> .",
+            "<http://a/s> <http://a/p> \"\\é\" .",
+            "<http://a/s> <http://a/p> \"5\"^^éx:t .",
+        ] {
+            assert!(
+                matches!(parse(ttl), Err(ModelError::Syntax(_))),
+                "{ttl}: {:?}",
+                parse(ttl)
+            );
+        }
+        let ttl = "@prefix éx: <http://a/> .\néx:sé <http://a/p> _:bé .";
+        let triples = parse(ttl).unwrap();
+        assert_eq!(triples[0].subject, Term::iri("http://a/sé"));
+        assert_eq!(triples[0].object, Term::blank("bé"));
     }
 }

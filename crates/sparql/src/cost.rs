@@ -121,7 +121,12 @@ impl<'a> Estimator<'a> {
     /// and the bound variable's domain, so a member that holds few of the
     /// variable's values is not priced as if every probe hit it. On one
     /// member the own count is never below the domain. Both come from the
-    /// pinned snapshot, so planning never scans data.
+    /// pinned snapshot, so planning never scans data. A per-predicate
+    /// fanout may fall below one match: a probe whose positions are all
+    /// bound (SP's `?p k:hasTag "t"` with `?p` bound) is a semi-join that
+    /// drops most rows, and is priced as one. The coarse fanout keeps its
+    /// floor of one, because it multiplies the distinct counts of
+    /// positions that are often correlated (NG's `GRAPH ?e { ?e … }`).
     pub(crate) fn fanout(&self, triple: &CTriple, positions: &[usize], domains: &Domains) -> f64 {
         let pattern = triple.const_pattern();
         let pure_so = !positions.is_empty()
@@ -160,7 +165,7 @@ impl<'a> Estimator<'a> {
             for &p in positions {
                 d *= denom(p, distinct_at(stats, triple, p));
             }
-            let mut per = (est / d).max(1.0).min(est.max(1.0));
+            let mut per = (est / d).min(est);
             // A constant object narrows a subject join below the predicate
             // average: the histogram knows that value's depth.
             if positions == [quadstore::ids::S] {
@@ -168,13 +173,13 @@ impl<'a> Estimator<'a> {
                     let rows = ps.objects.estimate_eq(oid.0);
                     if rows > 0.0 {
                         let subjects = denom(quadstore::ids::S, ps.distinct_subjects);
-                        per = per.min((rows / subjects).max(1.0));
+                        per = per.min(rows / subjects);
                     }
                 }
             }
             total += per;
         }
-        total.max(1.0)
+        total
     }
 }
 

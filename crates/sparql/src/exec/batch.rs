@@ -23,7 +23,8 @@
 //! and a batch carries a weight per row: the solutions the row stands for.
 //! A probe, hash or intersect operator that binds no live column emits
 //! each surviving input row once, its weight times its match count,
-//! instead of repeating it.
+//! instead of repeating it, and a finished batch hands its consumer one
+//! row per run of equal group keys, weighing the run's sum.
 //!
 //! Everything here mirrors the row evaluator's semantics *exactly*: the
 //! same probe patterns, the same charge totals against [`ExecLimits`],
@@ -1003,7 +1004,11 @@ impl<'p> VecPipeline<'p> {
     /// its weight (1 outside count mode) to `emit` until the morsel ends or
     /// `emit` returns `false`. One row buffer serves every call — the
     /// template with the live columns among `only` (all of them for
-    /// `None`) filled in — so `emit` copies what it keeps.
+    /// `None`) filled in — so `emit` copies what it keeps. A count-mode
+    /// consumer reads only the group keys `only` names, so each run of
+    /// rows with equal keys goes out as one row weighing the run's sum: a
+    /// batch sorted on its group key pushes once per group, and one with
+    /// no GROUP BY once.
     pub(super) fn run_morsel(
         &self,
         ctx: &EvalCtx,
@@ -1014,20 +1019,29 @@ impl<'p> VecPipeline<'p> {
     ) {
         let mut charged_bytes: u64 = 0;
         if let Some(batch) = self.run_batch(ctx, morsel, st, &mut charged_bytes) {
-            let cols: Vec<usize> = self
+            let cols: Vec<(usize, &[u64])> = self
                 .final_cols
                 .iter()
-                .copied()
                 .filter(|s| only.is_none_or(|o| o.contains(s)))
+                .map(|&s| (s, batch.col(s)))
                 .collect();
             let mut row = self.template.clone();
-            for i in 0..batch.len {
-                for &s in &cols {
-                    row[s] = Some(batch.col(s)[i]);
+            let mut i = 0;
+            while i < batch.len {
+                let (mut end, mut weight) = (i + 1, batch.weight(i));
+                if only.is_some() {
+                    while end < batch.len && cols.iter().all(|(_, col)| col[end] == col[i]) {
+                        weight += batch.weight(end);
+                        end += 1;
+                    }
                 }
-                if !emit(&mut row, batch.weight(i)) {
+                for &(s, col) in &cols {
+                    row[s] = Some(col[i]);
+                }
+                if !emit(&mut row, weight) {
                     break;
                 }
+                i = end;
             }
         }
         ctx.release_mem(charged_bytes);

@@ -45,7 +45,8 @@ impl Chains {
         Self::with_buckets(len.next_power_of_two(), len, hash)
     }
 
-    fn with_buckets(
+    /// [`Self::new`] over `buckets` buckets, a power of two.
+    pub(super) fn with_buckets(
         buckets: usize,
         len: usize,
         mut hash: impl FnMut(usize) -> Option<u64>,
@@ -65,6 +66,27 @@ impl Chains {
             }
         }
         Chains { heads, next }
+    }
+
+    /// Rows chained so far.
+    pub(super) fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    /// Buckets the rows are chained over.
+    pub(super) fn buckets(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Chains row [`Self::len`] by `hash`, first in its bucket: the
+    /// bucket no longer runs in row order, so only a table of distinct
+    /// keys, which never walks past its one match, appends rows.
+    pub(super) fn push(&mut self, hash: u64) {
+        assert!(self.next.len() < MAX_ROWS, "more than {MAX_ROWS} rows");
+        let mask = self.heads.len() as u64 - 1;
+        let head = &mut self.heads[(hash & mask) as usize];
+        self.next.push(*head);
+        *head = self.next.len() as u32 - 1;
     }
 
     /// The rows whose hash shares `hash`'s bucket, in ascending order: a

@@ -367,6 +367,35 @@ fn plain_counts_charge_weighted_rows_and_materialised_bytes() {
     );
 }
 
+/// Plain-count groups are retained state however flat their table: 20,000
+/// groups — on their own, or as the inner groups of EQ9's histogram,
+/// whose rows pass straight into the outer count — exceed a 256 KB
+/// budget at every thread count, and a generous one changes nothing.
+#[test]
+fn many_count_groups_exhaust_a_small_memory_budget() {
+    let store = dense_store(20_000);
+    let groups = "SELECT ?a (COUNT(*) AS ?n) WHERE { ?a <http://p> ?x } GROUP BY ?a";
+    let histogram = format!("SELECT ?n (COUNT(*) AS ?c) WHERE {{ {groups} }} GROUP BY ?n");
+    for q in [groups, histogram.as_str()] {
+        let expected = reference(&store, q, ExecLimits::default()).expect("reference");
+        for threads in [1, 4] {
+            let options = ExecOptions::threads(threads).with_limits(ExecLimits::memory(256 * 1024));
+            let result = query_with_options(&store, "m", q, options);
+            assert!(
+                matches!(result, Err(SparqlError::ResourceExhausted(_))),
+                "threads={threads} {q}: expected ResourceExhausted, got {result:?}"
+            );
+            let options = ExecOptions::threads(threads).with_limits(ExecLimits::memory(64 << 20));
+            let result = query_with_options(&store, "m", q, options);
+            assert_eq!(
+                result.as_ref().ok(),
+                Some(&expected),
+                "threads={threads} {q}"
+            );
+        }
+    }
+}
+
 /// An ordered LIMIT over a UNION whose second branch streams (an
 /// OPTIONAL) keeps its heap bound on every branch: the pipelined branch's
 /// 25,000 rows are offered to the workers' heaps as they are made, not

@@ -96,7 +96,7 @@ SELECT ?x ?n
         r#"SELECT ?x ?n
   VALUES ?y (1 rows)
   1: ?x <http://name> ?n  [P=<http://name>] PCSGM range scan (NLJ) ~3 rows -> ~3 out
-  2: ?x <http://knows> <http://c>  [P=<http://knows> and C=<http://c>] PCSGM range scan (HASH JOIN on ?x) ~1 rows -> ~3 out
+  2: ?x <http://knows> <http://c>  [P=<http://knows> and C=<http://c>] PCSGM range scan (HASH JOIN on ?x) ~1 rows -> ~1 out
   FILTER (1 predicates)
 "#,
     );
@@ -456,4 +456,72 @@ ORDER BY (1 keys, top 5)
 SLICE limit=Some(5) offset=None
 "#,
     );
+}
+
+/// SP edges: 300 edge IRIs, each anchored as a sub-property of
+/// `<http://follows>`, used as the predicate of one edge triple and
+/// tagged with one of 30 tags, so a tag names 10 edges.
+fn sp_store() -> Store {
+    let store = Store::new();
+    store.create_model("m").expect("model");
+    let t =
+        |s: String, p: String, o: Term| Quad::triple(Term::iri(s), Term::iri(p), o).expect("valid");
+    let mut quads = Vec::new();
+    for i in 0..300 {
+        let edge = format!("http://e{i}");
+        let sub = "http://www.w3.org/2000/01/rdf-schema#subPropertyOf".to_string();
+        quads.push(t(edge.clone(), sub, Term::iri("http://follows")));
+        let (s, o) = (
+            format!("http://n{}", i % 40),
+            format!("http://n{}", (i * 7) % 40),
+        );
+        quads.push(t(s, edge.clone(), Term::iri(o)));
+        let tag = Term::string(format!("t{}", i % 30));
+        quads.push(t(edge, "http://hasTag".into(), tag));
+    }
+    store.bulk_load("m", &quads).expect("load");
+    store
+}
+
+/// In SP an edge IRI is a predicate used once, so a bound edge's tag
+/// probe is a semi-join that drops most rows: EQ7's hops check each
+/// edge's tag before its sub-property anchor, and no hop builds a hash
+/// table over the anchors.
+#[test]
+fn selective_semi_join_plans_first() {
+    let store = sp_store();
+    let view = store.dataset("m").expect("dataset");
+    let hop = |s: &str, p: &str, o: &str| {
+        format!(
+            "?{s} ?{p} ?{o} . ?{p} <http://www.w3.org/2000/01/rdf-schema#subPropertyOf> \
+             <http://follows> . ?{p} <http://hasTag> \"t3\" ."
+        )
+    };
+    let query = format!(
+        "SELECT ?n4 WHERE {{ {} {} {} }}",
+        hop("s", "p", "n2"),
+        hop("n2", "p2", "n3"),
+        hop("n3", "p3", "n4")
+    );
+    let compiled =
+        sparql::compile(&view, &sparql::parse_query(&query).expect("parses")).expect("compiles");
+    let explain = sparql::explain::render(&compiled);
+    let line = |p: &str, pred: &str| {
+        explain
+            .lines()
+            .position(|l| l.contains(&format!(": ?{p} <http://{pred}")))
+            .unwrap_or_else(|| panic!("no ?{p} {pred} step in\n{explain}"))
+    };
+    for p in ["p", "p2", "p3"] {
+        let (tag, anchor) = (line(p, "hasTag"), line(p, "www.w3.org"));
+        assert!(
+            tag < anchor,
+            "?{p}'s tag probe after its anchor in\n{explain}"
+        );
+        let anchor_line = explain.lines().nth(anchor).expect("line");
+        assert!(
+            !anchor_line.contains("HASH JOIN"),
+            "?{p}'s anchors hash-built in\n{explain}"
+        );
+    }
 }

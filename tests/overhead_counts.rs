@@ -14,7 +14,9 @@
 //! compile allocates. Plan-cache reuse is counted too: texts that differ
 //! only in lifted constants compile once per cached variant, not once per
 //! text. A hash join's build side is counted too: its allocations must not
-//! grow with the distinct keys it holds, and a merge join builds none.
+//! grow with the distinct keys it holds, and a merge join builds none. So
+//! is a plain-count histogram: its allocations must not grow with its
+//! inner groups.
 //! Its own binary with a single test, because it flips the
 //! process-wide telemetry and recorder flags.
 
@@ -310,6 +312,48 @@ fn per_query_overheads_do_not_grow_with_rows() {
         "T7-NG builds its hasTag rows once"
     );
     assert_eq!(built[1], (0, 0), "T7-SP builds no hash table");
+
+    // A plain-count histogram (EQ9's shape) costs per group, not per
+    // row, and allocates nothing per inner group: flat count tables, one
+    // reused row for the group rows, memoised count literals, and inner
+    // rows that pass straight into the outer count. In-degrees cycle
+    // through 1-4, so both sizes have the same four outer groups. Each
+    // scan is one morsel, so morsel buffers do not count for rows.
+    let degrees = quadstore::Store::new();
+    degrees.create_model("m").expect("model");
+    let mut quads = Vec::new();
+    for (p, groups) in [("urn:small", 1_000u64), ("urn:large", 8_000)] {
+        for i in 0..groups {
+            let v = Term::iri(format!("urn:v{i}"));
+            quads.extend((0..=i % 4).map(|j| {
+                Quad::triple(Term::iri(format!("urn:s{j}")), Term::iri(p), v.clone()).expect("quad")
+            }));
+        }
+    }
+    degrees.bulk_load("m", &quads).expect("load");
+    let view = degrees.dataset("m").expect("dataset");
+    let histogram = |p: &str| {
+        executor_alone(
+            &view,
+            &format!(
+                "SELECT ?d (COUNT(*) AS ?c) WHERE {{ \
+                 SELECT ?o (COUNT(*) AS ?d) WHERE {{ ?s <{p}> ?o }} GROUP BY ?o \
+                 }} GROUP BY ?d ORDER BY DESC(?d)"
+            ),
+            &bare.clone().with_morsel_size(1 << 16),
+        )
+    };
+    let (small, small_rows) = histogram("urn:small");
+    let (large, large_rows) = histogram("urn:large");
+    println!("histogram: {small} allocations over 1,000 inner groups, {large} over 8,000");
+    assert!(
+        small_rows == 4 && large_rows == 4,
+        "row counts {small_rows} and {large_rows}"
+    );
+    assert!(
+        large <= small + 64,
+        "a histogram allocated {small} times over 1,000 groups and {large} over 8,000"
+    );
 }
 
 /// `(count, sum)` of the `pgrdf_hash_build_rows` histogram.
