@@ -7,7 +7,7 @@
 
 use propertygraph::PropertyGraph;
 use rdf_model::vocab::rdf;
-use rdf_model::{GraphName, Quad, Term};
+use rdf_model::{GraphName, Iri, Quad, Term};
 
 use super::ConvertOptions;
 use crate::vocab::PgVocab;
@@ -18,6 +18,8 @@ pub(super) fn convert_edges(
     options: ConvertOptions,
     out: &mut Vec<Quad>,
 ) {
+    let [subject, predicate, object] =
+        [rdf::SUBJECT, rdf::PREDICATE, rdf::OBJECT].map(|iri| Term::Iri(Iri::from_text(iri)));
     for (id, edge) in graph.edges() {
         let s = Term::Iri(vocab.vertex_iri(edge.src));
         let p = Term::Iri(vocab.label_iri(&edge.label));
@@ -29,19 +31,19 @@ pub(super) fn convert_edges(
         let e = Term::Iri(vocab.edge_iri(id));
         out.push(Quad::new_unchecked(
             e.clone(),
-            Term::iri(rdf::SUBJECT),
+            subject.clone(),
             s.clone(),
             GraphName::Default,
         ));
         out.push(Quad::new_unchecked(
             e.clone(),
-            Term::iri(rdf::PREDICATE),
+            predicate.clone(),
             p.clone(),
             GraphName::Default,
         ));
         out.push(Quad::new_unchecked(
             e.clone(),
-            Term::iri(rdf::OBJECT),
+            object.clone(),
             o.clone(),
             GraphName::Default,
         ));

@@ -7,7 +7,7 @@
 
 use propertygraph::PropertyGraph;
 use rdf_model::vocab::rdfs;
-use rdf_model::{GraphName, Quad, Term};
+use rdf_model::{GraphName, Iri, Quad, Term};
 
 use super::ConvertOptions;
 use crate::vocab::PgVocab;
@@ -18,6 +18,7 @@ pub(super) fn convert_edges(
     options: ConvertOptions,
     out: &mut Vec<Quad>,
 ) {
+    let sub_property_of = Term::Iri(Iri::from_text(rdfs::SUB_PROPERTY_OF));
     for (id, edge) in graph.edges() {
         let s = Term::Iri(vocab.vertex_iri(edge.src));
         let p = Term::Iri(vocab.label_iri(&edge.label));
@@ -37,7 +38,7 @@ pub(super) fn convert_edges(
         // -e-sPO-p anchor.
         out.push(Quad::new_unchecked(
             e.clone(),
-            Term::iri(rdfs::SUB_PROPERTY_OF),
+            sub_property_of.clone(),
             p.clone(),
             GraphName::Default,
         ));

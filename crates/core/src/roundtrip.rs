@@ -52,7 +52,9 @@ pub fn to_property_graph(
                 // IRIs indicate foreign data and are skipped.
                 let _ = graph.add_edge_prop(eid, key, value);
             }
-        } else if pred.as_str() == rdf::TYPE && quad.object == Term::iri(rdfs::RESOURCE) {
+        } else if pred.as_str() == rdf::TYPE
+            && matches!(&quad.object, Term::Iri(o) if o.as_str() == rdfs::RESOURCE)
+        {
             if let Term::Iri(subj) = &quad.subject {
                 if let Some(vid) = vocab.vertex_id(subj) {
                     graph.add_vertex(vid);
@@ -102,7 +104,7 @@ fn reconstruct_sp_edges(
     // Anchors first: edge id -> label.
     let mut labels = std::collections::HashMap::new();
     for quad in quads {
-        if quad.predicate == Term::iri(rdfs::SUB_PROPERTY_OF) {
+        if matches!(&quad.predicate, Term::Iri(p) if p.as_str() == rdfs::SUB_PROPERTY_OF) {
             let (Term::Iri(e), Term::Iri(p)) = (&quad.subject, &quad.object) else {
                 continue;
             };

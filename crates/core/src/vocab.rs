@@ -53,30 +53,30 @@ impl PgVocab {
 
     /// IRI of a vertex.
     pub fn vertex_iri(&self, id: u64) -> Iri {
-        Iri::new(format!("{}{}{}", self.base, self.vertex_prefix, id))
+        Iri::formatted(format_args!("{}{}{}", self.base, self.vertex_prefix, id))
     }
 
     /// IRI of an edge (the *edge-IRI* at the heart of all three models).
     pub fn edge_iri(&self, id: u64) -> Iri {
-        Iri::new(format!("{}{}{}", self.base, self.edge_prefix, id))
+        Iri::formatted(format_args!("{}{}{}", self.base, self.edge_prefix, id))
     }
 
     /// Predicate IRI of an edge label.
     pub fn label_iri(&self, label: &str) -> Iri {
-        Iri::new(format!("{}{}", self.rel_ns, label))
+        Iri::formatted(format_args!("{}{}", self.rel_ns, label))
     }
 
     /// Predicate IRI of a KV key ("No distinction is made between edge and
     /// node keys", §2.2).
     pub fn key_iri(&self, key: &str) -> Iri {
-        Iri::new(format!("{}{}", self.key_ns, key))
+        Iri::formatted(format_args!("{}{}", self.key_ns, key))
     }
 
     /// Maps a property value to an RDF literal, "taking the data type into
     /// account (e.g., value 23 mapped to `"23"^^xsd:int`)".
     pub fn value_term(&self, value: &PropValue) -> Term {
         match value {
-            PropValue::Str(s) => Term::Literal(Literal::string(s.clone())),
+            PropValue::Str(s) => Term::Literal(Literal::from_text(s.as_str(), None, None)),
             PropValue::Int(i) => {
                 if let Ok(small) = i32::try_from(*i) {
                     Term::Literal(Literal::int(small))

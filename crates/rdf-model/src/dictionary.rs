@@ -40,6 +40,14 @@ impl fmt::Display for TermId {
 /// This is the "values table" of an ID-based RDF store. Interning a literal
 /// first canonicalises it (see [`crate::Literal::canonical`]) so that
 /// value-equal numerics share an ID.
+///
+/// Each term's text is stored once: interning a new term copies its text
+/// into one fresh allocation (`Term::unshared`) that `terms`, the `ids`
+/// key and every [`Dictionary::lookup`] clone share by reference count.
+/// The copy is fresh rather than the caller's own so that the dictionary,
+/// which lives as long as the store, never pins an allocation made among a
+/// loader's short-lived duplicates: those would free around it and leave
+/// holes that every later small allocation lands in.
 #[derive(Debug, Default)]
 pub struct Dictionary {
     terms: Vec<Term>,
@@ -58,7 +66,7 @@ impl Dictionary {
         if let Some(&id) = self.ids.get(canonical.as_ref()) {
             return id;
         }
-        let owned = canonical.into_owned();
+        let owned = canonical.unshared();
         // IDs start at 1; 0 is the default-graph sentinel.
         let id = TermId(self.terms.len() as u64 + 1);
         self.terms.push(owned.clone());
@@ -131,7 +139,8 @@ impl Dictionary {
 /// An immutable, contiguous run of interned terms covering the ID range
 /// `[first_id, first_id + terms.len())`. Segments are the sharing unit of
 /// the MVCC dictionary: snapshots hold `Arc`s to segments, so publishing a
-/// new dictionary generation never copies previously frozen terms.
+/// new dictionary generation never copies previously frozen terms. Its
+/// `terms` and `ids` keys share each term's text, as [`Dictionary`]'s do.
 #[derive(Debug)]
 pub struct DictSegment {
     first_id: u64,
@@ -253,13 +262,14 @@ impl DictBuilder {
     }
 
     /// Interns a term, returning its (possibly pre-existing) ID. Literals
-    /// are canonicalised exactly like [`Dictionary::intern`].
+    /// are canonicalised, and a new term's text copied once, exactly like
+    /// [`Dictionary::intern`]; freezing and segment merges share that copy.
     pub fn intern(&mut self, term: &Term) -> TermId {
         let canonical = Dictionary::canonicalise(term);
         if let Some(id) = self.get_canonical(canonical.as_ref()) {
             return id;
         }
-        let owned = canonical.into_owned();
+        let owned = canonical.unshared();
         let id = TermId((self.frozen_len + self.tail_terms.len()) as u64 + 1);
         self.tail_terms.push(owned.clone());
         self.tail_ids.insert(owned, id);
@@ -443,6 +453,80 @@ mod tests {
         assert_eq!(snap2.lookup(c), Some(&Term::iri("http://c")));
         assert_eq!(snap2.get(&Term::iri("http://a")), Some(a));
         assert_eq!(snap1.get(&Term::iri("http://c")), None);
+    }
+
+    /// The address of each text part of a term: its IRI, label or
+    /// lexical form, then a literal's datatype and language tag.
+    fn text_ptrs(term: &Term) -> Vec<*const u8> {
+        let mut ptrs = vec![term.str_value().as_ptr()];
+        if let Term::Literal(lit) = term {
+            ptrs.extend(lit.datatype_iri().map(|d| d.as_str().as_ptr()));
+            ptrs.extend(lit.lang().map(str::as_ptr));
+        }
+        ptrs
+    }
+
+    fn callers_terms() -> [Term; 4] {
+        [
+            Term::iri("http://pg/v1"),
+            Term::blank("b1"),
+            Term::Literal(Literal::typed("23", Iri::new(xsd::INT))),
+            Term::Literal(Literal::lang_string("zug", "de")),
+        ]
+    }
+
+    #[test]
+    fn a_term_is_one_allocation_shared_by_both_maps_and_every_lookup() {
+        let mut d = Dictionary::new();
+        for caller in callers_terms() {
+            let id = d.intern(&caller);
+            let (key, _) = d.ids.get_key_value(&caller).expect("interned");
+            let stored = &d.terms[(id.0 - 1) as usize];
+            let first = d.lookup(id).expect("issued").clone();
+            let second = d.lookup(id).expect("issued").clone();
+            for looked_up in [stored, &first, &second] {
+                assert_eq!(text_ptrs(looked_up), text_ptrs(key), "{caller}");
+            }
+            let ours = text_ptrs(key);
+            assert!(
+                text_ptrs(&caller).iter().all(|p| !ours.contains(p)),
+                "{caller}: the dictionary keeps a fresh copy, not the caller's text"
+            );
+        }
+    }
+
+    #[test]
+    fn frozen_segments_and_their_merges_share_the_interned_copy() {
+        let mut b = DictBuilder::new();
+        let mut interned = Vec::new();
+        for caller in callers_terms() {
+            let id = b.intern(&caller);
+            let (key, _) = b.tail_ids.get_key_value(&caller).expect("interned");
+            let ours = text_ptrs(key);
+            assert!(
+                text_ptrs(&caller).iter().all(|p| !ours.contains(p)),
+                "{caller}: the builder keeps a fresh copy, not the caller's text"
+            );
+            interned.push((caller, id, ours));
+            // A freeze per term merges segments of equal size LSM-style.
+            b.freeze();
+        }
+        let snap = b.freeze();
+        assert_eq!(
+            snap.segments.len(),
+            1,
+            "four freezes merged into one segment"
+        );
+        let segment = &snap.segments[0];
+        for (caller, id, ours) in interned {
+            let (key, _) = segment.ids.get_key_value(&caller).expect("frozen");
+            assert_eq!(text_ptrs(key), ours, "{caller}");
+            assert_eq!(
+                text_ptrs(snap.lookup(id).expect("issued")),
+                ours,
+                "{caller}"
+            );
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! "supports fast bulk load of RDF data supplied in N-Quads format", §3.1).
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::error::ModelError;
 use crate::term::{BlankNode, Iri, Literal, Term};
@@ -63,6 +64,16 @@ pub fn unescape(s: &str) -> Result<String, ModelError> {
         }
     }
     Ok(out)
+}
+
+/// [`unescape`] into shared text: one allocation, copied straight from
+/// `s` when it holds no escape.
+pub(crate) fn unescape_text(s: &str) -> Result<Arc<str>, ModelError> {
+    if s.contains('\\') {
+        unescape(s).map(Arc::from)
+    } else {
+        Ok(Arc::from(s))
+    }
 }
 
 /// Serializes quads as N-Quads text (one statement per line).
@@ -174,7 +185,7 @@ impl<'a> Cursor<'a> {
         let start = self.pos;
         while let Some(c) = self.peek() {
             if c == '>' {
-                let iri = Iri::new(&self.input[start..self.pos]);
+                let iri = Iri::from_text(&self.input[start..self.pos]);
                 self.bump();
                 if !iri.is_plausible() {
                     return Err(ModelError::Syntax(format!("implausible IRI: {iri}")));
@@ -207,7 +218,7 @@ impl<'a> Cursor<'a> {
         if end == start {
             return Err(ModelError::Syntax("empty blank node label".into()));
         }
-        Ok(BlankNode::new(&self.input[start..end]))
+        Ok(BlankNode::from_text(&self.input[start..end]))
     }
 
     fn parse_literal(&mut self) -> Result<Literal, ModelError> {
@@ -229,7 +240,7 @@ impl<'a> Cursor<'a> {
         }
         let raw = &self.input[start..self.pos];
         self.bump(); // closing quote
-        let lexical = unescape(raw)?;
+        let lexical = unescape_text(raw)?;
         match self.peek() {
             Some('@') => {
                 self.bump();
@@ -240,7 +251,8 @@ impl<'a> Cursor<'a> {
                 if self.pos == start {
                     return Err(ModelError::Syntax("empty language tag".into()));
                 }
-                Ok(Literal::lang_string(lexical, &self.input[start..self.pos]))
+                let tag = &self.input[start..self.pos];
+                Ok(Literal::from_text(lexical, None, Some(tag)))
             }
             Some('^') => {
                 self.bump();
@@ -249,9 +261,9 @@ impl<'a> Cursor<'a> {
                 }
                 self.bump();
                 let dt = self.parse_iri()?;
-                Ok(Literal::typed(lexical, dt))
+                Ok(Literal::from_text(lexical, Some(dt), None))
             }
-            _ => Ok(Literal::string(lexical)),
+            _ => Ok(Literal::from_text(lexical, None, None)),
         }
     }
 }

@@ -6,15 +6,17 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::vocab::xsd;
 
 /// An Internationalized Resource Identifier.
 ///
 /// Stored as the bare IRI string (without the `<` `>` delimiters used by
-/// the N-Triples concrete syntax).
+/// the N-Triples concrete syntax), in shared text: a clone bumps a
+/// reference count, and equality, hashing and order see only the text.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Iri(String);
+pub struct Iri(Arc<str>);
 
 impl Iri {
     /// Creates an IRI from any string-like value.
@@ -23,7 +25,22 @@ impl Iri {
     /// whitespace" is performed; the store treats IRIs as opaque keys, as
     /// RDF stores generally do for performance.
     pub fn new(iri: impl Into<String>) -> Self {
-        Iri(iri.into())
+        Iri(iri.into().into())
+    }
+
+    /// An IRI over `text` as one allocation: a `&str` is copied once, an
+    /// `Arc<str>` is shared as it is. Parsers build terms through this
+    /// rather than through a `String` that [`Iri::new`] would copy again.
+    pub fn from_text(text: impl Into<Arc<str>>) -> Self {
+        Iri(text.into())
+    }
+
+    /// An IRI formatted from `args` in one allocation, e.g.
+    /// `Iri::formatted(format_args!("{ns}v{id}"))`: short text is formatted
+    /// on the stack and copied once, where `Iri::new(format!(..))` copies
+    /// a `String` again.
+    pub fn formatted(args: fmt::Arguments<'_>) -> Self {
+        Iri(format_text(args))
     }
 
     /// The bare IRI string.
@@ -50,7 +67,7 @@ impl fmt::Display for Iri {
 
 impl From<&str> for Iri {
     fn from(s: &str) -> Self {
-        Iri::new(s)
+        Iri::from_text(s)
     }
 }
 
@@ -62,11 +79,16 @@ impl From<String> for Iri {
 
 /// A blank node, identified by a store-local label.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlankNode(String);
+pub struct BlankNode(Arc<str>);
 
 impl BlankNode {
     /// Creates a blank node with the given label (without the `_:` prefix).
     pub fn new(label: impl Into<String>) -> Self {
+        BlankNode(label.into().into())
+    }
+
+    /// A blank node over `label` as one allocation, like [`Iri::from_text`].
+    pub fn from_text(label: impl Into<Arc<str>>) -> Self {
         BlankNode(label.into())
     }
 
@@ -86,62 +108,80 @@ impl fmt::Display for BlankNode {
 ///
 /// Following RDF 1.1, a literal without an explicit datatype or language tag
 /// has datatype `xsd:string`; a language-tagged literal has datatype
-/// `rdf:langString` (we record just the tag).
+/// `rdf:langString` (we record just the tag). Each part is shared text,
+/// as in [`Iri`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Literal {
-    lexical: String,
+    lexical: Arc<str>,
     /// `None` means plain `xsd:string` (or language-tagged when `lang` is set).
     datatype: Option<Iri>,
-    lang: Option<String>,
+    lang: Option<Arc<str>>,
 }
 
 impl Literal {
     /// A plain string literal (`xsd:string`).
     pub fn string(value: impl Into<String>) -> Self {
-        Literal {
-            lexical: value.into(),
-            datatype: None,
-            lang: None,
-        }
+        Literal::from_text(value.into(), None, None)
     }
 
     /// A language-tagged string, e.g. `"train"@en-us`.
     pub fn lang_string(value: impl Into<String>, lang: impl Into<String>) -> Self {
-        Literal {
-            lexical: value.into(),
-            datatype: None,
-            lang: Some(lang.into().to_ascii_lowercase()),
-        }
+        Literal::from_text(value.into(), None, Some(&lang.into()))
     }
 
     /// A typed literal with an explicit datatype IRI.
     pub fn typed(value: impl Into<String>, datatype: Iri) -> Self {
+        Literal::from_text(value.into(), Some(datatype), None)
+    }
+
+    /// A literal over `lexical` as one allocation, like [`Iri::from_text`]:
+    /// language-tagged when `lang` is given (lowercased; `datatype` is then
+    /// ignored), else typed when `datatype` is, else a plain string.
+    pub fn from_text(
+        lexical: impl Into<Arc<str>>,
+        datatype: Option<Iri>,
+        lang: Option<&str>,
+    ) -> Self {
+        let lang = lang.map(|tag| {
+            if tag.bytes().any(|b| b.is_ascii_uppercase()) {
+                Arc::from(tag.to_ascii_lowercase())
+            } else {
+                Arc::from(tag)
+            }
+        });
         Literal {
-            lexical: value.into(),
-            datatype: Some(datatype),
-            lang: None,
+            lexical: lexical.into(),
+            datatype: datatype.filter(|_| lang.is_none()),
+            lang,
         }
     }
 
     /// An `xsd:integer` literal.
     pub fn integer(value: i64) -> Self {
-        Literal::typed(value.to_string(), Iri::new(xsd::INTEGER))
+        Literal::of_xsd(format_text(format_args!("{value}")), xsd::INTEGER)
     }
 
     /// An `xsd:int` literal (the paper maps property-graph NUMBER values
     /// through `xsd:int`, e.g. `"23"^^<...#int>`).
     pub fn int(value: i32) -> Self {
-        Literal::typed(value.to_string(), Iri::new(xsd::INT))
+        Literal::of_xsd(format_text(format_args!("{value}")), xsd::INT)
     }
 
     /// An `xsd:double` literal.
     pub fn double(value: f64) -> Self {
-        Literal::typed(format_double(value), Iri::new(xsd::DOUBLE))
+        Literal::of_xsd(format_double(value), xsd::DOUBLE)
     }
 
     /// An `xsd:boolean` literal.
     pub fn boolean(value: bool) -> Self {
-        Literal::typed(value.to_string(), Iri::new(xsd::BOOLEAN))
+        Literal::of_xsd(
+            Arc::from(if value { "true" } else { "false" }),
+            xsd::BOOLEAN,
+        )
+    }
+
+    fn of_xsd(lexical: Arc<str>, datatype: &str) -> Self {
+        Literal::from_text(lexical, Some(Iri::from_text(datatype)), None)
     }
 
     /// The lexical form.
@@ -193,7 +233,7 @@ impl Literal {
     /// Attempts a boolean interpretation.
     pub fn as_bool(&self) -> Option<bool> {
         if self.effective_datatype() == xsd::BOOLEAN {
-            match self.lexical.as_str() {
+            match &*self.lexical {
                 "true" | "1" => Some(true),
                 "false" | "0" => Some(false),
                 _ => None,
@@ -212,7 +252,7 @@ impl Literal {
             xsd::INT | xsd::INTEGER | xsd::LONG => {
                 if let Ok(v) = self.lexical.trim().parse::<i64>() {
                     let lex = v.to_string();
-                    if lex == self.lexical && self.datatype.is_some() {
+                    if *lex == *self.lexical && self.datatype.is_some() {
                         Cow::Borrowed(self)
                     } else {
                         Cow::Owned(Literal::typed(
@@ -229,10 +269,10 @@ impl Literal {
             xsd::DOUBLE | xsd::FLOAT => {
                 if let Ok(v) = self.lexical.trim().parse::<f64>() {
                     let lex = format_double(v);
-                    if lex == self.lexical {
+                    if *lex == *self.lexical {
                         Cow::Borrowed(self)
                     } else {
-                        Cow::Owned(Literal::typed(lex, self.datatype.clone().unwrap()))
+                        Cow::Owned(Literal::from_text(lex, self.datatype.clone(), None))
                     }
                 } else {
                     Cow::Borrowed(self)
@@ -243,13 +283,56 @@ impl Literal {
     }
 }
 
-fn format_double(value: f64) -> String {
+fn format_double(value: f64) -> Arc<str> {
     // A stable lexical form: integral doubles keep one decimal place so the
     // datatype stays visually distinct from integers.
     if value == value.trunc() && value.is_finite() && value.abs() < 1e15 {
-        format!("{:.1}", value)
+        format_text(format_args!("{:.1}", value))
     } else {
-        format!("{}", value)
+        format_text(format_args!("{}", value))
+    }
+}
+
+/// Shared text formatted from `args` in one allocation: text of up to
+/// [`STACK_TEXT`] bytes is formatted into a stack buffer and copied once;
+/// longer text goes through a `String`.
+fn format_text(args: fmt::Arguments<'_>) -> Arc<str> {
+    if let Some(text) = args.as_str() {
+        return Arc::from(text);
+    }
+    let mut stack = StackText {
+        buf: [0; STACK_TEXT],
+        len: 0,
+    };
+    match fmt::write(&mut stack, args) {
+        Ok(()) => Arc::from(stack.as_str()),
+        Err(_) => Arc::from(fmt::format(args)),
+    }
+}
+
+/// Bytes [`format_text`] formats on the stack.
+const STACK_TEXT: usize = 128;
+
+/// A fixed stack buffer that fails a write once it is full.
+struct StackText {
+    buf: [u8; STACK_TEXT],
+    len: usize,
+}
+
+impl StackText {
+    fn as_str(&self) -> &str {
+        // Only whole `&str` pieces were appended.
+        std::str::from_utf8(&self.buf[..self.len]).expect("appended whole strs")
+    }
+}
+
+impl fmt::Write for StackText {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        let dst = self.buf.get_mut(self.len..end).ok_or(fmt::Error)?;
+        dst.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -328,6 +411,22 @@ impl Term {
             Term::Iri(iri) => iri.as_str(),
             Term::Blank(b) => b.as_str(),
             Term::Literal(lit) => lit.lexical(),
+        }
+    }
+
+    /// A copy of this term whose text shares no allocation with `self`:
+    /// one fresh allocation per text part. The dictionaries intern through
+    /// it, so a stored term never keeps a caller's allocation alive.
+    pub(crate) fn unshared(&self) -> Term {
+        let text = |t: &str| Arc::<str>::from(t);
+        match self {
+            Term::Iri(iri) => Term::Iri(Iri(text(iri.as_str()))),
+            Term::Blank(b) => Term::Blank(BlankNode(text(b.as_str()))),
+            Term::Literal(lit) => Term::Literal(Literal {
+                lexical: text(&lit.lexical),
+                datatype: lit.datatype.as_ref().map(|d| Iri(text(d.as_str()))),
+                lang: lit.lang.as_deref().map(text),
+            }),
         }
     }
 

@@ -9,9 +9,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use crate::error::ModelError;
-use crate::term::{Iri, Literal, Term};
+use crate::term::{BlankNode, Iri, Literal, Term};
 use crate::triple::{GraphName, Quad, Triple};
 
 /// A prefix table for compact output.
@@ -70,7 +71,7 @@ impl Prefixes {
     fn resolve(&self, prefix: &str, local: &str) -> Option<Iri> {
         self.map
             .get(prefix)
-            .map(|ns| Iri::new(format!("{ns}{local}")))
+            .map(|ns| Iri::formatted(format_args!("{ns}{local}")))
     }
 }
 
@@ -145,11 +146,12 @@ pub fn serialize<'a>(
         for (i, (predicate, mut objects)) in predicates.into_iter().enumerate() {
             objects.sort();
             objects.dedup();
-            let pred_text = if predicate == Term::iri(crate::vocab::rdf::TYPE) {
-                "a".to_string()
-            } else {
-                render_term(&predicate, prefixes)
-            };
+            let pred_text =
+                if predicate.is_iri() && predicate.str_value() == crate::vocab::rdf::TYPE {
+                    "a".to_string()
+                } else {
+                    render_term(&predicate, prefixes)
+                };
             let obj_text: Vec<String> = objects.iter().map(|o| render_term(o, prefixes)).collect();
             let _ = write!(out, " {pred_text} {}", obj_text.join(", "));
             out.push_str(if i + 1 == n_preds { " .\n" } else { " ;\n   " });
@@ -228,9 +230,9 @@ pub fn parse(input: &str) -> Result<Vec<Triple>, ModelError> {
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     AtPrefix,
-    IriRef(String),
+    IriRef(Arc<str>),
     PName(String, String),
-    Blank(String),
+    Blank(Arc<str>),
     Literal(Literal),
     A,
     Dot,
@@ -263,7 +265,7 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
                 let end = input[i + 1..]
                     .find('>')
                     .ok_or_else(|| ModelError::Syntax("unterminated IRI".into()))?;
-                out.push(Tok::IriRef(input[i + 1..i + 1 + end].to_string()));
+                out.push(Tok::IriRef(Arc::from(&input[i + 1..i + 1 + end])));
                 i += end + 2;
             }
             '.' => {
@@ -279,31 +281,35 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
                 i += 1;
             }
             '"' => {
-                // literal with escapes, then optional @lang or ^^dt
+                // literal with escapes, then optional @lang or ^^dt; text
+                // without an escape is copied once, straight from the input
                 let mut j = i + 1;
                 let mut value = String::new();
+                let mut copied = j;
                 loop {
                     if j >= bytes.len() {
                         return Err(ModelError::Syntax("unterminated literal".into()));
                     }
                     match bytes[j] {
                         b'\\' => {
+                            value.push_str(&input[copied..j]);
                             let escaped = input[j + 1..].chars().next().map_or(0, char::len_utf8);
                             let chunk = &input[j..j + 1 + escaped];
                             value.push_str(&crate::nquads::unescape(chunk)?);
                             j += 1 + escaped;
+                            copied = j;
                         }
-                        b'"' => {
-                            j += 1;
-                            break;
-                        }
-                        _ => {
-                            let ch = input[j..].chars().next().expect("in bounds");
-                            value.push(ch);
-                            j += ch.len_utf8();
-                        }
+                        b'"' => break,
+                        _ => j += 1,
                     }
                 }
+                let value: Arc<str> = if copied == i + 1 {
+                    Arc::from(&input[copied..j])
+                } else {
+                    value.push_str(&input[copied..j]);
+                    Arc::from(value)
+                };
+                j += 1;
                 if input[j..].starts_with('@') {
                     let start = j + 1;
                     let mut k = start;
@@ -311,7 +317,8 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
                     {
                         k += 1;
                     }
-                    out.push(Tok::Literal(Literal::lang_string(value, &input[start..k])));
+                    let tag = Some(&input[start..k]);
+                    out.push(Tok::Literal(Literal::from_text(value, None, tag)));
                     i = k;
                 } else if input[j..].starts_with("^^") {
                     // datatype: IRI or pname, resolved by the parser later —
@@ -323,7 +330,8 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
                             .find('>')
                             .ok_or_else(|| ModelError::Syntax("unterminated datatype".into()))?;
                         let dt = &input[j + 3..j + 3 + end];
-                        out.push(Tok::Literal(Literal::typed(value, Iri::new(dt))));
+                        let dt = Some(Iri::from_text(dt));
+                        out.push(Tok::Literal(Literal::from_text(value, dt, None)));
                         i = j + 3 + end + 1;
                     } else {
                         // prefixed datatype: read the pname
@@ -335,24 +343,20 @@ fn tokenize(input: &str) -> Result<Vec<Tok>, ModelError> {
                         let k = scan_while(rest, colon + 1, |c, _| is_local_char(c));
                         // Trailing '.' is a statement terminator.
                         let local_end = colon + 1 + rest[colon + 1..k].trim_end_matches('.').len();
-                        out.push(Tok::Literal(Literal::typed(
-                            value,
-                            Iri::new(format!(
-                                "{{pending:{prefix}}}{}",
-                                &rest[colon + 1..local_end]
-                            )),
-                        )));
+                        let local = &rest[colon + 1..local_end];
+                        let dt = Iri::formatted(format_args!("{{pending:{prefix}}}{local}"));
+                        out.push(Tok::Literal(Literal::from_text(value, Some(dt), None)));
                         i = j + 2 + local_end;
                     }
                 } else {
-                    out.push(Tok::Literal(Literal::string(value)));
+                    out.push(Tok::Literal(Literal::from_text(value, None, None)));
                     i = j;
                 }
             }
             '_' if bytes.get(i + 1) == Some(&b':') => {
                 let start = i + 2;
                 let k = scan_while(input, start, |c, _| is_local_char(c) && c != '.');
-                out.push(Tok::Blank(input[start..k].to_string()));
+                out.push(Tok::Blank(Arc::from(&input[start..k])));
                 i = k;
             }
             _ => {
@@ -387,12 +391,12 @@ fn parse_term(tokens: &[Tok], pos: &mut usize, prefixes: &Prefixes) -> Result<Te
         .ok_or_else(|| ModelError::Syntax("unexpected end of input".into()))?;
     *pos += 1;
     match tok {
-        Tok::IriRef(iri) => Ok(Term::iri(iri.clone())),
+        Tok::IriRef(iri) => Ok(Term::Iri(Iri::from_text(Arc::clone(iri)))),
         Tok::PName(prefix, local) => prefixes
             .resolve(prefix, local)
             .map(Term::Iri)
             .ok_or_else(|| ModelError::Syntax(format!("undeclared prefix: {prefix}:"))),
-        Tok::Blank(label) => Ok(Term::blank(label.clone())),
+        Tok::Blank(label) => Ok(Term::Blank(BlankNode::from_text(Arc::clone(label)))),
         Tok::Literal(lit) => {
             // Resolve pending prefixed datatypes.
             if let Some(dt) = lit.datatype_iri() {
@@ -403,9 +407,10 @@ fn parse_term(tokens: &[Tok], pos: &mut usize, prefixes: &Prefixes) -> Result<Te
                     let resolved = prefixes.resolve(prefix, local).ok_or_else(|| {
                         ModelError::Syntax(format!("undeclared prefix: {prefix}:"))
                     })?;
-                    return Ok(Term::Literal(Literal::typed(
-                        lit.lexical().to_string(),
-                        resolved,
+                    return Ok(Term::Literal(Literal::from_text(
+                        lit.lexical(),
+                        Some(resolved),
+                        None,
                     )));
                 }
             }

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use quadstore::DatasetView;
-use rdf_model::{Term, TermId};
+use rdf_model::{Iri, Literal, Term, TermId};
 
 use crate::error::SparqlError;
 use crate::expr::Value;
@@ -260,10 +260,10 @@ impl Variant {
 
 /// The term a lifted constant stands for.
 fn param_term(shape: &Shape<'_>, param: &Param) -> Term {
-    let value = shape.value(param).into_owned();
+    let value = shape.value(param);
     match param.kind {
-        ParamKind::Iri => Term::iri(value),
-        ParamKind::Str => Term::string(value),
+        ParamKind::Iri => Term::Iri(Iri::from_text(&*value)),
+        ParamKind::Str => Term::Literal(Literal::from_text(&*value, None, None)),
     }
 }
 

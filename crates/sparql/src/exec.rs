@@ -939,7 +939,7 @@ fn select_solutions(
         .map(|&s| ctx.vars.name(s).to_string())
         .collect();
     let mut rows: Vec<Vec<Option<Term>>> = Vec::new();
-    run_tail(ctx, sel, &mut |row| {
+    run_tail(ctx, sel, true, &mut |row| {
         rows.push(
             slots
                 .iter()
@@ -983,7 +983,7 @@ pub(crate) fn top_k(sel: &CSelect) -> Option<usize> {
 pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError> {
     let slots = sel.projected_slots();
     let mut rows = Vec::new();
-    run_tail(ctx, sel, &mut |row| {
+    run_tail(ctx, sel, true, &mut |row| {
         let mut narrowed = ctx.empty_row();
         for &s in &slots {
             narrowed[s] = row[s];
@@ -998,8 +998,9 @@ pub fn exec_select(ctx: &EvalCtx, sel: &CSelect) -> Result<Vec<Row>, SparqlError
 /// until `push` returns `false`, and says whether it still takes rows.
 /// The seed row binds nothing, so joining the sub-select's rows to it
 /// would only copy them: each is narrowed to the projected slots in one
-/// reused row instead, as [`exec_select`] narrows it. A limit hit inside
-/// the sub-select has been recorded; the outer tail reports it.
+/// reused row instead, as [`exec_select`] narrows it, and none is kept, so
+/// none is charged. A limit hit inside the sub-select has been recorded;
+/// the outer tail reports it.
 fn pass_through(
     ctx: &EvalCtx,
     sel: &CSelect,
@@ -1008,7 +1009,7 @@ fn pass_through(
     let slots = sel.projected_slots();
     let mut row = ctx.empty_row();
     let mut more = true;
-    let _ = run_tail(ctx, sel, &mut |out| {
+    let _ = run_tail(ctx, sel, false, &mut |out| {
         for &s in &slots {
             row[s] = out[s];
         }
@@ -1027,14 +1028,16 @@ type Emit<'e> = dyn FnMut(&mut Row) -> bool + Send + 'e;
 /// ORDER BY the slice ends the scan. ORDER BY is the only blocking stage,
 /// and grouping folds every row before the tail takes one; group rows
 /// then stream into the chain (or the ORDER BY heap) one at a time.
-/// DISTINCT keys and the sink read only the projected slots. The rows the sink keeps are retained state like any
-/// other: they are charged in chunks, so a wide result stops once it
-/// exceeds the memory budget, and a limit hit anywhere below — including
-/// inside a sub-select whose error was discarded — surfaces here rather
-/// than as silently truncated results.
+/// DISTINCT keys and the sink read only the projected slots. The rows a
+/// sink `keeps` are retained state like any other: they are charged in
+/// chunks, so a wide result stops once it exceeds the memory budget. Every
+/// chunk also checks for an abort, so a limit hit anywhere below —
+/// including inside a sub-select whose error was discarded — stops the
+/// rows and surfaces here rather than as silently truncated results.
 fn run_tail(
     ctx: &EvalCtx,
     sel: &CSelect,
+    keeps: bool,
     sink: &mut (dyn FnMut(&Row) -> bool + Send),
 ) -> Result<(), SparqlError> {
     let slots = sel.projected_slots();
@@ -1043,7 +1046,8 @@ fn run_tail(
     let mut key = Vec::with_capacity(slots.len());
     let key_bytes = slots.len() as u64 * SLOT_BYTES + 48;
     let (mut skip, limit) = (sel.offset.unwrap_or(0), sel.limit.unwrap_or(usize::MAX));
-    let (chunk, row_bytes) = (MEM_CHARGE_CHUNK as usize, ctx.row_bytes());
+    let chunk = MEM_CHARGE_CHUNK as usize;
+    let row_bytes = if keeps { ctx.row_bytes() } else { 0 };
     let mut kept = 0usize;
     let mut take = |row: &Row| -> bool {
         if sel.distinct {
@@ -1154,37 +1158,37 @@ struct Ranked<'a> {
     row: Row,
 }
 
-/// Evaluates a row's ORDER BY keys into `keys`. A variable bound to a
-/// store term borrows its key from the pinned dictionary; computed terms
-/// and expression keys own theirs.
-fn sort_keys<'a>(ctx: &'a EvalCtx, sel: &CSelect, row: &Row, keys: &mut Vec<Directed<'a>>) {
-    keys.clear();
-    keys.extend(sel.order_by.iter().map(|(expr, desc)| {
-        let key = match *expr {
-            CExpr::Var(s) if row[s].is_some_and(|id| id & COMPUTED_BIT == 0) => {
-                let term = row[s].and_then(|id| ctx.view.term(TermId(id)));
-                term.map_or(SortKey::Unbound, SortKey::of_term)
-            }
-            _ => expr
-                .eval(&RowEnv {
-                    ctx,
-                    row,
-                    aggs: None,
-                })
-                .map_or(SortKey::Unbound, |v| SortKey::of(&v).into_owned()),
-        };
-        if *desc {
-            Directed::Desc(cmp::Reverse(key))
-        } else {
-            Directed::Asc(key)
+/// Evaluates one ORDER BY key of a row. A variable bound to a store term
+/// borrows its key from the pinned dictionary; computed terms and
+/// expression keys own theirs.
+fn sort_key<'a>(ctx: &'a EvalCtx, row: &Row, (expr, desc): &(CExpr, bool)) -> Directed<'a> {
+    let key = match *expr {
+        CExpr::Var(s) if row[s].is_some_and(|id| id & COMPUTED_BIT == 0) => {
+            let term = row[s].and_then(|id| ctx.view.term(TermId(id)));
+            term.map_or(SortKey::Unbound, SortKey::of_term)
         }
-    }));
+        _ => expr
+            .eval(&RowEnv {
+                ctx,
+                row,
+                aggs: None,
+            })
+            .map_or(SortKey::Unbound, |v| SortKey::of(&v).into_owned()),
+    };
+    if *desc {
+        Directed::Desc(cmp::Reverse(key))
+    } else {
+        Directed::Asc(key)
+    }
 }
 
-/// The `k` best rows offered so far, worst on top: a row that does not
-/// beat it is dropped after one key comparison, one that does takes its
-/// place and buffers. Entries are charged to the memory budget in chunks
-/// as they are added, like the rows a result sink keeps ([`run_tail`]).
+/// The `k` best rows offered so far, worst on top. Once the heap is full,
+/// a row's first key alone drops it when that key sorts strictly after
+/// the worst row's, before its other keys are evaluated; a row that ties
+/// there is compared on all its keys, then on arrival. One that beats
+/// the worst row takes its place and buffers. Entries are charged to the
+/// memory budget in chunks as they are added, like the rows a result sink
+/// keeps ([`run_tail`]).
 struct TopK<'a> {
     ctx: &'a EvalCtx,
     sel: &'a CSelect,
@@ -1213,8 +1217,17 @@ impl<'a> TopK<'a> {
     /// Offers the `seq`-th row to arrive (arrivals only grow, so a tie
     /// loses to the row kept); `false` once a memory charge fails.
     fn offer(&mut self, row: &Row, seq: (usize, usize)) -> bool {
-        sort_keys(self.ctx, self.sel, row, &mut self.keys);
-        if self.heap.len() < self.k {
+        let (ctx, order_by) = (self.ctx, &self.sel.order_by);
+        let first = sort_key(ctx, row, &order_by[0]);
+        let full = self.heap.len() == self.k;
+        if full && self.heap.peek().is_some_and(|worst| first > worst.keys[0]) {
+            return true;
+        }
+        self.keys.clear();
+        self.keys.push(first);
+        let rest = order_by[1..].iter().map(|key| sort_key(ctx, row, key));
+        self.keys.extend(rest);
+        if !full {
             let keys = std::mem::take(&mut self.keys);
             self.heap.push(Ranked {
                 keys,
@@ -1396,6 +1409,13 @@ fn for_each_group(ctx: &EvalCtx, sel: &CSelect, emit: &mut dyn FnMut(&Row) -> bo
 /// charge separately per element).
 fn group_mem_bytes(sel: &CSelect) -> u64 {
     48 + sel.group_slots.len() as u64 * SLOT_BYTES + sel.aggregates.len() as u64 * 48
+}
+
+/// Retained bytes of one [`CountPartial`] group: 8 per key word and per
+/// count, 16 for its first position, and 8 for its chain link and its
+/// share of the chain heads.
+fn count_group_bytes(sel: &CSelect) -> u64 {
+    (sel.group_slots.len() + sel.aggregates.len()) as u64 * 8 + 24
 }
 
 /// Groups the rows [`produce`] pushes, in their sequential order, and
@@ -2520,7 +2540,7 @@ impl<'a> CountPartial<'a> {
             self.first.push(at);
             // A fresh partial group is retained state on this worker;
             // failure is sticky and stops its morsel loop.
-            let _ = ctx.charge_mem(group_mem_bytes(self.sel));
+            let _ = ctx.charge_mem(count_group_bytes(self.sel));
         }
         for (c, slot) in self.counts[g * n..][..n].iter_mut().zip(self.counted) {
             let binds = slot.is_none_or(|s| pipeline.map_or(row[s].is_some(), |p| p.binds(s)));

@@ -9,7 +9,7 @@ use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use rdf_model::vocab::xsd;
-use rdf_model::{Literal, Term};
+use rdf_model::{Iri, Literal, Term};
 
 use crate::ast::{ArithOp, CompareOp, Function};
 
@@ -444,16 +444,20 @@ fn eval_call(func: Function, args: &[CExpr], env: &dyn ExprEnv) -> Option<Value>
             }
             _ => None,
         },
-        Function::Datatype => match args[0].eval(env)? {
-            Value::Term(Term::Literal(lit)) => {
-                Some(Value::Term(Term::iri(lit.effective_datatype())))
+        Function::Datatype => {
+            let iri = |text: &str| Some(Value::Term(Term::Iri(Iri::from_text(text))));
+            match args[0].eval(env)? {
+                Value::Term(Term::Literal(lit)) => match lit.datatype_iri() {
+                    Some(dt) => Some(Value::Term(Term::Iri(dt.clone()))),
+                    None => iri(lit.effective_datatype()),
+                },
+                Value::Str(_) => iri(xsd::STRING),
+                Value::Bool(_) => iri(xsd::BOOLEAN),
+                Value::Int(_) => iri(xsd::INTEGER),
+                Value::Float(_) => iri(xsd::DOUBLE),
+                _ => None,
             }
-            Value::Str(_) => Some(Value::Term(Term::iri(xsd::STRING))),
-            Value::Bool(_) => Some(Value::Term(Term::iri(xsd::BOOLEAN))),
-            Value::Int(_) => Some(Value::Term(Term::iri(xsd::INTEGER))),
-            Value::Float(_) => Some(Value::Term(Term::iri(xsd::DOUBLE))),
-            _ => None,
-        },
+        }
         Function::Concat => {
             let mut out = String::new();
             for arg in args {

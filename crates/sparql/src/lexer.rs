@@ -1,36 +1,40 @@
 //! Tokenizer for the SPARQL subset.
 //!
 //! One span-based core finds and checks every lexeme without allocating.
-//! [`tokenize`] turns its lexemes into owned [`Token`]s for the parser;
+//! [`tokenize`] turns its lexemes into [`Token`]s for the parser, which
+//! allocate only the text a term keeps;
 //! `shape` walks the same lexemes to lift a query's constants out of
 //! its text, which is what the plan cache keys on.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use crate::error::SparqlError;
 
-/// A lexical token.
+/// A lexical token. A token that becomes a term's text owns it as shared
+/// text, so the parser moves it into the term without a copy; the others
+/// borrow their text from the input and allocate nothing.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// `<...>` IRI reference (content without brackets).
-    IriRef(String),
+    IriRef(Arc<str>),
     /// Prefixed name `pfx:local` (either part may be empty).
-    PName(String, String),
+    PName(&'a str, &'a str),
     /// `?name` / `$name`.
-    Var(String),
+    Var(&'a str),
     /// Blank node label `_:b`.
-    BlankLabel(String),
+    BlankLabel(Arc<str>),
     /// String literal content (unescaped), with optional language tag or
     /// datatype recorded by the parser from following tokens.
-    String(String),
+    String(Arc<str>),
     /// Language tag from `@en-us`.
-    LangTag(String),
+    LangTag(&'a str),
     /// Integer literal.
     Integer(i64),
     /// Decimal/double literal.
     Double(f64),
     /// Bare keyword or identifier (uppercased for keywords at parse time).
-    Word(String),
+    Word(&'a str),
     /// `a` is also a Word; punctuation below.
     LBrace,
     /// `}`
@@ -86,7 +90,7 @@ pub enum Token {
 /// of the input, so finding and checking it allocates nothing.
 enum Lexeme {
     /// A token that owns no text: punctuation, operators and numbers.
-    Plain(Token),
+    Plain(Token<'static>),
     /// `<...>`: the span between the brackets.
     Iri(usize, usize),
     /// `pfx:local`: the prefix span and the local span.
@@ -105,15 +109,15 @@ enum Lexeme {
 }
 
 impl Lexeme {
-    fn into_token(self, input: &str) -> Token {
-        let text = |a: usize, b: usize| input[a..b].to_string();
+    fn into_token(self, input: &str) -> Token<'_> {
+        let text = |a: usize, b: usize| &input[a..b];
         match self {
             Lexeme::Plain(token) => token,
-            Lexeme::Iri(a, b) => Token::IriRef(text(a, b)),
+            Lexeme::Iri(a, b) => Token::IriRef(Arc::from(text(a, b))),
             Lexeme::PName(a, b, c, d) => Token::PName(text(a, b), text(c, d)),
             Lexeme::Var(a, b) => Token::Var(text(a, b)),
-            Lexeme::Blank(a, b) => Token::BlankLabel(text(a, b)),
-            Lexeme::Str(a, b) => Token::String(unescape(&input[a..b]).into_owned()),
+            Lexeme::Blank(a, b) => Token::BlankLabel(Arc::from(text(a, b))),
+            Lexeme::Str(a, b) => Token::String(Arc::from(unescape(text(a, b)))),
             Lexeme::Lang(a, b) => Token::LangTag(text(a, b)),
             Lexeme::Word(a, b) => Token::Word(text(a, b)),
         }
@@ -161,7 +165,7 @@ impl<'a> Scanner<'a> {
         let input = self.input;
         let bytes = input.as_bytes();
         let next = bytes.get(i + 1).copied();
-        let plain = |token: Token, len: usize| Ok((Lexeme::Plain(token), i + len));
+        let plain = |token: Token<'static>, len: usize| Ok((Lexeme::Plain(token), i + len));
         match bytes[i] as char {
             '{' => plain(Token::LBrace, 1),
             '}' => plain(Token::RBrace, 1),
@@ -279,7 +283,7 @@ impl<'a> Scanner<'a> {
 }
 
 /// Tokenizes a query string.
-pub fn tokenize(input: &str) -> Result<Vec<Token>, SparqlError> {
+pub fn tokenize(input: &str) -> Result<Vec<Token<'_>>, SparqlError> {
     let mut scanner = Scanner::new(input);
     let mut tokens = Vec::new();
     while let Some((lexeme, _)) = scanner.next()? {
@@ -583,7 +587,7 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Var("x".into()),
+                Token::Var("x"),
                 Token::Lt,
                 Token::IriRef("http://pg/v1".into())
             ]
@@ -596,8 +600,8 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                Token::Var("n".into()),
-                Token::PName("k".into(), "hasTag".into()),
+                Token::Var("n"),
+                Token::PName("k", "hasTag"),
                 Token::String("#webseries".into())
             ]
         );
@@ -606,7 +610,7 @@ mod tests {
     #[test]
     fn default_prefix_pname() {
         let toks = tokenize(":MIT").unwrap();
-        assert_eq!(toks, vec![Token::PName(String::new(), "MIT".into())]);
+        assert_eq!(toks, vec![Token::PName("", "MIT")]);
     }
 
     #[test]
@@ -652,10 +656,7 @@ mod tests {
         let toks = tokenize("\"train\"@en-us").unwrap();
         assert_eq!(
             toks,
-            vec![
-                Token::String("train".into()),
-                Token::LangTag("en-us".into())
-            ]
+            vec![Token::String("train".into()), Token::LangTag("en-us")]
         );
     }
 
@@ -675,10 +676,7 @@ mod tests {
     #[test]
     fn comments_are_skipped() {
         let toks = tokenize("SELECT # comment\n ?x").unwrap();
-        assert_eq!(
-            toks,
-            vec![Token::Word("SELECT".into()), Token::Var("x".into())]
-        );
+        assert_eq!(toks, vec![Token::Word("SELECT"), Token::Var("x")]);
     }
 
     #[test]
@@ -688,9 +686,9 @@ mod tests {
             toks,
             vec![
                 Token::LParen,
-                Token::PName("r".into(), "knows".into()),
+                Token::PName("r", "knows"),
                 Token::Pipe,
-                Token::PName("r".into(), "follows".into()),
+                Token::PName("r", "follows"),
                 Token::RParen,
                 Token::Plus
             ]

@@ -396,6 +396,26 @@ fn many_count_groups_exhaust_a_small_memory_budget() {
     }
 }
 
+/// A plain-count group is charged what it holds — its key word, its
+/// count, its first position and its chain link, 40 bytes here — and the
+/// rows a root sub-select passes into the outer count are not kept, so
+/// not charged. 20,000 groups then cost 1.98 MB with their result rows,
+/// and EQ9's histogram over them 0.81 MB: both fit a 2.5 MB budget that a
+/// charge of 105 bytes per group and `row_bytes` per passed row (3.28 and
+/// 3.46 MB) exceeded, and equal the reference.
+#[test]
+fn count_groups_are_charged_what_they_hold() {
+    let store = dense_store(20_000);
+    let groups = "SELECT ?a (COUNT(*) AS ?n) WHERE { ?a <http://p> ?x } GROUP BY ?a";
+    let histogram = format!("SELECT ?n (COUNT(*) AS ?c) WHERE {{ {groups} }} GROUP BY ?n");
+    for q in [groups, histogram.as_str()] {
+        let expected = reference(&store, q, ExecLimits::default()).expect("reference");
+        let options = ExecOptions::threads(1).with_limits(ExecLimits::memory(2_500_000));
+        let result = query_with_options(&store, "m", q, options);
+        assert_eq!(result.as_ref().ok(), Some(&expected), "{q}: {result:?}");
+    }
+}
+
 /// An ordered LIMIT over a UNION whose second branch streams (an
 /// OPTIONAL) keeps its heap bound on every branch: the pipelined branch's
 /// 25,000 rows are offered to the workers' heaps as they are made, not
