@@ -1,11 +1,13 @@
 //! The work golden: the paper's experiment queries EQ1–EQ12 (EQ11 at one
 //! to four hops; five hops alone would take several seconds in a debug
-//! build) on the NG, SP and RF stores of a scale-0.005 fixture, and the
-//! `topk` benchmark ops T1–T7 on NG and SP, each checked against
+//! build) on the NG, SP and RF stores of a scale-0.005 fixture, the
+//! `topk` benchmark ops T1–T7 and `lookup`'s point shapes P1–P3 on NG and
+//! SP, each checked against
 //! `tests/work_golden.txt` for:
 //! - its EXPLAIN text;
 //! - every step's actual rows and loops, profiled at threads 1 and 2;
-//! - its result count (a COUNT query's count, else its rows);
+//! - its result count (a COUNT query's count, an ASK's 1 or 0, else its
+//!   rows);
 //! - its peak charged memory at threads 1.
 //!
 //! These are exact counts, so a change that moves a plan or the work a
@@ -97,6 +99,38 @@ fn topk(fixture: &Fixture, model: PgRdfModel) -> Vec<(String, String, String)> {
     .collect()
 }
 
+/// The `lookup` benchmark's point shapes P1–P3 as `(label, dataset, text)`,
+/// from EQ11's start vertex `v` and its first `follows` target `o`: `v`'s
+/// key-value pairs, its out-neighbours and whether `v` follows `o`. The
+/// texts and datasets are `pgbench/src/workload.rs`'s, copied like `topk`'s.
+fn lookup(fixture: &Fixture, model: PgRdfModel) -> Vec<(String, String, String)> {
+    let store = fixture.store(model);
+    let names = store
+        .partition_names()
+        .expect("fixture stores are partitioned");
+    let vocab = PgVocab::twitter();
+    let p = vocab.prefixes();
+    let v = fixture.start_node;
+    let o = fixture
+        .graph
+        .out_neighbors(v, Some("follows"))
+        .next()
+        .expect("the start vertex follows someone");
+    let (s, o) = (vocab.vertex_iri(v), vocab.vertex_iri(o));
+    [
+        (names.node_kv, format!("SELECT ?k ?v WHERE {{ {s} ?k ?v }}")),
+        (
+            names.topology,
+            format!("SELECT ?o WHERE {{ {s} r:follows ?o }}"),
+        ),
+        (store.dataset_name(), format!("ASK {{ {s} r:follows {o} }}")),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, (dataset, body))| (format!("P{}", i + 1), dataset, format!("{p}{body}")))
+    .collect()
+}
+
 /// One query's record: EXPLAIN, the step tallies per thread count, the
 /// result count and the peak memory at threads 1.
 fn record(
@@ -131,6 +165,7 @@ fn record(
             peak = observer.peak_mem_bytes();
             count = match results {
                 QueryResults::Solutions(s) => s.scalar_i64().map_or(s.len() as i64, |n| n),
+                QueryResults::Boolean(b) => i64::from(b),
                 other => panic!("expected solutions, got {other:?}"),
             };
         }
@@ -154,6 +189,11 @@ fn plans_and_work_match_the_golden_file() {
     }
     for model in [PgRdfModel::NG, PgRdfModel::SP] {
         for (label, dataset, text) in topk(&fixture, model) {
+            record(&fixture, &label, &dataset, &text, model, &mut got);
+        }
+    }
+    for model in [PgRdfModel::NG, PgRdfModel::SP] {
+        for (label, dataset, text) in lookup(&fixture, model) {
             record(&fixture, &label, &dataset, &text, model, &mut got);
         }
     }
