@@ -195,6 +195,7 @@ pub const DEFAULT_MORSEL_SIZE: usize = 2048;
 pub(crate) mod batch;
 mod group_table;
 mod join_table;
+mod ops;
 
 use group_table::{key_word, slot_value, GroupKeys};
 use join_table::{row_hash, BuildTable, Chains};
