@@ -56,6 +56,14 @@ pub fn parse_update(text: &str) -> Result<Update, SparqlError> {
 /// recursive descent could exhaust a thread's stack.
 pub(crate) const MAX_NESTING: usize = 64;
 
+/// The most links a flat chain may have: the operators of `a + b + …`
+/// (and of `-`, `*`, `/`, `&&` and `||`), the `UNION`s of a union chain,
+/// the `/`s or `|`s of a path and a group's successive `OPTIONAL`s. The
+/// parser builds each chain as a left-deep tree as deep as the chain is
+/// long, which every later pass recurses through, so a longer chain is a
+/// [`SparqlError::Parse`] before it could exhaust a thread's stack.
+pub(crate) const MAX_CHAIN: usize = 256;
+
 struct Parser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
@@ -93,6 +101,19 @@ impl<'a> Parser<'a> {
         let parsed = parse(self);
         self.depth -= 1;
         parsed
+    }
+
+    /// Counts one more link of a flat chain, or refuses the query past
+    /// [`MAX_CHAIN`] links.
+    fn link(&self, links: &mut usize) -> Result<(), SparqlError> {
+        *links += 1;
+        if *links > MAX_CHAIN {
+            return Err(SparqlError::Parse(format!(
+                "a chain longer than {MAX_CHAIN} links at token {}",
+                self.pos
+            )));
+        }
+        Ok(())
     }
 
     fn parse_query(&mut self) -> Result<Query, SparqlError> {
@@ -431,6 +452,7 @@ impl<'a> Parser<'a> {
             return Ok(GraphPattern::SubSelect(Box::new(inner)));
         }
         let mut members: Vec<GraphPattern> = Vec::new();
+        let mut optionals = 0;
         let mut filters: Vec<Expression> = Vec::new();
         let mut triples: Vec<TriplePattern> = Vec::new();
 
@@ -452,7 +474,9 @@ impl<'a> Parser<'a> {
                 Some(Token::LBrace) => {
                     flush_triples!();
                     let mut left = self.parse_group_graph_pattern()?;
+                    let mut links = 0;
                     while self.eat_keyword("UNION") {
+                        self.link(&mut links)?;
                         let right = self.parse_group_graph_pattern()?;
                         left = GraphPattern::Union(Box::new(left), Box::new(right));
                     }
@@ -508,6 +532,7 @@ impl<'a> Parser<'a> {
                     members.push(GraphPattern::Graph(graph, Box::new(inner)));
                 }
                 Some(Token::Word(w)) if w.eq_ignore_ascii_case("OPTIONAL") => {
+                    self.link(&mut optionals)?;
                     self.bump();
                     let right = self.parse_group_graph_pattern()?;
                     flush_triples!();
@@ -645,8 +670,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_path_alternative(&mut self) -> Result<PropertyPath, SparqlError> {
-        let mut left = self.parse_path_sequence()?;
+        let (mut left, mut links) = (self.parse_path_sequence()?, 0);
         while self.peek() == Some(&Token::Pipe) {
+            self.link(&mut links)?;
             self.bump();
             let right = self.parse_path_sequence()?;
             left = PropertyPath::Alternative(Box::new(left), Box::new(right));
@@ -655,8 +681,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_path_sequence(&mut self) -> Result<PropertyPath, SparqlError> {
-        let mut left = self.parse_path_elt_or_inverse()?;
+        let (mut left, mut links) = (self.parse_path_elt_or_inverse()?, 0);
         while self.peek() == Some(&Token::Slash) {
+            self.link(&mut links)?;
             self.bump();
             let right = self.parse_path_elt_or_inverse()?;
             left = PropertyPath::Sequence(Box::new(left), Box::new(right));
@@ -768,8 +795,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_or(&mut self) -> Result<Expression, SparqlError> {
-        let mut left = self.parse_and()?;
+        let (mut left, mut links) = (self.parse_and()?, 0);
         while self.peek() == Some(&Token::OrOr) {
+            self.link(&mut links)?;
             self.bump();
             let right = self.parse_and()?;
             left = Expression::Or(Box::new(left), Box::new(right));
@@ -778,8 +806,9 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_and(&mut self) -> Result<Expression, SparqlError> {
-        let mut left = self.parse_relational()?;
+        let (mut left, mut links) = (self.parse_relational()?, 0);
         while self.peek() == Some(&Token::AndAnd) {
+            self.link(&mut links)?;
             self.bump();
             let right = self.parse_relational()?;
             left = Expression::And(Box::new(left), Box::new(right));
@@ -808,13 +837,14 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_additive(&mut self) -> Result<Expression, SparqlError> {
-        let mut left = self.parse_multiplicative()?;
+        let (mut left, mut links) = (self.parse_multiplicative()?, 0);
         loop {
             let op = match self.peek() {
                 Some(Token::Plus) => ArithOp::Add,
                 Some(Token::Minus) => ArithOp::Sub,
                 _ => break,
             };
+            self.link(&mut links)?;
             self.bump();
             let right = self.parse_multiplicative()?;
             left = Expression::Arith(op, Box::new(left), Box::new(right));
@@ -823,13 +853,14 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expression, SparqlError> {
-        let mut left = self.parse_unary()?;
+        let (mut left, mut links) = (self.parse_unary()?, 0);
         loop {
             let op = match self.peek() {
                 Some(Token::Star) => ArithOp::Mul,
                 Some(Token::Slash) => ArithOp::Div,
                 _ => break,
             };
+            self.link(&mut links)?;
             self.bump();
             let right = self.parse_unary()?;
             left = Expression::Arith(op, Box::new(left), Box::new(right));
@@ -1406,6 +1437,52 @@ mod tests {
             );
         }
         assert_eq!(shallow, Ok(()));
+    }
+
+    #[test]
+    fn long_flat_chains_are_a_parse_error_on_a_small_stack() {
+        // `n` copies of `item` joined by `sep`, about 1 MB in all.
+        let long = |item: &str, sep: &str| {
+            let n = (1 << 20) / (item.len() + sep.len());
+            vec![item; n].join(sep)
+        };
+        let queries = [
+            format!(
+                "SELECT * WHERE {{ ?s ?p ?o FILTER ({} > 0) }}",
+                long("1", " + ")
+            ),
+            format!(
+                "SELECT * WHERE {{ ?s ?p ?o FILTER ({}) }}",
+                long("?o", " || ")
+            ),
+            format!("SELECT * WHERE {{ {} }}", long("{ ?s ?p ?o }", " UNION ")),
+            format!("SELECT * WHERE {{ ?s {} ?o }}", long("<http://p>", "/")),
+            format!("SELECT * WHERE {{ ?s {} ?o }}", long("<http://p>", "|")),
+            format!(
+                "SELECT * WHERE {{ ?s ?p ?o {} }}",
+                long("OPTIONAL { ?o ?q ?x }", " ")
+            ),
+        ];
+        let refused = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || queries.map(|q| parse_query(&q).map(drop)))
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+        for result in refused {
+            assert!(
+                matches!(&result, Err(SparqlError::Parse(m)) if m.contains("chain")),
+                "{result:?}"
+            );
+        }
+        let longest = |item: &str, sep: &str| vec![item; MAX_CHAIN + 1].join(sep);
+        let kept = format!(
+            "SELECT * WHERE {{ {{ ?s {} ?o FILTER ({} > 0) }} {} }}",
+            longest("<http://p>", "/"),
+            longest("1", " * "),
+            longest("{ ?s ?p ?o }", " UNION ")
+        );
+        assert_eq!(parse_query(&kept).map(drop), Ok(()));
     }
 
     /// `inner` inside `n` levels of `open` … `close`.

@@ -530,3 +530,49 @@ fn order_by_is_total_over_mixed_numeric_and_string_keys() {
         }
     }
 }
+
+#[test]
+fn flat_chains_of_256_links_answer_on_a_small_stack() {
+    let chain = |item: &str, sep: &str| vec![item; 257].join(sep);
+    let optionals = vec!["OPTIONAL { ?y <http://age> ?a }"; 256].join(" ");
+    let queries = [
+        format!(
+            "SELECT ?x WHERE {{ ?x <http://age> ?a FILTER ({} > 0) }}",
+            chain("?a", " + ")
+        ),
+        format!(
+            "SELECT ?x WHERE {{ ?x <http://age> ?a FILTER ({}) }}",
+            chain("?a = 30", " || ")
+        ),
+        format!(
+            "SELECT ?x WHERE {{ {} }}",
+            chain("{ ?x <http://age> ?a }", " UNION ")
+        ),
+        format!(
+            "SELECT ?x WHERE {{ ?x {} ?y }}",
+            chain("<http://knows>", "|")
+        ),
+        format!(
+            "SELECT ?x WHERE {{ ?x {} ?y }}",
+            chain("<http://knows>", "/")
+        ),
+        format!("SELECT ?x WHERE {{ ?x <http://knows> ?y {optionals} }}"),
+    ];
+    // A release build answers them all on a 2 MB thread; a debug build's
+    // larger frames take a 257-branch UNION past 2 MB.
+    let stack = if cfg!(debug_assertions) {
+        4 << 20
+    } else {
+        2 << 20
+    };
+    let counts = std::thread::Builder::new()
+        .stack_size(stack)
+        .spawn(move || queries.map(|q| select(&q).len()))
+        .expect("spawn")
+        .join()
+        .expect("no stack overflow or panic");
+    // Ages 30 and 25; alice at 30; two rows per UNION branch and per
+    // path alternative; no path of 257 knows edges; the two knows edges,
+    // each kept once by every OPTIONAL.
+    assert_eq!(counts, [2, 1, 514, 514, 0, 2]);
+}
