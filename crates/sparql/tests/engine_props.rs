@@ -206,6 +206,8 @@ fn queries() -> Vec<&'static str> {
         // the index per row (the optimizer plans HASH JOIN on ?x,?y here)...
         "SELECT ?x ?y WHERE { VALUES (?x ?y) { (<http://n1> UNDEF) (<http://n2> <http://n3>) } \
          ?x <http://p0> ?y }",
+        // A hash join on ?y keys on its subject and checks its object.
+        "SELECT ?x ?y WHERE { ?x <http://p0> ?y . ?y <http://p1> ?y }",
         // ...and a key bound to a term the store lacks matches nothing.
         "SELECT ?x ?y WHERE { { BIND(<http://n99> AS ?x) } UNION { BIND(<http://n1> AS ?x) } \
          ?x <http://p0> ?y }",

@@ -23,6 +23,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 # Builds it and runs its unit tests, which replay every workload against
 # the PropertyGraph oracle.
 cargo test --offline -q --manifest-path pgbench/Cargo.toml
+# The workspace lint and layout checks above do not reach it either.
+cargo clippy --offline --manifest-path pgbench/Cargo.toml --all-targets --no-deps -q -- -D warnings
+cargo fmt --manifest-path pgbench/Cargo.toml -- --check
 
 # Every executor configuration (threads x morsel size; a morsel is one
 # column batch) must stay bit-identical to the reference evaluator, with
