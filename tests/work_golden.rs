@@ -2,7 +2,8 @@
 //! to four hops; five hops alone would take several seconds in a debug
 //! build) on the NG, SP and RF stores of a scale-0.005 fixture, the
 //! `topk` benchmark ops T1–T7 and `lookup`'s point shapes P1–P3 on NG and
-//! SP, each checked against
+//! SP, and `mixed_rw`'s reads EQ1, EQ2, EQ5 and EQ10 on monolithic NG and
+//! SP stores part-way through its write window, each checked against
 //! `tests/work_golden.txt` for:
 //! - its EXPLAIN text;
 //! - every step's actual rows and loops, profiled at threads 1 and 2;
@@ -21,7 +22,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use pgrdf::{PgRdfModel, PgVocab};
+use pgrdf::{LoadOptions, PgRdfModel, PgRdfStore, PgVocab};
 use pgrdf_bench::{Eq, Fixture};
 use sparql::{ExecObserver, ExecOptions, QueryResults};
 
@@ -131,17 +132,131 @@ fn lookup(fixture: &Fixture, model: PgRdfModel) -> Vec<(String, String, String)>
     .collect()
 }
 
+/// The tag `mixed_rw` writes.
+const WRITE_TAG: &str = "#pgbench";
+/// Edges per `mixed_rw` write batch.
+const BATCH: u64 = 16;
+/// Live write batches: batch `i - WINDOW` is deleted when batch `i` goes in.
+const WINDOW: usize = 32;
+
+/// `mixed_rw`'s write window over a monolithic store: round `i` inserts
+/// batch `i` of 16 edges tagged `#pgbench` and then deletes batch
+/// `i - WINDOW`. The batch texts are `pgbench/src/workload.rs`'s, copied
+/// like `topk`'s; new edges start at the graph's vertices that follow
+/// someone, in ID order.
+struct Writes {
+    vocab: PgVocab,
+    sources: Vec<u64>,
+    vertex_base: u64,
+    edge_base: u64,
+}
+
+impl Writes {
+    fn new(fixture: &Fixture) -> Writes {
+        let graph = &fixture.graph;
+        let mut sources: Vec<u64> = graph
+            .vertex_ids()
+            .filter(|&v| graph.out_neighbors(v, Some("follows")).next().is_some())
+            .collect();
+        sources.sort_unstable();
+        sources.truncate(64);
+        let max_vertex = graph.vertex_ids().max().expect("vertices");
+        let max_edge = graph.edges().map(|(id, _)| id).max().expect("edges");
+        Writes {
+            vocab: PgVocab::twitter(),
+            sources,
+            vertex_base: (max_vertex + 1).next_multiple_of(1_000_000),
+            edge_base: (max_edge + 1).next_multiple_of(1_000_000),
+        }
+    }
+
+    /// The `verb DATA` text of batch `b` in `model`'s multi-quad shape: the
+    /// edge, two edge KVs, and the tag on the new endpoint.
+    fn text(&self, verb: &str, b: usize, model: PgRdfModel) -> String {
+        let vocab = &self.vocab;
+        let mut body = String::new();
+        for k in b as u64 * BATCH..(b as u64 + 1) * BATCH {
+            let src = self.sources[k as usize % self.sources.len()];
+            let e = vocab.edge_iri(self.edge_base + k).to_string();
+            let src = vocab.vertex_iri(src).to_string();
+            let dst = vocab.vertex_iri(self.vertex_base + k).to_string();
+            let kvs = format!("{e} k:hasTag \"{WRITE_TAG}\" . {e} k:refs \"@w{b}\" .");
+            match model {
+                PgRdfModel::NG => {
+                    write!(body, "GRAPH {e} {{ {src} r:follows {dst} . {kvs} }} ").unwrap()
+                }
+                _ => write!(
+                    body,
+                    "{src} {e} {dst} . {e} rdfs:subPropertyOf r:follows . \
+                     {src} r:follows {dst} . {kvs} "
+                )
+                .unwrap(),
+            }
+            write!(body, "{dst} k:hasTag \"{WRITE_TAG}\" . ").unwrap();
+        }
+        format!("{}{verb} DATA {{ {body}}}", vocab.prefixes())
+    }
+
+    /// Runs rounds `rounds` of the window on `store`.
+    fn apply(&self, store: &PgRdfStore, model: PgRdfModel, rounds: std::ops::Range<usize>) {
+        for i in rounds {
+            store
+                .update(&self.text("INSERT", i, model))
+                .expect("INSERT DATA");
+            if let Some(old) = i.checked_sub(WINDOW) {
+                store
+                    .update(&self.text("DELETE", old, model))
+                    .expect("DELETE DATA");
+            }
+        }
+    }
+}
+
+/// `mixed_rw`'s reads on a monolithic store of the fixture's graph at two
+/// points of the write window: after round 35, when both stores hold an
+/// uncompacted delta with removed quads (the window's first rounds were
+/// folded into the base before their deletes), and after round 51, when
+/// the sixteen rounds between have been enough writes for at least two
+/// more compactions of a 1,024-entry delta.
+fn mixed_rw(fixture: &Fixture, model: PgRdfModel, out: &mut String) {
+    let store = PgRdfStore::load_with(
+        &fixture.graph,
+        model,
+        LoadOptions {
+            vocab: PgVocab::twitter(),
+            ..Default::default()
+        },
+    )
+    .expect("monolithic load");
+    let writes = Writes::new(fixture);
+    let qs = store.queries();
+    let reads = [
+        (Eq::Eq1, qs.eq1(WRITE_TAG)),
+        (Eq::Eq2, qs.eq2(WRITE_TAG)),
+        (Eq::Eq5, qs.eq5(WRITE_TAG)),
+        (Eq::Eq10, qs.eq10()),
+    ];
+    let mut done = 0;
+    for last in [35, 51] {
+        writes.apply(&store, model, done..last + 1);
+        done = last + 1;
+        for (eq, text) in &reads {
+            let label = format!("{}@r{last}", eq.label(model));
+            record(&store, &label, &store.dataset_name(), text, model, out);
+        }
+    }
+}
+
 /// One query's record: EXPLAIN, the step tallies per thread count, the
 /// result count and the peak memory at threads 1.
 fn record(
-    fixture: &Fixture,
+    store: &PgRdfStore,
     label: &str,
     dataset: &str,
     text: &str,
     model: PgRdfModel,
     out: &mut String,
 ) {
-    let store = fixture.store(model);
     let view = store.store().dataset(dataset).expect("dataset");
     let query = sparql::parse_query(text).expect("parse");
     let plan = sparql::compile(&view, &query).expect("compile");
@@ -184,18 +299,42 @@ fn plans_and_work_match_the_golden_file() {
                 fixture.dataset_for(eq, model),
                 fixture.query_text(eq, model),
             );
-            record(&fixture, &eq.label(model), &dataset, &text, model, &mut got);
+            record(
+                fixture.store(model),
+                &eq.label(model),
+                &dataset,
+                &text,
+                model,
+                &mut got,
+            );
         }
     }
     for model in [PgRdfModel::NG, PgRdfModel::SP] {
         for (label, dataset, text) in topk(&fixture, model) {
-            record(&fixture, &label, &dataset, &text, model, &mut got);
+            record(
+                fixture.store(model),
+                &label,
+                &dataset,
+                &text,
+                model,
+                &mut got,
+            );
         }
     }
     for model in [PgRdfModel::NG, PgRdfModel::SP] {
         for (label, dataset, text) in lookup(&fixture, model) {
-            record(&fixture, &label, &dataset, &text, model, &mut got);
+            record(
+                fixture.store(model),
+                &label,
+                &dataset,
+                &text,
+                model,
+                &mut got,
+            );
         }
+    }
+    for model in [PgRdfModel::NG, PgRdfModel::SP] {
+        mixed_rw(&fixture, model, &mut got);
     }
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(GOLDEN, &got).expect("write the golden file");
