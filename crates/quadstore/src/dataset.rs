@@ -13,7 +13,7 @@ use std::sync::Arc;
 use rdf_model::{DictSnapshot, GraphName, Quad, Term, TermId};
 
 use crate::ids::{EncodedQuad, QuadPattern, G, O, P, S};
-use crate::model::{AccessPath, SemanticModel, Span};
+use crate::model::{AccessPath, SemanticModel, Span, RUNS};
 
 /// A read-only union view over one or more semantic models, carrying the
 /// dictionary snapshot that decodes its quads. Cloning shares the same
@@ -25,8 +25,8 @@ pub struct DatasetView {
 }
 
 /// One unit of parallel scan work: a contiguous chunk of one member's
-/// resolved span for a pattern, or that member's insert delta. It carries
-/// the index it reads, so reading it makes no index choice.
+/// resolved span for a pattern, in its base or in one of its runs' adds.
+/// It carries the index it reads, so reading it makes no index choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Morsel {
     /// Index of the member model within the view.
@@ -182,10 +182,10 @@ impl DatasetView {
     }
 
     /// Splits the scan of `pattern` into morsels: contiguous chunks of each
-    /// member's span, `first` keys long and doubling up to `max`, plus (per
-    /// member) one morsel for its uncompacted insert delta. A reader that
-    /// wants `k` rows passes `first = k`, so a dense match reads about `k`
-    /// keys; the others pass `first = max`. Reading the morsels in order with
+    /// member's span in its base, then in each run's adds, `first` keys
+    /// long and doubling up to `max`. A reader that wants `k` rows passes
+    /// `first = k`, so a dense match reads about `k` keys; the others pass
+    /// `first = max`. Reading the morsels in order with
     /// [`Self::scan_morsel_columns`] yields exactly the quads of
     /// [`Self::scan`], in the same order — which is what lets parallel
     /// workers merge morsel outputs back into the sequential row order.
@@ -206,27 +206,31 @@ impl DatasetView {
         let mut out = Vec::new();
         for (member, m) in self.members.iter().enumerate() {
             let span = m.span(pattern, prefer);
-            let (mut start, hi) = span.keys.unwrap_or_default();
             let mut size = first.clamp(1, max);
-            while start < hi {
-                // `start + size` would wrap for sizes near `usize::MAX`.
-                let end = start + size.min(hi - start);
-                let keys = Some((start, end));
-                out.push(Morsel {
-                    member,
-                    span: Span {
-                        keys,
-                        delta: false,
+            // Level 0 is the base, level `1 + r` run `r`'s adds.
+            for level in 0..=RUNS {
+                let (mut start, hi) = match level {
+                    0 => span.keys.unwrap_or_default(),
+                    _ => span.adds[level - 1],
+                };
+                while start < hi {
+                    // `start + size` would wrap for sizes near `usize::MAX`.
+                    let end = start + size.min(hi - start);
+                    let mut chunk = Span {
+                        keys: None,
+                        adds: Default::default(),
                         ..span
-                    },
-                });
-                (start, size) = (end, max.min(size.saturating_mul(2)));
-            }
-            if span.delta {
-                out.push(Morsel {
-                    member,
-                    span: Span { keys: None, ..span },
-                });
+                    };
+                    match level {
+                        0 => chunk.keys = Some((start, end)),
+                        _ => chunk.adds[level - 1] = (start, end),
+                    }
+                    out.push(Morsel {
+                        member,
+                        span: chunk,
+                    });
+                    (start, size) = (end, max.min(size.saturating_mul(2)));
+                }
             }
         }
         out
@@ -452,6 +456,10 @@ mod tests {
             .map(|i| quad_of(&format!("http://s{i}"), "http://q", "http://o"))
             .collect();
         store.bulk_load("a", &quads).unwrap();
+        // Model "b" holds its quads in its top run, one of them a match.
+        store
+            .insert("b", &quad_of("http://s9", "http://q", "http://o"))
+            .unwrap();
         let view = store.dataset_union(&["a", "b"]).unwrap();
         let q = store.term_id(&Term::iri("http://q")).unwrap();
         let pat = QuadPattern {
@@ -463,15 +471,20 @@ mod tests {
         let sequential: Vec<_> = view.scan(pat).collect();
         for morsel_size in [usize::MAX, usize::MAX / 2] {
             let morsels = view.plan_morsels(&pat, morsel_size, morsel_size, None);
-            // Model "a": its whole base span; model "b": only its delta.
+            // Model "a": its whole base span; model "b": only its top
+            // run's span.
             let a = view.members()[0].span(&pat, None);
             let (lo, hi) = a.keys.expect("a key range");
             assert!(lo > 0 && hi > lo);
             let b = view.members()[1].span(&pat, None);
+            assert_eq!(b.adds[crate::model::TOP], (1, 2));
             let expected = vec![
                 Morsel {
                     member: 0,
-                    span: Span { delta: false, ..a },
+                    span: Span {
+                        adds: Default::default(),
+                        ..a
+                    },
                 },
                 Morsel {
                     member: 1,

@@ -407,55 +407,30 @@ pub struct StorageReport {
 impl StorageReport {
     /// Builds the report for the given models of a store.
     pub fn compute(store: &Store, model_names: &[&str]) -> Self {
-        let mut rows = Vec::new();
-        let mut total_quads = 0usize;
-        for name in model_names {
-            if let Some(model) = store.model(name) {
-                total_quads += model.len();
-                for index in model.indexes() {
-                    rows.push(StorageRow {
-                        object: format!("{} Index ({})", index.kind(), name),
-                        entries: index.len(),
-                        bytes: index.approx_bytes(),
-                    });
-                }
-            }
-        }
-        // The quads ("triples") table itself: one 32-byte encoded row each.
-        rows.insert(
-            0,
-            StorageRow {
-                object: "Quads Table".to_string(),
-                entries: total_quads,
-                bytes: total_quads * 32,
-            },
-        );
-        rows.push(StorageRow {
-            object: "Values Table".to_string(),
-            entries: store.dictionary().len(),
-            bytes: store.dictionary().approx_value_bytes(),
-        });
-        StorageReport { rows }
+        Self::compute_at(&store.current(), model_names)
     }
 
     /// [`StorageReport::compute`] against a pinned [`Snapshot`](crate::Snapshot) instead
     /// of the live store — every row reflects the same MVCC generation,
-    /// which is what the `pgrdf:sys/store` system graph materializes.
+    /// which is what the `pgrdf:sys/store` system graph materializes. An
+    /// index's row counts the entries of its runs with its base keys.
     pub fn compute_at(snapshot: &crate::Snapshot, model_names: &[&str]) -> Self {
         let mut rows = Vec::new();
         let mut total_quads = 0usize;
         for name in model_names {
             if let Some(model) = snapshot.model(name) {
                 total_quads += model.len();
-                for index in model.indexes() {
+                for (i, kind) in model.index_kinds().iter().enumerate() {
+                    let entries = model.index_entries(i);
                     rows.push(StorageRow {
-                        object: format!("{} Index ({})", index.kind(), name),
-                        entries: index.len(),
-                        bytes: index.approx_bytes(),
+                        object: format!("{kind} Index ({name})"),
+                        entries,
+                        bytes: entries * 32,
                     });
                 }
             }
         }
+        // The quads ("triples") table itself: one 32-byte encoded row each.
         rows.insert(
             0,
             StorageRow {
