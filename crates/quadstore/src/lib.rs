@@ -43,7 +43,7 @@ pub use error::StoreError;
 pub use faults::{FaultOp, FaultPlan, FaultyVfs, RealFs, ScheduledFault, Vfs};
 pub use ids::{EncodedQuad, GraphConstraint, QuadPattern};
 pub use index::{gallop, Component, IndexKind, SortedIndex};
-pub use model::{AccessPath, SemanticModel};
+pub use model::{AccessPath, SemanticModel, SEALED, TOP};
 pub use persist::{recover_from_dir, Recovered};
 pub use stats::{
     resource_counts, CboStats, EquiDepthHistogram, ModelStats, PredicateStat, ResourceCounts,

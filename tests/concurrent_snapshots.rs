@@ -27,8 +27,8 @@ use std::time::Duration;
 
 use pgrdf::{PgRdfModel, PgRdfStore};
 use propertygraph::{PropValue, PropertyGraph};
-use quadstore::{DatasetView, EncodedQuad};
-use rdf_model::{GraphName, Quad, TermId};
+use quadstore::{DatasetView, EncodedQuad, QuadPattern, Store};
+use rdf_model::{GraphName, Quad, Term, TermId};
 
 const WRITERS: usize = 4;
 const READERS: usize = 8;
@@ -251,4 +251,158 @@ fn writers_never_tear_reads_across_all_encodings() {
             assert!(n == 0 || n == quads.len(), "final generation is torn");
         }
     }
+}
+
+/// Quads per window batch and live batches in the window.
+const BATCH: usize = 64;
+const WINDOW: usize = 16;
+
+/// Quad `k` of window batch `b`: `<e{b}_{k}> <in> <b{b}>`.
+fn window_quad(b: usize, k: usize) -> Quad {
+    Quad::triple(
+        Term::iri(format!("http://w/e{b}_{k}")),
+        Term::iri("http://w/in"),
+        Term::iri(format!("http://w/b{b}")),
+    )
+    .expect("valid quad")
+}
+
+/// The round marker `<round> <at> <r{i}>`, rewritten by every round.
+fn marker(i: usize) -> Quad {
+    Quad::triple(
+        Term::iri("http://w/round"),
+        Term::iri("http://w/at"),
+        Term::iri(format!("http://w/r{i}")),
+    )
+    .expect("valid quad")
+}
+
+/// The number at the end of an IRI `http://w/<letter><n>`.
+fn iri_number(t: &Term) -> usize {
+    let Term::Iri(iri) = t else {
+        panic!("an IRI, got {t:?}")
+    };
+    iri.as_str()[10..].parse().expect("a number")
+}
+
+/// A writer slides a window of fresh quads over a small model: round `i`
+/// inserts batch `i`, deletes batch `i - WINDOW` and moves the round
+/// marker, in one batch. Its writes fold the top run into the sealed run
+/// several times and merge the sealed run into the base, while readers
+/// pin snapshots and check that each holds exactly the window of the
+/// round its marker names, whole batches only, the same on a repeat read,
+/// under monotone epochs.
+#[test]
+fn window_churn_folds_and_merges_under_pinned_readers() {
+    let store = Store::new();
+    store.create_model("m").expect("model");
+    let base: Vec<Quad> = (0..2000)
+        .map(|i| {
+            Quad::triple(
+                Term::iri(format!("http://b/s{i}")),
+                Term::iri("http://b/p"),
+                Term::iri(format!("http://b/o{}", i % 7)),
+            )
+            .expect("valid quad")
+        })
+        .collect();
+    store.bulk_load("m", &base).expect("bulk load");
+    let stop = AtomicBool::new(false);
+    let (folds, merges, checked) = (
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+        AtomicUsize::new(0),
+    );
+    std::thread::scope(|scope| {
+        let (store, stop) = (&store, &stop);
+        let (folds, merges) = (&folds, &merges);
+        scope.spawn(move || {
+            let mut i = 0;
+            while !stop.load(Ordering::Relaxed) || merges.load(Ordering::Relaxed) == 0 {
+                let before = store.model("m").expect("m");
+                let mut batch = store.begin();
+                for k in 0..BATCH {
+                    batch.insert("m", &window_quad(i, k)).expect("insert");
+                }
+                if let Some(old) = i.checked_sub(WINDOW) {
+                    for k in 0..BATCH {
+                        assert!(batch.remove("m", &window_quad(old, k)).expect("remove"));
+                    }
+                }
+                if i > 0 {
+                    batch.remove("m", &marker(i - 1)).expect("remove marker");
+                }
+                batch.insert("m", &marker(i)).expect("insert marker");
+                batch.commit();
+                let after = store.model("m").expect("m");
+                if after.run_lens()[1] < before.run_lens()[1] {
+                    folds.fetch_add(1, Ordering::Relaxed);
+                }
+                if after.indexes()[0].len() != before.indexes()[0].len() {
+                    merges.fetch_add(1, Ordering::Relaxed);
+                }
+                i += 1;
+            }
+        });
+        for _ in 0..3 {
+            let checked = &checked;
+            scope.spawn(move || {
+                let mut last_epoch = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    let snap = store.snapshot();
+                    assert!(
+                        snap.epoch() >= last_epoch,
+                        "published epochs must be monotone"
+                    );
+                    last_epoch = snap.epoch();
+                    let view = snap.dataset("m").expect("dataset at snapshot");
+                    let at = |p: &str| QuadPattern {
+                        p: view.term_id(&Term::iri(p)),
+                        ..QuadPattern::any()
+                    };
+                    let Some(round) = view.term_id(&Term::iri("http://w/at")).map(|_| {
+                        let marks: Vec<EncodedQuad> = view.scan(at("http://w/at")).collect();
+                        assert_eq!(marks.len(), 1, "one round marker");
+                        iri_number(&view.decode(&marks[0]).object)
+                    }) else {
+                        continue;
+                    };
+                    let window: Vec<EncodedQuad> = view.scan(at("http://w/in")).collect();
+                    let again: Vec<EncodedQuad> = view.scan(at("http://w/in")).collect();
+                    assert_eq!(window, again, "a repeated read at one snapshot differs");
+                    let mut per_batch = std::collections::BTreeMap::new();
+                    for q in &window {
+                        *per_batch
+                            .entry(iri_number(&view.decode(q).object))
+                            .or_insert(0) += 1;
+                    }
+                    let live: Vec<usize> = (round.saturating_sub(WINDOW - 1)..=round).collect();
+                    assert_eq!(
+                        per_batch.keys().copied().collect::<Vec<_>>(),
+                        live,
+                        "round {round}: the window's batches"
+                    );
+                    assert!(
+                        per_batch.values().all(|&n| n == BATCH),
+                        "round {round}: a torn batch {per_batch:?}"
+                    );
+                    checked.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        std::thread::sleep(Duration::from_millis(1500));
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert!(
+        folds.load(Ordering::Relaxed) >= 3,
+        "top run folds: {folds:?}"
+    );
+    assert!(
+        merges.load(Ordering::Relaxed) >= 1,
+        "merges into the base: {merges:?}"
+    );
+    assert!(
+        checked.load(Ordering::Relaxed) > 0,
+        "no reader checked a window"
+    );
 }
