@@ -64,6 +64,14 @@ pub(crate) const MAX_NESTING: usize = 64;
 /// [`SparqlError::Parse`] before it could exhaust a thread's stack.
 pub(crate) const MAX_CHAIN: usize = 256;
 
+/// The deepest tree a query may parse into, counting each nesting level
+/// and each link of a chain, which sinks the tree built before it one
+/// level: chains nested inside each other add up, so bounding each
+/// construct alone does not bound the tree. It admits a 256-link chain
+/// whose first operand holds another, inside the nesting bound; past it a
+/// query is a [`SparqlError::Parse`].
+pub(crate) const MAX_DEPTH: usize = 2 * MAX_CHAIN + MAX_NESTING;
+
 struct Parser<'a> {
     tokens: Vec<Token<'a>>,
     pos: usize,
@@ -72,6 +80,9 @@ struct Parser<'a> {
     consts: Option<Vec<ConstToken>>,
     /// Nesting levels entered ([`MAX_NESTING`]).
     depth: usize,
+    /// The deepest tree level reached below the operand being measured
+    /// ([`Self::measured`]), counted as [`MAX_DEPTH`] counts.
+    deepest: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -82,6 +93,7 @@ impl<'a> Parser<'a> {
             prefixes: HashMap::new(),
             consts: None,
             depth: 0,
+            deepest: 0,
         }
     }
 
@@ -98,9 +110,58 @@ impl<'a> Parser<'a> {
             )));
         }
         self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
         let parsed = parse(self);
         self.depth -= 1;
         parsed
+    }
+
+    /// Runs `parse` and returns what it parsed with the height of its
+    /// tree: how many levels it reached below the current depth.
+    fn measured<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, SparqlError>,
+    ) -> Result<(T, usize), SparqlError> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
+        let parsed = parse(self);
+        let height = self.deepest - self.depth;
+        self.deepest = outer.max(self.deepest);
+        Ok((parsed?, height))
+    }
+
+    /// Records a tree `height` levels below the current depth, or refuses
+    /// the query past [`MAX_DEPTH`] levels.
+    fn grow(&mut self, height: usize) -> Result<(), SparqlError> {
+        self.deepest = self.deepest.max(self.depth + height);
+        if self.depth + height > MAX_DEPTH {
+            return Err(SparqlError::Parse(format!(
+                "a tree deeper than {MAX_DEPTH} levels at token {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+
+    /// Parses a left-deep chain: a first operand, then `link`-separated
+    /// operands while `op` names the next link, joined by `join`. Each
+    /// link counts against [`MAX_CHAIN`] and sinks the tree built so far
+    /// one level ([`MAX_DEPTH`]).
+    fn chain<T, O>(
+        &mut self,
+        operand: fn(&mut Self) -> Result<T, SparqlError>,
+        op: impl Fn(&mut Self) -> Option<O>,
+        join: impl Fn(O, T, T) -> T,
+    ) -> Result<T, SparqlError> {
+        let (mut left, mut height) = self.measured(operand)?;
+        let mut links = 0;
+        while let Some(o) = op(self) {
+            self.link(&mut links)?;
+            let (right, h) = self.measured(operand)?;
+            height = height.max(h) + 1;
+            self.grow(height)?;
+            left = join(o, left, right);
+        }
+        Ok(left)
     }
 
     /// Counts one more link of a flat chain, or refuses the query past
@@ -151,6 +212,13 @@ impl<'a> Parser<'a> {
 
     fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
+    }
+
+    /// Consumes the current token if it is `token`.
+    fn eat(&mut self, token: Token<'a>) -> Option<()> {
+        (self.peek() == Some(&token)).then(|| {
+            self.bump();
+        })
     }
 
     /// Consumes the current token. The parser never looks back, so the
@@ -468,19 +536,19 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(Token::RBrace) => {
                     self.bump();
+                    // Each OPTIONAL sank what came before it one level.
+                    self.grow(self.deepest - self.depth + optionals)?;
                     break;
                 }
                 None => return Err(SparqlError::Parse("unterminated group pattern".into())),
                 Some(Token::LBrace) => {
                     flush_triples!();
-                    let mut left = self.parse_group_graph_pattern()?;
-                    let mut links = 0;
-                    while self.eat_keyword("UNION") {
-                        self.link(&mut links)?;
-                        let right = self.parse_group_graph_pattern()?;
-                        left = GraphPattern::Union(Box::new(left), Box::new(right));
-                    }
-                    members.push(left);
+                    let union = self.chain(
+                        Self::parse_group_graph_pattern,
+                        |p| p.eat_keyword("UNION").then_some(()),
+                        |(), left, right| GraphPattern::Union(Box::new(left), Box::new(right)),
+                    )?;
+                    members.push(union);
                 }
                 Some(Token::Word(w)) if w.eq_ignore_ascii_case("FILTER") => {
                     self.bump();
@@ -670,25 +738,19 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_path_alternative(&mut self) -> Result<PropertyPath, SparqlError> {
-        let (mut left, mut links) = (self.parse_path_sequence()?, 0);
-        while self.peek() == Some(&Token::Pipe) {
-            self.link(&mut links)?;
-            self.bump();
-            let right = self.parse_path_sequence()?;
-            left = PropertyPath::Alternative(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            Self::parse_path_sequence,
+            |p| p.eat(Token::Pipe),
+            |(), left, right| PropertyPath::Alternative(Box::new(left), Box::new(right)),
+        )
     }
 
     fn parse_path_sequence(&mut self) -> Result<PropertyPath, SparqlError> {
-        let (mut left, mut links) = (self.parse_path_elt_or_inverse()?, 0);
-        while self.peek() == Some(&Token::Slash) {
-            self.link(&mut links)?;
-            self.bump();
-            let right = self.parse_path_elt_or_inverse()?;
-            left = PropertyPath::Sequence(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            Self::parse_path_elt_or_inverse,
+            |p| p.eat(Token::Slash),
+            |(), left, right| PropertyPath::Sequence(Box::new(left), Box::new(right)),
+        )
     }
 
     fn parse_path_elt_or_inverse(&mut self) -> Result<PropertyPath, SparqlError> {
@@ -795,25 +857,19 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_or(&mut self) -> Result<Expression, SparqlError> {
-        let (mut left, mut links) = (self.parse_and()?, 0);
-        while self.peek() == Some(&Token::OrOr) {
-            self.link(&mut links)?;
-            self.bump();
-            let right = self.parse_and()?;
-            left = Expression::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            Self::parse_and,
+            |p| p.eat(Token::OrOr),
+            |(), left, right| Expression::Or(Box::new(left), Box::new(right)),
+        )
     }
 
     fn parse_and(&mut self) -> Result<Expression, SparqlError> {
-        let (mut left, mut links) = (self.parse_relational()?, 0);
-        while self.peek() == Some(&Token::AndAnd) {
-            self.link(&mut links)?;
-            self.bump();
-            let right = self.parse_relational()?;
-            left = Expression::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            Self::parse_relational,
+            |p| p.eat(Token::AndAnd),
+            |(), left, right| Expression::And(Box::new(left), Box::new(right)),
+        )
     }
 
     fn parse_relational(&mut self) -> Result<Expression, SparqlError> {
@@ -837,35 +893,35 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_additive(&mut self) -> Result<Expression, SparqlError> {
-        let (mut left, mut links) = (self.parse_multiplicative()?, 0);
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => ArithOp::Add,
-                Some(Token::Minus) => ArithOp::Sub,
-                _ => break,
-            };
-            self.link(&mut links)?;
-            self.bump();
-            let right = self.parse_multiplicative()?;
-            left = Expression::Arith(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            Self::parse_multiplicative,
+            |p| {
+                let op = match p.peek() {
+                    Some(Token::Plus) => ArithOp::Add,
+                    Some(Token::Minus) => ArithOp::Sub,
+                    _ => return None,
+                };
+                p.bump();
+                Some(op)
+            },
+            |op, left, right| Expression::Arith(op, Box::new(left), Box::new(right)),
+        )
     }
 
     fn parse_multiplicative(&mut self) -> Result<Expression, SparqlError> {
-        let (mut left, mut links) = (self.parse_unary()?, 0);
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => ArithOp::Mul,
-                Some(Token::Slash) => ArithOp::Div,
-                _ => break,
-            };
-            self.link(&mut links)?;
-            self.bump();
-            let right = self.parse_unary()?;
-            left = Expression::Arith(op, Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(
+            Self::parse_unary,
+            |p| {
+                let op = match p.peek() {
+                    Some(Token::Star) => ArithOp::Mul,
+                    Some(Token::Slash) => ArithOp::Div,
+                    _ => return None,
+                };
+                p.bump();
+                Some(op)
+            },
+            |op, left, right| Expression::Arith(op, Box::new(left), Box::new(right)),
+        )
     }
 
     fn parse_unary(&mut self) -> Result<Expression, SparqlError> {
@@ -1483,6 +1539,39 @@ mod tests {
             longest("{ ?s ?p ?o }", " UNION ")
         );
         assert_eq!(parse_query(&kept).map(drop), Ok(()));
+    }
+
+    /// Chains nested in chains add up: 60 levels of parentheses, each
+    /// holding a 256-link `+` chain whose first operand is the next level
+    /// (about 60 KB of FILTER), are a typed `Parse` error on a 2 MB
+    /// thread. The same levels as each chain's last operand hang one level
+    /// below its root, and parse.
+    #[test]
+    fn chains_nested_in_chains_are_a_parse_error_on_a_small_stack() {
+        let links = " + 1".repeat(MAX_CHAIN);
+        let (mut first, mut last) = ("1".to_string(), "1".to_string());
+        for _ in 0..60 {
+            first = format!("({first}{links})");
+            last = format!("(1{} + {last})", &links[4..]);
+        }
+        let filter = |e: &str| format!("SELECT * WHERE {{ ?s ?p ?o FILTER ({e} > 0) }}");
+        let (refused, kept) = (filter(&first), filter(&last));
+        let (refused, kept) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                (
+                    parse_query(&refused).map(drop),
+                    parse_query(&kept).map(drop),
+                )
+            })
+            .expect("spawn")
+            .join()
+            .expect("no panic");
+        assert!(
+            matches!(&refused, Err(SparqlError::Parse(m)) if m.contains("deeper than")),
+            "{refused:?}"
+        );
+        assert_eq!(kept, Ok(()));
     }
 
     /// `inner` inside `n` levels of `open` … `close`.
